@@ -32,6 +32,7 @@ from .experiments import (
 from .gates import (
     GateDiagonal,
     LogicalOperator,
+    MarkedState,
     decayed_i000,
     diffusion,
     hadamard3,
@@ -42,7 +43,6 @@ from .gates import (
 )
 from .grover import (
     GateVariant,
-    MarkedState,
     SearchRecord,
     closed_form_probability,
     grover_step,

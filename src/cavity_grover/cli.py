@@ -10,6 +10,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import ConfigError, NumericalError
@@ -18,7 +19,6 @@ from .experiments import (
     ExperimentConfig,
     parse_config,
     run_experiment,
-    with_overrides,
     write_csv,
 )
 
@@ -61,9 +61,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.threads is not None:
-            config = with_overrides(config, threads=args.threads)
+            config = dataclasses.replace(config, threads=args.threads)
         if args.out is not None:
-            config = with_overrides(config, output=args.out)
+            config = dataclasses.replace(config, output=args.out)
         table = run_experiment(args.experiment, config)
         out_path = config.output or f"{args.experiment}.csv"
         write_csv(table, out_path)

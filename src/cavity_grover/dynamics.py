@@ -173,13 +173,17 @@ def build_hamiltonian(params: CavityParams, basis: ProductBasis) -> np.ndarray:
 def build_effective_hamiltonian(params: CavityParams, basis: ProductBasis) -> np.ndarray:
     """Non-Hermitian no-jump generator H - i*(kappa/2)*a†a, in rad/s.
 
-    The anti-Hermitian part is diagonal: -i*(kappa/2)*n on each Fock layer.
     Equal to ``build_hamiltonian`` when kappa = 0.
     """
-    h = build_hamiltonian(params, basis)
+    return add_cavity_decay(build_hamiltonian(params, basis), params.kappa, basis)
+
+
+def add_cavity_decay(h: np.ndarray, kappa: float, basis: ProductBasis) -> np.ndarray:
+    """Add the anti-Hermitian no-jump term -i*(kappa/2)*a†a to ``h`` in place
+    and return it. The term is diagonal: -i*(kappa/2)*n on each Fock layer."""
     for i, state in enumerate(basis.states):
         if state.n:
-            h[i, i] += -0.5j * params.kappa * state.n
+            h[i, i] += -0.5j * kappa * state.n
     return h
 
 
@@ -269,6 +273,22 @@ class GateExtract:
             raise NumericalError("column norm plus leakage exceeds 1")
 
 
+def evolve_logical_basis(
+    params: CavityParams,
+    t: float,
+    settings: EvolutionSettings = DEFAULT_SETTINGS,
+) -> tuple[tuple[int, ...], list[PureState]]:
+    """Evolve each logical basis state |000⟩..|111⟩ under the no-jump
+    Hamiltonian for time ``t``. Returns the logical embedding and the eight
+    final states, in logical order."""
+    basis = build_basis(params.photon_cutoff)
+    h_eff = build_effective_hamiltonian(params, basis)
+    embedding = computational_embedding(basis)
+    return embedding, [
+        evolve(h_eff, t, basis_state(basis, pos), settings) for pos in embedding
+    ]
+
+
 def extract_gate(
     params: CavityParams,
     t: float,
@@ -280,14 +300,10 @@ def extract_gate(
 
     if t <= 0:
         raise ConfigError(f"gate extraction needs t > 0, got {t}")
-    basis = build_basis(params.photon_cutoff)
-    h_eff = build_effective_hamiltonian(params, basis)
-    embedding = computational_embedding(basis)
-
+    embedding, finals = evolve_logical_basis(params, t, settings)
     matrix = np.zeros((8, 8), dtype=complex)
     leakage = np.zeros(8)
-    for col, pos in enumerate(embedding):
-        final = evolve(h_eff, t, basis_state(basis, pos), settings)
+    for col, final in enumerate(finals):
         projected = final.amplitudes[list(embedding)]
         matrix[:, col] = projected
         leakage[col] = final.squared_norm() - float(

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dynamics import CavityParams, extract_gate, gate_time, positions_for_ratio
 from .errors import ConfigError, NumericalError
-from .gates import decayed_i000, residual_gate_entry
-from .grover import GateVariant, MarkedState, run_search
+from .gates import MarkedState, decayed_i000, residual_gate_entry
+from .grover import GateVariant, run_search
 from .imperfections import (
     OFFSET_MODELS,
     OffsetScenario,
@@ -30,6 +30,12 @@ from .imperfections import (
 )
 
 EXPERIMENTS = ("gate", "search", "timing", "offset", "geometry")
+
+# Float-valued config fields; NaN and inf slip through every range check.
+_FLOAT_FIELDS = (
+    "omega1c_khz", "kappa_ratios", "delta_t_max_frac", "eta_max",
+    "offset_eta_per_atom", "offset_kappa_ratio", "lambda0",
+)
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,11 @@ class ExperimentConfig:
         object.__setattr__(self, "chi_list", tuple(self.chi_list))
         if self.offset_eta_per_atom is not None:
             object.__setattr__(self, "offset_eta_per_atom", tuple(self.offset_eta_per_atom))
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in values if v is not None):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.omega1c_khz <= 0:
             raise ConfigError(f"omega1c_khz must be > 0, got {self.omega1c_khz}")
         _check_grid("kappa_ratios", self.kappa_ratios)
@@ -438,7 +449,3 @@ _RUNNERS = {
     "geometry": _geometry_experiment,
 }
 
-
-def with_overrides(config: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Copy the config with selected fields replaced (CLI flag overrides)."""
-    return replace(config, **kwargs)

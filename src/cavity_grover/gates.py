@@ -12,8 +12,9 @@ three flavors:
   the photon population each logical state cycles through the mode.
 
 Every other marked state's phase gate is the |000⟩ gate conjugated by bit
-flips, and the inversion-about-average operator is the same gate sandwiched
-between Hadamard layers, so one physical gate drives the whole search.
+flips, which is an index permutation, and the inversion-about-average
+operator is the same gate sandwiched between Hadamard layers, so one
+physical gate drives the whole search.
 """
 
 from __future__ import annotations
@@ -28,6 +29,33 @@ from .errors import ConfigError
 from .hilbert import PureState
 
 _UNITARY_TOLERANCE = 1e-10
+
+
+@dataclass(frozen=True)
+class MarkedState:
+    """Three-bit label of the state the search is asked to find."""
+
+    bits: str
+
+    def __post_init__(self) -> None:
+        if (
+            not isinstance(self.bits, str)
+            or len(self.bits) != 3
+            or any(c not in "01" for c in self.bits)
+        ):
+            raise ConfigError(f"marked state must be three bits, got {self.bits!r}")
+
+    @classmethod
+    def of(cls, tau: MarkedState | str) -> MarkedState:
+        """``tau`` itself if already a marked state, else its validated label."""
+        return tau if isinstance(tau, cls) else cls(tau)
+
+    @property
+    def index(self) -> int:
+        return int(self.bits, 2)
+
+    def __str__(self) -> str:
+        return self.bits
 
 
 @dataclass(frozen=True)
@@ -148,6 +176,23 @@ def ideal_i000(params: CavityParams, exact: bool = False) -> LogicalOperator:
     return LogicalOperator(np.diag(diag))
 
 
+def _damping_factors(
+    params: CavityParams, couplings: tuple[float, float, float]
+) -> GateDiagonal:
+    # Decay, gate time and the atoms-1+3 Rabi phase come from ``params``;
+    # each factor's coupling-share weight comes from ``couplings``.
+    _require_designed(params)
+    w1, w2, w3 = couplings
+    damp = math.exp(-params.kappa * gate_time(params) / 4.0)
+    w1sq = w1 * w1
+    return GateDiagonal(
+        mu=damp,
+        gamma=1.0 - w1sq / (w1sq + w3 * w3) * (1.0 - damp * math.cos(_pair13_phase(params))),
+        beta=1.0 - w1sq / (w1sq + w2 * w2) * (1.0 - damp),
+        alpha=1.0 - w1sq / (w1sq + w2 * w2 + w3 * w3) * (1.0 - damp),
+    )
+
+
 def decayed_i000(params: CavityParams) -> tuple[LogicalOperator, GateDiagonal]:
     """Phase gate realized under cavity decay, evaluated at the gate time.
 
@@ -165,49 +210,21 @@ def decayed_i000(params: CavityParams) -> tuple[LogicalOperator, GateDiagonal]:
     dynamical oracle ``dynamics.extract_gate`` agrees to about 1e-3 at
     kappa = w1/10.
     """
-    _require_designed(params)
-    w1, w2, w3 = params.omega
-    t = gate_time(params)
-    damp = math.exp(-params.kappa * t / 4.0)
-    w1sq = w1 * w1
-    diag = GateDiagonal(
-        mu=damp,
-        gamma=1.0 - w1sq / (w1sq + w3 * w3) * (1.0 - damp * math.cos(_pair13_phase(params))),
-        beta=1.0 - w1sq / (w1sq + w2 * w2) * (1.0 - damp),
-        alpha=1.0 - w1sq / (w1sq + w2 * w2 + w3 * w3) * (1.0 - damp),
-    )
+    diag = _damping_factors(params, params.omega)
     return diag.operator(), diag
 
 
-def _tau_bits(tau) -> tuple[int, int, int]:
-    bits = getattr(tau, "bits", tau)
-    if isinstance(bits, str):
-        if len(bits) != 3 or any(c not in "01" for c in bits):
-            raise ConfigError(f"marked state must be three bits, got {bits!r}")
-        value = int(bits, 2)
-    elif isinstance(bits, int):
-        value = bits
-    else:
-        raise ConfigError(f"cannot interpret marked state {tau!r}")
-    if not 0 <= value <= 7:
-        raise ConfigError(f"marked state index {value} outside 0..7")
-    return ((value >> 2) & 1, (value >> 1) & 1, value & 1)
+def marked_gate(tau: MarkedState | str, base: LogicalOperator) -> LogicalOperator:
+    """Phase gate for an arbitrary marked state: the |000⟩ gate conjugated
+    by a bit flip on every qubit where ``tau`` has a 1.
 
-
-def marked_gate(tau, base: LogicalOperator) -> LogicalOperator:
-    """Phase gate for an arbitrary marked state: conjugate the |000⟩ gate by
-    a bit flip on every qubit where ``tau`` has a 1.
-
-    With the exact base this equals the reflection I - 2|tau⟩⟨tau|; with a
+    The conjugation is the index permutation base[i ^ tau, j ^ tau]. With
+    the exact base this equals the reflection I - 2|tau⟩⟨tau|; with a
     damped base the diagonal factors follow the permuted slots, so the
     marked state itself carries the -mu entry.
     """
-    gate = base
-    for qubit, bit in enumerate(_tau_bits(tau), start=1):
-        if bit:
-            flip = pauli_x(qubit)
-            gate = flip @ gate @ flip
-    return gate
+    perm = np.arange(8) ^ MarkedState.of(tau).index
+    return LogicalOperator(base.matrix[np.ix_(perm, perm)])
 
 
 def diffusion() -> LogicalOperator:

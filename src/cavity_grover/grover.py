@@ -23,26 +23,16 @@ import numpy as np
 
 from .dynamics import CavityParams
 from .errors import ConfigError
-from .gates import GateDiagonal, LogicalOperator, decayed_i000, hadamard3, ideal_i000, marked_gate
+from .gates import (
+    GateDiagonal,
+    LogicalOperator,
+    MarkedState,
+    decayed_i000,
+    hadamard3,
+    ideal_i000,
+    marked_gate,
+)
 from .hilbert import PureState
-
-
-@dataclass(frozen=True)
-class MarkedState:
-    """Three-bit label of the state the search is asked to find."""
-
-    bits: str
-
-    def __post_init__(self) -> None:
-        if len(self.bits) != 3 or any(c not in "01" for c in self.bits):
-            raise ConfigError(f"marked state must be three bits, got {self.bits!r}")
-
-    @property
-    def index(self) -> int:
-        return int(self.bits, 2)
-
-    def __str__(self) -> str:
-        return self.bits
 
 
 class GateVariant(Enum):
@@ -78,7 +68,9 @@ def initial_state() -> PureState:
     return PureState(np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex))
 
 
-def grover_step(state: PureState, tau, i000: LogicalOperator) -> PureState:
+def grover_step(
+    state: PureState, tau: MarkedState | str, i000: LogicalOperator
+) -> PureState:
     """One search iteration: the marked-state flip first, then the Hadamard /
     phase-gate / Hadamard sandwich. Output is unnormalized when ``i000`` is
     the decayed gate."""
@@ -96,13 +88,13 @@ def _base_gate(variant: GateVariant, params: CavityParams) -> LogicalOperator:
 
 
 def run_search(
-    tau, k_max: int, variant: GateVariant, params: CavityParams
+    tau: MarkedState | str, k_max: int, variant: GateVariant, params: CavityParams
 ) -> list[SearchRecord]:
     """Iterate the search ``k_max`` times and record probability, survival,
     and fidelity against the exact-gate trajectory after each iteration."""
     if k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
-    marked = tau if isinstance(tau, MarkedState) else MarkedState(str(tau))
+    marked = MarkedState.of(tau)
     gate = _base_gate(variant, params)
     reference = _base_gate(GateVariant.EXACT, params)
 

@@ -50,24 +50,6 @@ class BasisState(NamedTuple):
 
 
 @dataclass(frozen=True)
-class QubitEncoding:
-    """Fixed logical-bit → atomic-level map. Atom 1 encodes 0 in the upper
-    level; atoms 2 and 3 encode 0 in the uninvolved level ``I``."""
-
-    def level(self, atom: int, bit: int) -> AtomLevel:
-        if atom not in (1, 2, 3):
-            raise ConfigError(f"atom index must be 1..3, got {atom}")
-        if bit not in (0, 1):
-            raise ConfigError(f"logical bit must be 0 or 1, got {bit}")
-        if bit == 1:
-            return AtomLevel.G
-        return AtomLevel.E if atom == 1 else AtomLevel.I
-
-
-LOGICAL_ENCODING = QubitEncoding()
-
-
-@dataclass(frozen=True)
 class ProductBasis:
     """Ordered enumeration of all (l1, l2, l3, n) product states.
 
@@ -133,17 +115,17 @@ def computational_embedding(basis: ProductBasis) -> tuple[int, ...]:
     """Indices of the eight logical basis states |000⟩..|111⟩.
 
     All eight are photon-vacuum states; the order follows the binary value
-    of the logical bits under the fixed encoding, i.e. position 0 is
-    (E, I, I, 0) and position 7 is (G, G, G, 0).
+    of the logical bits (qubit 1 most significant) under the encoding
+    above, i.e. position 0 is (E, I, I, 0) and position 7 is (G, G, G, 0).
     """
-    out = []
-    for value in range(8):
-        bits = ((value >> 2) & 1, (value >> 1) & 1, value & 1)
-        levels = tuple(
-            LOGICAL_ENCODING.level(atom, bit) for atom, bit in enumerate(bits, start=1)
-        )
-        out.append(basis.position(BasisState(*levels, 0)))
-    return tuple(out)
+    atom1 = (AtomLevel.E, AtomLevel.G)  # level for bit 0, bit 1
+    atom23 = (AtomLevel.I, AtomLevel.G)
+    return tuple(
+        basis.position(BasisState(atom1[b1], atom23[b2], atom23[b3], 0))
+        for b1 in (0, 1)
+        for b2 in (0, 1)
+        for b3 in (0, 1)
+    )
 
 
 def excitation_number(basis: ProductBasis, position: int) -> int:

@@ -35,15 +35,15 @@ from .dynamics import (
     DEFAULT_SETTINGS,
     CavityParams,
     EvolutionSettings,
-    build_effective_hamiltonian,
+    add_cavity_decay,
     decay_shifted_frequency,
     evolve,
+    evolve_logical_basis,
     exchange_hamiltonian,
     gate_time,
 )
 from .errors import ConfigError
-from .gates import _pair13_phase, decayed_i000
-from .hilbert import PureState, build_basis, computational_embedding
+from .gates import _damping_factors, _pair13_phase, decayed_i000
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
 
@@ -107,6 +107,14 @@ def _infidelity_vs(reference: np.ndarray, output: np.ndarray) -> float:
     return float(1.0 - overlap / np.vdot(output, output).real)
 
 
+def _one_gate_infidelity(output: np.ndarray) -> float:
+    """Infidelity of ``output`` against the exact |000⟩ phase gate applied
+    to the uniform register: the uniform state with its |000⟩ sign flipped."""
+    reference = _uniform_register()
+    reference[0] = -reference[0]
+    return _infidelity_vs(reference, output)
+
+
 def timing_infidelity(scenario: TimingScenario) -> float:
     """Closed-form gate infidelity caused by atom 1 overstaying by delta_t.
 
@@ -152,10 +160,7 @@ def timing_infidelity(scenario: TimingScenario) -> float:
             1.0,
         ]
     )
-    u = _uniform_register()
-    reference = u.copy()
-    reference[0] = -reference[0]
-    return _infidelity_vs(reference, entries * u)
+    return _one_gate_infidelity(entries * _uniform_register())
 
 
 def timing_oracle(
@@ -169,27 +174,16 @@ def timing_oracle(
     and evaluates the same uniform-input infidelity.
     """
     params = scenario.params
-    basis = build_basis(params.photon_cutoff)
-    h_full = build_effective_hamiltonian(params, basis)
-    h_atom1 = exchange_hamiltonian((params.omega[0], 0.0, 0.0), basis)
-    for i, state in enumerate(basis.states):
-        if state.n:
-            h_atom1[i, i] += -0.5j * params.kappa * state.n
-
-    embedding = computational_embedding(basis)
-    t0 = gate_time(params)
-    gate = np.zeros((8, 8), dtype=complex)
-    for col, pos in enumerate(embedding):
-        amps = np.zeros(basis.dimension, dtype=complex)
-        amps[pos] = 1.0
-        mid = evolve(h_full, t0, PureState(amps, basis), settings)
-        final = evolve(h_atom1, scenario.delta_t, mid, settings)
-        gate[:, col] = final.amplitudes[list(embedding)]
-
-    u = _uniform_register()
-    reference = u.copy()
-    reference[0] = -reference[0]
-    return _infidelity_vs(reference, gate @ u)
+    embedding, mids = evolve_logical_basis(params, gate_time(params), settings)
+    basis = mids[0].basis
+    h_atom1 = add_cavity_decay(
+        exchange_hamiltonian((params.omega[0], 0.0, 0.0), basis), params.kappa, basis
+    )
+    logical = list(embedding)
+    gate = np.column_stack(
+        [evolve(h_atom1, scenario.delta_t, mid, settings).amplitudes[logical] for mid in mids]
+    )
+    return _one_gate_infidelity(gate @ _uniform_register())
 
 
 def offset_couplings(scenario: OffsetScenario) -> tuple[float, float, float]:
@@ -225,27 +219,16 @@ def coupling_offset_infidelity(scenario: OffsetScenario) -> float:
     (0.0083388 -> 0.0083317) while the product of four simulated gates
     rises (0.008745 -> 0.009994).
     """
-    params = scenario.params
-    t0 = gate_time(params)
-    damp = math.exp(-params.kappa * t0 / 4.0)
-    _, base = decayed_i000(params)
-
-    p1, p2, p3 = offset_couplings(scenario)
-    p1sq = p1 * p1
-    phase = _pair13_phase(params)
-    primed_mu = damp
-    primed_gamma = 1.0 - p1sq / (p1sq + p3 * p3) * (1.0 - damp * math.cos(phase))
-    primed_beta = 1.0 - p1sq / (p1sq + p2 * p2) * (1.0 - damp)
-    primed_alpha = 1.0 - p1sq / (p1sq + p2 * p2 + p3 * p3) * (1.0 - damp)
-
+    base = _damping_factors(scenario.params, scenario.params.omega)
+    primed = _damping_factors(scenario.params, offset_couplings(scenario))
     chi = scenario.chi
     rest = 4 - chi
     entries = np.array(
         [
-            primed_mu**chi * base.mu**rest,
-            primed_gamma**chi * base.gamma**rest,
-            primed_beta**chi * base.beta**rest,
-            primed_alpha**chi * base.alpha**rest,
+            primed.mu**chi * base.mu**rest,
+            primed.gamma**chi * base.gamma**rest,
+            primed.beta**chi * base.beta**rest,
+            primed.alpha**chi * base.alpha**rest,
             1.0,
             1.0,
             1.0,

@@ -233,6 +233,18 @@ def test_extracted_gate_under_decay_matches_closed_form(params_strong_decay):
     assert np.abs(diag - expected).max() <= 1e-3
 
 
+def test_extract_gate_honours_settings(params_strong_decay):
+    # RK4 must agree with the matrix exponential, and must differ from it
+    # in the last bits: equal outputs would mean the settings were dropped.
+    t = gate_time(params_strong_decay)
+    reference = extract_gate(params_strong_decay, t)
+    rk4 = EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=1024)
+    integrated = extract_gate(params_strong_decay, t, rk4)
+    gap = np.abs(integrated.restricted.matrix - reference.restricted.matrix).max()
+    assert 0.0 < gap <= 1e-8
+    assert np.abs(integrated.leakage - reference.leakage).max() <= 1e-8
+
+
 def test_extracted_gate_short_time_is_identity(params_strong_decay):
     t = 1e-6 * gate_time(params_strong_decay)
     extract = extract_gate(params_strong_decay, t)

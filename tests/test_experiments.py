@@ -83,6 +83,24 @@ def test_config_validation():
         ExperimentConfig(threads=0)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "omega1c_khz = nan",
+        "kappa_ratios = 0,nan",
+        "delta_t_max_frac = nan",
+        "eta_max = nan",
+        "offset_eta_per_atom = 0.01,inf,0.0",
+        "offset_kappa_ratio = nan",
+        "lambda0 = inf",
+    ],
+)
+def test_parse_rejects_non_finite_floats(line):
+    key = line.split("=")[0].strip()
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config(line + "\n")
+
+
 # --- experiments -------------------------------------------------------------
 
 
@@ -213,6 +231,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     rc = cli.main(["search", "--config", str(bad)])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_non_finite_config_exits_1_without_csv(tmp_path, capsys):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text("eta_max = nan\n", encoding="utf-8")
+    out = tmp_path / "offset.csv"
+    rc = cli.main(["offset", "--config", str(bad), "--out", str(out)])
+    assert rc == 1
+    assert "eta_max must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_missing_config_exit_code(capsys):

@@ -160,6 +160,21 @@ def test_marked_gate_rejects_bad_label(params_lossless):
         marked_gate("0012", base)
     with pytest.raises(ConfigError):
         marked_gate(9, base)
+    with pytest.raises(ConfigError):
+        marked_gate(5, base)
+
+
+@pytest.mark.parametrize("tau", ALL_TAUS)
+def test_marked_gate_equals_bit_flip_conjugation(tau):
+    # The index permutation must reproduce X_q * base * X_q over every set
+    # bit exactly, on a dense complex base with no structure to hide behind.
+    rng = np.random.default_rng(7)
+    base = LogicalOperator(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    expected = base
+    for qubit, bit in enumerate(tau, start=1):
+        if bit == "1":
+            expected = pauli_x(qubit) @ expected @ pauli_x(qubit)
+    assert np.array_equal(marked_gate(tau, base).matrix, expected.matrix)
 
 
 # --- diffusion -------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 
 from cavity_grover import (
     ConfigError,
+    EvolutionMethod,
+    EvolutionSettings,
     OffsetScenario,
     TimingScenario,
     coupling_offset_infidelity,
@@ -67,6 +69,15 @@ def test_formula_tracks_oracle_for_small_delays(frac, params_weak_decay):
     formula = timing_infidelity(scenario)
     oracle = timing_oracle(scenario)
     assert abs(formula - oracle) <= max(0.2 * abs(oracle), 1e-4)
+
+
+def test_timing_oracle_honours_settings(params_strong_decay):
+    # As for extract_gate: RK4 agrees with the matrix exponential but is not
+    # bit-equal to it, so the integrator really ran.
+    scenario = TimingScenario(0.05 * gate_time(params_strong_decay), params_strong_decay)
+    rk4 = EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=1024)
+    gap = abs(timing_oracle(scenario, rk4) - timing_oracle(scenario))
+    assert 0.0 < gap <= 1e-10
 
 
 def test_oracle_monotone_on_coarse_grid(params_strong_decay):
