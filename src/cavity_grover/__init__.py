@@ -7,6 +7,7 @@ drives (with photon loss on the no-jump branch), and closed-form error
 budgets for atom-timing and coupling-offset imperfections.
 """
 
+from . import _blas  # noqa: F401  (first: sets the BLAS thread count numpy loads with)
 from .dynamics import (
     CavityParams,
     EvolutionMethod,
@@ -67,6 +68,7 @@ from .imperfections import (
     offset_couplings,
     timing_infidelity,
     timing_oracle,
+    timing_oracle_grid,
 )
 
 __version__ = "0.1.0"

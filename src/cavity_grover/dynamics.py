@@ -187,29 +187,19 @@ def add_cavity_decay(h: np.ndarray, kappa: float, basis: ProductBasis) -> np.nda
     return h
 
 
-def _truncation_sensitive(basis: ProductBasis) -> list[int]:
-    # Top-layer states with an atom in E couple to the (absent) next Fock
-    # layer; amplitude there means the truncation is biting.
-    return [
-        i
-        for i, s in enumerate(basis.states)
-        if s.n == basis.photon_cutoff
-        and any(l is AtomLevel.E for l in s.atom_levels())
-    ]
-
-
 def _check_result(amps: np.ndarray, basis: ProductBasis | None) -> None:
+    """Reject non-finite amplitudes, and amplitude above
+    ``TOP_LAYER_TOLERANCE`` on ``basis.guard``. ``amps`` is one state vector
+    or a block with one state per column."""
     if not np.all(np.isfinite(amps.view(float))):
         raise NumericalError("evolution produced non-finite amplitudes")
-    if basis is not None:
-        sensitive = _truncation_sensitive(basis)
-        if sensitive:
-            worst = float(np.abs(amps[sensitive]).max())
-            if worst > TOP_LAYER_TOLERANCE:
-                raise CutoffError(
-                    f"amplitude {worst:.3e} on truncation-sensitive Fock states; "
-                    f"raise photon_cutoff above {basis.photon_cutoff}"
-                )
+    if basis is not None and basis.guard:
+        worst = float(np.abs(amps[list(basis.guard)]).max())
+        if worst > TOP_LAYER_TOLERANCE:
+            raise CutoffError(
+                f"amplitude {worst:.3e} on truncation-sensitive Fock states; "
+                f"raise photon_cutoff above {basis.photon_cutoff}"
+            )
 
 
 def evolve(

@@ -26,10 +26,15 @@ from .imperfections import (
     TimingScenario,
     coupling_offset_infidelity,
     timing_infidelity,
-    timing_oracle,
+    timing_oracle_grid,
 )
 
 EXPERIMENTS = ("gate", "search", "timing", "offset", "geometry")
+
+# Upper bounds on sweep sizes and worker threads: far above any useful run,
+# low enough that a typo cannot ask for a huge grid or thread pool.
+MAX_GRID_POINTS = 100_000
+MAX_THREADS = 64
 
 # Float-valued config fields; NaN and inf slip through every range check.
 _FLOAT_FIELDS = (
@@ -88,8 +93,10 @@ class ExperimentConfig:
             ("delta_t", self.delta_t_max_frac, self.delta_t_points),
             ("eta", self.eta_max, self.eta_points),
         ):
-            if points < 1:
-                raise ConfigError(f"{name}_points must be >= 1, got {points}")
+            if not 1 <= points <= MAX_GRID_POINTS:
+                raise ConfigError(
+                    f"{name}_points must lie in 1..{MAX_GRID_POINTS}, got {points}"
+                )
             if maximum < 0:
                 raise ConfigError(f"{name}_max must be >= 0, got {maximum}")
             if points > 1 and maximum == 0:
@@ -117,8 +124,8 @@ class ExperimentConfig:
             raise ConfigError(f"photon_cutoff must be >= 1, got {self.photon_cutoff}")
         if self.lambda0 <= 0:
             raise ConfigError(f"lambda0 must be > 0, got {self.lambda0}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if not 1 <= self.threads <= MAX_THREADS:
+            raise ConfigError(f"threads must lie in 1..{MAX_THREADS}, got {self.threads}")
 
     @property
     def omega1c(self) -> float:
@@ -232,7 +239,8 @@ def _fmt(value) -> str:
 @dataclass(frozen=True)
 class SweepTable:
     """One experiment's output: a fixed column schema, rows in grid order,
-    and a human-readable summary."""
+    and a human-readable summary. A row holding NaN or inf raises
+    ``NumericalError``, so no such value reaches a CSV."""
 
     experiment: str
     header: tuple[str, ...]
@@ -245,6 +253,8 @@ class SweepTable:
                 raise ConfigError(
                     f"row width {len(row)} != header width {len(self.header)}"
                 )
+            if not all(map(math.isfinite, row)):
+                raise NumericalError(f"{self.experiment} produced a non-finite row {row}")
 
 
 def write_csv(table: SweepTable, path: str) -> None:
@@ -356,25 +366,24 @@ def _search_experiment(config: ExperimentConfig) -> SweepTable:
 
 
 def _timing_experiment(config: ExperimentConfig) -> SweepTable:
-    points = [
-        (ratio, frac) for ratio in config.kappa_ratios for frac in config.delta_t_fracs()
-    ]
+    fracs = config.delta_t_fracs()
 
-    def one(point):
-        ratio, frac = point
+    def one(ratio: float):
         params = config.params(ratio)
-        scenario = TimingScenario(delta_t=frac * gate_time(params), params=params)
+        scenarios = [
+            TimingScenario(delta_t=frac * gate_time(params), params=params) for frac in fracs
+        ]
         try:
-            return (
-                ratio,
-                frac,
-                timing_infidelity(scenario),
-                timing_oracle(scenario),
-            )
+            oracle = timing_oracle_grid(params, [s.delta_t for s in scenarios])
+            return [
+                (ratio, frac, timing_infidelity(scenario), value)
+                for frac, scenario, value in zip(fracs, scenarios, oracle)
+            ]
         except NumericalError as exc:
-            raise _annotate(exc, "timing", f"kappa_ratio={ratio}, delta_t_frac={frac}") from exc
+            raise _annotate(exc, "timing", f"kappa_ratio={ratio}") from exc
 
-    rows = _map_ordered(one, points, config.threads)
+    results = _map_ordered(one, config.kappa_ratios, config.threads)
+    rows = [row for block in results for row in block]
     lines = ["delta_t in fractions of one gate time; atom 1 exits late"]
     for ratio in config.kappa_ratios:
         base = next(r for r in rows if r[0] == ratio and r[1] == 0.0)

@@ -56,11 +56,16 @@ class ProductBasis:
     Ordering is lexicographic with level order E < G for atom 1 and
     I < G < E for atoms 2 and 3, then increasing photon number. Total
     dimension is 18 * (photon_cutoff + 1).
+
+    ``guard`` lists the truncation-sensitive positions: top-layer states
+    with an atom in ``E``, which couple to the (absent) next Fock layer, so
+    amplitude there means the truncation is biting.
     """
 
     photon_cutoff: int
     states: tuple[BasisState, ...]
     _index: dict[BasisState, int] = field(repr=False, compare=False)
+    guard: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -89,7 +94,14 @@ def build_basis(photon_cutoff: int) -> ProductBasis:
         for n in range(photon_cutoff + 1)
     )
     index = {s: i for i, s in enumerate(states)}
-    return ProductBasis(photon_cutoff=photon_cutoff, states=states, _index=index)
+    guard = tuple(
+        i
+        for i, s in enumerate(states)
+        if s.n == photon_cutoff and AtomLevel.E in s.atom_levels()
+    )
+    return ProductBasis(
+        photon_cutoff=photon_cutoff, states=states, _index=index, guard=guard
+    )
 
 
 def state_index(

@@ -27,6 +27,7 @@ renormalization, with what the exact gate sequence would have produced.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from .dynamics import (
     DEFAULT_SETTINGS,
     CavityParams,
     EvolutionSettings,
+    _check_result,
     add_cavity_decay,
     decay_shifted_frequency,
     evolve,
@@ -44,6 +46,7 @@ from .dynamics import (
 )
 from .errors import ConfigError
 from .gates import _damping_factors, _pair13_phase, decayed_i000
+from .hilbert import ProductBasis
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
 
@@ -176,14 +179,48 @@ def timing_oracle(
     params = scenario.params
     embedding, mids = evolve_logical_basis(params, gate_time(params), settings)
     basis = mids[0].basis
-    h_atom1 = add_cavity_decay(
-        exchange_hamiltonian((params.omega[0], 0.0, 0.0), basis), params.kappa, basis
-    )
+    h_atom1 = _atom1_hamiltonian(params, basis)
     logical = list(embedding)
     gate = np.column_stack(
         [evolve(h_atom1, scenario.delta_t, mid, settings).amplitudes[logical] for mid in mids]
     )
     return _one_gate_infidelity(gate @ _uniform_register())
+
+
+def timing_oracle_grid(params: CavityParams, delta_ts: Sequence[float]) -> list[float]:
+    """``timing_oracle`` (matrix-exponential settings) at every delay in
+    ``delta_ts``, in order.
+
+    The logical states are evolved for one gate time once, into the columns
+    of a block B. The atom-1-only generator -i*H_atom1 = V·diag(λ)·V⁻¹ is
+    diagonalised once, so each delay costs one product
+    V·diag(exp(λ·dt))·(V⁻¹·B) (the action-of-the-exponential view of
+    Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)). Each propagated block
+    passes the same finiteness and truncation checks as ``evolve``.
+    """
+    for dt in delta_ts:
+        TimingScenario(dt, params)  # validates the delay
+    embedding, mids = evolve_logical_basis(params, gate_time(params))
+    basis = mids[0].basis
+    block = np.column_stack([mid.amplitudes for mid in mids])
+    rates, vectors = np.linalg.eig(-1j * _atom1_hamiltonian(params, basis))
+    coeffs = np.linalg.solve(vectors, block)
+    logical = list(embedding)
+    uniform = _uniform_register()
+    infidelities = []
+    for dt in delta_ts:
+        final = vectors @ (np.exp(rates * dt)[:, None] * coeffs)
+        _check_result(final, basis)
+        infidelities.append(_one_gate_infidelity(final[logical] @ uniform))
+    return infidelities
+
+
+def _atom1_hamiltonian(params: CavityParams, basis: ProductBasis) -> np.ndarray:
+    """No-jump generator once atoms 2 and 3 have left: atom-1 exchange plus
+    cavity decay."""
+    return add_cavity_decay(
+        exchange_hamiltonian((params.omega[0], 0.0, 0.0), basis), params.kappa, basis
+    )
 
 
 def offset_couplings(scenario: OffsetScenario) -> tuple[float, float, float]:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cavity_grover import (
@@ -9,8 +11,8 @@ from cavity_grover import (
     serialize_config,
     write_csv,
 )
-from cavity_grover import cli
-from cavity_grover.experiments import SweepTable
+from cavity_grover import cli, experiments, imperfections
+from cavity_grover.experiments import MAX_GRID_POINTS, MAX_THREADS, SweepTable
 
 FAST = dict(delta_t_points=5, eta_points=5)
 
@@ -81,6 +83,23 @@ def test_config_validation():
         ExperimentConfig(eta_max=1.5)
     with pytest.raises(ConfigError):
         ExperimentConfig(threads=0)
+
+
+@pytest.mark.parametrize(
+    "key, cap",
+    [
+        ("delta_t_points", MAX_GRID_POINTS),
+        ("eta_points", MAX_GRID_POINTS),
+        ("threads", MAX_THREADS),
+    ],
+)
+def test_grid_sizes_and_threads_are_capped(key, cap):
+    # Validation only: a config at the cap is built, never run.
+    assert getattr(ExperimentConfig(**{key: cap}), key) == cap
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"{key} = {cap + 1}\n")
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"{key} = 10000000\n")
 
 
 @pytest.mark.parametrize(
@@ -202,6 +221,12 @@ def test_row_width_validated():
         SweepTable("gate", ("a", "b"), ((1.0,),), "")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_row_rejected(bad):
+    with pytest.raises(NumericalError, match="non-finite"):
+        SweepTable("gate", ("a", "b"), ((1.0, 2.0), (3, bad)), "")
+
+
 # --- CLI --------------------------------------------------------------------
 
 
@@ -257,6 +282,41 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     rc = cli.main(["gate", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "synthetic blowup" in capsys.readouterr().err
+
+
+def test_cli_non_finite_row_exits_2_without_csv(tmp_path, monkeypatch, capsys):
+    def nan_geometry(config):
+        return SweepTable("geometry", ("z1", "ratio"), ((0.1, math.nan),), "")
+
+    monkeypatch.setitem(experiments._RUNNERS, "geometry", nan_geometry)
+    out = tmp_path / "geometry.csv"
+    rc = cli.main(["geometry", "--out", str(out)])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_threads_above_cap_exits_1(tmp_path, capsys):
+    out = tmp_path / "search.csv"
+    rc = cli.main(["search", "--out", str(out), "--threads", str(MAX_THREADS + 1)])
+    assert rc == 1
+    assert "threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_timing_grid_failure_names_kappa_ratio(tmp_path, monkeypatch, capsys):
+    def blow_up(amps, basis):
+        raise NumericalError("synthetic non-finite block")
+
+    monkeypatch.setattr(imperfections, "_check_result", blow_up)
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text("kappa_ratios = 0.1\ndelta_t_points = 5\n", encoding="utf-8")
+    out = tmp_path / "timing.csv"
+    rc = cli.main(["timing", "--config", str(config_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "kappa_ratio=0.1" in err and "synthetic non-finite block" in err
+    assert not out.exists()
 
 
 def test_cli_threads_override(tmp_path):

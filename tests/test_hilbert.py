@@ -54,6 +54,17 @@ def test_enumeration_lookup_round_trip(cutoff):
         assert state_index(basis, state.l1, state.l2, state.l3, state.n) == position
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_guard_is_top_layer_with_an_excited_atom(cutoff):
+    basis = build_basis(cutoff)
+    expected = [
+        i
+        for i, s in enumerate(basis.states)
+        if s.n == basis.photon_cutoff and any(l is E for l in s.atom_levels())
+    ]
+    assert list(basis.guard) == expected
+
+
 def test_embedding_order_and_vacuum():
     basis = build_basis(1)
     embedding = computational_embedding(basis)

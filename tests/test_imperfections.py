@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_grover import (
+    CavityParams,
     ConfigError,
     EvolutionMethod,
     EvolutionSettings,
@@ -16,6 +19,7 @@ from cavity_grover import (
     offset_couplings,
     timing_infidelity,
     timing_oracle,
+    timing_oracle_grid,
 )
 
 
@@ -78,6 +82,28 @@ def test_timing_oracle_honours_settings(params_strong_decay):
     rk4 = EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=1024)
     gap = abs(timing_oracle(scenario, rk4) - timing_oracle(scenario))
     assert 0.0 < gap <= 1e-10
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    kappa_ratio=st.floats(0.0, 3.99, exclude_max=True),
+    fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+    cutoff=st.sampled_from((1, 2)),
+)
+def test_timing_oracle_grid_matches_per_point(omega1c, kappa_ratio, fracs, cutoff):
+    params = CavityParams.designed(omega1c, kappa_ratio * omega1c, cutoff)
+    delta_ts = [f * gate_time(params) for f in fracs]
+    grid = timing_oracle_grid(params, delta_ts)
+    assert len(grid) == len(delta_ts)
+    for dt, value in zip(delta_ts, grid):
+        assert abs(value - timing_oracle(TimingScenario(dt, params))) <= 1e-12
+
+
+def test_timing_oracle_grid_validates_delays(params_strong_decay):
+    with pytest.raises(ConfigError):
+        timing_oracle_grid(params_strong_decay, [0.0, -1e-9])
+    with pytest.raises(ConfigError):
+        timing_oracle_grid(params_strong_decay, [2.0 * gate_time(params_strong_decay)])
 
 
 def test_oracle_monotone_on_coarse_grid(params_strong_decay):
