@@ -67,6 +67,7 @@ from .imperfections import (
     coupling_offset_infidelity,
     offset_couplings,
     timing_infidelity,
+    timing_infidelity_grid,
     timing_oracle,
     timing_oracle_grid,
 )

@@ -11,7 +11,6 @@ never changes the output.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -23,18 +22,20 @@ from .grover import GateVariant, run_search
 from .imperfections import (
     OFFSET_MODELS,
     OffsetScenario,
-    TimingScenario,
     coupling_offset_infidelity,
-    timing_infidelity,
+    timing_infidelity_grid,
     timing_oracle_grid,
 )
 
 EXPERIMENTS = ("gate", "search", "timing", "offset", "geometry")
 
-# Upper bounds on sweep sizes and worker threads: far above any useful run,
-# low enough that a typo cannot ask for a huge grid or thread pool.
+# Upper bounds on sweep sizes, search iterations, worker threads and the
+# Fock cutoff: far above any useful run, low enough that a typo cannot ask
+# for a huge grid, search, thread pool or matrix. Logical dynamics never
+# reach past one photon; cutoff 10 is a 198-wide basis.
 MAX_GRID_POINTS = 100_000
 MAX_THREADS = 64
+MAX_PHOTON_CUTOFF = 10
 
 # Float-valued config fields; NaN and inf slip through every range check.
 _FLOAT_FIELDS = (
@@ -86,8 +87,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"kappa_ratios must lie in [0, 4) (underdamped), got {self.kappa_ratios}"
             )
-        if self.k_max < 1:
-            raise ConfigError(f"k_max must be >= 1, got {self.k_max}")
+        if not 1 <= self.k_max <= MAX_GRID_POINTS:
+            raise ConfigError(f"k_max must lie in 1..{MAX_GRID_POINTS}, got {self.k_max}")
         MarkedState(self.tau)  # validates
         for name, maximum, points in (
             ("delta_t", self.delta_t_max_frac, self.delta_t_points),
@@ -120,8 +121,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"offset_kappa_ratio must lie in [0, 4), got {self.offset_kappa_ratio}"
             )
-        if self.photon_cutoff < 1:
-            raise ConfigError(f"photon_cutoff must be >= 1, got {self.photon_cutoff}")
+        if not 1 <= self.photon_cutoff <= MAX_PHOTON_CUTOFF:
+            raise ConfigError(
+                f"photon_cutoff must lie in 1..{MAX_PHOTON_CUTOFF}, got {self.photon_cutoff}"
+            )
         if self.lambda0 <= 0:
             raise ConfigError(f"lambda0 must be > 0, got {self.lambda0}")
         if not 1 <= self.threads <= MAX_THREADS:
@@ -273,6 +276,10 @@ def write_csv(table: SweepTable, path: str) -> None:
 def _map_ordered(fn, items, threads: int) -> list:
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported here: concurrent.futures also loads logging, which a default
+    # single-threaded run never needs.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -370,15 +377,12 @@ def _timing_experiment(config: ExperimentConfig) -> SweepTable:
 
     def one(ratio: float):
         params = config.params(ratio)
-        scenarios = [
-            TimingScenario(delta_t=frac * gate_time(params), params=params) for frac in fracs
-        ]
+        t_gate = gate_time(params)
+        delta_ts = [frac * t_gate for frac in fracs]
         try:
-            oracle = timing_oracle_grid(params, [s.delta_t for s in scenarios])
-            return [
-                (ratio, frac, timing_infidelity(scenario), value)
-                for frac, scenario, value in zip(fracs, scenarios, oracle)
-            ]
+            formula = timing_infidelity_grid(params, delta_ts)
+            oracle = timing_oracle_grid(params, delta_ts)
+            return [(ratio, *point) for point in zip(fracs, formula, oracle)]
         except NumericalError as exc:
             raise _annotate(exc, "timing", f"kappa_ratio={ratio}") from exc
 

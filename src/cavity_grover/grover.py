@@ -34,6 +34,9 @@ from .gates import (
 )
 from .hilbert import PureState
 
+# The Hadamard layer, built once: every search iteration applies it twice.
+_H3 = hadamard3()
+
 
 class GateVariant(Enum):
     """Which |000⟩ phase gate drives the iteration."""
@@ -74,9 +77,8 @@ def grover_step(
     """One search iteration: the marked-state flip first, then the Hadamard /
     phase-gate / Hadamard sandwich. Output is unnormalized when ``i000`` is
     the decayed gate."""
-    h3 = hadamard3()
     flip = marked_gate(tau, i000)
-    return h3.apply(i000.apply(h3.apply(flip.apply(state))))
+    return _H3.apply(i000.apply(_H3.apply(flip.apply(state))))
 
 
 def _base_gate(variant: GateVariant, params: CavityParams) -> LogicalOperator:

@@ -119,7 +119,13 @@ def _one_gate_infidelity(output: np.ndarray) -> float:
 
 
 def timing_infidelity(scenario: TimingScenario) -> float:
-    """Closed-form gate infidelity caused by atom 1 overstaying by delta_t.
+    """Closed-form gate infidelity caused by atom 1 overstaying by delta_t:
+    the one-delay case of ``timing_infidelity_grid``."""
+    return timing_infidelity_grid(scenario.params, [scenario.delta_t])[0]
+
+
+def timing_infidelity_grid(params: CavityParams, delta_ts: Sequence[float]) -> list[float]:
+    """Closed-form timing infidelity at every delay dt in ``delta_ts``, in order.
 
     The overrun multiplies each damped diagonal entry by the atom-1 return
     amplitude
@@ -132,38 +138,31 @@ def timing_infidelity(scenario: TimingScenario) -> float:
         w1^2/(a1*a13) * exp(-kappa*dt/4) * sin(a1*dt) * sin(sqrt(65)*pi),
 
     with a13 = sqrt(w1^2 + w3^2 - kappa^2/16). The result is the uniform-
-    input infidelity of the shifted diagonal.
+    input infidelity of the shifted diagonal. The decayed gate, a1, a13 and
+    the atoms-1+3 phase depend on ``params`` only and are evaluated once.
     """
-    params = scenario.params
-    dt = scenario.delta_t
+    for dt in delta_ts:
+        TimingScenario(dt, params)  # validates the delay
     w1, _, w3 = params.omega
     kappa = params.kappa
     a1 = decay_shifted_frequency(w1, kappa)
     a13 = decay_shifted_frequency(math.hypot(w1, w3), kappa)
     _, diag = decayed_i000(params)
+    cross_scale = w1 * w1 / (a1 * a13)
+    sin_pair13 = math.sin(_pair13_phase(params))
+    uniform = _uniform_register()
 
-    envelope = math.exp(-kappa * dt / 4.0)
-    xi = envelope * (math.cos(a1 * dt) + kappa / (4.0 * a1) * math.sin(a1 * dt))
-    cross = (
-        w1 * w1 / (a1 * a13)
-        * envelope
-        * math.sin(a1 * dt)
-        * math.sin(_pair13_phase(params))
-    )
-
-    entries = np.array(
-        [
-            -xi * diag.mu,
-            xi * diag.gamma - cross,
-            xi * diag.beta,
-            xi * diag.alpha,
-            1.0,
-            1.0,
-            1.0,
-            1.0,
-        ]
-    )
-    return _one_gate_infidelity(entries * _uniform_register())
+    infidelities = []
+    for dt in delta_ts:
+        envelope = math.exp(-kappa * dt / 4.0)
+        xi = envelope * (math.cos(a1 * dt) + kappa / (4.0 * a1) * math.sin(a1 * dt))
+        cross = cross_scale * envelope * math.sin(a1 * dt) * sin_pair13
+        entries = np.array([
+            -xi * diag.mu, xi * diag.gamma - cross, xi * diag.beta, xi * diag.alpha,
+            1.0, 1.0, 1.0, 1.0,
+        ])
+        infidelities.append(_one_gate_infidelity(entries * uniform))
+    return infidelities
 
 
 def timing_oracle(

@@ -10,12 +10,14 @@ from cavity_grover import _blas
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# Imports the package in a fresh interpreter, runs a dense exponential, and
-# reports the environment it leaves and the threads the process holds.
+# Imports the package in a fresh interpreter, runs the package's own dense
+# exponential, and reports the environment it leaves and the threads the
+# process holds. scipy stays unimported: it bundles a second OpenBLAS, which
+# would load after the pin is lifted and start threads of its own.
 PROBE = """
 import json, os
-import cavity_grover, numpy, scipy.linalg
-scipy.linalg.expm(numpy.ones((36, 36)) * 0.01j)
+import cavity_grover, numpy
+cavity_grover.dynamics.expm(numpy.ones((36, 36)) * 0.01j)
 tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
 print(json.dumps({"var": os.environ.get("OPENBLAS_NUM_THREADS"), "tasks": tasks}))
 """

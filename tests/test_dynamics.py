@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_grover import (
     AtomLevel,
@@ -10,6 +17,7 @@ from cavity_grover import (
     CutoffError,
     EvolutionMethod,
     EvolutionSettings,
+    NumericalError,
     build_basis,
     build_effective_hamiltonian,
     build_hamiltonian,
@@ -21,6 +29,7 @@ from cavity_grover import (
     positions_for_ratio,
     residual_gate_entry,
 )
+from cavity_grover.dynamics import add_cavity_decay, exchange_hamiltonian, expm
 from cavity_grover.hilbert import basis_state, excitation_number, state_index
 
 E, G, I = AtomLevel.E, AtomLevel.G, AtomLevel.I
@@ -150,6 +159,63 @@ def test_evolve_rejects_dimension_mismatch(params_lossless):
     h = build_hamiltonian(params_lossless, basis)
     with pytest.raises(ConfigError):
         evolve(h[:10, :10], 1.0, basis_state(basis, 0))
+
+
+# --- matrix exponential ----------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kappa_ratio=st.floats(0.0, 3.99, exclude_max=True),
+    frac=st.floats(0.0, 1.0),
+    cutoff=st.sampled_from((1, 2, 3)),
+    atom1_only=st.booleans(),
+)
+def test_expm_matches_scipy_on_the_generators(omega1c, kappa_ratio, frac, cutoff, atom1_only):
+    # The full no-jump generator, or the atom-1-only one the timing oracle
+    # uses once atoms 2 and 3 have left, over up to one gate time.
+    params = CavityParams.designed(omega1c, kappa_ratio * omega1c, cutoff)
+    basis = build_basis(cutoff)
+    if atom1_only:
+        h = add_cavity_decay(
+            exchange_hamiltonian((params.omega[0], 0.0, 0.0), basis), params.kappa, basis
+        )
+    else:
+        h = build_effective_hamiltonian(params, basis)
+    a = -1j * h * (frac * gate_time(params))
+    assert np.abs(expm(a) - scipy.linalg.expm(a)).max() <= 1e-12
+
+
+def test_expm_of_zero_is_exactly_identity():
+    for dim in (1, 36, 72):
+        assert np.array_equal(expm(np.zeros((dim, dim), dtype=complex)), np.eye(dim))
+
+
+def test_evolve_rejects_nan_generator(params_strong_decay):
+    basis = build_basis(1)
+    h = build_effective_hamiltonian(params_strong_decay, basis)
+    h[0, 1] = np.nan
+    psi = basis_state(basis, computational_embedding(basis)[0])
+    with pytest.raises(NumericalError):
+        evolve(h, gate_time(params_strong_decay), psi)
+
+
+def test_cli_gate_run_loads_no_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "import sys, cavity_grover.cli\n"
+        f"assert cavity_grover.cli.main(['gate', '--out', {str(tmp_path / 'gate.csv')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "gate.csv").exists()
 
 
 def test_excitation_conservation(params_lossless):

@@ -12,7 +12,12 @@ from cavity_grover import (
     write_csv,
 )
 from cavity_grover import cli, experiments, imperfections
-from cavity_grover.experiments import MAX_GRID_POINTS, MAX_THREADS, SweepTable
+from cavity_grover.experiments import (
+    MAX_GRID_POINTS,
+    MAX_PHOTON_CUTOFF,
+    MAX_THREADS,
+    SweepTable,
+)
 
 FAST = dict(delta_t_points=5, eta_points=5)
 
@@ -91,6 +96,8 @@ def test_config_validation():
         ("delta_t_points", MAX_GRID_POINTS),
         ("eta_points", MAX_GRID_POINTS),
         ("threads", MAX_THREADS),
+        ("k_max", MAX_GRID_POINTS),
+        ("photon_cutoff", MAX_PHOTON_CUTOFF),
     ],
 )
 def test_grid_sizes_and_threads_are_capped(key, cap):

@@ -18,6 +18,7 @@ from cavity_grover import (
     gate_time,
     offset_couplings,
     timing_infidelity,
+    timing_infidelity_grid,
     timing_oracle,
     timing_oracle_grid,
 )
@@ -104,6 +105,21 @@ def test_timing_oracle_grid_validates_delays(params_strong_decay):
         timing_oracle_grid(params_strong_decay, [0.0, -1e-9])
     with pytest.raises(ConfigError):
         timing_oracle_grid(params_strong_decay, [2.0 * gate_time(params_strong_decay)])
+
+
+def test_timing_infidelity_grid_matches_per_point(params_weak_decay, params_strong_decay):
+    for params in (params_weak_decay, params_strong_decay):
+        delta_ts = [f * gate_time(params) for f in (0.0, 0.003, 0.05, 0.1, 1.0)]
+        grid = timing_infidelity_grid(params, delta_ts)
+        assert grid == [timing_infidelity(TimingScenario(dt, params)) for dt in delta_ts]
+        assert len(set(grid)) == len(grid)
+
+
+def test_timing_infidelity_grid_validates_delays(params_strong_decay):
+    with pytest.raises(ConfigError):
+        timing_infidelity_grid(params_strong_decay, [0.0, -1e-9])
+    with pytest.raises(ConfigError):
+        timing_infidelity_grid(params_strong_decay, [2.0 * gate_time(params_strong_decay)])
 
 
 def test_oracle_monotone_on_coarse_grid(params_strong_decay):
