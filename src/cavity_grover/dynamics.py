@@ -23,17 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .gates import LogicalOperator
 
 from .errors import ConfigError, CutoffError, NumericalError
 from .hilbert import (
     AtomLevel,
     BasisState,
+    LogicalOperator,
     ProductBasis,
     PureState,
     basis_state,
@@ -290,7 +287,7 @@ class GateExtract:
     lossless evolution and below 1 under decay.
     """
 
-    restricted: "LogicalOperator"
+    restricted: LogicalOperator
     leakage: np.ndarray
 
     def __post_init__(self) -> None:
@@ -325,8 +322,6 @@ def extract_gate(
 ) -> GateExtract:
     """Simulate the gate: evolve each logical basis state under the no-jump
     Hamiltonian for time ``t`` and project back onto the logical subspace."""
-    from .gates import LogicalOperator  # here to avoid a module cycle
-
     if t <= 0:
         raise ConfigError(f"gate extraction needs t > 0, got {t}")
     embedding, finals = evolve_logical_basis(params, t, settings)

@@ -20,7 +20,6 @@ from .errors import ConfigError, NumericalError
 from .gates import MarkedState, decayed_i000, residual_gate_entry
 from .grover import GateVariant, run_search
 from .imperfections import (
-    OFFSET_MODELS,
     OffsetScenario,
     coupling_offset_infidelity,
     timing_infidelity_grid,
@@ -111,12 +110,6 @@ class ExperimentConfig:
         _check_grid("chi_list", self.chi_list)
         if any(c not in (1, 2, 3, 4) for c in self.chi_list):
             raise ConfigError(f"chi_list entries must be in 1..4, got {self.chi_list}")
-        if self.offset_model not in OFFSET_MODELS:
-            raise ConfigError(
-                f"offset_model must be one of {OFFSET_MODELS}, got {self.offset_model!r}"
-            )
-        if self.offset_model == "per_atom" and self.offset_eta_per_atom is None:
-            raise ConfigError("offset_model=per_atom needs offset_eta_per_atom")
         if not 0 <= self.offset_kappa_ratio < 4:
             raise ConfigError(
                 f"offset_kappa_ratio must lie in [0, 4), got {self.offset_kappa_ratio}"
@@ -129,6 +122,12 @@ class ExperimentConfig:
             raise ConfigError(f"lambda0 must be > 0, got {self.lambda0}")
         if not 1 <= self.threads <= MAX_THREADS:
             raise ConfigError(f"threads must lie in 1..{MAX_THREADS}, got {self.threads}")
+        # The offset sweep's own check of the model and the per-atom offsets,
+        # so a bad pair fails at load time whichever experiment runs.
+        OffsetScenario(
+            self.eta_max, self.chi_list[0], self.params(self.offset_kappa_ratio),
+            self.offset_model, self.offset_eta_per_atom,
+        )
 
     @property
     def omega1c(self) -> float:

@@ -1,15 +1,16 @@
 """Closed-form 8x8 operators on the logical register.
 
 Everything here acts in the logical order |000⟩..|111⟩ fixed by
-``hilbert.computational_embedding``. The conditional phase gate comes in
-three flavors:
+``hilbert.computational_embedding``. The conditional phase gate has one
+closed form, the decaying-cavity gate ``decayed_i000``, whose first four
+diagonal entries are damped by the photon population each logical state
+cycles through the mode. Two special cases are named:
 
-* the textbook reflection diag(-1, 1, ..., 1),
-* the gate a lossless cavity actually realizes, whose |001⟩ entry falls
-  short of 1 because the atoms-1+3 Rabi cycle (frequency sqrt(65) in units
-  of the weakest coupling) does not close after one gate time, and
-* the decaying-cavity gate, whose first four diagonal entries are damped by
-  the photon population each logical state cycles through the mode.
+* the gate a lossless cavity actually realizes is the decayed gate at
+  kappa = 0; its |001⟩ entry still falls short of 1 because the atoms-1+3
+  Rabi cycle (frequency sqrt(65) in units of the weakest coupling) does not
+  close after one gate time, and
+* the textbook reflection diag(-1, 1, ..., 1) has every factor equal to 1.
 
 Every other marked state's phase gate is the |000⟩ gate conjugated by bit
 flips, which is an index permutation, and the inversion-about-average
@@ -20,15 +21,13 @@ physical gate drives the whole search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import CavityParams, gate_time
 from .errors import ConfigError
-from .hilbert import PureState
-
-_UNITARY_TOLERANCE = 1e-10
+from .hilbert import LogicalOperator  # re-exported: defined beside PureState
 
 
 @dataclass(frozen=True)
@@ -59,39 +58,6 @@ class MarkedState:
 
 
 @dataclass(frozen=True)
-class LogicalOperator:
-    """Dense 8x8 complex matrix on the logical register."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (8, 8):
-            raise ConfigError(f"logical operators are 8x8, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ConfigError("logical operator has non-finite entries")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def unitary(self) -> bool:
-        gram = self.matrix.conj().T @ self.matrix
-        return bool(np.abs(gram - np.eye(8)).max() <= _UNITARY_TOLERANCE)
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix).copy()
-
-    def __matmul__(self, other: "LogicalOperator") -> "LogicalOperator":
-        return LogicalOperator(self.matrix @ other.matrix)
-
-    def apply(self, state: PureState) -> PureState:
-        if state.dimension != 8:
-            raise ConfigError("logical operators act on 8-dimensional states")
-        return PureState(self.matrix @ state.amplitudes, state.basis)
-
-
-@dataclass(frozen=True)
 class GateDiagonal:
     """Damping factors (mu, gamma, beta, alpha) of the decaying phase gate.
 
@@ -115,10 +81,12 @@ class GateDiagonal:
             if not 0.0 < value <= 1.0:
                 raise ConfigError(f"gate diagonal factor {name}={value} outside (0, 1]")
 
+    def entries(self) -> tuple[float, ...]:
+        """The eight diagonal entries (-mu, gamma, beta, alpha, 1, 1, 1, 1)."""
+        return (-self.mu, self.gamma, self.beta, self.alpha, 1.0, 1.0, 1.0, 1.0)
+
     def operator(self) -> LogicalOperator:
-        return LogicalOperator(
-            np.diag([-self.mu, self.gamma, self.beta, self.alpha, 1.0, 1.0, 1.0, 1.0])
-        )
+        return LogicalOperator(np.diag(self.entries()))
 
 
 def hadamard3() -> LogicalOperator:
@@ -153,27 +121,23 @@ def _pair13_phase(params: CavityParams) -> float:
 
 
 def residual_gate_entry(params: CavityParams) -> float:
-    """Lossless-gate diagonal entry on |001⟩: the atoms-1+3 return amplitude
-    (w3^2 + w1^2*cos(sqrt(65)*pi)) / (w1^2 + w3^2), about 0.9997."""
-    _require_designed(params)
-    w1, _, w3 = params.omega
-    weight = w1 * w1 / (w1 * w1 + w3 * w3)
-    return weight * math.cos(_pair13_phase(params)) + (1.0 - weight)
+    """Lossless-gate diagonal entry on |001⟩: the decayed gate's gamma at
+    kappa = 0, the atoms-1+3 return amplitude
+    1 - w1^2/(w1^2 + w3^2) * (1 - cos(sqrt(65)*pi)), about 0.9997."""
+    return _damping_factors(replace(params, kappa=0.0), params.omega).gamma
 
 
 def ideal_i000(params: CavityParams, exact: bool = False) -> LogicalOperator:
     """Conditional phase flip on |000⟩ without cavity decay.
 
     With ``exact`` the textbook reflection diag(-1, 1, ..., 1) used in
-    algorithm identities; otherwise the gate a lossless cavity realizes,
-    with the slightly short |001⟩ entry.
+    algorithm identities; otherwise the gate a lossless cavity realizes:
+    the decayed gate at kappa = 0, with the slightly short |001⟩ entry.
     """
-    _require_designed(params)
-    diag = np.ones(8)
-    diag[0] = -1.0
     if not exact:
-        diag[1] = residual_gate_entry(params)
-    return LogicalOperator(np.diag(diag))
+        return decayed_i000(replace(params, kappa=0.0))[0]
+    _require_designed(params)
+    return GateDiagonal(mu=1.0, gamma=1.0, beta=1.0, alpha=1.0).operator()
 
 
 def _damping_factors(

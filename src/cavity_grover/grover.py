@@ -6,11 +6,18 @@ their average. With the textbook gate the marked-state probability after k
 iterations is the closed-form sin^2((2k+1) * asin(1/sqrt(8))), peaking near
 k = 2 and again at k = 6.
 
-Under cavity decay the register follows the unnormalized no-jump branch:
-``p_find`` is then the joint probability that no photon ever leaked AND the
-readout lands on the marked state, ``survival`` is the total no-jump
-probability, and ``fidelity`` compares the surviving (renormalized) state
-against the trajectory an exact gate would have produced.
+The iteration runs on one of three |000⟩ gates (``GateVariant``): the
+textbook reflection, the lossless gate (the decayed gate at kappa = 0) or
+the decayed gate. Under cavity decay the register follows the unnormalized
+no-jump branch: ``p_find`` is then the joint probability that no photon
+ever leaked AND the readout lands on the marked state, ``survival`` is the
+total no-jump probability, and ``fidelity`` compares the surviving
+(renormalized) state against the trajectory an exact gate would have
+produced.
+
+``run_search`` builds its marked-state gate and the exact reference flip
+once per call and reuses them for every iteration; ``grover_step`` is the
+same iteration with the flip built from the marked state on each call.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ class GateVariant(Enum):
     """Which |000⟩ phase gate drives the iteration."""
 
     EXACT = "exact"          # textbook diag(-1, 1, ..., 1)
-    LOSSLESS = "lossless"    # realized by a lossless cavity (short |001⟩ entry)
+    LOSSLESS = "lossless"    # the decayed gate at kappa = 0 (short |001⟩ entry)
     DECAYED = "decayed"      # realized under cavity decay (damped diagonal)
 
 
@@ -65,10 +72,24 @@ class SearchRecord:
             )
 
 
+def _uniform_register() -> np.ndarray:
+    return np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
+
+
+def _fidelity(reference: np.ndarray, output: np.ndarray) -> float:
+    """|<reference|output>|^2 / <output|output> for an unnormalized output
+    state and a normalized reference."""
+    return float(abs(np.vdot(reference, output)) ** 2 / np.vdot(output, output).real)
+
+
 def initial_state() -> PureState:
     """Uniform superposition over all eight logical states, amplitude
     1/(2*sqrt(2)) each; equals the Hadamard layer applied to |000⟩."""
-    return PureState(np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex))
+    return PureState(_uniform_register())
+
+
+def _step(state: PureState, flip: LogicalOperator, i000: LogicalOperator) -> PureState:
+    return _H3.apply(i000.apply(_H3.apply(flip.apply(state))))
 
 
 def grover_step(
@@ -77,16 +98,13 @@ def grover_step(
     """One search iteration: the marked-state flip first, then the Hadamard /
     phase-gate / Hadamard sandwich. Output is unnormalized when ``i000`` is
     the decayed gate."""
-    flip = marked_gate(tau, i000)
-    return _H3.apply(i000.apply(_H3.apply(flip.apply(state))))
+    return _step(state, marked_gate(tau, i000), i000)
 
 
 def _base_gate(variant: GateVariant, params: CavityParams) -> LogicalOperator:
-    if variant is GateVariant.EXACT:
-        return ideal_i000(params, exact=True)
-    if variant is GateVariant.LOSSLESS:
-        return ideal_i000(params, exact=False)
-    return decayed_i000(params)[0]
+    if variant is GateVariant.DECAYED:
+        return decayed_i000(params)[0]
+    return ideal_i000(params, exact=variant is GateVariant.EXACT)
 
 
 def run_search(
@@ -99,16 +117,18 @@ def run_search(
     marked = MarkedState.of(tau)
     gate = _base_gate(variant, params)
     reference = _base_gate(GateVariant.EXACT, params)
+    flip = marked_gate(marked, gate)
+    reference_flip = marked_gate(marked, reference)
 
     state = initial_state()
     ideal = initial_state()
     records = []
     for k in range(1, k_max + 1):
-        state = grover_step(state, marked, gate)
-        ideal = grover_step(ideal, marked, reference)
+        state = _step(state, flip, gate)
+        ideal = _step(ideal, reference_flip, reference)
         survival = state.squared_norm()
         p_find = float(abs(state.amplitudes[marked.index]) ** 2)
-        fidelity = float(abs(ideal.overlap(state)) ** 2 / survival)
+        fidelity = _fidelity(ideal.amplitudes, state.amplitudes)
         records.append(
             SearchRecord(iteration=k, p_find=p_find, survival=survival, fidelity=fidelity)
         )
@@ -135,10 +155,7 @@ def phase_gate_success(state, diag: GateDiagonal) -> float:
             f"squared coefficients must sum to 8 (got {total}); "
             "amplitudes carry a 1/(2*sqrt(2)) prefactor in this convention"
         )
-    weights = np.array(
-        [diag.mu, diag.gamma, diag.beta, diag.alpha, 1.0, 1.0, 1.0, 1.0]
-    )
-    return float(np.sum(np.abs(coeffs) ** 2 * weights**2) / 8.0)
+    return float(np.sum(np.abs(coeffs) ** 2 * np.array(diag.entries()) ** 2) / 8.0)
 
 
 def closed_form_probability(k: int) -> float:

@@ -9,7 +9,8 @@ across runs.
 
 Logical qubits are encoded per atom: qubit 1 is 0 ↔ ``E``, 1 ↔ ``G``;
 qubits 2 and 3 are 0 ↔ ``I``, 1 ↔ ``G``. The eight logical basis states all
-live in the photon vacuum.
+live in the photon vacuum; ``PureState`` holds a state on either space and
+``LogicalOperator`` an 8x8 operator on the logical register.
 """
 
 from __future__ import annotations
@@ -190,6 +191,42 @@ class PureState:
     def overlap(self, other: "PureState") -> complex:
         """Inner product ⟨self|other⟩."""
         return complex(np.vdot(self.amplitudes, other.amplitudes))
+
+
+_UNITARY_TOLERANCE = 1e-10
+
+
+@dataclass(frozen=True)
+class LogicalOperator:
+    """Dense 8x8 complex matrix on the logical register."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.shape != (8, 8):
+            raise ConfigError(f"logical operators are 8x8, got shape {m.shape}")
+        if not np.all(np.isfinite(m.view(float))):
+            raise ConfigError("logical operator has non-finite entries")
+        m = m.copy()
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def unitary(self) -> bool:
+        gram = self.matrix.conj().T @ self.matrix
+        return bool(np.abs(gram - np.eye(8)).max() <= _UNITARY_TOLERANCE)
+
+    def diagonal(self) -> np.ndarray:
+        return np.diag(self.matrix).copy()
+
+    def __matmul__(self, other: "LogicalOperator") -> "LogicalOperator":
+        return LogicalOperator(self.matrix @ other.matrix)
+
+    def apply(self, state: PureState) -> PureState:
+        if state.dimension != 8:
+            raise ConfigError("logical operators act on 8-dimensional states")
+        return PureState(self.matrix @ state.amplitudes, state.basis)
 
 
 def basis_state(basis: ProductBasis, position: int) -> PureState:

@@ -46,6 +46,7 @@ from .dynamics import (
 )
 from .errors import ConfigError
 from .gates import _damping_factors, _pair13_phase, decayed_i000
+from .grover import _fidelity, _uniform_register
 from .hilbert import ProductBasis
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
@@ -94,20 +95,9 @@ class OffsetScenario:
             raise ConfigError(f"offset model must be one of {OFFSET_MODELS}, got {self.model!r}")
         if self.model == "per_atom":
             if self.per_atom_eta is None or len(self.per_atom_eta) != 3:
-                raise ConfigError("per_atom model needs per_atom_eta=(eta1, eta2, eta3)")
+                raise ConfigError("per_atom model needs three per-atom offsets (eta1, eta2, eta3)")
             if any(abs(e) >= 1.0 for e in self.per_atom_eta):
                 raise ConfigError(f"per-atom offsets must satisfy |eta| < 1, got {self.per_atom_eta}")
-
-
-def _uniform_register() -> np.ndarray:
-    return np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
-
-
-def _infidelity_vs(reference: np.ndarray, output: np.ndarray) -> float:
-    """1 - |<reference|output>|^2 / <output|output> for an unnormalized
-    output state and a normalized reference."""
-    overlap = abs(np.vdot(reference, output)) ** 2
-    return float(1.0 - overlap / np.vdot(output, output).real)
 
 
 def _one_gate_infidelity(output: np.ndarray) -> float:
@@ -115,7 +105,7 @@ def _one_gate_infidelity(output: np.ndarray) -> float:
     to the uniform register: the uniform state with its |000⟩ sign flipped."""
     reference = _uniform_register()
     reference[0] = -reference[0]
-    return _infidelity_vs(reference, output)
+    return 1.0 - _fidelity(reference, output)
 
 
 def timing_infidelity(scenario: TimingScenario) -> float:
@@ -157,10 +147,9 @@ def timing_infidelity_grid(params: CavityParams, delta_ts: Sequence[float]) -> l
         envelope = math.exp(-kappa * dt / 4.0)
         xi = envelope * (math.cos(a1 * dt) + kappa / (4.0 * a1) * math.sin(a1 * dt))
         cross = cross_scale * envelope * math.sin(a1 * dt) * sin_pair13
-        entries = np.array([
-            -xi * diag.mu, xi * diag.gamma - cross, xi * diag.beta, xi * diag.alpha,
-            1.0, 1.0, 1.0, 1.0,
-        ])
+        entries = np.array(diag.entries())
+        entries[:4] *= xi
+        entries[1] -= cross
         infidelities.append(_one_gate_infidelity(entries * uniform))
     return infidelities
 
@@ -255,23 +244,13 @@ def coupling_offset_infidelity(scenario: OffsetScenario) -> float:
     (0.0083388 -> 0.0083317) while the product of four simulated gates
     rises (0.008745 -> 0.009994).
     """
-    base = _damping_factors(scenario.params, scenario.params.omega)
-    primed = _damping_factors(scenario.params, offset_couplings(scenario))
+    base = _damping_factors(scenario.params, scenario.params.omega).entries()
+    primed = _damping_factors(scenario.params, offset_couplings(scenario)).entries()
     chi = scenario.chi
     rest = 4 - chi
-    entries = np.array(
-        [
-            primed.mu**chi * base.mu**rest,
-            primed.gamma**chi * base.gamma**rest,
-            primed.beta**chi * base.beta**rest,
-            primed.alpha**chi * base.alpha**rest,
-            1.0,
-            1.0,
-            1.0,
-            1.0,
-        ]
-    )
+    # Powers of Python floats: NumPy array powers round differently.
+    entries = np.array([p**chi * b**rest for p, b in zip(primed, base)])
     # After an even number of phase gates the |000⟩ sign flips cancel, so
     # the exact four-gate reference is the uniform state itself.
     u = _uniform_register()
-    return _infidelity_vs(u, entries * u)
+    return 1.0 - _fidelity(u, entries * u)

@@ -90,6 +90,17 @@ def test_config_validation():
         ExperimentConfig(threads=0)
 
 
+def test_parse_rejects_per_atom_offset_out_of_range(tmp_path):
+    # Rejected at load time, so no experiment (not only offset) runs with it.
+    text = "offset_model = per_atom\noffset_eta_per_atom = 1.5,0,0\n"
+    with pytest.raises(ConfigError, match=r"\|eta\| < 1"):
+        parse_config(text)
+    config, out = tmp_path / "bad.cfg", tmp_path / "search.csv"
+    config.write_text(text)
+    assert cli.main(["search", "--config", str(config), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, cap",
     [

@@ -63,6 +63,27 @@ def test_decayed_step_contracts_norm(params_strong_decay):
     assert out.squared_norm() < 1.0
 
 
+@pytest.mark.parametrize("variant", list(GateVariant))
+@pytest.mark.parametrize("tau", ALL_TAUS)
+def test_run_search_records_repeated_public_steps(tau, variant, params_strong_decay):
+    # run_search builds its flips once; k public steps, each rebuilding the
+    # flip, must give the same records bit for bit.
+    gates = {
+        GateVariant.EXACT: ideal_i000(params_strong_decay, exact=True),
+        GateVariant.LOSSLESS: ideal_i000(params_strong_decay),
+        GateVariant.DECAYED: decayed_i000(params_strong_decay)[0],
+    }
+    records = run_search(tau, 6, variant, params_strong_decay)
+    state = ideal = initial_state()
+    for record in records:
+        state = grover_step(state, tau, gates[variant])
+        ideal = grover_step(ideal, tau, gates[GateVariant.EXACT])
+        survival = state.squared_norm()
+        assert record.survival == survival
+        assert record.p_find == abs(state.amplitudes[int(tau, 2)]) ** 2
+        assert record.fidelity == abs(np.vdot(ideal.amplitudes, state.amplitudes)) ** 2 / survival
+
+
 @pytest.mark.parametrize("tau", ALL_TAUS)
 def test_exact_search_matches_closed_form(tau, params_lossless):
     records = run_search(tau, 12, GateVariant.EXACT, params_lossless)
