@@ -65,6 +65,7 @@ from .imperfections import (
     OffsetScenario,
     TimingScenario,
     coupling_offset_infidelity,
+    coupling_offset_infidelity_grid,
     offset_couplings,
     timing_infidelity,
     timing_infidelity_grid,

@@ -71,14 +71,13 @@ class CavityParams:
     photon_cutoff: int = 1
 
     def __post_init__(self) -> None:
-        if len(self.omega) != 3 or any(w <= 0 for w in self.omega):
-            raise ConfigError(f"couplings must be three positive rates, got {self.omega}")
-        if self.kappa < 0:
-            raise ConfigError(f"decay rate must be >= 0, got {self.kappa}")
-        if self.kappa >= 4.0 * self.omega[0]:
+        # Each guard is written so that NaN fails it.
+        if len(self.omega) != 3 or not all(0.0 < w < math.inf for w in self.omega):
+            raise ConfigError(f"couplings must be three finite positive rates, got {self.omega}")
+        if not 0.0 <= self.kappa < 4.0 * self.omega[0]:
             raise ConfigError(
-                f"kappa={self.kappa} >= 4*omega1={4 * self.omega[0]}: "
-                "atom-1 exchange would be overdamped"
+                f"kappa={self.kappa} outside [0, 4*omega1={4 * self.omega[0]}): "
+                "decay rates are >= 0, and above 4*omega1 atom-1 exchange is overdamped"
             )
         if self.photon_cutoff < 1:
             raise ConfigError(f"photon_cutoff must be >= 1, got {self.photon_cutoff}")
@@ -133,9 +132,10 @@ def decay_shifted_frequency(omega: float, kappa: float) -> float:
     """Exchange frequency sqrt(omega^2 - kappa^2/16) of a two-state block
     whose excited partner decays at ``kappa``."""
     arg = omega * omega - kappa * kappa / 16.0
-    if arg <= 0.0:
+    if not 0.0 < arg < math.inf:
         raise ConfigError(
-            f"kappa={kappa} overdamps a block with frequency omega={omega}"
+            f"omega={omega}, kappa={kappa}: needs finite rates with kappa < 4*|omega| "
+            "(a larger kappa overdamps the block)"
         )
     return math.sqrt(arg)
 
@@ -250,8 +250,8 @@ def evolve(
     fixed-step method integrates dpsi/dt = -i*H*psi with classic RK4 over
     ``settings.step_count`` uniform steps.
     """
-    if t < 0:
-        raise ConfigError(f"evolution time must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ConfigError(f"evolution time must be finite and >= 0, got {t}")
     if h.shape != (psi0.dimension, psi0.dimension):
         raise ConfigError(
             f"operator shape {h.shape} does not match state dimension {psi0.dimension}"
@@ -322,8 +322,8 @@ def extract_gate(
 ) -> GateExtract:
     """Simulate the gate: evolve each logical basis state under the no-jump
     Hamiltonian for time ``t`` and project back onto the logical subspace."""
-    if t <= 0:
-        raise ConfigError(f"gate extraction needs t > 0, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ConfigError(f"gate extraction needs a finite t > 0, got {t}")
     embedding, finals = evolve_logical_basis(params, t, settings)
     matrix = np.zeros((8, 8), dtype=complex)
     leakage = np.zeros(8)
@@ -339,8 +339,7 @@ def extract_gate(
 def coupling_at_position(z: float, omega0: float, lambda0: float) -> float:
     """Coupling omega0 * cos(2*pi*z/lambda0) seen by an atom crossing the
     standing-wave mode at transverse offset ``z`` (meters)."""
-    if lambda0 <= 0:
-        raise ConfigError(f"mode wavelength must be > 0, got {lambda0}")
+    _check_wavelength(lambda0)
     return omega0 * math.cos(2.0 * math.pi * z / lambda0)
 
 
@@ -352,9 +351,13 @@ def positions_for_ratio(omega0: float, lambda0: float) -> tuple[float, float, fl
     2 sit on the first cosine lobe where the mode has dropped to 1/8 and
     sqrt(35)/8 of its peak.
     """
-    if lambda0 <= 0:
-        raise ConfigError(f"mode wavelength must be > 0, got {lambda0}")
+    _check_wavelength(lambda0)
     scale = lambda0 / (2.0 * math.pi)
     z1 = scale * math.acos(1.0 / 8.0)
     z2 = scale * math.acos(math.sqrt(35.0) / 8.0)
     return (z1, z2, 0.0)
+
+
+def _check_wavelength(lambda0: float) -> None:
+    if not 0.0 < lambda0 < math.inf:
+        raise ConfigError(f"mode wavelength must be finite and > 0, got {lambda0}")

@@ -3,9 +3,9 @@ text summary per experiment.
 
 Every experiment is a pure function of its configuration: no randomness,
 fixed grid order, shortest round-trip float formatting, so repeated runs
-emit byte-identical files. Grid points are independent and may be evaluated
-by a thread pool; results are gathered in grid order, so the thread count
-never changes the output.
+emit byte-identical files. The decay ratios of ``gate``, ``search`` and
+``timing`` may be evaluated by a thread pool; results are gathered in grid
+order, so the thread count never changes the output.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from .gates import MarkedState, decayed_i000, residual_gate_entry
 from .grover import GateVariant, run_search
 from .imperfections import (
     OffsetScenario,
+    TimingScenario,
     coupling_offset_infidelity,
+    coupling_offset_infidelity_grid,
     timing_infidelity_grid,
     timing_oracle_grid,
 )
@@ -36,7 +38,7 @@ MAX_GRID_POINTS = 100_000
 MAX_THREADS = 64
 MAX_PHOTON_CUTOFF = 10
 
-# Float-valued config fields; NaN and inf slip through every range check.
+# Float-valued config fields: NaN or inf in any of them is rejected, read or not.
 _FLOAT_FIELDS = (
     "omega1c_khz", "kappa_ratios", "delta_t_max_frac", "eta_max",
     "offset_eta_per_atom", "offset_kappa_ratio", "lambda0",
@@ -74,60 +76,49 @@ class ExperimentConfig:
         object.__setattr__(self, "chi_list", tuple(self.chi_list))
         if self.offset_eta_per_atom is not None:
             object.__setattr__(self, "offset_eta_per_atom", tuple(self.offset_eta_per_atom))
+        # Rules only the config knows: finite floats, grid shapes and caps.
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             values = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(v) for v in values if v is not None):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.omega1c_khz <= 0:
-            raise ConfigError(f"omega1c_khz must be > 0, got {self.omega1c_khz}")
         _check_grid("kappa_ratios", self.kappa_ratios)
-        if any(r < 0 or r >= 4 for r in self.kappa_ratios):
-            raise ConfigError(
-                f"kappa_ratios must lie in [0, 4) (underdamped), got {self.kappa_ratios}"
-            )
-        if not 1 <= self.k_max <= MAX_GRID_POINTS:
-            raise ConfigError(f"k_max must lie in 1..{MAX_GRID_POINTS}, got {self.k_max}")
-        MarkedState(self.tau)  # validates
-        for name, maximum, points in (
-            ("delta_t", self.delta_t_max_frac, self.delta_t_points),
-            ("eta", self.eta_max, self.eta_points),
-        ):
-            if not 1 <= points <= MAX_GRID_POINTS:
-                raise ConfigError(
-                    f"{name}_points must lie in 1..{MAX_GRID_POINTS}, got {points}"
-                )
-            if maximum < 0:
-                raise ConfigError(f"{name}_max must be >= 0, got {maximum}")
-            if points > 1 and maximum == 0:
-                raise ConfigError(f"{name}_max must be > 0 for a {points}-point grid")
-        if self.delta_t_max_frac > 1:
-            raise ConfigError(
-                f"delta_t_max_frac={self.delta_t_max_frac} exceeds one gate time"
-            )
-        if self.eta_max >= 1:
-            raise ConfigError(f"eta_max must be < 1, got {self.eta_max}")
         _check_grid("chi_list", self.chi_list)
-        if any(c not in (1, 2, 3, 4) for c in self.chi_list):
-            raise ConfigError(f"chi_list entries must be in 1..4, got {self.chi_list}")
-        if not 0 <= self.offset_kappa_ratio < 4:
-            raise ConfigError(
-                f"offset_kappa_ratio must lie in [0, 4), got {self.offset_kappa_ratio}"
-            )
-        if not 1 <= self.photon_cutoff <= MAX_PHOTON_CUTOFF:
-            raise ConfigError(
-                f"photon_cutoff must lie in 1..{MAX_PHOTON_CUTOFF}, got {self.photon_cutoff}"
-            )
-        if self.lambda0 <= 0:
-            raise ConfigError(f"lambda0 must be > 0, got {self.lambda0}")
-        if not 1 <= self.threads <= MAX_THREADS:
-            raise ConfigError(f"threads must lie in 1..{MAX_THREADS}, got {self.threads}")
-        # The offset sweep's own check of the model and the per-atom offsets,
-        # so a bad pair fails at load time whichever experiment runs.
-        OffsetScenario(
-            self.eta_max, self.chi_list[0], self.params(self.offset_kappa_ratio),
-            self.offset_model, self.offset_eta_per_atom,
-        )
+        for key, value, cap in (
+            ("k_max", self.k_max, MAX_GRID_POINTS),
+            ("delta_t_points", self.delta_t_points, MAX_GRID_POINTS),
+            ("eta_points", self.eta_points, MAX_GRID_POINTS),
+            ("photon_cutoff", self.photon_cutoff, MAX_PHOTON_CUTOFF),
+            ("threads", self.threads, MAX_THREADS),
+        ):
+            if not 1 <= value <= cap:
+                raise ConfigError(f"{key} must lie in 1..{cap}, got {value}")
+        for key, maximum, points in (
+            ("delta_t_max_frac", self.delta_t_max_frac, self.delta_t_points),
+            ("eta_max", self.eta_max, self.eta_points),
+        ):
+            if maximum < 0:
+                raise ConfigError(f"{key} must be >= 0, got {maximum}")
+            if points > 1 and maximum == 0:
+                raise ConfigError(f"{key} must be > 0 for a {points}-point grid")
+        # Every other rule belongs to the type that uses the value: build the
+        # objects the experiments will build, so a bad value fails at load
+        # time whichever experiment runs, with its key named.
+        _built("tau", MarkedState, self.tau)
+        _built("omega1c_khz", self.params, 0.0)
+        for ratio in self.kappa_ratios:
+            params = _built("kappa_ratios", self.params, ratio)
+            # linspace ends exactly at delta_t_max_frac: the sweep's last delay.
+            delay = self.delta_t_max_frac * gate_time(params)
+            _built("delta_t_max_frac", TimingScenario, delay, params)
+        offset = _built("offset_kappa_ratio", self.params, self.offset_kappa_ratio)
+        model, per_atom = self.offset_model, self.offset_eta_per_atom
+        _built("offset_model", OffsetScenario, 0.0, 1, offset, model, (0.0,) * 3)  # model only
+        _built("offset_eta_per_atom", OffsetScenario, 0.0, 1, offset, model, per_atom)
+        _built("eta_max", OffsetScenario, self.eta_max, 1, offset)
+        for chi in self.chi_list:
+            _built("chi_list", OffsetScenario, 0.0, chi, offset)
+        _built("lambda0", positions_for_ratio, 8.0 * self.omega1c, self.lambda0)
 
     @property
     def omega1c(self) -> float:
@@ -148,6 +139,14 @@ class ExperimentConfig:
         return tuple(float(e) for e in np.linspace(0.0, self.eta_max, self.eta_points))
 
 
+def _built(key: str, build, *args):
+    """``build(*args)``, with the config key prefixed to any ``ConfigError``."""
+    try:
+        return build(*args)
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _check_grid(name: str, values: tuple) -> None:
     if not values:
         raise ConfigError(f"{name} must not be empty")
@@ -157,11 +156,6 @@ def _check_grid(name: str, values: tuple) -> None:
 
 # --- flat key = value config files -------------------------------------
 
-_LIST_FLOAT_KEYS = {"kappa_ratios"}
-_LIST_INT_KEYS = {"chi_list"}
-_OPTIONAL_TRIPLE_KEYS = {"offset_eta_per_atom"}
-_OPTIONAL_STR_KEYS = {"output"}
-
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file; '#' starts a comment.
@@ -169,7 +163,7 @@ def parse_config(text: str) -> ExperimentConfig:
     Every key is optional and defaults to the reference values; unknown
     keys are rejected with the offending name.
     """
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     overrides: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -180,10 +174,10 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in defaults:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         try:
-            overrides[key] = _parse_value(key, value)
+            overrides[key] = _parse_value(key, value, defaults[key])
         except ConfigError:
             raise
         except ValueError as exc:
@@ -191,26 +185,19 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**overrides)
 
 
-def _parse_value(key: str, value: str):
-    if key in _OPTIONAL_STR_KEYS:
+def _parse_value(key: str, value: str, default):
+    if key == "output":
         return value or None
-    if key in _LIST_FLOAT_KEYS:
-        return tuple(float(v) for v in value.split(",") if v.strip())
-    if key in _LIST_INT_KEYS:
-        return tuple(int(v) for v in value.split(",") if v.strip())
-    if key in _OPTIONAL_TRIPLE_KEYS:
+    if isinstance(default, tuple):  # a list of the default's element type
+        return tuple(type(default[0])(v) for v in value.split(",") if v.strip())
+    if key == "offset_eta_per_atom":
         if not value:
             return None
         triple = tuple(float(v) for v in value.split(",") if v.strip())
         if len(triple) != 3:
             raise ConfigError(f"{key} needs exactly three comma-separated values")
         return triple
-    default = getattr(ExperimentConfig(), key)
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return value
+    return type(default)(value)  # int, float or str, as the default
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -222,17 +209,11 @@ def serialize_config(config: ExperimentConfig) -> str:
         if value is None:
             text = ""
         elif isinstance(value, tuple):
-            text = ",".join(_fmt(v) for v in value)
+            text = ",".join(map(str, value))
         else:
-            text = _fmt(value)
+            text = str(value)
         lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 # --- sweep tables -------------------------------------------------------
@@ -261,9 +242,10 @@ class SweepTable:
 
 def write_csv(table: SweepTable, path: str) -> None:
     """Write the table as UTF-8 CSV: header row, floats in shortest
-    round-trip form, rows in grid order. Byte-identical across runs."""
+    round-trip form (``str``; for a NumPy float ``repr`` would add its type
+    name), rows in grid order. Byte-identical across runs."""
     lines = [",".join(table.header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in table.rows)
+    lines.extend(",".join(map(str, row)) for row in table.rows)
     text = "\n".join(lines) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -329,7 +311,7 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
     gamma0 = residual_gate_entry(config.params(0.0))
     lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
     for ratio, (_, worst) in zip(config.kappa_ratios, results):
-        lines.append(f"kappa_ratio={_fmt(ratio)}: max |analytic - simulated| = {worst:.3e}")
+        lines.append(f"kappa_ratio={ratio}: max |analytic - simulated| = {worst:.3e}")
     return SweepTable(
         experiment="gate",
         header=("kappa_ratio", "slot", "analytic", "simulated_real", "simulated_imag", "leakage"),
@@ -361,7 +343,7 @@ def _search_experiment(config: ExperimentConfig) -> SweepTable:
             rows.append((rec.iteration, ratio, rec.p_find, rec.survival, rec.fidelity))
         best = max(records, key=lambda r: r.p_find)
         lines.append(
-            f"kappa_ratio={_fmt(ratio)}: best p_find={best.p_find:.4f} at k={best.iteration}"
+            f"kappa_ratio={ratio}: best p_find={best.p_find:.4f} at k={best.iteration}"
         )
     return SweepTable(
         experiment="search",
@@ -391,7 +373,7 @@ def _timing_experiment(config: ExperimentConfig) -> SweepTable:
     for ratio in config.kappa_ratios:
         base = next(r for r in rows if r[0] == ratio and r[1] == 0.0)
         lines.append(
-            f"kappa_ratio={_fmt(ratio)}: delta_t=0 infidelity formula={base[2]:.3e} "
+            f"kappa_ratio={ratio}: delta_t=0 infidelity formula={base[2]:.3e} "
             f"oracle={base[3]:.3e}"
         )
     return SweepTable(
@@ -405,26 +387,21 @@ def _timing_experiment(config: ExperimentConfig) -> SweepTable:
 def _offset_experiment(config: ExperimentConfig) -> SweepTable:
     ratio = config.offset_kappa_ratio
     params = config.params(ratio)
-    points = [(chi, eta) for chi in config.chi_list for eta in config.eta_grid()]
-
-    def one(point):
-        chi, eta = point
-        scenario = OffsetScenario(
-            eta=eta,
-            chi=chi,
-            params=params,
-            model=config.offset_model,
-            per_atom_eta=config.offset_eta_per_atom,
-        )
-        return (eta, chi, ratio, coupling_offset_infidelity(scenario))
-
-    rows = _map_ordered(one, points, config.threads)
+    etas = config.eta_grid()
+    grid = coupling_offset_infidelity_grid(
+        params, config.chi_list, etas, config.offset_model, config.offset_eta_per_atom
+    )
+    rows = [
+        (eta, chi, ratio, value)
+        for chi, values in zip(config.chi_list, grid)
+        for eta, value in zip(etas, values)
+    ]
     baseline = coupling_offset_infidelity(
         OffsetScenario(eta=0.0, chi=config.chi_list[0], params=params)
     )
     lines = [
         f"offset model: {config.offset_model}; four-gate search at "
-        f"kappa_ratio={_fmt(ratio)}",
+        f"kappa_ratio={ratio}",
         f"eta=0 decay-only baseline: {baseline:.4e}",
     ]
     return SweepTable(
@@ -441,7 +418,7 @@ def _geometry_experiment(config: ExperimentConfig) -> SweepTable:
     ratio = abs(z1) / abs(z2)
     rows = ((z1, z2, z3, ratio),)
     summary = (
-        f"crossing offsets in units of lambda0={_fmt(config.lambda0)}: "
+        f"crossing offsets in units of lambda0={config.lambda0}: "
         f"z1={z1:.6f}, z2={z2:.6f}, z3={z3:.6f}\n"
         f"|z1|/|z2| = {ratio:.4f}"
     )

@@ -150,7 +150,7 @@ def phase_gate_success(state, diag: GateDiagonal) -> float:
     if coeffs.shape != (8,):
         raise ConfigError(f"expected 8 coefficients, got shape {coeffs.shape}")
     total = float(np.sum(np.abs(coeffs) ** 2))
-    if abs(total - 8.0) > 1e-9:
+    if not abs(total - 8.0) <= 1e-9:  # NaN fails too
         raise ConfigError(
             f"squared coefficients must sum to 8 (got {total}); "
             "amplitudes carry a 1/(2*sqrt(2)) prefactor in this convention"

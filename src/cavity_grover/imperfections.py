@@ -9,15 +9,10 @@ form.
 
 Coupling offsets: some of the four cavities in a two-iteration search run
 with couplings off their design values by a relative offset ``eta``. The
-closed form raises each per-gate damping factor to the number of imperfect
-gates, with the coupling-ratio weights recomputed from the offset couplings
-but the Rabi phases taken at the design couplings. It therefore depends on
-the coupling ratios only: a uniform offset leaves it unchanged, and only
-ratio-breaking models (the default perturbs atom 1 alone) produce any
-``eta`` dependence. It has no full-dynamics oracle. Simulated gates run for
-the design gate time at offset couplings leave Rabi cycles unclosed, an
-error this closed form drops; their four-gate infidelity rises with the
-number of imperfect cavities, while the closed form's falls for eta > 0.
+closed form depends on the coupling ratios only, so only ratio-breaking
+models (the default perturbs atom 1 alone) produce any ``eta`` dependence.
+It has no full-dynamics oracle; ``coupling_offset_infidelity`` states the
+error it drops.
 
 Both infidelities are 1 minus a uniform-input fidelity: the gate is applied
 to the uniform superposition and the result is compared, after
@@ -61,11 +56,10 @@ class TimingScenario:
     params: CavityParams
 
     def __post_init__(self) -> None:
-        if self.delta_t < 0:
-            raise ConfigError(f"delta_t must be >= 0, got {self.delta_t}")
-        if self.delta_t > gate_time(self.params):
+        t_gate = gate_time(self.params)
+        if not 0.0 <= self.delta_t <= t_gate:
             raise ConfigError(
-                f"delta_t={self.delta_t} exceeds one gate time; "
+                f"delta_t={self.delta_t} outside [0, one gate time = {t_gate}]; "
                 "the overrun model only covers small delays"
             )
 
@@ -89,14 +83,14 @@ class OffsetScenario:
     def __post_init__(self) -> None:
         if self.chi not in (1, 2, 3, 4):
             raise ConfigError(f"chi counts imperfect cavities, must be 1..4, got {self.chi}")
-        if abs(self.eta) >= 1.0:
+        if not abs(self.eta) < 1.0:  # NaN fails too
             raise ConfigError(f"|eta| must be < 1, got {self.eta}")
         if self.model not in OFFSET_MODELS:
             raise ConfigError(f"offset model must be one of {OFFSET_MODELS}, got {self.model!r}")
         if self.model == "per_atom":
             if self.per_atom_eta is None or len(self.per_atom_eta) != 3:
                 raise ConfigError("per_atom model needs three per-atom offsets (eta1, eta2, eta3)")
-            if any(abs(e) >= 1.0 for e in self.per_atom_eta):
+            if not all(abs(e) < 1.0 for e in self.per_atom_eta):
                 raise ConfigError(f"per-atom offsets must satisfy |eta| < 1, got {self.per_atom_eta}")
 
 
@@ -225,7 +219,8 @@ def offset_couplings(scenario: OffsetScenario) -> tuple[float, float, float]:
 
 def coupling_offset_infidelity(scenario: OffsetScenario) -> float:
     """Closed-form infidelity of a two-iteration search (four phase gates)
-    when ``chi`` of the four cavities carry offset couplings.
+    when ``chi`` of the four cavities carry offset couplings: the one-point
+    case of ``coupling_offset_infidelity_grid``.
 
     Each four-gate composite damping factor multiplies ``chi`` imperfect-
     cavity factors with ``4 - chi`` design factors. In an imperfect-cavity
@@ -244,13 +239,35 @@ def coupling_offset_infidelity(scenario: OffsetScenario) -> float:
     (0.0083388 -> 0.0083317) while the product of four simulated gates
     rises (0.008745 -> 0.009994).
     """
-    base = _damping_factors(scenario.params, scenario.params.omega).entries()
-    primed = _damping_factors(scenario.params, offset_couplings(scenario)).entries()
-    chi = scenario.chi
-    rest = 4 - chi
-    # Powers of Python floats: NumPy array powers round differently.
-    entries = np.array([p**chi * b**rest for p, b in zip(primed, base)])
+    return coupling_offset_infidelity_grid(
+        scenario.params, [scenario.chi], [scenario.eta], scenario.model, scenario.per_atom_eta
+    )[0][0]
+
+
+def coupling_offset_infidelity_grid(
+    params: CavityParams, chis: Sequence[int], etas: Sequence[float],
+    model: str, per_atom_eta: tuple[float, float, float] | None,
+) -> list[list[float]]:
+    """``coupling_offset_infidelity`` at every (chi, eta) pair: one list per
+    chi, over ``etas`` in order. Each chi is checked once, the design
+    factors are evaluated once, and one scenario per eta checks it and
+    gives its offset factors."""
+    for chi in chis:
+        OffsetScenario(0.0, chi, params, model, per_atom_eta)  # validates
+    base = _damping_factors(params, params.omega).entries()
+    primed = [
+        _damping_factors(
+            params, offset_couplings(OffsetScenario(eta, 1, params, model, per_atom_eta))
+        ).entries()
+        for eta in etas
+    ]
     # After an even number of phase gates the |000⟩ sign flips cancel, so
-    # the exact four-gate reference is the uniform state itself.
+    # the exact four-gate reference is the uniform state itself. Powers are
+    # taken on Python floats: NumPy array powers round differently.
     u = _uniform_register()
-    return 1.0 - _fidelity(u, entries * u)
+    grid = []
+    for chi in chis:
+        rest = 4 - chi
+        composite = (np.array([p**chi * b**rest for p, b in zip(f, base)]) for f in primed)
+        grid.append([1.0 - _fidelity(u, entries * u) for entries in composite])
+    return grid

@@ -3,21 +3,34 @@ import math
 import pytest
 
 from cavity_grover import (
+    CavityParams,
     ConfigError,
     ExperimentConfig,
     NumericalError,
+    OffsetScenario,
+    TimingScenario,
+    build_basis,
+    build_effective_hamiltonian,
+    coupling_at_position,
+    decayed_i000,
+    evolve,
+    extract_gate,
     parse_config,
+    phase_gate_success,
+    positions_for_ratio,
     run_experiment,
     serialize_config,
     write_csv,
 )
 from cavity_grover import cli, experiments, imperfections
+from cavity_grover.dynamics import decay_shifted_frequency
 from cavity_grover.experiments import (
     MAX_GRID_POINTS,
     MAX_PHOTON_CUTOFF,
     MAX_THREADS,
     SweepTable,
 )
+from cavity_grover.hilbert import basis_state
 
 FAST = dict(delta_t_points=5, eta_points=5)
 
@@ -136,6 +149,59 @@ def test_parse_rejects_non_finite_floats(line):
     key = line.split("=")[0].strip()
     with pytest.raises(ConfigError, match=f"{key} must be finite"):
         parse_config(line + "\n")
+
+
+# Owner-checked rules, one bad line each; the config checks them at load time
+# by building the objects the experiments use.
+_OWNED_RULE_LINES = (
+    "kappa_ratios = 0,4",
+    "offset_kappa_ratio = 4",
+    "chi_list = 1,5",
+    "eta_max = 1",
+    "delta_t_max_frac = 1.5",
+    "lambda0 = 0",
+    "omega1c_khz = 0",
+)
+
+
+@pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+@pytest.mark.parametrize("line", _OWNED_RULE_LINES)
+def test_owned_rules_fail_at_load_time(line, experiment, tmp_path, capsys):
+    # Every experiment fails, even one that never reads the value.
+    key = line.split("=")[0].strip()
+    config, out = tmp_path / "bad.cfg", tmp_path / f"{experiment}.csv"
+    config.write_text(line + "\n", encoding="utf-8")
+    assert cli.main([experiment, "--config", str(config), "--out", str(out)]) == 1
+    assert f"sim: config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_P = CavityParams.designed(1.0, 0.1)
+_BASIS = build_basis(1)
+
+# The library's guards on float inputs, each as a call of one float.
+_GUARDED_CALLS = {
+    "CavityParams omega": lambda x: CavityParams((1.0, x, 3.0)),
+    "CavityParams kappa": lambda x: CavityParams((1.0, 2.0, 3.0), kappa=x),
+    "CavityParams.designed": lambda x: CavityParams.designed(x),
+    "TimingScenario": lambda x: TimingScenario(x, _P),
+    "OffsetScenario eta": lambda x: OffsetScenario(x, 1, _P),
+    "OffsetScenario per-atom eta": lambda x: OffsetScenario(0.0, 1, _P, "per_atom", (0.0, x, 0.0)),
+    "positions_for_ratio": lambda x: positions_for_ratio(1.0, x),
+    "coupling_at_position": lambda x: coupling_at_position(0.0, 1.0, x),
+    "decay_shifted_frequency omega": lambda x: decay_shifted_frequency(x, 0.0),
+    "decay_shifted_frequency kappa": lambda x: decay_shifted_frequency(1.0, x),
+    "evolve": lambda x: evolve(build_effective_hamiltonian(_P, _BASIS), x, basis_state(_BASIS, 0)),
+    "extract_gate": lambda x: extract_gate(_P, x),
+    "phase_gate_success": lambda x: phase_gate_success([x] + [1.0] * 7, decayed_i000(_P)[1]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", sorted(_GUARDED_CALLS))
+def test_guards_reject_non_finite_inputs(call, bad):
+    with pytest.raises(ConfigError):
+        _GUARDED_CALLS[call](bad)
 
 
 # --- experiments -------------------------------------------------------------

@@ -14,6 +14,7 @@ from cavity_grover import (
     OffsetScenario,
     TimingScenario,
     coupling_offset_infidelity,
+    coupling_offset_infidelity_grid,
     extract_gate,
     gate_time,
     offset_couplings,
@@ -282,3 +283,36 @@ def test_offset_infidelity_bounded(params_strong_decay):
                 OffsetScenario(float(eta), chi, params_strong_decay)
             )
             assert 0.0 <= value <= 1.0
+
+
+@pytest.mark.parametrize(
+    "model, per_atom", [("atom1", None), ("uniform", None), ("per_atom", (0.02, -0.01, 0.03))]
+)
+def test_offset_grid_matches_per_point(model, per_atom, params_strong_decay):
+    chis, etas = (1, 3, 4), (0.0, 0.01, -0.05, 0.1)
+    grid = coupling_offset_infidelity_grid(params_strong_decay, chis, etas, model, per_atom)
+    assert grid == [
+        [
+            coupling_offset_infidelity(
+                OffsetScenario(eta, chi, params_strong_decay, model, per_atom)
+            )
+            for eta in etas
+        ]
+        for chi in chis
+    ]
+
+
+@pytest.mark.parametrize(
+    "chis, etas, model, per_atom",
+    [
+        ((1, 5), (0.0,), "atom1", None),
+        ((1,), (0.0, 1.0), "atom1", None),
+        ((1,), (0.0, math.nan), "uniform", None),
+        ((1,), (0.0,), "bogus", None),
+        ((1,), (0.0,), "per_atom", None),
+        ((1,), (0.0,), "per_atom", (0.0, 1.5, 0.0)),
+    ],
+)
+def test_offset_grid_validates_every_point(chis, etas, model, per_atom, params_strong_decay):
+    with pytest.raises(ConfigError):
+        coupling_offset_infidelity_grid(params_strong_decay, chis, etas, model, per_atom)
