@@ -50,6 +50,7 @@ from .grover import (
     initial_state,
     phase_gate_success,
     run_search,
+    run_search_grid,
 )
 from .hilbert import (
     AtomLevel,

@@ -3,9 +3,10 @@ text summary per experiment.
 
 Every experiment is a pure function of its configuration: no randomness,
 fixed grid order, shortest round-trip float formatting, so repeated runs
-emit byte-identical files. The decay ratios of ``gate``, ``search`` and
-``timing`` may be evaluated by a thread pool; results are gathered in grid
-order, so the thread count never changes the output.
+emit byte-identical files. ``search`` and ``offset`` evaluate their whole
+grid in one call; only the decay ratios of ``gate`` and ``timing`` may be
+evaluated by a thread pool, gathered in grid order, so the thread count
+never changes the output.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .dynamics import CavityParams, extract_gate, gate_time, positions_for_ratio
 from .errors import ConfigError, NumericalError
 from .gates import MarkedState, decayed_i000, residual_gate_entry
-from .grover import GateVariant, run_search
+from .grover import GateVariant, run_search_grid
 from .imperfections import (
     OffsetScenario,
     TimingScenario,
@@ -104,21 +105,22 @@ class ExperimentConfig:
         # Every other rule belongs to the type that uses the value: build the
         # objects the experiments will build, so a bad value fails at load
         # time whichever experiment runs, with its key named.
-        _built("tau", MarkedState, self.tau)
-        _built("omega1c_khz", self.params, 0.0)
+        _built("tau", self.tau, MarkedState, self.tau)
+        _built("omega1c_khz", self.omega1c_khz, self.params, 0.0)
         for ratio in self.kappa_ratios:
-            params = _built("kappa_ratios", self.params, ratio)
+            params = _built("kappa_ratios", ratio, self.params, ratio)
             # linspace ends exactly at delta_t_max_frac: the sweep's last delay.
             delay = self.delta_t_max_frac * gate_time(params)
-            _built("delta_t_max_frac", TimingScenario, delay, params)
-        offset = _built("offset_kappa_ratio", self.params, self.offset_kappa_ratio)
+            _built("delta_t_max_frac", self.delta_t_max_frac, TimingScenario, delay, params)
+        ratio = self.offset_kappa_ratio
+        offset = _built("offset_kappa_ratio", ratio, self.params, ratio)
         model, per_atom = self.offset_model, self.offset_eta_per_atom
-        _built("offset_model", OffsetScenario, 0.0, 1, offset, model, (0.0,) * 3)  # model only
-        _built("offset_eta_per_atom", OffsetScenario, 0.0, 1, offset, model, per_atom)
-        _built("eta_max", OffsetScenario, self.eta_max, 1, offset)
+        _built("offset_model", model, OffsetScenario, 0.0, 1, offset, model, (0.0,) * 3)
+        _built("offset_eta_per_atom", per_atom, OffsetScenario, 0.0, 1, offset, model, per_atom)
+        _built("eta_max", self.eta_max, OffsetScenario, self.eta_max, 1, offset)
         for chi in self.chi_list:
-            _built("chi_list", OffsetScenario, 0.0, chi, offset)
-        _built("lambda0", positions_for_ratio, 8.0 * self.omega1c, self.lambda0)
+            _built("chi_list", chi, OffsetScenario, 0.0, chi, offset)
+        _built("lambda0", self.lambda0, positions_for_ratio, 8.0 * self.omega1c, self.lambda0)
 
     @property
     def omega1c(self) -> float:
@@ -139,12 +141,12 @@ class ExperimentConfig:
         return tuple(float(e) for e in np.linspace(0.0, self.eta_max, self.eta_points))
 
 
-def _built(key: str, build, *args):
-    """``build(*args)``, with the config key prefixed to any ``ConfigError``."""
+def _built(key: str, value, build, *args):
+    """``build(*args)``, with the key and its given value prefixed to any ``ConfigError``."""
     try:
         return build(*args)
     except ConfigError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError(f"{key} = {_value_text(value) or '(empty)'}: {exc}") from exc
 
 
 def _check_grid(name: str, values: tuple) -> None:
@@ -203,17 +205,15 @@ def _parse_value(key: str, value: str, default):
 def serialize_config(config: ExperimentConfig) -> str:
     """Emit the full configuration as the flat text format; round-trips
     through ``parse_config`` exactly."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if value is None:
-            text = ""
-        elif isinstance(value, tuple):
-            text = ",".join(map(str, value))
-        else:
-            text = str(value)
-        lines.append(f"{f.name} = {text}")
+    lines = [f"{f.name} = {_value_text(getattr(config, f.name))}" for f in fields(config)]
     return "\n".join(lines) + "\n"
+
+
+def _value_text(value) -> str:
+    """A config value as the flat text format writes it."""
+    if value is None:
+        return ""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 # --- sweep tables -------------------------------------------------------
@@ -322,15 +322,8 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
 
 def _search_experiment(config: ExperimentConfig) -> SweepTable:
     tau = MarkedState(config.tau)
-
-    def one(ratio: float):
-        params = config.params(ratio)
-        try:
-            return run_search(tau, config.k_max, GateVariant.DECAYED, params)
-        except NumericalError as exc:
-            raise _annotate(exc, "search", f"kappa_ratio={ratio}") from exc
-
-    results = _map_ordered(one, config.kappa_ratios, config.threads)
+    params = [config.params(ratio) for ratio in config.kappa_ratios]
+    results = run_search_grid(tau, config.k_max, GateVariant.DECAYED, params)
     rows = []
     lines = [
         f"marked state |{tau}⟩; "

@@ -63,7 +63,8 @@ class GateDiagonal:
 
     The realized gate is diag(-mu, gamma, beta, alpha, 1, 1, 1, 1): mu on
     |000⟩, gamma on |001⟩, beta on |010⟩, alpha on |011⟩; the four states
-    with qubit 1 in logical 1 never excite the mode and stay exact.
+    with qubit 1 in logical 1 never excite the mode and stay exact. Each
+    factor, or each value of a factor array over a grid, lies in (0, 1].
     """
 
     mu: float
@@ -72,14 +73,11 @@ class GateDiagonal:
     alpha: float
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("mu", self.mu),
-            ("gamma", self.gamma),
-            ("beta", self.beta),
-            ("alpha", self.alpha),
-        ):
-            if not 0.0 < value <= 1.0:
-                raise ConfigError(f"gate diagonal factor {name}={value} outside (0, 1]")
+        for name in ("mu", "gamma", "beta", "alpha"):
+            value = np.asarray(getattr(self, name))
+            bad = value[~((0.0 < value) & (value <= 1.0))]  # NaN is bad too
+            if bad.size:
+                raise ConfigError(f"gate diagonal factor {name}={bad[0]} outside (0, 1]")
 
     def entries(self) -> tuple[float, ...]:
         """The eight diagonal entries (-mu, gamma, beta, alpha, 1, 1, 1, 1)."""
@@ -144,7 +142,7 @@ def _damping_factors(
     params: CavityParams, couplings: tuple[float, float, float]
 ) -> GateDiagonal:
     # Decay, gate time and the atoms-1+3 Rabi phase come from ``params``;
-    # each factor's coupling-share weight comes from ``couplings``.
+    # each factor's coupling-share weight comes from ``couplings`` (floats or arrays).
     _require_designed(params)
     w1, w2, w3 = couplings
     damp = math.exp(-params.kappa * gate_time(params) / 4.0)

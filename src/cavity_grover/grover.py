@@ -15,14 +15,15 @@ total no-jump probability, and ``fidelity`` compares the surviving
 (renormalized) state against the trajectory an exact gate would have
 produced.
 
-``run_search`` builds its marked-state gate and the exact reference flip
-once per call and reuses them for every iteration; ``grover_step`` is the
-same iteration with the flip built from the marked state on each call.
+``run_search_grid`` runs the search for many decay rates at once on stacked
+arrays and computes the exact reference trajectory once; ``run_search`` is
+its one-rate case and ``grover_step`` is one iteration for one state.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -111,28 +112,44 @@ def run_search(
     tau: MarkedState | str, k_max: int, variant: GateVariant, params: CavityParams
 ) -> list[SearchRecord]:
     """Iterate the search ``k_max`` times and record probability, survival,
-    and fidelity against the exact-gate trajectory after each iteration."""
+    and fidelity against the exact-gate trajectory after each iteration:
+    the one-parameter-set case of ``run_search_grid``."""
+    return run_search_grid(tau, k_max, variant, [params])[0]
+
+
+def run_search_grid(
+    tau: MarkedState | str, k_max: int, variant: GateVariant, params_seq: Sequence[CavityParams]
+) -> list[list[SearchRecord]]:
+    """``run_search`` at every parameter set in ``params_seq``: one record
+    list per set, in order.
+
+    The gates are stacked into a (K, 8, 8) array and their marked flips
+    are one index permutation of the stack, so each iteration is four
+    batched products on a (K, 8, 1) block of registers. The exact reference
+    trajectory does not depend on ``params`` and is computed once.
+    """
     if k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
+    if not params_seq:
+        raise ConfigError("run_search_grid needs at least one parameter set")
     marked = MarkedState.of(tau)
-    gate = _base_gate(variant, params)
-    reference = _base_gate(GateVariant.EXACT, params)
-    flip = marked_gate(marked, gate)
+    perm = np.arange(8) ^ marked.index
+    gates = np.stack([_base_gate(variant, params).matrix for params in params_seq])
+    flips = gates[:, perm][:, :, perm]
+    reference = _base_gate(GateVariant.EXACT, params_seq[0])
     reference_flip = marked_gate(marked, reference)
-
-    state = initial_state()
+    h = _H3.matrix
+    states = np.repeat(_uniform_register()[None, :, None], len(params_seq), axis=0)
     ideal = initial_state()
-    records = []
+    grid: list[list[SearchRecord]] = [[] for _ in params_seq]
     for k in range(1, k_max + 1):
-        state = _step(state, flip, gate)
+        states = h @ (gates @ (h @ (flips @ states)))
         ideal = _step(ideal, reference_flip, reference)
-        survival = state.squared_norm()
-        p_find = float(abs(state.amplitudes[marked.index]) ** 2)
-        fidelity = _fidelity(ideal.amplitudes, state.amplitudes)
-        records.append(
-            SearchRecord(iteration=k, p_find=p_find, survival=survival, fidelity=fidelity)
-        )
-    return records
+        for state, records in zip(states[:, :, 0], grid):
+            p_find = float(abs(state[marked.index]) ** 2)
+            survival = float(np.vdot(state, state).real)
+            records.append(SearchRecord(k, p_find, survival, _fidelity(ideal.amplitudes, state)))
+    return grid
 
 
 def phase_gate_success(state, diag: GateDiagonal) -> float:

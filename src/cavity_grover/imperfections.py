@@ -87,11 +87,11 @@ class OffsetScenario:
             raise ConfigError(f"|eta| must be < 1, got {self.eta}")
         if self.model not in OFFSET_MODELS:
             raise ConfigError(f"offset model must be one of {OFFSET_MODELS}, got {self.model!r}")
-        if self.model == "per_atom":
-            if self.per_atom_eta is None or len(self.per_atom_eta) != 3:
-                raise ConfigError("per_atom model needs three per-atom offsets (eta1, eta2, eta3)")
-            if not all(abs(e) < 1.0 for e in self.per_atom_eta):
-                raise ConfigError(f"per-atom offsets must satisfy |eta| < 1, got {self.per_atom_eta}")
+        if self.model == "per_atom" and self.per_atom_eta is None:
+            raise ConfigError("per_atom model needs three per-atom offsets (eta1, eta2, eta3)")
+        per_atom = self.per_atom_eta  # checked whenever given, whatever the model
+        if per_atom is not None and not (len(per_atom) == 3 and all(abs(e) < 1 for e in per_atom)):
+            raise ConfigError(f"per-atom offsets must be three values, |eta| < 1, got {per_atom}")
 
 
 def _one_gate_infidelity(output: np.ndarray) -> float:
@@ -249,25 +249,22 @@ def coupling_offset_infidelity_grid(
     model: str, per_atom_eta: tuple[float, float, float] | None,
 ) -> list[list[float]]:
     """``coupling_offset_infidelity`` at every (chi, eta) pair: one list per
-    chi, over ``etas`` in order. Each chi is checked once, the design
-    factors are evaluated once, and one scenario per eta checks it and
-    gives its offset factors."""
+    chi, over ``etas`` in order. Each chi is checked once and one scenario
+    per eta checks it and gives its offset couplings. The offset factors
+    and the fidelity are then row-wise array expressions, one row per eta,
+    so each point is computed exactly as its one-point case."""
     for chi in chis:
         OffsetScenario(0.0, chi, params, model, per_atom_eta)  # validates
-    base = _damping_factors(params, params.omega).entries()
-    primed = [
-        _damping_factors(
-            params, offset_couplings(OffsetScenario(eta, 1, params, model, per_atom_eta))
-        ).entries()
-        for eta in etas
-    ]
+    scenarios = [OffsetScenario(eta, 1, params, model, per_atom_eta) for eta in etas]
+    couplings = np.array([offset_couplings(s) for s in scenarios]).reshape(-1, 3)
+    base = np.array(_damping_factors(params, params.omega).entries())
+    primed = np.stack(np.broadcast_arrays(*_damping_factors(params, couplings.T).entries()), 1)
     # After an even number of phase gates the |000⟩ sign flips cancel, so
-    # the exact four-gate reference is the uniform state itself. Powers are
-    # taken on Python floats: NumPy array powers round differently.
-    u = _uniform_register()
+    # the exact four-gate reference is the uniform register u itself.
+    u = _uniform_register().real
     grid = []
     for chi in chis:
-        rest = 4 - chi
-        composite = (np.array([p**chi * b**rest for p, b in zip(f, base)]) for f in primed)
-        grid.append([1.0 - _fidelity(u, entries * u) for entries in composite])
+        output = primed**chi * base ** (4 - chi) * u
+        overlap = (u * output).sum(axis=1)
+        grid.append((1.0 - overlap**2 / (output * output).sum(axis=1)).tolist())
     return grid

@@ -409,3 +409,30 @@ def test_cli_threads_override(tmp_path):
     assert cli.main(["search", "--out", str(out1), "--threads", "1"]) == 0
     assert cli.main(["search", "--out", str(out4), "--threads", "4"]) == 0
     assert out1.read_bytes() == out4.read_bytes()
+
+
+@pytest.mark.parametrize("model", ["atom1", "uniform"])
+def test_per_atom_offsets_checked_under_every_model(model, tmp_path, capsys):
+    # The triple is checked whenever it is given, not only for per_atom.
+    config, out = tmp_path / "bad.cfg", tmp_path / "offset.csv"
+    config.write_text(f"offset_model = {model}\noffset_eta_per_atom = 1.5,0,0\n")
+    assert cli.main(["offset", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("sim: config error: offset_eta_per_atom")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, shown",
+    [
+        ("delta_t_max_frac = 1.5", "delta_t_max_frac = 1.5: delta_t="),
+        ("kappa_ratios = 0,4.5", "kappa_ratios = 4.5: kappa="),
+        ("chi_list = 1,5", "chi_list = 5: "),
+        ("offset_eta_per_atom = 0,1.5,0", "offset_eta_per_atom = 0.0,1.5,0.0: "),
+        ("offset_model = per_atom", "offset_eta_per_atom = (empty): "),
+        ("tau = 012", "tau = 012: "),
+    ],
+)
+def test_owned_rule_errors_show_the_given_value(line, shown):
+    with pytest.raises(ConfigError) as info:
+        parse_config(line + "\n")
+    assert str(info.value).startswith(shown)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_grover import (
+    CavityParams,
     ConfigError,
     GateVariant,
     MarkedState,
@@ -18,6 +21,7 @@ from cavity_grover import (
     phase_gate_success,
     residual_gate_entry,
     run_search,
+    run_search_grid,
 )
 
 ALL_TAUS = [format(v, "03b") for v in range(8)]
@@ -202,3 +206,31 @@ def test_closed_form_values():
     assert closed_form_probability(6) == pytest.approx(0.99979, abs=1e-5)
     with pytest.raises(ConfigError):
         closed_form_probability(-1)
+
+
+# --- run_search_grid: the search over many decay rates at once --------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    ratios=st.lists(
+        st.floats(0.0, 3.9, exclude_max=True), min_size=1, max_size=6, unique=True
+    ).map(sorted),
+    tau=st.sampled_from(ALL_TAUS),
+    variant=st.sampled_from(list(GateVariant)),
+    k_max=st.integers(1, 12),
+)
+def test_run_search_grid_equals_per_rate_runs(ratios, tau, variant, k_max, omega1c):
+    # The stacked (K, 8, 1) iteration must give each rate the records of its
+    # own one-rate run, bit for bit (dataclass equality compares floats with ==).
+    params = [CavityParams.designed(omega1c, r * omega1c) for r in ratios]
+    assert run_search_grid(tau, k_max, variant, params) == [
+        run_search(tau, k_max, variant, p) for p in params
+    ]
+
+
+def test_run_search_grid_validates_inputs(params_lossless):
+    with pytest.raises(ConfigError, match="k_max"):
+        run_search_grid("000", 0, GateVariant.DECAYED, [params_lossless])
+    with pytest.raises(ConfigError, match="at least one"):
+        run_search_grid("000", 3, GateVariant.DECAYED, [])

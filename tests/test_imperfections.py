@@ -23,6 +23,8 @@ from cavity_grover import (
     timing_oracle,
     timing_oracle_grid,
 )
+from cavity_grover.gates import _damping_factors
+from cavity_grover.grover import _fidelity
 
 
 def _uniform_input_infidelity(gate_matrix: np.ndarray) -> float:
@@ -316,3 +318,44 @@ def test_offset_grid_matches_per_point(model, per_atom, params_strong_decay):
 def test_offset_grid_validates_every_point(chis, etas, model, per_atom, params_strong_decay):
     with pytest.raises(ConfigError):
         coupling_offset_infidelity_grid(params_strong_decay, chis, etas, model, per_atom)
+
+
+def _scalar_offset_grid(params, chis, etas, model, per_atom):
+    # The offset grid as it was first written, point by point on Python
+    # floats: the reference for the array form.
+    base = _damping_factors(params, params.omega).entries()
+    primed = [
+        _damping_factors(
+            params, offset_couplings(OffsetScenario(eta, 1, params, model, per_atom))
+        ).entries()
+        for eta in etas
+    ]
+    u = np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
+    grid = []
+    for chi in chis:
+        rest = 4 - chi
+        composite = (np.array([p**chi * b**rest for p, b in zip(f, base)]) for f in primed)
+        grid.append([1.0 - _fidelity(u, entries * u) for entries in composite])
+    return grid
+
+
+@pytest.mark.parametrize("kappa_ratio", [0.0, 0.02, 0.1, 0.5, 2.0])
+@pytest.mark.parametrize(
+    "model, per_atom", [("atom1", None), ("uniform", None), ("per_atom", (0.02, -0.01, 0.03))]
+)
+def test_offset_grid_matches_scalar_formula(model, per_atom, kappa_ratio, omega1c):
+    # The array grid reorders only the sums and powers of the scalar form.
+    params = CavityParams.designed(omega1c, kappa_ratio * omega1c)
+    chis, etas = (1, 2, 3, 4), [float(e) for e in np.linspace(-0.2, 0.2, 41)]
+    grid = coupling_offset_infidelity_grid(params, chis, etas, model, per_atom)
+    expected = _scalar_offset_grid(params, chis, etas, model, per_atom)
+    assert np.abs(np.array(grid) - np.array(expected)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("model", ["atom1", "uniform"])
+@pytest.mark.parametrize("per_atom", [(1.5, 0.0, 0.0), (0.0, -1.0, 0.0), (0.1, 0.1)])
+def test_offset_scenario_checks_given_per_atom_offsets_under_every_model(
+    model, per_atom, params_strong_decay
+):
+    with pytest.raises(ConfigError, match="per-atom offsets"):
+        OffsetScenario(0.0, 1, params_strong_decay, model, per_atom)
