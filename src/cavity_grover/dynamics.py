@@ -35,6 +35,7 @@ from .hilbert import (
     PureState,
     basis_state,
     build_basis,
+    check_photon_cutoff,
     computational_embedding,
 )
 
@@ -79,8 +80,7 @@ class CavityParams:
                 f"kappa={self.kappa} outside [0, 4*omega1={4 * self.omega[0]}): "
                 "decay rates are >= 0, and above 4*omega1 atom-1 exchange is overdamped"
             )
-        if self.photon_cutoff < 1:
-            raise ConfigError(f"photon_cutoff must be >= 1, got {self.photon_cutoff}")
+        check_photon_cutoff(self.photon_cutoff)
 
     @classmethod
     def designed(
@@ -144,6 +144,22 @@ def gate_time(params: CavityParams) -> float:
     """Interaction time for one conditional phase gate: a half period of the
     atom-1 exchange, pi / sqrt(omega1^2 - kappa^2/16), in seconds."""
     return math.pi / decay_shifted_frequency(params.omega[0], params.kappa)
+
+
+def block_propagator(omega, kappa: float, t) -> np.ndarray:
+    """Exact no-jump propagator on the (bright atomic state, one photon)
+    amplitudes of a one-excitation block with coupling ``omega``, shape
+    broadcast(omega, t) + (2, 2): with a = sqrt(omega^2 - kappa^2/16) > 0,
+    exp(-kappa*t/4) * [cos(a*t)*I + sin(a*t)/a * [[kappa/4, -i*omega], [-i*omega, -kappa/4]]].
+    """
+    omega, t = np.broadcast_arrays(np.asarray(omega, float), np.asarray(t, float))
+    a = np.sqrt(omega * omega - kappa * kappa / 16.0)
+    envelope, cos, sin = np.exp(-kappa * t / 4.0), np.cos(a * t), np.sin(a * t) / a
+    block = np.empty(omega.shape + (2, 2), dtype=complex)
+    block[..., 0, 0] = envelope * (cos + kappa / 4.0 * sin)
+    block[..., 1, 1] = envelope * (cos - kappa / 4.0 * sin)
+    block[..., 0, 1] = block[..., 1, 0] = -1j * envelope * omega * sin
+    return block
 
 
 def exchange_hamiltonian(

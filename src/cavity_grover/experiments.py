@@ -19,7 +19,8 @@ import numpy as np
 from .dynamics import CavityParams, extract_gate, gate_time, positions_for_ratio
 from .errors import ConfigError, NumericalError
 from .gates import MarkedState, decayed_i000, residual_gate_entry
-from .grover import GateVariant, run_search_grid
+from .grover import GateVariant, check_k_max, run_search_grid
+from .hilbert import MAX_PHOTON_CUTOFF, check_photon_cutoff  # noqa: F401  (cap re-exported)
 from .imperfections import (
     OffsetScenario,
     TimingScenario,
@@ -31,13 +32,10 @@ from .imperfections import (
 
 EXPERIMENTS = ("gate", "search", "timing", "offset", "geometry")
 
-# Upper bounds on sweep sizes, search iterations, worker threads and the
-# Fock cutoff: far above any useful run, low enough that a typo cannot ask
-# for a huge grid, search, thread pool or matrix. Logical dynamics never
-# reach past one photon; cutoff 10 is a 198-wide basis.
+# Upper bounds on sweep sizes and worker threads: far above any useful run, low
+# enough that a typo cannot ask for a huge grid. Owners cap k_max and photon_cutoff.
 MAX_GRID_POINTS = 100_000
 MAX_THREADS = 64
-MAX_PHOTON_CUTOFF = 10
 
 # Float-valued config fields: NaN or inf in any of them is rejected, read or not.
 _FLOAT_FIELDS = (
@@ -86,10 +84,8 @@ class ExperimentConfig:
         _check_grid("kappa_ratios", self.kappa_ratios)
         _check_grid("chi_list", self.chi_list)
         for key, value, cap in (
-            ("k_max", self.k_max, MAX_GRID_POINTS),
             ("delta_t_points", self.delta_t_points, MAX_GRID_POINTS),
             ("eta_points", self.eta_points, MAX_GRID_POINTS),
-            ("photon_cutoff", self.photon_cutoff, MAX_PHOTON_CUTOFF),
             ("threads", self.threads, MAX_THREADS),
         ):
             if not 1 <= value <= cap:
@@ -105,6 +101,8 @@ class ExperimentConfig:
         # Every other rule belongs to the type that uses the value: build the
         # objects the experiments will build, so a bad value fails at load
         # time whichever experiment runs, with its key named.
+        _built("k_max", self.k_max, check_k_max, self.k_max)
+        _built("photon_cutoff", self.photon_cutoff, check_photon_cutoff, self.photon_cutoff)
         _built("tau", self.tau, MarkedState, self.tau)
         _built("omega1c_khz", self.omega1c_khz, self.params, 0.0)
         for ratio in self.kappa_ratios:

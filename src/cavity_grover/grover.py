@@ -42,6 +42,9 @@ from .gates import (
 )
 from .hilbert import PureState
 
+# Far above any useful search length, low enough that a typo cannot ask for a huge search.
+MAX_ITERATIONS = 100_000
+
 # The Hadamard layer, built once: every search iteration applies it twice.
 _H3 = hadamard3()
 
@@ -108,6 +111,12 @@ def _base_gate(variant: GateVariant, params: CavityParams) -> LogicalOperator:
     return ideal_i000(params, exact=variant is GateVariant.EXACT)
 
 
+def check_k_max(k_max: int) -> None:
+    """The one rule on a search length: 1..``MAX_ITERATIONS`` iterations."""
+    if not 1 <= k_max <= MAX_ITERATIONS:
+        raise ConfigError(f"k_max must lie in 1..{MAX_ITERATIONS}, got {k_max}")
+
+
 def run_search(
     tau: MarkedState | str, k_max: int, variant: GateVariant, params: CavityParams
 ) -> list[SearchRecord]:
@@ -128,8 +137,7 @@ def run_search_grid(
     batched products on a (K, 8, 1) block of registers. The exact reference
     trajectory does not depend on ``params`` and is computed once.
     """
-    if k_max < 1:
-        raise ConfigError(f"k_max must be >= 1, got {k_max}")
+    check_k_max(k_max)
     if not params_seq:
         raise ConfigError("run_search_grid needs at least one parameter set")
     marked = MarkedState.of(tau)

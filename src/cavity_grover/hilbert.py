@@ -33,6 +33,11 @@ class AtomLevel(Enum):
     E = "e"
 
 
+# A Fock cutoff needs one photon slot for the resonant exchange, and logical
+# dynamics never reach past it: 10 (a 198-wide basis) is far above any useful
+# run, low enough that a typo cannot ask for a huge matrix.
+MAX_PHOTON_CUTOFF = 10
+
 # Level orderings used for basis enumeration, per atom slot.
 _ATOM1_LEVELS = (AtomLevel.E, AtomLevel.G)
 _ATOM23_LEVELS = (AtomLevel.I, AtomLevel.G, AtomLevel.E)
@@ -76,17 +81,15 @@ class ProductBasis:
         return self._index[state]
 
 
-def build_basis(photon_cutoff: int) -> ProductBasis:
-    """Enumerate the full product basis up to ``photon_cutoff`` photons.
+def check_photon_cutoff(photon_cutoff: int) -> None:
+    """The one rule on a Fock cutoff, wherever one is given."""
+    if not 1 <= photon_cutoff <= MAX_PHOTON_CUTOFF:
+        raise ConfigError(f"photon_cutoff must lie in 1..{MAX_PHOTON_CUTOFF}, got {photon_cutoff}")
 
-    A cutoff of at least 1 is required: the resonant exchange moves one
-    excitation into the mode, so a vacuum-only ladder cannot represent it.
-    """
-    if photon_cutoff < 1:
-        raise ConfigError(
-            f"photon_cutoff must be >= 1 (resonant exchange needs a photon slot), "
-            f"got {photon_cutoff}"
-        )
+
+def build_basis(photon_cutoff: int) -> ProductBasis:
+    """Enumerate the full product basis up to ``photon_cutoff`` photons."""
+    check_photon_cutoff(photon_cutoff)
     states = tuple(
         BasisState(l1, l2, l3, n)
         for l1 in _ATOM1_LEVELS

@@ -33,6 +33,7 @@ from .dynamics import (
     EvolutionSettings,
     _check_result,
     add_cavity_decay,
+    block_propagator,
     decay_shifted_frequency,
     evolve,
     evolve_logical_basis,
@@ -42,7 +43,6 @@ from .dynamics import (
 from .errors import ConfigError
 from .gates import _damping_factors, _pair13_phase, decayed_i000
 from .grover import _fidelity, _uniform_register
-from .hilbert import ProductBasis
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
 
@@ -161,7 +161,8 @@ def timing_oracle(
     params = scenario.params
     embedding, mids = evolve_logical_basis(params, gate_time(params), settings)
     basis = mids[0].basis
-    h_atom1 = _atom1_hamiltonian(params, basis)
+    h_atom1 = exchange_hamiltonian((params.omega[0], 0.0, 0.0), basis)  # atoms 2, 3 gone
+    add_cavity_decay(h_atom1, params.kappa, basis)
     logical = list(embedding)
     gate = np.column_stack(
         [evolve(h_atom1, scenario.delta_t, mid, settings).amplitudes[logical] for mid in mids]
@@ -171,38 +172,25 @@ def timing_oracle(
 
 def timing_oracle_grid(params: CavityParams, delta_ts: Sequence[float]) -> list[float]:
     """``timing_oracle`` (matrix-exponential settings) at every delay in
-    ``delta_ts``, in order.
+    ``delta_ts``, in order, from exact 2x2 ``block_propagator`` blocks.
 
-    The logical states are evolved for one gate time once, into the columns
-    of a block B. The atom-1-only generator -i*H_atom1 = V·diag(λ)·V⁻¹ is
-    diagonalised once, so each delay costs one product
-    V·diag(exp(λ·dt))·(V⁻¹·B) (the action-of-the-exponential view of
-    Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011)). Each propagated block
-    passes the same finiteness and truncation checks as ``evolve``.
+    Column |0 b2 b3⟩ moves only through its bright state, coupling
+    W = sqrt(w1^2 + b2*w2^2 + b3*w3^2). With s = w1^2/W^2, one gate time
+    leaves atom-1 and photon amplitudes (1 - s + s*P00(W), (w1/W)*P10(W));
+    each delay then applies P(w1, dt). The other columns stay exactly 1,
+    so ``photon_cutoff`` plays no part; the entries are checked finite.
     """
     for dt in delta_ts:
         TimingScenario(dt, params)  # validates the delay
-    embedding, mids = evolve_logical_basis(params, gate_time(params))
-    basis = mids[0].basis
-    block = np.column_stack([mid.amplitudes for mid in mids])
-    rates, vectors = np.linalg.eig(-1j * _atom1_hamiltonian(params, basis))
-    coeffs = np.linalg.solve(vectors, block)
-    logical = list(embedding)
+    w1, w2, w3 = params.omega
+    bright = np.sqrt(w1 * w1 + np.array([0.0, w3 * w3, w2 * w2, w2 * w2 + w3 * w3]))
+    share = (w1 / bright) ** 2
+    at_gate = block_propagator(bright, params.kappa, gate_time(params))
+    columns = np.stack([1.0 - share + share * at_gate[:, 0, 0], w1 / bright * at_gate[:, 1, 0]])
+    atom1 = block_propagator(w1, params.kappa, np.asarray(delta_ts, float))[:, 0] @ columns
+    _check_result(atom1, None)
     uniform = _uniform_register()
-    infidelities = []
-    for dt in delta_ts:
-        final = vectors @ (np.exp(rates * dt)[:, None] * coeffs)
-        _check_result(final, basis)
-        infidelities.append(_one_gate_infidelity(final[logical] @ uniform))
-    return infidelities
-
-
-def _atom1_hamiltonian(params: CavityParams, basis: ProductBasis) -> np.ndarray:
-    """No-jump generator once atoms 2 and 3 have left: atom-1 exchange plus
-    cavity decay."""
-    return add_cavity_decay(
-        exchange_hamiltonian((params.omega[0], 0.0, 0.0), basis), params.kappa, basis
-    )
+    return [_one_gate_infidelity(np.append(row, np.ones(4)) * uniform) for row in atom1]
 
 
 def offset_couplings(scenario: OffsetScenario) -> tuple[float, float, float]:

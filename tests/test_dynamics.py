@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -29,7 +30,13 @@ from cavity_grover import (
     positions_for_ratio,
     residual_gate_entry,
 )
-from cavity_grover.dynamics import add_cavity_decay, exchange_hamiltonian, expm
+from cavity_grover.dynamics import (
+    add_cavity_decay,
+    block_propagator,
+    evolve_logical_basis,
+    exchange_hamiltonian,
+    expm,
+)
 from cavity_grover.hilbert import basis_state, excitation_number, state_index
 
 E, G, I = AtomLevel.E, AtomLevel.G, AtomLevel.I
@@ -338,6 +345,83 @@ def test_analytic_pair13_block_entry(params_lossless):
     expected = (w3**2 + w1**2 * math.cos(math.sqrt(65.0) * math.pi)) / (w1**2 + w3**2)
     extract = extract_gate(params_lossless, gate_time(params_lossless))
     assert extract.restricted.diagonal()[1].real == pytest.approx(expected, abs=1e-9)
+
+
+# --- one-excitation blocks -------------------------------------------------
+
+# Arbitrary coupling triples (not only 1 : sqrt(35) : 8), any underdamped
+# decay rate, and up to two gate times; cutoffs above 1 only add idle layers.
+_BLOCK_CASES = dict(
+    ratios=st.tuples(*[st.floats(0.05, 12.0)] * 3),
+    kappa_frac=st.floats(0.0, 1.0, exclude_max=True),
+    frac=st.floats(0.0, 2.0),
+    cutoff=st.sampled_from((1, 2)),
+)
+
+
+def _block_params(omega1c, ratios, kappa_frac, cutoff):
+    omega = tuple(r * omega1c for r in ratios)
+    return CavityParams(omega, kappa=kappa_frac * 4.0 * omega[0], photon_cutoff=cutoff)
+
+
+def _bright_couplings(params):
+    # Columns |0 b2 b3⟩ in logical order: atoms 2/3 in G (b = 1) join the star.
+    w1, w2, w3 = params.omega
+    return np.sqrt([w1**2, w1**2 + w3**2, w1**2 + w2**2, w1**2 + w2**2 + w3**2])
+
+
+def _block_amplitudes(params, t):
+    """Atom-1 and photon amplitudes of the four atom-1-in-E columns, and each
+    column's squared norm (dark part plus bright block)."""
+    bright = _bright_couplings(params)
+    share = (params.omega[0] / bright) ** 2
+    p = block_propagator(bright, params.kappa, t)
+    leaf1 = 1.0 - share + share * p[:, 0, 0]
+    photon = params.omega[0] / bright * p[:, 1, 0]
+    norm = 1.0 - share + share * (np.abs(p[:, 0, 0]) ** 2 + np.abs(p[:, 1, 0]) ** 2)
+    return leaf1, photon, norm
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**_BLOCK_CASES)
+def test_block_amplitudes_match_dense_evolution(omega1c, ratios, kappa_frac, frac, cutoff):
+    params = _block_params(omega1c, ratios, kappa_frac, cutoff)
+    t = frac * gate_time(params)
+    embedding, finals = evolve_logical_basis(params, t)
+    basis = finals[0].basis
+    leaf1, photon, norm = _block_amplitudes(params, t)
+    for col, (l2, l3) in enumerate([(I, I), (I, G), (G, I), (G, G)]):
+        amps = finals[col].amplitudes
+        assert abs(amps[embedding[col]] - leaf1[col]) <= 1e-12
+        assert abs(amps[state_index(basis, G, l2, l3, 1)] - photon[col]) <= 1e-12
+        assert abs(finals[col].squared_norm() - norm[col]) <= 1e-12
+    for col in range(4, 8):  # qubit 1 = G: no excitation, nothing moves
+        unit = np.zeros(basis.dimension)
+        unit[embedding[col]] = 1.0
+        assert np.array_equal(finals[col].amplitudes, unit)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**_BLOCK_CASES, later=st.floats(0.0, 1.0))
+def test_block_norm_never_increases(omega1c, ratios, kappa_frac, frac, cutoff, later):
+    params = _block_params(omega1c, ratios, kappa_frac, cutoff)
+    t = frac * gate_time(params)
+    _, _, norm = _block_amplitudes(params, t)
+    _, _, norm_later = _block_amplitudes(params, t + later * gate_time(params))
+    assert np.all(norm <= 1.0 + 1e-15) and np.all(norm_later <= norm + 1e-15)
+    lossless = dataclasses.replace(params, kappa=0.0)
+    assert np.abs(_block_amplitudes(lossless, t)[2] - 1.0).max() <= 1e-14
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kappa_frac=st.floats(0.0, 1.0, exclude_max=True), phase=st.floats(0.0, 40.0))
+def test_block_propagator_is_the_two_level_exponential(omega1c, kappa_frac, phase):
+    # Every entry, including the photon-to-photon one the timing grid never reads.
+    kappa = kappa_frac * 4.0 * omega1c
+    t = phase / omega1c
+    h = np.array([[0.0, omega1c], [omega1c, -0.5j * kappa]])
+    exact = scipy.linalg.expm(-1j * h * t)
+    assert np.abs(block_propagator(omega1c, kappa, t) - exact).max() <= 1e-12
 
 
 # --- timing and geometry -----------------------------------------------

@@ -30,6 +30,7 @@ from cavity_grover.experiments import (
     MAX_THREADS,
     SweepTable,
 )
+from cavity_grover.grover import GateVariant, run_search
 from cavity_grover.hilbert import basis_state
 
 FAST = dict(delta_t_points=5, eta_points=5)
@@ -436,3 +437,22 @@ def test_owned_rule_errors_show_the_given_value(line, shown):
     with pytest.raises(ConfigError) as info:
         parse_config(line + "\n")
     assert str(info.value).startswith(shown)
+
+
+@pytest.mark.parametrize(
+    "key, value, owners",
+    [
+        ("photon_cutoff", 0, [build_basis, lambda c: CavityParams((1.0, 2.0, 3.0), 0.0, c)]),
+        ("photon_cutoff", 11, [build_basis]),
+        ("k_max", 0, [lambda k: run_search("000", k, GateVariant.EXACT, CavityParams((1, 2, 3)))]),
+    ],
+)
+def test_owner_rules_have_one_message(key, value, owners):
+    # Each rule is written once, by the owner of the value; the config only
+    # names the key in front of the owner's message.
+    with pytest.raises(ConfigError) as config_error:
+        parse_config(f"{key} = {value}\n")
+    for owner in owners:
+        with pytest.raises(ConfigError) as owner_error:
+            owner(value)
+        assert str(config_error.value) == f"{key} = {value}: {owner_error.value}"

@@ -11,6 +11,7 @@ from cavity_grover import (
     ConfigError,
     EvolutionMethod,
     EvolutionSettings,
+    ExperimentConfig,
     OffsetScenario,
     TimingScenario,
     coupling_offset_infidelity,
@@ -18,11 +19,14 @@ from cavity_grover import (
     extract_gate,
     gate_time,
     offset_couplings,
+    run_experiment,
     timing_infidelity,
     timing_infidelity_grid,
     timing_oracle,
     timing_oracle_grid,
 )
+from cavity_grover import dynamics, imperfections
+from cavity_grover.dynamics import DESIGNED_RATIOS
 from cavity_grover.gates import _damping_factors
 from cavity_grover.grover import _fidelity
 
@@ -88,19 +92,44 @@ def test_timing_oracle_honours_settings(params_strong_decay):
     assert 0.0 < gap <= 1e-10
 
 
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
+    # The designed couplings, or any triple: then the Rabi cycles do not close
+    # and the gate is far from the phase flip, but the grid must still follow
+    # the dense path.
+    ratios=st.one_of(st.just(DESIGNED_RATIOS), st.tuples(*[st.floats(0.05, 12.0)] * 3)),
     kappa_ratio=st.floats(0.0, 3.99, exclude_max=True),
     fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
     cutoff=st.sampled_from((1, 2)),
 )
-def test_timing_oracle_grid_matches_per_point(omega1c, kappa_ratio, fracs, cutoff):
-    params = CavityParams.designed(omega1c, kappa_ratio * omega1c, cutoff)
+def test_timing_oracle_grid_matches_per_point(omega1c, ratios, kappa_ratio, fracs, cutoff):
+    omega = tuple(r * omega1c for r in ratios)
+    params = CavityParams(omega, kappa=kappa_ratio * omega[0], photon_cutoff=cutoff)
     delta_ts = [f * gate_time(params) for f in fracs]
     grid = timing_oracle_grid(params, delta_ts)
     assert len(grid) == len(delta_ts)
     for dt, value in zip(delta_ts, grid):
         assert abs(value - timing_oracle(TimingScenario(dt, params))) <= 1e-12
+
+
+def test_timing_runs_without_dense_propagation(omega1c, monkeypatch):
+    # The grid and the whole timing experiment use the exact blocks only, so
+    # the Fock cutoff (which only adds idle layers) cannot change them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense propagation in the timing grid")
+
+    for module, name in [
+        (dynamics, "expm"), (dynamics, "evolve"), (imperfections, "evolve"), (np.linalg, "eig"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    params = {cutoff: CavityParams.designed(omega1c, 0.1 * omega1c, cutoff) for cutoff in (1, 3)}
+    delta_ts = [f * gate_time(params[1]) for f in (0.0, 0.05, 1.0)]
+    assert timing_oracle_grid(params[1], delta_ts) == timing_oracle_grid(params[3], delta_ts)
+    tables = [
+        run_experiment("timing", ExperimentConfig(photon_cutoff=cutoff, delta_t_points=5))
+        for cutoff in (1, 3)
+    ]
+    assert tables[0].rows == tables[1].rows
 
 
 def test_timing_oracle_grid_validates_delays(params_strong_decay):
