@@ -161,10 +161,11 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse a flat ``key = value`` config file; '#' starts a comment.
 
     Every key is optional and defaults to the reference values; unknown
-    keys are rejected with the offending name.
+    keys and a key given twice are rejected with the offending name.
     """
     defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     overrides: dict = {}
+    seen: dict[str, int] = {}  # key -> line it was set on
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -176,6 +177,9 @@ def parse_config(text: str) -> ExperimentConfig:
         value = value.strip()
         if key not in defaults:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"config line {lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             overrides[key] = _parse_value(key, value, defaults[key])
         except ConfigError:
@@ -284,7 +288,7 @@ def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
 def _gate_experiment(config: ExperimentConfig) -> SweepTable:
     def one(ratio: float):
         params = config.params(ratio)
-        analytic = decayed_i000(params)[0].diagonal().real
+        analytic = np.array(decayed_i000(params)[1].entries())
         try:
             extract = extract_gate(params, gate_time(params))
         except NumericalError as exc:

@@ -15,9 +15,9 @@ total no-jump probability, and ``fidelity`` compares the surviving
 (renormalized) state against the trajectory an exact gate would have
 produced.
 
-``run_search_grid`` runs the search for many decay rates at once on stacked
-arrays and computes the exact reference trajectory once; ``run_search`` is
-its one-rate case and ``grover_step`` is one iteration for one state.
+``run_search_grid`` advances every decay rate's register and the exact
+reference trajectory in one stacked iteration; ``run_search`` is its
+one-rate case and ``grover_step`` is one iteration for one state.
 """
 
 from __future__ import annotations
@@ -92,17 +92,14 @@ def initial_state() -> PureState:
     return PureState(_uniform_register())
 
 
-def _step(state: PureState, flip: LogicalOperator, i000: LogicalOperator) -> PureState:
-    return _H3.apply(i000.apply(_H3.apply(flip.apply(state))))
-
-
 def grover_step(
     state: PureState, tau: MarkedState | str, i000: LogicalOperator
 ) -> PureState:
     """One search iteration: the marked-state flip first, then the Hadamard /
     phase-gate / Hadamard sandwich. Output is unnormalized when ``i000`` is
     the decayed gate."""
-    return _step(state, marked_gate(tau, i000), i000)
+    flip = marked_gate(tau, i000)
+    return _H3.apply(i000.apply(_H3.apply(flip.apply(state))))
 
 
 def _base_gate(variant: GateVariant, params: CavityParams) -> LogicalOperator:
@@ -132,31 +129,29 @@ def run_search_grid(
     """``run_search`` at every parameter set in ``params_seq``: one record
     list per set, in order.
 
-    The gates are stacked into a (K, 8, 8) array and their marked flips
-    are one index permutation of the stack, so each iteration is four
-    batched products on a (K, 8, 1) block of registers. The exact reference
-    trajectory does not depend on ``params`` and is computed once.
+    The K gate diagonals and, as a last row, the exact reference gate are
+    stacked into a (K+1, 8, 1) array whose marked flips are one index
+    permutation of it, so one expression advances every trajectory.
     """
     check_k_max(k_max)
     if not params_seq:
         raise ConfigError("run_search_grid needs at least one parameter set")
     marked = MarkedState.of(tau)
     perm = np.arange(8) ^ marked.index
-    gates = np.stack([_base_gate(variant, params).matrix for params in params_seq])
-    flips = gates[:, perm][:, :, perm]
-    reference = _base_gate(GateVariant.EXACT, params_seq[0])
-    reference_flip = marked_gate(marked, reference)
+    bases = [_base_gate(variant, params) for params in params_seq]
+    bases.append(_base_gate(GateVariant.EXACT, params_seq[0]))
+    gates = np.stack([base.diagonal() for base in bases])[:, :, None]
+    flips = gates[:, perm]
     h = _H3.matrix
-    states = np.repeat(_uniform_register()[None, :, None], len(params_seq), axis=0)
-    ideal = initial_state()
+    states = np.repeat(_uniform_register()[None, :, None], len(bases), axis=0)
     grid: list[list[SearchRecord]] = [[] for _ in params_seq]
     for k in range(1, k_max + 1):
-        states = h @ (gates @ (h @ (flips @ states)))
-        ideal = _step(ideal, reference_flip, reference)
-        for state, records in zip(states[:, :, 0], grid):
+        states = h @ (gates * (h @ (flips * states)))
+        ideal = states[-1, :, 0]
+        for state, records in zip(states[:-1, :, 0], grid):
             p_find = float(abs(state[marked.index]) ** 2)
             survival = float(np.vdot(state, state).real)
-            records.append(SearchRecord(k, p_find, survival, _fidelity(ideal.amplitudes, state)))
+            records.append(SearchRecord(k, p_find, survival, _fidelity(ideal, state)))
     return grid
 
 

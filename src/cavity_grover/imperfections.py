@@ -1,11 +1,12 @@
 """Closed-form error budgets for two experimental imperfections.
 
 Timing mismatch: atom 1 is slightly slow and keeps interacting for an extra
-``delta_t`` after atoms 2 and 3 have left the mode. During the overrun each
-damped diagonal entry of the phase gate is multiplied by the atom-1 return
-amplitude, and the |001⟩ entry also picks up a cross term from the partly
-open atoms-1+3 Rabi cycle. A full-dynamics oracle cross-checks the closed
-form.
+``delta_t`` after atoms 2 and 3 have left the mode. The gate leaves each
+atom-1-in-``E`` column with an atom-1 and a photon amplitude, and one delay
+step applies the exact atom-1 block to them. The closed form takes those
+amplitudes from the decayed gate (a photon only on |001⟩, from the partly
+open atoms-1+3 Rabi cycle); its full-dynamics oracle takes them from exact
+one-excitation blocks.
 
 Coupling offsets: some of the four cavities in a two-iteration search run
 with couplings off their design values by a relative offset ``eta``. The
@@ -17,6 +18,7 @@ error it drops.
 Both infidelities are 1 minus a uniform-input fidelity: the gate is applied
 to the uniform superposition and the result is compared, after
 renormalization, with what the exact gate sequence would have produced.
+One row-wise fidelity scores every delay and every offset.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .dynamics import (
     gate_time,
 )
 from .errors import ConfigError
-from .gates import _damping_factors, _pair13_phase, decayed_i000
-from .grover import _fidelity, _uniform_register
+from .gates import GateDiagonal, _damping_factors, _pair13_phase, decayed_i000
+from .grover import _uniform_register
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
 
@@ -94,12 +96,31 @@ class OffsetScenario:
             raise ConfigError(f"per-atom offsets must be three values, |eta| < 1, got {per_atom}")
 
 
-def _one_gate_infidelity(output: np.ndarray) -> float:
-    """Infidelity of ``output`` against the exact |000⟩ phase gate applied
-    to the uniform register: the uniform state with its |000⟩ sign flipped."""
-    reference = _uniform_register()
-    reference[0] = -reference[0]
-    return 1.0 - _fidelity(reference, output)
+# The exact |000⟩ phase gate applied to the uniform register.
+_GATE_REFERENCE = np.array(GateDiagonal(1.0, 1.0, 1.0, 1.0).entries()) * _uniform_register()
+
+
+def _row_infidelity(reference: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+    """1 - |<reference|row>|^2 / <row|row> along the last axis of
+    ``outputs``, unnormalized states, against a normalized ``reference``."""
+    overlap = (reference.conj() * outputs).sum(axis=-1)
+    return 1.0 - abs(overlap) ** 2 / (abs(outputs) ** 2).sum(axis=-1)
+
+
+def _delayed_infidelities(
+    params: CavityParams, delta_ts: Sequence[float], columns: np.ndarray
+) -> list[float]:
+    """Gate infidelity at every delay in ``delta_ts``, in order, from the 2x4
+    (atom-1, photon) amplitudes ``columns`` of the four atom-1-in-``E``
+    columns at the gate time: each delay dt applies ``block_propagator(w1,
+    kappa, dt)``, and the other four columns stay exactly 1."""
+    for dt in delta_ts:
+        TimingScenario(dt, params)  # validates the delay
+    delays = np.asarray(delta_ts, float)
+    atom1 = block_propagator(params.omega[0], params.kappa, delays)[:, 0] @ columns
+    _check_result(atom1, None)
+    diagonals = np.concatenate([atom1, np.ones((len(delays), 4))], axis=1)
+    return _row_infidelity(_GATE_REFERENCE, diagonals * _uniform_register()).tolist()
 
 
 def timing_infidelity(scenario: TimingScenario) -> float:
@@ -111,41 +132,20 @@ def timing_infidelity(scenario: TimingScenario) -> float:
 def timing_infidelity_grid(params: CavityParams, delta_ts: Sequence[float]) -> list[float]:
     """Closed-form timing infidelity at every delay dt in ``delta_ts``, in order.
 
-    The overrun multiplies each damped diagonal entry by the atom-1 return
-    amplitude
-
-        xi = exp(-kappa*dt/4) * [cos(a1*dt) + kappa/(4*a1) * sin(a1*dt)],
-
-    with a1 = sqrt(w1^2 - kappa^2/16), and shifts the |001⟩ entry by the
-    atoms-1+3 cross amplitude
-
-        w1^2/(a1*a13) * exp(-kappa*dt/4) * sin(a1*dt) * sin(sqrt(65)*pi),
-
-    with a13 = sqrt(w1^2 + w3^2 - kappa^2/16). The result is the uniform-
-    input infidelity of the shifted diagonal. The decayed gate, a1, a13 and
-    the atoms-1+3 phase depend on ``params`` only and are evaluated once.
+    The block model of ``timing_oracle_grid`` with the gate's approximations:
+    the columns hold the damped entries (-mu, gamma, beta, alpha) of
+    ``decayed_i000`` on atom 1 and a photon only on |001⟩, left by the open
+    atoms-1+3 Rabi cycle: -i*w1/a13 * sin(sqrt(65)*pi), with
+    a13 = sqrt(w1^2 + w3^2 - kappa^2/16). Over dt the atom-1 block scales
+    each entry by xi = exp(-kappa*dt/4) * [cos(a1*dt) + kappa/(4*a1) *
+    sin(a1*dt)], a1 = sqrt(w1^2 - kappa^2/16), and adds to |001⟩ the cross
+    term -w1^2/(a1*a13) * exp(-kappa*dt/4) * sin(a1*dt) * sin(sqrt(65)*pi).
     """
-    for dt in delta_ts:
-        TimingScenario(dt, params)  # validates the delay
     w1, _, w3 = params.omega
-    kappa = params.kappa
-    a1 = decay_shifted_frequency(w1, kappa)
-    a13 = decay_shifted_frequency(math.hypot(w1, w3), kappa)
-    _, diag = decayed_i000(params)
-    cross_scale = w1 * w1 / (a1 * a13)
-    sin_pair13 = math.sin(_pair13_phase(params))
-    uniform = _uniform_register()
-
-    infidelities = []
-    for dt in delta_ts:
-        envelope = math.exp(-kappa * dt / 4.0)
-        xi = envelope * (math.cos(a1 * dt) + kappa / (4.0 * a1) * math.sin(a1 * dt))
-        cross = cross_scale * envelope * math.sin(a1 * dt) * sin_pair13
-        entries = np.array(diag.entries())
-        entries[:4] *= xi
-        entries[1] -= cross
-        infidelities.append(_one_gate_infidelity(entries * uniform))
-    return infidelities
+    a13 = decay_shifted_frequency(math.hypot(w1, w3), params.kappa)
+    photon = -1j * w1 / a13 * math.sin(_pair13_phase(params))
+    columns = np.array([decayed_i000(params)[1].entries()[:4], [0.0, photon, 0.0, 0.0]])
+    return _delayed_infidelities(params, delta_ts, columns)
 
 
 def timing_oracle(
@@ -167,7 +167,7 @@ def timing_oracle(
     gate = np.column_stack(
         [evolve(h_atom1, scenario.delta_t, mid, settings).amplitudes[logical] for mid in mids]
     )
-    return _one_gate_infidelity(gate @ _uniform_register())
+    return float(_row_infidelity(_GATE_REFERENCE, gate @ _uniform_register()))
 
 
 def timing_oracle_grid(params: CavityParams, delta_ts: Sequence[float]) -> list[float]:
@@ -178,19 +178,14 @@ def timing_oracle_grid(params: CavityParams, delta_ts: Sequence[float]) -> list[
     W = sqrt(w1^2 + b2*w2^2 + b3*w3^2). With s = w1^2/W^2, one gate time
     leaves atom-1 and photon amplitudes (1 - s + s*P00(W), (w1/W)*P10(W));
     each delay then applies P(w1, dt). The other columns stay exactly 1,
-    so ``photon_cutoff`` plays no part; the entries are checked finite.
+    so ``photon_cutoff`` plays no part.
     """
-    for dt in delta_ts:
-        TimingScenario(dt, params)  # validates the delay
     w1, w2, w3 = params.omega
     bright = np.sqrt(w1 * w1 + np.array([0.0, w3 * w3, w2 * w2, w2 * w2 + w3 * w3]))
     share = (w1 / bright) ** 2
     at_gate = block_propagator(bright, params.kappa, gate_time(params))
     columns = np.stack([1.0 - share + share * at_gate[:, 0, 0], w1 / bright * at_gate[:, 1, 0]])
-    atom1 = block_propagator(w1, params.kappa, np.asarray(delta_ts, float))[:, 0] @ columns
-    _check_result(atom1, None)
-    uniform = _uniform_register()
-    return [_one_gate_infidelity(np.append(row, np.ones(4)) * uniform) for row in atom1]
+    return _delayed_infidelities(params, delta_ts, columns)
 
 
 def offset_couplings(scenario: OffsetScenario) -> tuple[float, float, float]:
@@ -250,9 +245,4 @@ def coupling_offset_infidelity_grid(
     # After an even number of phase gates the |000⟩ sign flips cancel, so
     # the exact four-gate reference is the uniform register u itself.
     u = _uniform_register().real
-    grid = []
-    for chi in chis:
-        output = primed**chi * base ** (4 - chi) * u
-        overlap = (u * output).sum(axis=1)
-        grid.append((1.0 - overlap**2 / (output * output).sum(axis=1)).tolist())
-    return grid
+    return [_row_infidelity(u, primed**chi * base ** (4 - chi) * u).tolist() for chi in chis]

@@ -84,6 +84,19 @@ def test_parse_rejects_unknown_key():
         parse_config("k_min = 2\n")
 
 
+def test_parse_rejects_repeated_key():
+    with pytest.raises(ConfigError, match=r"line 3: key 'kappa_ratios' already set on line 1"):
+        parse_config("kappa_ratios = 0.1\nk_max = 4\nkappa_ratios = 0.2\n")
+
+
+def test_cli_repeated_key_exits_1_without_csv(tmp_path, capsys):
+    config, out = tmp_path / "twice.cfg", tmp_path / "search.csv"
+    config.write_text("kappa_ratios = 0.1\nkappa_ratios = 0.2\n", encoding="utf-8")
+    assert cli.main(["search", "--config", str(config), "--out", str(out)]) == 1
+    assert "'kappa_ratios' already set on line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_rejects_bad_value():
     with pytest.raises(ConfigError, match="k_max"):
         parse_config("k_max = many\n")

@@ -27,7 +27,7 @@ from cavity_grover import (
 )
 from cavity_grover import dynamics, imperfections
 from cavity_grover.dynamics import DESIGNED_RATIOS
-from cavity_grover.gates import _damping_factors
+from cavity_grover.gates import _damping_factors, _pair13_phase, decayed_i000
 from cavity_grover.grover import _fidelity
 
 
@@ -145,6 +145,45 @@ def test_timing_infidelity_grid_matches_per_point(params_weak_decay, params_stro
         grid = timing_infidelity_grid(params, delta_ts)
         assert grid == [timing_infidelity(TimingScenario(dt, params)) for dt in delta_ts]
         assert len(set(grid)) == len(grid)
+
+
+def _scalar_timing_grid(params, delta_ts):
+    # The timing closed form as it was first written, delay by delay on
+    # Python floats: the atom-1 return amplitude xi scales the damped
+    # entries and the atoms-1+3 cross term shifts |001⟩. The reference for
+    # the block form.
+    w1, _, w3 = params.omega
+    kappa = params.kappa
+    a1 = dynamics.decay_shifted_frequency(w1, kappa)
+    a13 = dynamics.decay_shifted_frequency(math.hypot(w1, w3), kappa)
+    diag = decayed_i000(params)[1]
+    cross_scale = w1 * w1 / (a1 * a13)
+    sin_pair13 = math.sin(_pair13_phase(params))
+    u = np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
+    reference = u.copy()
+    reference[0] = -reference[0]
+    infidelities = []
+    for dt in delta_ts:
+        envelope = math.exp(-kappa * dt / 4.0)
+        xi = envelope * (math.cos(a1 * dt) + kappa / (4.0 * a1) * math.sin(a1 * dt))
+        cross = cross_scale * envelope * math.sin(a1 * dt) * sin_pair13
+        entries = np.array(diag.entries())
+        entries[:4] *= xi
+        entries[1] -= cross
+        infidelities.append(1.0 - _fidelity(reference, entries * u))
+    return infidelities
+
+
+def test_timing_infidelity_grid_matches_scalar_formula(omega1c):
+    # The block form reorders only the products and sums of the scalar form.
+    worst = 0.0
+    for kappa_ratio in np.linspace(0.0, 3.99, 66, endpoint=False):
+        params = CavityParams.designed(omega1c, kappa_ratio * omega1c)
+        delta_ts = [f * gate_time(params) for f in np.linspace(0.0, 1.0, 100)]
+        grid = timing_infidelity_grid(params, delta_ts)
+        expected = _scalar_timing_grid(params, delta_ts)
+        worst = max(worst, np.abs(np.array(grid) - np.array(expected)).max())
+    assert worst <= 1e-15
 
 
 def test_timing_infidelity_grid_validates_delays(params_strong_decay):
