@@ -44,6 +44,7 @@ from .gates import (
 )
 from .grover import (
     GateVariant,
+    SearchGrid,
     SearchRecord,
     closed_form_probability,
     grover_step,

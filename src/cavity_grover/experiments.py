@@ -3,10 +3,13 @@ text summary per experiment.
 
 Every experiment is a pure function of its configuration: no randomness,
 fixed grid order, shortest round-trip float formatting, so repeated runs
-emit byte-identical files. ``search`` and ``offset`` evaluate their whole
-grid in one call; only the decay ratios of ``gate`` and ``timing`` may be
-evaluated by a thread pool, gathered in grid order, so the thread count
-never changes the output.
+emit byte-identical files. Each returns a column-wise ``SweepTable``, one
+NumPy column per header field, built with ``np.repeat``, ``np.tile`` and
+``np.full`` around the computed grids, and ``write_csv`` formats each
+column once. ``search`` and ``offset`` evaluate their whole grid in one
+call; only the decay ratios of ``gate`` and ``timing`` may be evaluated by
+a thread pool, gathered in grid order, so the thread count never changes
+the output.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .imperfections import (
     timing_infidelity_grid,
     timing_oracle_grid,
 )
+from .tables import SweepTable, write_csv  # noqa: F401  (write_csv re-exported)
 
 EXPERIMENTS = ("gate", "search", "timing", "offset", "geometry")
 
@@ -130,13 +134,11 @@ class ExperimentConfig:
             self.omega1c, kappa_ratio * self.omega1c, self.photon_cutoff
         )
 
-    def delta_t_fracs(self) -> tuple[float, ...]:
-        return tuple(
-            float(f) for f in np.linspace(0.0, self.delta_t_max_frac, self.delta_t_points)
-        )
+    def delta_t_fracs(self) -> np.ndarray:
+        return np.linspace(0.0, self.delta_t_max_frac, self.delta_t_points)
 
-    def eta_grid(self) -> tuple[float, ...]:
-        return tuple(float(e) for e in np.linspace(0.0, self.eta_max, self.eta_points))
+    def eta_grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.eta_max, self.eta_points)
 
 
 def _built(key: str, value, build, *args):
@@ -218,44 +220,6 @@ def _value_text(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-# --- sweep tables -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepTable:
-    """One experiment's output: a fixed column schema, rows in grid order,
-    and a human-readable summary. A row holding NaN or inf raises
-    ``NumericalError``, so no such value reaches a CSV."""
-
-    experiment: str
-    header: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    summary: str
-
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.header):
-                raise ConfigError(
-                    f"row width {len(row)} != header width {len(self.header)}"
-                )
-            if not all(map(math.isfinite, row)):
-                raise NumericalError(f"{self.experiment} produced a non-finite row {row}")
-
-
-def write_csv(table: SweepTable, path: str) -> None:
-    """Write the table as UTF-8 CSV: header row, floats in shortest
-    round-trip form (``str``; for a NumPy float ``repr`` would add its type
-    name), rows in grid order. Byte-identical across runs."""
-    lines = [",".join(table.header)]
-    lines.extend(",".join(map(str, row)) for row in table.rows)
-    text = "\n".join(lines) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc
-
-
 def _map_ordered(fn, items, threads: int) -> list:
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -294,30 +258,26 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
         except NumericalError as exc:
             raise _annotate(exc, "gate", f"kappa_ratio={ratio}") from exc
         simulated = extract.restricted.diagonal()
-        rows = [
-            (
-                ratio,
-                slot,
-                float(analytic[slot]),
-                float(simulated[slot].real),
-                float(simulated[slot].imag),
-                float(extract.leakage[slot]),
-            )
-            for slot in range(8)
-        ]
-        worst = float(np.abs(simulated - analytic).max())
-        return rows, worst
+        return analytic, simulated, extract.leakage
 
     results = _map_ordered(one, config.kappa_ratios, config.threads)
-    rows = [row for block, _ in results for row in block]
+    analytic, simulated, leakage = (np.concatenate(part) for part in zip(*results))
     gamma0 = residual_gate_entry(config.params(0.0))
     lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
-    for ratio, (_, worst) in zip(config.kappa_ratios, results):
+    for ratio, (a, sim, _) in zip(config.kappa_ratios, results):
+        worst = np.abs(sim - a).max()
         lines.append(f"kappa_ratio={ratio}: max |analytic - simulated| = {worst:.3e}")
     return SweepTable(
         experiment="gate",
         header=("kappa_ratio", "slot", "analytic", "simulated_real", "simulated_imag", "leakage"),
-        rows=tuple(rows),
+        columns=(
+            np.repeat(config.kappa_ratios, 8),
+            np.tile(np.arange(8), len(results)),
+            analytic,
+            simulated.real,
+            simulated.imag,
+            leakage,
+        ),
         summary="\n".join(lines),
     )
 
@@ -325,25 +285,26 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
 def _search_experiment(config: ExperimentConfig) -> SweepTable:
     tau = MarkedState(config.tau)
     params = [config.params(ratio) for ratio in config.kappa_ratios]
-    results = run_search_grid(tau, config.k_max, GateVariant.DECAYED, params)
-    rows = []
+    grid = run_search_grid(tau, config.k_max, GateVariant.DECAYED, params)
     lines = [
         f"marked state |{tau}⟩; "
         "fidelity = normalized overlap with the exact-gate trajectory"
     ]
     iteration_us = 2.0 * gate_time(config.params(0.0)) * 1e6
     lines.append(f"iteration time (two gates, kappa=0): {iteration_us:.2f} us")
-    for ratio, records in zip(config.kappa_ratios, results):
-        for rec in records:
-            rows.append((rec.iteration, ratio, rec.p_find, rec.survival, rec.fidelity))
-        best = max(records, key=lambda r: r.p_find)
-        lines.append(
-            f"kappa_ratio={ratio}: best p_find={best.p_find:.4f} at k={best.iteration}"
-        )
+    for ratio, p_find in zip(config.kappa_ratios, grid.p_find):
+        best = int(p_find.argmax())
+        lines.append(f"kappa_ratio={ratio}: best p_find={p_find[best]:.4f} at k={best + 1}")
     return SweepTable(
         experiment="search",
         header=("iteration", "kappa_ratio", "p_find", "survival", "fidelity"),
-        rows=tuple(rows),
+        columns=(
+            np.tile(np.arange(1, config.k_max + 1), len(params)),
+            np.repeat(config.kappa_ratios, config.k_max),
+            grid.p_find.ravel(),
+            grid.survival.ravel(),
+            grid.fidelity.ravel(),
+        ),
         summary="\n".join(lines),
     )
 
@@ -353,28 +314,28 @@ def _timing_experiment(config: ExperimentConfig) -> SweepTable:
 
     def one(ratio: float):
         params = config.params(ratio)
-        t_gate = gate_time(params)
-        delta_ts = [frac * t_gate for frac in fracs]
+        delta_ts = (fracs * gate_time(params)).tolist()
         try:
-            formula = timing_infidelity_grid(params, delta_ts)
-            oracle = timing_oracle_grid(params, delta_ts)
-            return [(ratio, *point) for point in zip(fracs, formula, oracle)]
+            return timing_infidelity_grid(params, delta_ts), timing_oracle_grid(params, delta_ts)
         except NumericalError as exc:
             raise _annotate(exc, "timing", f"kappa_ratio={ratio}") from exc
 
     results = _map_ordered(one, config.kappa_ratios, config.threads)
-    rows = [row for block in results for row in block]
+    formula, oracle = (np.concatenate(part) for part in zip(*results))
     lines = ["delta_t in fractions of one gate time; atom 1 exits late"]
-    for ratio in config.kappa_ratios:
-        base = next(r for r in rows if r[0] == ratio and r[1] == 0.0)
+    for ratio, (f, o) in zip(config.kappa_ratios, results):  # each grid starts at delta_t = 0
         lines.append(
-            f"kappa_ratio={ratio}: delta_t=0 infidelity formula={base[2]:.3e} "
-            f"oracle={base[3]:.3e}"
+            f"kappa_ratio={ratio}: delta_t=0 infidelity formula={f[0]:.3e} oracle={o[0]:.3e}"
         )
     return SweepTable(
         experiment="timing",
         header=("kappa_ratio", "delta_t_frac", "infidelity_formula", "infidelity_oracle"),
-        rows=tuple(rows),
+        columns=(
+            np.repeat(config.kappa_ratios, len(fracs)),
+            np.tile(fracs, len(results)),
+            formula,
+            oracle,
+        ),
         summary="\n".join(lines),
     )
 
@@ -386,11 +347,6 @@ def _offset_experiment(config: ExperimentConfig) -> SweepTable:
     grid = coupling_offset_infidelity_grid(
         params, config.chi_list, etas, config.offset_model, config.offset_eta_per_atom
     )
-    rows = [
-        (eta, chi, ratio, value)
-        for chi, values in zip(config.chi_list, grid)
-        for eta, value in zip(etas, values)
-    ]
     baseline = coupling_offset_infidelity(
         OffsetScenario(eta=0.0, chi=config.chi_list[0], params=params)
     )
@@ -402,7 +358,12 @@ def _offset_experiment(config: ExperimentConfig) -> SweepTable:
     return SweepTable(
         experiment="offset",
         header=("eta", "chi", "kappa_ratio", "infidelity_formula"),
-        rows=tuple(rows),
+        columns=(
+            np.tile(etas, len(config.chi_list)),
+            np.repeat(config.chi_list, len(etas)),
+            np.full(grid.size, ratio),
+            grid.ravel(),
+        ),
         summary="\n".join(lines),
     )
 
@@ -411,7 +372,6 @@ def _geometry_experiment(config: ExperimentConfig) -> SweepTable:
     omega0 = 8.0 * config.omega1c  # antinode coupling; atom 3 crosses there
     z1, z2, z3 = positions_for_ratio(omega0, config.lambda0)
     ratio = abs(z1) / abs(z2)
-    rows = ((z1, z2, z3, ratio),)
     summary = (
         f"crossing offsets in units of lambda0={config.lambda0}: "
         f"z1={z1:.6f}, z2={z2:.6f}, z3={z3:.6f}\n"
@@ -420,7 +380,7 @@ def _geometry_experiment(config: ExperimentConfig) -> SweepTable:
     return SweepTable(
         experiment="geometry",
         header=("z1", "z2", "z3", "ratio_z1_z2"),
-        rows=rows,
+        columns=([z1], [z2], [z3], [ratio]),
         summary=summary,
     )
 

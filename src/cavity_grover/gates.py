@@ -132,10 +132,16 @@ def ideal_i000(params: CavityParams, exact: bool = False) -> LogicalOperator:
     algorithm identities; otherwise the gate a lossless cavity realizes:
     the decayed gate at kappa = 0, with the slightly short |001⟩ entry.
     """
+    return ideal_diagonal(params, exact).operator()
+
+
+def ideal_diagonal(params: CavityParams, exact: bool = False) -> GateDiagonal:
+    """Damping factors of ``ideal_i000``: all 1 with ``exact``, else the
+    decayed gate's at kappa = 0."""
     if not exact:
-        return decayed_i000(replace(params, kappa=0.0))[0]
+        return _damping_factors(replace(params, kappa=0.0), params.omega)
     _require_designed(params)
-    return GateDiagonal(mu=1.0, gamma=1.0, beta=1.0, alpha=1.0).operator()
+    return GateDiagonal(mu=1.0, gamma=1.0, beta=1.0, alpha=1.0)
 
 
 def _damping_factors(

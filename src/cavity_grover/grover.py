@@ -16,8 +16,9 @@ total no-jump probability, and ``fidelity`` compares the surviving
 produced.
 
 ``run_search_grid`` advances every decay rate's register and the exact
-reference trajectory in one stacked iteration; ``run_search`` is its
-one-rate case and ``grover_step`` is one iteration for one state.
+reference trajectory in one stacked iteration and scores the stored
+trajectories as arrays; ``run_search`` is the records of its one-rate
+case, and ``grover_step`` is one iteration for one state.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .gates import (
     GateDiagonal,
     LogicalOperator,
     MarkedState,
-    decayed_i000,
+    _damping_factors,
     hadamard3,
-    ideal_i000,
+    ideal_diagonal,
     marked_gate,
 )
 from .hilbert import PureState
@@ -67,23 +68,58 @@ class SearchRecord:
     fidelity: float
 
     def __post_init__(self) -> None:
-        values = (self.p_find, self.survival, self.fidelity)
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"search record has non-finite fields: {values}")
-        if self.p_find > self.survival + 1e-12:
-            raise ConfigError(
-                f"p_find={self.p_find} exceeds survival={self.survival}"
-            )
+        _check_outcomes(self.p_find, self.survival, self.fidelity)
+
+
+def _check_outcomes(p_find, survival, fidelity) -> None:
+    """The one rule on search outcomes, for floats or equal-shape arrays:
+    every value finite, and p_find <= survival + 1e-12."""
+    values = np.array([p_find, survival, fidelity], dtype=float).reshape(3, -1)
+    bad = ~np.isfinite(values).all(axis=0)
+    if bad.any():
+        first = tuple(values[:, bad.argmax()].tolist())
+        raise ConfigError(f"search record has non-finite fields: {first}")
+    over = values[0] > values[1] + 1e-12
+    if over.any():
+        first = over.argmax()
+        raise ConfigError(f"p_find={values[0, first]} exceeds survival={values[1, first]}")
+
+
+@dataclass(frozen=True, eq=False)  # array fields: == on them is elementwise
+class SearchGrid:
+    """Search outcomes over parameter sets and iterations: each field is a
+    (K, k_max) array whose row i holds parameter set i and whose column
+    k - 1 holds iteration k."""
+
+    p_find: np.ndarray
+    survival: np.ndarray
+    fidelity: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_outcomes(self.p_find, self.survival, self.fidelity)
+
+    def records(self) -> list[list[SearchRecord]]:
+        """One record list per parameter set, iterations in order."""
+        return [
+            [SearchRecord(k, *values) for k, values in enumerate(zip(*row), start=1)]
+            for row in zip(self.p_find.tolist(), self.survival.tolist(), self.fidelity.tolist())
+        ]
 
 
 def _uniform_register() -> np.ndarray:
     return np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
 
 
-def _fidelity(reference: np.ndarray, output: np.ndarray) -> float:
-    """|<reference|output>|^2 / <output|output> for an unnormalized output
-    state and a normalized reference."""
-    return float(abs(np.vdot(reference, output)) ** 2 / np.vdot(output, output).real)
+def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.vdot`` along the last axis, bit for bit: one batched product."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _modulus_squared(z: np.ndarray) -> np.ndarray:
+    """abs(z) ** 2 of every entry as the scalar expression rounds it: numpy's
+    array abs and array square each round some values differently."""
+    moduli = np.hypot(z.real, z.imag)
+    return np.array([m**2 for m in moduli.ravel().tolist()]).reshape(moduli.shape)
 
 
 def initial_state() -> PureState:
@@ -102,10 +138,10 @@ def grover_step(
     return _H3.apply(i000.apply(_H3.apply(flip.apply(state))))
 
 
-def _base_gate(variant: GateVariant, params: CavityParams) -> LogicalOperator:
+def _gate_diagonal(variant: GateVariant, params: CavityParams) -> GateDiagonal:
     if variant is GateVariant.DECAYED:
-        return decayed_i000(params)[0]
-    return ideal_i000(params, exact=variant is GateVariant.EXACT)
+        return _damping_factors(params, params.omega)
+    return ideal_diagonal(params, exact=variant is GateVariant.EXACT)
 
 
 def check_k_max(k_max: int) -> None:
@@ -119,40 +155,44 @@ def run_search(
 ) -> list[SearchRecord]:
     """Iterate the search ``k_max`` times and record probability, survival,
     and fidelity against the exact-gate trajectory after each iteration:
-    the one-parameter-set case of ``run_search_grid``."""
-    return run_search_grid(tau, k_max, variant, [params])[0]
+    the records of the one-parameter-set case of ``run_search_grid``."""
+    return run_search_grid(tau, k_max, variant, [params]).records()[0]
 
 
 def run_search_grid(
     tau: MarkedState | str, k_max: int, variant: GateVariant, params_seq: Sequence[CavityParams]
-) -> list[list[SearchRecord]]:
-    """``run_search`` at every parameter set in ``params_seq``: one record
-    list per set, in order.
+) -> SearchGrid:
+    """The search at every parameter set in ``params_seq``, as arrays.
 
     The K gate diagonals and, as a last row, the exact reference gate are
     stacked into a (K+1, 8, 1) array whose marked flips are one index
-    permutation of it, so one expression advances every trajectory.
+    permutation of it, so one expression advances every trajectory. The
+    trajectories are stored, and p_find, survival and fidelity are then
+    computed for all of them at once, each value exactly as the per-state
+    scalar expression computes it.
     """
     check_k_max(k_max)
     if not params_seq:
         raise ConfigError("run_search_grid needs at least one parameter set")
     marked = MarkedState.of(tau)
     perm = np.arange(8) ^ marked.index
-    bases = [_base_gate(variant, params) for params in params_seq]
-    bases.append(_base_gate(GateVariant.EXACT, params_seq[0]))
-    gates = np.stack([base.diagonal() for base in bases])[:, :, None]
+    diagonals = [_gate_diagonal(variant, params) for params in params_seq]
+    diagonals.append(_gate_diagonal(GateVariant.EXACT, params_seq[0]))
+    gates = np.array([d.entries() for d in diagonals], dtype=complex)[:, :, None]
     flips = gates[:, perm]
     h = _H3.matrix
-    states = np.repeat(_uniform_register()[None, :, None], len(bases), axis=0)
-    grid: list[list[SearchRecord]] = [[] for _ in params_seq]
-    for k in range(1, k_max + 1):
+    states = np.repeat(_uniform_register()[None, :, None], len(gates), axis=0)
+    trajectory = np.empty((len(gates), k_max, 8), dtype=complex)
+    for k in range(k_max):
         states = h @ (gates * (h @ (flips * states)))
-        ideal = states[-1, :, 0]
-        for state, records in zip(states[:-1, :, 0], grid):
-            p_find = float(abs(state[marked.index]) ** 2)
-            survival = float(np.vdot(state, state).real)
-            records.append(SearchRecord(k, p_find, survival, _fidelity(ideal, state)))
-    return grid
+        trajectory[:, k] = states[:, :, 0]
+    outputs, ideal = trajectory[:-1], trajectory[-1:]
+    survival = _vdot(outputs, outputs).real
+    return SearchGrid(
+        p_find=_modulus_squared(outputs[..., marked.index]),
+        survival=survival,
+        fidelity=_modulus_squared(_vdot(ideal, outputs)) / survival,
+    )
 
 
 def phase_gate_success(state, diag: GateDiagonal) -> float:

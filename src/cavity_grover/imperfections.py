@@ -74,6 +74,7 @@ class OffsetScenario:
     only the first coupling by (1 + eta), ``uniform`` scales all three,
     ``per_atom`` applies individual factors (1 + eta_j) from
     ``per_atom_eta``. The imperfect cavities are assumed identical.
+    ``eta`` may be an array of offsets, one scenario per value.
     """
 
     eta: float
@@ -85,8 +86,10 @@ class OffsetScenario:
     def __post_init__(self) -> None:
         if self.chi not in (1, 2, 3, 4):
             raise ConfigError(f"chi counts imperfect cavities, must be 1..4, got {self.chi}")
-        if not abs(self.eta) < 1.0:  # NaN fails too
-            raise ConfigError(f"|eta| must be < 1, got {self.eta}")
+        eta = np.asarray(self.eta)
+        bad = eta[~(np.abs(eta) < 1.0)]  # NaN fails too
+        if bad.size:
+            raise ConfigError(f"|eta| must be < 1, got {bad[0]}")
         if self.model not in OFFSET_MODELS:
             raise ConfigError(f"offset model must be one of {OFFSET_MODELS}, got {self.model!r}")
         if self.model == "per_atom" and self.per_atom_eta is None:
@@ -189,7 +192,8 @@ def timing_oracle_grid(params: CavityParams, delta_ts: Sequence[float]) -> list[
 
 
 def offset_couplings(scenario: OffsetScenario) -> tuple[float, float, float]:
-    """Coupling triple inside an imperfect cavity under the chosen model."""
+    """Coupling triple inside an imperfect cavity under the chosen model;
+    an array ``eta`` gives arrays where the model uses it."""
     w1, w2, w3 = scenario.params.omega
     if scenario.model == "atom1":
         return ((1.0 + scenario.eta) * w1, w2, w3)
@@ -222,27 +226,29 @@ def coupling_offset_infidelity(scenario: OffsetScenario) -> float:
     (0.0083388 -> 0.0083317) while the product of four simulated gates
     rises (0.008745 -> 0.009994).
     """
-    return coupling_offset_infidelity_grid(
+    return float(coupling_offset_infidelity_grid(
         scenario.params, [scenario.chi], [scenario.eta], scenario.model, scenario.per_atom_eta
-    )[0][0]
+    )[0, 0])
 
 
 def coupling_offset_infidelity_grid(
     params: CavityParams, chis: Sequence[int], etas: Sequence[float],
     model: str, per_atom_eta: tuple[float, float, float] | None,
-) -> list[list[float]]:
-    """``coupling_offset_infidelity`` at every (chi, eta) pair: one list per
-    chi, over ``etas`` in order. Each chi is checked once and one scenario
-    per eta checks it and gives its offset couplings. The offset factors
-    and the fidelity are then row-wise array expressions, one row per eta,
-    so each point is computed exactly as its one-point case."""
+) -> np.ndarray:
+    """``coupling_offset_infidelity`` at every (chi, eta) pair, as a
+    (len(chis), len(etas)) array. Each chi is checked once; one scenario
+    holding the whole eta array checks every offset and maps them to
+    coupling arrays. The offset factors and the fidelity are then row-wise
+    array expressions, one row per eta, so each point is computed exactly
+    as its one-point case."""
     for chi in chis:
         OffsetScenario(0.0, chi, params, model, per_atom_eta)  # validates
-    scenarios = [OffsetScenario(eta, 1, params, model, per_atom_eta) for eta in etas]
-    couplings = np.array([offset_couplings(s) for s in scenarios]).reshape(-1, 3)
+    scenario = OffsetScenario(np.asarray(etas, dtype=float), 1, params, model, per_atom_eta)
+    # One value per eta for every coupling, also those the model leaves fixed.
+    couplings = np.broadcast_arrays(*offset_couplings(scenario), scenario.eta)[:3]
     base = np.array(_damping_factors(params, params.omega).entries())
-    primed = np.stack(np.broadcast_arrays(*_damping_factors(params, couplings.T).entries()), 1)
+    primed = np.stack(np.broadcast_arrays(*_damping_factors(params, couplings).entries()), 1)
     # After an even number of phase gates the |000⟩ sign flips cancel, so
     # the exact four-gate reference is the uniform register u itself.
     u = _uniform_register().real
-    return [_row_infidelity(u, primed**chi * base ** (4 - chi) * u).tolist() for chi in chis]
+    return np.array([_row_infidelity(u, primed**chi * base ** (4 - chi) * u) for chi in chis])

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_grover import (
     CavityParams,
@@ -292,8 +294,49 @@ def test_threaded_run_is_deterministic():
 # --- CSV emission -----------------------------------------------------------
 
 
+def _row_wise_csv(header, rows) -> str:
+    # The CSV text as the row-wise writer produced it, one str per value:
+    # the reference for the column formatter.
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = (0.0, -0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308, -2.5, 0.1)
+
+
+@st.composite
+def _columns(draw):
+    # Each column draws its values from a pool of its own: a small pool
+    # repeats values heavily, a pool as long as the column hardly at all.
+    length = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            values = st.integers(-(2**63), 2**63 - 1)
+        else:
+            values = st.one_of(
+                st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+            )
+        pool = draw(st.lists(values, min_size=1, max_size=max(length, 1)))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length)))
+    return columns
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(columns=_columns())
+def test_column_writer_matches_row_wise_writer(columns, tmp_path_factory):
+    header = tuple(f"c{i}" for i in range(len(columns)))
+    rows = list(zip(*columns))
+    table = SweepTable("search", header, columns, "")
+    assert table.rows == tuple(rows)
+    path = tmp_path_factory.getbasetemp() / "property.csv"
+    write_csv(table, str(path))
+    assert path.read_bytes() == _row_wise_csv(header, rows).encode("utf-8")
+
+
 def test_csv_empty_table_is_header_only(tmp_path):
-    table = SweepTable("search", ("a", "b"), (), "empty")
+    table = SweepTable("search", ("a", "b"), ([], []), "empty")
     path = tmp_path / "empty.csv"
     write_csv(table, str(path))
     assert path.read_text(encoding="utf-8") == "a,b\n"
@@ -315,14 +358,20 @@ def test_csv_write_error_carries_path(tmp_path):
 
 
 def test_row_width_validated():
+    # One column for a two-field header.
     with pytest.raises(ConfigError):
-        SweepTable("gate", ("a", "b"), ((1.0,),), "")
+        SweepTable("gate", ("a", "b"), ([1.0],), "")
+
+
+def test_unequal_column_lengths_rejected():
+    with pytest.raises(ConfigError):
+        SweepTable("gate", ("a", "b"), ([1.0, 3.0], [2.0]), "")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_row_rejected(bad):
     with pytest.raises(NumericalError, match="non-finite"):
-        SweepTable("gate", ("a", "b"), ((1.0, 2.0), (3, bad)), "")
+        SweepTable("gate", ("a", "b"), ([1.0, 3], [2.0, bad]), "")
 
 
 # --- CLI --------------------------------------------------------------------
@@ -384,7 +433,7 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_cli_non_finite_row_exits_2_without_csv(tmp_path, monkeypatch, capsys):
     def nan_geometry(config):
-        return SweepTable("geometry", ("z1", "ratio"), ((0.1, math.nan),), "")
+        return SweepTable("geometry", ("z1", "ratio"), ([0.1], [math.nan]), "")
 
     monkeypatch.setitem(experiments._RUNNERS, "geometry", nan_geometry)
     out = tmp_path / "geometry.csv"

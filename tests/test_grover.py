@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from cavity_grover import (
     CavityParams,
     ConfigError,
+    GateDiagonal,
     GateVariant,
     MarkedState,
+    SearchGrid,
     SearchRecord,
     closed_form_probability,
     decayed_i000,
@@ -141,6 +143,22 @@ def test_search_record_rejects_impossible_probability():
         SearchRecord(iteration=1, p_find=0.9, survival=0.5, fidelity=1.0)
 
 
+@pytest.mark.parametrize(
+    "p_find, survival, fidelity, match",
+    [
+        ([[0.2, 0.9]], [[0.5, 0.5]], [[1.0, 1.0]], "p_find=0.9 exceeds survival=0.5"),
+        ([[0.2, 0.3]], [[0.5, 0.5]], [[1.0, math.nan]], r"non-finite fields: \(0.3, 0.5, nan\)"),
+    ],
+)
+def test_search_grid_applies_the_record_rule(p_find, survival, fidelity, match):
+    # The arrays obey the one rule every SearchRecord obeys, and the message
+    # names the first offending point.
+    with pytest.raises(ConfigError, match=match):
+        SearchGrid(np.array(p_find), np.array(survival), np.array(fidelity))
+    with pytest.raises(ConfigError, match=match):
+        SearchRecord(2, p_find[0][1], survival[0][1], fidelity[0][1])
+
+
 def test_run_search_validates_inputs(params_lossless):
     with pytest.raises(ConfigError):
         run_search("000", 0, GateVariant.EXACT, params_lossless)
@@ -224,9 +242,20 @@ def test_run_search_grid_equals_per_rate_runs(ratios, tau, variant, k_max, omega
     # The stacked (K, 8, 1) iteration must give each rate the records of its
     # own one-rate run, bit for bit (dataclass equality compares floats with ==).
     params = [CavityParams.designed(omega1c, r * omega1c) for r in ratios]
-    assert run_search_grid(tau, k_max, variant, params) == [
+    assert run_search_grid(tau, k_max, variant, params).records() == [
         run_search(tau, k_max, variant, p) for p in params
     ]
+
+
+@pytest.mark.parametrize("variant", list(GateVariant))
+def test_run_search_grid_builds_no_dense_gate(variant, params_strong_decay, monkeypatch):
+    # The stack reads each gate's eight entries; no 8x8 operator is built.
+    def dense(self):
+        raise AssertionError("dense gate operator built")
+
+    monkeypatch.setattr(GateDiagonal, "operator", dense)
+    grid = run_search_grid("101", 3, variant, [params_strong_decay, params_strong_decay])
+    assert grid.p_find.shape == grid.survival.shape == grid.fidelity.shape == (2, 3)
 
 
 def test_run_search_grid_validates_inputs(params_lossless):

@@ -28,7 +28,12 @@ from cavity_grover import (
 from cavity_grover import dynamics, imperfections
 from cavity_grover.dynamics import DESIGNED_RATIOS
 from cavity_grover.gates import _damping_factors, _pair13_phase, decayed_i000
-from cavity_grover.grover import _fidelity
+
+
+def _fidelity(reference: np.ndarray, output: np.ndarray) -> float:
+    """|<reference|output>|^2 / <output|output> for an unnormalized output
+    state and a normalized reference: the per-state reference form."""
+    return float(abs(np.vdot(reference, output)) ** 2 / np.vdot(output, output).real)
 
 
 def _uniform_input_infidelity(gate_matrix: np.ndarray) -> float:
@@ -251,6 +256,9 @@ def test_offset_scenario_validation(params_strong_decay):
         OffsetScenario(0.0, 2, params_strong_decay, model="bogus")
     with pytest.raises(ConfigError):
         OffsetScenario(0.0, 2, params_strong_decay, model="per_atom")
+    # An array of offsets is checked value by value; the first bad one is named.
+    with pytest.raises(ConfigError, match=r"got -1\.0$"):
+        OffsetScenario(np.array([0.5, -1.0, math.nan]), 1, params_strong_decay)
 
 
 @pytest.mark.parametrize("chi", [1, 2, 3, 4])
@@ -361,7 +369,7 @@ def test_offset_infidelity_bounded(params_strong_decay):
 def test_offset_grid_matches_per_point(model, per_atom, params_strong_decay):
     chis, etas = (1, 3, 4), (0.0, 0.01, -0.05, 0.1)
     grid = coupling_offset_infidelity_grid(params_strong_decay, chis, etas, model, per_atom)
-    assert grid == [
+    assert grid.tolist() == [
         [
             coupling_offset_infidelity(
                 OffsetScenario(eta, chi, params_strong_decay, model, per_atom)
