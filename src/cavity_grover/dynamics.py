@@ -5,10 +5,13 @@ The interaction Hamiltonian exchanges one excitation between each atom's
 
     H = sum_j omega_j * (a† S_j^- + a S_j^+),
 
-so states only mix within blocks of equal excitation number. Weak cavity
-decay at rate ``kappa`` is treated on the no-jump quantum-trajectory branch
-by the non-Hermitian effective Hamiltonian H_eff = H - i*(kappa/2)*a†a; the
-norm the state loses is the probability that a photon leaked.
+so states only mix within blocks of equal excitation number. ``evolve``
+therefore exponentiates only the sector a state can reach, at most four
+states for a logical input, so the cost and the result of propagating a
+logical state do not depend on the Fock cutoff. Weak cavity decay at rate
+``kappa`` is treated on the no-jump quantum-trajectory branch by the
+non-Hermitian effective Hamiltonian H_eff = H - i*(kappa/2)*a†a; the norm
+the state loses is the probability that a photon leaked.
 
 Simultaneous resonant evolution for one gate time realizes a three-qubit
 conditional phase flip when the couplings are designed in the ratio
@@ -232,7 +235,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     six products and one solve, then squares the result s times. The second
     form keeps expm(0) exactly the identity.
     """
-    norm = np.linalg.norm(a, 1)
+    norm = np.abs(a).sum(axis=0).max(initial=0.0)  # the 1-norm; 0 for a 0x0 block
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     a = a * 2.0**-s
     b = _PADE13
@@ -265,6 +268,10 @@ def evolve(
     For a non-Hermitian H this is the unnormalized no-jump branch. The
     fixed-step method integrates dpsi/dt = -i*H*psi with classic RK4 over
     ``settings.step_count`` uniform steps.
+
+    Either method propagates psi0 on its reachable sector alone, the block
+    of H on ``_reachable_sector``: no entry of H leads out of that sector,
+    so the result is exactly zero outside it.
     """
     if not 0.0 <= t < math.inf:
         raise ConfigError(f"evolution time must be finite and >= 0, got {t}")
@@ -272,12 +279,34 @@ def evolve(
         raise ConfigError(
             f"operator shape {h.shape} does not match state dimension {psi0.dimension}"
         )
+    # Checked on all of H: a bad entry outside the sector never reaches the result.
+    if not np.isfinite(h).all():
+        raise NumericalError("generator has non-finite entries")
+    sector = _reachable_sector(h, psi0.amplitudes)
+    block = h[np.ix_(sector, sector)]
     if settings.method is EvolutionMethod.MATRIX_EXPONENTIAL:
-        amps = expm(-1j * h * t) @ psi0.amplitudes
+        part = expm(-1j * block * t) @ psi0.amplitudes[sector]
     else:
-        amps = _rk4(h, t, psi0.amplitudes, settings.step_count)
+        part = _rk4(block, t, psi0.amplitudes[sector], settings.step_count)
+    amps = np.zeros(psi0.dimension, dtype=complex)
+    amps[sector] = part
     _check_result(amps, psi0.basis)
     return PureState(amps, psi0.basis)
+
+
+def _reachable_sector(h: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Sorted positions of the smallest set that holds the support of
+    ``amps`` and is closed under H: an entry h[i, j] != 0 (NaN included)
+    adds i whenever j is in the set."""
+    linked = h != 0
+    reached = amps != 0
+    size = np.count_nonzero(reached)
+    while True:
+        reached = reached | (linked @ reached)  # one step along every edge
+        grown = np.count_nonzero(reached)
+        if grown == size:
+            return np.flatnonzero(reached)
+        size = grown
 
 
 def _rk4(h: np.ndarray, t: float, amps: np.ndarray, steps: int) -> np.ndarray:

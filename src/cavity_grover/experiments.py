@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import CavityParams, extract_gate, gate_time, positions_for_ratio
 from .errors import ConfigError, NumericalError
-from .gates import MarkedState, decayed_i000, residual_gate_entry
+from .gates import MarkedState, _damping_factors, residual_gate_entry
 from .grover import GateVariant, check_k_max, run_search_grid
 from .hilbert import MAX_PHOTON_CUTOFF, check_photon_cutoff  # noqa: F401  (cap re-exported)
 from .imperfections import (
@@ -252,7 +252,7 @@ def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
 def _gate_experiment(config: ExperimentConfig) -> SweepTable:
     def one(ratio: float):
         params = config.params(ratio)
-        analytic = np.array(decayed_i000(params)[1].entries())
+        analytic = np.array(_damping_factors(params, params.omega).entries())
         try:
             extract = extract_gate(params, gate_time(params))
         except NumericalError as exc:

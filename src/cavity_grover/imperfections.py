@@ -43,7 +43,7 @@ from .dynamics import (
     gate_time,
 )
 from .errors import ConfigError
-from .gates import GateDiagonal, _damping_factors, _pair13_phase, decayed_i000
+from .gates import GateDiagonal, _damping_factors, _pair13_phase
 from .grover import _uniform_register
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
@@ -52,16 +52,19 @@ OFFSET_MODELS = ("atom1", "uniform", "per_atom")
 @dataclass(frozen=True)
 class TimingScenario:
     """Atom 1 exits ``delta_t`` seconds after atoms 2 and 3 (who leave on
-    time, after one gate time)."""
+    time, after one gate time). ``delta_t`` may be an array of delays, one
+    scenario per value."""
 
     delta_t: float
     params: CavityParams
 
     def __post_init__(self) -> None:
         t_gate = gate_time(self.params)
-        if not 0.0 <= self.delta_t <= t_gate:
+        delta_t = np.asarray(self.delta_t)
+        bad = delta_t[~((0.0 <= delta_t) & (delta_t <= t_gate))]  # NaN fails too
+        if bad.size:
             raise ConfigError(
-                f"delta_t={self.delta_t} outside [0, one gate time = {t_gate}]; "
+                f"delta_t={bad[0]} outside [0, one gate time = {t_gate}]; "
                 "the overrun model only covers small delays"
             )
 
@@ -117,9 +120,8 @@ def _delayed_infidelities(
     (atom-1, photon) amplitudes ``columns`` of the four atom-1-in-``E``
     columns at the gate time: each delay dt applies ``block_propagator(w1,
     kappa, dt)``, and the other four columns stay exactly 1."""
-    for dt in delta_ts:
-        TimingScenario(dt, params)  # validates the delay
     delays = np.asarray(delta_ts, float)
+    TimingScenario(delays, params)  # validates every delay
     atom1 = block_propagator(params.omega[0], params.kappa, delays)[:, 0] @ columns
     _check_result(atom1, None)
     diagonals = np.concatenate([atom1, np.ones((len(delays), 4))], axis=1)
@@ -147,7 +149,8 @@ def timing_infidelity_grid(params: CavityParams, delta_ts: Sequence[float]) -> l
     w1, _, w3 = params.omega
     a13 = decay_shifted_frequency(math.hypot(w1, w3), params.kappa)
     photon = -1j * w1 / a13 * math.sin(_pair13_phase(params))
-    columns = np.array([decayed_i000(params)[1].entries()[:4], [0.0, photon, 0.0, 0.0]])
+    damped = _damping_factors(params, params.omega).entries()[:4]
+    columns = np.array([damped, [0.0, photon, 0.0, 0.0]])
     return _delayed_infidelities(params, delta_ts, columns)
 
 

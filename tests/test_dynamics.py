@@ -30,14 +30,22 @@ from cavity_grover import (
     positions_for_ratio,
     residual_gate_entry,
 )
+from cavity_grover import dynamics
 from cavity_grover.dynamics import (
+    DEFAULT_SETTINGS,
     add_cavity_decay,
     block_propagator,
     evolve_logical_basis,
     exchange_hamiltonian,
     expm,
 )
-from cavity_grover.hilbert import basis_state, excitation_number, state_index
+from cavity_grover.hilbert import (
+    ProductBasis,
+    PureState,
+    basis_state,
+    excitation_number,
+    state_index,
+)
 
 E, G, I = AtomLevel.E, AtomLevel.G, AtomLevel.I
 
@@ -277,6 +285,73 @@ def test_truncation_guard_fires_for_over_excited_input(params_lossless):
     start = state_index(basis, E, G, G, 1)
     with pytest.raises(CutoffError):
         evolve(h, gate_time(params_lossless), basis_state(basis, start))
+
+
+# --- reachable sector --------------------------------------------------------
+
+
+def _plain_state(amps: np.ndarray) -> PureState:
+    # A state on an unstructured basis of any size, with no truncation guard.
+    dim = len(amps)
+    basis = ProductBasis(photon_cutoff=0, states=(None,) * dim, _index={}, guard=())
+    return PureState(amps, basis)
+
+
+@st.composite
+def _sparse_problems(draw):
+    """A sparse complex generator, dimension 2-72, with Hermitian couplings
+    or one-way edges, a decay diagonal, and a state on a random support."""
+    dim = draw(st.integers(2, 72))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = rng.random((dim, dim)) < draw(st.floats(0.2, 3.0)) / dim
+    np.fill_diagonal(edges, False)
+    h = np.where(edges, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), 0.0)
+    if draw(st.booleans()):
+        h = np.triu(h + h.conj().T)
+        h += np.triu(h, 1).conj().T
+    decaying = rng.random(dim) < draw(st.floats(0.0, 1.0))
+    h[np.diag_indices(dim)] -= 0.5j * np.where(decaying, rng.random(dim), 0.0)
+    support = rng.random(dim) < draw(st.floats(0.0, 0.3))
+    support[rng.integers(dim)] = True
+    psi = np.where(support, rng.normal(size=dim) + 1j * rng.normal(size=dim), 0.0)
+    return h, psi, draw(st.floats(0.0, 2.0))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(problem=_sparse_problems())
+def test_evolve_on_the_sector_matches_full_propagation(problem):
+    h, psi, t = problem
+    scale = 1e-12 * np.linalg.norm(psi)
+    out = evolve(h, t, _plain_state(psi)).amplitudes
+    assert np.abs(out - scipy.linalg.expm(-1j * h * t) @ psi).max() <= scale
+    steps = EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=100)
+    out = evolve(h, t, _plain_state(psi), steps).amplitudes
+    assert np.abs(out - dynamics._rk4(h, t, psi, 100)).max() <= scale
+
+
+def test_evolve_on_empty_and_full_supports():
+    rng = np.random.default_rng(7)
+    h = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    steps = EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=100)
+    for settings_ in (DEFAULT_SETTINGS, steps):
+        zero = evolve(h, 0.8, _plain_state(np.zeros(12)), settings_).amplitudes
+        assert np.array_equal(zero, np.zeros(12))
+    psi = rng.normal(size=12) + 1j * rng.normal(size=12)
+    scale = 1e-12 * np.linalg.norm(psi)
+    full = evolve(h, 0.8, _plain_state(psi)).amplitudes
+    assert np.abs(full - scipy.linalg.expm(-0.8j * h) @ psi).max() <= scale
+    full = evolve(h, 0.8, _plain_state(psi), steps).amplitudes
+    assert np.abs(full - dynamics._rk4(h, 0.8, psi, 100)).max() <= scale
+
+
+def test_evolve_rejects_inf_outside_the_sector():
+    # Position 0 reaches 1 only; the inf sits on an edge 2 -> 3 it never meets.
+    h = np.zeros((4, 4), dtype=complex)
+    h[1, 0] = h[0, 1] = 1.0
+    h[3, 2] = np.inf
+    psi = _plain_state(np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(NumericalError):
+        evolve(h, 1.0, psi)
 
 
 # --- gate extraction -------------------------------------------------------

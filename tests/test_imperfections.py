@@ -68,6 +68,12 @@ def test_timing_scenario_validates_window(params_strong_decay):
         TimingScenario(-1e-9, params_strong_decay)
     with pytest.raises(ConfigError):
         TimingScenario(2.0 * gate_time(params_strong_decay), params_strong_decay)
+    # An array of delays is checked with one gate time; the first bad one is named.
+    t0 = gate_time(params_strong_decay)
+    with pytest.raises(ConfigError, match=r"^delta_t=-1e-09 outside"):
+        TimingScenario(np.array([0.5 * t0, -1e-9, math.nan, 2.0 * t0]), params_strong_decay)
+    with pytest.raises(ConfigError, match=r"^delta_t=nan outside"):
+        TimingScenario(np.array([0.0, t0, math.nan]), params_strong_decay)
 
 
 def test_oracle_self_consistent_at_zero_delay(params_strong_decay):
