@@ -31,27 +31,24 @@ from .experiments import (
     write_csv,
 )
 from .gates import (
+    TEXTBOOK,
     GateDiagonal,
     LogicalOperator,
     MarkedState,
     decayed_i000,
     diffusion,
     hadamard3,
-    ideal_i000,
     marked_gate,
     pauli_x,
     residual_gate_entry,
 )
 from .grover import (
-    GateVariant,
     SearchGrid,
-    SearchRecord,
     closed_form_probability,
     grover_step,
     initial_state,
     phase_gate_success,
     run_search,
-    run_search_grid,
 )
 from .hilbert import (
     AtomLevel,
@@ -67,12 +64,10 @@ from .imperfections import (
     OffsetScenario,
     TimingScenario,
     coupling_offset_infidelity,
-    coupling_offset_infidelity_grid,
     offset_couplings,
     timing_infidelity,
-    timing_infidelity_grid,
     timing_oracle,
-    timing_oracle_grid,
+    timing_oracle_dense,
 )
 
 __version__ = "0.1.0"

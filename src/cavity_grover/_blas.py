@@ -1,11 +1,11 @@
 """Load numpy's OpenBLAS single-threaded unless the environment chooses a count.
 
-The program's dense matrices are 18 * (photon_cutoff + 1) wide, 36 at the
-default cutoff. At that size OpenBLAS worker threads buy nothing and cost a
-hand-off on every call; when the other vCPU is busy the hand-off waits for
-it. On 2 vCPUs with a second process running, the 48 ``expm`` calls of an
-``oracle-sweep`` pass took 16x longer with the default two threads than
-with one, and how much longer depended on the other process's load.
+No propagated block is wider than 4 (``evolve`` keeps to the reachable
+sector), and an ``oracle-sweep`` benchmark pass makes 24 ``expm`` calls. At
+that size OpenBLAS threads buy nothing and cost a hand-off on every call,
+which waits when the other vCPU is busy. With 36-wide matrices and a second
+process on 2 vCPUs, the 48 ``expm`` calls of a pass once took 16x longer
+with the default two threads than with one, varying with the other load.
 
 OpenBLAS reads its thread count once, when the library is loaded, so this
 module must run before anything imports numpy. It sets

@@ -6,10 +6,12 @@ fixed grid order, shortest round-trip float formatting, so repeated runs
 emit byte-identical files. Each returns a column-wise ``SweepTable``, one
 NumPy column per header field, built with ``np.repeat``, ``np.tile`` and
 ``np.full`` around the computed grids, and ``write_csv`` formats each
-column once. ``search`` and ``offset`` evaluate their whole grid in one
-call; only the decay ratios of ``gate`` and ``timing`` may be evaluated by
-a thread pool, gathered in grid order, so the thread count never changes
-the output.
+column once. Each quantity is one call over a whole axis: one
+``run_search`` for every decay ratio, one ``coupling_offset_infidelity``
+for the (chi, eta) grid, and per decay ratio one ``timing_infidelity`` and
+one ``timing_oracle`` for all delays. Only the decay ratios of ``gate`` and
+``timing`` may be evaluated by a thread pool, gathered in grid order, so the
+thread count never changes the output.
 """
 
 from __future__ import annotations
@@ -21,16 +23,15 @@ import numpy as np
 
 from .dynamics import CavityParams, extract_gate, gate_time, positions_for_ratio
 from .errors import ConfigError, NumericalError
-from .gates import MarkedState, _damping_factors, residual_gate_entry
-from .grover import GateVariant, check_k_max, run_search_grid
+from .gates import MarkedState, decayed_i000, residual_gate_entry
+from .grover import check_k_max, run_search
 from .hilbert import MAX_PHOTON_CUTOFF, check_photon_cutoff  # noqa: F401  (cap re-exported)
 from .imperfections import (
     OffsetScenario,
     TimingScenario,
     coupling_offset_infidelity,
-    coupling_offset_infidelity_grid,
-    timing_infidelity_grid,
-    timing_oracle_grid,
+    timing_infidelity,
+    timing_oracle,
 )
 from .tables import SweepTable, write_csv  # noqa: F401  (write_csv re-exported)
 
@@ -252,7 +253,7 @@ def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
 def _gate_experiment(config: ExperimentConfig) -> SweepTable:
     def one(ratio: float):
         params = config.params(ratio)
-        analytic = np.array(_damping_factors(params, params.omega).entries())
+        analytic = np.array(decayed_i000(params).entries())
         try:
             extract = extract_gate(params, gate_time(params))
         except NumericalError as exc:
@@ -284,8 +285,8 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
 
 def _search_experiment(config: ExperimentConfig) -> SweepTable:
     tau = MarkedState(config.tau)
-    params = [config.params(ratio) for ratio in config.kappa_ratios]
-    grid = run_search_grid(tau, config.k_max, GateVariant.DECAYED, params)
+    diagonals = [decayed_i000(config.params(ratio)) for ratio in config.kappa_ratios]
+    grid = run_search(tau, config.k_max, diagonals)
     lines = [
         f"marked state |{tau}⟩; "
         "fidelity = normalized overlap with the exact-gate trajectory"
@@ -299,7 +300,7 @@ def _search_experiment(config: ExperimentConfig) -> SweepTable:
         experiment="search",
         header=("iteration", "kappa_ratio", "p_find", "survival", "fidelity"),
         columns=(
-            np.tile(np.arange(1, config.k_max + 1), len(params)),
+            np.tile(np.arange(1, config.k_max + 1), len(diagonals)),
             np.repeat(config.kappa_ratios, config.k_max),
             grid.p_find.ravel(),
             grid.survival.ravel(),
@@ -316,7 +317,7 @@ def _timing_experiment(config: ExperimentConfig) -> SweepTable:
         params = config.params(ratio)
         delta_ts = (fracs * gate_time(params)).tolist()
         try:
-            return timing_infidelity_grid(params, delta_ts), timing_oracle_grid(params, delta_ts)
+            return timing_infidelity(params, delta_ts), timing_oracle(params, delta_ts)
         except NumericalError as exc:
             raise _annotate(exc, "timing", f"kappa_ratio={ratio}") from exc
 
@@ -344,12 +345,10 @@ def _offset_experiment(config: ExperimentConfig) -> SweepTable:
     ratio = config.offset_kappa_ratio
     params = config.params(ratio)
     etas = config.eta_grid()
-    grid = coupling_offset_infidelity_grid(
+    grid = coupling_offset_infidelity(
         params, config.chi_list, etas, config.offset_model, config.offset_eta_per_atom
     )
-    baseline = coupling_offset_infidelity(
-        OffsetScenario(eta=0.0, chi=config.chi_list[0], params=params)
-    )
+    baseline = coupling_offset_infidelity(params, config.chi_list[:1], [0.0])[0, 0]
     lines = [
         f"offset model: {config.offset_model}; four-gate search at "
         f"kappa_ratio={ratio}",

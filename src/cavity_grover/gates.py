@@ -2,15 +2,18 @@
 
 Everything here acts in the logical order |000⟩..|111⟩ fixed by
 ``hilbert.computational_embedding``. The conditional phase gate has one
-closed form, the decaying-cavity gate ``decayed_i000``, whose first four
-diagonal entries are damped by the photon population each logical state
-cycles through the mode. Two special cases are named:
+closed form, ``decayed_i000``, which returns the ``GateDiagonal`` of the
+decaying-cavity gate: its first four entries are damped by the photon
+population each logical state cycles through the mode. Called with coupling
+arrays it gives one factor per coupling value, bit for bit the scalar
+call's. Two special cases are named:
 
 * the gate a lossless cavity actually realizes is the decayed gate at
-  kappa = 0; its |001⟩ entry still falls short of 1 because the atoms-1+3
-  Rabi cycle (frequency sqrt(65) in units of the weakest coupling) does not
-  close after one gate time, and
-* the textbook reflection diag(-1, 1, ..., 1) has every factor equal to 1.
+  kappa = 0; its |001⟩ entry (``residual_gate_entry``) still falls short
+  of 1 because the atoms-1+3 Rabi cycle (frequency sqrt(65) in units of
+  the weakest coupling) does not close after one gate time, and
+* the textbook reflection diag(-1, 1, ..., 1), the constant ``TEXTBOOK``,
+  has every factor equal to 1.
 
 Every other marked state's phase gate is the |000⟩ gate conjugated by bit
 flips, which is an index permutation, and the inversion-about-average
@@ -87,6 +90,10 @@ class GateDiagonal:
         return LogicalOperator(np.diag(self.entries()))
 
 
+# The textbook reflection diag(-1, 1, ..., 1): every damping factor 1.
+TEXTBOOK = GateDiagonal(mu=1.0, gamma=1.0, beta=1.0, alpha=1.0)
+
+
 def hadamard3() -> LogicalOperator:
     """Tensor cube of the single-qubit Hadamard; unitary and involutive."""
     h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -104,13 +111,6 @@ def pauli_x(qubit: int) -> LogicalOperator:
     return LogicalOperator(np.kron(np.kron(factors[0], factors[1]), factors[2]))
 
 
-def _require_designed(params: CavityParams) -> None:
-    if not params.has_designed_ratios():
-        raise ConfigError(
-            f"couplings {params.omega} are not in the designed ratio 1:sqrt(35):8"
-        )
-
-
 def _pair13_phase(params: CavityParams) -> float:
     # Phase advanced by the atoms-1+3 block over one gate time at kappa=0:
     # sqrt(w1^2 + w3^2) * pi / w1, i.e. sqrt(65)*pi at the designed ratios.
@@ -122,47 +122,14 @@ def residual_gate_entry(params: CavityParams) -> float:
     """Lossless-gate diagonal entry on |001⟩: the decayed gate's gamma at
     kappa = 0, the atoms-1+3 return amplitude
     1 - w1^2/(w1^2 + w3^2) * (1 - cos(sqrt(65)*pi)), about 0.9997."""
-    return _damping_factors(replace(params, kappa=0.0), params.omega).gamma
+    return decayed_i000(replace(params, kappa=0.0)).gamma
 
 
-def ideal_i000(params: CavityParams, exact: bool = False) -> LogicalOperator:
-    """Conditional phase flip on |000⟩ without cavity decay.
-
-    With ``exact`` the textbook reflection diag(-1, 1, ..., 1) used in
-    algorithm identities; otherwise the gate a lossless cavity realizes:
-    the decayed gate at kappa = 0, with the slightly short |001⟩ entry.
-    """
-    return ideal_diagonal(params, exact).operator()
-
-
-def ideal_diagonal(params: CavityParams, exact: bool = False) -> GateDiagonal:
-    """Damping factors of ``ideal_i000``: all 1 with ``exact``, else the
-    decayed gate's at kappa = 0."""
-    if not exact:
-        return _damping_factors(replace(params, kappa=0.0), params.omega)
-    _require_designed(params)
-    return GateDiagonal(mu=1.0, gamma=1.0, beta=1.0, alpha=1.0)
-
-
-def _damping_factors(
-    params: CavityParams, couplings: tuple[float, float, float]
+def decayed_i000(
+    params: CavityParams, couplings: tuple[float, float, float] | None = None
 ) -> GateDiagonal:
-    # Decay, gate time and the atoms-1+3 Rabi phase come from ``params``;
-    # each factor's coupling-share weight comes from ``couplings`` (floats or arrays).
-    _require_designed(params)
-    w1, w2, w3 = couplings
-    damp = math.exp(-params.kappa * gate_time(params) / 4.0)
-    w1sq = w1 * w1
-    return GateDiagonal(
-        mu=damp,
-        gamma=1.0 - w1sq / (w1sq + w3 * w3) * (1.0 - damp * math.cos(_pair13_phase(params))),
-        beta=1.0 - w1sq / (w1sq + w2 * w2) * (1.0 - damp),
-        alpha=1.0 - w1sq / (w1sq + w2 * w2 + w3 * w3) * (1.0 - damp),
-    )
-
-
-def decayed_i000(params: CavityParams) -> tuple[LogicalOperator, GateDiagonal]:
-    """Phase gate realized under cavity decay, evaluated at the gate time.
+    """Damping factors of the phase gate realized under cavity decay,
+    evaluated at the gate time; ``.operator()`` is the 8x8 gate.
 
     Each damping factor is the fraction of one gate time the logical state
     keeps a photon in the mode, weighted by that state's share of coupling
@@ -173,13 +140,24 @@ def decayed_i000(params: CavityParams) -> tuple[LogicalOperator, GateDiagonal]:
         beta  = 1 - w1^2/(w1^2+w2^2) * (1 - mu)                (|010⟩)
         alpha = 1 - w1^2/(w1^2+w2^2+w3^2) * (1 - mu)           (|011⟩)
 
-    Sub-leading oscillatory corrections of order kappa/w1 vanish at the
-    gate time for the |000⟩ block and are dropped for the others; the
-    dynamical oracle ``dynamics.extract_gate`` agrees to about 1e-3 at
-    kappa = w1/10.
+    Decay, gate time and the atoms-1+3 Rabi phase come from ``params``; the
+    weights come from ``couplings`` (floats or equal-shape arrays, one
+    factor per value), which default to ``params.omega``. Sub-leading
+    oscillatory corrections of order kappa/w1 vanish at the gate time for
+    the |000⟩ block and are dropped for the others; the dynamical oracle
+    ``dynamics.extract_gate`` agrees to about 1e-3 at kappa = w1/10.
     """
-    diag = _damping_factors(params, params.omega)
-    return diag.operator(), diag
+    if not params.has_designed_ratios():
+        raise ConfigError(f"couplings {params.omega} are not in the designed ratio 1:sqrt(35):8")
+    w1, w2, w3 = params.omega if couplings is None else couplings
+    damp = math.exp(-params.kappa * gate_time(params) / 4.0)
+    w1sq = w1 * w1
+    return GateDiagonal(
+        mu=damp,
+        gamma=1.0 - w1sq / (w1sq + w3 * w3) * (1.0 - damp * math.cos(_pair13_phase(params))),
+        beta=1.0 - w1sq / (w1sq + w2 * w2) * (1.0 - damp),
+        alpha=1.0 - w1sq / (w1sq + w2 * w2 + w3 * w3) * (1.0 - damp),
+    )
 
 
 def marked_gate(tau: MarkedState | str, base: LogicalOperator) -> LogicalOperator:

@@ -6,19 +6,18 @@ their average. With the textbook gate the marked-state probability after k
 iterations is the closed-form sin^2((2k+1) * asin(1/sqrt(8))), peaking near
 k = 2 and again at k = 6.
 
-The iteration runs on one of three |000⟩ gates (``GateVariant``): the
-textbook reflection, the lossless gate (the decayed gate at kappa = 0) or
-the decayed gate. Under cavity decay the register follows the unnormalized
-no-jump branch: ``p_find`` is then the joint probability that no photon
-ever leaked AND the readout lands on the marked state, ``survival`` is the
-total no-jump probability, and ``fidelity`` compares the surviving
-(renormalized) state against the trajectory an exact gate would have
-produced.
+The iteration runs on any |000⟩ gate diagonal: ``gates.TEXTBOOK``, the
+lossless gate (the decayed gate at kappa = 0) or the decayed gate. Under
+cavity decay the register follows the unnormalized no-jump branch:
+``p_find`` is then the joint probability that no photon ever leaked AND
+the readout lands on the marked state, ``survival`` is the total no-jump
+probability, and ``fidelity`` compares the surviving (renormalized) state
+against the trajectory the textbook gate would have produced.
 
-``run_search_grid`` advances every decay rate's register and the exact
-reference trajectory in one stacked iteration and scores the stored
-trajectories as arrays; ``run_search`` is the records of its one-rate
-case, and ``grover_step`` is one iteration for one state.
+``run_search`` advances the register of every given gate diagonal and the
+textbook reference trajectory in one stacked iteration and scores the
+stored trajectories as arrays; ``grover_step`` is one iteration for one
+state, the per-state reference.
 """
 
 from __future__ import annotations
@@ -26,21 +25,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .dynamics import CavityParams
 from .errors import ConfigError
-from .gates import (
-    GateDiagonal,
-    LogicalOperator,
-    MarkedState,
-    _damping_factors,
-    hadamard3,
-    ideal_diagonal,
-    marked_gate,
-)
+from .gates import TEXTBOOK, GateDiagonal, LogicalOperator, MarkedState, hadamard3, marked_gate
 from .hilbert import PureState
 
 # Far above any useful search length, low enough that a typo cannot ask for a huge search.
@@ -50,60 +39,27 @@ MAX_ITERATIONS = 100_000
 _H3 = hadamard3()
 
 
-class GateVariant(Enum):
-    """Which |000⟩ phase gate drives the iteration."""
-
-    EXACT = "exact"          # textbook diag(-1, 1, ..., 1)
-    LOSSLESS = "lossless"    # the decayed gate at kappa = 0 (short |001⟩ entry)
-    DECAYED = "decayed"      # realized under cavity decay (damped diagonal)
-
-
-@dataclass(frozen=True)
-class SearchRecord:
-    """Per-iteration search outcome on the no-jump branch."""
-
-    iteration: int
-    p_find: float
-    survival: float
-    fidelity: float
-
-    def __post_init__(self) -> None:
-        _check_outcomes(self.p_find, self.survival, self.fidelity)
-
-
-def _check_outcomes(p_find, survival, fidelity) -> None:
-    """The one rule on search outcomes, for floats or equal-shape arrays:
-    every value finite, and p_find <= survival + 1e-12."""
-    values = np.array([p_find, survival, fidelity], dtype=float).reshape(3, -1)
-    bad = ~np.isfinite(values).all(axis=0)
-    if bad.any():
-        first = tuple(values[:, bad.argmax()].tolist())
-        raise ConfigError(f"search record has non-finite fields: {first}")
-    over = values[0] > values[1] + 1e-12
-    if over.any():
-        first = over.argmax()
-        raise ConfigError(f"p_find={values[0, first]} exceeds survival={values[1, first]}")
-
-
 @dataclass(frozen=True, eq=False)  # array fields: == on them is elementwise
 class SearchGrid:
-    """Search outcomes over parameter sets and iterations: each field is a
-    (K, k_max) array whose row i holds parameter set i and whose column
-    k - 1 holds iteration k."""
+    """Search outcomes over gate diagonals and iterations: each field is a
+    (K, k_max) array whose row i holds diagonal i and whose column k - 1
+    holds iteration k."""
 
     p_find: np.ndarray
     survival: np.ndarray
     fidelity: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_outcomes(self.p_find, self.survival, self.fidelity)
-
-    def records(self) -> list[list[SearchRecord]]:
-        """One record list per parameter set, iterations in order."""
-        return [
-            [SearchRecord(k, *values) for k, values in enumerate(zip(*row), start=1)]
-            for row in zip(self.p_find.tolist(), self.survival.tolist(), self.fidelity.tolist())
-        ]
+        # Every value finite, and p_find <= survival + 1e-12.
+        values = np.array([self.p_find, self.survival, self.fidelity], dtype=float).reshape(3, -1)
+        bad = ~np.isfinite(values).all(axis=0)
+        if bad.any():
+            first = tuple(values[:, bad.argmax()].tolist())
+            raise ConfigError(f"search point has non-finite fields: {first}")
+        over = values[0] > values[1] + 1e-12
+        if over.any():
+            first = over.argmax()
+            raise ConfigError(f"p_find={values[0, first]} exceeds survival={values[1, first]}")
 
 
 def _uniform_register() -> np.ndarray:
@@ -138,12 +94,6 @@ def grover_step(
     return _H3.apply(i000.apply(_H3.apply(flip.apply(state))))
 
 
-def _gate_diagonal(variant: GateVariant, params: CavityParams) -> GateDiagonal:
-    if variant is GateVariant.DECAYED:
-        return _damping_factors(params, params.omega)
-    return ideal_diagonal(params, exact=variant is GateVariant.EXACT)
-
-
 def check_k_max(k_max: int) -> None:
     """The one rule on a search length: 1..``MAX_ITERATIONS`` iterations."""
     if not 1 <= k_max <= MAX_ITERATIONS:
@@ -151,34 +101,26 @@ def check_k_max(k_max: int) -> None:
 
 
 def run_search(
-    tau: MarkedState | str, k_max: int, variant: GateVariant, params: CavityParams
-) -> list[SearchRecord]:
-    """Iterate the search ``k_max`` times and record probability, survival,
-    and fidelity against the exact-gate trajectory after each iteration:
-    the records of the one-parameter-set case of ``run_search_grid``."""
-    return run_search_grid(tau, k_max, variant, [params]).records()[0]
-
-
-def run_search_grid(
-    tau: MarkedState | str, k_max: int, variant: GateVariant, params_seq: Sequence[CavityParams]
+    tau: MarkedState | str, k_max: int, diagonals: Sequence[GateDiagonal]
 ) -> SearchGrid:
-    """The search at every parameter set in ``params_seq``, as arrays.
+    """Iterate the search ``k_max`` times with each gate diagonal in
+    ``diagonals`` and record, after each iteration, the probability,
+    survival and fidelity against the textbook-gate trajectory.
 
-    The K gate diagonals and, as a last row, the exact reference gate are
-    stacked into a (K+1, 8, 1) array whose marked flips are one index
-    permutation of it, so one expression advances every trajectory. The
-    trajectories are stored, and p_find, survival and fidelity are then
-    computed for all of them at once, each value exactly as the per-state
-    scalar expression computes it.
+    The K gate diagonals and, as a last row, ``TEXTBOOK`` are stacked into
+    a (K+1, 8, 1) array whose marked flips are one index permutation of it,
+    so one expression advances every trajectory. The trajectories are
+    stored, and p_find, survival and fidelity are then computed for all of
+    them at once, each value exactly as the per-state scalar expression
+    (``grover_step``, ``np.vdot``, ``abs(z) ** 2``) computes it.
     """
     check_k_max(k_max)
-    if not params_seq:
-        raise ConfigError("run_search_grid needs at least one parameter set")
+    if not diagonals:
+        raise ConfigError("run_search needs at least one gate diagonal")
     marked = MarkedState.of(tau)
     perm = np.arange(8) ^ marked.index
-    diagonals = [_gate_diagonal(variant, params) for params in params_seq]
-    diagonals.append(_gate_diagonal(GateVariant.EXACT, params_seq[0]))
-    gates = np.array([d.entries() for d in diagonals], dtype=complex)[:, :, None]
+    rows = [d.entries() for d in diagonals] + [TEXTBOOK.entries()]
+    gates = np.array(rows, dtype=complex)[:, :, None]
     flips = gates[:, perm]
     h = _H3.matrix
     states = np.repeat(_uniform_register()[None, :, None], len(gates), axis=0)

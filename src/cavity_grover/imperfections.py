@@ -5,8 +5,10 @@ Timing mismatch: atom 1 is slightly slow and keeps interacting for an extra
 atom-1-in-``E`` column with an atom-1 and a photon amplitude, and one delay
 step applies the exact atom-1 block to them. The closed form takes those
 amplitudes from the decayed gate (a photon only on |001⟩, from the partly
-open atoms-1+3 Rabi cycle); its full-dynamics oracle takes them from exact
-one-excitation blocks.
+open atoms-1+3 Rabi cycle); its full-dynamics oracle ``timing_oracle``
+takes them from exact one-excitation blocks. ``timing_oracle_dense``
+evolves the whole Hilbert space at one delay and is the tests' reference
+for the blocks.
 
 Coupling offsets: some of the four cavities in a two-iteration search run
 with couplings off their design values by a relative offset ``eta``. The
@@ -18,7 +20,9 @@ error it drops.
 Both infidelities are 1 minus a uniform-input fidelity: the gate is applied
 to the uniform superposition and the result is compared, after
 renormalization, with what the exact gate sequence would have produced.
-One row-wise fidelity scores every delay and every offset.
+One row-wise fidelity scores every delay and every offset. Each function
+takes a whole axis (``delta_ts`` or ``etas``, 1-D) and returns an array;
+one point is the one-value case.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .dynamics import (
     gate_time,
 )
 from .errors import ConfigError
-from .gates import GateDiagonal, _damping_factors, _pair13_phase
+from .gates import TEXTBOOK, _pair13_phase, decayed_i000
 from .grover import _uniform_register
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
@@ -103,7 +107,7 @@ class OffsetScenario:
 
 
 # The exact |000⟩ phase gate applied to the uniform register.
-_GATE_REFERENCE = np.array(GateDiagonal(1.0, 1.0, 1.0, 1.0).entries()) * _uniform_register()
+_GATE_REFERENCE = np.array(TEXTBOOK.entries()) * _uniform_register()
 
 
 def _row_infidelity(reference: np.ndarray, outputs: np.ndarray) -> np.ndarray:
@@ -113,31 +117,34 @@ def _row_infidelity(reference: np.ndarray, outputs: np.ndarray) -> np.ndarray:
     return 1.0 - abs(overlap) ** 2 / (abs(outputs) ** 2).sum(axis=-1)
 
 
+def _axis(name: str, values) -> np.ndarray:
+    """``values`` as a 1-D float array, else a ``ConfigError`` naming ``name``."""
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1:
+        raise ConfigError(f"{name} must be a 1-D sequence of values, got shape {axis.shape}")
+    return axis
+
+
 def _delayed_infidelities(
     params: CavityParams, delta_ts: Sequence[float], columns: np.ndarray
-) -> list[float]:
+) -> np.ndarray:
     """Gate infidelity at every delay in ``delta_ts``, in order, from the 2x4
     (atom-1, photon) amplitudes ``columns`` of the four atom-1-in-``E``
     columns at the gate time: each delay dt applies ``block_propagator(w1,
     kappa, dt)``, and the other four columns stay exactly 1."""
-    delays = np.asarray(delta_ts, float)
+    delays = _axis("delta_ts", delta_ts)
     TimingScenario(delays, params)  # validates every delay
     atom1 = block_propagator(params.omega[0], params.kappa, delays)[:, 0] @ columns
     _check_result(atom1, None)
     diagonals = np.concatenate([atom1, np.ones((len(delays), 4))], axis=1)
-    return _row_infidelity(_GATE_REFERENCE, diagonals * _uniform_register()).tolist()
+    return _row_infidelity(_GATE_REFERENCE, diagonals * _uniform_register())
 
 
-def timing_infidelity(scenario: TimingScenario) -> float:
-    """Closed-form gate infidelity caused by atom 1 overstaying by delta_t:
-    the one-delay case of ``timing_infidelity_grid``."""
-    return timing_infidelity_grid(scenario.params, [scenario.delta_t])[0]
+def timing_infidelity(params: CavityParams, delta_ts: Sequence[float]) -> np.ndarray:
+    """Closed-form gate infidelity caused by atom 1 overstaying by dt, at
+    every delay dt in ``delta_ts``, in order.
 
-
-def timing_infidelity_grid(params: CavityParams, delta_ts: Sequence[float]) -> list[float]:
-    """Closed-form timing infidelity at every delay dt in ``delta_ts``, in order.
-
-    The block model of ``timing_oracle_grid`` with the gate's approximations:
+    The block model of ``timing_oracle`` with the gate's approximations:
     the columns hold the damped entries (-mu, gamma, beta, alpha) of
     ``decayed_i000`` on atom 1 and a photon only on |001⟩, left by the open
     atoms-1+3 Rabi cycle: -i*w1/a13 * sin(sqrt(65)*pi), with
@@ -149,21 +156,42 @@ def timing_infidelity_grid(params: CavityParams, delta_ts: Sequence[float]) -> l
     w1, _, w3 = params.omega
     a13 = decay_shifted_frequency(math.hypot(w1, w3), params.kappa)
     photon = -1j * w1 / a13 * math.sin(_pair13_phase(params))
-    damped = _damping_factors(params, params.omega).entries()[:4]
+    damped = decayed_i000(params).entries()[:4]
     columns = np.array([damped, [0.0, photon, 0.0, 0.0]])
     return _delayed_infidelities(params, delta_ts, columns)
 
 
-def timing_oracle(
+def timing_oracle(params: CavityParams, delta_ts: Sequence[float]) -> np.ndarray:
+    """Full-dynamics counterpart of ``timing_infidelity`` at every delay in
+    ``delta_ts``, in order, from exact 2x2 ``block_propagator`` blocks.
+
+    Column |0 b2 b3⟩ moves only through its bright state, coupling
+    W = sqrt(w1^2 + b2*w2^2 + b3*w3^2). With s = w1^2/W^2, one gate time
+    leaves atom-1 and photon amplitudes (1 - s + s*P00(W), (w1/W)*P10(W));
+    each delay then applies P(w1, dt). The other columns stay exactly 1,
+    so ``photon_cutoff`` plays no part. ``timing_oracle_dense`` is its
+    reference.
+    """
+    w1, w2, w3 = params.omega
+    bright = np.sqrt(w1 * w1 + np.array([0.0, w3 * w3, w2 * w2, w2 * w2 + w3 * w3]))
+    share = (w1 / bright) ** 2
+    at_gate = block_propagator(bright, params.kappa, gate_time(params))
+    columns = np.stack([1.0 - share + share * at_gate[:, 0, 0], w1 / bright * at_gate[:, 1, 0]])
+    return _delayed_infidelities(params, delta_ts, columns)
+
+
+def timing_oracle_dense(
     scenario: TimingScenario, settings: EvolutionSettings = DEFAULT_SETTINGS
 ) -> float:
-    """Full-dynamics counterpart of ``timing_infidelity``.
+    """``timing_oracle`` at one delay by dense propagation: the test reference.
 
     Evolves each logical basis state under the complete no-jump Hamiltonian
     for one gate time, then under the atom-1-only coupling (atoms 2 and 3
     gone, decay still on) for delta_t, projects onto the logical subspace,
     and evaluates the same uniform-input infidelity.
     """
+    if np.ndim(scenario.delta_t) != 0:
+        raise ConfigError(f"delta_t must be one delay, got shape {np.shape(scenario.delta_t)}")
     params = scenario.params
     embedding, mids = evolve_logical_basis(params, gate_time(params), settings)
     basis = mids[0].basis
@@ -174,24 +202,6 @@ def timing_oracle(
         [evolve(h_atom1, scenario.delta_t, mid, settings).amplitudes[logical] for mid in mids]
     )
     return float(_row_infidelity(_GATE_REFERENCE, gate @ _uniform_register()))
-
-
-def timing_oracle_grid(params: CavityParams, delta_ts: Sequence[float]) -> list[float]:
-    """``timing_oracle`` (matrix-exponential settings) at every delay in
-    ``delta_ts``, in order, from exact 2x2 ``block_propagator`` blocks.
-
-    Column |0 b2 b3⟩ moves only through its bright state, coupling
-    W = sqrt(w1^2 + b2*w2^2 + b3*w3^2). With s = w1^2/W^2, one gate time
-    leaves atom-1 and photon amplitudes (1 - s + s*P00(W), (w1/W)*P10(W));
-    each delay then applies P(w1, dt). The other columns stay exactly 1,
-    so ``photon_cutoff`` plays no part.
-    """
-    w1, w2, w3 = params.omega
-    bright = np.sqrt(w1 * w1 + np.array([0.0, w3 * w3, w2 * w2, w2 * w2 + w3 * w3]))
-    share = (w1 / bright) ** 2
-    at_gate = block_propagator(bright, params.kappa, gate_time(params))
-    columns = np.stack([1.0 - share + share * at_gate[:, 0, 0], w1 / bright * at_gate[:, 1, 0]])
-    return _delayed_infidelities(params, delta_ts, columns)
 
 
 def offset_couplings(scenario: OffsetScenario) -> tuple[float, float, float]:
@@ -207,10 +217,13 @@ def offset_couplings(scenario: OffsetScenario) -> tuple[float, float, float]:
     return ((1.0 + e1) * w1, (1.0 + e2) * w2, (1.0 + e3) * w3)
 
 
-def coupling_offset_infidelity(scenario: OffsetScenario) -> float:
+def coupling_offset_infidelity(
+    params: CavityParams, chis: Sequence[int], etas: Sequence[float],
+    model: str = "atom1", per_atom_eta: tuple[float, float, float] | None = None,
+) -> np.ndarray:
     """Closed-form infidelity of a two-iteration search (four phase gates)
-    when ``chi`` of the four cavities carry offset couplings: the one-point
-    case of ``coupling_offset_infidelity_grid``.
+    when ``chi`` of the four cavities carry offset couplings, at every
+    (chi, eta) pair: a (len(chis), len(etas)) array.
 
     Each four-gate composite damping factor multiplies ``chi`` imperfect-
     cavity factors with ``4 - chi`` design factors. In an imperfect-cavity
@@ -228,29 +241,20 @@ def coupling_offset_infidelity(scenario: OffsetScenario) -> float:
     At kappa = w1/10 and eta = +0.05 this closed form falls with chi
     (0.0083388 -> 0.0083317) while the product of four simulated gates
     rises (0.008745 -> 0.009994).
+
+    Each chi is checked once, and one scenario holding the whole eta array
+    checks every offset. One ``decayed_i000`` call on the coupling arrays
+    gives every offset factor, and the fidelity is row-wise, so each point
+    is computed exactly as it would be alone.
     """
-    return float(coupling_offset_infidelity_grid(
-        scenario.params, [scenario.chi], [scenario.eta], scenario.model, scenario.per_atom_eta
-    )[0, 0])
-
-
-def coupling_offset_infidelity_grid(
-    params: CavityParams, chis: Sequence[int], etas: Sequence[float],
-    model: str, per_atom_eta: tuple[float, float, float] | None,
-) -> np.ndarray:
-    """``coupling_offset_infidelity`` at every (chi, eta) pair, as a
-    (len(chis), len(etas)) array. Each chi is checked once; one scenario
-    holding the whole eta array checks every offset and maps them to
-    coupling arrays. The offset factors and the fidelity are then row-wise
-    array expressions, one row per eta, so each point is computed exactly
-    as its one-point case."""
+    etas = _axis("etas", etas)
     for chi in chis:
         OffsetScenario(0.0, chi, params, model, per_atom_eta)  # validates
-    scenario = OffsetScenario(np.asarray(etas, dtype=float), 1, params, model, per_atom_eta)
+    scenario = OffsetScenario(etas, 1, params, model, per_atom_eta)
     # One value per eta for every coupling, also those the model leaves fixed.
     couplings = np.broadcast_arrays(*offset_couplings(scenario), scenario.eta)[:3]
-    base = np.array(_damping_factors(params, params.omega).entries())
-    primed = np.stack(np.broadcast_arrays(*_damping_factors(params, couplings).entries()), 1)
+    base = np.array(decayed_i000(params).entries())
+    primed = np.stack(np.broadcast_arrays(*decayed_i000(params, couplings).entries()), 1)
     # After an even number of phase gates the |000⟩ sign flips cancel, so
     # the exact four-gate reference is the uniform register u itself.
     u = _uniform_register().real

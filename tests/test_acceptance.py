@@ -8,7 +8,7 @@ Two criteria needed a closer look against the full-dynamics oracles:
 * criterion 8c (an atom-1 overrun degrades the gate) is stated around the
   first-step dip. On the default 50-point delay grid the infidelity falls
   once, on the first step (-1.4e-8 at kappa = w1/50, -1.1e-7 at
-  kappa = w1/10), and rises on every later step. ``timing_oracle`` shows
+  kappa = w1/10), and rises on every later step. ``timing_oracle_dense`` shows
   the same dip (-1.3e-8 and -1.2e-7), with its minimum near 0.0013-0.0017
   gate times, below the first grid step of 0.00204. It is physics, not a
   fault of the closed form: the |001⟩ cross term is linear in the delay
@@ -38,8 +38,7 @@ import numpy as np
 import pytest
 
 from cavity_grover import (
-    GateVariant,
-    OffsetScenario,
+    TEXTBOOK,
     TimingScenario,
     closed_form_probability,
     coupling_offset_infidelity,
@@ -48,13 +47,12 @@ from cavity_grover import (
     extract_gate,
     gate_time,
     hadamard3,
-    ideal_i000,
     phase_gate_success,
     positions_for_ratio,
     residual_gate_entry,
     run_search,
     timing_infidelity,
-    timing_oracle,
+    timing_oracle_dense,
 )
 from cavity_grover.dynamics import (
     EvolutionMethod,
@@ -105,7 +103,7 @@ def test_02_dynamical_gate_oracle(params_lossless, params_strong_decay):
     off_err = float(np.abs(np.delete(off, 1, axis=1)).max())
 
     decayed = extract_gate(params_strong_decay, gate_time(params_strong_decay))
-    analytic = decayed_i000(params_strong_decay)[0].diagonal()
+    analytic = decayed_i000(params_strong_decay).operator().diagonal()
     decay_err = float(np.abs(decayed.restricted.diagonal() - analytic).max())
     elapsed = time.perf_counter() - start
     _check(
@@ -119,13 +117,11 @@ def test_02_dynamical_gate_oracle(params_lossless, params_strong_decay):
 def test_03_ideal_search_closed_form(params_lossless):
     worst = 0.0
     for tau in ALL_TAUS:
-        records = run_search(tau, 12, GateVariant.EXACT, params_lossless)
-        for record in records:
-            worst = max(
-                worst, abs(record.p_find - closed_form_probability(record.iteration))
-            )
-    records = run_search("000", 12, GateVariant.EXACT, params_lossless)
-    p2, p6 = records[1].p_find, records[5].p_find
+        p_find = run_search(tau, 12, [TEXTBOOK]).p_find[0]
+        for k, p in enumerate(p_find, start=1):
+            worst = max(worst, abs(p - closed_form_probability(k)))
+    p_find = run_search("000", 12, [TEXTBOOK]).p_find[0]
+    p2, p6 = p_find[1], p_find[5]
     _check(
         "criterion 3: exact-gate search equals sin^2((2k+1)asin(1/sqrt 8))",
         worst <= 1e-12
@@ -137,19 +133,19 @@ def test_03_ideal_search_closed_form(params_lossless):
 
 def test_04_decay_optimal_iteration(params_strong_decay):
     start = time.perf_counter()
-    records = run_search("000", 8, GateVariant.DECAYED, params_strong_decay)
-    best = max(records, key=lambda r: r.p_find)
+    p_find = run_search("000", 8, [decayed_i000(params_strong_decay)]).p_find[0]
+    best = int(p_find.argmax()) + 1
     elapsed = time.perf_counter() - start
     _check(
         "criterion 4: with kappa = omega1/10 the second iteration wins",
-        best.iteration == 2 and elapsed < 1.0,
-        f"argmax k={best.iteration}, p={best.p_find:.4f}, runtime={elapsed:.2f} s",
+        best == 2 and elapsed < 1.0,
+        f"argmax k={best}, p={p_find[best - 1]:.4f}, runtime={elapsed:.2f} s",
     )
 
 
 def test_05_phase_gate_success(params_weak_decay, params_strong_decay):
-    strong = phase_gate_success(np.ones(8), decayed_i000(params_strong_decay)[1])
-    weak = phase_gate_success(np.ones(8), decayed_i000(params_weak_decay)[1])
+    strong = phase_gate_success(np.ones(8), decayed_i000(params_strong_decay))
+    weak = phase_gate_success(np.ones(8), decayed_i000(params_weak_decay))
     _check(
         "criterion 5: uniform-input gate success probabilities",
         abs(strong - 0.9808) <= 2e-4 and abs(weak - 0.9958) <= 2e-4,
@@ -177,7 +173,7 @@ def test_07_geometry_ratio():
 
 
 def test_08a_timing_baseline_lossless(params_lossless):
-    value = timing_infidelity(TimingScenario(0.0, params_lossless))
+    value = timing_infidelity(params_lossless, [0.0])[0]
     _check(
         "criterion 8a: zero-delay lossless timing infidelity <= 1e-6",
         value <= 1e-6,
@@ -186,7 +182,7 @@ def test_08a_timing_baseline_lossless(params_lossless):
 
 
 def test_08b_timing_baseline_strong_decay(params_strong_decay):
-    value = timing_infidelity(TimingScenario(0.0, params_strong_decay))
+    value = timing_infidelity(params_strong_decay, [0.0])[0]
     _check(
         "criterion 8b: zero-delay infidelity = 6.3e-4 +/- 1e-4 at kappa=w1/10",
         abs(value - 6.3e-4) <= 1e-4,
@@ -198,24 +194,22 @@ def test_08c_timing_monotone_on_default_grid(params_weak_decay, params_strong_de
     # The overrun must degrade the gate. The first grid step is the one
     # exception: there the infidelity dips by ~1e-8..1e-7, and the full
     # dynamics dip by the same amount (see module docstring), so that step
-    # is checked against ``timing_oracle`` at 8d's relative tolerance.
+    # is checked against ``timing_oracle_dense`` at 8d's relative tolerance.
     failures, details = [], []
     grid = np.linspace(0.0, 0.1, 50)
     for params in (params_weak_decay, params_strong_decay):
         label = f"kappa/w1={params.kappa / params.omega[0]:.2f}"
         t0 = gate_time(params)
-        values = [
-            timing_infidelity(TimingScenario(float(f) * t0, params)) for f in grid
-        ]
+        values = [timing_infidelity(params, [float(f) * t0])[0] for f in grid]
         drops = [b - a for a, b in zip(values[1:], values[2:]) if b < a]
         if drops:
             failures.append(f"{label}: drop after the first step {min(drops):.2e}")
         if not values[-1] > values[0]:
             failures.append(f"{label}: last {values[-1]:.3e} <= first {values[0]:.3e}")
         first_step = values[1] - values[0]
-        oracle_step = timing_oracle(
+        oracle_step = timing_oracle_dense(
             TimingScenario(float(grid[1]) * t0, params)
-        ) - timing_oracle(TimingScenario(0.0, params))
+        ) - timing_oracle_dense(TimingScenario(0.0, params))
         gap = abs(first_step - oracle_step)
         if not gap <= 0.2 * abs(oracle_step):
             failures.append(
@@ -240,8 +234,8 @@ def test_08d_formula_vs_oracle(params_weak_decay, params_strong_decay):
         a1 = decay_shifted_frequency(params.omega[0], params.kappa)
         for scaled_delay in (0.025, 0.05, 0.075, 0.1):
             scenario = TimingScenario(scaled_delay / a1, params)
-            formula = timing_infidelity(scenario)
-            oracle = timing_oracle(scenario)
+            formula = timing_infidelity(params, [scenario.delta_t])[0]
+            oracle = timing_oracle_dense(scenario)
             gap = abs(formula - oracle)
             ok = ok and gap <= max(0.2 * abs(oracle), 1e-4)
             worst_abs = max(worst_abs, gap)
@@ -256,7 +250,7 @@ def test_08d_formula_vs_oracle(params_weak_decay, params_strong_decay):
 
 def test_09a_offset_baseline(params_strong_decay):
     values = [
-        coupling_offset_infidelity(OffsetScenario(0.0, chi, params_strong_decay))
+        coupling_offset_infidelity(params_strong_decay, [chi], [0.0])[0, 0]
         for chi in (1, 2, 3, 4)
     ]
     _check(
@@ -268,14 +262,10 @@ def test_09a_offset_baseline(params_strong_decay):
 
 
 def test_09b_uniform_offset_invariance(params_strong_decay):
-    baseline = coupling_offset_infidelity(
-        OffsetScenario(0.0, 2, params_strong_decay, model="uniform")
-    )
+    baseline = coupling_offset_infidelity(params_strong_decay, [2], [0.0], "uniform")[0, 0]
     worst = max(
         abs(
-            coupling_offset_infidelity(
-                OffsetScenario(eta, 2, params_strong_decay, model="uniform")
-            )
+            coupling_offset_infidelity(params_strong_decay, [2], [eta], "uniform")[0, 0]
             - baseline
         )
         for eta in (0.01, 0.05, 0.1, -0.1)
@@ -293,7 +283,7 @@ def test_09c_offset_ordering_in_cavity_count(params_strong_decay):
     # module docstring and tests/test_imperfections.py). Fixing the closed
     # form breaks criterion 9b, so the assertion stays as stated.
     values = [
-        coupling_offset_infidelity(OffsetScenario(0.05, chi, params_strong_decay))
+        coupling_offset_infidelity(params_strong_decay, [chi], [0.05])[0, 0]
         for chi in (1, 2, 3, 4)
     ]
     increasing = all(b > a for a, b in zip(values, values[1:]))
@@ -331,7 +321,7 @@ def test_10_property_suite(params_lossless, params_strong_decay):
 
     h3 = hadamard3()
     involutive = float(np.abs((h3 @ h3).matrix - np.eye(8)).max()) <= 1e-12
-    sandwich = -(h3 @ ideal_i000(params_lossless, exact=True) @ h3).matrix
+    sandwich = -(h3 @ TEXTBOOK.operator() @ h3).matrix
     diffusion_ok = float(np.abs(sandwich - diffusion().matrix).max()) <= 1e-12
 
     rk4 = EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=4096)

@@ -32,7 +32,8 @@ from cavity_grover.experiments import (
     MAX_THREADS,
     SweepTable,
 )
-from cavity_grover.grover import GateVariant, run_search
+from cavity_grover.gates import TEXTBOOK
+from cavity_grover.grover import run_search
 from cavity_grover.hilbert import basis_state
 
 FAST = dict(delta_t_points=5, eta_points=5)
@@ -209,7 +210,7 @@ _GUARDED_CALLS = {
     "decay_shifted_frequency kappa": lambda x: decay_shifted_frequency(1.0, x),
     "evolve": lambda x: evolve(build_effective_hamiltonian(_P, _BASIS), x, basis_state(_BASIS, 0)),
     "extract_gate": lambda x: extract_gate(_P, x),
-    "phase_gate_success": lambda x: phase_gate_success([x] + [1.0] * 7, decayed_i000(_P)[1]),
+    "phase_gate_success": lambda x: phase_gate_success([x] + [1.0] * 7, decayed_i000(_P)),
 }
 
 
@@ -506,7 +507,7 @@ def test_owned_rule_errors_show_the_given_value(line, shown):
     [
         ("photon_cutoff", 0, [build_basis, lambda c: CavityParams((1.0, 2.0, 3.0), 0.0, c)]),
         ("photon_cutoff", 11, [build_basis]),
-        ("k_max", 0, [lambda k: run_search("000", k, GateVariant.EXACT, CavityParams((1, 2, 3)))]),
+        ("k_max", 0, [lambda k: run_search("000", k, [TEXTBOOK])]),
     ],
 )
 def test_owner_rules_have_one_message(key, value, owners):

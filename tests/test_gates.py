@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cavity_grover import (
+    TEXTBOOK,
     CavityParams,
     ConfigError,
     GateDiagonal,
@@ -13,7 +15,6 @@ from cavity_grover import (
     extract_gate,
     gate_time,
     hadamard3,
-    ideal_i000,
     marked_gate,
     pauli_x,
     residual_gate_entry,
@@ -77,27 +78,28 @@ def test_residual_entry_value(params_lossless):
 
 
 def test_ideal_gate_variants(params_lossless):
-    exact = ideal_i000(params_lossless, exact=True)
+    exact = TEXTBOOK.operator()
     assert np.array_equal(exact.matrix, np.diag([-1.0, 1, 1, 1, 1, 1, 1, 1]))
     assert np.abs((exact @ exact).matrix - np.eye(8)).max() == 0.0
-    realized = ideal_i000(params_lossless)
+    realized = decayed_i000(replace(params_lossless, kappa=0.0)).operator()
     assert realized.matrix[1, 1] == pytest.approx(residual_gate_entry(params_lossless))
 
 
 def test_ideal_gate_rejects_undesigned_ratios(omega1c):
     crooked = CavityParams(omega=(omega1c, 2.0 * omega1c, 3.0 * omega1c))
     with pytest.raises(ConfigError):
-        ideal_i000(crooked)
+        decayed_i000(replace(crooked, kappa=0.0))
 
 
 def test_decayed_gate_reduces_to_lossless(params_lossless):
-    operator, diag = decayed_i000(params_lossless)
+    diag = decayed_i000(params_lossless)
+    lossless = decayed_i000(replace(params_lossless, kappa=0.0))
     assert diag.mu == 1.0 and diag.beta == 1.0 and diag.alpha == 1.0
-    assert np.abs(operator.matrix - ideal_i000(params_lossless).matrix).max() <= 1e-15
+    assert np.abs(diag.operator().matrix - lossless.operator().matrix).max() <= 1e-15
 
 
 def test_decayed_gate_factors_strong_decay(params_strong_decay):
-    _, diag = decayed_i000(params_strong_decay)
+    diag = decayed_i000(params_strong_decay)
     assert diag.mu == pytest.approx(0.9244, abs=1e-4)
     assert diag.gamma == pytest.approx(0.9986, abs=1e-4)
     assert diag.beta == pytest.approx(0.9979, abs=1e-4)
@@ -105,7 +107,7 @@ def test_decayed_gate_factors_strong_decay(params_strong_decay):
 
 
 def test_decayed_gate_factor_weak_decay(params_weak_decay):
-    _, diag = decayed_i000(params_weak_decay)
+    diag = decayed_i000(params_weak_decay)
     assert diag.mu == pytest.approx(0.9844, abs=1e-4)
 
 
@@ -113,7 +115,7 @@ def test_diagonal_factors_monotone_in_decay(omega1c):
     grid = np.linspace(0.0, omega1c / 10.0, 15)
     previous = None
     for kappa in grid:
-        _, diag = decayed_i000(CavityParams.designed(omega1c, float(kappa)))
+        diag = decayed_i000(CavityParams.designed(omega1c, float(kappa)))
         current = (diag.mu, diag.gamma, diag.beta, diag.alpha)
         if previous is not None:
             assert all(c <= p + 1e-15 for c, p in zip(current, previous))
@@ -131,12 +133,12 @@ def test_gate_diagonal_validates_range():
 
 
 def test_marked_gate_identity_on_000(params_lossless):
-    base = ideal_i000(params_lossless, exact=True)
+    base = TEXTBOOK.operator()
     assert np.array_equal(marked_gate("000", base).matrix, base.matrix)
 
 
 def test_marked_gate_exact_reflection(params_lossless):
-    base = ideal_i000(params_lossless, exact=True)
+    base = TEXTBOOK.operator()
     gate = marked_gate("101", base)
     expected = np.eye(8)
     expected[0b101, 0b101] = -1.0
@@ -144,7 +146,8 @@ def test_marked_gate_exact_reflection(params_lossless):
 
 
 def test_marked_gate_permutes_damped_diagonal(params_strong_decay):
-    operator, diag = decayed_i000(params_strong_decay)
+    diag = decayed_i000(params_strong_decay)
+    operator = diag.operator()
     gate = marked_gate("001", operator)
     entries = np.diag(gate.matrix).real
     # flipping bit 3 swaps slot pairs (0,1), (2,3), (4,5), (6,7)
@@ -155,7 +158,7 @@ def test_marked_gate_permutes_damped_diagonal(params_strong_decay):
 
 
 def test_marked_gate_rejects_bad_label(params_lossless):
-    base = ideal_i000(params_lossless, exact=True)
+    base = TEXTBOOK.operator()
     with pytest.raises(ConfigError):
         marked_gate("0012", base)
     with pytest.raises(ConfigError):
@@ -195,7 +198,7 @@ def test_diffusion_unitary_and_symmetric():
 
 def test_diffusion_from_gate_sandwich(params_lossless):
     h3 = hadamard3()
-    exact = ideal_i000(params_lossless, exact=True)
+    exact = TEXTBOOK.operator()
     built = -(h3 @ exact @ h3).matrix
     assert np.abs(built - diffusion().matrix).max() <= 1e-12
 
@@ -204,7 +207,7 @@ def test_diffusion_from_gate_sandwich(params_lossless):
 def test_iteration_equals_diffusion_form(tau, params_lossless):
     # H3 * I000 * H3 * I_tau == -D * I_tau for every marked state.
     h3 = hadamard3()
-    exact = ideal_i000(params_lossless, exact=True)
+    exact = TEXTBOOK.operator()
     flip = marked_gate(tau, exact)
     lhs = (h3 @ exact @ h3 @ flip).matrix
     rhs = -(diffusion() @ flip).matrix
@@ -215,7 +218,7 @@ def test_iteration_equals_diffusion_form(tau, params_lossless):
 
 
 def test_closed_form_matches_dynamics_under_decay(params_strong_decay):
-    operator, _ = decayed_i000(params_strong_decay)
+    operator = decayed_i000(params_strong_decay).operator()
     simulated = extract_gate(
         params_strong_decay, gate_time(params_strong_decay)
     ).restricted.diagonal()
@@ -223,7 +226,7 @@ def test_closed_form_matches_dynamics_under_decay(params_strong_decay):
 
 
 def test_closed_form_matches_dynamics_lossless(params_lossless):
-    operator, _ = decayed_i000(params_lossless)
+    operator = decayed_i000(params_lossless).operator()
     simulated = extract_gate(
         params_lossless, gate_time(params_lossless)
     ).restricted.diagonal()
@@ -253,6 +256,6 @@ def test_logical_operator_validates_shape():
 
 
 def test_logical_operator_unitary_flag(params_strong_decay):
-    operator, _ = decayed_i000(params_strong_decay)
+    operator = decayed_i000(params_strong_decay).operator()
     assert not operator.unitary
     assert hadamard3().unitary

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -6,27 +8,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavity_grover import (
+    TEXTBOOK,
     CavityParams,
     ConfigError,
     GateDiagonal,
-    GateVariant,
     MarkedState,
     SearchGrid,
-    SearchRecord,
     closed_form_probability,
     decayed_i000,
     grover_step,
     hadamard3,
-    ideal_i000,
     initial_state,
     marked_gate,
     phase_gate_success,
     residual_gate_entry,
     run_search,
-    run_search_grid,
 )
 
 ALL_TAUS = [format(v, "03b") for v in range(8)]
+
+
+class GateVariant(Enum):
+    """The three |000⟩ gates these tests drive the search with."""
+
+    EXACT = "exact"          # gates.TEXTBOOK
+    LOSSLESS = "lossless"    # the decayed gate at kappa = 0
+    DECAYED = "decayed"      # the decayed gate
+
+
+def _diagonal(variant: GateVariant, params: CavityParams) -> GateDiagonal:
+    if variant is GateVariant.EXACT:
+        return TEXTBOOK
+    return decayed_i000(replace(params, kappa=0.0) if variant is GateVariant.LOSSLESS else params)
 
 
 def test_initial_state_is_uniform():
@@ -42,7 +55,7 @@ def test_single_step_amplifies_marked_amplitude(params_lossless):
     # One iteration is minus the inversion-about-average times the flip, so
     # the amplitude reaches sin(3*asin(1/sqrt 8)) = 5/(4*sqrt 2) with an
     # overall sign that alternates per iteration and never affects p_find.
-    exact = ideal_i000(params_lossless, exact=True)
+    exact = TEXTBOOK.operator()
     out = grover_step(initial_state(), "000", exact)
     assert out.amplitudes[0] == pytest.approx(-5.0 / (4.0 * math.sqrt(2.0)), abs=1e-14)
     assert abs(out.amplitudes[0]) ** 2 == pytest.approx(25.0 / 32.0, abs=1e-13)
@@ -51,7 +64,7 @@ def test_single_step_amplifies_marked_amplitude(params_lossless):
 def test_two_steps_match_brute_force_matrix_product(params_lossless):
     # Independent route: build the whole iteration operator as one matrix
     # and apply it twice to the uniform start.
-    exact = ideal_i000(params_lossless, exact=True)
+    exact = TEXTBOOK.operator()
     h3 = hadamard3().matrix
     q = h3 @ exact.matrix @ h3 @ marked_gate("000", exact).matrix
     brute = q @ (q @ initial_state().amplitudes)
@@ -64,7 +77,7 @@ def test_two_steps_match_brute_force_matrix_product(params_lossless):
 
 
 def test_decayed_step_contracts_norm(params_strong_decay):
-    gate, _ = decayed_i000(params_strong_decay)
+    gate = decayed_i000(params_strong_decay).operator()
     out = grover_step(initial_state(), "000", gate)
     assert out.squared_norm() < 1.0
 
@@ -73,74 +86,67 @@ def test_decayed_step_contracts_norm(params_strong_decay):
 @pytest.mark.parametrize("tau", ALL_TAUS)
 def test_run_search_records_repeated_public_steps(tau, variant, params_strong_decay):
     # run_search builds its flips once; k public steps, each rebuilding the
-    # flip, must give the same records bit for bit.
-    gates = {
-        GateVariant.EXACT: ideal_i000(params_strong_decay, exact=True),
-        GateVariant.LOSSLESS: ideal_i000(params_strong_decay),
-        GateVariant.DECAYED: decayed_i000(params_strong_decay)[0],
-    }
-    records = run_search(tau, 6, variant, params_strong_decay)
+    # flip, must give the same outcomes bit for bit.
+    gate = _diagonal(variant, params_strong_decay).operator()
+    grid = run_search(tau, 6, [_diagonal(variant, params_strong_decay)])
     state = ideal = initial_state()
-    for record in records:
-        state = grover_step(state, tau, gates[variant])
-        ideal = grover_step(ideal, tau, gates[GateVariant.EXACT])
+    for k in range(6):
+        state = grover_step(state, tau, gate)
+        ideal = grover_step(ideal, tau, TEXTBOOK.operator())
         survival = state.squared_norm()
-        assert record.survival == survival
-        assert record.p_find == abs(state.amplitudes[int(tau, 2)]) ** 2
-        assert record.fidelity == abs(np.vdot(ideal.amplitudes, state.amplitudes)) ** 2 / survival
+        assert grid.survival[0, k] == survival
+        assert grid.p_find[0, k] == abs(state.amplitudes[int(tau, 2)]) ** 2
+        assert grid.fidelity[0, k] == abs(np.vdot(ideal.amplitudes, state.amplitudes)) ** 2 / survival
 
 
 @pytest.mark.parametrize("tau", ALL_TAUS)
 def test_exact_search_matches_closed_form(tau, params_lossless):
-    records = run_search(tau, 12, GateVariant.EXACT, params_lossless)
-    for record in records:
-        expected = closed_form_probability(record.iteration)
-        assert abs(record.p_find - expected) <= 1e-12
+    p_find = run_search(tau, 12, [TEXTBOOK]).p_find[0]
+    for k, p in enumerate(p_find, start=1):
+        expected = closed_form_probability(k)
+        assert abs(p - expected) <= 1e-12
 
 
 def test_sixth_iteration_peaks_lossless(params_lossless):
-    records = run_search("000", 8, GateVariant.EXACT, params_lossless)
-    assert records[5].p_find == pytest.approx(0.9998, abs=1e-4)
-    assert max(records, key=lambda r: r.p_find).iteration == 6
+    p_find = run_search("000", 8, [TEXTBOOK]).p_find[0]
+    assert p_find[5] == pytest.approx(0.9998, abs=1e-4)
+    assert p_find.argmax() + 1 == 6
 
 
 def test_second_iteration_preferred_under_decay(params_strong_decay):
-    records = run_search("000", 8, GateVariant.DECAYED, params_strong_decay)
-    best = max(records, key=lambda r: r.p_find)
-    assert best.iteration == 2
+    p_find = run_search("000", 8, [decayed_i000(params_strong_decay)]).p_find[0]
+    assert p_find.argmax() + 1 == 2
 
 
 def test_lossless_gate_barely_perturbs_search(params_lossless):
-    records = run_search("000", 2, GateVariant.LOSSLESS, params_lossless)
-    assert records[1].p_find == pytest.approx(121.0 / 128.0, abs=1e-3)
+    p_find = run_search("000", 2, [decayed_i000(params_lossless)]).p_find[0]
+    assert p_find[1] == pytest.approx(121.0 / 128.0, abs=1e-3)
 
 
 def test_decay_ordering(params_lossless, params_weak_decay, params_strong_decay):
-    lossless = run_search("000", 8, GateVariant.DECAYED, params_lossless)
-    weak = run_search("000", 8, GateVariant.DECAYED, params_weak_decay)
-    strong = run_search("000", 8, GateVariant.DECAYED, params_strong_decay)
+    params = (params_strong_decay, params_weak_decay, params_lossless)
+    strong, weak, lossless = run_search("000", 8, [decayed_i000(p) for p in params]).p_find
     for a, b, c in zip(strong, weak, lossless):
-        assert a.p_find <= b.p_find + 1e-12
-        assert b.p_find <= c.p_find + 1e-12
+        assert a <= b + 1e-12
+        assert b <= c + 1e-12
 
 
 def test_search_records_well_formed(params_strong_decay):
-    records = run_search("011", 8, GateVariant.DECAYED, params_strong_decay)
-    for record in records:
-        assert 0.0 <= record.p_find <= record.survival + 1e-12
-        assert record.survival <= 1.0 + 1e-12
-        assert 0.0 <= record.fidelity <= 1.0 + 1e-12
+    grid = run_search("011", 8, [decayed_i000(params_strong_decay)])
+    for p_find, survival, fidelity in zip(grid.p_find[0], grid.survival[0], grid.fidelity[0]):
+        assert 0.0 <= p_find <= survival + 1e-12
+        assert survival <= 1.0 + 1e-12
+        assert 0.0 <= fidelity <= 1.0 + 1e-12
 
 
 def test_exact_search_has_unit_fidelity(params_lossless):
-    records = run_search("110", 6, GateVariant.EXACT, params_lossless)
-    for record in records:
-        assert record.fidelity == pytest.approx(1.0, abs=1e-12)
+    for fidelity in run_search("110", 6, [TEXTBOOK]).fidelity[0]:
+        assert fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_search_record_rejects_impossible_probability():
     with pytest.raises(ConfigError):
-        SearchRecord(iteration=1, p_find=0.9, survival=0.5, fidelity=1.0)
+        SearchGrid(np.array([[0.9]]), np.array([[0.5]]), np.array([[1.0]]))
 
 
 @pytest.mark.parametrize(
@@ -151,19 +157,19 @@ def test_search_record_rejects_impossible_probability():
     ],
 )
 def test_search_grid_applies_the_record_rule(p_find, survival, fidelity, match):
-    # The arrays obey the one rule every SearchRecord obeys, and the message
-    # names the first offending point.
+    # The arrays obey the one rule on search outcomes, and the message names
+    # the first offending point, also when it is the only point.
     with pytest.raises(ConfigError, match=match):
         SearchGrid(np.array(p_find), np.array(survival), np.array(fidelity))
     with pytest.raises(ConfigError, match=match):
-        SearchRecord(2, p_find[0][1], survival[0][1], fidelity[0][1])
+        SearchGrid(*(np.array([[row[0][1]]]) for row in (p_find, survival, fidelity)))
 
 
 def test_run_search_validates_inputs(params_lossless):
     with pytest.raises(ConfigError):
-        run_search("000", 0, GateVariant.EXACT, params_lossless)
+        run_search("000", 0, [TEXTBOOK])
     with pytest.raises(ConfigError):
-        run_search("002", 3, GateVariant.EXACT, params_lossless)
+        run_search("002", 3, [TEXTBOOK])
 
 
 def test_marked_state_label():
@@ -177,7 +183,7 @@ def test_marked_state_label():
 
 
 def test_success_probability_uniform_formula(params_strong_decay):
-    _, diag = decayed_i000(params_strong_decay)
+    diag = decayed_i000(params_strong_decay)
     uniform_coeffs = np.ones(8, dtype=complex)
     expected = (4.0 + diag.alpha**2 + diag.beta**2 + diag.gamma**2 + diag.mu**2) / 8.0
     assert phase_gate_success(uniform_coeffs, diag) == pytest.approx(expected, abs=1e-15)
@@ -185,12 +191,12 @@ def test_success_probability_uniform_formula(params_strong_decay):
 
 
 def test_success_probability_weak_decay(params_weak_decay):
-    _, diag = decayed_i000(params_weak_decay)
+    diag = decayed_i000(params_weak_decay)
     assert phase_gate_success(np.ones(8), diag) == pytest.approx(0.9958, abs=2e-4)
 
 
 def test_success_probability_lossless(params_lossless):
-    _, diag = decayed_i000(params_lossless)
+    diag = decayed_i000(params_lossless)
     gamma0 = residual_gate_entry(params_lossless)
     expected = (7.0 + gamma0**2) / 8.0
     value = phase_gate_success(np.ones(8), diag)
@@ -200,7 +206,7 @@ def test_success_probability_lossless(params_lossless):
 
 def test_success_probability_weights_follow_slots(params_strong_decay):
     # Slot 0 is damped by mu^2, slot 4 passes untouched.
-    _, diag = decayed_i000(params_strong_decay)
+    diag = decayed_i000(params_strong_decay)
     marked_zero = np.zeros(8)
     marked_zero[0] = math.sqrt(8.0)
     assert phase_gate_success(marked_zero, diag) == pytest.approx(diag.mu**2, abs=1e-12)
@@ -210,7 +216,7 @@ def test_success_probability_weights_follow_slots(params_strong_decay):
 
 
 def test_success_probability_rejects_bad_normalization(params_strong_decay):
-    _, diag = decayed_i000(params_strong_decay)
+    diag = decayed_i000(params_strong_decay)
     with pytest.raises(ConfigError):
         phase_gate_success(np.full(8, 0.5), diag)
 
@@ -226,7 +232,7 @@ def test_closed_form_values():
         closed_form_probability(-1)
 
 
-# --- run_search_grid: the search over many decay rates at once --------------
+# --- run_search over many gate diagonals at once ------------------------
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -239,12 +245,14 @@ def test_closed_form_values():
     k_max=st.integers(1, 12),
 )
 def test_run_search_grid_equals_per_rate_runs(ratios, tau, variant, k_max, omega1c):
-    # The stacked (K, 8, 1) iteration must give each rate the records of its
-    # own one-rate run, bit for bit (dataclass equality compares floats with ==).
-    params = [CavityParams.designed(omega1c, r * omega1c) for r in ratios]
-    assert run_search_grid(tau, k_max, variant, params).records() == [
-        run_search(tau, k_max, variant, p) for p in params
-    ]
+    # The stacked (K, 8, 1) iteration must give each diagonal the row of its
+    # own one-diagonal run, bit for bit (== on every float).
+    diagonals = [_diagonal(variant, CavityParams.designed(omega1c, r * omega1c)) for r in ratios]
+    grid = run_search(tau, k_max, diagonals)
+    for i, diagonal in enumerate(diagonals):
+        alone = run_search(tau, k_max, [diagonal])
+        for field in ("p_find", "survival", "fidelity"):
+            assert getattr(grid, field)[i].tolist() == getattr(alone, field)[0].tolist()
 
 
 @pytest.mark.parametrize("variant", list(GateVariant))
@@ -254,12 +262,13 @@ def test_run_search_grid_builds_no_dense_gate(variant, params_strong_decay, monk
         raise AssertionError("dense gate operator built")
 
     monkeypatch.setattr(GateDiagonal, "operator", dense)
-    grid = run_search_grid("101", 3, variant, [params_strong_decay, params_strong_decay])
+    diagonal = _diagonal(variant, params_strong_decay)
+    grid = run_search("101", 3, [diagonal, diagonal])
     assert grid.p_find.shape == grid.survival.shape == grid.fidelity.shape == (2, 3)
 
 
 def test_run_search_grid_validates_inputs(params_lossless):
     with pytest.raises(ConfigError, match="k_max"):
-        run_search_grid("000", 0, GateVariant.DECAYED, [params_lossless])
+        run_search("000", 0, [decayed_i000(params_lossless)])
     with pytest.raises(ConfigError, match="at least one"):
-        run_search_grid("000", 3, GateVariant.DECAYED, [])
+        run_search("000", 3, [])

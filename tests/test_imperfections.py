@@ -15,19 +15,17 @@ from cavity_grover import (
     OffsetScenario,
     TimingScenario,
     coupling_offset_infidelity,
-    coupling_offset_infidelity_grid,
     extract_gate,
     gate_time,
     offset_couplings,
     run_experiment,
     timing_infidelity,
-    timing_infidelity_grid,
     timing_oracle,
-    timing_oracle_grid,
+    timing_oracle_dense,
 )
 from cavity_grover import dynamics, imperfections
 from cavity_grover.dynamics import DESIGNED_RATIOS
-from cavity_grover.gates import _damping_factors, _pair13_phase, decayed_i000
+from cavity_grover.gates import _pair13_phase, decayed_i000
 
 
 def _fidelity(reference: np.ndarray, output: np.ndarray) -> float:
@@ -48,18 +46,18 @@ def _uniform_input_infidelity(gate_matrix: np.ndarray) -> float:
 
 
 def test_no_delay_no_decay_is_faithful(params_lossless):
-    assert timing_infidelity(TimingScenario(0.0, params_lossless)) <= 1e-6
+    assert timing_infidelity(params_lossless, [0.0])[0] <= 1e-6
 
 
 def test_no_delay_decay_baseline(params_strong_decay):
-    value = timing_infidelity(TimingScenario(0.0, params_strong_decay))
+    value = timing_infidelity(params_strong_decay, [0.0])[0]
     assert value == pytest.approx(6.3e-4, abs=1e-4)
 
 
 def test_delay_infidelity_grows_with_decay(params_weak_decay, params_strong_decay):
     dt = 0.05 * gate_time(params_strong_decay)
-    strong = timing_infidelity(TimingScenario(dt, params_strong_decay))
-    weak = timing_infidelity(TimingScenario(dt, params_weak_decay))
+    strong = timing_infidelity(params_strong_decay, [dt])[0]
+    weak = timing_infidelity(params_weak_decay, [dt])[0]
     assert strong > weak
 
 
@@ -82,15 +80,15 @@ def test_oracle_self_consistent_at_zero_delay(params_strong_decay):
     direct = _uniform_input_infidelity(
         extract_gate(params_strong_decay, gate_time(params_strong_decay)).restricted.matrix
     )
-    oracle = timing_oracle(TimingScenario(0.0, params_strong_decay))
+    oracle = timing_oracle_dense(TimingScenario(0.0, params_strong_decay))
     assert oracle == pytest.approx(direct, abs=1e-12)
 
 
 @pytest.mark.parametrize("frac", [0.01, 0.02, 0.031])
 def test_formula_tracks_oracle_for_small_delays(frac, params_weak_decay):
     scenario = TimingScenario(frac * gate_time(params_weak_decay), params_weak_decay)
-    formula = timing_infidelity(scenario)
-    oracle = timing_oracle(scenario)
+    formula = timing_infidelity(scenario.params, [scenario.delta_t])[0]
+    oracle = timing_oracle_dense(scenario)
     assert abs(formula - oracle) <= max(0.2 * abs(oracle), 1e-4)
 
 
@@ -99,7 +97,7 @@ def test_timing_oracle_honours_settings(params_strong_decay):
     # bit-equal to it, so the integrator really ran.
     scenario = TimingScenario(0.05 * gate_time(params_strong_decay), params_strong_decay)
     rk4 = EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=1024)
-    gap = abs(timing_oracle(scenario, rk4) - timing_oracle(scenario))
+    gap = abs(timing_oracle_dense(scenario, rk4) - timing_oracle_dense(scenario))
     assert 0.0 < gap <= 1e-10
 
 
@@ -117,10 +115,10 @@ def test_timing_oracle_grid_matches_per_point(omega1c, ratios, kappa_ratio, frac
     omega = tuple(r * omega1c for r in ratios)
     params = CavityParams(omega, kappa=kappa_ratio * omega[0], photon_cutoff=cutoff)
     delta_ts = [f * gate_time(params) for f in fracs]
-    grid = timing_oracle_grid(params, delta_ts)
+    grid = timing_oracle(params, delta_ts)
     assert len(grid) == len(delta_ts)
     for dt, value in zip(delta_ts, grid):
-        assert abs(value - timing_oracle(TimingScenario(dt, params))) <= 1e-12
+        assert abs(value - timing_oracle_dense(TimingScenario(dt, params))) <= 1e-12
 
 
 def test_timing_runs_without_dense_propagation(omega1c, monkeypatch):
@@ -135,7 +133,7 @@ def test_timing_runs_without_dense_propagation(omega1c, monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     params = {cutoff: CavityParams.designed(omega1c, 0.1 * omega1c, cutoff) for cutoff in (1, 3)}
     delta_ts = [f * gate_time(params[1]) for f in (0.0, 0.05, 1.0)]
-    assert timing_oracle_grid(params[1], delta_ts) == timing_oracle_grid(params[3], delta_ts)
+    assert timing_oracle(params[1], delta_ts).tolist() == timing_oracle(params[3], delta_ts).tolist()
     tables = [
         run_experiment("timing", ExperimentConfig(photon_cutoff=cutoff, delta_t_points=5))
         for cutoff in (1, 3)
@@ -145,16 +143,16 @@ def test_timing_runs_without_dense_propagation(omega1c, monkeypatch):
 
 def test_timing_oracle_grid_validates_delays(params_strong_decay):
     with pytest.raises(ConfigError):
-        timing_oracle_grid(params_strong_decay, [0.0, -1e-9])
+        timing_oracle(params_strong_decay, [0.0, -1e-9])
     with pytest.raises(ConfigError):
-        timing_oracle_grid(params_strong_decay, [2.0 * gate_time(params_strong_decay)])
+        timing_oracle(params_strong_decay, [2.0 * gate_time(params_strong_decay)])
 
 
 def test_timing_infidelity_grid_matches_per_point(params_weak_decay, params_strong_decay):
     for params in (params_weak_decay, params_strong_decay):
         delta_ts = [f * gate_time(params) for f in (0.0, 0.003, 0.05, 0.1, 1.0)]
-        grid = timing_infidelity_grid(params, delta_ts)
-        assert grid == [timing_infidelity(TimingScenario(dt, params)) for dt in delta_ts]
+        grid = timing_infidelity(params, delta_ts).tolist()
+        assert grid == [timing_infidelity(params, [dt])[0] for dt in delta_ts]
         assert len(set(grid)) == len(grid)
 
 
@@ -167,7 +165,7 @@ def _scalar_timing_grid(params, delta_ts):
     kappa = params.kappa
     a1 = dynamics.decay_shifted_frequency(w1, kappa)
     a13 = dynamics.decay_shifted_frequency(math.hypot(w1, w3), kappa)
-    diag = decayed_i000(params)[1]
+    diag = decayed_i000(params)
     cross_scale = w1 * w1 / (a1 * a13)
     sin_pair13 = math.sin(_pair13_phase(params))
     u = np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
@@ -191,7 +189,7 @@ def test_timing_infidelity_grid_matches_scalar_formula(omega1c):
     for kappa_ratio in np.linspace(0.0, 3.99, 66, endpoint=False):
         params = CavityParams.designed(omega1c, kappa_ratio * omega1c)
         delta_ts = [f * gate_time(params) for f in np.linspace(0.0, 1.0, 100)]
-        grid = timing_infidelity_grid(params, delta_ts)
+        grid = timing_infidelity(params, delta_ts)
         expected = _scalar_timing_grid(params, delta_ts)
         worst = max(worst, np.abs(np.array(grid) - np.array(expected)).max())
     assert worst <= 1e-15
@@ -199,15 +197,15 @@ def test_timing_infidelity_grid_matches_scalar_formula(omega1c):
 
 def test_timing_infidelity_grid_validates_delays(params_strong_decay):
     with pytest.raises(ConfigError):
-        timing_infidelity_grid(params_strong_decay, [0.0, -1e-9])
+        timing_infidelity(params_strong_decay, [0.0, -1e-9])
     with pytest.raises(ConfigError):
-        timing_infidelity_grid(params_strong_decay, [2.0 * gate_time(params_strong_decay)])
+        timing_infidelity(params_strong_decay, [2.0 * gate_time(params_strong_decay)])
 
 
 def test_oracle_monotone_on_coarse_grid(params_strong_decay):
     t0 = gate_time(params_strong_decay)
     values = [
-        timing_oracle(TimingScenario(f * t0, params_strong_decay))
+        timing_oracle_dense(TimingScenario(f * t0, params_strong_decay))
         for f in (0.0, 0.02, 0.05, 0.1)
     ]
     assert all(b >= a for a, b in zip(values, values[1:]))
@@ -215,9 +213,9 @@ def test_oracle_monotone_on_coarse_grid(params_strong_decay):
 
 def test_formula_continuous_at_zero_delay(params_strong_decay):
     t0 = gate_time(params_strong_decay)
-    base = timing_infidelity(TimingScenario(0.0, params_strong_decay))
+    base = timing_infidelity(params_strong_decay, [0.0])[0]
     gaps = [
-        abs(timing_infidelity(TimingScenario(t0 * 10.0**-k, params_strong_decay)) - base)
+        abs(timing_infidelity(params_strong_decay, [t0 * 10.0**-k])[0] - base)
         for k in (3, 4, 5)
     ]
     assert gaps[0] > gaps[1] > gaps[2]
@@ -228,7 +226,7 @@ def test_timing_infidelity_bounded(params_weak_decay, params_strong_decay):
     for params in (params_weak_decay, params_strong_decay):
         t0 = gate_time(params)
         for frac in np.linspace(0.0, 0.1, 25):
-            value = timing_infidelity(TimingScenario(float(frac) * t0, params))
+            value = timing_infidelity(params, [float(frac) * t0])[0]
             assert 0.0 <= value <= 1.0
 
 
@@ -272,27 +270,21 @@ def test_offset_scenario_validation(params_strong_decay):
 def test_zero_offset_baseline_independent_of_model_and_chi(
     chi, model, params_strong_decay
 ):
-    value = coupling_offset_infidelity(
-        OffsetScenario(0.0, chi, params_strong_decay, model=model)
-    )
+    value = coupling_offset_infidelity(params_strong_decay, [chi], [0.0], model)[0, 0]
     assert value == pytest.approx(0.0083, abs=5e-4)
 
 
 def test_zero_offset_lossless_is_tiny(params_lossless):
-    value = coupling_offset_infidelity(OffsetScenario(0.0, 2, params_lossless))
+    value = coupling_offset_infidelity(params_lossless, [2], [0.0])[0, 0]
     assert value <= 2e-6
 
 
 def test_uniform_offset_is_scale_invariant(params_strong_decay):
     # A common factor on all couplings cancels from every ratio, so the
     # closed form cannot depend on eta at all (up to float rounding).
-    baseline = coupling_offset_infidelity(
-        OffsetScenario(0.0, 3, params_strong_decay, model="uniform")
-    )
+    baseline = coupling_offset_infidelity(params_strong_decay, [3], [0.0], "uniform")[0, 0]
     for eta in (0.02, 0.05, 0.1, -0.2):
-        value = coupling_offset_infidelity(
-            OffsetScenario(eta, 3, params_strong_decay, model="uniform")
-        )
+        value = coupling_offset_infidelity(params_strong_decay, [3], [eta], "uniform")[0, 0]
         assert abs(value - baseline) <= 1e-15
 
 
@@ -307,7 +299,7 @@ def test_atom1_offset_direction_in_cavity_count(params_strong_decay):
     # closed form keeps the design Rabi phases.
     def series(eta):
         return [
-            coupling_offset_infidelity(OffsetScenario(eta, chi, params_strong_decay))
+            coupling_offset_infidelity(params_strong_decay, [chi], [eta])[0, 0]
             for chi in (1, 2, 3, 4)
         ]
 
@@ -347,14 +339,8 @@ def test_atoms23_offset_rises_with_cavity_count(params_strong_decay):
     # number of imperfect cavities.
     values = [
         coupling_offset_infidelity(
-            OffsetScenario(
-                0.0,
-                chi,
-                params_strong_decay,
-                model="per_atom",
-                per_atom_eta=(0.0, 0.05, 0.05),
-            )
-        )
+            params_strong_decay, [chi], [0.0], model="per_atom", per_atom_eta=(0.0, 0.05, 0.05)
+        )[0, 0]
         for chi in (1, 2, 3, 4)
     ]
     assert all(b > a for a, b in zip(values, values[1:]))
@@ -363,9 +349,7 @@ def test_atoms23_offset_rises_with_cavity_count(params_strong_decay):
 def test_offset_infidelity_bounded(params_strong_decay):
     for chi in (1, 2, 3, 4):
         for eta in np.linspace(0.0, 0.1, 20):
-            value = coupling_offset_infidelity(
-                OffsetScenario(float(eta), chi, params_strong_decay)
-            )
+            value = coupling_offset_infidelity(params_strong_decay, [chi], [float(eta)])[0, 0]
             assert 0.0 <= value <= 1.0
 
 
@@ -374,12 +358,10 @@ def test_offset_infidelity_bounded(params_strong_decay):
 )
 def test_offset_grid_matches_per_point(model, per_atom, params_strong_decay):
     chis, etas = (1, 3, 4), (0.0, 0.01, -0.05, 0.1)
-    grid = coupling_offset_infidelity_grid(params_strong_decay, chis, etas, model, per_atom)
+    grid = coupling_offset_infidelity(params_strong_decay, chis, etas, model, per_atom)
     assert grid.tolist() == [
         [
-            coupling_offset_infidelity(
-                OffsetScenario(eta, chi, params_strong_decay, model, per_atom)
-            )
+            coupling_offset_infidelity(params_strong_decay, [chi], [eta], model, per_atom)[0, 0]
             for eta in etas
         ]
         for chi in chis
@@ -399,15 +381,15 @@ def test_offset_grid_matches_per_point(model, per_atom, params_strong_decay):
 )
 def test_offset_grid_validates_every_point(chis, etas, model, per_atom, params_strong_decay):
     with pytest.raises(ConfigError):
-        coupling_offset_infidelity_grid(params_strong_decay, chis, etas, model, per_atom)
+        coupling_offset_infidelity(params_strong_decay, chis, etas, model, per_atom)
 
 
 def _scalar_offset_grid(params, chis, etas, model, per_atom):
     # The offset grid as it was first written, point by point on Python
     # floats: the reference for the array form.
-    base = _damping_factors(params, params.omega).entries()
+    base = decayed_i000(params).entries()
     primed = [
-        _damping_factors(
+        decayed_i000(
             params, offset_couplings(OffsetScenario(eta, 1, params, model, per_atom))
         ).entries()
         for eta in etas
@@ -429,7 +411,7 @@ def test_offset_grid_matches_scalar_formula(model, per_atom, kappa_ratio, omega1
     # The array grid reorders only the sums and powers of the scalar form.
     params = CavityParams.designed(omega1c, kappa_ratio * omega1c)
     chis, etas = (1, 2, 3, 4), [float(e) for e in np.linspace(-0.2, 0.2, 41)]
-    grid = coupling_offset_infidelity_grid(params, chis, etas, model, per_atom)
+    grid = coupling_offset_infidelity(params, chis, etas, model, per_atom)
     expected = _scalar_offset_grid(params, chis, etas, model, per_atom)
     assert np.abs(np.array(grid) - np.array(expected)).max() <= 1e-15
 
@@ -441,3 +423,38 @@ def test_offset_scenario_checks_given_per_atom_offsets_under_every_model(
 ):
     with pytest.raises(ConfigError, match="per-atom offsets"):
         OffsetScenario(0.0, 1, params_strong_decay, model, per_atom)
+
+
+@pytest.mark.parametrize(
+    "model, per_atom", [("atom1", None), ("uniform", None), ("per_atom", (0.02, -0.01, 0.03))]
+)
+def test_decayed_gate_array_call_equals_scalar_calls(model, per_atom, params_strong_decay):
+    # The offset path calls decayed_i000 once on coupling arrays, the gate
+    # path on scalars: each array entry must be the scalar call's, bit for bit.
+    etas = np.linspace(-0.2, 0.2, 41)
+    scenario = OffsetScenario(etas, 1, params_strong_decay, model, per_atom)
+    couplings = np.broadcast_arrays(*offset_couplings(scenario), etas)[:3]
+    factors = decayed_i000(params_strong_decay, couplings)
+    for i, eta in enumerate(etas.tolist()):
+        one = OffsetScenario(eta, 1, params_strong_decay, model, per_atom)
+        scalar = decayed_i000(params_strong_decay, offset_couplings(one))
+        for name in ("mu", "gamma", "beta", "alpha"):
+            assert np.broadcast_to(getattr(factors, name), etas.shape)[i] == getattr(scalar, name)
+
+
+# --- malformed axes ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda p: timing_oracle_dense(TimingScenario(np.array([0.0, 1e-7]), p)), "delta_t"),
+        (lambda p: timing_infidelity(p, 0.0), "delta_ts"),
+        (lambda p: timing_oracle(p, [[0.0, 1e-7]]), "delta_ts"),
+        (lambda p: coupling_offset_infidelity(p, [1], 0.05, "atom1", None), "etas"),
+    ],
+    ids=["dense-oracle-array-delay", "formula-scalar-delays", "oracle-2d-delays", "offset-scalar-etas"],
+)
+def test_malformed_axes_are_config_errors(call, name, params_strong_decay):
+    with pytest.raises(ConfigError, match=rf"^{name} must be "):
+        call(params_strong_decay)
