@@ -10,11 +10,8 @@ budgets for atom-timing and coupling-offset imperfections.
 from . import _blas  # noqa: F401  (first: sets the BLAS thread count numpy loads with)
 from .dynamics import (
     CavityParams,
-    EvolutionMethod,
-    EvolutionSettings,
     GateExtract,
     build_effective_hamiltonian,
-    build_hamiltonian,
     coupling_at_position,
     evolve,
     extract_gate,

@@ -1,10 +1,10 @@
 """Command-line front end: ``sim <experiment> [--config FILE] [--out FILE]
-[--threads N] [--summary]``.
+[--summary]``.
 
 Writes the experiment's CSV (default ``<experiment>.csv``) and optionally
-prints the summary scalars to stdout. Exit codes: 0 on success, 1 on
-configuration problems (including unreadable/unwritable paths), 2 on
-numerical failure.
+prints the summary scalars to stdout. Exit codes: 0 on success (and after
+``-h``), 1 on configuration problems (including usage errors and
+unreadable/unwritable paths), 2 on numerical failure.
 """
 
 from __future__ import annotations
@@ -23,8 +23,16 @@ from .experiments import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # A usage error is a configuration problem: exit 1, not argparse's 2,
+        # which is the numerical-failure code here.
+        self.print_usage(sys.stderr)
+        self.exit(1, f"sim: usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sim",
         description=(
             "Three-qubit search in a decaying cavity: gate validation, "
@@ -37,9 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="flat key=value config file")
         cmd.add_argument("--out", help="CSV output path (default <experiment>.csv)")
         cmd.add_argument(
-            "--threads", type=int, help="worker threads for grid evaluation"
-        )
-        cmd.add_argument(
             "--summary", action="store_true", help="print key scalars to stdout"
         )
     return parser
@@ -51,17 +56,18 @@ def load_config(path: str | None) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     return parse_config(text)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # after -h (0) or a usage error (1)
+        return exc.code
     try:
         config = load_config(args.config)
-        if args.threads is not None:
-            config = dataclasses.replace(config, threads=args.threads)
         if args.out is not None:
             config = dataclasses.replace(config, output=args.out)
         table = run_experiment(args.experiment, config)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -97,38 +96,12 @@ class CavityParams:
             photon_cutoff=photon_cutoff,
         )
 
-    def has_designed_ratios(self, rel_tol: float = 1e-9) -> bool:
+    def has_designed_ratios(self) -> bool:
         w1, w2, w3 = self.omega
         return (
-            math.isclose(w2 / w1, DESIGNED_RATIOS[1], rel_tol=rel_tol)
-            and math.isclose(w3 / w1, DESIGNED_RATIOS[2], rel_tol=rel_tol)
+            math.isclose(w2 / w1, DESIGNED_RATIOS[1])
+            and math.isclose(w3 / w1, DESIGNED_RATIOS[2])
         )
-
-
-class EvolutionMethod(Enum):
-    MATRIX_EXPONENTIAL = "matrix_exponential"
-    FIXED_STEP_INTEGRATOR = "fixed_step_integrator"
-
-
-@dataclass(frozen=True)
-class EvolutionSettings:
-    """How to propagate: dense matrix exponential (reference) or a fixed-step
-    4th-order Runge-Kutta integrator (independent cross-check)."""
-
-    method: EvolutionMethod = EvolutionMethod.MATRIX_EXPONENTIAL
-    step_count: int = 4096
-
-    def __post_init__(self) -> None:
-        if (
-            self.method is EvolutionMethod.FIXED_STEP_INTEGRATOR
-            and self.step_count < 100
-        ):
-            raise ConfigError(
-                f"fixed-step integration needs step_count >= 100, got {self.step_count}"
-            )
-
-
-DEFAULT_SETTINGS = EvolutionSettings()
 
 
 def decay_shifted_frequency(omega: float, kappa: float) -> float:
@@ -190,17 +163,12 @@ def exchange_hamiltonian(
     return h
 
 
-def build_hamiltonian(params: CavityParams, basis: ProductBasis) -> np.ndarray:
-    """Dense matrix of the resonant exchange Hamiltonian for ``params``."""
-    return exchange_hamiltonian(params.omega, basis)
-
-
 def build_effective_hamiltonian(params: CavityParams, basis: ProductBasis) -> np.ndarray:
     """Non-Hermitian no-jump generator H - i*(kappa/2)*a†a, in rad/s.
 
-    Equal to ``build_hamiltonian`` when kappa = 0.
+    Equal to ``exchange_hamiltonian(params.omega, basis)`` when kappa = 0.
     """
-    return add_cavity_decay(build_hamiltonian(params, basis), params.kappa, basis)
+    return add_cavity_decay(exchange_hamiltonian(params.omega, basis), params.kappa, basis)
 
 
 def add_cavity_decay(h: np.ndarray, kappa: float, basis: ProductBasis) -> np.ndarray:
@@ -258,16 +226,14 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def evolve(
-    h: np.ndarray,
-    t: float,
-    psi0: PureState,
-    settings: EvolutionSettings = DEFAULT_SETTINGS,
+    h: np.ndarray, t: float, psi0: PureState, rk4_steps: int | None = None
 ) -> PureState:
     """Propagate psi0 by exp(-i*H*t).
 
-    For a non-Hermitian H this is the unnormalized no-jump branch. The
-    fixed-step method integrates dpsi/dt = -i*H*psi with classic RK4 over
-    ``settings.step_count`` uniform steps.
+    For a non-Hermitian H this is the unnormalized no-jump branch. By
+    default the matrix exponential propagates; an integer ``rk4_steps``
+    (at least 100) instead integrates dpsi/dt = -i*H*psi with classic RK4
+    over that many uniform steps, the independent cross-check.
 
     Either method propagates psi0 on its reachable sector alone, the block
     of H on ``_reachable_sector``: no entry of H leads out of that sector,
@@ -275,6 +241,8 @@ def evolve(
     """
     if not 0.0 <= t < math.inf:
         raise ConfigError(f"evolution time must be finite and >= 0, got {t}")
+    if rk4_steps is not None and rk4_steps < 100:
+        raise ConfigError(f"RK4 integration needs rk4_steps >= 100, got {rk4_steps}")
     if h.shape != (psi0.dimension, psi0.dimension):
         raise ConfigError(
             f"operator shape {h.shape} does not match state dimension {psi0.dimension}"
@@ -284,10 +252,10 @@ def evolve(
         raise NumericalError("generator has non-finite entries")
     sector = _reachable_sector(h, psi0.amplitudes)
     block = h[np.ix_(sector, sector)]
-    if settings.method is EvolutionMethod.MATRIX_EXPONENTIAL:
+    if rk4_steps is None:
         part = expm(-1j * block * t) @ psi0.amplitudes[sector]
     else:
-        part = _rk4(block, t, psi0.amplitudes[sector], settings.step_count)
+        part = _rk4(block, t, psi0.amplitudes[sector], rk4_steps)
     amps = np.zeros(psi0.dimension, dtype=complex)
     amps[sector] = part
     _check_result(amps, psi0.basis)
@@ -345,9 +313,7 @@ class GateExtract:
 
 
 def evolve_logical_basis(
-    params: CavityParams,
-    t: float,
-    settings: EvolutionSettings = DEFAULT_SETTINGS,
+    params: CavityParams, t: float, rk4_steps: int | None = None
 ) -> tuple[tuple[int, ...], list[PureState]]:
     """Evolve each logical basis state |000⟩..|111⟩ under the no-jump
     Hamiltonian for time ``t``. Returns the logical embedding and the eight
@@ -356,20 +322,18 @@ def evolve_logical_basis(
     h_eff = build_effective_hamiltonian(params, basis)
     embedding = computational_embedding(basis)
     return embedding, [
-        evolve(h_eff, t, basis_state(basis, pos), settings) for pos in embedding
+        evolve(h_eff, t, basis_state(basis, pos), rk4_steps) for pos in embedding
     ]
 
 
 def extract_gate(
-    params: CavityParams,
-    t: float,
-    settings: EvolutionSettings = DEFAULT_SETTINGS,
+    params: CavityParams, t: float, rk4_steps: int | None = None
 ) -> GateExtract:
     """Simulate the gate: evolve each logical basis state under the no-jump
     Hamiltonian for time ``t`` and project back onto the logical subspace."""
     if not 0.0 < t < math.inf:
         raise ConfigError(f"gate extraction needs a finite t > 0, got {t}")
-    embedding, finals = evolve_logical_basis(params, t, settings)
+    embedding, finals = evolve_logical_basis(params, t, rk4_steps)
     matrix = np.zeros((8, 8), dtype=complex)
     leakage = np.zeros(8)
     for col, final in enumerate(finals):

@@ -9,9 +9,7 @@ NumPy column per header field, built with ``np.repeat``, ``np.tile`` and
 column once. Each quantity is one call over a whole axis: one
 ``run_search`` for every decay ratio, one ``coupling_offset_infidelity``
 for the (chi, eta) grid, and per decay ratio one ``timing_infidelity`` and
-one ``timing_oracle`` for all delays. Only the decay ratios of ``gate`` and
-``timing`` may be evaluated by a thread pool, gathered in grid order, so the
-thread count never changes the output.
+one ``timing_oracle`` for all delays.
 """
 
 from __future__ import annotations
@@ -37,10 +35,9 @@ from .tables import SweepTable, write_csv  # noqa: F401  (write_csv re-exported)
 
 EXPERIMENTS = ("gate", "search", "timing", "offset", "geometry")
 
-# Upper bounds on sweep sizes and worker threads: far above any useful run, low
-# enough that a typo cannot ask for a huge grid. Owners cap k_max and photon_cutoff.
+# Upper bound on sweep sizes: far above any useful run, low enough that a
+# typo cannot ask for a huge grid. Owners cap k_max and photon_cutoff.
 MAX_GRID_POINTS = 100_000
-MAX_THREADS = 64
 
 # Float-valued config fields: NaN or inf in any of them is rejected, read or not.
 _FLOAT_FIELDS = (
@@ -73,7 +70,7 @@ class ExperimentConfig:
     photon_cutoff: int = 1
     lambda0: float = 1.0
     output: str | None = None
-    threads: int = 1
+    threads: int = 1  # 1 only: kept so that existing configs still parse
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kappa_ratios", tuple(self.kappa_ratios))
@@ -88,13 +85,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         _check_grid("kappa_ratios", self.kappa_ratios)
         _check_grid("chi_list", self.chi_list)
-        for key, value, cap in (
-            ("delta_t_points", self.delta_t_points, MAX_GRID_POINTS),
-            ("eta_points", self.eta_points, MAX_GRID_POINTS),
-            ("threads", self.threads, MAX_THREADS),
-        ):
-            if not 1 <= value <= cap:
-                raise ConfigError(f"{key} must lie in 1..{cap}, got {value}")
+        for key, value in (("delta_t_points", self.delta_t_points), ("eta_points", self.eta_points)):
+            if not 1 <= value <= MAX_GRID_POINTS:
+                raise ConfigError(f"{key} must lie in 1..{MAX_GRID_POINTS}, got {value}")
+        if self.threads != 1:
+            raise ConfigError(f"threads must be 1 (every run is single-threaded), got {self.threads}")
         for key, maximum, points in (
             ("delta_t_max_frac", self.delta_t_max_frac, self.delta_t_points),
             ("eta_max", self.eta_max, self.eta_points),
@@ -221,17 +216,6 @@ def _value_text(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def _map_ordered(fn, items, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    # Imported here: concurrent.futures also loads logging, which a default
-    # single-threaded run never needs.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _annotate(exc: NumericalError, experiment: str, point: str) -> NumericalError:
     return NumericalError(f"{experiment} failed at {point}: {exc}")
 
@@ -251,33 +235,31 @@ def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
 
 
 def _gate_experiment(config: ExperimentConfig) -> SweepTable:
-    def one(ratio: float):
+    gamma0 = residual_gate_entry(config.params(0.0))
+    lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
+    analytic, simulated, leakage = [], [], []
+    for ratio in config.kappa_ratios:
         params = config.params(ratio)
-        analytic = np.array(decayed_i000(params).entries())
+        analytic.append(np.array(decayed_i000(params).entries()))
         try:
             extract = extract_gate(params, gate_time(params))
         except NumericalError as exc:
             raise _annotate(exc, "gate", f"kappa_ratio={ratio}") from exc
-        simulated = extract.restricted.diagonal()
-        return analytic, simulated, extract.leakage
-
-    results = _map_ordered(one, config.kappa_ratios, config.threads)
-    analytic, simulated, leakage = (np.concatenate(part) for part in zip(*results))
-    gamma0 = residual_gate_entry(config.params(0.0))
-    lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
-    for ratio, (a, sim, _) in zip(config.kappa_ratios, results):
-        worst = np.abs(sim - a).max()
+        simulated.append(extract.restricted.diagonal())
+        leakage.append(extract.leakage)
+        worst = np.abs(simulated[-1] - analytic[-1]).max()
         lines.append(f"kappa_ratio={ratio}: max |analytic - simulated| = {worst:.3e}")
+    simulated = np.concatenate(simulated)
     return SweepTable(
         experiment="gate",
         header=("kappa_ratio", "slot", "analytic", "simulated_real", "simulated_imag", "leakage"),
         columns=(
             np.repeat(config.kappa_ratios, 8),
-            np.tile(np.arange(8), len(results)),
-            analytic,
+            np.tile(np.arange(8), len(config.kappa_ratios)),
+            np.concatenate(analytic),
             simulated.real,
             simulated.imag,
-            leakage,
+            np.concatenate(leakage),
         ),
         summary="\n".join(lines),
     )
@@ -312,30 +294,28 @@ def _search_experiment(config: ExperimentConfig) -> SweepTable:
 
 def _timing_experiment(config: ExperimentConfig) -> SweepTable:
     fracs = config.delta_t_fracs()
-
-    def one(ratio: float):
+    formula, oracle = [], []
+    lines = ["delta_t in fractions of one gate time; atom 1 exits late"]
+    for ratio in config.kappa_ratios:
         params = config.params(ratio)
         delta_ts = (fracs * gate_time(params)).tolist()
         try:
-            return timing_infidelity(params, delta_ts), timing_oracle(params, delta_ts)
+            formula.append(timing_infidelity(params, delta_ts))
+            oracle.append(timing_oracle(params, delta_ts))
         except NumericalError as exc:
             raise _annotate(exc, "timing", f"kappa_ratio={ratio}") from exc
-
-    results = _map_ordered(one, config.kappa_ratios, config.threads)
-    formula, oracle = (np.concatenate(part) for part in zip(*results))
-    lines = ["delta_t in fractions of one gate time; atom 1 exits late"]
-    for ratio, (f, o) in zip(config.kappa_ratios, results):  # each grid starts at delta_t = 0
-        lines.append(
-            f"kappa_ratio={ratio}: delta_t=0 infidelity formula={f[0]:.3e} oracle={o[0]:.3e}"
+        lines.append(  # each grid starts at delta_t = 0
+            f"kappa_ratio={ratio}: delta_t=0 infidelity formula={formula[-1][0]:.3e} "
+            f"oracle={oracle[-1][0]:.3e}"
         )
     return SweepTable(
         experiment="timing",
         header=("kappa_ratio", "delta_t_frac", "infidelity_formula", "infidelity_oracle"),
         columns=(
             np.repeat(config.kappa_ratios, len(fracs)),
-            np.tile(fracs, len(results)),
-            formula,
-            oracle,
+            np.tile(fracs, len(config.kappa_ratios)),
+            np.concatenate(formula),
+            np.concatenate(oracle),
         ),
         summary="\n".join(lines),
     )

@@ -191,10 +191,6 @@ class PureState:
     def squared_norm(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def overlap(self, other: "PureState") -> complex:
-        """Inner product ⟨self|other⟩."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 _UNITARY_TOLERANCE = 1e-10
 

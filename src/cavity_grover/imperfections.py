@@ -34,9 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    DEFAULT_SETTINGS,
     CavityParams,
-    EvolutionSettings,
     _check_result,
     add_cavity_decay,
     block_propagator,
@@ -180,26 +178,25 @@ def timing_oracle(params: CavityParams, delta_ts: Sequence[float]) -> np.ndarray
     return _delayed_infidelities(params, delta_ts, columns)
 
 
-def timing_oracle_dense(
-    scenario: TimingScenario, settings: EvolutionSettings = DEFAULT_SETTINGS
-) -> float:
+def timing_oracle_dense(scenario: TimingScenario, rk4_steps: int | None = None) -> float:
     """``timing_oracle`` at one delay by dense propagation: the test reference.
 
     Evolves each logical basis state under the complete no-jump Hamiltonian
     for one gate time, then under the atom-1-only coupling (atoms 2 and 3
     gone, decay still on) for delta_t, projects onto the logical subspace,
-    and evaluates the same uniform-input infidelity.
+    and evaluates the same uniform-input infidelity. ``rk4_steps`` is passed
+    to ``evolve``.
     """
     if np.ndim(scenario.delta_t) != 0:
         raise ConfigError(f"delta_t must be one delay, got shape {np.shape(scenario.delta_t)}")
     params = scenario.params
-    embedding, mids = evolve_logical_basis(params, gate_time(params), settings)
+    embedding, mids = evolve_logical_basis(params, gate_time(params), rk4_steps)
     basis = mids[0].basis
     h_atom1 = exchange_hamiltonian((params.omega[0], 0.0, 0.0), basis)  # atoms 2, 3 gone
     add_cavity_decay(h_atom1, params.kappa, basis)
     logical = list(embedding)
     gate = np.column_stack(
-        [evolve(h_atom1, scenario.delta_t, mid, settings).amplitudes[logical] for mid in mids]
+        [evolve(h_atom1, scenario.delta_t, mid, rk4_steps).amplitudes[logical] for mid in mids]
     )
     return float(_row_infidelity(_GATE_REFERENCE, gate @ _uniform_register()))
 

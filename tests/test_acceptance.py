@@ -55,12 +55,10 @@ from cavity_grover import (
     timing_oracle_dense,
 )
 from cavity_grover.dynamics import (
-    EvolutionMethod,
-    EvolutionSettings,
     build_effective_hamiltonian,
-    build_hamiltonian,
     decay_shifted_frequency,
     evolve,
+    exchange_hamiltonian,
 )
 from cavity_grover.hilbert import (
     basis_state,
@@ -296,10 +294,10 @@ def test_09c_offset_ordering_in_cavity_count(params_strong_decay):
 
 def test_10_property_suite(params_lossless, params_strong_decay):
     basis = build_basis(1)
-    h = build_hamiltonian(params_strong_decay, basis)
+    h = exchange_hamiltonian(params_strong_decay.omega, basis)
     hermitian = float(np.abs(h - h.conj().T).max()) <= 1e-15
 
-    h0 = build_hamiltonian(params_lossless, basis)
+    h0 = exchange_hamiltonian(params_lossless.omega, basis)
     t = gate_time(params_lossless)
     conserved, unitary = True, True
     for pos in computational_embedding(basis):
@@ -324,12 +322,11 @@ def test_10_property_suite(params_lossless, params_strong_decay):
     sandwich = -(h3 @ TEXTBOOK.operator() @ h3).matrix
     diffusion_ok = float(np.abs(sandwich - diffusion().matrix).max()) <= 1e-12
 
-    rk4 = EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=4096)
     agreement = 0.0
     for pos in computational_embedding(basis):
         psi = basis_state(basis, pos)
         a = evolve(h_eff, gate_time(params_strong_decay), psi)
-        b = evolve(h_eff, gate_time(params_strong_decay), psi, rk4)
+        b = evolve(h_eff, gate_time(params_strong_decay), psi, rk4_steps=4096)
         agreement = max(agreement, float(np.abs(a.amplitudes - b.amplitudes).max()))
     methods_agree = agreement <= 1e-8
 

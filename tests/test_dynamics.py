@@ -16,12 +16,9 @@ from cavity_grover import (
     CavityParams,
     ConfigError,
     CutoffError,
-    EvolutionMethod,
-    EvolutionSettings,
     NumericalError,
     build_basis,
     build_effective_hamiltonian,
-    build_hamiltonian,
     computational_embedding,
     coupling_at_position,
     evolve,
@@ -32,7 +29,6 @@ from cavity_grover import (
 )
 from cavity_grover import dynamics
 from cavity_grover.dynamics import (
-    DEFAULT_SETTINGS,
     add_cavity_decay,
     block_propagator,
     evolve_logical_basis,
@@ -48,9 +44,6 @@ from cavity_grover.hilbert import (
 )
 
 E, G, I = AtomLevel.E, AtomLevel.G, AtomLevel.I
-
-RK4 = EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=4096)
-
 
 # --- parameter validation ----------------------------------------------
 
@@ -74,8 +67,8 @@ def test_designed_ratio_helper(omega1c, params_lossless):
 
 
 def test_integrator_settings_need_enough_steps():
-    with pytest.raises(ConfigError):
-        EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=50)
+    with pytest.raises(ConfigError, match="rk4_steps"):
+        evolve(np.zeros((2, 2)), 1.0, _plain_state(np.array([1.0, 0.0])), rk4_steps=50)
 
 
 # --- Hamiltonian structure ----------------------------------------------
@@ -83,7 +76,7 @@ def test_integrator_settings_need_enough_steps():
 
 def test_single_excitation_matrix_element(params_lossless):
     basis = build_basis(1)
-    h = build_hamiltonian(params_lossless, basis)
+    h = exchange_hamiltonian(params_lossless.omega, basis)
     src = state_index(basis, E, I, I, 0)
     dst = state_index(basis, G, I, I, 1)
     assert h[dst, src] == pytest.approx(params_lossless.omega[0], rel=1e-15)
@@ -91,14 +84,14 @@ def test_single_excitation_matrix_element(params_lossless):
 
 def test_no_diagonal_terms(params_lossless):
     basis = build_basis(1)
-    h = build_hamiltonian(params_lossless, basis)
+    h = exchange_hamiltonian(params_lossless.omega, basis)
     assert np.abs(np.diag(h)).max() == 0.0
 
 
 def test_uninvolved_level_never_couples(params_lossless):
     # An atom parked in I must keep that level through every matrix element.
     basis = build_basis(1)
-    h = build_hamiltonian(params_lossless, basis)
+    h = exchange_hamiltonian(params_lossless.omega, basis)
     rows, cols = np.nonzero(h)
     for i, j in zip(rows, cols):
         a, b = basis.states[i], basis.states[j]
@@ -108,7 +101,7 @@ def test_uninvolved_level_never_couples(params_lossless):
 
 def test_hermiticity(params_strong_decay):
     basis = build_basis(1)
-    h = build_hamiltonian(params_strong_decay, basis)
+    h = exchange_hamiltonian(params_strong_decay.omega, basis)
     assert np.abs(h - h.conj().T).max() <= 1e-15
 
 
@@ -116,7 +109,7 @@ def test_effective_hamiltonian_reduces_at_zero_decay(params_lossless):
     basis = build_basis(1)
     assert np.array_equal(
         build_effective_hamiltonian(params_lossless, basis),
-        build_hamiltonian(params_lossless, basis),
+        exchange_hamiltonian(params_lossless.omega, basis),
     )
 
 
@@ -136,7 +129,7 @@ def test_effective_hamiltonian_decay_diagonal(params_strong_decay):
 
 def test_evolve_zero_time_is_identity(params_lossless):
     basis = build_basis(1)
-    h = build_hamiltonian(params_lossless, basis)
+    h = exchange_hamiltonian(params_lossless.omega, basis)
     psi = basis_state(basis, computational_embedding(basis)[3])
     out = evolve(h, 0.0, psi)
     assert np.abs(out.amplitudes - psi.amplitudes).max() <= 1e-15
@@ -146,7 +139,7 @@ def test_two_state_rabi_full_cycle(params_lossless):
     # |e1 i2 i3, 0> exchanges with |g1 i2 i3, 1> at the bare atom-1 rate:
     # after half a period the state returns with amplitude -1.
     basis = build_basis(1)
-    h = build_hamiltonian(params_lossless, basis)
+    h = exchange_hamiltonian(params_lossless.omega, basis)
     start = state_index(basis, E, I, I, 0)
     out = evolve(h, math.pi / params_lossless.omega[0], basis_state(basis, start))
     assert abs(out.amplitudes[start] - (-1.0)) <= 1e-9
@@ -156,7 +149,7 @@ def test_three_atom_block_closes_cycle(params_lossless):
     # |e1 g2 g3, 0> cycles at sqrt(1+35+64) = 10x the atom-1 rate, so one
     # gate time holds five full periods: amplitude returns to +1.
     basis = build_basis(1)
-    h = build_hamiltonian(params_lossless, basis)
+    h = exchange_hamiltonian(params_lossless.omega, basis)
     start = state_index(basis, E, G, G, 0)
     out = evolve(h, math.pi / params_lossless.omega[0], basis_state(basis, start))
     assert abs(out.amplitudes[start] - 1.0) <= 1e-9
@@ -164,14 +157,14 @@ def test_three_atom_block_closes_cycle(params_lossless):
 
 def test_evolve_rejects_negative_time(params_lossless):
     basis = build_basis(1)
-    h = build_hamiltonian(params_lossless, basis)
+    h = exchange_hamiltonian(params_lossless.omega, basis)
     with pytest.raises(ConfigError):
         evolve(h, -1.0, basis_state(basis, 0))
 
 
 def test_evolve_rejects_dimension_mismatch(params_lossless):
     basis = build_basis(1)
-    h = build_hamiltonian(params_lossless, basis)
+    h = exchange_hamiltonian(params_lossless.omega, basis)
     with pytest.raises(ConfigError):
         evolve(h[:10, :10], 1.0, basis_state(basis, 0))
 
@@ -235,7 +228,7 @@ def test_cli_gate_run_loads_no_scipy(tmp_path):
 
 def test_excitation_conservation(params_lossless):
     basis = build_basis(1)
-    h = build_hamiltonian(params_lossless, basis)
+    h = exchange_hamiltonian(params_lossless.omega, basis)
     t = gate_time(params_lossless)
     for pos in computational_embedding(basis):
         block = excitation_number(basis, pos)
@@ -248,7 +241,7 @@ def test_excitation_conservation(params_lossless):
 
 def test_unitarity_without_decay(params_lossless):
     basis = build_basis(1)
-    h = build_hamiltonian(params_lossless, basis)
+    h = exchange_hamiltonian(params_lossless.omega, basis)
     psi = basis_state(basis, computational_embedding(basis)[3])
     for t_factor in (0.5, 1.0, 5.0, 10.0):
         out = evolve(h, t_factor * gate_time(params_lossless), psi)
@@ -273,7 +266,7 @@ def test_methods_agree_on_all_logical_inputs(params_strong_decay):
     for pos in computational_embedding(basis):
         psi = basis_state(basis, pos)
         reference = evolve(h, t, psi)
-        integrated = evolve(h, t, psi, RK4)
+        integrated = evolve(h, t, psi, rk4_steps=4096)
         assert np.abs(reference.amplitudes - integrated.amplitudes).max() <= 1e-8
 
 
@@ -281,7 +274,7 @@ def test_truncation_guard_fires_for_over_excited_input(params_lossless):
     # A top-layer state with an excited atom couples past the cutoff: the
     # run must abort instead of silently evolving truncated dynamics.
     basis = build_basis(1)
-    h = build_hamiltonian(params_lossless, basis)
+    h = exchange_hamiltonian(params_lossless.omega, basis)
     start = state_index(basis, E, G, G, 1)
     with pytest.raises(CutoffError):
         evolve(h, gate_time(params_lossless), basis_state(basis, start))
@@ -324,23 +317,21 @@ def test_evolve_on_the_sector_matches_full_propagation(problem):
     scale = 1e-12 * np.linalg.norm(psi)
     out = evolve(h, t, _plain_state(psi)).amplitudes
     assert np.abs(out - scipy.linalg.expm(-1j * h * t) @ psi).max() <= scale
-    steps = EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=100)
-    out = evolve(h, t, _plain_state(psi), steps).amplitudes
+    out = evolve(h, t, _plain_state(psi), rk4_steps=100).amplitudes
     assert np.abs(out - dynamics._rk4(h, t, psi, 100)).max() <= scale
 
 
 def test_evolve_on_empty_and_full_supports():
     rng = np.random.default_rng(7)
     h = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    steps = EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=100)
-    for settings_ in (DEFAULT_SETTINGS, steps):
-        zero = evolve(h, 0.8, _plain_state(np.zeros(12)), settings_).amplitudes
+    for rk4_steps in (None, 100):
+        zero = evolve(h, 0.8, _plain_state(np.zeros(12)), rk4_steps).amplitudes
         assert np.array_equal(zero, np.zeros(12))
     psi = rng.normal(size=12) + 1j * rng.normal(size=12)
     scale = 1e-12 * np.linalg.norm(psi)
     full = evolve(h, 0.8, _plain_state(psi)).amplitudes
     assert np.abs(full - scipy.linalg.expm(-0.8j * h) @ psi).max() <= scale
-    full = evolve(h, 0.8, _plain_state(psi), steps).amplitudes
+    full = evolve(h, 0.8, _plain_state(psi), rk4_steps=100).amplitudes
     assert np.abs(full - dynamics._rk4(h, 0.8, psi, 100)).max() <= scale
 
 
@@ -386,8 +377,7 @@ def test_extract_gate_honours_settings(params_strong_decay):
     # in the last bits: equal outputs would mean the settings were dropped.
     t = gate_time(params_strong_decay)
     reference = extract_gate(params_strong_decay, t)
-    rk4 = EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=1024)
-    integrated = extract_gate(params_strong_decay, t, rk4)
+    integrated = extract_gate(params_strong_decay, t, rk4_steps=1024)
     gap = np.abs(integrated.restricted.matrix - reference.restricted.matrix).max()
     assert 0.0 < gap <= 1e-8
     assert np.abs(integrated.leakage - reference.leakage).max() <= 1e-8

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,6 @@ from cavity_grover.dynamics import decay_shifted_frequency
 from cavity_grover.experiments import (
     MAX_GRID_POINTS,
     MAX_PHOTON_CUTOFF,
-    MAX_THREADS,
     SweepTable,
 )
 from cavity_grover.gates import TEXTBOOK
@@ -67,13 +68,21 @@ def test_config_round_trip():
         photon_cutoff=2,
         lambda0=0.006,
         output="out.csv",
-        threads=4,
     )
     assert parse_config(serialize_config(config)) == config
 
 
 def test_default_round_trip():
     assert parse_config(serialize_config(ExperimentConfig())) == ExperimentConfig()
+
+
+def test_readme_config_listing_is_the_defaults():
+    # The README lists every key at its default value, in field order.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listing = readme.split("### Config file", 1)[1].split("```\n", 2)[1]
+    keys = [line.split("=", 1)[0].strip() for line in listing.splitlines()]
+    assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert parse_config(listing) == ExperimentConfig()
 
 
 def test_parse_accepts_comments_and_blanks():
@@ -118,6 +127,8 @@ def test_config_validation():
         ExperimentConfig(eta_max=1.5)
     with pytest.raises(ConfigError):
         ExperimentConfig(threads=0)
+    with pytest.raises(ConfigError, match="threads"):
+        ExperimentConfig(threads=2)  # every run is single-threaded
 
 
 def test_parse_rejects_per_atom_offset_out_of_range(tmp_path):
@@ -136,7 +147,7 @@ def test_parse_rejects_per_atom_offset_out_of_range(tmp_path):
     [
         ("delta_t_points", MAX_GRID_POINTS),
         ("eta_points", MAX_GRID_POINTS),
-        ("threads", MAX_THREADS),
+        ("threads", 1),  # kept only so that existing configs still parse
         ("k_max", MAX_GRID_POINTS),
         ("photon_cutoff", MAX_PHOTON_CUTOFF),
     ],
@@ -281,15 +292,6 @@ def test_geometry_table():
     assert z3 == 0.0
     assert ratio == pytest.approx(1.957, abs=1e-3)
     assert ratio == pytest.approx(abs(z1) / abs(z2), rel=1e-12)
-
-
-def test_threaded_run_is_deterministic():
-    config = ExperimentConfig(kappa_ratios=(0.0, 0.1), **FAST)
-    serial = run_experiment("timing", config)
-    threaded = run_experiment(
-        "timing", ExperimentConfig(kappa_ratios=(0.0, 0.1), threads=4, **FAST)
-    )
-    assert serial.rows == threaded.rows
 
 
 # --- CSV emission -----------------------------------------------------------
@@ -444,12 +446,31 @@ def test_cli_non_finite_row_exits_2_without_csv(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_cli_threads_above_cap_exits_1(tmp_path, capsys):
-    out = tmp_path / "search.csv"
-    rc = cli.main(["search", "--out", str(out), "--threads", str(MAX_THREADS + 1)])
-    assert rc == 1
-    assert "threads" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["search", "--bogus"], "sim: usage error: unrecognized arguments: --bogus"),
+        (["nosuch"], "sim: usage error: argument experiment: invalid choice: 'nosuch'"),
+        (["search", "--threads", "abc"], "sim: usage error: unrecognized arguments: --threads"),
+        (["search", "--threads", "1"], "sim: usage error: unrecognized arguments: --threads"),
+        (["search", "--config", "{undecodable}"], "sim: config error: cannot read config file"),
+    ],
+    ids=["unknown-option", "unknown-experiment", "threads-abc", "threads-1", "undecodable-config"],
+)
+def test_cli_configuration_problems_exit_1(args, message, tmp_path, capsys):
+    # Usage errors exit 1 like any other configuration problem; 2 is the
+    # numerical-failure code. A file that is not UTF-8 cannot be read.
+    undecodable, out = tmp_path / "latin1.cfg", tmp_path / "search.csv"
+    undecodable.write_bytes(b"k_max = 4\n\xff\n")
+    argv = [arg.format(undecodable=undecodable) for arg in args] + ["--out", str(out)]
+    assert cli.main(argv) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_help_exits_0(capsys):
+    assert cli.main(["search", "-h"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_cli_timing_grid_failure_names_kappa_ratio(tmp_path, monkeypatch, capsys):
@@ -465,14 +486,6 @@ def test_cli_timing_grid_failure_names_kappa_ratio(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert "kappa_ratio=0.1" in err and "synthetic non-finite block" in err
     assert not out.exists()
-
-
-def test_cli_threads_override(tmp_path):
-    out1 = tmp_path / "t1.csv"
-    out4 = tmp_path / "t4.csv"
-    assert cli.main(["search", "--out", str(out1), "--threads", "1"]) == 0
-    assert cli.main(["search", "--out", str(out4), "--threads", "4"]) == 0
-    assert out1.read_bytes() == out4.read_bytes()
 
 
 @pytest.mark.parametrize("model", ["atom1", "uniform"])

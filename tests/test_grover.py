@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from enum import Enum
 
 import numpy as np
 import pytest
@@ -28,18 +27,15 @@ from cavity_grover import (
 ALL_TAUS = [format(v, "03b") for v in range(8)]
 
 
-class GateVariant(Enum):
-    """The three |000⟩ gates these tests drive the search with."""
-
-    EXACT = "exact"          # gates.TEXTBOOK
-    LOSSLESS = "lossless"    # the decayed gate at kappa = 0
-    DECAYED = "decayed"      # the decayed gate
+# The three |000⟩ gates these tests drive the search with: gates.TEXTBOOK,
+# the decayed gate at kappa = 0, and the decayed gate.
+VARIANTS = ("exact", "lossless", "decayed")
 
 
-def _diagonal(variant: GateVariant, params: CavityParams) -> GateDiagonal:
-    if variant is GateVariant.EXACT:
+def _diagonal(variant: str, params: CavityParams) -> GateDiagonal:
+    if variant == "exact":
         return TEXTBOOK
-    return decayed_i000(replace(params, kappa=0.0) if variant is GateVariant.LOSSLESS else params)
+    return decayed_i000(replace(params, kappa=0.0) if variant == "lossless" else params)
 
 
 def test_initial_state_is_uniform():
@@ -82,7 +78,7 @@ def test_decayed_step_contracts_norm(params_strong_decay):
     assert out.squared_norm() < 1.0
 
 
-@pytest.mark.parametrize("variant", list(GateVariant))
+@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("tau", ALL_TAUS)
 def test_run_search_records_repeated_public_steps(tau, variant, params_strong_decay):
     # run_search builds its flips once; k public steps, each rebuilding the
@@ -241,10 +237,10 @@ def test_closed_form_values():
         st.floats(0.0, 3.9, exclude_max=True), min_size=1, max_size=6, unique=True
     ).map(sorted),
     tau=st.sampled_from(ALL_TAUS),
-    variant=st.sampled_from(list(GateVariant)),
+    variant=st.sampled_from(VARIANTS),
     k_max=st.integers(1, 12),
 )
-def test_run_search_grid_equals_per_rate_runs(ratios, tau, variant, k_max, omega1c):
+def test_run_search_rows_equals_per_rate_runs(ratios, tau, variant, k_max, omega1c):
     # The stacked (K, 8, 1) iteration must give each diagonal the row of its
     # own one-diagonal run, bit for bit (== on every float).
     diagonals = [_diagonal(variant, CavityParams.designed(omega1c, r * omega1c)) for r in ratios]
@@ -255,8 +251,8 @@ def test_run_search_grid_equals_per_rate_runs(ratios, tau, variant, k_max, omega
             assert getattr(grid, field)[i].tolist() == getattr(alone, field)[0].tolist()
 
 
-@pytest.mark.parametrize("variant", list(GateVariant))
-def test_run_search_grid_builds_no_dense_gate(variant, params_strong_decay, monkeypatch):
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_search_rows_builds_no_dense_gate(variant, params_strong_decay, monkeypatch):
     # The stack reads each gate's eight entries; no 8x8 operator is built.
     def dense(self):
         raise AssertionError("dense gate operator built")
@@ -267,7 +263,7 @@ def test_run_search_grid_builds_no_dense_gate(variant, params_strong_decay, monk
     assert grid.p_find.shape == grid.survival.shape == grid.fidelity.shape == (2, 3)
 
 
-def test_run_search_grid_validates_inputs(params_lossless):
+def test_run_search_rows_validates_inputs(params_lossless):
     with pytest.raises(ConfigError, match="k_max"):
         run_search("000", 0, [decayed_i000(params_lossless)])
     with pytest.raises(ConfigError, match="at least one"):

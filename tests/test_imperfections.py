@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from cavity_grover import (
     CavityParams,
     ConfigError,
-    EvolutionMethod,
-    EvolutionSettings,
     ExperimentConfig,
     OffsetScenario,
     TimingScenario,
@@ -96,8 +94,7 @@ def test_timing_oracle_honours_settings(params_strong_decay):
     # As for extract_gate: RK4 agrees with the matrix exponential but is not
     # bit-equal to it, so the integrator really ran.
     scenario = TimingScenario(0.05 * gate_time(params_strong_decay), params_strong_decay)
-    rk4 = EvolutionSettings(method=EvolutionMethod.FIXED_STEP_INTEGRATOR, step_count=1024)
-    gap = abs(timing_oracle_dense(scenario, rk4) - timing_oracle_dense(scenario))
+    gap = abs(timing_oracle_dense(scenario, rk4_steps=1024) - timing_oracle_dense(scenario))
     assert 0.0 < gap <= 1e-10
 
 
@@ -111,7 +108,7 @@ def test_timing_oracle_honours_settings(params_strong_decay):
     fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
     cutoff=st.sampled_from((1, 2)),
 )
-def test_timing_oracle_grid_matches_per_point(omega1c, ratios, kappa_ratio, fracs, cutoff):
+def test_timing_oracle_matches_per_point(omega1c, ratios, kappa_ratio, fracs, cutoff):
     omega = tuple(r * omega1c for r in ratios)
     params = CavityParams(omega, kappa=kappa_ratio * omega[0], photon_cutoff=cutoff)
     delta_ts = [f * gate_time(params) for f in fracs]
@@ -141,14 +138,14 @@ def test_timing_runs_without_dense_propagation(omega1c, monkeypatch):
     assert tables[0].rows == tables[1].rows
 
 
-def test_timing_oracle_grid_validates_delays(params_strong_decay):
+def test_timing_oracle_validates_delays(params_strong_decay):
     with pytest.raises(ConfigError):
         timing_oracle(params_strong_decay, [0.0, -1e-9])
     with pytest.raises(ConfigError):
         timing_oracle(params_strong_decay, [2.0 * gate_time(params_strong_decay)])
 
 
-def test_timing_infidelity_grid_matches_per_point(params_weak_decay, params_strong_decay):
+def test_timing_infidelity_matches_per_point(params_weak_decay, params_strong_decay):
     for params in (params_weak_decay, params_strong_decay):
         delta_ts = [f * gate_time(params) for f in (0.0, 0.003, 0.05, 0.1, 1.0)]
         grid = timing_infidelity(params, delta_ts).tolist()
@@ -183,7 +180,7 @@ def _scalar_timing_grid(params, delta_ts):
     return infidelities
 
 
-def test_timing_infidelity_grid_matches_scalar_formula(omega1c):
+def test_timing_infidelity_matches_scalar_formula(omega1c):
     # The block form reorders only the products and sums of the scalar form.
     worst = 0.0
     for kappa_ratio in np.linspace(0.0, 3.99, 66, endpoint=False):
@@ -195,7 +192,7 @@ def test_timing_infidelity_grid_matches_scalar_formula(omega1c):
     assert worst <= 1e-15
 
 
-def test_timing_infidelity_grid_validates_delays(params_strong_decay):
+def test_timing_infidelity_validates_delays(params_strong_decay):
     with pytest.raises(ConfigError):
         timing_infidelity(params_strong_decay, [0.0, -1e-9])
     with pytest.raises(ConfigError):
