@@ -5,10 +5,10 @@ The interaction Hamiltonian exchanges one excitation between each atom's
 
     H = sum_j omega_j * (a† S_j^- + a S_j^+),
 
-so states only mix within blocks of equal excitation number. ``evolve``
-therefore exponentiates only the sector a state can reach, at most four
-states for a logical input, so the cost and the result of propagating a
-logical state do not depend on the Fock cutoff. Weak cavity decay at rate
+so states only mix within blocks of equal excitation number. A logical
+input holds at most one excitation, so the basis stops at one photon and
+``evolve`` exponentiates only the sector a state can reach, at most four
+states for a logical input. Weak cavity decay at rate
 ``kappa`` is treated on the no-jump quantum-trajectory branch by the
 non-Hermitian effective Hamiltonian H_eff = H - i*(kappa/2)*a†a; the norm
 the state loses is the probability that a photon leaked.
@@ -30,14 +30,13 @@ import numpy as np
 
 from .errors import ConfigError, CutoffError, NumericalError
 from .hilbert import (
+    BASIS,
     AtomLevel,
     BasisState,
     LogicalOperator,
     ProductBasis,
     PureState,
     basis_state,
-    build_basis,
-    check_photon_cutoff,
     computational_embedding,
 )
 
@@ -62,7 +61,7 @@ _THETA13 = 5.371920351148152
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Couplings of the three atoms to the mode, decay rate, and truncation.
+    """Couplings of the three atoms to the mode and the cavity decay rate.
 
     All rates are angular frequencies in rad/s. ``kappa`` must stay below
     4*omega[0] so that the decay-shifted exchange frequency of the weakest-
@@ -71,7 +70,6 @@ class CavityParams:
 
     omega: tuple[float, float, float]
     kappa: float = 0.0
-    photon_cutoff: int = 1
 
     def __post_init__(self) -> None:
         # Each guard is written so that NaN fails it.
@@ -82,19 +80,12 @@ class CavityParams:
                 f"kappa={self.kappa} outside [0, 4*omega1={4 * self.omega[0]}): "
                 "decay rates are >= 0, and above 4*omega1 atom-1 exchange is overdamped"
             )
-        check_photon_cutoff(self.photon_cutoff)
 
     @classmethod
-    def designed(
-        cls, omega1c: float, kappa: float = 0.0, photon_cutoff: int = 1
-    ) -> "CavityParams":
+    def designed(cls, omega1c: float, kappa: float = 0.0) -> "CavityParams":
         """Parameters with the couplings locked to 1 : sqrt(35) : 8."""
         r1, r2, r3 = DESIGNED_RATIOS
-        return cls(
-            omega=(omega1c * r1, omega1c * r2, omega1c * r3),
-            kappa=kappa,
-            photon_cutoff=photon_cutoff,
-        )
+        return cls(omega=(omega1c * r1, omega1c * r2, omega1c * r3), kappa=kappa)
 
     def has_designed_ratios(self) -> bool:
         w1, w2, w3 = self.omega
@@ -138,45 +129,41 @@ def block_propagator(omega, kappa: float, t) -> np.ndarray:
     return block
 
 
-def exchange_hamiltonian(
-    omega: tuple[float, float, float], basis: ProductBasis
-) -> np.ndarray:
-    """Resonant exchange matrix for an arbitrary coupling triple, in rad/s.
+def exchange_hamiltonian(omega: tuple[float, float, float]) -> np.ndarray:
+    """Resonant exchange matrix on ``BASIS`` for an arbitrary coupling
+    triple, in rad/s.
 
-    Couples (..E.., n) ↔ (..G.., n+1) with strength omega_j * sqrt(n+1) for
-    each atom j; atoms in level ``I`` are untouched. Zero entries switch an
-    atom's interaction off (an atom that has left the mode). Hermitian, no
+    Couples (..E.., 0) ↔ (..G.., 1) with strength omega_j for each atom j;
+    atoms in level ``I`` are untouched. Zero entries switch an atom's
+    interaction off (an atom that has left the mode). Hermitian, no
     diagonal terms, conserves excitation number.
     """
-    dim = basis.dimension
-    h = np.zeros((dim, dim), dtype=complex)
-    for i, state in enumerate(basis.states):
+    h = np.zeros((BASIS.dimension, BASIS.dimension), dtype=complex)
+    for i, state in enumerate(BASIS.states):
         levels = list(state.atom_levels())
         for j in range(3):
-            if levels[j] is AtomLevel.E and state.n + 1 <= basis.photon_cutoff:
+            if levels[j] is AtomLevel.E and state.n == 0:
                 lowered = levels.copy()
                 lowered[j] = AtomLevel.G
-                k = basis.position(BasisState(*lowered, state.n + 1))
-                amp = omega[j] * math.sqrt(state.n + 1)
-                h[k, i] += amp
-                h[i, k] += amp
+                k = BASIS.position(BasisState(*lowered, 1))
+                h[k, i] += omega[j]
+                h[i, k] += omega[j]
     return h
 
 
-def build_effective_hamiltonian(params: CavityParams, basis: ProductBasis) -> np.ndarray:
-    """Non-Hermitian no-jump generator H - i*(kappa/2)*a†a, in rad/s.
-
-    Equal to ``exchange_hamiltonian(params.omega, basis)`` when kappa = 0.
+def build_effective_hamiltonian(params: CavityParams) -> np.ndarray:
+    """Non-Hermitian no-jump generator H - i*(kappa/2)*a†a on ``BASIS``, in
+    rad/s. Equal to ``exchange_hamiltonian(params.omega)`` when kappa = 0.
     """
-    return add_cavity_decay(exchange_hamiltonian(params.omega, basis), params.kappa, basis)
+    return add_cavity_decay(exchange_hamiltonian(params.omega), params.kappa)
 
 
-def add_cavity_decay(h: np.ndarray, kappa: float, basis: ProductBasis) -> np.ndarray:
-    """Add the anti-Hermitian no-jump term -i*(kappa/2)*a†a to ``h`` in place
-    and return it. The term is diagonal: -i*(kappa/2)*n on each Fock layer."""
-    for i, state in enumerate(basis.states):
+def add_cavity_decay(h: np.ndarray, kappa: float) -> np.ndarray:
+    """Add the anti-Hermitian no-jump term -i*(kappa/2)*a†a to ``h`` (on
+    ``BASIS``) in place and return it: -i*kappa/2 on each one-photon state."""
+    for i, state in enumerate(BASIS.states):
         if state.n:
-            h[i, i] += -0.5j * kappa * state.n
+            h[i, i] += -0.5j * kappa
     return h
 
 
@@ -190,8 +177,8 @@ def _check_result(amps: np.ndarray, basis: ProductBasis | None) -> None:
         worst = float(np.abs(amps[list(basis.guard)]).max())
         if worst > TOP_LAYER_TOLERANCE:
             raise CutoffError(
-                f"amplitude {worst:.3e} on truncation-sensitive Fock states; "
-                f"raise photon_cutoff above {basis.photon_cutoff}"
+                f"amplitude {worst:.3e} on truncation-sensitive Fock states: "
+                "the input holds more than the one excitation the basis is exact for"
             )
 
 
@@ -318,12 +305,9 @@ def evolve_logical_basis(
     """Evolve each logical basis state |000⟩..|111⟩ under the no-jump
     Hamiltonian for time ``t``. Returns the logical embedding and the eight
     final states, in logical order."""
-    basis = build_basis(params.photon_cutoff)
-    h_eff = build_effective_hamiltonian(params, basis)
-    embedding = computational_embedding(basis)
-    return embedding, [
-        evolve(h_eff, t, basis_state(basis, pos), rk4_steps) for pos in embedding
-    ]
+    h_eff = build_effective_hamiltonian(params)
+    embedding = computational_embedding()
+    return embedding, [evolve(h_eff, t, basis_state(pos), rk4_steps) for pos in embedding]
 
 
 def extract_gate(

@@ -23,7 +23,6 @@ from .dynamics import CavityParams, extract_gate, gate_time, positions_for_ratio
 from .errors import ConfigError, NumericalError
 from .gates import MarkedState, decayed_i000, residual_gate_entry
 from .grover import check_k_max, run_search
-from .hilbert import MAX_PHOTON_CUTOFF, check_photon_cutoff  # noqa: F401  (cap re-exported)
 from .imperfections import (
     OffsetScenario,
     TimingScenario,
@@ -36,8 +35,12 @@ from .tables import SweepTable, write_csv  # noqa: F401  (write_csv re-exported)
 EXPERIMENTS = ("gate", "search", "timing", "offset", "geometry")
 
 # Upper bound on sweep sizes: far above any useful run, low enough that a
-# typo cannot ask for a huge grid. Owners cap k_max and photon_cutoff.
+# typo cannot ask for a huge grid. The owner caps k_max.
 MAX_GRID_POINTS = 100_000
+
+# Keys whose only value is 1: every run is single-threaded, and the basis
+# stops at one photon. They stay so that existing configs still parse.
+_RETIRED_KEYS = ("threads", "photon_cutoff")
 
 # Float-valued config fields: NaN or inf in any of them is rejected, read or not.
 _FLOAT_FIELDS = (
@@ -67,10 +70,10 @@ class ExperimentConfig:
     offset_model: str = "atom1"
     offset_eta_per_atom: tuple[float, float, float] | None = None
     offset_kappa_ratio: float = 0.1
-    photon_cutoff: int = 1
+    photon_cutoff: int = 1  # retired, see _RETIRED_KEYS
     lambda0: float = 1.0
     output: str | None = None
-    threads: int = 1  # 1 only: kept so that existing configs still parse
+    threads: int = 1  # retired, see _RETIRED_KEYS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kappa_ratios", tuple(self.kappa_ratios))
@@ -88,8 +91,9 @@ class ExperimentConfig:
         for key, value in (("delta_t_points", self.delta_t_points), ("eta_points", self.eta_points)):
             if not 1 <= value <= MAX_GRID_POINTS:
                 raise ConfigError(f"{key} must lie in 1..{MAX_GRID_POINTS}, got {value}")
-        if self.threads != 1:
-            raise ConfigError(f"threads must be 1 (every run is single-threaded), got {self.threads}")
+        for key in _RETIRED_KEYS:
+            if getattr(self, key) != 1:
+                raise ConfigError(f"{key} is retired and must be 1, got {getattr(self, key)}")
         for key, maximum, points in (
             ("delta_t_max_frac", self.delta_t_max_frac, self.delta_t_points),
             ("eta_max", self.eta_max, self.eta_points),
@@ -102,7 +106,6 @@ class ExperimentConfig:
         # objects the experiments will build, so a bad value fails at load
         # time whichever experiment runs, with its key named.
         _built("k_max", self.k_max, check_k_max, self.k_max)
-        _built("photon_cutoff", self.photon_cutoff, check_photon_cutoff, self.photon_cutoff)
         _built("tau", self.tau, MarkedState, self.tau)
         _built("omega1c_khz", self.omega1c_khz, self.params, 0.0)
         for ratio in self.kappa_ratios:
@@ -126,9 +129,7 @@ class ExperimentConfig:
         return 2.0 * math.pi * self.omega1c_khz * 1e3
 
     def params(self, kappa_ratio: float) -> CavityParams:
-        return CavityParams.designed(
-            self.omega1c, kappa_ratio * self.omega1c, self.photon_cutoff
-        )
+        return CavityParams.designed(self.omega1c, kappa_ratio * self.omega1c)
 
     def delta_t_fracs(self) -> np.ndarray:
         return np.linspace(0.0, self.delta_t_max_frac, self.delta_t_points)
@@ -180,8 +181,6 @@ def parse_config(text: str) -> ExperimentConfig:
         seen[key] = lineno
         try:
             overrides[key] = _parse_value(key, value, defaults[key])
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"config line {lineno}: bad value for {key!r}: {exc}") from exc
     return ExperimentConfig(**overrides)

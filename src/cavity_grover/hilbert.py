@@ -2,10 +2,11 @@
 
 Atom 1 uses two levels (upper ``E``, lower ``G``). Atoms 2 and 3 carry an
 additional level ``I`` below ``E`` that never couples to the cavity; it only
-stores logical information. The product basis is the tensor product of the
-atomic levels with a truncated Fock ladder for the photon number, ordered
+stores logical information. The product basis ``BASIS`` is the tensor
+product of the atomic levels with the vacuum and one-photon states, ordered
 lexicographically so that operator matrices and CSV output are bit-stable
-across runs.
+across runs. One photon layer is exact for logical inputs: each holds at
+most one excitation (atom 1 in ``E``).
 
 Logical qubits are encoded per atom: qubit 1 is 0 ↔ ``E``, 1 ↔ ``G``;
 qubits 2 and 3 are 0 ↔ ``I``, 1 ↔ ``G``. The eight logical basis states all
@@ -33,11 +34,6 @@ class AtomLevel(Enum):
     E = "e"
 
 
-# A Fock cutoff needs one photon slot for the resonant exchange, and logical
-# dynamics never reach past it: 10 (a 198-wide basis) is far above any useful
-# run, low enough that a typo cannot ask for a huge matrix.
-MAX_PHOTON_CUTOFF = 10
-
 # Level orderings used for basis enumeration, per atom slot.
 _ATOM1_LEVELS = (AtomLevel.E, AtomLevel.G)
 _ATOM23_LEVELS = (AtomLevel.I, AtomLevel.G, AtomLevel.E)
@@ -57,18 +53,12 @@ class BasisState(NamedTuple):
 
 @dataclass(frozen=True)
 class ProductBasis:
-    """Ordered enumeration of all (l1, l2, l3, n) product states.
+    """Ordered enumeration of product states.
 
-    Ordering is lexicographic with level order E < G for atom 1 and
-    I < G < E for atoms 2 and 3, then increasing photon number. Total
-    dimension is 18 * (photon_cutoff + 1).
-
-    ``guard`` lists the truncation-sensitive positions: top-layer states
-    with an atom in ``E``, which couple to the (absent) next Fock layer, so
-    amplitude there means the truncation is biting.
+    ``guard`` lists the truncation-sensitive positions: amplitude there
+    means the truncation is biting.
     """
 
-    photon_cutoff: int
     states: tuple[BasisState, ...]
     _index: dict[BasisState, int] = field(repr=False, compare=False)
     guard: tuple[int, ...] = field(repr=False, compare=False)
@@ -81,53 +71,47 @@ class ProductBasis:
         return self._index[state]
 
 
-def check_photon_cutoff(photon_cutoff: int) -> None:
-    """The one rule on a Fock cutoff, wherever one is given."""
-    if not 1 <= photon_cutoff <= MAX_PHOTON_CUTOFF:
-        raise ConfigError(f"photon_cutoff must lie in 1..{MAX_PHOTON_CUTOFF}, got {photon_cutoff}")
+def build_basis() -> ProductBasis:
+    """Enumerate the 36 product states (l1, l2, l3, n) with n in {0, 1}.
 
-
-def build_basis(photon_cutoff: int) -> ProductBasis:
-    """Enumerate the full product basis up to ``photon_cutoff`` photons."""
-    check_photon_cutoff(photon_cutoff)
+    Ordering is lexicographic with level order E < G for atom 1 and
+    I < G < E for atoms 2 and 3, then increasing photon number. The guard
+    is the one-photon states with an atom in ``E``, which couple to the
+    (absent) two-photon layer.
+    """
     states = tuple(
         BasisState(l1, l2, l3, n)
         for l1 in _ATOM1_LEVELS
         for l2 in _ATOM23_LEVELS
         for l3 in _ATOM23_LEVELS
-        for n in range(photon_cutoff + 1)
+        for n in (0, 1)
     )
     index = {s: i for i, s in enumerate(states)}
     guard = tuple(
-        i
-        for i, s in enumerate(states)
-        if s.n == photon_cutoff and AtomLevel.E in s.atom_levels()
+        i for i, s in enumerate(states) if s.n == 1 and AtomLevel.E in s.atom_levels()
     )
-    return ProductBasis(
-        photon_cutoff=photon_cutoff, states=states, _index=index, guard=guard
-    )
+    return ProductBasis(states=states, _index=index, guard=guard)
 
 
-def state_index(
-    basis: ProductBasis, l1: AtomLevel, l2: AtomLevel, l3: AtomLevel, n: int
-) -> int:
-    """Position of the product state (l1, l2, l3, n) in the enumeration.
+BASIS = build_basis()
 
-    Bijective inverse of ``basis.states``; rejects levels or photon numbers
+
+def state_index(l1: AtomLevel, l2: AtomLevel, l3: AtomLevel, n: int) -> int:
+    """Position of the product state (l1, l2, l3, n) in ``BASIS``.
+
+    Bijective inverse of ``BASIS.states``; rejects levels or photon numbers
     outside the basis.
     """
     if l1 not in _ATOM1_LEVELS:
         raise ConfigError(f"atom 1 has no level {l1.name}; allowed: E, G")
     if l2 not in _ATOM23_LEVELS or l3 not in _ATOM23_LEVELS:
         raise ConfigError("atoms 2 and 3 must be one of I, G, E")
-    if not 0 <= n <= basis.photon_cutoff:
-        raise ConfigError(
-            f"photon number {n} outside 0..{basis.photon_cutoff}"
-        )
-    return basis.position(BasisState(l1, l2, l3, n))
+    if n not in (0, 1):
+        raise ConfigError(f"photon number {n} outside 0..1")
+    return BASIS.position(BasisState(l1, l2, l3, n))
 
 
-def computational_embedding(basis: ProductBasis) -> tuple[int, ...]:
+def computational_embedding() -> tuple[int, ...]:
     """Indices of the eight logical basis states |000⟩..|111⟩.
 
     All eight are photon-vacuum states; the order follows the binary value
@@ -137,20 +121,20 @@ def computational_embedding(basis: ProductBasis) -> tuple[int, ...]:
     atom1 = (AtomLevel.E, AtomLevel.G)  # level for bit 0, bit 1
     atom23 = (AtomLevel.I, AtomLevel.G)
     return tuple(
-        basis.position(BasisState(atom1[b1], atom23[b2], atom23[b3], 0))
+        BASIS.position(BasisState(atom1[b1], atom23[b2], atom23[b3], 0))
         for b1 in (0, 1)
         for b2 in (0, 1)
         for b3 in (0, 1)
     )
 
 
-def excitation_number(basis: ProductBasis, position: int) -> int:
+def excitation_number(position: int) -> int:
     """Photon number plus the count of atoms in the upper level.
 
     The resonant coupling conserves this quantity, which is what makes the
     photon truncation exact for logical inputs.
     """
-    state = basis.states[position]
+    state = BASIS.states[position]
     return state.n + sum(1 for l in state.atom_levels() if l is AtomLevel.E)
 
 
@@ -228,8 +212,8 @@ class LogicalOperator:
         return PureState(self.matrix @ state.amplitudes, state.basis)
 
 
-def basis_state(basis: ProductBasis, position: int) -> PureState:
-    """Unit vector on one enumerated product state."""
-    amps = np.zeros(basis.dimension, dtype=complex)
+def basis_state(position: int) -> PureState:
+    """Unit vector on one product state of ``BASIS``."""
+    amps = np.zeros(BASIS.dimension, dtype=complex)
     amps[position] = 1.0
-    return PureState(amps, basis)
+    return PureState(amps, BASIS)

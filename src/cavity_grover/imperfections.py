@@ -166,9 +166,8 @@ def timing_oracle(params: CavityParams, delta_ts: Sequence[float]) -> np.ndarray
     Column |0 b2 b3⟩ moves only through its bright state, coupling
     W = sqrt(w1^2 + b2*w2^2 + b3*w3^2). With s = w1^2/W^2, one gate time
     leaves atom-1 and photon amplitudes (1 - s + s*P00(W), (w1/W)*P10(W));
-    each delay then applies P(w1, dt). The other columns stay exactly 1,
-    so ``photon_cutoff`` plays no part. ``timing_oracle_dense`` is its
-    reference.
+    each delay then applies P(w1, dt). The other columns stay exactly 1.
+    ``timing_oracle_dense`` is its reference.
     """
     w1, w2, w3 = params.omega
     bright = np.sqrt(w1 * w1 + np.array([0.0, w3 * w3, w2 * w2, w2 * w2 + w3 * w3]))
@@ -191,9 +190,8 @@ def timing_oracle_dense(scenario: TimingScenario, rk4_steps: int | None = None) 
         raise ConfigError(f"delta_t must be one delay, got shape {np.shape(scenario.delta_t)}")
     params = scenario.params
     embedding, mids = evolve_logical_basis(params, gate_time(params), rk4_steps)
-    basis = mids[0].basis
-    h_atom1 = exchange_hamiltonian((params.omega[0], 0.0, 0.0), basis)  # atoms 2, 3 gone
-    add_cavity_decay(h_atom1, params.kappa, basis)
+    h_atom1 = exchange_hamiltonian((params.omega[0], 0.0, 0.0))  # atoms 2, 3 gone
+    add_cavity_decay(h_atom1, params.kappa)
     logical = list(embedding)
     gate = np.column_stack(
         [evolve(h_atom1, scenario.delta_t, mid, rk4_steps).amplitudes[logical] for mid in mids]

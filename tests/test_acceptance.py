@@ -61,8 +61,8 @@ from cavity_grover.dynamics import (
     exchange_hamiltonian,
 )
 from cavity_grover.hilbert import (
+    BASIS,
     basis_state,
-    build_basis,
     computational_embedding,
     excitation_number,
 )
@@ -293,24 +293,23 @@ def test_09c_offset_ordering_in_cavity_count(params_strong_decay):
 
 
 def test_10_property_suite(params_lossless, params_strong_decay):
-    basis = build_basis(1)
-    h = exchange_hamiltonian(params_strong_decay.omega, basis)
+    h = exchange_hamiltonian(params_strong_decay.omega)
     hermitian = float(np.abs(h - h.conj().T).max()) <= 1e-15
 
-    h0 = exchange_hamiltonian(params_lossless.omega, basis)
+    h0 = exchange_hamiltonian(params_lossless.omega)
     t = gate_time(params_lossless)
     conserved, unitary = True, True
-    for pos in computational_embedding(basis):
-        out = evolve(h0, t, basis_state(basis, pos))
-        block = excitation_number(basis, pos)
+    for pos in computational_embedding():
+        out = evolve(h0, t, basis_state(pos))
+        block = excitation_number(pos)
         outside = [
-            i for i in range(basis.dimension) if excitation_number(basis, i) != block
+            i for i in range(BASIS.dimension) if excitation_number(i) != block
         ]
         conserved = conserved and float(np.abs(out.amplitudes[outside]).max()) < 1e-12
         unitary = unitary and abs(out.squared_norm() - 1.0) <= 1e-10
 
-    h_eff = build_effective_hamiltonian(params_strong_decay, basis)
-    psi = basis_state(basis, computational_embedding(basis)[0])
+    h_eff = build_effective_hamiltonian(params_strong_decay)
+    psi = basis_state(computational_embedding()[0])
     norms = [
         evolve(h_eff, ti, psi).squared_norm()
         for ti in np.linspace(0.0, gate_time(params_strong_decay), 110)
@@ -323,8 +322,8 @@ def test_10_property_suite(params_lossless, params_strong_decay):
     diffusion_ok = float(np.abs(sandwich - diffusion().matrix).max()) <= 1e-12
 
     agreement = 0.0
-    for pos in computational_embedding(basis):
-        psi = basis_state(basis, pos)
+    for pos in computational_embedding():
+        psi = basis_state(pos)
         a = evolve(h_eff, gate_time(params_strong_decay), psi)
         b = evolve(h_eff, gate_time(params_strong_decay), psi, rk4_steps=4096)
         agreement = max(agreement, float(np.abs(a.amplitudes - b.amplitudes).max()))

@@ -17,7 +17,6 @@ from cavity_grover import (
     ConfigError,
     CutoffError,
     NumericalError,
-    build_basis,
     build_effective_hamiltonian,
     computational_embedding,
     coupling_at_position,
@@ -36,6 +35,7 @@ from cavity_grover.dynamics import (
     expm,
 )
 from cavity_grover.hilbert import (
+    BASIS,
     ProductBasis,
     PureState,
     basis_state,
@@ -75,49 +75,43 @@ def test_integrator_settings_need_enough_steps():
 
 
 def test_single_excitation_matrix_element(params_lossless):
-    basis = build_basis(1)
-    h = exchange_hamiltonian(params_lossless.omega, basis)
-    src = state_index(basis, E, I, I, 0)
-    dst = state_index(basis, G, I, I, 1)
+    h = exchange_hamiltonian(params_lossless.omega)
+    src = state_index(E, I, I, 0)
+    dst = state_index(G, I, I, 1)
     assert h[dst, src] == pytest.approx(params_lossless.omega[0], rel=1e-15)
 
 
 def test_no_diagonal_terms(params_lossless):
-    basis = build_basis(1)
-    h = exchange_hamiltonian(params_lossless.omega, basis)
+    h = exchange_hamiltonian(params_lossless.omega)
     assert np.abs(np.diag(h)).max() == 0.0
 
 
 def test_uninvolved_level_never_couples(params_lossless):
     # An atom parked in I must keep that level through every matrix element.
-    basis = build_basis(1)
-    h = exchange_hamiltonian(params_lossless.omega, basis)
+    h = exchange_hamiltonian(params_lossless.omega)
     rows, cols = np.nonzero(h)
     for i, j in zip(rows, cols):
-        a, b = basis.states[i], basis.states[j]
+        a, b = BASIS.states[i], BASIS.states[j]
         assert (a.l2 is I) == (b.l2 is I)
         assert (a.l3 is I) == (b.l3 is I)
 
 
 def test_hermiticity(params_strong_decay):
-    basis = build_basis(1)
-    h = exchange_hamiltonian(params_strong_decay.omega, basis)
+    h = exchange_hamiltonian(params_strong_decay.omega)
     assert np.abs(h - h.conj().T).max() <= 1e-15
 
 
 def test_effective_hamiltonian_reduces_at_zero_decay(params_lossless):
-    basis = build_basis(1)
     assert np.array_equal(
-        build_effective_hamiltonian(params_lossless, basis),
-        exchange_hamiltonian(params_lossless.omega, basis),
+        build_effective_hamiltonian(params_lossless),
+        exchange_hamiltonian(params_lossless.omega),
     )
 
 
 def test_effective_hamiltonian_decay_diagonal(params_strong_decay):
-    basis = build_basis(1)
-    h = build_effective_hamiltonian(params_strong_decay, basis)
-    one_photon = state_index(basis, G, I, I, 1)
-    vacuum = state_index(basis, G, G, G, 0)
+    h = build_effective_hamiltonian(params_strong_decay)
+    one_photon = state_index(G, I, I, 1)
+    vacuum = state_index(G, G, G, 0)
     assert h[one_photon, one_photon] == pytest.approx(
         -0.5j * params_strong_decay.kappa, rel=1e-15
     )
@@ -128,9 +122,8 @@ def test_effective_hamiltonian_decay_diagonal(params_strong_decay):
 
 
 def test_evolve_zero_time_is_identity(params_lossless):
-    basis = build_basis(1)
-    h = exchange_hamiltonian(params_lossless.omega, basis)
-    psi = basis_state(basis, computational_embedding(basis)[3])
+    h = exchange_hamiltonian(params_lossless.omega)
+    psi = basis_state(computational_embedding()[3])
     out = evolve(h, 0.0, psi)
     assert np.abs(out.amplitudes - psi.amplitudes).max() <= 1e-15
 
@@ -138,35 +131,31 @@ def test_evolve_zero_time_is_identity(params_lossless):
 def test_two_state_rabi_full_cycle(params_lossless):
     # |e1 i2 i3, 0> exchanges with |g1 i2 i3, 1> at the bare atom-1 rate:
     # after half a period the state returns with amplitude -1.
-    basis = build_basis(1)
-    h = exchange_hamiltonian(params_lossless.omega, basis)
-    start = state_index(basis, E, I, I, 0)
-    out = evolve(h, math.pi / params_lossless.omega[0], basis_state(basis, start))
+    h = exchange_hamiltonian(params_lossless.omega)
+    start = state_index(E, I, I, 0)
+    out = evolve(h, math.pi / params_lossless.omega[0], basis_state(start))
     assert abs(out.amplitudes[start] - (-1.0)) <= 1e-9
 
 
 def test_three_atom_block_closes_cycle(params_lossless):
     # |e1 g2 g3, 0> cycles at sqrt(1+35+64) = 10x the atom-1 rate, so one
     # gate time holds five full periods: amplitude returns to +1.
-    basis = build_basis(1)
-    h = exchange_hamiltonian(params_lossless.omega, basis)
-    start = state_index(basis, E, G, G, 0)
-    out = evolve(h, math.pi / params_lossless.omega[0], basis_state(basis, start))
+    h = exchange_hamiltonian(params_lossless.omega)
+    start = state_index(E, G, G, 0)
+    out = evolve(h, math.pi / params_lossless.omega[0], basis_state(start))
     assert abs(out.amplitudes[start] - 1.0) <= 1e-9
 
 
 def test_evolve_rejects_negative_time(params_lossless):
-    basis = build_basis(1)
-    h = exchange_hamiltonian(params_lossless.omega, basis)
+    h = exchange_hamiltonian(params_lossless.omega)
     with pytest.raises(ConfigError):
-        evolve(h, -1.0, basis_state(basis, 0))
+        evolve(h, -1.0, basis_state(0))
 
 
 def test_evolve_rejects_dimension_mismatch(params_lossless):
-    basis = build_basis(1)
-    h = exchange_hamiltonian(params_lossless.omega, basis)
+    h = exchange_hamiltonian(params_lossless.omega)
     with pytest.raises(ConfigError):
-        evolve(h[:10, :10], 1.0, basis_state(basis, 0))
+        evolve(h[:10, :10], 1.0, basis_state(0))
 
 
 # --- matrix exponential ----------------------------------------------------
@@ -176,20 +165,16 @@ def test_evolve_rejects_dimension_mismatch(params_lossless):
 @given(
     kappa_ratio=st.floats(0.0, 3.99, exclude_max=True),
     frac=st.floats(0.0, 1.0),
-    cutoff=st.sampled_from((1, 2, 3)),
     atom1_only=st.booleans(),
 )
-def test_expm_matches_scipy_on_the_generators(omega1c, kappa_ratio, frac, cutoff, atom1_only):
+def test_expm_matches_scipy_on_the_generators(omega1c, kappa_ratio, frac, atom1_only):
     # The full no-jump generator, or the atom-1-only one the timing oracle
     # uses once atoms 2 and 3 have left, over up to one gate time.
-    params = CavityParams.designed(omega1c, kappa_ratio * omega1c, cutoff)
-    basis = build_basis(cutoff)
+    params = CavityParams.designed(omega1c, kappa_ratio * omega1c)
     if atom1_only:
-        h = add_cavity_decay(
-            exchange_hamiltonian((params.omega[0], 0.0, 0.0), basis), params.kappa, basis
-        )
+        h = add_cavity_decay(exchange_hamiltonian((params.omega[0], 0.0, 0.0)), params.kappa)
     else:
-        h = build_effective_hamiltonian(params, basis)
+        h = build_effective_hamiltonian(params)
     a = -1j * h * (frac * gate_time(params))
     assert np.abs(expm(a) - scipy.linalg.expm(a)).max() <= 1e-12
 
@@ -200,10 +185,9 @@ def test_expm_of_zero_is_exactly_identity():
 
 
 def test_evolve_rejects_nan_generator(params_strong_decay):
-    basis = build_basis(1)
-    h = build_effective_hamiltonian(params_strong_decay, basis)
+    h = build_effective_hamiltonian(params_strong_decay)
     h[0, 1] = np.nan
-    psi = basis_state(basis, computational_embedding(basis)[0])
+    psi = basis_state(computational_embedding()[0])
     with pytest.raises(NumericalError):
         evolve(h, gate_time(params_strong_decay), psi)
 
@@ -227,57 +211,52 @@ def test_cli_gate_run_loads_no_scipy(tmp_path):
 
 
 def test_excitation_conservation(params_lossless):
-    basis = build_basis(1)
-    h = exchange_hamiltonian(params_lossless.omega, basis)
+    h = exchange_hamiltonian(params_lossless.omega)
     t = gate_time(params_lossless)
-    for pos in computational_embedding(basis):
-        block = excitation_number(basis, pos)
-        out = evolve(h, t, basis_state(basis, pos))
+    for pos in computational_embedding():
+        block = excitation_number(pos)
+        out = evolve(h, t, basis_state(pos))
         outside = [
-            i for i in range(basis.dimension) if excitation_number(basis, i) != block
+            i for i in range(BASIS.dimension) if excitation_number(i) != block
         ]
         assert np.abs(out.amplitudes[outside]).max() < 1e-12
 
 
 def test_unitarity_without_decay(params_lossless):
-    basis = build_basis(1)
-    h = exchange_hamiltonian(params_lossless.omega, basis)
-    psi = basis_state(basis, computational_embedding(basis)[3])
+    h = exchange_hamiltonian(params_lossless.omega)
+    psi = basis_state(computational_embedding()[3])
     for t_factor in (0.5, 1.0, 5.0, 10.0):
         out = evolve(h, t_factor * gate_time(params_lossless), psi)
         assert abs(out.squared_norm() - 1.0) <= 1e-10
 
 
 def test_norm_monotone_under_decay(params_strong_decay):
-    basis = build_basis(1)
-    h = build_effective_hamiltonian(params_strong_decay, basis)
+    h = build_effective_hamiltonian(params_strong_decay)
     t = gate_time(params_strong_decay)
     samples = np.linspace(0.0, t, 120)
-    psi = basis_state(basis, computational_embedding(basis)[0])
+    psi = basis_state(computational_embedding()[0])
     norms = [evolve(h, ti, psi).squared_norm() for ti in samples]
     diffs = np.diff(norms)
     assert np.all(diffs <= 1e-12)
 
 
 def test_methods_agree_on_all_logical_inputs(params_strong_decay):
-    basis = build_basis(1)
-    h = build_effective_hamiltonian(params_strong_decay, basis)
+    h = build_effective_hamiltonian(params_strong_decay)
     t = gate_time(params_strong_decay)
-    for pos in computational_embedding(basis):
-        psi = basis_state(basis, pos)
+    for pos in computational_embedding():
+        psi = basis_state(pos)
         reference = evolve(h, t, psi)
         integrated = evolve(h, t, psi, rk4_steps=4096)
         assert np.abs(reference.amplitudes - integrated.amplitudes).max() <= 1e-8
 
 
 def test_truncation_guard_fires_for_over_excited_input(params_lossless):
-    # A top-layer state with an excited atom couples past the cutoff: the
-    # run must abort instead of silently evolving truncated dynamics.
-    basis = build_basis(1)
-    h = exchange_hamiltonian(params_lossless.omega, basis)
-    start = state_index(basis, E, G, G, 1)
+    # A one-photon state with an excited atom couples to the absent
+    # two-photon layer: the run must abort instead of silently evolving truncated dynamics.
+    h = exchange_hamiltonian(params_lossless.omega)
+    start = state_index(E, G, G, 1)
     with pytest.raises(CutoffError):
-        evolve(h, gate_time(params_lossless), basis_state(basis, start))
+        evolve(h, gate_time(params_lossless), basis_state(start))
 
 
 # --- reachable sector --------------------------------------------------------
@@ -286,7 +265,7 @@ def test_truncation_guard_fires_for_over_excited_input(params_lossless):
 def _plain_state(amps: np.ndarray) -> PureState:
     # A state on an unstructured basis of any size, with no truncation guard.
     dim = len(amps)
-    basis = ProductBasis(photon_cutoff=0, states=(None,) * dim, _index={}, guard=())
+    basis = ProductBasis(states=(None,) * dim, _index={}, guard=())
     return PureState(amps, basis)
 
 
@@ -415,18 +394,17 @@ def test_analytic_pair13_block_entry(params_lossless):
 # --- one-excitation blocks -------------------------------------------------
 
 # Arbitrary coupling triples (not only 1 : sqrt(35) : 8), any underdamped
-# decay rate, and up to two gate times; cutoffs above 1 only add idle layers.
+# decay rate, and up to two gate times.
 _BLOCK_CASES = dict(
     ratios=st.tuples(*[st.floats(0.05, 12.0)] * 3),
     kappa_frac=st.floats(0.0, 1.0, exclude_max=True),
     frac=st.floats(0.0, 2.0),
-    cutoff=st.sampled_from((1, 2)),
 )
 
 
-def _block_params(omega1c, ratios, kappa_frac, cutoff):
+def _block_params(omega1c, ratios, kappa_frac):
     omega = tuple(r * omega1c for r in ratios)
-    return CavityParams(omega, kappa=kappa_frac * 4.0 * omega[0], photon_cutoff=cutoff)
+    return CavityParams(omega, kappa=kappa_frac * 4.0 * omega[0])
 
 
 def _bright_couplings(params):
@@ -449,27 +427,26 @@ def _block_amplitudes(params, t):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(**_BLOCK_CASES)
-def test_block_amplitudes_match_dense_evolution(omega1c, ratios, kappa_frac, frac, cutoff):
-    params = _block_params(omega1c, ratios, kappa_frac, cutoff)
+def test_block_amplitudes_match_dense_evolution(omega1c, ratios, kappa_frac, frac):
+    params = _block_params(omega1c, ratios, kappa_frac)
     t = frac * gate_time(params)
     embedding, finals = evolve_logical_basis(params, t)
-    basis = finals[0].basis
     leaf1, photon, norm = _block_amplitudes(params, t)
     for col, (l2, l3) in enumerate([(I, I), (I, G), (G, I), (G, G)]):
         amps = finals[col].amplitudes
         assert abs(amps[embedding[col]] - leaf1[col]) <= 1e-12
-        assert abs(amps[state_index(basis, G, l2, l3, 1)] - photon[col]) <= 1e-12
+        assert abs(amps[state_index(G, l2, l3, 1)] - photon[col]) <= 1e-12
         assert abs(finals[col].squared_norm() - norm[col]) <= 1e-12
     for col in range(4, 8):  # qubit 1 = G: no excitation, nothing moves
-        unit = np.zeros(basis.dimension)
+        unit = np.zeros(BASIS.dimension)
         unit[embedding[col]] = 1.0
         assert np.array_equal(finals[col].amplitudes, unit)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(**_BLOCK_CASES, later=st.floats(0.0, 1.0))
-def test_block_norm_never_increases(omega1c, ratios, kappa_frac, frac, cutoff, later):
-    params = _block_params(omega1c, ratios, kappa_frac, cutoff)
+def test_block_norm_never_increases(omega1c, ratios, kappa_frac, frac, later):
+    params = _block_params(omega1c, ratios, kappa_frac)
     t = frac * gate_time(params)
     _, _, norm = _block_amplitudes(params, t)
     _, _, norm_later = _block_amplitudes(params, t + later * gate_time(params))

@@ -13,7 +13,6 @@ from cavity_grover import (
     NumericalError,
     OffsetScenario,
     TimingScenario,
-    build_basis,
     build_effective_hamiltonian,
     coupling_at_position,
     decayed_i000,
@@ -28,12 +27,8 @@ from cavity_grover import (
 )
 from cavity_grover import cli, experiments, imperfections
 from cavity_grover.dynamics import decay_shifted_frequency
-from cavity_grover.experiments import (
-    MAX_GRID_POINTS,
-    MAX_PHOTON_CUTOFF,
-    SweepTable,
-)
-from cavity_grover.gates import TEXTBOOK
+from cavity_grover.experiments import MAX_GRID_POINTS, SweepTable
+from cavity_grover.gates import TEXTBOOK, MarkedState
 from cavity_grover.grover import run_search
 from cavity_grover.hilbert import basis_state
 
@@ -65,7 +60,7 @@ def test_config_round_trip():
         offset_model="per_atom",
         offset_eta_per_atom=(0.0, 0.01, -0.02),
         offset_kappa_ratio=0.02,
-        photon_cutoff=2,
+        photon_cutoff=1,
         lambda0=0.006,
         output="out.csv",
     )
@@ -125,10 +120,31 @@ def test_config_validation():
         ExperimentConfig(chi_list=(1, 5))
     with pytest.raises(ConfigError):
         ExperimentConfig(eta_max=1.5)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(threads=0)
-    with pytest.raises(ConfigError, match="threads"):
-        ExperimentConfig(threads=2)  # every run is single-threaded
+
+
+def test_per_atom_count_error_names_its_line():
+    with pytest.raises(ConfigError) as info:
+        parse_config("k_max = 4\noffset_eta_per_atom = 0.1,0.2\n")
+    assert str(info.value) == (
+        "config line 2: bad value for 'offset_eta_per_atom': "
+        "offset_eta_per_atom needs exactly three comma-separated values"
+    )
+
+
+@pytest.mark.parametrize("value", [0, 2, 11])
+@pytest.mark.parametrize("key", ["threads", "photon_cutoff"])
+def test_retired_keys_accept_only_one(key, value, tmp_path, capsys):
+    # Kept so that existing configs still parse: 1 is the only value.
+    assert getattr(parse_config(f"{key} = 1\n"), key) == 1
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"{key} = {value}\n")
+    config, out = tmp_path / "retired.cfg", tmp_path / "search.csv"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    assert cli.main(["search", "--config", str(config), "--out", str(out)]) == 1
+    assert f"sim: config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_rejects_per_atom_offset_out_of_range(tmp_path):
@@ -149,7 +165,6 @@ def test_parse_rejects_per_atom_offset_out_of_range(tmp_path):
         ("eta_points", MAX_GRID_POINTS),
         ("threads", 1),  # kept only so that existing configs still parse
         ("k_max", MAX_GRID_POINTS),
-        ("photon_cutoff", MAX_PHOTON_CUTOFF),
     ],
 )
 def test_grid_sizes_and_threads_are_capped(key, cap):
@@ -205,7 +220,6 @@ def test_owned_rules_fail_at_load_time(line, experiment, tmp_path, capsys):
 
 
 _P = CavityParams.designed(1.0, 0.1)
-_BASIS = build_basis(1)
 
 # The library's guards on float inputs, each as a call of one float.
 _GUARDED_CALLS = {
@@ -219,7 +233,7 @@ _GUARDED_CALLS = {
     "coupling_at_position": lambda x: coupling_at_position(0.0, 1.0, x),
     "decay_shifted_frequency omega": lambda x: decay_shifted_frequency(x, 0.0),
     "decay_shifted_frequency kappa": lambda x: decay_shifted_frequency(1.0, x),
-    "evolve": lambda x: evolve(build_effective_hamiltonian(_P, _BASIS), x, basis_state(_BASIS, 0)),
+    "evolve": lambda x: evolve(build_effective_hamiltonian(_P), x, basis_state(0)),
     "extract_gate": lambda x: extract_gate(_P, x),
     "phase_gate_success": lambda x: phase_gate_success([x] + [1.0] * 7, decayed_i000(_P)),
 }
@@ -518,8 +532,8 @@ def test_owned_rule_errors_show_the_given_value(line, shown):
 @pytest.mark.parametrize(
     "key, value, owners",
     [
-        ("photon_cutoff", 0, [build_basis, lambda c: CavityParams((1.0, 2.0, 3.0), 0.0, c)]),
-        ("photon_cutoff", 11, [build_basis]),
+        ("tau", "012", [MarkedState]),
+        ("omega1c_khz", 0.0, [lambda w: CavityParams.designed(2.0 * math.pi * w * 1e3, 0.0)]),
         ("k_max", 0, [lambda k: run_search("000", k, [TEXTBOOK])]),
     ],
 )

@@ -1,85 +1,91 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from cavity_grover import (
     AtomLevel,
+    CavityParams,
     ConfigError,
+    ExperimentConfig,
     PureState,
-    build_basis,
     build_effective_hamiltonian,
     computational_embedding,
-    evolve,
     excitation_number,
+    parse_config,
     state_index,
 )
-from cavity_grover.hilbert import BasisState, basis_state
+from cavity_grover.dynamics import _reachable_sector
+from cavity_grover.hilbert import BASIS, BasisState, basis_state
 
 E, G, I = AtomLevel.E, AtomLevel.G, AtomLevel.I
 
 
-def test_dimension_scales_with_cutoff():
-    assert build_basis(1).dimension == 36
-    assert build_basis(2).dimension == 54
+def test_basis_is_vacuum_plus_one_photon():
+    assert BASIS.dimension == 36
+    assert {s.n for s in BASIS.states} == {0, 1}
 
 
 def test_cutoff_zero_rejected():
-    with pytest.raises(ConfigError):
-        build_basis(0)
+    # A config may still name the retired cutoff, but only as 1.
+    with pytest.raises(ConfigError, match="photon_cutoff is retired and must be 1, got 0"):
+        ExperimentConfig(photon_cutoff=0)
+    with pytest.raises(ConfigError, match="photon_cutoff"):
+        parse_config("photon_cutoff = 0\n")
 
 
 def test_lexicographic_head_of_enumeration():
-    basis = build_basis(1)
-    assert state_index(basis, E, I, I, 0) == 0
-    assert state_index(basis, E, I, I, 1) == 1
+    assert state_index(E, I, I, 0) == 0
+    assert state_index(E, I, I, 1) == 1
 
 
 def test_atom1_has_no_uninvolved_level():
-    basis = build_basis(1)
     with pytest.raises(ConfigError):
-        state_index(basis, I, I, I, 0)
+        state_index(I, I, I, 0)
 
 
 def test_photon_number_above_cutoff_rejected():
-    basis = build_basis(1)
     with pytest.raises(ConfigError):
-        state_index(basis, E, I, I, 2)
+        state_index(E, I, I, 2)
 
 
-@pytest.mark.parametrize("cutoff", [1, 2, 3])
-def test_enumeration_lookup_round_trip(cutoff):
-    basis = build_basis(cutoff)
-    for position, state in enumerate(basis.states):
-        assert state_index(basis, state.l1, state.l2, state.l3, state.n) == position
+@pytest.mark.parametrize("atom", [1, 2, 3])
+def test_enumeration_lookup_round_trip(atom):
+    # Every state looks up to its own position, and so does every state
+    # reached by setting this atom to another of its levels.
+    levels = (E, G) if atom == 1 else (I, G, E)
+    for position, state in enumerate(BASIS.states):
+        assert state_index(state.l1, state.l2, state.l3, state.n) == position
+        for level in levels:
+            moved = state._replace(**{f"l{atom}": level})
+            assert BASIS.states[state_index(*moved)] == moved
 
 
-@pytest.mark.parametrize("cutoff", [1, 2, 3])
-def test_guard_is_top_layer_with_an_excited_atom(cutoff):
-    basis = build_basis(cutoff)
+@pytest.mark.parametrize("atom", [1, 2, 3])
+def test_guard_is_top_layer_with_an_excited_atom(atom):
     expected = [
         i
-        for i, s in enumerate(basis.states)
-        if s.n == basis.photon_cutoff and any(l is E for l in s.atom_levels())
+        for i, s in enumerate(BASIS.states)
+        if s.n == 1 and any(l is E for l in s.atom_levels())
     ]
-    assert list(basis.guard) == expected
+    assert list(BASIS.guard) == expected
+    # This atom in E puts a one-photon state on the guard, never a vacuum one.
+    for i, s in enumerate(BASIS.states):
+        if s.atom_levels()[atom - 1] is E:
+            assert (i in BASIS.guard) == (s.n == 1)
 
 
 def test_embedding_order_and_vacuum():
-    basis = build_basis(1)
-    embedding = computational_embedding(basis)
+    embedding = computational_embedding()
     assert len(set(embedding)) == 8
-    assert embedding[0] == state_index(basis, E, I, I, 0)
-    assert embedding[7] == state_index(basis, G, G, G, 0)
+    assert embedding[0] == state_index(E, I, I, 0)
+    assert embedding[7] == state_index(G, G, G, 0)
     for idx in embedding:
-        assert basis.states[idx].n == 0
+        assert BASIS.states[idx].n == 0
 
 
 def test_last_logical_state_round_trips():
-    basis = build_basis(1)
-    idx = state_index(basis, G, G, G, 0)
-    assert basis.states[idx] == BasisState(G, G, G, 0)
-    assert idx == computational_embedding(basis)[7]
+    idx = state_index(G, G, G, 0)
+    assert BASIS.states[idx] == BasisState(G, G, G, 0)
+    assert idx == computational_embedding()[7]
 
 
 @pytest.mark.parametrize(
@@ -87,44 +93,30 @@ def test_last_logical_state_round_trips():
     [((E, I, I, 0), 1), ((G, G, G, 1), 1), ((G, I, I, 0), 0)],
 )
 def test_excitation_number(state, expected):
-    basis = build_basis(1)
-    position = state_index(basis, *state)
-    assert excitation_number(basis, position) == expected
+    assert excitation_number(state_index(*state)) == expected
 
 
 def test_embedded_states_have_low_excitation():
-    basis = build_basis(1)
-    for idx in computational_embedding(basis):
-        assert excitation_number(basis, idx) in (0, 1)
+    for idx in computational_embedding():
+        assert excitation_number(idx) in (0, 1)
 
 
-def test_cutoff_one_is_exact_for_logical_inputs(params_lossless):
-    # Excitation conservation: enlarging the Fock ladder must not change
-    # the evolution of any logical input. Its reachable sector, and so the
-    # block that is exponentiated, is the same at every cutoff: the
-    # amplitudes agree bit for bit.
-    t = 0.37 * np.pi / params_lossless.omega[0]
-    amplitudes = {}
-    for cutoff in (1, 2, 3):
-        params = replace(params_lossless, photon_cutoff=cutoff)
-        basis = build_basis(cutoff)
-        h = build_effective_hamiltonian(params, basis)
-        for col, pos in enumerate(computational_embedding(basis)):
-            final = evolve(h, t, basis_state(basis, pos))
-            amplitudes[(cutoff, col)] = {
-                s: a for s, a in zip(basis.states, final.amplitudes)
-            }
-    small = build_basis(1)
-    for col in range(8):
-        for state in small.states:
-            for cutoff in (2, 3):
-                assert amplitudes[(1, col)][state] == amplitudes[(cutoff, col)][state]
+def test_cutoff_one_is_exact_for_logical_inputs(omega1c):
+    # Excitation conservation: a logical input reaches at most four states,
+    # none on the guard and none with more than one excitation, so no
+    # coupling leads to the absent two-photon layer.
+    for kappa_ratio in (0.0, 0.1, 3.9):
+        h = build_effective_hamiltonian(CavityParams.designed(omega1c, kappa_ratio * omega1c))
+        for pos in computational_embedding():
+            sector = _reachable_sector(h, basis_state(pos).amplitudes)
+            assert not set(sector.tolist()) & set(BASIS.guard)
+            assert len(sector) <= 4
+            assert all(excitation_number(i) <= 1 for i in sector)
 
 
 def test_pure_state_validates_length():
-    basis = build_basis(1)
     with pytest.raises(ConfigError):
-        PureState(np.ones(5, dtype=complex), basis)
+        PureState(np.ones(5, dtype=complex), BASIS)
     with pytest.raises(ConfigError):
         PureState(np.ones(7, dtype=complex))  # logical register is 8-dim
 

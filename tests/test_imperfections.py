@@ -106,11 +106,10 @@ def test_timing_oracle_honours_settings(params_strong_decay):
     ratios=st.one_of(st.just(DESIGNED_RATIOS), st.tuples(*[st.floats(0.05, 12.0)] * 3)),
     kappa_ratio=st.floats(0.0, 3.99, exclude_max=True),
     fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
-    cutoff=st.sampled_from((1, 2)),
 )
-def test_timing_oracle_matches_per_point(omega1c, ratios, kappa_ratio, fracs, cutoff):
+def test_timing_oracle_matches_per_point(omega1c, ratios, kappa_ratio, fracs):
     omega = tuple(r * omega1c for r in ratios)
-    params = CavityParams(omega, kappa=kappa_ratio * omega[0], photon_cutoff=cutoff)
+    params = CavityParams(omega, kappa=kappa_ratio * omega[0])
     delta_ts = [f * gate_time(params) for f in fracs]
     grid = timing_oracle(params, delta_ts)
     assert len(grid) == len(delta_ts)
@@ -119,8 +118,7 @@ def test_timing_oracle_matches_per_point(omega1c, ratios, kappa_ratio, fracs, cu
 
 
 def test_timing_runs_without_dense_propagation(omega1c, monkeypatch):
-    # The grid and the whole timing experiment use the exact blocks only, so
-    # the Fock cutoff (which only adds idle layers) cannot change them.
+    # The grid and the whole timing experiment use the exact blocks only.
     def refuse(*args, **kwargs):
         raise AssertionError("dense propagation in the timing grid")
 
@@ -128,14 +126,10 @@ def test_timing_runs_without_dense_propagation(omega1c, monkeypatch):
         (dynamics, "expm"), (dynamics, "evolve"), (imperfections, "evolve"), (np.linalg, "eig"),
     ]:
         monkeypatch.setattr(module, name, refuse)
-    params = {cutoff: CavityParams.designed(omega1c, 0.1 * omega1c, cutoff) for cutoff in (1, 3)}
-    delta_ts = [f * gate_time(params[1]) for f in (0.0, 0.05, 1.0)]
-    assert timing_oracle(params[1], delta_ts).tolist() == timing_oracle(params[3], delta_ts).tolist()
-    tables = [
-        run_experiment("timing", ExperimentConfig(photon_cutoff=cutoff, delta_t_points=5))
-        for cutoff in (1, 3)
-    ]
-    assert tables[0].rows == tables[1].rows
+    params = CavityParams.designed(omega1c, 0.1 * omega1c)
+    delta_ts = [f * gate_time(params) for f in (0.0, 0.05, 1.0)]
+    assert len(timing_oracle(params, delta_ts)) == 3
+    assert len(run_experiment("timing", ExperimentConfig(delta_t_points=5)).rows) == 3 * 5
 
 
 def test_timing_oracle_validates_delays(params_strong_decay):
