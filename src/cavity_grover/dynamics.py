@@ -32,7 +32,6 @@ from .errors import ConfigError, CutoffError, NumericalError
 from .hilbert import (
     BASIS,
     AtomLevel,
-    BasisState,
     LogicalOperator,
     ProductBasis,
     PureState,
@@ -129,6 +128,22 @@ def block_propagator(omega, kappa: float, t) -> np.ndarray:
     return block
 
 
+def _exchange_pattern() -> np.ndarray:
+    """Index rows (vacuum state, its one-photon partner, atom j) with one
+    column per (..E.., 0) ↔ (..G.., 1) coupling in ``BASIS``."""
+    return np.array([
+        (i, BASIS.position(state._replace(**{f"l{j + 1}": AtomLevel.G}, n=1)), j)
+        for i, state in enumerate(BASIS.states)
+        for j, level in enumerate(state.atom_levels())
+        if level is AtomLevel.E and state.n == 0
+    ]).T
+
+
+# Fixed by ``BASIS``, so found once: each entry holds at most one coupling.
+_VACUUM, _PARTNER, _ATOM = _exchange_pattern()
+_ONE_PHOTON = np.array([i for i, state in enumerate(BASIS.states) if state.n])
+
+
 def exchange_hamiltonian(omega: tuple[float, float, float]) -> np.ndarray:
     """Resonant exchange matrix on ``BASIS`` for an arbitrary coupling
     triple, in rad/s.
@@ -139,15 +154,9 @@ def exchange_hamiltonian(omega: tuple[float, float, float]) -> np.ndarray:
     diagonal terms, conserves excitation number.
     """
     h = np.zeros((BASIS.dimension, BASIS.dimension), dtype=complex)
-    for i, state in enumerate(BASIS.states):
-        levels = list(state.atom_levels())
-        for j in range(3):
-            if levels[j] is AtomLevel.E and state.n == 0:
-                lowered = levels.copy()
-                lowered[j] = AtomLevel.G
-                k = BASIS.position(BasisState(*lowered, 1))
-                h[k, i] += omega[j]
-                h[i, k] += omega[j]
+    weights = np.asarray(omega, dtype=float)[_ATOM]
+    h[_PARTNER, _VACUUM] += weights
+    h[_VACUUM, _PARTNER] += weights
     return h
 
 
@@ -161,9 +170,7 @@ def build_effective_hamiltonian(params: CavityParams) -> np.ndarray:
 def add_cavity_decay(h: np.ndarray, kappa: float) -> np.ndarray:
     """Add the anti-Hermitian no-jump term -i*(kappa/2)*a†a to ``h`` (on
     ``BASIS``) in place and return it: -i*kappa/2 on each one-photon state."""
-    for i, state in enumerate(BASIS.states):
-        if state.n:
-            h[i, i] += -0.5j * kappa
+    h[_ONE_PHOTON, _ONE_PHOTON] += -0.5j * kappa
     return h
 
 
@@ -171,7 +178,7 @@ def _check_result(amps: np.ndarray, basis: ProductBasis | None) -> None:
     """Reject non-finite amplitudes, and amplitude above
     ``TOP_LAYER_TOLERANCE`` on ``basis.guard``. ``amps`` is one state vector
     or a block with one state per column."""
-    if not np.all(np.isfinite(amps.view(float))):
+    if not np.isfinite(amps.view(float)).all():
         raise NumericalError("evolution produced non-finite amplitudes")
     if basis is not None and basis.guard:
         worst = float(np.abs(amps[list(basis.guard)]).max())
@@ -188,9 +195,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     Scales ``a`` by 2**-s so its 1-norm is at most theta_13, evaluates the
     degree-13 Padé approximant (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U with
     six products and one solve, then squares the result s times. The second
-    form keeps expm(0) exactly the identity.
+    form keeps expm(0) exactly the identity, which a zero ``a`` gets directly.
     """
     norm = np.abs(a).sum(axis=0).max(initial=0.0)  # the 1-norm; 0 for a 0x0 block
+    if norm == 0.0:
+        return np.eye(a.shape[0], dtype=a.dtype)
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
     a = a * 2.0**-s
     b = _PADE13
@@ -238,7 +247,7 @@ def evolve(
     if not np.isfinite(h).all():
         raise NumericalError("generator has non-finite entries")
     sector = _reachable_sector(h, psi0.amplitudes)
-    block = h[np.ix_(sector, sector)]
+    block = h[sector[:, None], sector]
     if rk4_steps is None:
         part = expm(-1j * block * t) @ psi0.amplitudes[sector]
     else:

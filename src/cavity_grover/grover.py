@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .gates import TEXTBOOK, GateDiagonal, LogicalOperator, MarkedState, hadamard3, marked_gate
 from .hilbert import PureState
 
@@ -55,11 +55,11 @@ class SearchGrid:
         bad = ~np.isfinite(values).all(axis=0)
         if bad.any():
             first = tuple(values[:, bad.argmax()].tolist())
-            raise ConfigError(f"search point has non-finite fields: {first}")
+            raise NumericalError(f"search point has non-finite fields: {first}")
         over = values[0] > values[1] + 1e-12
         if over.any():
             first = over.argmax()
-            raise ConfigError(f"p_find={values[0, first]} exceeds survival={values[1, first]}")
+            raise NumericalError(f"p_find={values[0, first]} exceeds survival={values[1, first]}")
 
 
 def _uniform_register() -> np.ndarray:

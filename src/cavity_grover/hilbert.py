@@ -111,6 +111,15 @@ def state_index(l1: AtomLevel, l2: AtomLevel, l3: AtomLevel, n: int) -> int:
     return BASIS.position(BasisState(l1, l2, l3, n))
 
 
+# Fixed by ``BASIS``, so found once. Bit 0/1 is E/G on atom 1, I/G on atoms 2, 3.
+_EMBEDDING = tuple(
+    BASIS.position(BasisState(l1, l2, l3, 0))
+    for l1 in (AtomLevel.E, AtomLevel.G)
+    for l2 in (AtomLevel.I, AtomLevel.G)
+    for l3 in (AtomLevel.I, AtomLevel.G)
+)
+
+
 def computational_embedding() -> tuple[int, ...]:
     """Indices of the eight logical basis states |000⟩..|111⟩.
 
@@ -118,14 +127,7 @@ def computational_embedding() -> tuple[int, ...]:
     of the logical bits (qubit 1 most significant) under the encoding
     above, i.e. position 0 is (E, I, I, 0) and position 7 is (G, G, G, 0).
     """
-    atom1 = (AtomLevel.E, AtomLevel.G)  # level for bit 0, bit 1
-    atom23 = (AtomLevel.I, AtomLevel.G)
-    return tuple(
-        BASIS.position(BasisState(atom1[b1], atom23[b2], atom23[b3], 0))
-        for b1 in (0, 1)
-        for b2 in (0, 1)
-        for b3 in (0, 1)
-    )
+    return _EMBEDDING
 
 
 def excitation_number(position: int) -> int:

@@ -36,6 +36,7 @@ from cavity_grover.dynamics import (
 )
 from cavity_grover.hilbert import (
     BASIS,
+    BasisState,
     ProductBasis,
     PureState,
     basis_state,
@@ -118,6 +119,86 @@ def test_effective_hamiltonian_decay_diagonal(params_strong_decay):
     assert h[vacuum, vacuum] == 0.0
 
 
+# --- loop reference for the dense chain -----------------------------------
+# The dense engine as first written: the Hamiltonian by a loop over BASIS, the
+# sector block by np.ix_ and the Padé approximant on every block, zero blocks
+# included. dynamics must reproduce it bit for bit.
+
+
+def _loop_exchange_hamiltonian(omega):
+    h = np.zeros((BASIS.dimension, BASIS.dimension), dtype=complex)
+    for i, state in enumerate(BASIS.states):
+        levels = list(state.atom_levels())
+        for j in range(3):
+            if levels[j] is E and state.n == 0:
+                lowered = levels.copy()
+                lowered[j] = G
+                k = BASIS.position(BasisState(*lowered, 1))
+                h[k, i] += omega[j]
+                h[i, k] += omega[j]
+    return h
+
+
+def _loop_add_cavity_decay(h, kappa):
+    for i, state in enumerate(BASIS.states):
+        if state.n:
+            h[i, i] += -0.5j * kappa
+    return h
+
+
+def _pade_expm(a):
+    norm = np.abs(a).sum(axis=0).max(initial=0.0)
+    s = math.ceil(math.log2(norm / dynamics._THETA13)) if norm > dynamics._THETA13 else 0
+    a = a * 2.0**-s
+    b = dynamics._PADE13
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    )
+    r = eye + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _reference_gate(params, t):
+    h = _loop_add_cavity_decay(_loop_exchange_hamiltonian(params.omega), params.kappa)
+    embedding = list(computational_embedding())
+    matrix, leakage = np.zeros((8, 8), dtype=complex), np.zeros(8)
+    for col, pos in enumerate(embedding):
+        psi = np.zeros(BASIS.dimension, dtype=complex)
+        psi[pos] = 1.0
+        sector = dynamics._reachable_sector(h, psi)
+        final = np.zeros(BASIS.dimension, dtype=complex)
+        final[sector] = _pade_expm(-1j * h[np.ix_(sector, sector)] * t) @ psi[sector]
+        matrix[:, col] = final[embedding]
+        leakage[col] = float(np.vdot(final, final).real) - float(
+            np.sum(np.abs(final[embedding]) ** 2)
+        )
+    return matrix, leakage
+
+
+_COUPLING = st.one_of(st.just(0.0), st.floats(1e-3, 1e6))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(omega=st.tuples(_COUPLING, _COUPLING, _COUPLING), kappa=st.floats(0.0, 4e6))
+def test_hamiltonian_matches_the_loop_reference(omega, kappa):
+    # Every entry holds one term, so the indexed build has the loop's bits.
+    h = exchange_hamiltonian(omega)
+    assert h.tobytes() == _loop_exchange_hamiltonian(omega).tobytes()
+    reference = _loop_add_cavity_decay(_loop_exchange_hamiltonian(omega), kappa)
+    assert add_cavity_decay(h, kappa).tobytes() == reference.tobytes()
+
+
 # --- evolution ------------------------------------------------------------
 
 
@@ -180,8 +261,13 @@ def test_expm_matches_scipy_on_the_generators(omega1c, kappa_ratio, frac, atom1_
 
 
 def test_expm_of_zero_is_exactly_identity():
-    for dim in (1, 36, 72):
-        assert np.array_equal(expm(np.zeros((dim, dim), dtype=complex)), np.eye(dim))
+    # The norm-0 shortcut returns what the approximant would, dtype included.
+    for dim in (0, 1, 4, 36, 72):
+        for dtype in (complex, float, np.complex64):
+            zero = np.zeros((dim, dim), dtype=dtype)
+            result = expm(zero)
+            assert result.dtype == dtype and np.array_equal(result, np.eye(dim))
+            assert result.tobytes() == _pade_expm(zero).tobytes()
 
 
 def test_evolve_rejects_nan_generator(params_strong_decay):
@@ -360,6 +446,15 @@ def test_extract_gate_honours_settings(params_strong_decay):
     gap = np.abs(integrated.restricted.matrix - reference.restricted.matrix).max()
     assert 0.0 < gap <= 1e-8
     assert np.abs(integrated.leakage - reference.leakage).max() <= 1e-8
+
+
+@pytest.mark.parametrize("kappa_ratio", [0.0, 0.1, 3.99])
+def test_extract_gate_has_the_loop_reference_bits(omega1c, kappa_ratio):
+    params = CavityParams.designed(omega1c, kappa_ratio * omega1c)
+    extract = extract_gate(params, gate_time(params))
+    matrix, leakage = _reference_gate(params, gate_time(params))
+    assert extract.restricted.matrix.tobytes() == matrix.tobytes()
+    assert extract.leakage.tobytes() == leakage.tobytes()
 
 
 def test_extracted_gate_short_time_is_identity(params_strong_decay):

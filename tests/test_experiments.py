@@ -2,6 +2,7 @@ import dataclasses
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -306,6 +307,36 @@ def test_geometry_table():
     assert z3 == 0.0
     assert ratio == pytest.approx(1.957, abs=1e-3)
     assert ratio == pytest.approx(abs(z1) / abs(z2), rel=1e-12)
+
+
+_GATE_GAP = "max |analytic - simulated| = "
+
+
+@pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+def test_outputs_do_not_depend_on_the_frequency_unit(experiment):
+    # Every CSV value depends on kappa/omega1 and the coupling ratios alone,
+    # so omega1 = 2*pi*1 Hz and 2*pi*1 GHz give the default run's values. The
+    # summary's iteration time scales with 1/omega1; the gate gaps may move
+    # by rounding, which shows in the three digits of the lossless gap.
+    reference = run_experiment(experiment, ExperimentConfig())
+    expected_lines = reference.summary.splitlines()
+    for khz in (1e-3, 1e6):
+        table = run_experiment(experiment, ExperimentConfig(omega1c_khz=khz))
+        assert table.header == reference.header
+        for column, expected in zip(table.columns, reference.columns):
+            assert len(column) == len(expected)
+            assert np.abs(column - expected).max(initial=0.0) <= 1e-12
+        lines = table.summary.splitlines()
+        assert len(lines) == len(expected_lines)
+        for line, expected in zip(lines, expected_lines):
+            if line.startswith("iteration time"):
+                continue
+            if _GATE_GAP in line:
+                head, gap = line.split(_GATE_GAP)
+                assert head == expected.split(_GATE_GAP)[0]
+                assert abs(float(gap) - float(expected.split(_GATE_GAP)[1])) < 1e-12
+            else:
+                assert line == expected
 
 
 # --- CSV emission -----------------------------------------------------------

@@ -12,6 +12,7 @@ from cavity_grover import (
     ConfigError,
     GateDiagonal,
     MarkedState,
+    NumericalError,
     SearchGrid,
     closed_form_probability,
     decayed_i000,
@@ -141,7 +142,8 @@ def test_exact_search_has_unit_fidelity(params_lossless):
 
 
 def test_search_record_rejects_impossible_probability():
-    with pytest.raises(ConfigError):
+    # A bad outcome is a numerical fault (exit 2), not a bad config (exit 1).
+    with pytest.raises(NumericalError):
         SearchGrid(np.array([[0.9]]), np.array([[0.5]]), np.array([[1.0]]))
 
 
@@ -155,9 +157,9 @@ def test_search_record_rejects_impossible_probability():
 def test_search_grid_applies_the_record_rule(p_find, survival, fidelity, match):
     # The arrays obey the one rule on search outcomes, and the message names
     # the first offending point, also when it is the only point.
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(NumericalError, match=match):
         SearchGrid(np.array(p_find), np.array(survival), np.array(fidelity))
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(NumericalError, match=match):
         SearchGrid(*(np.array([[row[0][1]]]) for row in (p_find, survival, fidelity)))
 
 

@@ -75,6 +75,14 @@ def test_guard_is_top_layer_with_an_excited_atom(atom):
 
 def test_embedding_order_and_vacuum():
     embedding = computational_embedding()
+    # The documented enumeration: qubit 1 most significant; bit 0/1 is E/G
+    # on atom 1 and I/G on atoms 2 and 3.
+    assert embedding == tuple(
+        state_index((E, G)[b1], (I, G)[b2], (I, G)[b3], 0)
+        for b1 in (0, 1)
+        for b2 in (0, 1)
+        for b3 in (0, 1)
+    )
     assert len(set(embedding)) == 8
     assert embedding[0] == state_index(E, I, I, 0)
     assert embedding[7] == state_index(G, G, G, 0)
