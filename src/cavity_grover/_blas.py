@@ -1,11 +1,11 @@
 """Load numpy's OpenBLAS single-threaded unless the environment chooses a count.
 
 No propagated block is wider than 4 (``evolve`` keeps to the reachable
-sector), and an ``oracle-sweep`` benchmark pass makes 24 ``expm`` calls. At
-that size OpenBLAS threads buy nothing and cost a hand-off on every call,
-which waits when the other vCPU is busy. With 36-wide matrices and a second
-process on 2 vCPUs, the 48 ``expm`` calls of a pass once took 16x longer
-with the default two threads than with one, varying with the other load.
+sector), and an ``oracle-sweep`` benchmark pass makes 8 ``expm`` calls on
+(3, <=4, <=4) stacks. At that size OpenBLAS threads buy nothing and cost a
+hand-off on every call, which waits when the other vCPU is busy. With
+36-wide matrices and a second process on 2 vCPUs, the 48 ``expm`` calls of
+a pass once took 16x longer with two threads than with one, varying with load.
 
 OpenBLAS reads its thread count once, when the library is loaded, so this
 module must run before anything imports numpy. It sets

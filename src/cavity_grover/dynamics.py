@@ -24,6 +24,7 @@ the validation oracle for the closed-form gate matrices in ``gates``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from .hilbert import (
     LogicalOperator,
     ProductBasis,
     PureState,
+    _vdot,
     basis_state,
     computational_embedding,
 )
@@ -112,16 +114,17 @@ def gate_time(params: CavityParams) -> float:
     return math.pi / decay_shifted_frequency(params.omega[0], params.kappa)
 
 
-def block_propagator(omega, kappa: float, t) -> np.ndarray:
+def block_propagator(omega, kappa, t) -> np.ndarray:
     """Exact no-jump propagator on the (bright atomic state, one photon)
     amplitudes of a one-excitation block with coupling ``omega``, shape
-    broadcast(omega, t) + (2, 2): with a = sqrt(omega^2 - kappa^2/16) > 0,
+    broadcast(omega, kappa, t) + (2, 2): with a = sqrt(omega^2 - kappa^2/16) > 0,
     exp(-kappa*t/4) * [cos(a*t)*I + sin(a*t)/a * [[kappa/4, -i*omega], [-i*omega, -kappa/4]]].
     """
-    omega, t = np.broadcast_arrays(np.asarray(omega, float), np.asarray(t, float))
+    omega, kappa, t = (np.asarray(x, float) for x in (omega, kappa, t))
     a = np.sqrt(omega * omega - kappa * kappa / 16.0)
     envelope, cos, sin = np.exp(-kappa * t / 4.0), np.cos(a * t), np.sin(a * t) / a
-    block = np.empty(omega.shape + (2, 2), dtype=complex)
+    shape = np.broadcast_shapes(omega.shape, kappa.shape, t.shape)
+    block = np.empty(shape + (2, 2), dtype=complex)
     block[..., 0, 0] = envelope * (cos + kappa / 4.0 * sin)
     block[..., 1, 1] = envelope * (cos - kappa / 4.0 * sin)
     block[..., 0, 1] = block[..., 1, 0] = -1j * envelope * omega * sin
@@ -176,12 +179,12 @@ def add_cavity_decay(h: np.ndarray, kappa: float) -> np.ndarray:
 
 def _check_result(amps: np.ndarray, basis: ProductBasis | None) -> None:
     """Reject non-finite amplitudes, and amplitude above
-    ``TOP_LAYER_TOLERANCE`` on ``basis.guard``. ``amps`` is one state vector
-    or a block with one state per column."""
+    ``TOP_LAYER_TOLERANCE`` on ``basis.guard``. ``amps`` holds one state
+    vector along its last axis, or a stack of them."""
     if not np.isfinite(amps.view(float)).all():
         raise NumericalError("evolution produced non-finite amplitudes")
     if basis is not None and basis.guard:
-        worst = float(np.abs(amps[list(basis.guard)]).max())
+        worst = float(np.abs(amps[..., list(basis.guard)]).max())
         if worst > TOP_LAYER_TOLERANCE:
             raise CutoffError(
                 f"amplitude {worst:.3e} on truncation-sensitive Fock states: "
@@ -190,20 +193,24 @@ def _check_result(amps: np.ndarray, basis: ProductBasis | None) -> None:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring (Higham 2005).
+    """Matrix exponential by scaling and squaring (Higham 2005) of one
+    matrix, or of each matrix in a (..., n, n) stack with the bits of a
+    one-matrix call.
 
-    Scales ``a`` by 2**-s so its 1-norm is at most theta_13, evaluates the
-    degree-13 Padé approximant (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U with
-    six products and one solve, then squares the result s times. The second
-    form keeps expm(0) exactly the identity, which a zero ``a`` gets directly.
+    Scales each matrix by its own 2**-s so its 1-norm is at most theta_13,
+    evaluates the degree-13 Padé approximant (V - U)^-1 (V + U) =
+    I + 2 (V - U)^-1 U with six products and one solve, then squares each
+    result its own s times. The second form keeps expm(0) exactly the
+    identity, which an all-zero ``a`` gets directly.
     """
-    norm = np.abs(a).sum(axis=0).max(initial=0.0)  # the 1-norm; 0 for a 0x0 block
-    if norm == 0.0:
-        return np.eye(a.shape[0], dtype=a.dtype)
-    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
-    a = a * 2.0**-s
+    norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)  # 1-norms; 0 for 0x0 blocks
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    if not any(values := norms.ravel().tolist()):
+        return eye + a  # the identity, in the shape and dtype of the all-zero a
+    s = [math.ceil(math.log2(n / _THETA13)) if n > _THETA13 else 0 for n in values]
+    if max(s):  # a power-of-two scale is exact, so s = 0 needs none
+        a = a * np.reshape([2.0**-k for k in s], norms.shape + (1, 1))
     b = _PADE13
-    eye = np.eye(a.shape[0], dtype=a.dtype)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -216,15 +223,17 @@ def expm(a: np.ndarray) -> np.ndarray:
         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
     )
     r = eye + 2.0 * np.linalg.solve(v - u, u)
-    for _ in range(s):
+    for _ in range(min(s)):  # the squarings every matrix needs
         r = r @ r
+    for step in range(min(s), max(s)):
+        square = np.reshape(s, norms.shape) > step
+        r[square] = r[square] @ r[square]
     return r
 
 
-def evolve(
-    h: np.ndarray, t: float, psi0: PureState, rk4_steps: int | None = None
-) -> PureState:
-    """Propagate psi0 by exp(-i*H*t).
+def evolve(h: np.ndarray, t, psi0: PureState, rk4_steps: int | None = None) -> PureState:
+    """Propagate psi0 by exp(-i*H*t): one (d, d) generator and a float t, or
+    a (K, d, d) stack and K times, with psi0 one state or a (K, d) stack.
 
     For a non-Hermitian H this is the unnormalized no-jump branch. By
     default the matrix exponential propagates; an integer ``rk4_steps``
@@ -233,27 +242,34 @@ def evolve(
 
     Either method propagates psi0 on its reachable sector alone, the block
     of H on ``_reachable_sector``: no entry of H leads out of that sector,
-    so the result is exactly zero outside it.
+    so the result is exactly zero outside it. A stack shares one sector,
+    and each check runs once for the whole stack.
     """
-    if not 0.0 <= t < math.inf:
+    times = np.asarray(t, dtype=float)
+    if not all(0.0 <= x < math.inf for x in times.ravel().tolist()):  # NaN fails too
         raise ConfigError(f"evolution time must be finite and >= 0, got {t}")
     if rk4_steps is not None and rk4_steps < 100:
         raise ConfigError(f"RK4 integration needs rk4_steps >= 100, got {rk4_steps}")
-    if h.shape != (psi0.dimension, psi0.dimension):
+    d = psi0.dimension
+    if h.ndim not in (2, 3) or h.shape[-2:] != (d, d) or times.shape != h.shape[:-2]:
         raise ConfigError(
-            f"operator shape {h.shape} does not match state dimension {psi0.dimension}"
+            f"operator shape {h.shape} does not match {times.shape} times and dimension {d}"
         )
     # Checked on all of H: a bad entry outside the sector never reaches the result.
     if not np.isfinite(h).all():
         raise NumericalError("generator has non-finite entries")
     sector = _reachable_sector(h, psi0.amplitudes)
-    block = h[sector[:, None], sector]
+    # Indexing a stack puts its leading axis innermost; C order gives every
+    # slice the layout, and so the BLAS path and the bits, of a one-H call.
+    block = np.ascontiguousarray(h[..., sector[:, None], sector])
+    part = np.ascontiguousarray(psi0.amplitudes[..., sector, None])
+    times = times[..., None, None]
     if rk4_steps is None:
-        part = expm(-1j * block * t) @ psi0.amplitudes[sector]
+        part = expm(-1j * block * times) @ part
     else:
-        part = _rk4(block, t, psi0.amplitudes[sector], rk4_steps)
-    amps = np.zeros(psi0.dimension, dtype=complex)
-    amps[sector] = part
+        part = _rk4(block, times, part, rk4_steps)
+    amps = np.zeros(part.shape[:-2] + (d,), dtype=complex)
+    amps[..., sector] = part[..., 0]
     _check_result(amps, psi0.basis)
     return PureState(amps, psi0.basis)
 
@@ -261,9 +277,10 @@ def evolve(
 def _reachable_sector(h: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """Sorted positions of the smallest set that holds the support of
     ``amps`` and is closed under H: an entry h[i, j] != 0 (NaN included)
-    adds i whenever j is in the set."""
-    linked = h != 0
-    reached = amps != 0
+    adds i whenever j is in the set. On stacks of H or of states it is the
+    sector of the union of their nonzero patterns."""
+    linked = h != 0 if h.ndim == 2 else (h != 0).any(axis=0)
+    reached = amps != 0 if amps.ndim == 1 else (amps != 0).any(axis=0)
     size = np.count_nonzero(reached)
     while True:
         reached = reached | (linked @ reached)  # one step along every edge
@@ -273,7 +290,8 @@ def _reachable_sector(h: np.ndarray, amps: np.ndarray) -> np.ndarray:
         size = grown
 
 
-def _rk4(h: np.ndarray, t: float, amps: np.ndarray, steps: int) -> np.ndarray:
+def _rk4(h: np.ndarray, t: np.ndarray, amps: np.ndarray, steps: int) -> np.ndarray:
+    """RK4 on (..., n, n) generators and (..., n, 1) states; ``t`` is (..., 1, 1)."""
     gen = -1j * h
     dt = t / steps
     y = amps.astype(complex)
@@ -293,7 +311,7 @@ class GateExtract:
     ``restricted`` is the 8x8 operator on the logical subspace (columns in
     logical order |000⟩..|111⟩); ``leakage`` is the squared amplitude each
     column left outside that subspace. Column norm plus leakage is 1 for
-    lossless evolution and below 1 under decay.
+    lossless evolution and below 1 under decay. A stack adds a leading axis.
     """
 
     restricted: LogicalOperator
@@ -303,39 +321,46 @@ class GateExtract:
         leak = np.asarray(self.leakage, dtype=float).copy()
         leak.flags.writeable = False
         object.__setattr__(self, "leakage", leak)
-        cols = np.sum(np.abs(self.restricted.matrix) ** 2, axis=0)
+        cols = np.sum(np.abs(self.restricted.matrix) ** 2, axis=-2)
         if np.any(cols + leak > 1.0 + 1e-9):
             raise NumericalError("column norm plus leakage exceeds 1")
 
 
+def as_stack(params: CavityParams | Sequence[CavityParams]) -> list[CavityParams]:
+    """One ``CavityParams`` as a one-set stack, or a non-empty sequence as a list."""
+    stack = [params] if isinstance(params, CavityParams) else list(params)
+    if not stack:
+        raise ConfigError("needs at least one set of cavity parameters")
+    return stack
+
+
 def evolve_logical_basis(
-    params: CavityParams, t: float, rk4_steps: int | None = None
+    params: CavityParams | Sequence[CavityParams], t, rk4_steps: int | None = None
 ) -> tuple[tuple[int, ...], list[PureState]]:
     """Evolve each logical basis state |000⟩..|111⟩ under the no-jump
     Hamiltonian for time ``t``. Returns the logical embedding and the eight
-    final states, in logical order."""
-    h_eff = build_effective_hamiltonian(params)
+    final states, in logical order; K parameter sets and K times give stacks."""
+    stack = [build_effective_hamiltonian(p) for p in as_stack(params)]
+    h_eff = stack[0] if isinstance(params, CavityParams) else np.stack(stack)
     embedding = computational_embedding()
     return embedding, [evolve(h_eff, t, basis_state(pos), rk4_steps) for pos in embedding]
 
 
 def extract_gate(
-    params: CavityParams, t: float, rk4_steps: int | None = None
+    params: CavityParams | Sequence[CavityParams], t, rk4_steps: int | None = None
 ) -> GateExtract:
     """Simulate the gate: evolve each logical basis state under the no-jump
-    Hamiltonian for time ``t`` and project back onto the logical subspace."""
-    if not 0.0 < t < math.inf:
+    Hamiltonian for time ``t`` and project back onto the logical subspace.
+    K parameter sets and K times make the eight ``evolve`` calls propagate a
+    (K, 36, 36) stack; slice k of the extract has the bits of a one-set call.
+    """
+    if not np.all(np.asarray(t, dtype=float) > 0.0):  # NaN fails too; evolve rejects inf
         raise ConfigError(f"gate extraction needs a finite t > 0, got {t}")
     embedding, finals = evolve_logical_basis(params, t, rk4_steps)
-    matrix = np.zeros((8, 8), dtype=complex)
-    leakage = np.zeros(8)
-    for col, final in enumerate(finals):
-        projected = final.amplitudes[list(embedding)]
-        matrix[:, col] = projected
-        leakage[col] = final.squared_norm() - float(
-            np.sum(np.abs(projected) ** 2)
-        )
-    return GateExtract(restricted=LogicalOperator(matrix), leakage=leakage)
+    amps = np.stack([final.amplitudes for final in finals], axis=-2)  # (..., column, state)
+    projected = np.ascontiguousarray(amps[..., list(embedding)])  # sums run along rows of 8
+    leakage = _vdot(amps, amps).real - (np.abs(projected) ** 2).sum(axis=-1)
+    return GateExtract(LogicalOperator(projected.swapaxes(-1, -2)), leakage)
 
 
 def coupling_at_position(z: float, omega0: float, lambda0: float) -> float:

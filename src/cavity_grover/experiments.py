@@ -8,8 +8,8 @@ NumPy column per header field, built with ``np.repeat``, ``np.tile`` and
 ``np.full`` around the computed grids, and ``write_csv`` formats each
 column once. Each quantity is one call over a whole axis: one
 ``run_search`` for every decay ratio, one ``coupling_offset_infidelity``
-for the (chi, eta) grid, and per decay ratio one ``timing_infidelity`` and
-one ``timing_oracle`` for all delays.
+for the (chi, eta) grid, and one ``extract_gate``, ``timing_infidelity``
+and ``timing_oracle`` each for the stack of every decay ratio.
 """
 
 from __future__ import annotations
@@ -215,8 +215,19 @@ def _value_text(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def _annotate(exc: NumericalError, experiment: str, point: str) -> NumericalError:
-    return NumericalError(f"{experiment} failed at {point}: {exc}")
+def _over_kappa(experiment: str, config: ExperimentConfig, run, *axes):
+    """``run(params, *axes)`` in one call for every decay ratio; on a
+    ``NumericalError`` alone, ratio by ratio again, to name the first that fails."""
+    stack = [config.params(ratio) for ratio in config.kappa_ratios]
+    try:
+        return run(stack, *axes)
+    except NumericalError as exc:
+        for ratio, params, *point in zip(config.kappa_ratios, stack, *axes):
+            try:
+                run(params, *point)
+            except NumericalError as one:
+                raise NumericalError(f"{experiment} failed at kappa_ratio={ratio}: {one}") from one
+        raise NumericalError(f"{experiment} failed over all kappa_ratios: {exc}") from exc
 
 
 def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
@@ -236,29 +247,22 @@ def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
 def _gate_experiment(config: ExperimentConfig) -> SweepTable:
     gamma0 = residual_gate_entry(config.params(0.0))
     lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
-    analytic, simulated, leakage = [], [], []
-    for ratio in config.kappa_ratios:
-        params = config.params(ratio)
-        analytic.append(np.array(decayed_i000(params).entries()))
-        try:
-            extract = extract_gate(params, gate_time(params))
-        except NumericalError as exc:
-            raise _annotate(exc, "gate", f"kappa_ratio={ratio}") from exc
-        simulated.append(extract.restricted.diagonal())
-        leakage.append(extract.leakage)
-        worst = np.abs(simulated[-1] - analytic[-1]).max()
+    params = [config.params(ratio) for ratio in config.kappa_ratios]
+    analytic = np.array([decayed_i000(p).entries() for p in params])
+    extract = _over_kappa("gate", config, extract_gate, [gate_time(p) for p in params])
+    simulated = extract.restricted.diagonal()
+    for ratio, worst in zip(config.kappa_ratios, np.abs(simulated - analytic).max(axis=1)):
         lines.append(f"kappa_ratio={ratio}: max |analytic - simulated| = {worst:.3e}")
-    simulated = np.concatenate(simulated)
     return SweepTable(
         experiment="gate",
         header=("kappa_ratio", "slot", "analytic", "simulated_real", "simulated_imag", "leakage"),
         columns=(
             np.repeat(config.kappa_ratios, 8),
             np.tile(np.arange(8), len(config.kappa_ratios)),
-            np.concatenate(analytic),
-            simulated.real,
-            simulated.imag,
-            np.concatenate(leakage),
+            analytic.ravel(),
+            simulated.real.ravel(),
+            simulated.imag.ravel(),
+            extract.leakage.ravel(),
         ),
         summary="\n".join(lines),
     )
@@ -293,19 +297,14 @@ def _search_experiment(config: ExperimentConfig) -> SweepTable:
 
 def _timing_experiment(config: ExperimentConfig) -> SweepTable:
     fracs = config.delta_t_fracs()
-    formula, oracle = [], []
+    delta_ts = [fracs * gate_time(config.params(ratio)) for ratio in config.kappa_ratios]
+    formula = _over_kappa("timing", config, timing_infidelity, delta_ts)
+    oracle = _over_kappa("timing", config, timing_oracle, delta_ts)
     lines = ["delta_t in fractions of one gate time; atom 1 exits late"]
-    for ratio in config.kappa_ratios:
-        params = config.params(ratio)
-        delta_ts = (fracs * gate_time(params)).tolist()
-        try:
-            formula.append(timing_infidelity(params, delta_ts))
-            oracle.append(timing_oracle(params, delta_ts))
-        except NumericalError as exc:
-            raise _annotate(exc, "timing", f"kappa_ratio={ratio}") from exc
+    for ratio, at_zero, oracle_at_zero in zip(config.kappa_ratios, formula[:, 0], oracle[:, 0]):
         lines.append(  # each grid starts at delta_t = 0
-            f"kappa_ratio={ratio}: delta_t=0 infidelity formula={formula[-1][0]:.3e} "
-            f"oracle={oracle[-1][0]:.3e}"
+            f"kappa_ratio={ratio}: delta_t=0 infidelity formula={at_zero:.3e} "
+            f"oracle={oracle_at_zero:.3e}"
         )
     return SweepTable(
         experiment="timing",
@@ -313,8 +312,8 @@ def _timing_experiment(config: ExperimentConfig) -> SweepTable:
         columns=(
             np.repeat(config.kappa_ratios, len(fracs)),
             np.tile(fracs, len(config.kappa_ratios)),
-            np.concatenate(formula),
-            np.concatenate(oracle),
+            formula.ravel(),
+            oracle.ravel(),
         ),
         summary="\n".join(lines),
     )

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .gates import TEXTBOOK, GateDiagonal, LogicalOperator, MarkedState, hadamard3, marked_gate
-from .hilbert import PureState
+from .hilbert import PureState, _vdot
 
 # Far above any useful search length, low enough that a typo cannot ask for a huge search.
 MAX_ITERATIONS = 100_000
@@ -64,11 +64,6 @@ class SearchGrid:
 
 def _uniform_register() -> np.ndarray:
     return np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
-
-
-def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.vdot`` along the last axis, bit for bit: one batched product."""
-    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _modulus_squared(z: np.ndarray) -> np.ndarray:

@@ -140,9 +140,15 @@ def excitation_number(position: int) -> int:
     return state.n + sum(1 for l in state.atom_levels() if l is AtomLevel.E)
 
 
+def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.vdot`` along the last axis, bit for bit: one batched product."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class PureState:
-    """Complex amplitude vector over a basis.
+    """Complex amplitude vector over a basis, or a (K, dimension) stack of
+    them, one per parameter set.
 
     ``basis`` is the full product basis, or None for a bare 8-dimensional
     logical register. Amplitudes are stored read-only; under decay the
@@ -155,27 +161,20 @@ class PureState:
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1:
-            raise ConfigError("amplitudes must be a 1-d vector")
-        if self.basis is not None and len(amps) != self.basis.dimension:
-            raise ConfigError(
-                f"amplitude length {len(amps)} != basis dimension "
-                f"{self.basis.dimension}"
-            )
-        if self.basis is None and len(amps) != 8:
-            raise ConfigError(
-                f"logical states are 8-dimensional, got length {len(amps)}"
-            )
+        n = 8 if self.basis is None else self.basis.dimension  # a logical register has 8
+        if amps.ndim not in (1, 2) or amps.shape[-1] != n:
+            raise ConfigError(f"amplitudes need shape ({n},) or (K, {n}), got {amps.shape}")
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dimension(self) -> int:
-        return len(self.amplitudes)
+        return self.amplitudes.shape[-1]
 
-    def squared_norm(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+    def squared_norm(self):
+        """The squared norm, a float, or one per state of a stack."""
+        return _vdot(self.amplitudes, self.amplitudes).real
 
 
 _UNITARY_TOLERANCE = 1e-10
@@ -183,34 +182,34 @@ _UNITARY_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class LogicalOperator:
-    """Dense 8x8 complex matrix on the logical register."""
+    """Dense 8x8 complex matrix on the logical register, or a (K, 8, 8)
+    stack of them, one per parameter set."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (8, 8):
+        m = np.array(self.matrix, dtype=complex, order="C")
+        if m.shape[-2:] != (8, 8) or m.ndim not in (2, 3):
             raise ConfigError(f"logical operators are 8x8, got shape {m.shape}")
         if not np.all(np.isfinite(m.view(float))):
             raise ConfigError("logical operator has non-finite entries")
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @property
     def unitary(self) -> bool:
-        gram = self.matrix.conj().T @ self.matrix
+        gram = self.matrix.conj().swapaxes(-1, -2) @ self.matrix
         return bool(np.abs(gram - np.eye(8)).max() <= _UNITARY_TOLERANCE)
 
     def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix).copy()
+        return np.diagonal(self.matrix, axis1=-2, axis2=-1).copy()
 
     def __matmul__(self, other: "LogicalOperator") -> "LogicalOperator":
         return LogicalOperator(self.matrix @ other.matrix)
 
     def apply(self, state: PureState) -> PureState:
-        if state.dimension != 8:
-            raise ConfigError("logical operators act on 8-dimensional states")
+        if state.amplitudes.shape != (8,):
+            raise ConfigError("logical operators act on one 8-dimensional state")
         return PureState(self.matrix @ state.amplitudes, state.basis)
 
 

@@ -37,6 +37,7 @@ from .dynamics import (
     CavityParams,
     _check_result,
     add_cavity_decay,
+    as_stack,
     block_propagator,
     decay_shifted_frequency,
     evolve,
@@ -115,32 +116,40 @@ def _row_infidelity(reference: np.ndarray, outputs: np.ndarray) -> np.ndarray:
     return 1.0 - abs(overlap) ** 2 / (abs(outputs) ** 2).sum(axis=-1)
 
 
-def _axis(name: str, values) -> np.ndarray:
-    """``values`` as a 1-D float array, else a ``ConfigError`` naming ``name``."""
+def _axis(name: str, values, ndim: int = 1) -> np.ndarray:
+    """``values`` as an ``ndim``-D float array, else a ``ConfigError`` naming ``name``."""
     axis = np.asarray(values, dtype=float)
-    if axis.ndim != 1:
-        raise ConfigError(f"{name} must be a 1-D sequence of values, got shape {axis.shape}")
+    if axis.ndim != ndim:
+        raise ConfigError(f"{name} must be a {ndim}-D sequence of values, got shape {axis.shape}")
     return axis
 
 
 def _delayed_infidelities(
-    params: CavityParams, delta_ts: Sequence[float], columns: np.ndarray
+    params: CavityParams | Sequence[CavityParams], delta_ts, columns: np.ndarray
 ) -> np.ndarray:
     """Gate infidelity at every delay in ``delta_ts``, in order, from the 2x4
     (atom-1, photon) amplitudes ``columns`` of the four atom-1-in-``E``
     columns at the gate time: each delay dt applies ``block_propagator(w1,
-    kappa, dt)``, and the other four columns stay exactly 1."""
-    delays = _axis("delta_ts", delta_ts)
-    TimingScenario(delays, params)  # validates every delay
-    atom1 = block_propagator(params.omega[0], params.kappa, delays)[:, 0] @ columns
+    kappa, dt)``, and the other four columns stay exactly 1. A sequence of
+    K parameter sets takes (K, 2, 4) columns and (K, D) delays."""
+    single, stack = isinstance(params, CavityParams), as_stack(params)
+    delays = _axis("delta_ts", delta_ts, 1)[None] if single else _axis("delta_ts", delta_ts, 2)
+    if len(delays) != len(stack):
+        raise ConfigError(f"delta_ts needs one row per parameter set, got shape {delays.shape}")
+    for row, p in zip(delays, stack):
+        TimingScenario(row, p)  # validates every delay
+    w1, kappa = np.array([(p.omega[0], p.kappa) for p in stack]).T[..., None]
+    atom1 = block_propagator(w1, kappa, delays)[..., 0, :] @ columns.reshape(-1, 2, 4)
     _check_result(atom1, None)
-    diagonals = np.concatenate([atom1, np.ones((len(delays), 4))], axis=1)
-    return _row_infidelity(_GATE_REFERENCE, diagonals * _uniform_register())
+    diagonals = np.concatenate([atom1, np.ones(atom1.shape)], axis=-1)
+    infidelity = _row_infidelity(_GATE_REFERENCE, diagonals * _uniform_register())
+    return infidelity[0] if single else infidelity
 
 
-def timing_infidelity(params: CavityParams, delta_ts: Sequence[float]) -> np.ndarray:
+def timing_infidelity(params: CavityParams | Sequence[CavityParams], delta_ts) -> np.ndarray:
     """Closed-form gate infidelity caused by atom 1 overstaying by dt, at
-    every delay dt in ``delta_ts``, in order.
+    every delay dt in ``delta_ts``, in order; for a sequence of K parameter
+    sets, at every delay in row k of the (K, D) ``delta_ts`` for set k.
 
     The block model of ``timing_oracle`` with the gate's approximations:
     the columns hold the damped entries (-mu, gamma, beta, alpha) of
@@ -151,17 +160,19 @@ def timing_infidelity(params: CavityParams, delta_ts: Sequence[float]) -> np.nda
     sin(a1*dt)], a1 = sqrt(w1^2 - kappa^2/16), and adds to |001⟩ the cross
     term -w1^2/(a1*a13) * exp(-kappa*dt/4) * sin(a1*dt) * sin(sqrt(65)*pi).
     """
-    w1, _, w3 = params.omega
-    a13 = decay_shifted_frequency(math.hypot(w1, w3), params.kappa)
-    photon = -1j * w1 / a13 * math.sin(_pair13_phase(params))
-    damped = decayed_i000(params).entries()[:4]
-    columns = np.array([damped, [0.0, photon, 0.0, 0.0]])
-    return _delayed_infidelities(params, delta_ts, columns)
+    columns = []
+    for p in as_stack(params):  # scalar calls, one per set
+        w1, _, w3 = p.omega
+        a13 = decay_shifted_frequency(math.hypot(w1, w3), p.kappa)
+        photon = -1j * w1 / a13 * math.sin(_pair13_phase(p))
+        columns.append([decayed_i000(p).entries()[:4], [0.0, photon, 0.0, 0.0]])
+    return _delayed_infidelities(params, delta_ts, np.array(columns))
 
 
-def timing_oracle(params: CavityParams, delta_ts: Sequence[float]) -> np.ndarray:
+def timing_oracle(params: CavityParams | Sequence[CavityParams], delta_ts) -> np.ndarray:
     """Full-dynamics counterpart of ``timing_infidelity`` at every delay in
-    ``delta_ts``, in order, from exact 2x2 ``block_propagator`` blocks.
+    ``delta_ts``, in order, from exact 2x2 ``block_propagator`` blocks; a
+    sequence of parameter sets takes the same (K, D) delays.
 
     Column |0 b2 b3⟩ moves only through its bright state, coupling
     W = sqrt(w1^2 + b2*w2^2 + b3*w3^2). With s = w1^2/W^2, one gate time
@@ -169,12 +180,14 @@ def timing_oracle(params: CavityParams, delta_ts: Sequence[float]) -> np.ndarray
     each delay then applies P(w1, dt). The other columns stay exactly 1.
     ``timing_oracle_dense`` is its reference.
     """
-    w1, w2, w3 = params.omega
-    bright = np.sqrt(w1 * w1 + np.array([0.0, w3 * w3, w2 * w2, w2 * w2 + w3 * w3]))
+    stack = as_stack(params)
+    w1, kappa, t_gate = np.array([(p.omega[0], p.kappa, gate_time(p)) for p in stack]).T[..., None]
+    pairs = [(0.0, w3 * w3, w2 * w2, w2 * w2 + w3 * w3) for _, w2, w3 in (p.omega for p in stack)]
+    bright = np.sqrt(w1 * w1 + np.array(pairs))  # (K, 4)
     share = (w1 / bright) ** 2
-    at_gate = block_propagator(bright, params.kappa, gate_time(params))
-    columns = np.stack([1.0 - share + share * at_gate[:, 0, 0], w1 / bright * at_gate[:, 1, 0]])
-    return _delayed_infidelities(params, delta_ts, columns)
+    at_gate = block_propagator(bright, kappa, t_gate)
+    atom1, photon = 1.0 - share + share * at_gate[..., 0, 0], w1 / bright * at_gate[..., 1, 0]
+    return _delayed_infidelities(params, delta_ts, np.stack([atom1, photon], axis=-2))
 
 
 def timing_oracle_dense(scenario: TimingScenario, rk4_steps: int | None = None) -> float:

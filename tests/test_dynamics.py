@@ -270,6 +270,21 @@ def test_expm_of_zero_is_exactly_identity():
             assert result.tobytes() == _pade_expm(zero).tobytes()
 
 
+def test_expm_of_a_stack_has_the_bits_of_each_matrix():
+    # A zero matrix, one below theta_13 (no squaring) and members needing
+    # 1, 3 and 8 squarings: each gets its own s and keeps its bits.
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    base /= np.abs(base).sum(axis=0).max()  # 1-norm 1
+    stack = np.stack([0.0 * base, 2.0 * base, 9.0 * base, 40.0 * base, 700.0 * base])
+    result = expm(stack)
+    assert np.array_equal(result[0], np.eye(4))
+    for member, out in zip(stack, result):
+        assert np.array_equal(out, expm(member))
+    assert np.array_equal(expm(stack[:1] * 0.0), np.eye(4)[None])
+    assert expm(np.zeros((3, 0, 0))).shape == (3, 0, 0)
+
+
 def test_evolve_rejects_nan_generator(params_strong_decay):
     h = build_effective_hamiltonian(params_strong_decay)
     h[0, 1] = np.nan
@@ -341,8 +356,38 @@ def test_truncation_guard_fires_for_over_excited_input(params_lossless):
     # two-photon layer: the run must abort instead of silently evolving truncated dynamics.
     h = exchange_hamiltonian(params_lossless.omega)
     start = state_index(E, G, G, 1)
+    t = gate_time(params_lossless)
     with pytest.raises(CutoffError):
-        evolve(h, gate_time(params_lossless), basis_state(start))
+        evolve(h, t, basis_state(start))
+    # In a stack, one over-excited member is enough.
+    logical = basis_state(computational_embedding()[0]).amplitudes
+    pair = np.stack([h, h])
+    evolve(pair, [t, t], PureState(np.stack([logical, logical]), BASIS))
+    with pytest.raises(CutoffError):
+        evolve(pair, [t, t], PureState(np.stack([logical, basis_state(start).amplitudes]), BASIS))
+
+
+@pytest.mark.parametrize("rk4_steps", [None, 200])
+def test_evolve_on_a_stack_has_the_bits_of_single_calls(omega1c, rk4_steps):
+    stack = [CavityParams.designed(omega1c, r * omega1c) for r in (0.0, 0.3, 3.9)]
+    h = np.stack([build_effective_hamiltonian(p) for p in stack])
+    times = [gate_time(p) for p in stack]
+    for pos in computational_embedding():
+        rows = evolve(h, times, basis_state(pos), rk4_steps).amplitudes
+        assert rows.shape == (3, BASIS.dimension)
+        for member, t, row in zip(h, times, rows):
+            single = evolve(member, t, basis_state(pos), rk4_steps).amplitudes
+            assert row.tobytes() == single.tobytes()
+
+
+def test_evolve_rejects_times_that_do_not_match_the_stack(params_lossless):
+    h = np.stack([build_effective_hamiltonian(params_lossless)] * 2)
+    psi = basis_state(computational_embedding()[0])
+    for t in (1e-6, [1e-6], [1e-6] * 3):
+        with pytest.raises(ConfigError):
+            evolve(h, t, psi)
+    with pytest.raises(ConfigError):
+        evolve(h, [1e-6, -1e-6], psi)
 
 
 # --- reachable sector --------------------------------------------------------
@@ -448,13 +493,31 @@ def test_extract_gate_honours_settings(params_strong_decay):
     assert np.abs(integrated.leakage - reference.leakage).max() <= 1e-8
 
 
-@pytest.mark.parametrize("kappa_ratio", [0.0, 0.1, 3.99])
+@pytest.mark.parametrize(
+    "kappa_ratio", [0.0, 0.1, 3.99, pytest.param((0.0, 0.1, 3.99), id="stacked")]
+)
 def test_extract_gate_has_the_loop_reference_bits(omega1c, kappa_ratio):
-    params = CavityParams.designed(omega1c, kappa_ratio * omega1c)
-    extract = extract_gate(params, gate_time(params))
-    matrix, leakage = _reference_gate(params, gate_time(params))
-    assert extract.restricted.matrix.tobytes() == matrix.tobytes()
-    assert extract.leakage.tobytes() == leakage.tobytes()
+    # A tuple of ratios is one stacked call: each slice keeps the loop's bits.
+    stack = [CavityParams.designed(omega1c, r * omega1c) for r in np.atleast_1d(kappa_ratio)]
+    times = [gate_time(p) for p in stack]
+    if isinstance(kappa_ratio, tuple):
+        extract = extract_gate(stack, times)
+    else:
+        extract = extract_gate(stack[0], times[0])
+    matrices = extract.restricted.matrix.reshape(-1, 8, 8)
+    leakages = extract.leakage.reshape(-1, 8)
+    assert len(matrices) == len(stack)
+    for params, t, got_matrix, got_leakage in zip(stack, times, matrices, leakages):
+        matrix, leakage = _reference_gate(params, t)
+        assert got_matrix.tobytes() == matrix.tobytes()
+        assert got_leakage.tobytes() == leakage.tobytes()
+
+
+def test_extract_gate_needs_one_time_per_parameter_set(params_lossless):
+    t = gate_time(params_lossless)
+    for stack, times in (([], []), ([params_lossless] * 2, [t]), ([params_lossless], [t, t])):
+        with pytest.raises(ConfigError):
+            extract_gate(stack, times)
 
 
 def test_extracted_gate_short_time_is_identity(params_strong_decay):

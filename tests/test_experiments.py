@@ -26,7 +26,7 @@ from cavity_grover import (
     serialize_config,
     write_csv,
 )
-from cavity_grover import cli, experiments, imperfections
+from cavity_grover import cli, dynamics, experiments, imperfections
 from cavity_grover.dynamics import decay_shifted_frequency
 from cavity_grover.experiments import MAX_GRID_POINTS, SweepTable
 from cavity_grover.gates import TEXTBOOK, MarkedState
@@ -518,19 +518,72 @@ def test_cli_help_exits_0(capsys):
     assert "--config" in capsys.readouterr().out
 
 
-def test_cli_timing_grid_failure_names_kappa_ratio(tmp_path, monkeypatch, capsys):
-    def blow_up(amps, basis):
-        raise NumericalError("synthetic non-finite block")
+def _run_with_the_second_ratio_spoiled(experiment, tmp_path, monkeypatch, capsys):
+    # Three ratios run as one stacked call, and NaN reaches the dynamics of
+    # the second one alone: through its generator for the gate, through its
+    # exact blocks for the timing oracle and formula.
+    bad_kappa = ExperimentConfig().params(0.1).kappa
+    build, propagate = dynamics.build_effective_hamiltonian, imperfections.block_propagator
 
-    monkeypatch.setattr(imperfections, "_check_result", blow_up)
+    def spoiled_generator(params):
+        h = build(params)
+        if params.kappa == bad_kappa:
+            h[0, 1] = np.nan
+        return h
+
+    def spoiled_blocks(omega, kappa, t):
+        blocks = propagate(omega, kappa, t)
+        blocks[np.broadcast_to(np.asarray(kappa) == bad_kappa, blocks.shape[:-2])] = np.nan
+        return blocks
+
+    monkeypatch.setattr(dynamics, "build_effective_hamiltonian", spoiled_generator)
+    monkeypatch.setattr(imperfections, "block_propagator", spoiled_blocks)
     config_path = tmp_path / "run.cfg"
-    config_path.write_text("kappa_ratios = 0.1\ndelta_t_points = 5\n", encoding="utf-8")
-    out = tmp_path / "timing.csv"
-    rc = cli.main(["timing", "--config", str(config_path), "--out", str(out)])
+    config_path.write_text("kappa_ratios = 0.05,0.1,0.2\ndelta_t_points = 5\n", encoding="utf-8")
+    out = tmp_path / f"{experiment}.csv"
+    rc = cli.main([experiment, "--config", str(config_path), "--out", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert "kappa_ratio=0.1" in err and "synthetic non-finite block" in err
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_cli_timing_grid_failure_names_kappa_ratio(tmp_path, monkeypatch, capsys):
+    err = _run_with_the_second_ratio_spoiled("timing", tmp_path, monkeypatch, capsys)
+    assert "timing failed at kappa_ratio=0.1: " in err and "non-finite amplitudes" in err
+
+
+def test_cli_gate_failure_names_kappa_ratio(tmp_path, monkeypatch, capsys):
+    err = _run_with_the_second_ratio_spoiled("gate", tmp_path, monkeypatch, capsys)
+    assert "gate failed at kappa_ratio=0.1: " in err and "generator has non-finite entries" in err
+
+
+def test_failure_of_the_stack_alone_is_annotated_with_every_ratio(monkeypatch):
+    def stack_only_failure(params, delta_ts):
+        if not isinstance(params, CavityParams):
+            raise NumericalError("synthetic stack failure")
+        return np.zeros(len(delta_ts))
+
+    monkeypatch.setattr(experiments, "timing_infidelity", stack_only_failure)
+    with pytest.raises(NumericalError, match="^timing failed over all kappa_ratios: synthetic"):
+        run_experiment("timing", ExperimentConfig(**FAST))
+
+
+@pytest.mark.parametrize("experiment", ["gate", "timing"])
+def test_kappa_stack_writes_the_one_kappa_rows(experiment, tmp_path):
+    # One stacked run over seven ratios writes, byte for byte, the data rows
+    # and summary lines of seven one-ratio runs, in order.
+    ratios = (0.0, 0.02, 0.1, 0.5, 2.0, 3.9, 3.99)
+    tables = [
+        run_experiment(experiment, ExperimentConfig(kappa_ratios=r, **FAST))
+        for r in [ratios, *((r,) for r in ratios)]
+    ]
+    for i, table in enumerate(tables):
+        write_csv(table, str(tmp_path / f"{i}.csv"))
+    csvs = [(tmp_path / f"{i}.csv").read_bytes().splitlines(keepends=True) for i in range(8)]
+    summaries = [table.summary.splitlines() for table in tables]
+    # Both keep their first line (CSV header, shared summary line) once.
+    for (stacked, *singles) in (csvs, summaries):
+        assert stacked == singles[0][:1] + [line for lines in singles for line in lines[1:]]
 
 
 @pytest.mark.parametrize("model", ["atom1", "uniform"])

@@ -147,6 +147,21 @@ def test_timing_infidelity_matches_per_point(params_weak_decay, params_strong_de
         assert len(set(grid)) == len(grid)
 
 
+@pytest.mark.parametrize("timing", [timing_infidelity, timing_oracle])
+def test_timing_over_a_kappa_stack_matches_one_kappa_calls(omega1c, timing):
+    stack = [CavityParams.designed(omega1c, r * omega1c) for r in (0.0, 0.02, 0.5, 3.99)]
+    fracs = np.linspace(0.0, 0.2, 7)
+    delta_ts = [fracs * gate_time(p) for p in stack]
+    grid = timing(stack, delta_ts)
+    assert grid.shape == (4, 7)
+    for row, params, delays in zip(grid, stack, delta_ts):
+        assert row.tobytes() == timing(params, delays).tobytes()
+    # One row of delays per parameter set, and a stack needs a 2-D grid.
+    for bad in (delta_ts[:3], delta_ts[0], [delta_ts]):
+        with pytest.raises(ConfigError, match="delta_ts"):
+            timing(stack, bad)
+
+
 def _scalar_timing_grid(params, delta_ts):
     # The timing closed form as it was first written, delay by delay on
     # Python floats: the atom-1 return amplitude xi scales the damped
