@@ -370,12 +370,12 @@ def coupling_at_position(z: float, omega0: float, lambda0: float) -> float:
     return omega0 * math.cos(2.0 * math.pi * z / lambda0)
 
 
-def positions_for_ratio(omega0: float, lambda0: float) -> tuple[float, float, float]:
+def positions_for_ratio(lambda0: float) -> tuple[float, float, float]:
     """Crossing offsets (z1, z2, z3) that realize couplings in the designed
-    ratio 1 : sqrt(35) : 8.
+    ratio 1 : sqrt(35) : 8, for any peak coupling.
 
-    Atom 3 crosses the antinode (z3 = 0, full coupling omega0); atoms 1 and
-    2 sit on the first cosine lobe where the mode has dropped to 1/8 and
+    Atom 3 crosses the antinode (z3 = 0, full coupling); atoms 1 and 2 sit
+    on the first cosine lobe where the mode has dropped to 1/8 and
     sqrt(35)/8 of its peak.
     """
     _check_wavelength(lambda0)

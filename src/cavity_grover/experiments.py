@@ -121,7 +121,7 @@ class ExperimentConfig:
         _built("eta_max", self.eta_max, OffsetScenario, self.eta_max, 1, offset)
         for chi in self.chi_list:
             _built("chi_list", chi, OffsetScenario, 0.0, chi, offset)
-        _built("lambda0", self.lambda0, positions_for_ratio, 8.0 * self.omega1c, self.lambda0)
+        _built("lambda0", self.lambda0, positions_for_ratio, self.lambda0)
 
     @property
     def omega1c(self) -> float:
@@ -346,8 +346,7 @@ def _offset_experiment(config: ExperimentConfig) -> SweepTable:
 
 
 def _geometry_experiment(config: ExperimentConfig) -> SweepTable:
-    omega0 = 8.0 * config.omega1c  # antinode coupling; atom 3 crosses there
-    z1, z2, z3 = positions_for_ratio(omega0, config.lambda0)
+    z1, z2, z3 = positions_for_ratio(config.lambda0)
     ratio = abs(z1) / abs(z2)
     summary = (
         f"crossing offsets in units of lambda0={config.lambda0}: "

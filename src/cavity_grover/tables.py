@@ -8,6 +8,8 @@ as one ``str`` per value, row by row.
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,16 +73,24 @@ def _column_text(column: np.ndarray) -> list[str]:
     return list(map(dict(zip(distinct, text)).__getitem__, keys))
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    # open's own flags without O_TRUNC: a rerun overwrites the old blocks.
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def write_csv(table: SweepTable, path: str) -> None:
     """Write the table as UTF-8 CSV: header row, ints as written, floats in
     shortest round-trip form (``repr`` of a Python float), rows in grid
     order. Each column is formatted once and the rows are joined from the
-    formatted columns. Byte-identical across runs."""
+    formatted columns. Byte-identical across runs. A file is rewritten in
+    place and only a regular one is cut to length, so ``path`` may be a pipe."""
     lines = [",".join(table.header)]
     lines.extend(map(",".join, zip(*map(_column_text, table.columns))))
     text = "\n".join(lines) + "\n"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n", opener=_open_in_place) as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc

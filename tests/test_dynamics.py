@@ -652,7 +652,7 @@ def test_coupling_profile():
 
 def test_positions_realize_designed_ratio():
     omega0, lam = 2.0 * math.pi * 49e3, 1.0
-    z1, z2, z3 = positions_for_ratio(omega0, lam)
+    z1, z2, z3 = positions_for_ratio(lam)
     assert abs(z1) / abs(z2) == pytest.approx(1.957, abs=1e-3)
     c1 = coupling_at_position(z1, omega0, lam)
     c2 = coupling_at_position(z2, omega0, lam)
@@ -662,5 +662,5 @@ def test_positions_realize_designed_ratio():
 
 
 def test_positions_on_first_lobe():
-    z1, z2, _ = positions_for_ratio(1.0, 1.0)
+    z1, z2, _ = positions_for_ratio(1.0)
     assert 0.0 < z2 < z1 < 0.25

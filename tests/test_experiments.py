@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -230,7 +234,7 @@ _GUARDED_CALLS = {
     "TimingScenario": lambda x: TimingScenario(x, _P),
     "OffsetScenario eta": lambda x: OffsetScenario(x, 1, _P),
     "OffsetScenario per-atom eta": lambda x: OffsetScenario(0.0, 1, _P, "per_atom", (0.0, x, 0.0)),
-    "positions_for_ratio": lambda x: positions_for_ratio(1.0, x),
+    "positions_for_ratio": positions_for_ratio,
     "coupling_at_position": lambda x: coupling_at_position(0.0, 1.0, x),
     "decay_shifted_frequency omega": lambda x: decay_shifted_frequency(x, 0.0),
     "decay_shifted_frequency kappa": lambda x: decay_shifted_frequency(1.0, x),
@@ -398,10 +402,56 @@ def test_csv_bytes_are_reproducible(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def _fresh_csv(table, directory: Path) -> bytes:
+    path = directory / f"fresh-{table.experiment}.csv"
+    write_csv(table, str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("old, new", [("offset", "geometry"), ("geometry", "offset")])
+def test_csv_rewrite_over_another_csv_gives_the_fresh_bytes(old, new, tmp_path):
+    # A shorter table over a longer file drops the old tail; a longer one
+    # over a shorter file extends it.
+    config = ExperimentConfig(**FAST)
+    path = tmp_path / "out.csv"
+    write_csv(run_experiment(old, config), str(path))
+    table = run_experiment(new, config)
+    write_csv(table, str(path))
+    assert path.read_bytes() == _fresh_csv(table, tmp_path)
+
+
+def test_csv_identical_rerun_keeps_the_bytes(tmp_path):
+    table = run_experiment("search", ExperimentConfig(kappa_ratios=(0.0, 0.1), k_max=4))
+    path = tmp_path / "search.csv"
+    write_csv(table, str(path))
+    first = path.read_bytes()
+    write_csv(table, str(path))
+    assert path.read_bytes() == first
+
+
+def test_csv_to_the_null_device():
+    if not stat.S_ISCHR(os.stat(os.devnull).st_mode):
+        pytest.skip(f"{os.devnull} is not a character device here")
+    write_csv(run_experiment("geometry", ExperimentConfig()), os.devnull)
+
+
+def test_cli_writes_csv_to_stdout_as_a_pipe(tmp_path):
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout here")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "cavity_grover.cli", "geometry", "--out", "/dev/stdout"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,  # stdout is a pipe
+    )
+    assert out.returncode == 0, out.stderr.decode()
+    assert out.stdout == _fresh_csv(run_experiment("geometry", ExperimentConfig()), tmp_path)
+
+
 def test_csv_write_error_carries_path(tmp_path):
     table = run_experiment("geometry", ExperimentConfig())
     missing_dir = tmp_path / "no" / "such" / "dir.csv"
-    with pytest.raises(OSError, match="dir.csv"):
+    with pytest.raises(OSError, match=r"cannot write CSV to .*dir\.csv"):
         write_csv(table, str(missing_dir))
 
 
