@@ -110,11 +110,13 @@ class ExperimentConfig:
         _built("omega1c_khz", self.omega1c_khz, self.params, 0.0)
         for ratio in self.kappa_ratios:
             params = _built("kappa_ratios", ratio, self.params, ratio)
+            _built("kappa_ratios", ratio, decayed_i000, params)  # fails if damped out
             # linspace ends exactly at delta_t_max_frac: the sweep's last delay.
             delay = self.delta_t_max_frac * gate_time(params)
             _built("delta_t_max_frac", self.delta_t_max_frac, TimingScenario, delay, params)
         ratio = self.offset_kappa_ratio
         offset = _built("offset_kappa_ratio", ratio, self.params, ratio)
+        _built("offset_kappa_ratio", ratio, decayed_i000, offset)
         model, per_atom = self.offset_model, self.offset_eta_per_atom
         _built("offset_model", model, OffsetScenario, 0.0, 1, offset, model, (0.0,) * 3)
         _built("offset_eta_per_atom", per_atom, OffsetScenario, 0.0, 1, offset, model, per_atom)

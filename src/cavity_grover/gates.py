@@ -4,9 +4,9 @@ Everything here acts in the logical order |000⟩..|111⟩ fixed by
 ``hilbert.computational_embedding``. The conditional phase gate has one
 closed form, ``decayed_i000``, which returns the ``GateDiagonal`` of the
 decaying-cavity gate: its first four entries are damped by the photon
-population each logical state cycles through the mode. Called with coupling
-arrays it gives one factor per coupling value, bit for bit the scalar
-call's. Two special cases are named:
+population each logical state cycles through the mode, on the column model
+``_bright_columns`` that ``imperfections.timing_oracle`` also reads; coupling
+arrays give one factor per value, bit for bit the scalar call's. Named cases:
 
 * the gate a lossless cavity actually realizes is the decayed gate at
   kappa = 0; its |001⟩ entry (``residual_gate_entry``) still falls short
@@ -111,53 +111,53 @@ def pauli_x(qubit: int) -> LogicalOperator:
     return LogicalOperator(np.kron(np.kron(factors[0], factors[1]), factors[2]))
 
 
-def _pair13_phase(params: CavityParams) -> float:
-    # Phase advanced by the atoms-1+3 block over one gate time at kappa=0:
-    # sqrt(w1^2 + w3^2) * pi / w1, i.e. sqrt(65)*pi at the designed ratios.
-    w1, _, w3 = params.omega
-    return math.sqrt(w1 * w1 + w3 * w3) / w1 * math.pi
+def _bright_columns(w1, w2, w3):
+    """W^2 = w1^2 + b2*w2^2 + b3*w3^2 and atom-1 share s = w1^2/W^2 of the
+    bright state that links column |0 b2 b3⟩ to the mode, for |000⟩, |001⟩,
+    |010⟩, |011⟩ (s = 1 exactly on |000⟩); floats or equal-shape arrays."""
+    w1sq, w3sq = w1 * w1, w3 * w3
+    w12sq = w1sq + w2 * w2
+    bright_sq = (w1sq, w1sq + w3sq, w12sq, w12sq + w3sq)
+    return bright_sq, (1.0, w1sq / bright_sq[1], w1sq / w12sq, w1sq / bright_sq[3])
+
+
+# Column phases W*pi/w1 at kappa = 0 and the designed ratios; sqrt(65)*pi leaves a cycle open.
+_DESIGN_PHASES = tuple(math.pi * math.sqrt(n) for n in (1.0, 65.0, 36.0, 100.0))
+_DESIGN_COS = tuple(math.cos(phase) for phase in _DESIGN_PHASES)  # -1, cos(sqrt(65)*pi), 1, 1
 
 
 def residual_gate_entry(params: CavityParams) -> float:
-    """Lossless-gate diagonal entry on |001⟩: the decayed gate's gamma at
-    kappa = 0, the atoms-1+3 return amplitude
-    1 - w1^2/(w1^2 + w3^2) * (1 - cos(sqrt(65)*pi)), about 0.9997."""
+    """Lossless-gate diagonal entry on |001⟩, the decayed gate's gamma at kappa = 0:
+    (1 - s) + s*cos(sqrt(65)*pi) with s = w1^2/(w1^2 + w3^2), about 0.9997."""
     return decayed_i000(replace(params, kappa=0.0)).gamma
 
 
 def decayed_i000(
     params: CavityParams, couplings: tuple[float, float, float] | None = None
 ) -> GateDiagonal:
-    """Damping factors of the phase gate realized under cavity decay,
-    evaluated at the gate time; ``.operator()`` is the 8x8 gate.
+    """Damping factors of the decaying-cavity phase gate in the paper's
+    closed form; ``.operator()`` is the 8x8 gate.
 
-    Each damping factor is the fraction of one gate time the logical state
-    keeps a photon in the mode, weighted by that state's share of coupling
-    to atom 1:
-
-        mu    = exp(-kappa*t/4)                                (|000⟩)
-        gamma = 1 - w1^2/(w1^2+w3^2) * (1 - mu*cos(sqrt(65)*pi))  (|001⟩)
-        beta  = 1 - w1^2/(w1^2+w2^2) * (1 - mu)                (|010⟩)
-        alpha = 1 - w1^2/(w1^2+w2^2+w3^2) * (1 - mu)           (|011⟩)
-
-    Decay, gate time and the atoms-1+3 Rabi phase come from ``params``; the
-    weights come from ``couplings`` (floats or equal-shape arrays, one
-    factor per value), which default to ``params.omega``. Sub-leading
-    oscillatory corrections of order kappa/w1 vanish at the gate time for
-    the |000⟩ block and are dropped for the others; the dynamical oracle
-    ``dynamics.extract_gate`` agrees to about 1e-3 at kappa = w1/10.
+    Column |0 b2 b3⟩ meets the mode through one bright state, coupling W and
+    atom-1 share s (``_bright_columns``). Its exact entry at the gate time T
+    is (1 - s) + s*P00(W, T), P00 = exp(-kappa*T/4) * [cos(a*T) +
+    kappa/(4*a) * sin(a*T)], a = sqrt(W^2 - kappa^2/16). The paper's form
+    1. drops the kappa/(4*a) * sin(a*T) term, and
+    2. takes the phase at the kappa = 0 gate time: a*T -> W*pi/w1,
+    so each entry is (1 - s) + s*(exp(-kappa*T/4) * cos(W*pi/w1)), -mu on
+    |000⟩. There s = 1 and cos = -1 leave mu the envelope bit for bit; the
+    form 1 - s*(1 - envelope*cos) would round a tiny envelope to mu = 0.
+    ``dynamics.extract_gate`` differs by exactly the two dropped terms: at
+    most 1.3e-5 at kappa = w1/10. Decay, gate time and the phases (designed
+    ratios) come from ``params``, the shares from ``couplings`` (floats or
+    equal-shape arrays, one factor per value; ``params.omega`` by default).
     """
     if not params.has_designed_ratios():
         raise ConfigError(f"couplings {params.omega} are not in the designed ratio 1:sqrt(35):8")
-    w1, w2, w3 = params.omega if couplings is None else couplings
-    damp = math.exp(-params.kappa * gate_time(params) / 4.0)
-    w1sq = w1 * w1
-    return GateDiagonal(
-        mu=damp,
-        gamma=1.0 - w1sq / (w1sq + w3 * w3) * (1.0 - damp * math.cos(_pair13_phase(params))),
-        beta=1.0 - w1sq / (w1sq + w2 * w2) * (1.0 - damp),
-        alpha=1.0 - w1sq / (w1sq + w2 * w2 + w3 * w3) * (1.0 - damp),
-    )
+    _, shares = _bright_columns(*(params.omega if couplings is None else couplings))
+    envelope = math.exp(-params.kappa * gate_time(params) / 4.0)
+    entries = [(1.0 - s) + s * (envelope * cos) for s, cos in zip(shares, _DESIGN_COS)]
+    return GateDiagonal(-entries[0], *entries[1:])
 
 
 def marked_gate(tau: MarkedState | str, base: LogicalOperator) -> LogicalOperator:

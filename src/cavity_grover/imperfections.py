@@ -6,9 +6,9 @@ atom-1-in-``E`` column with an atom-1 and a photon amplitude, and one delay
 step applies the exact atom-1 block to them. The closed form takes those
 amplitudes from the decayed gate (a photon only on |001⟩, from the partly
 open atoms-1+3 Rabi cycle); its full-dynamics oracle ``timing_oracle``
-takes them from exact one-excitation blocks. ``timing_oracle_dense``
-evolves the whole Hilbert space at one delay and is the tests' reference
-for the blocks.
+takes them from exact one-excitation blocks, on the same column model
+(``gates._bright_columns``). ``timing_oracle_dense`` evolves the whole
+Hilbert space at one delay and is the tests' reference for the blocks.
 
 Coupling offsets: some of the four cavities in a two-iteration search run
 with couplings off their design values by a relative offset ``eta``. The
@@ -46,7 +46,7 @@ from .dynamics import (
     gate_time,
 )
 from .errors import ConfigError
-from .gates import TEXTBOOK, _pair13_phase, decayed_i000
+from .gates import _DESIGN_PHASES, TEXTBOOK, _bright_columns, decayed_i000
 from .grover import _uniform_register
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
@@ -151,20 +151,21 @@ def timing_infidelity(params: CavityParams | Sequence[CavityParams], delta_ts) -
     every delay dt in ``delta_ts``, in order; for a sequence of K parameter
     sets, at every delay in row k of the (K, D) ``delta_ts`` for set k.
 
-    The block model of ``timing_oracle`` with the gate's approximations:
-    the columns hold the damped entries (-mu, gamma, beta, alpha) of
-    ``decayed_i000`` on atom 1 and a photon only on |001⟩, left by the open
-    atoms-1+3 Rabi cycle: -i*w1/a13 * sin(sqrt(65)*pi), with
-    a13 = sqrt(w1^2 + w3^2 - kappa^2/16). Over dt the atom-1 block scales
-    each entry by xi = exp(-kappa*dt/4) * [cos(a1*dt) + kappa/(4*a1) *
-    sin(a1*dt)], a1 = sqrt(w1^2 - kappa^2/16), and adds to |001⟩ the cross
-    term -w1^2/(a1*a13) * exp(-kappa*dt/4) * sin(a1*dt) * sin(sqrt(65)*pi).
+    The block model of ``timing_oracle`` with the paper's approximations:
+    the atom-1 amplitudes are ``decayed_i000``'s entries, with its two, and
+    the photon column makes a third. Of the exact (w1/W)*P10(W, T) =
+    -i*exp(-kappa*T/4) * w1/a * sin(a*T) it keeps -i*w1/a13 * sin(sqrt(65)*pi)
+    on |001⟩ (a13 = sqrt(w1^2 + w3^2 - kappa^2/16)) and 0 on closed cycles:
+    the phase moves as in the gate, and the envelope is dropped. Over dt the
+    atom-1 block scales each entry by xi = exp(-kappa*dt/4) * [cos(a1*dt) +
+    kappa/(4*a1) * sin(a1*dt)], a1 = sqrt(w1^2 - kappa^2/16), and adds to
+    |001⟩ -w1^2/(a1*a13) * exp(-kappa*dt/4) * sin(a1*dt) * sin(sqrt(65)*pi).
     """
     columns = []
     for p in as_stack(params):  # scalar calls, one per set
-        w1, _, w3 = p.omega
-        a13 = decay_shifted_frequency(math.hypot(w1, w3), p.kappa)
-        photon = -1j * w1 / a13 * math.sin(_pair13_phase(p))
+        bright_sq, _ = _bright_columns(*p.omega)
+        a13 = decay_shifted_frequency(math.sqrt(bright_sq[1]), p.kappa)  # the |001⟩ column
+        photon = -1j * p.omega[0] / a13 * math.sin(_DESIGN_PHASES[1])
         columns.append([decayed_i000(p).entries()[:4], [0.0, photon, 0.0, 0.0]])
     return _delayed_infidelities(params, delta_ts, np.array(columns))
 
@@ -174,19 +175,18 @@ def timing_oracle(params: CavityParams | Sequence[CavityParams], delta_ts) -> np
     ``delta_ts``, in order, from exact 2x2 ``block_propagator`` blocks; a
     sequence of parameter sets takes the same (K, D) delays.
 
-    Column |0 b2 b3⟩ moves only through its bright state, coupling
-    W = sqrt(w1^2 + b2*w2^2 + b3*w3^2). With s = w1^2/W^2, one gate time
-    leaves atom-1 and photon amplitudes (1 - s + s*P00(W), (w1/W)*P10(W));
+    Column |0 b2 b3⟩ moves only through its bright state, coupling W and
+    atom-1 share s (``gates._bright_columns``). One gate time leaves it the
+    exact atom-1 and photon amplitudes ((1 - s) + s*P00(W), (w1/W)*P10(W));
     each delay then applies P(w1, dt). The other columns stay exactly 1.
     ``timing_oracle_dense`` is its reference.
     """
     stack = as_stack(params)
     w1, kappa, t_gate = np.array([(p.omega[0], p.kappa, gate_time(p)) for p in stack]).T[..., None]
-    pairs = [(0.0, w3 * w3, w2 * w2, w2 * w2 + w3 * w3) for _, w2, w3 in (p.omega for p in stack)]
-    bright = np.sqrt(w1 * w1 + np.array(pairs))  # (K, 4)
-    share = (w1 / bright) ** 2
+    bright_sq, share = np.array([_bright_columns(*p.omega) for p in stack]).swapaxes(0, 1)
+    bright = np.sqrt(bright_sq)  # (K, 4)
     at_gate = block_propagator(bright, kappa, t_gate)
-    atom1, photon = 1.0 - share + share * at_gate[..., 0, 0], w1 / bright * at_gate[..., 1, 0]
+    atom1, photon = (1.0 - share) + share * at_gate[..., 0, 0], w1 / bright * at_gate[..., 1, 0]
     return _delayed_infidelities(params, delta_ts, np.stack([atom1, photon], axis=-2))
 
 
@@ -236,19 +236,17 @@ def coupling_offset_infidelity(
     Each four-gate composite damping factor multiplies ``chi`` imperfect-
     cavity factors with ``4 - chi`` design factors. In an imperfect-cavity
     factor the weights p1^2/(p1^2 + ...) come from the offset couplings,
-    while decay, gate time and the Rabi phases stay at their design values:
-    the |001⟩ phase is ``_pair13_phase(params)`` and the |000⟩, |010⟩ and
-    |011⟩ factors keep cos = -1 or +1, as if every Rabi cycle still closed.
+    while decay, gate time and the Rabi phases stay at their design values
+    (``decayed_i000``): sqrt(65)*pi on |001⟩, and cos = -1 or +1 on |000⟩,
+    |010⟩ and |011⟩, as if every Rabi cycle still closed.
     So the |000⟩ factor is exp(-kappa*t/4) whatever the offset, and under a
     uniform offset the weights cancel and the whole infidelity is exactly
     independent of eta.
 
-    Design-time dynamics disagree: with an offset atom-1 coupling the
-    atom-1 cycle does not close at the design gate time, so even the |000⟩
-    entry of a simulated gate (``dynamics.extract_gate``) moves with eta.
-    At kappa = w1/10 and eta = +0.05 this closed form falls with chi
-    (0.0083388 -> 0.0083317) while the product of four simulated gates
-    rises (0.008745 -> 0.009994).
+    Simulated gates (``dynamics.extract_gate``) disagree: an offset atom-1
+    cycle does not close at the design gate time, so even their |000⟩ entry
+    moves with eta. At kappa = w1/10 and eta = +0.05 this form falls with
+    chi (0.0083388 -> 0.0083317), four simulated gates rise (0.008745 -> 0.009994).
 
     Each chi is checked once, and one scenario holding the whole eta array
     checks every offset. One ``decayed_i000`` call on the coupling arrays

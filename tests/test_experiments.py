@@ -204,6 +204,9 @@ def test_parse_rejects_non_finite_floats(line):
 _OWNED_RULE_LINES = (
     "kappa_ratios = 0,4",
     "offset_kappa_ratio = 4",
+    # Below 4, but the envelope exp(-kappa*T/4) underflows: the gate is damped out.
+    "kappa_ratios = 0,3.999999",
+    "offset_kappa_ratio = 3.999999",
     "chi_list = 1,5",
     "eta_max = 1",
     "delta_t_max_frac = 1.5",

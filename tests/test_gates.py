@@ -19,6 +19,7 @@ from cavity_grover import (
     pauli_x,
     residual_gate_entry,
 )
+from cavity_grover.dynamics import DESIGNED_RATIOS, block_propagator
 
 ALL_TAUS = [format(v, "03b") for v in range(8)]
 
@@ -120,6 +121,32 @@ def test_diagonal_factors_monotone_in_decay(omega1c):
         if previous is not None:
             assert all(c <= p + 1e-15 for c, p in zip(current, previous))
         previous = current
+
+
+def test_paper_form_is_the_exact_gate_less_two_terms(omega1c):
+    # Column |0 b2 b3⟩ moves through one bright state of coupling W, atom-1
+    # share s = w1^2/W^2; its exact entry is (1 - s) + s*P00(W, T), from the
+    # exact block. Putting back the two terms the paper drops, the
+    # kappa/(4a)*sin(aT) term and the move of the phase from aT to W*pi/w1,
+    # gives the exact entry. And mu keeps every bit of the envelope.
+    w1, w2, w3 = (omega1c * r for r in DESIGNED_RATIOS)
+    w1sq, w2sq, w3sq = w1 * w1, w2 * w2, w3 * w3
+    bright_sq = np.array([w1sq, w1sq + w3sq, w1sq + w2sq, w1sq + w2sq + w3sq])
+    bright, share = np.sqrt(bright_sq), w1sq / bright_sq
+    worst = 0.0
+    for kappa in np.linspace(0.0, 3.99 * omega1c, 400).tolist():
+        params = CavityParams.designed(omega1c, kappa)
+        t = gate_time(params)
+        envelope = math.exp(-kappa * t / 4.0)
+        exact = (1.0 - share) + share * block_propagator(bright, kappa, t)[:, 0, 0].real
+        a = np.sqrt(bright_sq - kappa * kappa / 16.0)
+        sine_term = envelope * kappa / (4.0 * a) * np.sin(a * t)
+        phase_term = envelope * (np.cos(a * t) - np.cos(bright * math.pi / w1))
+        diag = decayed_i000(params)
+        restored = np.array(diag.entries()[:4]) + share * (sine_term + phase_term)
+        worst = max(worst, np.abs(restored - exact).max())
+        assert diag.mu == envelope
+    assert worst <= 1e-15
 
 
 def test_gate_diagonal_validates_range():

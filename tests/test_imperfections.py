@@ -23,7 +23,7 @@ from cavity_grover import (
 )
 from cavity_grover import dynamics, imperfections
 from cavity_grover.dynamics import DESIGNED_RATIOS
-from cavity_grover.gates import _pair13_phase, decayed_i000
+from cavity_grover.gates import decayed_i000
 
 
 def _fidelity(reference: np.ndarray, output: np.ndarray) -> float:
@@ -173,7 +173,7 @@ def _scalar_timing_grid(params, delta_ts):
     a13 = dynamics.decay_shifted_frequency(math.hypot(w1, w3), kappa)
     diag = decayed_i000(params)
     cross_scale = w1 * w1 / (a1 * a13)
-    sin_pair13 = math.sin(_pair13_phase(params))
+    sin_pair13 = math.sin(math.sqrt(w1 * w1 + w3 * w3) / w1 * math.pi)  # kappa = 0 phase
     u = np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
     reference = u.copy()
     reference[0] = -reference[0]
