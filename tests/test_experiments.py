@@ -36,6 +36,7 @@ from cavity_grover.experiments import MAX_GRID_POINTS, SweepTable
 from cavity_grover.gates import TEXTBOOK, MarkedState
 from cavity_grover.grover import run_search
 from cavity_grover.hilbert import basis_state
+from cavity_grover.tables import _SORT_FROM
 
 FAST = dict(delta_t_points=5, eta_points=5)
 
@@ -364,21 +365,38 @@ _EDGE_FLOATS = (0.0, -0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308, -2.5, 0.
 def _columns(draw):
     # Each column draws its values from a pool of its own: a small pool
     # repeats values heavily, a pool as long as the column hardly at all.
-    length = draw(st.integers(0, 40))
+    # Columns of _SORT_FROM values or more take the writer's sort path. A
+    # seeded generator fills them from their pool and tops a long pool up
+    # with random 64-bit patterns, so hypothesis draws a seed, not hundreds
+    # of values. Their float pools hold every edge value, -0.0 beside 0.0.
+    length = draw(st.one_of(st.integers(0, 40), st.integers(_SORT_FROM, 2 * _SORT_FROM)))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
-        if draw(st.booleans()):
+        integers = draw(st.booleans())
+        if integers:
             values = st.integers(-(2**63), 2**63 - 1)
         else:
             values = st.one_of(
                 st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
             )
-        pool = draw(st.lists(values, min_size=1, max_size=max(length, 1)))
-        columns.append(draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length)))
+        if length < _SORT_FROM:
+            pool = draw(st.lists(values, min_size=1, max_size=max(length, 1)))
+            columns.append(draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length)))
+            continue
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        pool = draw(st.lists(values, min_size=1, max_size=8))
+        if not integers:
+            pool.extend(_EDGE_FLOATS)
+        bits = rng.integers(-(2**63), 2**63, draw(st.sampled_from((0, length // 4, 2 * length))))
+        extra = bits if integers else bits.view(np.float64)
+        pool.extend(extra[np.isfinite(extra)].tolist())
+        columns.append([pool[i] for i in rng.integers(0, len(pool), length)])
     return columns
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# About half the examples are long columns; 200 keeps about 100 on the dict
+# path, which short columns take.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(columns=_columns())
 def test_column_writer_matches_row_wise_writer(columns, tmp_path_factory):
     header = tuple(f"c{i}" for i in range(len(columns)))

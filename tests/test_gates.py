@@ -154,6 +154,19 @@ def test_gate_diagonal_validates_range():
         GateDiagonal(mu=0.0, gamma=1.0, beta=1.0, alpha=1.0)
     with pytest.raises(ConfigError):
         GateDiagonal(mu=1.0, gamma=1.1, beta=1.0, alpha=1.0)
+    # A Python float, an np.float64 and a factor array: one rule and one
+    # message in every form, on each factor.
+    forms = (float, np.float64, lambda value: np.array([0.5, value]))
+    above_one = float(np.nextafter(1.0, 2.0))
+    exact = dict(mu=1.0, gamma=1.0, beta=1.0, alpha=1.0)
+    for name in exact:
+        for form in forms:
+            for value in (math.nan, 0.0, -0.0, -0.25, above_one):
+                with pytest.raises(ConfigError) as caught:
+                    GateDiagonal(**{**exact, name: form(value)})
+                assert str(caught.value) == f"gate diagonal factor {name}={value} outside (0, 1]"
+            for value in (1.0, 5e-324):
+                GateDiagonal(**{**exact, name: form(value)})
 
 
 # --- marked-state conjugation ----------------------------------------------
