@@ -64,7 +64,8 @@ _THETA13 = 5.371920351148152
 class CavityParams:
     """Couplings of the three atoms to the mode and the cavity decay rate.
 
-    All rates are angular frequencies in rad/s. ``kappa`` must stay below
+    All rates are angular frequencies in any one unit, and times are in its
+    inverse; the experiments use omega[0] = 1. ``kappa`` must stay below
     4*omega[0] so that the decay-shifted exchange frequency of the weakest-
     coupled atom remains real (underdamped regime).
     """
@@ -102,15 +103,15 @@ def decay_shifted_frequency(omega: float, kappa: float) -> float:
     arg = omega * omega - kappa * kappa / 16.0
     if not 0.0 < arg < math.inf:
         raise ConfigError(
-            f"omega={omega}, kappa={kappa}: needs finite rates with kappa < 4*|omega| "
-            "(a larger kappa overdamps the block)"
+            f"omega={omega}, kappa={kappa}: needs kappa < 4*|omega| (a larger kappa "
+            "overdamps the block) and squared rates that neither overflow nor underflow"
         )
     return math.sqrt(arg)
 
 
 def gate_time(params: CavityParams) -> float:
     """Interaction time for one conditional phase gate: a half period of the
-    atom-1 exchange, pi / sqrt(omega1^2 - kappa^2/16), in seconds."""
+    atom-1 exchange, pi / sqrt(omega1^2 - kappa^2/16), in the inverse rate unit."""
     return math.pi / decay_shifted_frequency(params.omega[0], params.kappa)
 
 
@@ -149,7 +150,7 @@ _ONE_PHOTON = np.array([i for i, state in enumerate(BASIS.states) if state.n])
 
 def exchange_hamiltonian(omega: tuple[float, float, float]) -> np.ndarray:
     """Resonant exchange matrix on ``BASIS`` for an arbitrary coupling
-    triple, in rad/s.
+    triple.
 
     Couples (..E.., 0) ↔ (..G.., 1) with strength omega_j for each atom j;
     atoms in level ``I`` are untouched. Zero entries switch an atom's
@@ -164,8 +165,8 @@ def exchange_hamiltonian(omega: tuple[float, float, float]) -> np.ndarray:
 
 
 def build_effective_hamiltonian(params: CavityParams) -> np.ndarray:
-    """Non-Hermitian no-jump generator H - i*(kappa/2)*a†a on ``BASIS``, in
-    rad/s. Equal to ``exchange_hamiltonian(params.omega)`` when kappa = 0.
+    """Non-Hermitian no-jump generator H - i*(kappa/2)*a†a on ``BASIS``.
+    Equal to ``exchange_hamiltonian(params.omega)`` when kappa = 0.
     """
     return add_cavity_decay(exchange_hamiltonian(params.omega), params.kappa)
 

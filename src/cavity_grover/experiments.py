@@ -53,9 +53,12 @@ _FLOAT_FIELDS = (
 class ExperimentConfig:
     """All experiment inputs, with the reference defaults baked in.
 
-    Rates enter in kHz (cycles, not angular) and are converted to rad/s at
-    this boundary; kappa is specified as a fraction of the atom-1 coupling.
-    Sweep grids are uniform with ``*_points`` samples from 0 to ``*_max``.
+    Every table depends on kappa/omega1 and the coupling ratios alone, so
+    the experiments compute in units of the atom-1 coupling (omega1 = 1,
+    times in 1/omega1); kappa is specified as a fraction of it. The atom-1
+    coupling itself enters in kHz (cycles, not angular) and only sets the
+    search summary's iteration time. Sweep grids are uniform with
+    ``*_points`` samples from 0 to ``*_max``.
     """
 
     omega1c_khz: float = 6.125
@@ -107,7 +110,7 @@ class ExperimentConfig:
         # time whichever experiment runs, with its key named.
         _built("k_max", self.k_max, check_k_max, self.k_max)
         _built("tau", self.tau, MarkedState, self.tau)
-        _built("omega1c_khz", self.omega1c_khz, self.params, 0.0)
+        _built("omega1c_khz", self.omega1c_khz, self.iteration_us)
         for ratio in self.kappa_ratios:
             params = _built("kappa_ratios", ratio, self.params, ratio)
             _built("kappa_ratios", ratio, decayed_i000, params)  # fails if damped out
@@ -125,13 +128,14 @@ class ExperimentConfig:
             _built("chi_list", chi, OffsetScenario, 0.0, chi, offset)
         _built("lambda0", self.lambda0, positions_for_ratio, self.lambda0)
 
-    @property
-    def omega1c(self) -> float:
-        """Atom-1 coupling in rad/s."""
-        return 2.0 * math.pi * self.omega1c_khz * 1e3
+    def iteration_us(self) -> float:
+        """Two lossless gate times, one search iteration, in microseconds: the
+        one figure in physical units, at the atom-1 coupling in rad/s."""
+        return 2.0 * gate_time(CavityParams.designed(2.0 * math.pi * self.omega1c_khz * 1e3)) * 1e6
 
     def params(self, kappa_ratio: float) -> CavityParams:
-        return CavityParams.designed(self.omega1c, kappa_ratio * self.omega1c)
+        """Designed couplings and decay in units of the atom-1 coupling."""
+        return CavityParams.designed(1.0, kappa_ratio)
 
     def delta_t_fracs(self) -> np.ndarray:
         return np.linspace(0.0, self.delta_t_max_frac, self.delta_t_points)
@@ -278,8 +282,7 @@ def _search_experiment(config: ExperimentConfig) -> SweepTable:
         f"marked state |{tau}⟩; "
         "fidelity = normalized overlap with the exact-gate trajectory"
     ]
-    iteration_us = 2.0 * gate_time(config.params(0.0)) * 1e6
-    lines.append(f"iteration time (two gates, kappa=0): {iteration_us:.2f} us")
+    lines.append(f"iteration time (two gates, kappa=0): {config.iteration_us():.2f} us")
     for ratio, p_find in zip(config.kappa_ratios, grid.p_find):
         best = int(p_find.argmax())
         lines.append(f"kappa_ratio={ratio}: best p_find={p_find[best]:.4f} at k={best + 1}")
@@ -349,7 +352,9 @@ def _offset_experiment(config: ExperimentConfig) -> SweepTable:
 
 def _geometry_experiment(config: ExperimentConfig) -> SweepTable:
     z1, z2, z3 = positions_for_ratio(config.lambda0)
-    ratio = abs(z1) / abs(z2)
+    # The ratio is scale-free: at lambda0 = 1, since a subnormal z rounds it.
+    unit1, unit2, _ = positions_for_ratio(1.0)
+    ratio = abs(unit1) / abs(unit2)
     summary = (
         f"crossing offsets in units of lambda0={config.lambda0}: "
         f"z1={z1:.6f}, z2={z2:.6f}, z3={z3:.6f}\n"

@@ -5,8 +5,10 @@ Everything here acts in the logical order |000⟩..|111⟩ fixed by
 closed form, ``decayed_i000``, which returns the ``GateDiagonal`` of the
 decaying-cavity gate: its first four entries are damped by the photon
 population each logical state cycles through the mode, on the column model
-``_bright_columns`` that ``imperfections.timing_oracle`` also reads; coupling
-arrays give one factor per value, bit for bit the scalar call's. Named cases:
+``_bright_columns``; coupling arrays give one factor per value, bit for bit
+the scalar call's. ``exact_columns`` is the same model without the paper's
+approximations, the exact atom-1 and photon amplitudes of those four columns
+that ``imperfections.timing_oracle`` reads. Named cases:
 
 * the gate a lossless cavity actually realizes is the decayed gate at
   kappa = 0; its |001⟩ entry (``residual_gate_entry``) still falls short
@@ -24,11 +26,12 @@ physical gate drives the whole search.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import CavityParams, gate_time
+from .dynamics import CavityParams, as_stack, block_propagator, gate_time
 from .errors import ConfigError
 from .hilbert import LogicalOperator  # re-exported: defined beside PureState
 
@@ -119,6 +122,28 @@ def _bright_columns(w1, w2, w3):
     w12sq = w1sq + w2 * w2
     bright_sq = (w1sq, w1sq + w3sq, w12sq, w12sq + w3sq)
     return bright_sq, (1.0, w1sq / bright_sq[1], w1sq / w12sq, w1sq / bright_sq[3])
+
+
+def exact_columns(params: CavityParams | Sequence[CavityParams], t=None) -> np.ndarray:
+    """Exact atom-1 and photon amplitudes of the four atom-1-in-``E``
+    columns |000⟩, |001⟩, |010⟩, |011⟩ at time ``t``, the gate time by default.
+
+    Column |0 b2 b3⟩ moves only through its bright state, coupling W and
+    atom-1 share s (``_bright_columns``), so with P = ``block_propagator(W,
+    kappa, t)`` the rows are (1 - s) + s*P00 and (w1/W)*P10: a signed
+    complex (2, 4) array, or (K, 2, 4) for a sequence of K parameter sets
+    (``t`` then one time or K times). Any coupling triple works; kappa <
+    4*w1 <= 4*W keeps every block underdamped.
+    """
+    stack = as_stack(params)
+    w1, kappa = np.array([(p.omega[0], p.kappa) for p in stack]).T[..., None]
+    t = [gate_time(p) for p in stack] if t is None else t
+    bright_sq, share = np.array([_bright_columns(*p.omega) for p in stack]).swapaxes(0, 1)
+    bright = np.sqrt(bright_sq)  # (K, 4)
+    block = block_propagator(bright, kappa, np.reshape(t, (-1, 1)))
+    atom1, photon = (1.0 - share) + share * block[..., 0, 0], w1 / bright * block[..., 1, 0]
+    columns = np.stack([atom1, photon], axis=-2)
+    return columns[0] if isinstance(params, CavityParams) else columns
 
 
 # Column phases W*pi/w1 at kappa = 0 and the designed ratios; sqrt(65)*pi leaves a cycle open.

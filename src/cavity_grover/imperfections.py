@@ -6,9 +6,9 @@ atom-1-in-``E`` column with an atom-1 and a photon amplitude, and one delay
 step applies the exact atom-1 block to them. The closed form takes those
 amplitudes from the decayed gate (a photon only on |001⟩, from the partly
 open atoms-1+3 Rabi cycle); its full-dynamics oracle ``timing_oracle``
-takes them from exact one-excitation blocks, on the same column model
-(``gates._bright_columns``). ``timing_oracle_dense`` evolves the whole
-Hilbert space at one delay and is the tests' reference for the blocks.
+takes them from ``gates.exact_columns``, the exact one-excitation blocks on
+the same column model. ``timing_oracle_dense`` evolves the whole Hilbert
+space at one delay and is the tests' reference for the blocks.
 
 Coupling offsets: some of the four cavities in a two-iteration search run
 with couplings off their design values by a relative offset ``eta``. The
@@ -46,7 +46,7 @@ from .dynamics import (
     gate_time,
 )
 from .errors import ConfigError
-from .gates import _DESIGN_PHASES, TEXTBOOK, _bright_columns, decayed_i000
+from .gates import _DESIGN_PHASES, TEXTBOOK, _bright_columns, decayed_i000, exact_columns
 from .grover import _uniform_register
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
@@ -54,9 +54,9 @@ OFFSET_MODELS = ("atom1", "uniform", "per_atom")
 
 @dataclass(frozen=True)
 class TimingScenario:
-    """Atom 1 exits ``delta_t`` seconds after atoms 2 and 3 (who leave on
-    time, after one gate time). ``delta_t`` may be an array of delays, one
-    scenario per value."""
+    """Atom 1 exits ``delta_t`` after atoms 2 and 3 (who leave on time,
+    after one gate time), in the inverse unit of the rates in ``params``.
+    ``delta_t`` may be an array of delays, one scenario per value."""
 
     delta_t: float
     params: CavityParams
@@ -172,22 +172,12 @@ def timing_infidelity(params: CavityParams | Sequence[CavityParams], delta_ts) -
 
 def timing_oracle(params: CavityParams | Sequence[CavityParams], delta_ts) -> np.ndarray:
     """Full-dynamics counterpart of ``timing_infidelity`` at every delay in
-    ``delta_ts``, in order, from exact 2x2 ``block_propagator`` blocks; a
-    sequence of parameter sets takes the same (K, D) delays.
-
-    Column |0 b2 b3⟩ moves only through its bright state, coupling W and
-    atom-1 share s (``gates._bright_columns``). One gate time leaves it the
-    exact atom-1 and photon amplitudes ((1 - s) + s*P00(W), (w1/W)*P10(W));
-    each delay then applies P(w1, dt). The other columns stay exactly 1.
+    ``delta_ts``, in order; a sequence of parameter sets takes the same (K, D)
+    delays. One gate time leaves each atom-1-in-``E`` column the exact
+    amplitudes of ``gates.exact_columns``; each delay then applies P(w1, dt).
     ``timing_oracle_dense`` is its reference.
     """
-    stack = as_stack(params)
-    w1, kappa, t_gate = np.array([(p.omega[0], p.kappa, gate_time(p)) for p in stack]).T[..., None]
-    bright_sq, share = np.array([_bright_columns(*p.omega) for p in stack]).swapaxes(0, 1)
-    bright = np.sqrt(bright_sq)  # (K, 4)
-    at_gate = block_propagator(bright, kappa, t_gate)
-    atom1, photon = (1.0 - share) + share * at_gate[..., 0, 0], w1 / bright * at_gate[..., 1, 0]
-    return _delayed_infidelities(params, delta_ts, np.stack([atom1, photon], axis=-2))
+    return _delayed_infidelities(params, delta_ts, exact_columns(params))
 
 
 def timing_oracle_dense(scenario: TimingScenario, rk4_steps: int | None = None) -> float:

@@ -34,6 +34,7 @@ from cavity_grover.dynamics import (
     exchange_hamiltonian,
     expm,
 )
+from cavity_grover.gates import _bright_columns, exact_columns
 from cavity_grover.hilbert import (
     BASIS,
     BasisState,
@@ -565,21 +566,13 @@ def _block_params(omega1c, ratios, kappa_frac):
     return CavityParams(omega, kappa=kappa_frac * 4.0 * omega[0])
 
 
-def _bright_couplings(params):
-    # Columns |0 b2 b3⟩ in logical order: atoms 2/3 in G (b = 1) join the star.
-    w1, w2, w3 = params.omega
-    return np.sqrt([w1**2, w1**2 + w3**2, w1**2 + w2**2, w1**2 + w2**2 + w3**2])
-
-
 def _block_amplitudes(params, t):
     """Atom-1 and photon amplitudes of the four atom-1-in-E columns, and each
-    column's squared norm (dark part plus bright block)."""
-    bright = _bright_couplings(params)
-    share = (params.omega[0] / bright) ** 2
-    p = block_propagator(bright, params.kappa, t)
-    leaf1 = 1.0 - share + share * p[:, 0, 0]
-    photon = params.omega[0] / bright * p[:, 1, 0]
-    norm = 1.0 - share + share * (np.abs(p[:, 0, 0]) ** 2 + np.abs(p[:, 1, 0]) ** 2)
+    column's squared norm: dark part 1 - s, bright atom s*|P00|^2, photon."""
+    leaf1, photon = exact_columns(params, t)
+    share = np.array(_bright_columns(*params.omega)[1])
+    bright_atom = leaf1 - (1.0 - share)  # s*P00
+    norm = 1.0 - share + np.abs(bright_atom) ** 2 / share + np.abs(photon) ** 2
     return leaf1, photon, norm
 
 

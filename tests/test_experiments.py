@@ -1,14 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavity_grover import (
@@ -32,7 +35,7 @@ from cavity_grover import (
 )
 from cavity_grover import cli, dynamics, experiments, imperfections
 from cavity_grover.dynamics import decay_shifted_frequency
-from cavity_grover.experiments import MAX_GRID_POINTS, SweepTable
+from cavity_grover.experiments import MAX_GRID_POINTS, SweepTable, _value_text
 from cavity_grover.gates import TEXTBOOK, MarkedState
 from cavity_grover.grover import run_search
 from cavity_grover.hilbert import basis_state
@@ -317,34 +320,197 @@ def test_geometry_table():
     assert ratio == pytest.approx(abs(z1) / abs(z2), rel=1e-12)
 
 
-_GATE_GAP = "max |analytic - simulated| = "
+def _accepts_khz(khz: float) -> bool:
+    try:
+        ExperimentConfig(omega1c_khz=khz)
+    except ConfigError:
+        return False
+    return True
+
+
+def _last_accepted_khz(accepted: float, rejected: float) -> float:
+    # Positive floats order as their bit patterns: bisect over those.
+    a, r = (int(np.float64(x).view(np.int64)) for x in (accepted, rejected))
+    while abs(a - r) > 1:
+        mid = (a + r) // 2
+        if _accepts_khz(float(np.int64(mid).view(np.float64))):
+            a = mid
+        else:
+            r = mid
+    return float(np.int64(a).view(np.float64))
+
+
+@pytest.fixture(scope="module")
+def khz_range():
+    """The smallest and the largest accepted omega1c_khz."""
+    return (_last_accepted_khz(6.125, 5e-324), _last_accepted_khz(6.125, sys.float_info.max))
 
 
 @pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
-def test_outputs_do_not_depend_on_the_frequency_unit(experiment):
+def test_outputs_do_not_depend_on_the_frequency_unit(experiment, khz_range):
     # Every CSV value depends on kappa/omega1 and the coupling ratios alone,
-    # so omega1 = 2*pi*1 Hz and 2*pi*1 GHz give the default run's values. The
-    # summary's iteration time scales with 1/omega1; the gate gaps may move
-    # by rounding, which shows in the three digits of the lossless gap.
+    # and the experiments compute in units of omega1: across the accepted
+    # range of omega1c_khz every column keeps the default run's bits, and
+    # only the summary's iteration time, 2*pi/omega1, moves.
     reference = run_experiment(experiment, ExperimentConfig())
     expected_lines = reference.summary.splitlines()
-    for khz in (1e-3, 1e6):
+    lowest, highest = khz_range
+    for khz in (lowest, 1e-100, 1e-3, 1e6, 1e100, highest):
         table = run_experiment(experiment, ExperimentConfig(omega1c_khz=khz))
         assert table.header == reference.header
+        assert len(table.columns) == len(reference.columns)
         for column, expected in zip(table.columns, reference.columns):
-            assert len(column) == len(expected)
-            assert np.abs(column - expected).max(initial=0.0) <= 1e-12
+            assert np.array_equal(column, expected)
         lines = table.summary.splitlines()
         assert len(lines) == len(expected_lines)
         for line, expected in zip(lines, expected_lines):
-            if line.startswith("iteration time"):
-                continue
-            if _GATE_GAP in line:
-                head, gap = line.split(_GATE_GAP)
-                assert head == expected.split(_GATE_GAP)[0]
-                assert abs(float(gap) - float(expected.split(_GATE_GAP)[1])) < 1e-12
-            else:
+            if not line.startswith("iteration time"):
                 assert line == expected
+
+
+def test_frequency_unit_rule_at_its_edges(khz_range, tmp_path, capsys):
+    # Accepted values give a finite iteration time; rejected ones, the two
+    # floats beyond the edges among them, exit 1 naming the key.
+    lowest, highest = khz_range
+    assert lowest < 1e-160 and highest > 1e148
+    for khz in (lowest, 1e-100, 6.125, 1e100, highest):
+        assert 0.0 < ExperimentConfig(omega1c_khz=khz).iteration_us() < math.inf
+    beyond = (np.nextafter(lowest, 0.0), np.nextafter(highest, math.inf))
+    for khz in (0.0, -1.0, 5e-324, 1e-300, *beyond, 1e300, sys.float_info.max):
+        config, out = tmp_path / "bad.cfg", tmp_path / "search.csv"
+        config.write_text(f"omega1c_khz = {float(khz)!r}\n", encoding="utf-8")
+        assert cli.main(["search", "--config", str(config), "--out", str(out)]) == 1
+        shown = f"sim: config error: omega1c_khz = {float(khz)!r}: "
+        assert capsys.readouterr().err.startswith(shown)
+        assert not out.exists()
+
+
+# Every key across its domain, edges included. A draw takes each key from
+# its accepted values but at most one, which it draws from anywhere, edges
+# on both sides of its rule included, so that about half the configs load.
+def _floats(low, high, *edges):
+    return st.one_of(st.sampled_from(edges), st.floats(low, high))
+
+
+def _increasing(values, max_size):
+    return st.lists(values, min_size=1, max_size=max_size, unique=True).map(sorted).map(tuple)
+
+
+_DECAY = _floats(0.0, 3.99, 0.0, 0.1, 3.99)
+_ETA = _floats(-0.9999999, 0.9999999, 0.0, -0.9999999, 0.9999999)
+_CONFIG_DRAWS = {  # key: (accepted values, any values)
+    "omega1c_khz": (
+        _floats(1e-165, 1e150, 1e-165, 6.125, 1e150),
+        _floats(-1e300, 1e300, 0.0, 5e-324, 1e-300, 1e-167, 1e152, 1e300, sys.float_info.max),
+    ),
+    "kappa_ratios": (
+        _increasing(_DECAY, 3),
+        st.lists(_floats(-0.1, 4.5, -0.1, 3.999999, 3.9999999, 4.0), max_size=3).map(tuple),
+    ),
+    "k_max": (st.integers(1, 12), st.integers(-1, 12)),
+    "tau": (
+        st.sampled_from([format(v, "03b") for v in range(8)]),
+        st.sampled_from(["012", "00", "1111", "abc"]),
+    ),
+    "delta_t_max_frac": (
+        _floats(0.0, 1.0, 5e-324, 0.1, 1.0).filter(bool),
+        _floats(-0.1, 1.5, 0.0, -5e-324, 1.0000001),
+    ),
+    "delta_t_points": (st.integers(1, 6), st.integers(-1, 6)),
+    "eta_max": (
+        _floats(0.0, 0.9999999, 5e-324, 0.1, 0.9999999).filter(bool),
+        _floats(-0.1, 1.2, 0.0, 1.0),
+    ),
+    "eta_points": (st.integers(1, 6), st.integers(-1, 6)),
+    "chi_list": (
+        _increasing(st.integers(1, 4), 4),
+        st.lists(st.integers(0, 5), max_size=4).map(tuple),
+    ),
+    "offset_model": (
+        st.sampled_from(("atom1", "uniform", "per_atom")),
+        st.sampled_from(("both", "")),
+    ),
+    "offset_eta_per_atom": (
+        st.tuples(_ETA, _ETA, _ETA),
+        st.none() | st.tuples(*[_floats(-1.2, 1.2, -1.0, 1.0)] * 3),
+    ),
+    "offset_kappa_ratio": (_DECAY, _floats(-0.1, 4.5, -0.1, 3.999999, 4.0)),
+    "lambda0": (
+        _floats(5e-324, 1e300, 5e-324, 1.0, sys.float_info.max),
+        _floats(-1.0, 0.0, -5e-324, 0.0),
+    ),
+}
+
+
+@st.composite
+def _config_values(draw):
+    spoiled = draw(st.none() | st.sampled_from(sorted(_CONFIG_DRAWS)))
+    return {
+        key: draw(any_value if key == spoiled else accepted)
+        for key, (accepted, any_value) in _CONFIG_DRAWS.items()
+    }
+
+
+def _config_text(values: dict) -> str:
+    return "".join(f"{key} = {_value_text(value)}\n" for key, value in values.items())
+
+
+_DEFAULT_VALUES = {key: getattr(ExperimentConfig(), key) for key in _CONFIG_DRAWS}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(values=_config_values(), experiment=st.sampled_from(experiments.EXPERIMENTS))
+@example(values={**_DEFAULT_VALUES, "omega1c_khz": 1e-167}, experiment="search")
+@example(values={**_DEFAULT_VALUES, "omega1c_khz": 1e150}, experiment="timing")
+@example(values={**_DEFAULT_VALUES, "lambda0": 5e-324}, experiment="geometry")
+def test_a_config_runs_every_experiment_or_is_rejected(values, experiment):
+    # Loading either rejects a config or accepts one on which every
+    # experiment gives a finite table; the CLI says which, in one sim: line.
+    text = _config_text(values)
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        config = None
+    else:
+        for name in experiments.EXPERIMENTS:
+            for column in run_experiment(name, config).columns:
+                assert np.isfinite(np.asarray(column, dtype=float)).all()
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp, "run.cfg"), Path(tmp, "out.csv")
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main([experiment, "--config", str(path), "--out", str(out)])
+        assert out.exists() == (rc == 0)
+    assert rc == (1 if config is None else 0)
+    assert err.getvalue().startswith("sim: config error: ") if rc else not err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def default_csvs():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in experiments.EXPERIMENTS:
+            assert cli.main([name, "--out", str(Path(tmp, name))]) == 0
+        return {name: Path(tmp, name).read_bytes() for name in experiments.EXPERIMENTS}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(khz=st.one_of(*_CONFIG_DRAWS["omega1c_khz"]))
+@example(khz=1e-167)
+@example(khz=1e-165)
+@example(khz=1e150)
+def test_a_config_that_sets_only_the_frequency_unit_writes_the_default_bytes(khz, default_csvs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "run.cfg")
+        path.write_text(f"omega1c_khz = {khz!r}\n", encoding="utf-8")
+        for name in experiments.EXPERIMENTS:
+            out, err = Path(tmp, name), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main([name, "--config", str(path), "--out", str(out)])
+            if rc:
+                assert rc == 1 and err.getvalue().startswith("sim: config error: omega1c_khz = ")
+            else:
+                assert out.read_bytes() == default_csvs[name]
 
 
 # --- CSV emission -----------------------------------------------------------

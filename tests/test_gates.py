@@ -19,7 +19,8 @@ from cavity_grover import (
     pauli_x,
     residual_gate_entry,
 )
-from cavity_grover.dynamics import DESIGNED_RATIOS, block_propagator
+from cavity_grover.dynamics import DESIGNED_RATIOS
+from cavity_grover.gates import exact_columns
 
 ALL_TAUS = [format(v, "03b") for v in range(8)]
 
@@ -125,8 +126,8 @@ def test_diagonal_factors_monotone_in_decay(omega1c):
 
 def test_paper_form_is_the_exact_gate_less_two_terms(omega1c):
     # Column |0 b2 b3⟩ moves through one bright state of coupling W, atom-1
-    # share s = w1^2/W^2; its exact entry is (1 - s) + s*P00(W, T), from the
-    # exact block. Putting back the two terms the paper drops, the
+    # share s = w1^2/W^2; its exact entry is (1 - s) + s*P00(W, T), from
+    # ``exact_columns``. Putting back the two terms the paper drops, the
     # kappa/(4a)*sin(aT) term and the move of the phase from aT to W*pi/w1,
     # gives the exact entry. And mu keeps every bit of the envelope.
     w1, w2, w3 = (omega1c * r for r in DESIGNED_RATIOS)
@@ -138,7 +139,7 @@ def test_paper_form_is_the_exact_gate_less_two_terms(omega1c):
         params = CavityParams.designed(omega1c, kappa)
         t = gate_time(params)
         envelope = math.exp(-kappa * t / 4.0)
-        exact = (1.0 - share) + share * block_propagator(bright, kappa, t)[:, 0, 0].real
+        exact = exact_columns(params)[0].real
         a = np.sqrt(bright_sq - kappa * kappa / 16.0)
         sine_term = envelope * kappa / (4.0 * a) * np.sin(a * t)
         phase_term = envelope * (np.cos(a * t) - np.cos(bright * math.pi / w1))
@@ -147,6 +148,14 @@ def test_paper_form_is_the_exact_gate_less_two_terms(omega1c):
         worst = max(worst, np.abs(restored - exact).max())
         assert diag.mu == envelope
     assert worst <= 1e-15
+
+
+def test_exact_columns_stay_finite_at_the_overdamped_edge(omega1c):
+    # kappa < 4*w1 <= 4*W keeps every block underdamped, also where the
+    # envelope underflows and the paper form is damped out.
+    params = CavityParams.designed(omega1c, 3.99999 * omega1c)
+    columns = exact_columns(params)
+    assert columns.shape == (2, 4) and np.isfinite(columns.view(float)).all()
 
 
 def test_gate_diagonal_validates_range():
