@@ -39,14 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
             "iterated search, imperfection sweeps, and mode geometry."
         ),
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        cmd = sub.add_parser(name, help=f"run the {name} experiment")
-        cmd.add_argument("--config", help="flat key=value config file")
-        cmd.add_argument("--out", help="CSV output path (default <experiment>.csv)")
-        cmd.add_argument(
-            "--summary", action="store_true", help="print key scalars to stdout"
-        )
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="the experiment to run")
+    parser.add_argument("--config", help="flat key=value config file")
+    parser.add_argument("--out", help="CSV output path (default <experiment>.csv)")
+    parser.add_argument("--summary", action="store_true", help="print key scalars to stdout")
     return parser
 
 

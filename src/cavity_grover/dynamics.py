@@ -24,6 +24,7 @@ the validation oracle for the closed-form gate matrices in ``gates``.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -327,38 +328,37 @@ class GateExtract:
             raise NumericalError("column norm plus leakage exceeds 1")
 
 
-def as_stack(params: CavityParams | Sequence[CavityParams]) -> list[CavityParams]:
-    """One ``CavityParams`` as a one-set stack, or a non-empty sequence as a list."""
-    stack = [params] if isinstance(params, CavityParams) else list(params)
+def as_stack(params: Sequence[CavityParams]) -> list[CavityParams]:
+    """A non-empty sequence of parameter sets as a list."""
+    stack = list(params)
     if not stack:
         raise ConfigError("needs at least one set of cavity parameters")
     return stack
 
 
 def evolve_logical_basis(
-    params: CavityParams | Sequence[CavityParams], t, rk4_steps: int | None = None
+    params: Sequence[CavityParams], t, rk4_steps: int | None = None
 ) -> tuple[tuple[int, ...], list[PureState]]:
     """Evolve each logical basis state |000⟩..|111⟩ under the no-jump
-    Hamiltonian for time ``t``. Returns the logical embedding and the eight
-    final states, in logical order; K parameter sets and K times give stacks."""
-    stack = [build_effective_hamiltonian(p) for p in as_stack(params)]
-    h_eff = stack[0] if isinstance(params, CavityParams) else np.stack(stack)
+    Hamiltonian of K parameter sets for their K times ``t``. Returns the
+    logical embedding and the eight final (K, 36) stacks, in logical order."""
+    h_eff = np.stack([build_effective_hamiltonian(p) for p in as_stack(params)])
     embedding = computational_embedding()
     return embedding, [evolve(h_eff, t, basis_state(pos), rk4_steps) for pos in embedding]
 
 
 def extract_gate(
-    params: CavityParams | Sequence[CavityParams], t, rk4_steps: int | None = None
+    params: Sequence[CavityParams], t, rk4_steps: int | None = None
 ) -> GateExtract:
-    """Simulate the gate: evolve each logical basis state under the no-jump
-    Hamiltonian for time ``t`` and project back onto the logical subspace.
-    K parameter sets and K times make the eight ``evolve`` calls propagate a
-    (K, 36, 36) stack; slice k of the extract has the bits of a one-set call.
+    """Simulate the gate of K parameter sets at their K times ``t``: evolve
+    each logical basis state under the no-jump Hamiltonian and project back
+    onto the logical subspace. The eight ``evolve`` calls propagate a (K, 36,
+    36) stack; slice k of the extract has the bits of a one-set stack.
     """
     if not np.all(np.asarray(t, dtype=float) > 0.0):  # NaN fails too; evolve rejects inf
         raise ConfigError(f"gate extraction needs a finite t > 0, got {t}")
     embedding, finals = evolve_logical_basis(params, t, rk4_steps)
-    amps = np.stack([final.amplitudes for final in finals], axis=-2)  # (..., column, state)
+    amps = np.stack([final.amplitudes for final in finals], axis=-2)  # (K, column, state)
     projected = np.ascontiguousarray(amps[..., list(embedding)])  # sums run along rows of 8
     leakage = _vdot(amps, amps).real - (np.abs(projected) ** 2).sum(axis=-1)
     return GateExtract(LogicalOperator(projected.swapaxes(-1, -2)), leakage)
@@ -377,12 +377,15 @@ def positions_for_ratio(lambda0: float) -> tuple[float, float, float]:
 
     Atom 3 crosses the antinode (z3 = 0, full coupling); atoms 1 and 2 sit
     on the first cosine lobe where the mode has dropped to 1/8 and
-    sqrt(35)/8 of its peak.
+    sqrt(35)/8 of its peak. A wavelength that puts z2 below the smallest
+    normal float is rejected: subnormal offsets keep only a few bits.
     """
     _check_wavelength(lambda0)
     scale = lambda0 / (2.0 * math.pi)
     z1 = scale * math.acos(1.0 / 8.0)
     z2 = scale * math.acos(math.sqrt(35.0) / 8.0)
+    if z2 < sys.float_info.min:
+        raise ConfigError(f"mode wavelength {lambda0} puts offset z2={z2} below the normal floats")
     return (z1, z2, 0.0)
 
 

@@ -222,15 +222,15 @@ def _value_text(value) -> str:
 
 
 def _over_kappa(experiment: str, config: ExperimentConfig, run, *axes):
-    """``run(params, *axes)`` in one call for every decay ratio; on a
-    ``NumericalError`` alone, ratio by ratio again, to name the first that fails."""
+    """``run(stack, *axes)`` in one call for every decay ratio; on a
+    ``NumericalError`` alone, one-ratio stacks again, to name the first that fails."""
     stack = [config.params(ratio) for ratio in config.kappa_ratios]
     try:
         return run(stack, *axes)
     except NumericalError as exc:
         for ratio, params, *point in zip(config.kappa_ratios, stack, *axes):
             try:
-                run(params, *point)
+                run([params], *([row] for row in point))
             except NumericalError as one:
                 raise NumericalError(f"{experiment} failed at kappa_ratio={ratio}: {one}") from one
         raise NumericalError(f"{experiment} failed over all kappa_ratios: {exc}") from exc

@@ -124,26 +124,27 @@ def _bright_columns(w1, w2, w3):
     return bright_sq, (1.0, w1sq / bright_sq[1], w1sq / w12sq, w1sq / bright_sq[3])
 
 
-def exact_columns(params: CavityParams | Sequence[CavityParams], t=None) -> np.ndarray:
+def exact_columns(params: Sequence[CavityParams], t=None) -> np.ndarray:
     """Exact atom-1 and photon amplitudes of the four atom-1-in-``E``
-    columns |000⟩, |001⟩, |010⟩, |011⟩ at time ``t``, the gate time by default.
+    columns |000⟩, |001⟩, |010⟩, |011⟩ for each of K parameter sets at its
+    time in the K ``t``, the gate times by default.
 
     Column |0 b2 b3⟩ moves only through its bright state, coupling W and
     atom-1 share s (``_bright_columns``), so with P = ``block_propagator(W,
     kappa, t)`` the rows are (1 - s) + s*P00 and (w1/W)*P10: a signed
-    complex (2, 4) array, or (K, 2, 4) for a sequence of K parameter sets
-    (``t`` then one time or K times). Any coupling triple works; kappa <
-    4*w1 <= 4*W keeps every block underdamped.
+    complex (K, 2, 4) array. Any coupling triple works; kappa < 4*w1 <= 4*W
+    keeps every block underdamped.
     """
     stack = as_stack(params)
     w1, kappa = np.array([(p.omega[0], p.kappa) for p in stack]).T[..., None]
-    t = [gate_time(p) for p in stack] if t is None else t
+    times = np.array([gate_time(p) for p in stack] if t is None else t, dtype=float)
+    if times.shape != (len(stack),):
+        raise ConfigError(f"needs one time per parameter set, got shape {times.shape}")
     bright_sq, share = np.array([_bright_columns(*p.omega) for p in stack]).swapaxes(0, 1)
     bright = np.sqrt(bright_sq)  # (K, 4)
-    block = block_propagator(bright, kappa, np.reshape(t, (-1, 1)))
+    block = block_propagator(bright, kappa, times[:, None])
     atom1, photon = (1.0 - share) + share * block[..., 0, 0], w1 / bright * block[..., 1, 0]
-    columns = np.stack([atom1, photon], axis=-2)
-    return columns[0] if isinstance(params, CavityParams) else columns
+    return np.stack([atom1, photon], axis=-2)
 
 
 # Column phases W*pi/w1 at kappa = 0 and the designed ratios; sqrt(65)*pi leaves a cycle open.

@@ -132,18 +132,18 @@ def run_search(
     )
 
 
-def phase_gate_success(state, diag: GateDiagonal) -> float:
+def phase_gate_success(coeffs, diag: GateDiagonal) -> float:
     """Success probability of one phase gate on a register state.
 
-    ``state`` carries the eight coefficients in the convention where the
-    physical amplitudes are coefficient/(2*sqrt(2)), so the squared
+    ``coeffs`` holds the eight coefficients as an array, in the convention
+    where the physical amplitudes are coefficient/(2*sqrt(2)), so the squared
     coefficients must sum to 8. Each of the first four slots survives the
     gate with its damping factor squared; the rest pass untouched:
 
         ( |c3|^2*alpha^2 + |c2|^2*beta^2 + |c1|^2*gamma^2 + |c0|^2*mu^2
           + |c4|^2 + |c5|^2 + |c6|^2 + |c7|^2 ) / 8
     """
-    coeffs = state.amplitudes if isinstance(state, PureState) else np.asarray(state, dtype=complex)
+    coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (8,):
         raise ConfigError(f"expected 8 coefficients, got shape {coeffs.shape}")
     total = float(np.sum(np.abs(coeffs) ** 2))

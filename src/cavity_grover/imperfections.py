@@ -21,8 +21,8 @@ Both infidelities are 1 minus a uniform-input fidelity: the gate is applied
 to the uniform superposition and the result is compared, after
 renormalization, with what the exact gate sequence would have produced.
 One row-wise fidelity scores every delay and every offset. Each function
-takes a whole axis (``delta_ts`` or ``etas``, 1-D) and returns an array;
-one point is the one-value case.
+takes a whole axis: the timing ones K parameter sets and a (K, D) delay
+grid, the offset one a 1-D ``etas``; one point is the one-value case.
 """
 
 from __future__ import annotations
@@ -125,31 +125,30 @@ def _axis(name: str, values, ndim: int = 1) -> np.ndarray:
 
 
 def _delayed_infidelities(
-    params: CavityParams | Sequence[CavityParams], delta_ts, columns: np.ndarray
+    params: Sequence[CavityParams], delta_ts, columns: np.ndarray
 ) -> np.ndarray:
-    """Gate infidelity at every delay in ``delta_ts``, in order, from the 2x4
-    (atom-1, photon) amplitudes ``columns`` of the four atom-1-in-``E``
-    columns at the gate time: each delay dt applies ``block_propagator(w1,
-    kappa, dt)``, and the other four columns stay exactly 1. A sequence of
-    K parameter sets takes (K, 2, 4) columns and (K, D) delays."""
-    single, stack = isinstance(params, CavityParams), as_stack(params)
-    delays = _axis("delta_ts", delta_ts, 1)[None] if single else _axis("delta_ts", delta_ts, 2)
+    """Gate infidelity of each of K parameter sets at every delay in its row
+    of the (K, D) ``delta_ts``, in order, from the (K, 2, 4) (atom-1, photon)
+    amplitudes ``columns`` of the four atom-1-in-``E`` columns at the gate
+    time: each delay dt applies ``block_propagator(w1, kappa, dt)``, and the
+    other four columns stay exactly 1."""
+    stack = as_stack(params)
+    delays = _axis("delta_ts", delta_ts, 2)
     if len(delays) != len(stack):
         raise ConfigError(f"delta_ts needs one row per parameter set, got shape {delays.shape}")
     for row, p in zip(delays, stack):
         TimingScenario(row, p)  # validates every delay
     w1, kappa = np.array([(p.omega[0], p.kappa) for p in stack]).T[..., None]
-    atom1 = block_propagator(w1, kappa, delays)[..., 0, :] @ columns.reshape(-1, 2, 4)
+    atom1 = block_propagator(w1, kappa, delays)[..., 0, :] @ columns
     _check_result(atom1, None)
     diagonals = np.concatenate([atom1, np.ones(atom1.shape)], axis=-1)
-    infidelity = _row_infidelity(_GATE_REFERENCE, diagonals * _uniform_register())
-    return infidelity[0] if single else infidelity
+    return _row_infidelity(_GATE_REFERENCE, diagonals * _uniform_register())
 
 
-def timing_infidelity(params: CavityParams | Sequence[CavityParams], delta_ts) -> np.ndarray:
-    """Closed-form gate infidelity caused by atom 1 overstaying by dt, at
-    every delay dt in ``delta_ts``, in order; for a sequence of K parameter
-    sets, at every delay in row k of the (K, D) ``delta_ts`` for set k.
+def timing_infidelity(params: Sequence[CavityParams], delta_ts) -> np.ndarray:
+    """Closed-form gate infidelity caused by atom 1 overstaying by dt, for
+    each of K parameter sets at every delay dt in its row of the (K, D)
+    ``delta_ts``, in order: a (K, D) array.
 
     The block model of ``timing_oracle`` with the paper's approximations:
     the atom-1 amplitudes are ``decayed_i000``'s entries, with its two, and
@@ -170,12 +169,11 @@ def timing_infidelity(params: CavityParams | Sequence[CavityParams], delta_ts) -
     return _delayed_infidelities(params, delta_ts, np.array(columns))
 
 
-def timing_oracle(params: CavityParams | Sequence[CavityParams], delta_ts) -> np.ndarray:
-    """Full-dynamics counterpart of ``timing_infidelity`` at every delay in
-    ``delta_ts``, in order; a sequence of parameter sets takes the same (K, D)
-    delays. One gate time leaves each atom-1-in-``E`` column the exact
-    amplitudes of ``gates.exact_columns``; each delay then applies P(w1, dt).
-    ``timing_oracle_dense`` is its reference.
+def timing_oracle(params: Sequence[CavityParams], delta_ts) -> np.ndarray:
+    """Full-dynamics counterpart of ``timing_infidelity``, on the same K
+    parameter sets and (K, D) delays. One gate time leaves each
+    atom-1-in-``E`` column the exact amplitudes of ``gates.exact_columns``;
+    each delay then applies P(w1, dt). ``timing_oracle_dense`` is its reference.
     """
     return _delayed_infidelities(params, delta_ts, exact_columns(params))
 
@@ -192,12 +190,12 @@ def timing_oracle_dense(scenario: TimingScenario, rk4_steps: int | None = None) 
     if np.ndim(scenario.delta_t) != 0:
         raise ConfigError(f"delta_t must be one delay, got shape {np.shape(scenario.delta_t)}")
     params = scenario.params
-    embedding, mids = evolve_logical_basis(params, gate_time(params), rk4_steps)
+    embedding, mids = evolve_logical_basis([params], [gate_time(params)], rk4_steps)
     h_atom1 = exchange_hamiltonian((params.omega[0], 0.0, 0.0))  # atoms 2, 3 gone
     add_cavity_decay(h_atom1, params.kappa)
     logical = list(embedding)
     gate = np.column_stack(
-        [evolve(h_atom1, scenario.delta_t, mid, rk4_steps).amplitudes[logical] for mid in mids]
+        [evolve(h_atom1, scenario.delta_t, mid, rk4_steps).amplitudes[0, logical] for mid in mids]
     )
     return float(_row_infidelity(_GATE_REFERENCE, gate @ _uniform_register()))
 

@@ -91,18 +91,18 @@ def test_01_residual_gate_entry(params_lossless):
 
 def test_02_dynamical_gate_oracle(params_lossless, params_strong_decay):
     start = time.perf_counter()
-    lossless = extract_gate(params_lossless, gate_time(params_lossless))
-    diag = lossless.restricted.diagonal()
+    lossless = extract_gate([params_lossless], [gate_time(params_lossless)])
+    diag = lossless.restricted.diagonal()[0]
     expected = np.ones(8, dtype=complex)
     expected[0] = -1.0
     expected[1] = residual_gate_entry(params_lossless)
     diag_err = float(np.abs(diag - expected).max())
-    off = lossless.restricted.matrix - np.diag(diag)
+    off = lossless.restricted.matrix[0] - np.diag(diag)
     off_err = float(np.abs(np.delete(off, 1, axis=1)).max())
 
-    decayed = extract_gate(params_strong_decay, gate_time(params_strong_decay))
+    decayed = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
     analytic = decayed_i000(params_strong_decay).operator().diagonal()
-    decay_err = float(np.abs(decayed.restricted.diagonal() - analytic).max())
+    decay_err = float(np.abs(decayed.restricted.diagonal()[0] - analytic).max())
     elapsed = time.perf_counter() - start
     _check(
         "criterion 2: simulated gate matches closed forms",
@@ -171,7 +171,7 @@ def test_07_geometry_ratio():
 
 
 def test_08a_timing_baseline_lossless(params_lossless):
-    value = timing_infidelity(params_lossless, [0.0])[0]
+    value = timing_infidelity([params_lossless], [[0.0]])[0, 0]
     _check(
         "criterion 8a: zero-delay lossless timing infidelity <= 1e-6",
         value <= 1e-6,
@@ -180,7 +180,7 @@ def test_08a_timing_baseline_lossless(params_lossless):
 
 
 def test_08b_timing_baseline_strong_decay(params_strong_decay):
-    value = timing_infidelity(params_strong_decay, [0.0])[0]
+    value = timing_infidelity([params_strong_decay], [[0.0]])[0, 0]
     _check(
         "criterion 8b: zero-delay infidelity = 6.3e-4 +/- 1e-4 at kappa=w1/10",
         abs(value - 6.3e-4) <= 1e-4,
@@ -198,7 +198,7 @@ def test_08c_timing_monotone_on_default_grid(params_weak_decay, params_strong_de
     for params in (params_weak_decay, params_strong_decay):
         label = f"kappa/w1={params.kappa / params.omega[0]:.2f}"
         t0 = gate_time(params)
-        values = [timing_infidelity(params, [float(f) * t0])[0] for f in grid]
+        values = [timing_infidelity([params], [[float(f) * t0]])[0, 0] for f in grid]
         drops = [b - a for a, b in zip(values[1:], values[2:]) if b < a]
         if drops:
             failures.append(f"{label}: drop after the first step {min(drops):.2e}")
@@ -232,7 +232,7 @@ def test_08d_formula_vs_oracle(params_weak_decay, params_strong_decay):
         a1 = decay_shifted_frequency(params.omega[0], params.kappa)
         for scaled_delay in (0.025, 0.05, 0.075, 0.1):
             scenario = TimingScenario(scaled_delay / a1, params)
-            formula = timing_infidelity(params, [scenario.delta_t])[0]
+            formula = timing_infidelity([params], [[scenario.delta_t]])[0, 0]
             oracle = timing_oracle_dense(scenario)
             gap = abs(formula - oracle)
             ok = ok and gap <= max(0.2 * abs(oracle), 1e-4)

@@ -26,7 +26,7 @@ from cavity_grover import (
     positions_for_ratio,
     residual_gate_entry,
 )
-from cavity_grover import dynamics
+from cavity_grover import dynamics, imperfections
 from cavity_grover.dynamics import (
     add_cavity_decay,
     block_propagator,
@@ -460,16 +460,16 @@ def test_evolve_rejects_inf_outside_the_sector():
 
 
 def test_extracted_gate_lossless(params_lossless):
-    extract = extract_gate(params_lossless, gate_time(params_lossless))
-    diag = extract.restricted.diagonal()
+    extract = extract_gate([params_lossless], [gate_time(params_lossless)])
+    diag = extract.restricted.diagonal()[0]
     expected = np.ones(8)
     expected[0] = -1.0
     expected[1] = residual_gate_entry(params_lossless)
     assert np.abs(diag - expected).max() <= 1e-6
-    off = extract.restricted.matrix - np.diag(diag)
+    off = extract.restricted.matrix[0] - np.diag(diag)
     off = np.delete(off, 1, axis=1)  # the |001> column carries the leakage
     assert np.abs(off).max() <= 1e-6
-    assert extract.leakage[1] == pytest.approx(
+    assert extract.leakage[0, 1] == pytest.approx(
         1.0 - residual_gate_entry(params_lossless) ** 2, abs=1e-9
     )
 
@@ -477,8 +477,8 @@ def test_extracted_gate_lossless(params_lossless):
 def test_extracted_gate_under_decay_matches_closed_form(params_strong_decay):
     # Damped-diagonal values evaluated directly from the closed forms at
     # kappa = omega1/10.
-    extract = extract_gate(params_strong_decay, gate_time(params_strong_decay))
-    diag = extract.restricted.diagonal()
+    extract = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
+    diag = extract.restricted.diagonal()[0]
     expected = np.array([-0.9244, 0.9986, 0.9979, 0.9992, 1.0, 1.0, 1.0, 1.0])
     assert np.abs(diag - expected).max() <= 1e-3
 
@@ -487,8 +487,8 @@ def test_extract_gate_honours_settings(params_strong_decay):
     # RK4 must agree with the matrix exponential, and must differ from it
     # in the last bits: equal outputs would mean the settings were dropped.
     t = gate_time(params_strong_decay)
-    reference = extract_gate(params_strong_decay, t)
-    integrated = extract_gate(params_strong_decay, t, rk4_steps=1024)
+    reference = extract_gate([params_strong_decay], [t])
+    integrated = extract_gate([params_strong_decay], [t], rk4_steps=1024)
     gap = np.abs(integrated.restricted.matrix - reference.restricted.matrix).max()
     assert 0.0 < gap <= 1e-8
     assert np.abs(integrated.leakage - reference.leakage).max() <= 1e-8
@@ -501,10 +501,7 @@ def test_extract_gate_has_the_loop_reference_bits(omega1c, kappa_ratio):
     # A tuple of ratios is one stacked call: each slice keeps the loop's bits.
     stack = [CavityParams.designed(omega1c, r * omega1c) for r in np.atleast_1d(kappa_ratio)]
     times = [gate_time(p) for p in stack]
-    if isinstance(kappa_ratio, tuple):
-        extract = extract_gate(stack, times)
-    else:
-        extract = extract_gate(stack[0], times[0])
+    extract = extract_gate(stack, times)
     matrices = extract.restricted.matrix.reshape(-1, 8, 8)
     leakages = extract.leakage.reshape(-1, 8)
     assert len(matrices) == len(stack)
@@ -516,29 +513,51 @@ def test_extract_gate_has_the_loop_reference_bits(omega1c, kappa_ratio):
 
 def test_extract_gate_needs_one_time_per_parameter_set(params_lossless):
     t = gate_time(params_lossless)
-    for stack, times in (([], []), ([params_lossless] * 2, [t]), ([params_lossless], [t, t])):
+    for stack, times in (
+        ([], []), ([params_lossless] * 2, [t]), ([params_lossless], [t, t]), ([params_lossless], t)
+    ):
         with pytest.raises(ConfigError):
             extract_gate(stack, times)
 
 
+# Each κ-sweep function on K parameter sets, and the K-axis array it returns.
+_KAPPA_SWEEPS = {
+    "evolve_logical_basis": lambda s: evolve_logical_basis(s, [1.0] * len(s))[1][0].amplitudes,
+    "extract_gate": lambda s: extract_gate(s, [1.0] * len(s)).leakage,
+    "exact_columns": exact_columns,
+    "timing_infidelity": lambda s: imperfections.timing_infidelity(s, [[0.0]] * len(s)),
+    "timing_oracle": lambda s: imperfections.timing_oracle(s, [[0.0]] * len(s)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KAPPA_SWEEPS))
+def test_kappa_sweeps_take_only_a_non_empty_sequence(name, params_strong_decay):
+    # One convention: a leading K axis also for K = 1, and no empty stack.
+    sweep = _KAPPA_SWEEPS[name]
+    for count in (1, 3):
+        assert len(sweep([params_strong_decay] * count)) == count
+    with pytest.raises(ConfigError, match="at least one set"):
+        sweep([])
+
+
 def test_extracted_gate_short_time_is_identity(params_strong_decay):
     t = 1e-6 * gate_time(params_strong_decay)
-    extract = extract_gate(params_strong_decay, t)
-    assert np.abs(extract.restricted.matrix - np.eye(8)).max() <= 1e-9
+    extract = extract_gate([params_strong_decay], [t])
+    assert np.abs(extract.restricted.matrix[0] - np.eye(8)).max() <= 1e-9
     assert np.abs(extract.leakage).max() <= 1e-9
 
 
 def test_lossless_columns_account_for_all_population(params_lossless):
     # Without decay nothing is lost: column norm plus leakage is exactly 1.
-    extract = extract_gate(params_lossless, gate_time(params_lossless))
-    column_norms = np.sum(np.abs(extract.restricted.matrix) ** 2, axis=0)
-    assert np.abs(column_norms + extract.leakage - 1.0).max() <= 1e-9
+    extract = extract_gate([params_lossless], [gate_time(params_lossless)])
+    column_norms = np.sum(np.abs(extract.restricted.matrix[0]) ** 2, axis=0)
+    assert np.abs(column_norms + extract.leakage[0] - 1.0).max() <= 1e-9
 
 
 def test_decay_columns_lose_population(params_strong_decay):
-    extract = extract_gate(params_strong_decay, gate_time(params_strong_decay))
-    column_norms = np.sum(np.abs(extract.restricted.matrix) ** 2, axis=0)
-    assert np.all(column_norms + extract.leakage <= 1.0 + 1e-9)
+    extract = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
+    column_norms = np.sum(np.abs(extract.restricted.matrix[0]) ** 2, axis=0)
+    assert np.all(column_norms + extract.leakage[0] <= 1.0 + 1e-9)
     assert column_norms[0] < 1.0  # the |000> column decays
 
 
@@ -546,8 +565,8 @@ def test_analytic_pair13_block_entry(params_lossless):
     # Closed form for the atoms-1+3 return amplitude after one gate time.
     w1, _, w3 = params_lossless.omega
     expected = (w3**2 + w1**2 * math.cos(math.sqrt(65.0) * math.pi)) / (w1**2 + w3**2)
-    extract = extract_gate(params_lossless, gate_time(params_lossless))
-    assert extract.restricted.diagonal()[1].real == pytest.approx(expected, abs=1e-9)
+    extract = extract_gate([params_lossless], [gate_time(params_lossless)])
+    assert extract.restricted.diagonal()[0, 1].real == pytest.approx(expected, abs=1e-9)
 
 
 # --- one-excitation blocks -------------------------------------------------
@@ -569,7 +588,7 @@ def _block_params(omega1c, ratios, kappa_frac):
 def _block_amplitudes(params, t):
     """Atom-1 and photon amplitudes of the four atom-1-in-E columns, and each
     column's squared norm: dark part 1 - s, bright atom s*|P00|^2, photon."""
-    leaf1, photon = exact_columns(params, t)
+    leaf1, photon = exact_columns([params], [t])[0]
     share = np.array(_bright_columns(*params.omega)[1])
     bright_atom = leaf1 - (1.0 - share)  # s*P00
     norm = 1.0 - share + np.abs(bright_atom) ** 2 / share + np.abs(photon) ** 2
@@ -581,17 +600,17 @@ def _block_amplitudes(params, t):
 def test_block_amplitudes_match_dense_evolution(omega1c, ratios, kappa_frac, frac):
     params = _block_params(omega1c, ratios, kappa_frac)
     t = frac * gate_time(params)
-    embedding, finals = evolve_logical_basis(params, t)
+    embedding, finals = evolve_logical_basis([params], [t])
     leaf1, photon, norm = _block_amplitudes(params, t)
     for col, (l2, l3) in enumerate([(I, I), (I, G), (G, I), (G, G)]):
-        amps = finals[col].amplitudes
+        amps = finals[col].amplitudes[0]
         assert abs(amps[embedding[col]] - leaf1[col]) <= 1e-12
         assert abs(amps[state_index(G, l2, l3, 1)] - photon[col]) <= 1e-12
-        assert abs(finals[col].squared_norm() - norm[col]) <= 1e-12
+        assert abs(finals[col].squared_norm()[0] - norm[col]) <= 1e-12
     for col in range(4, 8):  # qubit 1 = G: no excitation, nothing moves
         unit = np.zeros(BASIS.dimension)
         unit[embedding[col]] = 1.0
-        assert np.array_equal(finals[col].amplitudes, unit)
+        assert np.array_equal(finals[col].amplitudes[0], unit)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -215,6 +215,9 @@ _OWNED_RULE_LINES = (
     "eta_max = 1",
     "delta_t_max_frac = 1.5",
     "lambda0 = 0",
+    # Positive, but the crossing offsets would be subnormal.
+    "lambda0 = 1e-310",
+    "lambda0 = 1e-322",
     "omega1c_khz = 0",
 )
 
@@ -246,7 +249,7 @@ _GUARDED_CALLS = {
     "decay_shifted_frequency omega": lambda x: decay_shifted_frequency(x, 0.0),
     "decay_shifted_frequency kappa": lambda x: decay_shifted_frequency(1.0, x),
     "evolve": lambda x: evolve(build_effective_hamiltonian(_P), x, basis_state(0)),
-    "extract_gate": lambda x: extract_gate(_P, x),
+    "extract_gate": lambda x: extract_gate([_P], [x]),
     "phase_gate_success": lambda x: phase_gate_success([x] + [1.0] * 7, decayed_i000(_P)),
 }
 
@@ -385,6 +388,28 @@ def test_frequency_unit_rule_at_its_edges(khz_range, tmp_path, capsys):
         assert not out.exists()
 
 
+# The smallest accepted wavelength: it puts z2 on the smallest normal float.
+_LAMBDA0_MIN = 1.89321841298815e-307
+
+
+def test_wavelength_rule_at_its_edge(tmp_path, capsys):
+    # The smallest accepted lambda0 writes normal offsets; the float below
+    # it, whose z2 would be subnormal, exits 1 naming the key.
+    z1, z2, _ = positions_for_ratio(_LAMBDA0_MIN)
+    assert z1 > z2 == sys.float_info.min
+    config, out = tmp_path / "run.cfg", tmp_path / "geometry.csv"
+    config.write_text(f"lambda0 = {_LAMBDA0_MIN!r}\n", encoding="utf-8")
+    assert cli.main(["geometry", "--config", str(config), "--out", str(out)]) == 0
+    offsets = [float(v) for v in out.read_text().splitlines()[1].split(",")[:2]]
+    assert offsets == [z1, z2]
+    out.unlink()
+    below = float(np.nextafter(_LAMBDA0_MIN, 0.0))
+    config.write_text(f"lambda0 = {below!r}\n", encoding="utf-8")
+    assert cli.main(["geometry", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"sim: config error: lambda0 = {below!r}: ")
+    assert not out.exists()
+
+
 # Every key across its domain, edges included. A draw takes each key from
 # its accepted values but at most one, which it draws from anywhere, edges
 # on both sides of its rule included, so that about half the configs load.
@@ -436,8 +461,8 @@ _CONFIG_DRAWS = {  # key: (accepted values, any values)
     ),
     "offset_kappa_ratio": (_DECAY, _floats(-0.1, 4.5, -0.1, 3.999999, 4.0)),
     "lambda0": (
-        _floats(5e-324, 1e300, 5e-324, 1.0, sys.float_info.max),
-        _floats(-1.0, 0.0, -5e-324, 0.0),
+        _floats(_LAMBDA0_MIN, 1e300, _LAMBDA0_MIN, 1.0, sys.float_info.max),
+        _floats(-1.0, 0.0, -5e-324, 0.0, 5e-324, 1e-310, np.nextafter(_LAMBDA0_MIN, 0.0)),
     ),
 }
 
@@ -750,6 +775,23 @@ def test_cli_configuration_problems_exit_1(args, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config_line, out_name, message",
+    [
+        ("", "missing/search.csv", "sim: cannot write CSV to "),
+        ("k_max 4", "search.csv", "sim: config error: config line 1: expected 'key = value'"),
+        ("eta_max = -0.1", "search.csv", "sim: config error: eta_max must be >= 0, got -0.1"),
+    ],
+    ids=["missing-out-directory", "line-without-equals", "negative-grid-end"],
+)
+def test_cli_documented_errors_exit_1(config_line, out_name, message, tmp_path, capsys):
+    config, out = tmp_path / "run.cfg", tmp_path / out_name
+    config.write_text(config_line + "\n", encoding="utf-8")
+    assert cli.main(["search", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_cli_help_exits_0(capsys):
     assert cli.main(["search", "-h"]) == 0
     assert "--config" in capsys.readouterr().out
@@ -796,9 +838,9 @@ def test_cli_gate_failure_names_kappa_ratio(tmp_path, monkeypatch, capsys):
 
 def test_failure_of_the_stack_alone_is_annotated_with_every_ratio(monkeypatch):
     def stack_only_failure(params, delta_ts):
-        if not isinstance(params, CavityParams):
+        if len(params) > 1:
             raise NumericalError("synthetic stack failure")
-        return np.zeros(len(delta_ts))
+        return np.zeros(np.shape(delta_ts))
 
     monkeypatch.setattr(experiments, "timing_infidelity", stack_only_failure)
     with pytest.raises(NumericalError, match="^timing failed over all kappa_ratios: synthetic"):

@@ -139,7 +139,7 @@ def test_paper_form_is_the_exact_gate_less_two_terms(omega1c):
         params = CavityParams.designed(omega1c, kappa)
         t = gate_time(params)
         envelope = math.exp(-kappa * t / 4.0)
-        exact = exact_columns(params)[0].real
+        exact = exact_columns([params])[0, 0].real
         a = np.sqrt(bright_sq - kappa * kappa / 16.0)
         sine_term = envelope * kappa / (4.0 * a) * np.sin(a * t)
         phase_term = envelope * (np.cos(a * t) - np.cos(bright * math.pi / w1))
@@ -154,8 +154,17 @@ def test_exact_columns_stay_finite_at_the_overdamped_edge(omega1c):
     # kappa < 4*w1 <= 4*W keeps every block underdamped, also where the
     # envelope underflows and the paper form is damped out.
     params = CavityParams.designed(omega1c, 3.99999 * omega1c)
-    columns = exact_columns(params)
+    columns = exact_columns([params])[0]
     assert columns.shape == (2, 4) and np.isfinite(columns.view(float)).all()
+
+
+def test_exact_columns_need_one_time_per_parameter_set(params_lossless):
+    t = gate_time(params_lossless)
+    for stack, times in (
+        ([params_lossless] * 2, [t]), ([params_lossless], [t, t]), ([params_lossless], t)
+    ):
+        with pytest.raises(ConfigError, match="one time per parameter set"):
+            exact_columns(stack, times)
 
 
 def test_gate_diagonal_validates_range():
@@ -269,16 +278,16 @@ def test_iteration_equals_diffusion_form(tau, params_lossless):
 def test_closed_form_matches_dynamics_under_decay(params_strong_decay):
     operator = decayed_i000(params_strong_decay).operator()
     simulated = extract_gate(
-        params_strong_decay, gate_time(params_strong_decay)
-    ).restricted.diagonal()
+        [params_strong_decay], [gate_time(params_strong_decay)]
+    ).restricted.diagonal()[0]
     assert np.abs(simulated - operator.diagonal()).max() <= 1e-3
 
 
 def test_closed_form_matches_dynamics_lossless(params_lossless):
     operator = decayed_i000(params_lossless).operator()
     simulated = extract_gate(
-        params_lossless, gate_time(params_lossless)
-    ).restricted.diagonal()
+        [params_lossless], [gate_time(params_lossless)]
+    ).restricted.diagonal()[0]
     errors = np.abs(simulated - operator.diagonal())
     assert errors[[0, 2, 3]].max() <= 1e-6
     assert errors[4:].max() <= 1e-9
@@ -289,7 +298,7 @@ def test_slot_ordering_locked_to_coupling_pairs(omega1c):
     # atoms-1+3 closed form and the |010> slot the atoms-1+2 closed form;
     # this pins which slot involves which coupling.
     params = CavityParams(omega=(omega1c, 2.0 * omega1c, 3.0 * omega1c))
-    diag = extract_gate(params, math.pi / omega1c).restricted.diagonal()
+    diag = extract_gate([params], [math.pi / omega1c]).restricted.diagonal()[0]
     pair13 = (9.0 + math.cos(math.sqrt(10.0) * math.pi)) / 10.0
     pair12 = (4.0 + math.cos(math.sqrt(5.0) * math.pi)) / 5.0
     assert diag[1].real == pytest.approx(pair13, abs=1e-9)

@@ -44,18 +44,18 @@ def _uniform_input_infidelity(gate_matrix: np.ndarray) -> float:
 
 
 def test_no_delay_no_decay_is_faithful(params_lossless):
-    assert timing_infidelity(params_lossless, [0.0])[0] <= 1e-6
+    assert timing_infidelity([params_lossless], [[0.0]])[0, 0] <= 1e-6
 
 
 def test_no_delay_decay_baseline(params_strong_decay):
-    value = timing_infidelity(params_strong_decay, [0.0])[0]
+    value = timing_infidelity([params_strong_decay], [[0.0]])[0, 0]
     assert value == pytest.approx(6.3e-4, abs=1e-4)
 
 
 def test_delay_infidelity_grows_with_decay(params_weak_decay, params_strong_decay):
     dt = 0.05 * gate_time(params_strong_decay)
-    strong = timing_infidelity(params_strong_decay, [dt])[0]
-    weak = timing_infidelity(params_weak_decay, [dt])[0]
+    strong = timing_infidelity([params_strong_decay], [[dt]])[0, 0]
+    weak = timing_infidelity([params_weak_decay], [[dt]])[0, 0]
     assert strong > weak
 
 
@@ -76,7 +76,7 @@ def test_oracle_self_consistent_at_zero_delay(params_strong_decay):
     # With no delay the oracle is exactly the simulated gate at the gate
     # time, so both infidelity routes must coincide.
     direct = _uniform_input_infidelity(
-        extract_gate(params_strong_decay, gate_time(params_strong_decay)).restricted.matrix
+        extract_gate([params_strong_decay], [gate_time(params_strong_decay)]).restricted.matrix[0]
     )
     oracle = timing_oracle_dense(TimingScenario(0.0, params_strong_decay))
     assert oracle == pytest.approx(direct, abs=1e-12)
@@ -85,7 +85,7 @@ def test_oracle_self_consistent_at_zero_delay(params_strong_decay):
 @pytest.mark.parametrize("frac", [0.01, 0.02, 0.031])
 def test_formula_tracks_oracle_for_small_delays(frac, params_weak_decay):
     scenario = TimingScenario(frac * gate_time(params_weak_decay), params_weak_decay)
-    formula = timing_infidelity(scenario.params, [scenario.delta_t])[0]
+    formula = timing_infidelity([scenario.params], [[scenario.delta_t]])[0, 0]
     oracle = timing_oracle_dense(scenario)
     assert abs(formula - oracle) <= max(0.2 * abs(oracle), 1e-4)
 
@@ -111,7 +111,7 @@ def test_timing_oracle_matches_per_point(omega1c, ratios, kappa_ratio, fracs):
     omega = tuple(r * omega1c for r in ratios)
     params = CavityParams(omega, kappa=kappa_ratio * omega[0])
     delta_ts = [f * gate_time(params) for f in fracs]
-    grid = timing_oracle(params, delta_ts)
+    grid = timing_oracle([params], [delta_ts])[0]
     assert len(grid) == len(delta_ts)
     for dt, value in zip(delta_ts, grid):
         assert abs(value - timing_oracle_dense(TimingScenario(dt, params))) <= 1e-12
@@ -128,22 +128,22 @@ def test_timing_runs_without_dense_propagation(omega1c, monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     params = CavityParams.designed(omega1c, 0.1 * omega1c)
     delta_ts = [f * gate_time(params) for f in (0.0, 0.05, 1.0)]
-    assert len(timing_oracle(params, delta_ts)) == 3
+    assert len(timing_oracle([params], [delta_ts])[0]) == 3
     assert len(run_experiment("timing", ExperimentConfig(delta_t_points=5)).rows) == 3 * 5
 
 
 def test_timing_oracle_validates_delays(params_strong_decay):
     with pytest.raises(ConfigError):
-        timing_oracle(params_strong_decay, [0.0, -1e-9])
+        timing_oracle([params_strong_decay], [[0.0, -1e-9]])
     with pytest.raises(ConfigError):
-        timing_oracle(params_strong_decay, [2.0 * gate_time(params_strong_decay)])
+        timing_oracle([params_strong_decay], [[2.0 * gate_time(params_strong_decay)]])
 
 
 def test_timing_infidelity_matches_per_point(params_weak_decay, params_strong_decay):
     for params in (params_weak_decay, params_strong_decay):
         delta_ts = [f * gate_time(params) for f in (0.0, 0.003, 0.05, 0.1, 1.0)]
-        grid = timing_infidelity(params, delta_ts).tolist()
-        assert grid == [timing_infidelity(params, [dt])[0] for dt in delta_ts]
+        grid = timing_infidelity([params], [delta_ts])[0].tolist()
+        assert grid == [timing_infidelity([params], [[dt]])[0, 0] for dt in delta_ts]
         assert len(set(grid)) == len(grid)
 
 
@@ -155,7 +155,7 @@ def test_timing_over_a_kappa_stack_matches_one_kappa_calls(omega1c, timing):
     grid = timing(stack, delta_ts)
     assert grid.shape == (4, 7)
     for row, params, delays in zip(grid, stack, delta_ts):
-        assert row.tobytes() == timing(params, delays).tobytes()
+        assert row.tobytes() == timing([params], [delays])[0].tobytes()
     # One row of delays per parameter set, and a stack needs a 2-D grid.
     for bad in (delta_ts[:3], delta_ts[0], [delta_ts]):
         with pytest.raises(ConfigError, match="delta_ts"):
@@ -195,7 +195,7 @@ def test_timing_infidelity_matches_scalar_formula(omega1c):
     for kappa_ratio in np.linspace(0.0, 3.99, 66, endpoint=False):
         params = CavityParams.designed(omega1c, kappa_ratio * omega1c)
         delta_ts = [f * gate_time(params) for f in np.linspace(0.0, 1.0, 100)]
-        grid = timing_infidelity(params, delta_ts)
+        grid = timing_infidelity([params], [delta_ts])[0]
         expected = _scalar_timing_grid(params, delta_ts)
         worst = max(worst, np.abs(np.array(grid) - np.array(expected)).max())
     assert worst <= 1e-15
@@ -203,9 +203,9 @@ def test_timing_infidelity_matches_scalar_formula(omega1c):
 
 def test_timing_infidelity_validates_delays(params_strong_decay):
     with pytest.raises(ConfigError):
-        timing_infidelity(params_strong_decay, [0.0, -1e-9])
+        timing_infidelity([params_strong_decay], [[0.0, -1e-9]])
     with pytest.raises(ConfigError):
-        timing_infidelity(params_strong_decay, [2.0 * gate_time(params_strong_decay)])
+        timing_infidelity([params_strong_decay], [[2.0 * gate_time(params_strong_decay)]])
 
 
 def test_oracle_monotone_on_coarse_grid(params_strong_decay):
@@ -219,9 +219,9 @@ def test_oracle_monotone_on_coarse_grid(params_strong_decay):
 
 def test_formula_continuous_at_zero_delay(params_strong_decay):
     t0 = gate_time(params_strong_decay)
-    base = timing_infidelity(params_strong_decay, [0.0])[0]
+    base = timing_infidelity([params_strong_decay], [[0.0]])[0, 0]
     gaps = [
-        abs(timing_infidelity(params_strong_decay, [t0 * 10.0**-k])[0] - base)
+        abs(timing_infidelity([params_strong_decay], [[t0 * 10.0**-k]])[0, 0] - base)
         for k in (3, 4, 5)
     ]
     assert gaps[0] > gaps[1] > gaps[2]
@@ -232,7 +232,7 @@ def test_timing_infidelity_bounded(params_weak_decay, params_strong_decay):
     for params in (params_weak_decay, params_strong_decay):
         t0 = gate_time(params)
         for frac in np.linspace(0.0, 0.1, 25):
-            value = timing_infidelity(params, [float(frac) * t0])[0]
+            value = timing_infidelity([params], [[float(frac) * t0]])[0, 0]
             assert 0.0 <= value <= 1.0
 
 
@@ -322,12 +322,12 @@ def test_design_time_composite_rises_with_cavity_count(eta, params_strong_decay)
     # to the uniform input. The offset leaves atom 1's Rabi cycles unclosed,
     # so each imperfect cavity adds error.
     t0 = gate_time(params_strong_decay)
-    design = extract_gate(params_strong_decay, t0).restricted.matrix
+    design = extract_gate([params_strong_decay], [t0]).restricted.matrix[0]
     offset_params = dataclasses.replace(
         params_strong_decay,
         omega=offset_couplings(OffsetScenario(eta, 1, params_strong_decay)),
     )
-    offset = extract_gate(offset_params, t0).restricted.matrix
+    offset = extract_gate([offset_params], [t0]).restricted.matrix[0]
     u = np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
     values = []
     for chi in (1, 2, 3, 4):
@@ -455,8 +455,9 @@ def test_decayed_gate_array_call_equals_scalar_calls(model, per_atom, params_str
     "call, name",
     [
         (lambda p: timing_oracle_dense(TimingScenario(np.array([0.0, 1e-7]), p)), "delta_t"),
-        (lambda p: timing_infidelity(p, 0.0), "delta_ts"),
-        (lambda p: timing_oracle(p, [[0.0, 1e-7]]), "delta_ts"),
+        # A stack takes a (K, D) delay grid: one axis too few, or one too many.
+        (lambda p: timing_infidelity([p], [0.0]), "delta_ts"),
+        (lambda p: timing_oracle([p], [[[0.0, 1e-7]]]), "delta_ts"),
         (lambda p: coupling_offset_infidelity(p, [1], 0.05, "atom1", None), "etas"),
     ],
     ids=["dense-oracle-array-delay", "formula-scalar-delays", "oracle-2d-delays", "offset-scalar-etas"],
