@@ -3,10 +3,10 @@ text summary per experiment.
 
 Every experiment is a pure function of its configuration: no randomness,
 fixed grid order, shortest round-trip float formatting, so repeated runs
-emit byte-identical files. Each returns a column-wise ``SweepTable``, one
-NumPy column per header field, built with ``np.repeat``, ``np.tile`` and
-``np.full`` around the computed grids, and ``write_csv`` formats each
-column once. Each quantity is one call over a whole axis: one
+emit byte-identical files. Each returns a column-wise ``SweepTable``: the
+grid coordinates as ``Axis`` columns (values, repeat, tile), the computed
+grids flattened; ``write_csv`` formats each axis value and each computed
+value once. Each quantity is one call over a whole axis: one
 ``run_search`` for every decay ratio, one ``coupling_offset_infidelity``
 for the (chi, eta) grid, and one ``extract_gate``, ``timing_infidelity``
 and ``timing_oracle`` each for the stack of every decay ratio.
@@ -30,7 +30,7 @@ from .imperfections import (
     timing_infidelity,
     timing_oracle,
 )
-from .tables import SweepTable, write_csv  # noqa: F401  (write_csv re-exported)
+from .tables import Axis, SweepTable, write_csv  # noqa: F401  (write_csv re-exported)
 
 EXPERIMENTS = ("gate", "search", "timing", "offset", "geometry")
 
@@ -263,8 +263,8 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
         experiment="gate",
         header=("kappa_ratio", "slot", "analytic", "simulated_real", "simulated_imag", "leakage"),
         columns=(
-            np.repeat(config.kappa_ratios, 8),
-            np.tile(np.arange(8), len(config.kappa_ratios)),
+            Axis(config.kappa_ratios, repeat=8),
+            Axis(np.arange(8), tile=len(config.kappa_ratios)),
             analytic.ravel(),
             simulated.real.ravel(),
             simulated.imag.ravel(),
@@ -290,8 +290,8 @@ def _search_experiment(config: ExperimentConfig) -> SweepTable:
         experiment="search",
         header=("iteration", "kappa_ratio", "p_find", "survival", "fidelity"),
         columns=(
-            np.tile(np.arange(1, config.k_max + 1), len(diagonals)),
-            np.repeat(config.kappa_ratios, config.k_max),
+            Axis(np.arange(1, config.k_max + 1), tile=len(diagonals)),
+            Axis(config.kappa_ratios, repeat=config.k_max),
             grid.p_find.ravel(),
             grid.survival.ravel(),
             grid.fidelity.ravel(),
@@ -315,8 +315,8 @@ def _timing_experiment(config: ExperimentConfig) -> SweepTable:
         experiment="timing",
         header=("kappa_ratio", "delta_t_frac", "infidelity_formula", "infidelity_oracle"),
         columns=(
-            np.repeat(config.kappa_ratios, len(fracs)),
-            np.tile(fracs, len(config.kappa_ratios)),
+            Axis(config.kappa_ratios, repeat=len(fracs)),
+            Axis(fracs, tile=len(config.kappa_ratios)),
             formula.ravel(),
             oracle.ravel(),
         ),
@@ -341,9 +341,9 @@ def _offset_experiment(config: ExperimentConfig) -> SweepTable:
         experiment="offset",
         header=("eta", "chi", "kappa_ratio", "infidelity_formula"),
         columns=(
-            np.tile(etas, len(config.chi_list)),
-            np.repeat(config.chi_list, len(etas)),
-            np.full(grid.size, ratio),
+            Axis(etas, tile=len(config.chi_list)),
+            Axis(config.chi_list, repeat=len(etas)),
+            Axis([ratio], repeat=grid.size),
             grid.ravel(),
         ),
         summary="\n".join(lines),

@@ -39,7 +39,7 @@ from cavity_grover.experiments import MAX_GRID_POINTS, SweepTable, _value_text
 from cavity_grover.gates import TEXTBOOK, MarkedState
 from cavity_grover.grover import run_search
 from cavity_grover.hilbert import basis_state
-from cavity_grover.tables import _SORT_FROM
+from cavity_grover.tables import Axis
 
 FAST = dict(delta_t_points=5, eta_points=5)
 
@@ -553,50 +553,92 @@ _EDGE_FLOATS = (0.0, -0.0, 1e-05, 1e16, 5e-324, 1.7976931348623157e308, -2.5, 0.
 
 
 @st.composite
+def _values(draw, length):
+    # A column's values, drawn from a pool of its own: a small pool repeats
+    # values heavily, a pool as long as the column hardly at all. A seeded
+    # generator fills a column of 256 values or more from its pool and tops
+    # a long pool up with random 64-bit patterns, so hypothesis draws a
+    # seed, not hundreds of values. Those float pools hold every edge value,
+    # -0.0 beside 0.0.
+    integers = draw(st.booleans())
+    if integers:
+        values = st.integers(-(2**63), 2**63 - 1)
+    else:
+        values = st.one_of(
+            st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+        )
+    if length < 256:
+        pool = draw(st.lists(values, min_size=1, max_size=max(length, 1)))
+        return draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = draw(st.lists(values, min_size=1, max_size=8))
+    if not integers:
+        pool.extend(_EDGE_FLOATS)
+    bits = rng.integers(-(2**63), 2**63, draw(st.sampled_from((0, length // 4, 2 * length))))
+    extra = bits if integers else bits.view(np.float64)
+    pool.extend(extra[np.isfinite(extra)].tolist())
+    return [pool[i] for i in rng.integers(0, len(pool), length)]
+
+
+@st.composite
 def _columns(draw):
-    # Each column draws its values from a pool of its own: a small pool
-    # repeats values heavily, a pool as long as the column hardly at all.
-    # Columns of _SORT_FROM values or more take the writer's sort path. A
-    # seeded generator fills them from their pool and tops a long pool up
-    # with random 64-bit patterns, so hypothesis draws a seed, not hundreds
-    # of values. Their float pools hold every edge value, -0.0 beside 0.0.
-    length = draw(st.one_of(st.integers(0, 40), st.integers(_SORT_FROM, 2 * _SORT_FROM)))
+    # Tables of up to 40 rows or of 256 to 512. Each column is plain or an
+    # axis whose repeat and tile (1 to 5, dividing the length) spread its
+    # values to every row; each comes as (the column given, its rows).
+    length = draw(st.one_of(st.integers(0, 40), st.integers(256, 512)))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
-        integers = draw(st.booleans())
-        if integers:
-            values = st.integers(-(2**63), 2**63 - 1)
-        else:
-            values = st.one_of(
-                st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
-            )
-        if length < _SORT_FROM:
-            pool = draw(st.lists(values, min_size=1, max_size=max(length, 1)))
-            columns.append(draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length)))
+        if not draw(st.booleans()):
+            values = draw(_values(length))
+            columns.append((values, values))
             continue
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        pool = draw(st.lists(values, min_size=1, max_size=8))
-        if not integers:
-            pool.extend(_EDGE_FLOATS)
-        bits = rng.integers(-(2**63), 2**63, draw(st.sampled_from((0, length // 4, 2 * length))))
-        extra = bits if integers else bits.view(np.float64)
-        pool.extend(extra[np.isfinite(extra)].tolist())
-        columns.append([pool[i] for i in rng.integers(0, len(pool), length)])
+        repeat = draw(st.sampled_from([d for d in range(1, 6) if length % d == 0]))
+        tile = draw(st.sampled_from([d for d in range(1, 6) if length // repeat % d == 0]))
+        values = draw(_values(length // (repeat * tile)))
+        rows = [value for value in values for _ in range(repeat)] * tile
+        columns.append((Axis(values, repeat, tile), rows))
     return columns
 
 
-# About half the examples are long columns; 200 keeps about 100 on the dict
-# path, which short columns take.
+# About half the examples are long tables, and about half the columns axes.
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(columns=_columns())
 def test_column_writer_matches_row_wise_writer(columns, tmp_path_factory):
     header = tuple(f"c{i}" for i in range(len(columns)))
-    rows = list(zip(*columns))
-    table = SweepTable("search", header, columns, "")
+    rows = list(zip(*(column_rows for _, column_rows in columns)))
+    table = SweepTable("search", header, [given for given, _ in columns], "")
     assert table.rows == tuple(rows)
     path = tmp_path_factory.getbasetemp() / "property.csv"
     write_csv(table, str(path))
     assert path.read_bytes() == _row_wise_csv(header, rows).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "values, repeat, tile",
+    [([0.5, -0.0, 2.0], 1, 1), ([1, 2, 3], 4, 1), ((0.1, 0.2), 1, 3), (range(5), 2, 3), ([], 3, 2)],
+)
+def test_axis_columns_expand_by_repeat_then_tile(values, repeat, tile):
+    length = len(values) * repeat * tile
+    columns = (Axis(values, repeat, tile), [0.0] * length)
+    table = SweepTable("search", ("axis", "plain"), columns, "")
+    expected = np.tile(np.repeat(np.asarray(values), repeat), tile)
+    (column, _) = table.columns
+    assert column.dtype == (np.int64 if expected.dtype.kind == "i" else np.float64)
+    assert column.tobytes() == expected.astype(column.dtype).tobytes()
+
+
+@pytest.mark.parametrize(
+    "axis",
+    [Axis([[1.0, 2.0]]), Axis(1.0), Axis([1.0], repeat=0), Axis([1.0], tile=0), Axis([1.0], -1, 2)],
+)
+def test_malformed_axis_rejected(axis):
+    with pytest.raises(ConfigError):
+        SweepTable("search", ("a",), (axis,), "")
+
+
+def test_axis_of_the_wrong_length_rejected():
+    with pytest.raises(ConfigError, match="unequal lengths"):
+        SweepTable("gate", ("a", "b"), (Axis([1.0, 2.0], repeat=2), [1.0, 2.0, 3.0]), "")
 
 
 def test_csv_empty_table_is_header_only(tmp_path):
@@ -682,6 +724,9 @@ def test_unequal_column_lengths_rejected():
 def test_non_finite_row_rejected(bad):
     with pytest.raises(NumericalError, match="non-finite"):
         SweepTable("gate", ("a", "b"), ([1.0, 3], [2.0, bad]), "")
+    # An axis value is checked on every row it spreads to: the first is named.
+    with pytest.raises(NumericalError, match=rf"non-finite row \(5\.0, {bad}\)"):
+        SweepTable("gate", ("a", "b"), ([1.0, 3.0, 5.0, 7.0], Axis([2.0, bad], repeat=2)), "")
 
 
 # --- CLI --------------------------------------------------------------------

@@ -24,6 +24,7 @@ from cavity_grover import (
     residual_gate_entry,
     run_search,
 )
+from cavity_grover.grover import _modulus_squared
 
 ALL_TAUS = [format(v, "03b") for v in range(8)]
 
@@ -270,3 +271,18 @@ def test_run_search_rows_validates_inputs(params_lossless):
         run_search("000", 0, [decayed_i000(params_lossless)])
     with pytest.raises(ConfigError, match="at least one"):
         run_search("000", 3, [])
+
+
+def test_modulus_squared_rounds_as_the_scalar_expression():
+    # Seeded amplitudes over many scales, with 0, subnormals and moduli next
+    # to 1: every entry has the bits of abs(complex(v)) ** 2.
+    rng = np.random.default_rng(2007)
+    scales = rng.choice([1e-160, 1e-5, 0.5, 1.0, 1e100], 4000)
+    z = (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)) * scales
+    edges = [0.0, -0.0j, 5e-324, 5e-324j, 1e-310 - 2e-310j, 1 - 2**-53, 1 + 2**-52, 0.6 + 0.8j]
+    near_one = np.exp(1j * rng.uniform(0, 2 * math.pi, 200)) * (1 + rng.uniform(-1e-15, 1e-15, 200))
+    z = np.concatenate([z, edges, near_one]).reshape(2, -1)
+    expected = np.array([abs(complex(v)) ** 2 for v in z.ravel()]).reshape(z.shape)
+    got = _modulus_squared(z)
+    assert got.shape == z.shape
+    assert got.tobytes() == expected.tobytes()
