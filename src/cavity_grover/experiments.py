@@ -59,6 +59,10 @@ class ExperimentConfig:
     coupling itself enters in kHz (cycles, not angular) and only sets the
     search summary's iteration time. Sweep grids are uniform with
     ``*_points`` samples from 0 to ``*_max``.
+
+    Loading keeps, in ratio order, the parameter set and the gate diagonal
+    it builds to check each decay ratio (``_kappa_params``, ``_kappa_gates``;
+    plain attributes, not fields), and the runs read those.
     """
 
     omega1c_khz: float = 6.125
@@ -111,12 +115,15 @@ class ExperimentConfig:
         _built("k_max", self.k_max, check_k_max, self.k_max)
         _built("tau", self.tau, MarkedState, self.tau)
         _built("omega1c_khz", self.omega1c_khz, self.iteration_us)
+        stack, gates = [], []
         for ratio in self.kappa_ratios:
-            params = _built("kappa_ratios", ratio, self.params, ratio)
-            _built("kappa_ratios", ratio, decayed_i000, params)  # fails if damped out
+            stack.append(params := _built("kappa_ratios", ratio, self.params, ratio))
+            gates.append(_built("kappa_ratios", ratio, decayed_i000, params))  # fails if damped out
             # linspace ends exactly at delta_t_max_frac: the sweep's last delay.
             delay = self.delta_t_max_frac * gate_time(params)
             _built("delta_t_max_frac", self.delta_t_max_frac, TimingScenario, delay, params)
+        object.__setattr__(self, "_kappa_params", tuple(stack))
+        object.__setattr__(self, "_kappa_gates", tuple(gates))
         ratio = self.offset_kappa_ratio
         offset = _built("offset_kappa_ratio", ratio, self.params, ratio)
         _built("offset_kappa_ratio", ratio, decayed_i000, offset)
@@ -224,7 +231,7 @@ def _value_text(value) -> str:
 def _over_kappa(experiment: str, config: ExperimentConfig, run, *axes):
     """``run(stack, *axes)`` in one call for every decay ratio; on a
     ``NumericalError`` alone, one-ratio stacks again, to name the first that fails."""
-    stack = [config.params(ratio) for ratio in config.kappa_ratios]
+    stack = config._kappa_params
     try:
         return run(stack, *axes)
     except NumericalError as exc:
@@ -253,9 +260,9 @@ def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
 def _gate_experiment(config: ExperimentConfig) -> SweepTable:
     gamma0 = residual_gate_entry(config.params(0.0))
     lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
-    params = [config.params(ratio) for ratio in config.kappa_ratios]
-    analytic = np.array([decayed_i000(p).entries() for p in params])
-    extract = _over_kappa("gate", config, extract_gate, [gate_time(p) for p in params])
+    analytic = np.array([gate.entries() for gate in config._kappa_gates])
+    times = [gate_time(p) for p in config._kappa_params]
+    extract = _over_kappa("gate", config, extract_gate, times)
     simulated = extract.restricted.diagonal()
     for ratio, worst in zip(config.kappa_ratios, np.abs(simulated - analytic).max(axis=1)):
         lines.append(f"kappa_ratio={ratio}: max |analytic - simulated| = {worst:.3e}")
@@ -276,8 +283,7 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
 
 def _search_experiment(config: ExperimentConfig) -> SweepTable:
     tau = MarkedState(config.tau)
-    diagonals = [decayed_i000(config.params(ratio)) for ratio in config.kappa_ratios]
-    grid = run_search(tau, config.k_max, diagonals)
+    grid = run_search(tau, config.k_max, config._kappa_gates)
     lines = [
         f"marked state |{tau}⟩; "
         "fidelity = normalized overlap with the exact-gate trajectory"
@@ -290,7 +296,7 @@ def _search_experiment(config: ExperimentConfig) -> SweepTable:
         experiment="search",
         header=("iteration", "kappa_ratio", "p_find", "survival", "fidelity"),
         columns=(
-            Axis(np.arange(1, config.k_max + 1), tile=len(diagonals)),
+            Axis(np.arange(1, config.k_max + 1), tile=len(config.kappa_ratios)),
             Axis(config.kappa_ratios, repeat=config.k_max),
             grid.p_find.ravel(),
             grid.survival.ravel(),
@@ -302,7 +308,7 @@ def _search_experiment(config: ExperimentConfig) -> SweepTable:
 
 def _timing_experiment(config: ExperimentConfig) -> SweepTable:
     fracs = config.delta_t_fracs()
-    delta_ts = [fracs * gate_time(config.params(ratio)) for ratio in config.kappa_ratios]
+    delta_ts = [fracs * gate_time(p) for p in config._kappa_params]
     formula = _over_kappa("timing", config, timing_infidelity, delta_ts)
     oracle = _over_kappa("timing", config, timing_oracle, delta_ts)
     lines = ["delta_t in fractions of one gate time; atom 1 exits late"]

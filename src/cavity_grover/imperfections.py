@@ -239,7 +239,9 @@ def coupling_offset_infidelity(
     Each chi is checked once, and one scenario holding the whole eta array
     checks every offset. One ``decayed_i000`` call on the coupling arrays
     gives every offset factor, and the fidelity is row-wise, so each point
-    is computed exactly as it would be alone.
+    is computed exactly as it would be alone. Only the four atom-1-in-``E``
+    slots decay, so only their (len(etas), 4) block is raised to the power
+    chi; the other four slots of every output row are u, as 1**chi * 1 * u is.
     """
     etas = _axis("etas", etas)
     for chi in chis:
@@ -247,9 +249,15 @@ def coupling_offset_infidelity(
     scenario = OffsetScenario(etas, 1, params, model, per_atom_eta)
     # One value per eta for every coupling, also those the model leaves fixed.
     couplings = np.broadcast_arrays(*offset_couplings(scenario), scenario.eta)[:3]
-    base = np.array(decayed_i000(params).entries())
-    primed = np.stack(np.broadcast_arrays(*decayed_i000(params, couplings).entries()), 1)
+    base = np.array(decayed_i000(params).entries()[:4])
+    primed = np.stack(np.broadcast_arrays(*decayed_i000(params, couplings).entries()[:4]), 1)
     # After an even number of phase gates the |000⟩ sign flips cancel, so
     # the exact four-gate reference is the uniform register u itself.
     u = _uniform_register().real
-    return np.array([_row_infidelity(u, primed**chi * base ** (4 - chi) * u) for chi in chis])
+    outputs = np.empty((len(etas), 8))
+    outputs[:, 4:] = u[4:]
+    rows = []
+    for chi in chis:
+        outputs[:, :4] = primed**chi * base ** (4 - chi) * u[:4]
+        rows.append(_row_infidelity(u, outputs))
+    return np.array(rows)

@@ -910,6 +910,57 @@ def test_kappa_stack_writes_the_one_kappa_rows(experiment, tmp_path):
         assert stacked == singles[0][:1] + [line for lines in singles for line in lines[1:]]
 
 
+def test_runs_read_what_config_load_built(monkeypatch, tmp_path):
+    # Load builds each decay ratio's parameter set and gate once. A gate,
+    # search or timing run reads those: no decayed_i000 call in experiments,
+    # and one params call, gate's lossless entry. (timing_infidelity builds
+    # its own diagonals inside imperfections, which this does not cover.)
+    config = ExperimentConfig(kappa_ratios=(0.0, 0.02, 0.1, 0.5, 2.0), **FAST)
+    runs = ("gate", "search", "timing")
+    expected = {exp: run_experiment(exp, config) for exp in runs}
+
+    def no_gate(*args, **kwargs):
+        raise AssertionError("a run built a gate diagonal")
+
+    calls = []
+    params = ExperimentConfig.params
+
+    def counted_params(self, ratio):
+        calls.append(ratio)
+        return params(self, ratio)
+
+    monkeypatch.setattr(experiments, "decayed_i000", no_gate)
+    monkeypatch.setattr(ExperimentConfig, "params", counted_params)
+    for exp, params_calls in zip(runs, ([0.0], [], [])):
+        calls.clear()
+        table = run_experiment(exp, config)
+        assert calls == params_calls
+        for name, t in (("patched", table), ("expected", expected[exp])):
+            write_csv(t, str(tmp_path / f"{exp}-{name}.csv"))
+        csvs = [(tmp_path / f"{exp}-{name}.csv").read_bytes() for name in ("patched", "expected")]
+        assert csvs[0] == csvs[1]
+        assert table.summary == expected[exp].summary
+
+
+def test_kept_objects_follow_replace_and_are_not_fields():
+    config = ExperimentConfig(kappa_ratios=(0.0, 0.1))
+    text, digest = serialize_config(config), hash(config)
+    wider = dataclasses.replace(config, kappa_ratios=(0.02, 0.5, 2.0))
+    moved = dataclasses.replace(config, output="out.csv")
+    for c in (config, wider, moved):
+        assert c._kappa_params == tuple(CavityParams.designed(1.0, r) for r in c.kappa_ratios)
+        assert c._kappa_gates == tuple(decayed_i000(p) for p in c._kappa_params)
+    assert [p.kappa for p in wider._kappa_params] == [0.02, 0.5, 2.0]
+    # Equality, hash and the config text read the fields alone.
+    kept = ("_kappa_params", "_kappa_gates")
+    assert not set(kept) & {f.name for f in dataclasses.fields(config)}
+    assert config == ExperimentConfig(kappa_ratios=(0.0, 0.1)) and hash(config) == digest
+    assert serialize_config(config) == text
+    assert not any(name in text + repr(config) for name in (*kept, "GateDiagonal"))
+    assert serialize_config(moved) == text.replace("output = \n", "output = out.csv\n")
+    assert parse_config(serialize_config(wider)) == wider
+
+
 @pytest.mark.parametrize("model", ["atom1", "uniform"])
 def test_per_atom_offsets_checked_under_every_model(model, tmp_path, capsys):
     # The triple is checked whenever it is given, not only for per_atom.

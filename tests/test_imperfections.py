@@ -422,6 +422,40 @@ def test_offset_grid_matches_scalar_formula(model, per_atom, kappa_ratio, omega1
     assert np.abs(np.array(grid) - np.array(expected)).max() <= 1e-15
 
 
+def _eight_slot_offset_grid(params, chis, etas, model, per_atom):
+    # Every slot of a (len(etas), 8) array raised to the power chi, and the
+    # row-wise fidelity written out: the form the four-slot grid must equal
+    # bit for bit, since the last four slots hold 1**chi * 1 * u = u.
+    scenario = OffsetScenario(etas, 1, params, model, per_atom)
+    couplings = np.broadcast_arrays(*offset_couplings(scenario), etas)[:3]
+    base = np.array(decayed_i000(params).entries())
+    primed = np.stack(np.broadcast_arrays(*decayed_i000(params, couplings).entries()), 1)
+    u = np.full(8, 1.0 / (2.0 * math.sqrt(2.0)))
+    rows = []
+    for chi in chis:
+        outputs = primed**chi * base ** (4 - chi) * u
+        overlap = (u * outputs).sum(axis=-1)
+        rows.append(1.0 - abs(overlap) ** 2 / (abs(outputs) ** 2).sum(axis=-1))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("model", ["atom1", "uniform", "per_atom"])
+def test_offset_grid_equals_the_eight_slot_grid_bit_for_bit(model, seed):
+    # Seeded grids: single points and negative offsets, chi subsets in any
+    # order, decay up to kappa = 3.9 w1, and per-atom triples.
+    rng = np.random.default_rng(seed)
+    params = CavityParams.designed(1.0, 3.9 * rng.random() if seed else 3.9)
+    size = 1 if seed % 3 == 0 else int(rng.integers(2, 60))
+    etas = np.sort(rng.uniform(-0.99, 0.99, size)) if seed % 2 else rng.uniform(-0.99, 0.99, size)
+    chis = rng.permutation([1, 2, 3, 4])[: rng.integers(1, 5)].tolist()
+    per_atom = tuple(rng.uniform(-0.99, 0.99, 3).tolist()) if model == "per_atom" else None
+    grid = coupling_offset_infidelity(params, chis, etas, model, per_atom)
+    expected = _eight_slot_offset_grid(params, chis, etas, model, per_atom)
+    assert grid.shape == expected.shape == (len(chis), size)
+    assert grid.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("model", ["atom1", "uniform"])
 @pytest.mark.parametrize("per_atom", [(1.5, 0.0, 0.0), (0.0, -1.0, 0.0), (0.1, 0.1)])
 def test_offset_scenario_checks_given_per_atom_offsets_under_every_model(
