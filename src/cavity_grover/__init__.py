@@ -12,7 +12,6 @@ from .dynamics import (
     CavityParams,
     GateExtract,
     build_effective_hamiltonian,
-    coupling_at_position,
     evolve,
     extract_gate,
     gate_time,
@@ -33,7 +32,6 @@ from .gates import (
     LogicalOperator,
     MarkedState,
     decayed_i000,
-    diffusion,
     hadamard3,
     marked_gate,
     pauli_x,
@@ -41,10 +39,7 @@ from .gates import (
 )
 from .grover import (
     SearchGrid,
-    closed_form_probability,
     grover_step,
-    initial_state,
-    phase_gate_success,
     run_search,
 )
 from .hilbert import (
@@ -54,8 +49,6 @@ from .hilbert import (
     PureState,
     build_basis,
     computational_embedding,
-    excitation_number,
-    state_index,
 )
 from .imperfections import (
     OffsetScenario,

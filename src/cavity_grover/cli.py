@@ -10,7 +10,6 @@ unreadable/unwritable paths), 2 on numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .errors import ConfigError, NumericalError
@@ -64,10 +63,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         config = load_config(args.config)
-        if args.out is not None:
-            config = dataclasses.replace(config, output=args.out)
         table = run_experiment(args.experiment, config)
-        out_path = config.output or f"{args.experiment}.csv"
+        out_path = (args.out if args.out is not None else config.output) or f"{args.experiment}.csv"
         write_csv(table, out_path)
     except ConfigError as exc:
         print(f"sim: config error: {exc}", file=sys.stderr)

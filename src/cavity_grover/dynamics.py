@@ -233,25 +233,19 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def evolve(h: np.ndarray, t, psi0: PureState, rk4_steps: int | None = None) -> PureState:
+def evolve(h: np.ndarray, t, psi0: PureState) -> PureState:
     """Propagate psi0 by exp(-i*H*t): one (d, d) generator and a float t, or
     a (K, d, d) stack and K times, with psi0 one state or a (K, d) stack.
 
-    For a non-Hermitian H this is the unnormalized no-jump branch. By
-    default the matrix exponential propagates; an integer ``rk4_steps``
-    (at least 100) instead integrates dpsi/dt = -i*H*psi with classic RK4
-    over that many uniform steps, the independent cross-check.
-
-    Either method propagates psi0 on its reachable sector alone, the block
-    of H on ``_reachable_sector``: no entry of H leads out of that sector,
-    so the result is exactly zero outside it. A stack shares one sector,
-    and each check runs once for the whole stack.
+    For a non-Hermitian H this is the unnormalized no-jump branch. The
+    matrix exponential propagates psi0 on its reachable sector alone, the
+    block of H on ``_reachable_sector``: no entry of H leads out of that
+    sector, so the result is exactly zero outside it. A stack shares one
+    sector, and each check runs once for the whole stack.
     """
     times = np.asarray(t, dtype=float)
     if not all(0.0 <= x < math.inf for x in times.ravel().tolist()):  # NaN fails too
         raise ConfigError(f"evolution time must be finite and >= 0, got {t}")
-    if rk4_steps is not None and rk4_steps < 100:
-        raise ConfigError(f"RK4 integration needs rk4_steps >= 100, got {rk4_steps}")
     d = psi0.dimension
     if h.ndim not in (2, 3) or h.shape[-2:] != (d, d) or times.shape != h.shape[:-2]:
         raise ConfigError(
@@ -265,11 +259,7 @@ def evolve(h: np.ndarray, t, psi0: PureState, rk4_steps: int | None = None) -> P
     # slice the layout, and so the BLAS path and the bits, of a one-H call.
     block = np.ascontiguousarray(h[..., sector[:, None], sector])
     part = np.ascontiguousarray(psi0.amplitudes[..., sector, None])
-    times = times[..., None, None]
-    if rk4_steps is None:
-        part = expm(-1j * block * times) @ part
-    else:
-        part = _rk4(block, times, part, rk4_steps)
+    part = expm(-1j * block * times[..., None, None]) @ part
     amps = np.zeros(part.shape[:-2] + (d,), dtype=complex)
     amps[..., sector] = part[..., 0]
     _check_result(amps, psi0.basis)
@@ -290,20 +280,6 @@ def _reachable_sector(h: np.ndarray, amps: np.ndarray) -> np.ndarray:
         if grown == size:
             return np.flatnonzero(reached)
         size = grown
-
-
-def _rk4(h: np.ndarray, t: np.ndarray, amps: np.ndarray, steps: int) -> np.ndarray:
-    """RK4 on (..., n, n) generators and (..., n, 1) states; ``t`` is (..., 1, 1)."""
-    gen = -1j * h
-    dt = t / steps
-    y = amps.astype(complex)
-    for _ in range(steps):
-        k1 = gen @ y
-        k2 = gen @ (y + 0.5 * dt * k1)
-        k3 = gen @ (y + 0.5 * dt * k2)
-        k4 = gen @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
 
 
 @dataclass(frozen=True)
@@ -337,19 +313,17 @@ def as_stack(params: Sequence[CavityParams]) -> list[CavityParams]:
 
 
 def evolve_logical_basis(
-    params: Sequence[CavityParams], t, rk4_steps: int | None = None
+    params: Sequence[CavityParams], t
 ) -> tuple[tuple[int, ...], list[PureState]]:
     """Evolve each logical basis state |000⟩..|111⟩ under the no-jump
     Hamiltonian of K parameter sets for their K times ``t``. Returns the
     logical embedding and the eight final (K, 36) stacks, in logical order."""
     h_eff = np.stack([build_effective_hamiltonian(p) for p in as_stack(params)])
     embedding = computational_embedding()
-    return embedding, [evolve(h_eff, t, basis_state(pos), rk4_steps) for pos in embedding]
+    return embedding, [evolve(h_eff, t, basis_state(pos)) for pos in embedding]
 
 
-def extract_gate(
-    params: Sequence[CavityParams], t, rk4_steps: int | None = None
-) -> GateExtract:
+def extract_gate(params: Sequence[CavityParams], t) -> GateExtract:
     """Simulate the gate of K parameter sets at their K times ``t``: evolve
     each logical basis state under the no-jump Hamiltonian and project back
     onto the logical subspace. The eight ``evolve`` calls propagate a (K, 36,
@@ -357,18 +331,11 @@ def extract_gate(
     """
     if not np.all(np.asarray(t, dtype=float) > 0.0):  # NaN fails too; evolve rejects inf
         raise ConfigError(f"gate extraction needs a finite t > 0, got {t}")
-    embedding, finals = evolve_logical_basis(params, t, rk4_steps)
+    embedding, finals = evolve_logical_basis(params, t)
     amps = np.stack([final.amplitudes for final in finals], axis=-2)  # (K, column, state)
     projected = np.ascontiguousarray(amps[..., list(embedding)])  # sums run along rows of 8
     leakage = _vdot(amps, amps).real - (np.abs(projected) ** 2).sum(axis=-1)
     return GateExtract(LogicalOperator(projected.swapaxes(-1, -2)), leakage)
-
-
-def coupling_at_position(z: float, omega0: float, lambda0: float) -> float:
-    """Coupling omega0 * cos(2*pi*z/lambda0) seen by an atom crossing the
-    standing-wave mode at transverse offset ``z`` (meters)."""
-    _check_wavelength(lambda0)
-    return omega0 * math.cos(2.0 * math.pi * z / lambda0)
 
 
 def positions_for_ratio(lambda0: float) -> tuple[float, float, float]:
@@ -380,15 +347,11 @@ def positions_for_ratio(lambda0: float) -> tuple[float, float, float]:
     sqrt(35)/8 of its peak. A wavelength that puts z2 below the smallest
     normal float is rejected: subnormal offsets keep only a few bits.
     """
-    _check_wavelength(lambda0)
+    if not 0.0 < lambda0 < math.inf:
+        raise ConfigError(f"mode wavelength must be finite and > 0, got {lambda0}")
     scale = lambda0 / (2.0 * math.pi)
     z1 = scale * math.acos(1.0 / 8.0)
     z2 = scale * math.acos(math.sqrt(35.0) / 8.0)
     if z2 < sys.float_info.min:
         raise ConfigError(f"mode wavelength {lambda0} puts offset z2={z2} below the normal floats")
     return (z1, z2, 0.0)
-
-
-def _check_wavelength(lambda0: float) -> None:
-    if not 0.0 < lambda0 < math.inf:
-        raise ConfigError(f"mode wavelength must be finite and > 0, got {lambda0}")

@@ -18,9 +18,9 @@ that ``imperfections.timing_oracle`` reads. Named cases:
   has every factor equal to 1.
 
 Every other marked state's phase gate is the |000⟩ gate conjugated by bit
-flips, which is an index permutation, and the inversion-about-average
-operator is the same gate sandwiched between Hadamard layers, so one
-physical gate drives the whole search.
+flips, which is an index permutation, and the same gate sandwiched between
+Hadamard layers inverts every amplitude about the average, so one physical
+gate drives the whole search.
 """
 
 from __future__ import annotations
@@ -88,9 +88,6 @@ class GateDiagonal:
     def entries(self) -> tuple[float, ...]:
         """The eight diagonal entries (-mu, gamma, beta, alpha, 1, 1, 1, 1)."""
         return (-self.mu, self.gamma, self.beta, self.alpha, 1.0, 1.0, 1.0, 1.0)
-
-    def operator(self) -> LogicalOperator:
-        return LogicalOperator(np.diag(self.entries()))
 
 
 # The textbook reflection diag(-1, 1, ..., 1): every damping factor 1.
@@ -162,7 +159,7 @@ def decayed_i000(
     params: CavityParams, couplings: tuple[float, float, float] | None = None
 ) -> GateDiagonal:
     """Damping factors of the decaying-cavity phase gate in the paper's
-    closed form; ``.operator()`` is the 8x8 gate.
+    closed form; ``.entries()`` is the 8x8 gate's diagonal.
 
     Column |0 b2 b3⟩ meets the mode through one bright state, coupling W and
     atom-1 share s (``_bright_columns``). Its exact entry at the gate time T
@@ -197,9 +194,3 @@ def marked_gate(tau: MarkedState | str, base: LogicalOperator) -> LogicalOperato
     """
     perm = np.arange(8) ^ MarkedState.of(tau).index
     return LogicalOperator(base.matrix[np.ix_(perm, perm)])
-
-
-def diffusion() -> LogicalOperator:
-    """Inversion about the average: entries 2/8 - delta_ij. Equals
-    -H3 * diag(-1, 1, ..., 1) * H3 with H3 the Hadamard layer."""
-    return LogicalOperator(np.full((8, 8), 0.25) - np.eye(8))

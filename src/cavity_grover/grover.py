@@ -73,12 +73,6 @@ def _modulus_squared(z: np.ndarray) -> np.ndarray:
     return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
-def initial_state() -> PureState:
-    """Uniform superposition over all eight logical states, amplitude
-    1/(2*sqrt(2)) each; equals the Hadamard layer applied to |000⟩."""
-    return PureState(_uniform_register())
-
-
 def grover_step(
     state: PureState, tau: MarkedState | str, i000: LogicalOperator
 ) -> PureState:
@@ -130,35 +124,3 @@ def run_search(
         survival=survival,
         fidelity=_modulus_squared(_vdot(ideal, outputs)) / survival,
     )
-
-
-def phase_gate_success(coeffs, diag: GateDiagonal) -> float:
-    """Success probability of one phase gate on a register state.
-
-    ``coeffs`` holds the eight coefficients as an array, in the convention
-    where the physical amplitudes are coefficient/(2*sqrt(2)), so the squared
-    coefficients must sum to 8. Each of the first four slots survives the
-    gate with its damping factor squared; the rest pass untouched:
-
-        ( |c3|^2*alpha^2 + |c2|^2*beta^2 + |c1|^2*gamma^2 + |c0|^2*mu^2
-          + |c4|^2 + |c5|^2 + |c6|^2 + |c7|^2 ) / 8
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (8,):
-        raise ConfigError(f"expected 8 coefficients, got shape {coeffs.shape}")
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    if not abs(total - 8.0) <= 1e-9:  # NaN fails too
-        raise ConfigError(
-            f"squared coefficients must sum to 8 (got {total}); "
-            "amplitudes carry a 1/(2*sqrt(2)) prefactor in this convention"
-        )
-    return float(np.sum(np.abs(coeffs) ** 2 * np.array(diag.entries()) ** 2) / 8.0)
-
-
-def closed_form_probability(k: int) -> float:
-    """Marked-state probability after k iterations with the textbook gate:
-    sin^2((2k+1) * asin(1/sqrt(8)))."""
-    if k < 0:
-        raise ConfigError(f"iteration count must be >= 0, got {k}")
-    theta = math.asin(1.0 / math.sqrt(8.0))
-    return math.sin((2 * k + 1) * theta) ** 2

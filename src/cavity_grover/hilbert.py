@@ -96,21 +96,6 @@ def build_basis() -> ProductBasis:
 BASIS = build_basis()
 
 
-def state_index(l1: AtomLevel, l2: AtomLevel, l3: AtomLevel, n: int) -> int:
-    """Position of the product state (l1, l2, l3, n) in ``BASIS``.
-
-    Bijective inverse of ``BASIS.states``; rejects levels or photon numbers
-    outside the basis.
-    """
-    if l1 not in _ATOM1_LEVELS:
-        raise ConfigError(f"atom 1 has no level {l1.name}; allowed: E, G")
-    if l2 not in _ATOM23_LEVELS or l3 not in _ATOM23_LEVELS:
-        raise ConfigError("atoms 2 and 3 must be one of I, G, E")
-    if n not in (0, 1):
-        raise ConfigError(f"photon number {n} outside 0..1")
-    return BASIS.position(BasisState(l1, l2, l3, n))
-
-
 # Fixed by ``BASIS``, so found once. Bit 0/1 is E/G on atom 1, I/G on atoms 2, 3.
 _EMBEDDING = tuple(
     BASIS.position(BasisState(l1, l2, l3, 0))
@@ -128,16 +113,6 @@ def computational_embedding() -> tuple[int, ...]:
     above, i.e. position 0 is (E, I, I, 0) and position 7 is (G, G, G, 0).
     """
     return _EMBEDDING
-
-
-def excitation_number(position: int) -> int:
-    """Photon number plus the count of atoms in the upper level.
-
-    The resonant coupling conserves this quantity, which is what makes the
-    photon truncation exact for logical inputs.
-    """
-    state = BASIS.states[position]
-    return state.n + sum(1 for l in state.atom_levels() if l is AtomLevel.E)
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,13 +147,6 @@ class PureState:
     def dimension(self) -> int:
         return self.amplitudes.shape[-1]
 
-    def squared_norm(self):
-        """The squared norm, a float, or one per state of a stack."""
-        return _vdot(self.amplitudes, self.amplitudes).real
-
-
-_UNITARY_TOLERANCE = 1e-10
-
 
 @dataclass(frozen=True)
 class LogicalOperator:
@@ -196,16 +164,8 @@ class LogicalOperator:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def unitary(self) -> bool:
-        gram = self.matrix.conj().swapaxes(-1, -2) @ self.matrix
-        return bool(np.abs(gram - np.eye(8)).max() <= _UNITARY_TOLERANCE)
-
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.matrix, axis1=-2, axis2=-1).copy()
-
-    def __matmul__(self, other: "LogicalOperator") -> "LogicalOperator":
-        return LogicalOperator(self.matrix @ other.matrix)
 
     def apply(self, state: PureState) -> PureState:
         if state.amplitudes.shape != (8,):

@@ -178,24 +178,23 @@ def timing_oracle(params: Sequence[CavityParams], delta_ts) -> np.ndarray:
     return _delayed_infidelities(params, delta_ts, exact_columns(params))
 
 
-def timing_oracle_dense(scenario: TimingScenario, rk4_steps: int | None = None) -> float:
+def timing_oracle_dense(scenario: TimingScenario) -> float:
     """``timing_oracle`` at one delay by dense propagation: the test reference.
 
     Evolves each logical basis state under the complete no-jump Hamiltonian
     for one gate time, then under the atom-1-only coupling (atoms 2 and 3
     gone, decay still on) for delta_t, projects onto the logical subspace,
-    and evaluates the same uniform-input infidelity. ``rk4_steps`` is passed
-    to ``evolve``.
+    and evaluates the same uniform-input infidelity.
     """
     if np.ndim(scenario.delta_t) != 0:
         raise ConfigError(f"delta_t must be one delay, got shape {np.shape(scenario.delta_t)}")
     params = scenario.params
-    embedding, mids = evolve_logical_basis([params], [gate_time(params)], rk4_steps)
+    embedding, mids = evolve_logical_basis([params], [gate_time(params)])
     h_atom1 = exchange_hamiltonian((params.omega[0], 0.0, 0.0))  # atoms 2, 3 gone
     add_cavity_decay(h_atom1, params.kappa)
     logical = list(embedding)
     gate = np.column_stack(
-        [evolve(h_atom1, scenario.delta_t, mid, rk4_steps).amplitudes[0, logical] for mid in mids]
+        [evolve(h_atom1, scenario.delta_t, mid).amplitudes[0, logical] for mid in mids]
     )
     return float(_row_infidelity(_GATE_REFERENCE, gate @ _uniform_register()))
 

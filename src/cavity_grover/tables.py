@@ -63,11 +63,6 @@ class SweepTable:
             row = tuple(column[bad.argmax()].item() for column in columns)
             raise NumericalError(f"{self.experiment} produced a non-finite row {row}")
 
-    @property
-    def rows(self) -> tuple[tuple, ...]:
-        """The table row by row, as Python ints and floats."""
-        return tuple(zip(*(column.tolist() for column in self.columns)))
-
 
 def _axis(column) -> Axis:
     """A column as an ``Axis`` (a plain one repeats and tiles once) whose

@@ -19,7 +19,6 @@ from cavity_grover import (
     NumericalError,
     build_effective_hamiltonian,
     computational_embedding,
-    coupling_at_position,
     evolve,
     extract_gate,
     gate_time,
@@ -41,7 +40,14 @@ from cavity_grover.hilbert import (
     ProductBasis,
     PureState,
     basis_state,
+)
+from reference import (
+    coupling_at_position,
     excitation_number,
+    logical_columns,
+    rk4,
+    rk4_gate,
+    squared_norm,
     state_index,
 )
 
@@ -66,11 +72,6 @@ def test_designed_ratio_helper(omega1c, params_lossless):
     assert w2 / w1 == pytest.approx(math.sqrt(35.0), rel=1e-12)
     assert w3 / w1 == pytest.approx(8.0, rel=1e-12)
     assert params_lossless.has_designed_ratios()
-
-
-def test_integrator_settings_need_enough_steps():
-    with pytest.raises(ConfigError, match="rk4_steps"):
-        evolve(np.zeros((2, 2)), 1.0, _plain_state(np.array([1.0, 0.0])), rk4_steps=50)
 
 
 # --- Hamiltonian structure ----------------------------------------------
@@ -329,7 +330,7 @@ def test_unitarity_without_decay(params_lossless):
     psi = basis_state(computational_embedding()[3])
     for t_factor in (0.5, 1.0, 5.0, 10.0):
         out = evolve(h, t_factor * gate_time(params_lossless), psi)
-        assert abs(out.squared_norm() - 1.0) <= 1e-10
+        assert abs(squared_norm(out) - 1.0) <= 1e-10
 
 
 def test_norm_monotone_under_decay(params_strong_decay):
@@ -337,19 +338,20 @@ def test_norm_monotone_under_decay(params_strong_decay):
     t = gate_time(params_strong_decay)
     samples = np.linspace(0.0, t, 120)
     psi = basis_state(computational_embedding()[0])
-    norms = [evolve(h, ti, psi).squared_norm() for ti in samples]
+    norms = [squared_norm(evolve(h, ti, psi)) for ti in samples]
     diffs = np.diff(norms)
     assert np.all(diffs <= 1e-12)
 
 
 def test_methods_agree_on_all_logical_inputs(params_strong_decay):
+    # RK4 on the whole space, every logical column at once, against the
+    # matrix exponential on each column's reachable sector.
     h = build_effective_hamiltonian(params_strong_decay)
     t = gate_time(params_strong_decay)
-    for pos in computational_embedding():
-        psi = basis_state(pos)
-        reference = evolve(h, t, psi)
-        integrated = evolve(h, t, psi, rk4_steps=4096)
-        assert np.abs(reference.amplitudes - integrated.amplitudes).max() <= 1e-8
+    integrated = rk4(h, t, logical_columns(), 4096)
+    for col, pos in enumerate(computational_embedding()):
+        reference = evolve(h, t, basis_state(pos))
+        assert np.abs(reference.amplitudes - integrated[:, col]).max() <= 1e-8
 
 
 def test_truncation_guard_fires_for_over_excited_input(params_lossless):
@@ -368,16 +370,15 @@ def test_truncation_guard_fires_for_over_excited_input(params_lossless):
         evolve(pair, [t, t], PureState(np.stack([logical, basis_state(start).amplitudes]), BASIS))
 
 
-@pytest.mark.parametrize("rk4_steps", [None, 200])
-def test_evolve_on_a_stack_has_the_bits_of_single_calls(omega1c, rk4_steps):
+def test_evolve_on_a_stack_has_the_bits_of_single_calls(omega1c):
     stack = [CavityParams.designed(omega1c, r * omega1c) for r in (0.0, 0.3, 3.9)]
     h = np.stack([build_effective_hamiltonian(p) for p in stack])
     times = [gate_time(p) for p in stack]
     for pos in computational_embedding():
-        rows = evolve(h, times, basis_state(pos), rk4_steps).amplitudes
+        rows = evolve(h, times, basis_state(pos)).amplitudes
         assert rows.shape == (3, BASIS.dimension)
         for member, t, row in zip(h, times, rows):
-            single = evolve(member, t, basis_state(pos), rk4_steps).amplitudes
+            single = evolve(member, t, basis_state(pos)).amplitudes
             assert row.tobytes() == single.tobytes()
 
 
@@ -428,22 +429,17 @@ def test_evolve_on_the_sector_matches_full_propagation(problem):
     scale = 1e-12 * np.linalg.norm(psi)
     out = evolve(h, t, _plain_state(psi)).amplitudes
     assert np.abs(out - scipy.linalg.expm(-1j * h * t) @ psi).max() <= scale
-    out = evolve(h, t, _plain_state(psi), rk4_steps=100).amplitudes
-    assert np.abs(out - dynamics._rk4(h, t, psi, 100)).max() <= scale
 
 
 def test_evolve_on_empty_and_full_supports():
     rng = np.random.default_rng(7)
     h = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    for rk4_steps in (None, 100):
-        zero = evolve(h, 0.8, _plain_state(np.zeros(12)), rk4_steps).amplitudes
-        assert np.array_equal(zero, np.zeros(12))
+    zero = evolve(h, 0.8, _plain_state(np.zeros(12))).amplitudes
+    assert np.array_equal(zero, np.zeros(12))
     psi = rng.normal(size=12) + 1j * rng.normal(size=12)
     scale = 1e-12 * np.linalg.norm(psi)
     full = evolve(h, 0.8, _plain_state(psi)).amplitudes
     assert np.abs(full - scipy.linalg.expm(-0.8j * h) @ psi).max() <= scale
-    full = evolve(h, 0.8, _plain_state(psi), rk4_steps=100).amplitudes
-    assert np.abs(full - dynamics._rk4(h, 0.8, psi, 100)).max() <= scale
 
 
 def test_evolve_rejects_inf_outside_the_sector():
@@ -484,14 +480,15 @@ def test_extracted_gate_under_decay_matches_closed_form(params_strong_decay):
 
 
 def test_extract_gate_honours_settings(params_strong_decay):
-    # RK4 must agree with the matrix exponential, and must differ from it
-    # in the last bits: equal outputs would mean the settings were dropped.
+    # The full-space RK4 gate must agree with the matrix exponential, and
+    # must differ from it in the last bits: equal outputs would mean the
+    # reference did not integrate at all.
     t = gate_time(params_strong_decay)
     reference = extract_gate([params_strong_decay], [t])
-    integrated = extract_gate([params_strong_decay], [t], rk4_steps=1024)
-    gap = np.abs(integrated.restricted.matrix - reference.restricted.matrix).max()
+    matrix, leakage = rk4_gate([params_strong_decay], [t], 1024)
+    gap = np.abs(matrix - reference.restricted.matrix).max()
     assert 0.0 < gap <= 1e-8
-    assert np.abs(integrated.leakage - reference.leakage).max() <= 1e-8
+    assert np.abs(leakage - reference.leakage).max() <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -606,7 +603,7 @@ def test_block_amplitudes_match_dense_evolution(omega1c, ratios, kappa_frac, fra
         amps = finals[col].amplitudes[0]
         assert abs(amps[embedding[col]] - leaf1[col]) <= 1e-12
         assert abs(amps[state_index(G, l2, l3, 1)] - photon[col]) <= 1e-12
-        assert abs(finals[col].squared_norm()[0] - norm[col]) <= 1e-12
+        assert abs(squared_norm(finals[col])[0] - norm[col]) <= 1e-12
     for col in range(4, 8):  # qubit 1 = G: no excitation, nothing moves
         unit = np.zeros(BASIS.dimension)
         unit[embedding[col]] = 1.0

@@ -22,12 +22,10 @@ from cavity_grover import (
     OffsetScenario,
     TimingScenario,
     build_effective_hamiltonian,
-    coupling_at_position,
     decayed_i000,
     evolve,
     extract_gate,
     parse_config,
-    phase_gate_success,
     positions_for_ratio,
     run_experiment,
     serialize_config,
@@ -40,6 +38,7 @@ from cavity_grover.gates import TEXTBOOK, MarkedState
 from cavity_grover.grover import run_search
 from cavity_grover.hilbert import basis_state
 from cavity_grover.tables import Axis
+from reference import coupling_at_position, phase_gate_success, rows
 
 FAST = dict(delta_t_points=5, eta_points=5)
 
@@ -236,7 +235,8 @@ def test_owned_rules_fail_at_load_time(line, experiment, tmp_path, capsys):
 
 _P = CavityParams.designed(1.0, 0.1)
 
-# The library's guards on float inputs, each as a call of one float.
+# The guards on float inputs, each as a call of one float: the library's,
+# and those of the two formulas the test reference keeps.
 _GUARDED_CALLS = {
     "CavityParams omega": lambda x: CavityParams((1.0, x, 3.0)),
     "CavityParams kappa": lambda x: CavityParams((1.0, 2.0, 3.0), kappa=x),
@@ -272,8 +272,8 @@ def test_unknown_experiment_rejected():
 def test_search_table_shape_and_values():
     table = run_experiment("search", ExperimentConfig())
     assert table.header == ("iteration", "kappa_ratio", "p_find", "survival", "fidelity")
-    assert len(table.rows) == 24  # three kappa ratios x eight iterations
-    by_key = {(row[0], row[1]): row for row in table.rows}
+    assert len(rows(table)) == 24  # three kappa ratios x eight iterations
+    by_key = {(row[0], row[1]): row for row in rows(table)}
     p2 = by_key[(2, 0.0)][2]
     assert p2 == pytest.approx(0.9453, abs=1e-3)
     assert "best p_find" in table.summary
@@ -281,9 +281,9 @@ def test_search_table_shape_and_values():
 
 def test_gate_table_reports_residual_entry():
     table = run_experiment("gate", ExperimentConfig(kappa_ratios=(0.0, 0.1)))
-    assert len(table.rows) == 16
+    assert len(rows(table)) == 16
     assert "0.999707" in table.summary
-    lossless_rows = [row for row in table.rows if row[0] == 0.0]
+    lossless_rows = [row for row in rows(table) if row[0] == 0.0]
     assert lossless_rows[0][2] == -1.0  # analytic |000> entry
 
 
@@ -296,7 +296,7 @@ def test_timing_table_zero_delay_rows():
         "infidelity_formula",
         "infidelity_oracle",
     )
-    zero_rows = [row for row in table.rows if row[1] == 0.0]
+    zero_rows = [row for row in rows(table) if row[1] == 0.0]
     assert len(zero_rows) == 2
     for _, _, formula, oracle in zero_rows:
         assert formula == pytest.approx(oracle, abs=1e-4)
@@ -307,8 +307,8 @@ def test_timing_table_zero_delay_rows():
 def test_offset_table_baseline_column():
     config = ExperimentConfig(**FAST)
     table = run_experiment("offset", config)
-    assert len(table.rows) == 20  # four chi values x five etas
-    zero_eta = [row for row in table.rows if row[0] == 0.0]
+    assert len(rows(table)) == 20  # four chi values x five etas
+    zero_eta = [row for row in rows(table) if row[0] == 0.0]
     values = {row[3] for row in zero_eta}
     assert len(zero_eta) == 4
     assert max(values) - min(values) <= 1e-12
@@ -316,8 +316,8 @@ def test_offset_table_baseline_column():
 
 def test_geometry_table():
     table = run_experiment("geometry", ExperimentConfig())
-    assert len(table.rows) == 1
-    z1, z2, z3, ratio = table.rows[0]
+    assert len(rows(table)) == 1
+    z1, z2, z3, ratio = rows(table)[0]
     assert z3 == 0.0
     assert ratio == pytest.approx(1.957, abs=1e-3)
     assert ratio == pytest.approx(abs(z1) / abs(z2), rel=1e-12)
@@ -605,12 +605,12 @@ def _columns(draw):
 @given(columns=_columns())
 def test_column_writer_matches_row_wise_writer(columns, tmp_path_factory):
     header = tuple(f"c{i}" for i in range(len(columns)))
-    rows = list(zip(*(column_rows for _, column_rows in columns)))
+    expected = list(zip(*(column_rows for _, column_rows in columns)))
     table = SweepTable("search", header, [given for given, _ in columns], "")
-    assert table.rows == tuple(rows)
+    assert rows(table) == tuple(expected)
     path = tmp_path_factory.getbasetemp() / "property.csv"
     write_csv(table, str(path))
-    assert path.read_bytes() == _row_wise_csv(header, rows).encode("utf-8")
+    assert path.read_bytes() == _row_wise_csv(header, expected).encode("utf-8")
 
 
 @pytest.mark.parametrize(
@@ -959,6 +959,28 @@ def test_kept_objects_follow_replace_and_are_not_fields():
     assert not any(name in text + repr(config) for name in (*kept, "GateDiagonal"))
     assert serialize_config(moved) == text.replace("output = \n", "output = out.csv\n")
     assert parse_config(serialize_config(wider)) == wider
+
+
+def test_an_out_run_loads_its_config_once(monkeypatch, tmp_path):
+    # --out names the CSV path without rebuilding the config (and every
+    # decay ratio's gate with it), and writes what a config's output does.
+    loads = []
+    post_init = ExperimentConfig.__post_init__
+
+    def counted(self):
+        loads.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    for name in experiments.EXPERIMENTS:
+        out, via_config = tmp_path / f"{name}.csv", tmp_path / f"{name}-config.csv"
+        loads.clear()
+        assert cli.main([name, "--out", str(out)]) == 0
+        assert len(loads) == 1
+        config = tmp_path / "output.cfg"
+        config.write_text(f"output = {via_config}\n", encoding="utf-8")
+        assert cli.main([name, "--config", str(config)]) == 0
+        assert out.read_bytes() == via_config.read_bytes()
 
 
 @pytest.mark.parametrize("model", ["atom1", "uniform"])

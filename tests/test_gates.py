@@ -11,7 +11,6 @@ from cavity_grover import (
     GateDiagonal,
     LogicalOperator,
     decayed_i000,
-    diffusion,
     extract_gate,
     gate_time,
     hadamard3,
@@ -21,6 +20,7 @@ from cavity_grover import (
 )
 from cavity_grover.dynamics import DESIGNED_RATIOS
 from cavity_grover.gates import exact_columns
+from reference import compose, diffusion, gate_operator, is_unitary
 
 ALL_TAUS = [format(v, "03b") for v in range(8)]
 
@@ -37,8 +37,8 @@ def test_hadamard_creates_uniform_superposition():
 
 def test_hadamard_is_involutive_and_unitary():
     h3 = hadamard3()
-    assert np.abs((h3 @ h3).matrix - np.eye(8)).max() <= 1e-12
-    assert h3.unitary
+    assert np.abs(compose(h3, h3).matrix - np.eye(8)).max() <= 1e-12
+    assert is_unitary(h3)
 
 
 def test_hadamard_corner_entry():
@@ -59,7 +59,7 @@ def test_bit_flip_moves_states():
 
 def test_bit_flip_self_inverse():
     x2 = pauli_x(2)
-    assert np.array_equal((x2 @ x2).matrix, np.eye(8))
+    assert np.array_equal(compose(x2, x2).matrix, np.eye(8))
 
 
 def test_bit_flip_rejects_bad_index():
@@ -80,10 +80,10 @@ def test_residual_entry_value(params_lossless):
 
 
 def test_ideal_gate_variants(params_lossless):
-    exact = TEXTBOOK.operator()
+    exact = gate_operator(TEXTBOOK)
     assert np.array_equal(exact.matrix, np.diag([-1.0, 1, 1, 1, 1, 1, 1, 1]))
-    assert np.abs((exact @ exact).matrix - np.eye(8)).max() == 0.0
-    realized = decayed_i000(replace(params_lossless, kappa=0.0)).operator()
+    assert np.abs(compose(exact, exact).matrix - np.eye(8)).max() == 0.0
+    realized = gate_operator(decayed_i000(replace(params_lossless, kappa=0.0)))
     assert realized.matrix[1, 1] == pytest.approx(residual_gate_entry(params_lossless))
 
 
@@ -97,7 +97,7 @@ def test_decayed_gate_reduces_to_lossless(params_lossless):
     diag = decayed_i000(params_lossless)
     lossless = decayed_i000(replace(params_lossless, kappa=0.0))
     assert diag.mu == 1.0 and diag.beta == 1.0 and diag.alpha == 1.0
-    assert np.abs(diag.operator().matrix - lossless.operator().matrix).max() <= 1e-15
+    assert np.abs(gate_operator(diag).matrix - gate_operator(lossless).matrix).max() <= 1e-15
 
 
 def test_decayed_gate_factors_strong_decay(params_strong_decay):
@@ -191,12 +191,12 @@ def test_gate_diagonal_validates_range():
 
 
 def test_marked_gate_identity_on_000(params_lossless):
-    base = TEXTBOOK.operator()
+    base = gate_operator(TEXTBOOK)
     assert np.array_equal(marked_gate("000", base).matrix, base.matrix)
 
 
 def test_marked_gate_exact_reflection(params_lossless):
-    base = TEXTBOOK.operator()
+    base = gate_operator(TEXTBOOK)
     gate = marked_gate("101", base)
     expected = np.eye(8)
     expected[0b101, 0b101] = -1.0
@@ -205,7 +205,7 @@ def test_marked_gate_exact_reflection(params_lossless):
 
 def test_marked_gate_permutes_damped_diagonal(params_strong_decay):
     diag = decayed_i000(params_strong_decay)
-    operator = diag.operator()
+    operator = gate_operator(diag)
     gate = marked_gate("001", operator)
     entries = np.diag(gate.matrix).real
     # flipping bit 3 swaps slot pairs (0,1), (2,3), (4,5), (6,7)
@@ -216,7 +216,7 @@ def test_marked_gate_permutes_damped_diagonal(params_strong_decay):
 
 
 def test_marked_gate_rejects_bad_label(params_lossless):
-    base = TEXTBOOK.operator()
+    base = gate_operator(TEXTBOOK)
     with pytest.raises(ConfigError):
         marked_gate("0012", base)
     with pytest.raises(ConfigError):
@@ -234,7 +234,7 @@ def test_marked_gate_equals_bit_flip_conjugation(tau):
     expected = base
     for qubit, bit in enumerate(tau, start=1):
         if bit == "1":
-            expected = pauli_x(qubit) @ expected @ pauli_x(qubit)
+            expected = compose(pauli_x(qubit), expected, pauli_x(qubit))
     assert np.array_equal(marked_gate(tau, base).matrix, expected.matrix)
 
 
@@ -250,14 +250,14 @@ def test_diffusion_entries():
 
 def test_diffusion_unitary_and_symmetric():
     d = diffusion()
-    assert d.unitary
+    assert is_unitary(d)
     assert np.array_equal(d.matrix, d.matrix.T)
 
 
 def test_diffusion_from_gate_sandwich(params_lossless):
     h3 = hadamard3()
-    exact = TEXTBOOK.operator()
-    built = -(h3 @ exact @ h3).matrix
+    exact = gate_operator(TEXTBOOK)
+    built = -compose(h3, exact, h3).matrix
     assert np.abs(built - diffusion().matrix).max() <= 1e-12
 
 
@@ -265,10 +265,10 @@ def test_diffusion_from_gate_sandwich(params_lossless):
 def test_iteration_equals_diffusion_form(tau, params_lossless):
     # H3 * I000 * H3 * I_tau == -D * I_tau for every marked state.
     h3 = hadamard3()
-    exact = TEXTBOOK.operator()
+    exact = gate_operator(TEXTBOOK)
     flip = marked_gate(tau, exact)
-    lhs = (h3 @ exact @ h3 @ flip).matrix
-    rhs = -(diffusion() @ flip).matrix
+    lhs = compose(h3, exact, h3, flip).matrix
+    rhs = -compose(diffusion(), flip).matrix
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -276,7 +276,7 @@ def test_iteration_equals_diffusion_form(tau, params_lossless):
 
 
 def test_closed_form_matches_dynamics_under_decay(params_strong_decay):
-    operator = decayed_i000(params_strong_decay).operator()
+    operator = gate_operator(decayed_i000(params_strong_decay))
     simulated = extract_gate(
         [params_strong_decay], [gate_time(params_strong_decay)]
     ).restricted.diagonal()[0]
@@ -284,7 +284,7 @@ def test_closed_form_matches_dynamics_under_decay(params_strong_decay):
 
 
 def test_closed_form_matches_dynamics_lossless(params_lossless):
-    operator = decayed_i000(params_lossless).operator()
+    operator = gate_operator(decayed_i000(params_lossless))
     simulated = extract_gate(
         [params_lossless], [gate_time(params_lossless)]
     ).restricted.diagonal()[0]
@@ -314,6 +314,6 @@ def test_logical_operator_validates_shape():
 
 
 def test_logical_operator_unitary_flag(params_strong_decay):
-    operator = decayed_i000(params_strong_decay).operator()
-    assert not operator.unitary
-    assert hadamard3().unitary
+    operator = gate_operator(decayed_i000(params_strong_decay))
+    assert not is_unitary(operator)
+    assert is_unitary(hadamard3())

@@ -11,20 +11,25 @@ from cavity_grover import (
     CavityParams,
     ConfigError,
     GateDiagonal,
+    LogicalOperator,
     MarkedState,
     NumericalError,
     SearchGrid,
-    closed_form_probability,
     decayed_i000,
     grover_step,
     hadamard3,
-    initial_state,
     marked_gate,
-    phase_gate_success,
     residual_gate_entry,
     run_search,
 )
 from cavity_grover.grover import _modulus_squared
+from reference import (
+    closed_form_probability,
+    gate_operator,
+    initial_state,
+    phase_gate_success,
+    squared_norm,
+)
 
 ALL_TAUS = [format(v, "03b") for v in range(8)]
 
@@ -43,7 +48,7 @@ def _diagonal(variant: str, params: CavityParams) -> GateDiagonal:
 def test_initial_state_is_uniform():
     state = initial_state()
     assert state.amplitudes[0b101] == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
-    assert state.squared_norm() == pytest.approx(1.0, abs=1e-15)
+    assert squared_norm(state) == pytest.approx(1.0, abs=1e-15)
     zero = np.zeros(8, dtype=complex)
     zero[0] = 1.0
     assert np.abs(state.amplitudes - hadamard3().matrix @ zero).max() <= 1e-15
@@ -53,7 +58,7 @@ def test_single_step_amplifies_marked_amplitude(params_lossless):
     # One iteration is minus the inversion-about-average times the flip, so
     # the amplitude reaches sin(3*asin(1/sqrt 8)) = 5/(4*sqrt 2) with an
     # overall sign that alternates per iteration and never affects p_find.
-    exact = TEXTBOOK.operator()
+    exact = gate_operator(TEXTBOOK)
     out = grover_step(initial_state(), "000", exact)
     assert out.amplitudes[0] == pytest.approx(-5.0 / (4.0 * math.sqrt(2.0)), abs=1e-14)
     assert abs(out.amplitudes[0]) ** 2 == pytest.approx(25.0 / 32.0, abs=1e-13)
@@ -62,7 +67,7 @@ def test_single_step_amplifies_marked_amplitude(params_lossless):
 def test_two_steps_match_brute_force_matrix_product(params_lossless):
     # Independent route: build the whole iteration operator as one matrix
     # and apply it twice to the uniform start.
-    exact = TEXTBOOK.operator()
+    exact = gate_operator(TEXTBOOK)
     h3 = hadamard3().matrix
     q = h3 @ exact.matrix @ h3 @ marked_gate("000", exact).matrix
     brute = q @ (q @ initial_state().amplitudes)
@@ -75,9 +80,9 @@ def test_two_steps_match_brute_force_matrix_product(params_lossless):
 
 
 def test_decayed_step_contracts_norm(params_strong_decay):
-    gate = decayed_i000(params_strong_decay).operator()
+    gate = gate_operator(decayed_i000(params_strong_decay))
     out = grover_step(initial_state(), "000", gate)
-    assert out.squared_norm() < 1.0
+    assert squared_norm(out) < 1.0
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -85,13 +90,13 @@ def test_decayed_step_contracts_norm(params_strong_decay):
 def test_run_search_records_repeated_public_steps(tau, variant, params_strong_decay):
     # run_search builds its flips once; k public steps, each rebuilding the
     # flip, must give the same outcomes bit for bit.
-    gate = _diagonal(variant, params_strong_decay).operator()
+    gate = gate_operator(_diagonal(variant, params_strong_decay))
     grid = run_search(tau, 6, [_diagonal(variant, params_strong_decay)])
     state = ideal = initial_state()
     for k in range(6):
         state = grover_step(state, tau, gate)
-        ideal = grover_step(ideal, tau, TEXTBOOK.operator())
-        survival = state.squared_norm()
+        ideal = grover_step(ideal, tau, gate_operator(TEXTBOOK))
+        survival = squared_norm(state)
         assert grid.survival[0, k] == survival
         assert grid.p_find[0, k] == abs(state.amplitudes[int(tau, 2)]) ** 2
         assert grid.fidelity[0, k] == abs(np.vdot(ideal.amplitudes, state.amplitudes)) ** 2 / survival
@@ -260,7 +265,7 @@ def test_run_search_rows_builds_no_dense_gate(variant, params_strong_decay, monk
     def dense(self):
         raise AssertionError("dense gate operator built")
 
-    monkeypatch.setattr(GateDiagonal, "operator", dense)
+    monkeypatch.setattr(LogicalOperator, "__post_init__", dense)
     diagonal = _diagonal(variant, params_strong_decay)
     grid = run_search("101", 3, [diagonal, diagonal])
     assert grid.p_find.shape == grid.survival.shape == grid.fidelity.shape == (2, 3)

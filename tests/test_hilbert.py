@@ -9,12 +9,11 @@ from cavity_grover import (
     PureState,
     build_effective_hamiltonian,
     computational_embedding,
-    excitation_number,
     parse_config,
-    state_index,
 )
 from cavity_grover.dynamics import _reachable_sector
 from cavity_grover.hilbert import BASIS, BasisState, basis_state
+from reference import excitation_number, state_index
 
 E, G, I = AtomLevel.E, AtomLevel.G, AtomLevel.I
 

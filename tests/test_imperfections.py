@@ -24,6 +24,7 @@ from cavity_grover import (
 from cavity_grover import dynamics, imperfections
 from cavity_grover.dynamics import DESIGNED_RATIOS
 from cavity_grover.gates import decayed_i000
+from reference import rk4_timing_oracle, rows
 
 
 def _fidelity(reference: np.ndarray, output: np.ndarray) -> float:
@@ -91,10 +92,10 @@ def test_formula_tracks_oracle_for_small_delays(frac, params_weak_decay):
 
 
 def test_timing_oracle_honours_settings(params_strong_decay):
-    # As for extract_gate: RK4 agrees with the matrix exponential but is not
-    # bit-equal to it, so the integrator really ran.
+    # As for extract_gate: the full-space RK4 reference agrees with the
+    # matrix exponential but is not bit-equal to it, so it really integrated.
     scenario = TimingScenario(0.05 * gate_time(params_strong_decay), params_strong_decay)
-    gap = abs(timing_oracle_dense(scenario, rk4_steps=1024) - timing_oracle_dense(scenario))
+    gap = abs(rk4_timing_oracle(scenario, 1024) - timing_oracle_dense(scenario))
     assert 0.0 < gap <= 1e-10
 
 
@@ -129,7 +130,7 @@ def test_timing_runs_without_dense_propagation(omega1c, monkeypatch):
     params = CavityParams.designed(omega1c, 0.1 * omega1c)
     delta_ts = [f * gate_time(params) for f in (0.0, 0.05, 1.0)]
     assert len(timing_oracle([params], [delta_ts])[0]) == 3
-    assert len(run_experiment("timing", ExperimentConfig(delta_t_points=5)).rows) == 3 * 5
+    assert len(rows(run_experiment("timing", ExperimentConfig(delta_t_points=5)))) == 3 * 5
 
 
 def test_timing_oracle_validates_delays(params_strong_decay):
