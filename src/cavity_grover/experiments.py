@@ -6,10 +6,12 @@ fixed grid order, shortest round-trip float formatting, so repeated runs
 emit byte-identical files. Each returns a column-wise ``SweepTable``: the
 grid coordinates as ``Axis`` columns (values, repeat, tile), the computed
 grids flattened; ``write_csv`` formats each axis value and each computed
-value once. Each quantity is one call over a whole axis: one
-``run_search`` for every decay ratio, one ``coupling_offset_infidelity``
-for the (chi, eta) grid, and one ``extract_gate``, ``timing_infidelity``
-and ``timing_oracle`` each for the stack of every decay ratio.
+value once, with one ``repr``. Each quantity is one call over a whole
+axis: one ``run_search`` for every decay ratio, one
+``coupling_offset_infidelity`` for the (chi, eta) grid, and one
+``extract_gate``, ``timing_infidelity`` and ``timing_oracle`` each for the
+stack of every decay ratio. The runs read the parameter sets and gates
+config load built; ``offset``'s eta = 0 baseline needs only the gate.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .grover import check_k_max, run_search
 from .imperfections import (
     OffsetScenario,
     TimingScenario,
+    _four_gate_infidelities,
     coupling_offset_infidelity,
     timing_infidelity,
     timing_oracle,
@@ -60,8 +63,9 @@ class ExperimentConfig:
     search summary's iteration time. Sweep grids are uniform with
     ``*_points`` samples from 0 to ``*_max``.
 
-    Loading keeps, in ratio order, the parameter set and the gate diagonal
-    it builds to check each decay ratio (``_kappa_params``, ``_kappa_gates``;
+    Loading keeps the parameter set and the gate diagonal it builds to check
+    each decay ratio, in ratio order, and ``offset_kappa_ratio``
+    (``_kappa_params``, ``_kappa_gates``, ``_offset_params``, ``_offset_gate``;
     plain attributes, not fields), and the runs read those.
     """
 
@@ -126,7 +130,9 @@ class ExperimentConfig:
         object.__setattr__(self, "_kappa_gates", tuple(gates))
         ratio = self.offset_kappa_ratio
         offset = _built("offset_kappa_ratio", ratio, self.params, ratio)
-        _built("offset_kappa_ratio", ratio, decayed_i000, offset)
+        gate = _built("offset_kappa_ratio", ratio, decayed_i000, offset)
+        object.__setattr__(self, "_offset_params", offset)
+        object.__setattr__(self, "_offset_gate", gate)
         model, per_atom = self.offset_model, self.offset_eta_per_atom
         _built("offset_model", model, OffsetScenario, 0.0, 1, offset, model, (0.0,) * 3)
         _built("offset_eta_per_atom", per_atom, OffsetScenario, 0.0, 1, offset, model, per_atom)
@@ -332,12 +338,14 @@ def _timing_experiment(config: ExperimentConfig) -> SweepTable:
 
 def _offset_experiment(config: ExperimentConfig) -> SweepTable:
     ratio = config.offset_kappa_ratio
-    params = config.params(ratio)
+    params = config._offset_params
     etas = config.eta_grid()
     grid = coupling_offset_infidelity(
         params, config.chi_list, etas, config.offset_model, config.offset_eta_per_atom
     )
-    baseline = coupling_offset_infidelity(params, config.chi_list[:1], [0.0])[0, 0]
+    # At eta = 0 the atom-1 offset factors are the design factors.
+    base = np.array(config._offset_gate.entries()[:4])
+    baseline = _four_gate_infidelities(base[None], base, config.chi_list[:1])[0, 0]
     lines = [
         f"offset model: {config.offset_model}; four-gate search at "
         f"kappa_ratio={ratio}",

@@ -238,9 +238,7 @@ def coupling_offset_infidelity(
     Each chi is checked once, and one scenario holding the whole eta array
     checks every offset. One ``decayed_i000`` call on the coupling arrays
     gives every offset factor, and the fidelity is row-wise, so each point
-    is computed exactly as it would be alone. Only the four atom-1-in-``E``
-    slots decay, so only their (len(etas), 4) block is raised to the power
-    chi; the other four slots of every output row are u, as 1**chi * 1 * u is.
+    is computed exactly as it would be alone.
     """
     etas = _axis("etas", etas)
     for chi in chis:
@@ -250,10 +248,18 @@ def coupling_offset_infidelity(
     couplings = np.broadcast_arrays(*offset_couplings(scenario), scenario.eta)[:3]
     base = np.array(decayed_i000(params).entries()[:4])
     primed = np.stack(np.broadcast_arrays(*decayed_i000(params, couplings).entries()[:4]), 1)
+    return _four_gate_infidelities(primed, base, chis)
+
+
+def _four_gate_infidelities(primed: np.ndarray, base: np.ndarray, chis) -> np.ndarray:
+    """(len(chis), n) infidelities from the four decaying slots, the (n, 4)
+    offset factors ``primed`` and the (4,) design factors ``base``: only that
+    block is raised to the power chi; the other four slots of every output
+    row are u, as 1**chi * 1 * u is."""
     # After an even number of phase gates the |000⟩ sign flips cancel, so
     # the exact four-gate reference is the uniform register u itself.
     u = _uniform_register().real
-    outputs = np.empty((len(etas), 8))
+    outputs = np.empty((len(primed), 8))
     outputs[:, 4:] = u[4:]
     rows = []
     for chi in chis:

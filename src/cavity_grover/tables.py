@@ -3,8 +3,8 @@
 A ``SweepTable`` holds one NumPy column per header field and checks the
 columns once. A grid coordinate column is given as an ``Axis``: values,
 repeat and tile. ``write_csv`` renders each axis value, and each value of
-any other column, once with one ``repr`` of a Python list, so a table of
-any size writes the same bytes as one ``str`` per value, row by row.
+any other column, once with one ``repr`` per value, so a table of any size
+writes the same bytes as one ``str`` per value, row by row.
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ def _axis(column) -> Axis:
 
 def _column_text(axis: Axis) -> list[str]:
     """A column's text row by row, each value as ``str`` writes it. One
-    ``repr`` of a Python list renders each of the axis values once (``str``
-    and ``repr`` agree on ints and floats); that text is repeated and tiled."""
-    text = repr(axis.values.tolist())[1:-1].split(", ") if len(axis.values) else []
+    ``repr`` per axis value renders it once (``str`` and ``repr`` agree on
+    ints and floats); that text is repeated and tiled."""
+    text = list(map(repr, axis.values.tolist()))
     if axis.repeat > 1:
         once, text = text, []
         for value in once:

@@ -911,12 +911,13 @@ def test_kappa_stack_writes_the_one_kappa_rows(experiment, tmp_path):
 
 
 def test_runs_read_what_config_load_built(monkeypatch, tmp_path):
-    # Load builds each decay ratio's parameter set and gate once. A gate,
-    # search or timing run reads those: no decayed_i000 call in experiments,
-    # and one params call, gate's lossless entry. (timing_infidelity builds
-    # its own diagonals inside imperfections, which this does not cover.)
+    # Load builds each decay ratio's parameter set and gate once, and those
+    # of offset_kappa_ratio. A gate, search, timing or offset run reads
+    # those: no decayed_i000 call in experiments, and one params call,
+    # gate's lossless entry. (timing_infidelity and coupling_offset_infidelity
+    # build their own diagonals inside imperfections, which this does not cover.)
     config = ExperimentConfig(kappa_ratios=(0.0, 0.02, 0.1, 0.5, 2.0), **FAST)
-    runs = ("gate", "search", "timing")
+    runs = ("gate", "search", "timing", "offset")
     expected = {exp: run_experiment(exp, config) for exp in runs}
 
     def no_gate(*args, **kwargs):
@@ -931,7 +932,7 @@ def test_runs_read_what_config_load_built(monkeypatch, tmp_path):
 
     monkeypatch.setattr(experiments, "decayed_i000", no_gate)
     monkeypatch.setattr(ExperimentConfig, "params", counted_params)
-    for exp, params_calls in zip(runs, ([0.0], [], [])):
+    for exp, params_calls in zip(runs, ([0.0], [], [], [])):
         calls.clear()
         table = run_experiment(exp, config)
         assert calls == params_calls
@@ -945,20 +946,59 @@ def test_runs_read_what_config_load_built(monkeypatch, tmp_path):
 def test_kept_objects_follow_replace_and_are_not_fields():
     config = ExperimentConfig(kappa_ratios=(0.0, 0.1))
     text, digest = serialize_config(config), hash(config)
-    wider = dataclasses.replace(config, kappa_ratios=(0.02, 0.5, 2.0))
+    wider = dataclasses.replace(config, kappa_ratios=(0.02, 0.5, 2.0), offset_kappa_ratio=0.37)
     moved = dataclasses.replace(config, output="out.csv")
     for c in (config, wider, moved):
         assert c._kappa_params == tuple(CavityParams.designed(1.0, r) for r in c.kappa_ratios)
         assert c._kappa_gates == tuple(decayed_i000(p) for p in c._kappa_params)
+        assert c._offset_params == CavityParams.designed(1.0, c.offset_kappa_ratio)
+        assert c._offset_gate == decayed_i000(c._offset_params)
     assert [p.kappa for p in wider._kappa_params] == [0.02, 0.5, 2.0]
+    assert wider._offset_params.kappa == 0.37
+    kept = ("_kappa_params", "_kappa_gates", "_offset_params", "_offset_gate")
+    # replace runs load again: every kept object is built anew.
+    assert not any(getattr(moved, name) is getattr(config, name) for name in kept)
     # Equality, hash and the config text read the fields alone.
-    kept = ("_kappa_params", "_kappa_gates")
     assert not set(kept) & {f.name for f in dataclasses.fields(config)}
     assert config == ExperimentConfig(kappa_ratios=(0.0, 0.1)) and hash(config) == digest
     assert serialize_config(config) == text
-    assert not any(name in text + repr(config) for name in (*kept, "GateDiagonal"))
+    names = (*kept, "GateDiagonal", "CavityParams")
+    assert not any(name in text + repr(config) for name in names)
     assert serialize_config(moved) == text.replace("output = \n", "output = out.csv\n")
     assert parse_config(serialize_config(wider)) == wider
+
+
+@pytest.mark.parametrize(
+    "model, per_atom",
+    [("atom1", None), ("uniform", None), ("per_atom", (0.03, -0.02, 0.01))],
+    ids=["atom1", "uniform", "per_atom"],
+)
+def test_an_offset_run_makes_one_grid_call_and_keeps_its_baseline(monkeypatch, model, per_atom):
+    # The eta = 0 baseline comes from the kept gate's design factors, not a
+    # second coupling_offset_infidelity call, and it is the value that call
+    # gave, bit for bit, for every first chi, decay ratio and offset model.
+    grid = experiments.coupling_offset_infidelity
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return grid(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "coupling_offset_infidelity", counted)
+    for first in (1, 2, 3, 4):
+        for ratio in (0.0, 0.02, 0.1, 0.37, 2.0, 3.5):
+            config = ExperimentConfig(
+                chi_list=tuple(range(first, 5)), offset_kappa_ratio=ratio,
+                offset_model=model, offset_eta_per_atom=per_atom, **FAST,
+            )
+            calls.clear()
+            summary = run_experiment("offset", config).summary.splitlines()
+            assert len(calls) == 1
+            params = CavityParams.designed(1.0, ratio)
+            old = grid(params, config.chi_list[:1], [0.0])[0, 0]
+            assert summary[1] == f"eta=0 decay-only baseline: {old:.4e}"
+            base = np.array(decayed_i000(params).entries()[:4])
+            assert imperfections._four_gate_infidelities(base[None], base, [first])[0, 0] == old
 
 
 def test_an_out_run_loads_its_config_once(monkeypatch, tmp_path):
