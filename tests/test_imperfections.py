@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -423,10 +424,21 @@ def test_offset_grid_matches_scalar_formula(model, per_atom, kappa_ratio, omega1
     assert np.abs(np.array(grid) - np.array(expected)).max() <= 1e-15
 
 
-def _eight_slot_offset_grid(params, chis, etas, model, per_atom):
+def _product_power(x, chi):
+    # x**chi as chi - 1 products, (x * x) * x ..., the grid's sequence.
+    power = x
+    for _ in range(chi - 1):
+        power = power * x
+    return power
+
+
+def _eight_slot_offset_grid(
+    params, chis, etas, model, per_atom,
+    power=_product_power, infidelity=imperfections._row_infidelity,
+):
     # Every slot of a (len(etas), 8) array raised to the power chi, and the
-    # row-wise fidelity written out: the form the four-slot grid must equal
-    # bit for bit, since the last four slots hold 1**chi * 1 * u = u.
+    # row-wise fidelity on all eight slots: the form the four-slot grid must
+    # equal bit for bit, since the last four slots hold 1**chi * 1 * u = u.
     scenario = OffsetScenario(etas, 1, params, model, per_atom)
     couplings = np.broadcast_arrays(*offset_couplings(scenario), etas)[:3]
     base = np.array(decayed_i000(params).entries())
@@ -434,9 +446,8 @@ def _eight_slot_offset_grid(params, chis, etas, model, per_atom):
     u = np.full(8, 1.0 / (2.0 * math.sqrt(2.0)))
     rows = []
     for chi in chis:
-        outputs = primed**chi * base ** (4 - chi) * u
-        overlap = (u * outputs).sum(axis=-1)
-        rows.append(1.0 - abs(overlap) ** 2 / (abs(outputs) ** 2).sum(axis=-1))
+        outputs = power(primed, chi) * base ** (4 - chi) * u
+        rows.append(infidelity(u, outputs))
     return np.array(rows)
 
 
@@ -455,6 +466,54 @@ def test_offset_grid_equals_the_eight_slot_grid_bit_for_bit(model, seed):
     expected = _eight_slot_offset_grid(params, chis, etas, model, per_atom)
     assert grid.shape == expected.shape == (len(chis), size)
     assert grid.tobytes() == expected.tobytes()
+
+
+def _previous_row_infidelity(reference, outputs):
+    # The row-wise fidelity as it was before the fused reductions: five
+    # full-size steps (product, sum, abs, square, sum).
+    overlap = (reference.conj() * outputs).sum(axis=-1)
+    return 1.0 - abs(overlap) ** 2 / (abs(outputs) ** 2).sum(axis=-1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("model", ["atom1", "uniform", "per_atom"])
+def test_offset_grid_keeps_the_previous_arithmetic_within_1e15(model, seed):
+    # Product powers and fused reductions against numpy's ** and the five-step
+    # fidelity: the last bits may move, by at most 1e-15. With the powers
+    # change alone, chi = 1 and 2 take **'s copy and square paths bit for bit.
+    rng = np.random.default_rng(1000 + seed)
+    params = CavityParams.designed(1.0, 3.9 * rng.random() if seed else 3.9)
+    etas = rng.uniform(-0.99, 0.99, 1 if seed % 4 == 0 else int(rng.integers(2, 400)))
+    chis = rng.permutation([1, 2, 3, 4])[: rng.integers(1, 5)].tolist()
+    per_atom = tuple(rng.uniform(-0.99, 0.99, 3).tolist()) if model == "per_atom" else None
+    grid = coupling_offset_infidelity(params, chis, etas, model, per_atom)
+    previous = _eight_slot_offset_grid(
+        params, chis, etas, model, per_atom, operator.pow, _previous_row_infidelity
+    )
+    assert np.abs(grid - previous).max() <= 1e-15
+    low = [chi for chi in chis if chi <= 2]
+    if low:
+        powers_alone = _eight_slot_offset_grid(params, low, etas, model, per_atom, operator.pow)
+        expected = coupling_offset_infidelity(params, low, etas, model, per_atom)
+        assert powers_alone.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_timing_keeps_the_previous_fidelity_within_1e15(seed, monkeypatch):
+    # Every timing function scores with the one row-wise fidelity: on a seeded
+    # (kappa, delta_t) grid, the fused reductions move its values by at most 1e-15.
+    rng = np.random.default_rng(2000 + seed)
+    stack = [CavityParams.designed(1.0, r) for r in np.sort(rng.uniform(0.0, 3.9, 5))]
+    delta_ts = [rng.uniform(0.0, 1.0, 40) * gate_time(p) for p in stack]
+    scenario = TimingScenario(float(delta_ts[0][0]), stack[0])
+    fused = [timing_infidelity(stack, delta_ts), timing_oracle(stack, delta_ts)]
+    dense = timing_oracle_dense(scenario)
+    monkeypatch.setattr(imperfections, "_row_infidelity", _previous_row_infidelity)
+    previous = [timing_infidelity(stack, delta_ts), timing_oracle(stack, delta_ts)]
+    for now, before in zip(fused, previous):
+        assert now.shape == before.shape == (5, 40)
+        assert np.abs(now - before).max() <= 1e-15
+    assert abs(dense - timing_oracle_dense(scenario)) <= 1e-15
 
 
 @pytest.mark.parametrize("model", ["atom1", "uniform"])
