@@ -28,7 +28,6 @@ from .experiments import (
 )
 from .gates import (
     TEXTBOOK,
-    GateDiagonal,
     LogicalOperator,
     MarkedState,
     decayed_i000,

@@ -282,7 +282,7 @@ def _reachable_sector(h: np.ndarray, amps: np.ndarray) -> np.ndarray:
         size = grown
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == on them is elementwise
 class GateExtract:
     """Realized logical gate recovered from simulation.
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import CavityParams, extract_gate, gate_time, positions_for_ratio
 from .errors import ConfigError, NumericalError
-from .gates import MarkedState, decayed_i000, residual_gate_entry
+from .gates import MarkedState, decayed_i000, full_diagonal, residual_gate_entry
 from .grover import check_k_max, run_search
 from .imperfections import (
     OffsetScenario,
@@ -63,10 +63,10 @@ class ExperimentConfig:
     search summary's iteration time. Sweep grids are uniform with
     ``*_points`` samples from 0 to ``*_max``.
 
-    Loading keeps the parameter set and the gate diagonal it builds to check
-    each decay ratio, in ratio order, and ``offset_kappa_ratio``
-    (``_kappa_params``, ``_kappa_gates``, ``_offset_params``, ``_offset_gate``;
-    plain attributes, not fields), and the runs read those.
+    Loading keeps the parameter set and the gate slots it builds to check
+    each decay ratio, in ratio order, and ``offset_kappa_ratio`` (plain
+    attributes, not fields: ``_kappa_params``, ``_kappa_gates`` (K, 4),
+    ``_offset_params``, ``_offset_gate`` (4,)), and the runs read those.
     """
 
     omega1c_khz: float = 6.125
@@ -127,7 +127,8 @@ class ExperimentConfig:
             delay = self.delta_t_max_frac * gate_time(params)
             _built("delta_t_max_frac", self.delta_t_max_frac, TimingScenario, delay, params)
         object.__setattr__(self, "_kappa_params", tuple(stack))
-        object.__setattr__(self, "_kappa_gates", tuple(gates))
+        object.__setattr__(self, "_kappa_gates", gates := np.array(gates))
+        gates.flags.writeable = False
         ratio = self.offset_kappa_ratio
         offset = _built("offset_kappa_ratio", ratio, self.params, ratio)
         gate = _built("offset_kappa_ratio", ratio, decayed_i000, offset)
@@ -266,7 +267,7 @@ def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
 def _gate_experiment(config: ExperimentConfig) -> SweepTable:
     gamma0 = residual_gate_entry(config.params(0.0))
     lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
-    analytic = np.array([gate.entries() for gate in config._kappa_gates])
+    analytic = full_diagonal(config._kappa_gates)
     times = [gate_time(p) for p in config._kappa_params]
     extract = _over_kappa("gate", config, extract_gate, times)
     simulated = extract.restricted.diagonal()
@@ -344,7 +345,7 @@ def _offset_experiment(config: ExperimentConfig) -> SweepTable:
         params, config.chi_list, etas, config.offset_model, config.offset_eta_per_atom
     )
     # At eta = 0 the atom-1 offset factors are the design factors.
-    base = np.array(config._offset_gate.entries()[:4])
+    base = config._offset_gate
     baseline = _four_gate_infidelities(base[None], base, config.chi_list[:1])[0, 0]
     lines = [
         f"offset model: {config.offset_model}; four-gate search at "

@@ -1,21 +1,22 @@
 """Closed-form 8x8 operators on the logical register.
 
 Everything here acts in the logical order |000⟩..|111⟩ fixed by
-``hilbert.computational_embedding``. The conditional phase gate has one
-closed form, ``decayed_i000``, which returns the ``GateDiagonal`` of the
-decaying-cavity gate: its first four entries are damped by the photon
-population each logical state cycles through the mode, on the column model
-``_bright_columns``; coupling arrays give one factor per value, bit for bit
-the scalar call's. ``exact_columns`` is the same model without the paper's
-approximations, the exact atom-1 and photon amplitudes of those four columns
-that ``imperfections.timing_oracle`` reads. Named cases:
+``hilbert.computational_embedding``. The phase gate diag(-mu, gamma, beta,
+alpha, 1, 1, 1, 1) is one read-only array of its four decaying slots, (4,)
+or (n, 4) for n gates (``full_diagonal`` appends the four exact ones).
+``decayed_i000`` gives them in the paper's closed form, each damped by the
+photon population its logical state cycles through the mode, on the column
+model ``_bright_columns``; coupling arrays give one row per value, bit for
+bit the scalar call's. ``exact_columns`` is the same model without the
+paper's approximations: the exact atom-1 and photon amplitudes of those four
+columns, whose complex atom-1 rows are slots too. Named cases:
 
 * the gate a lossless cavity actually realizes is the decayed gate at
   kappa = 0; its |001⟩ entry (``residual_gate_entry``) still falls short
   of 1 because the atoms-1+3 Rabi cycle (frequency sqrt(65) in units of
   the weakest coupling) does not close after one gate time, and
 * the textbook reflection diag(-1, 1, ..., 1), the constant ``TEXTBOOK``,
-  has every factor equal to 1.
+  has every damping factor equal to 1.
 
 Every other marked state's phase gate is the |000⟩ gate conjugated by bit
 flips, which is an index permutation, and the same gate sandwiched between
@@ -63,35 +64,16 @@ class MarkedState:
         return self.bits
 
 
-@dataclass(frozen=True)
-class GateDiagonal:
-    """Damping factors (mu, gamma, beta, alpha) of the decaying phase gate.
-
-    The realized gate is diag(-mu, gamma, beta, alpha, 1, 1, 1, 1): mu on
-    |000⟩, gamma on |001⟩, beta on |010⟩, alpha on |011⟩; the four states
-    with qubit 1 in logical 1 never excite the mode and stay exact. Each
-    factor, or each value of a factor array over a grid, lies in (0, 1].
-    """
-
-    mu: float
-    gamma: float
-    beta: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        for name in ("mu", "gamma", "beta", "alpha"):
-            value = np.asarray(getattr(self, name))
-            bad = value[~((0.0 < value) & (value <= 1.0))]  # NaN is bad too
-            if bad.size:
-                raise ConfigError(f"gate diagonal factor {name}={bad[0]} outside (0, 1]")
-
-    def entries(self) -> tuple[float, ...]:
-        """The eight diagonal entries (-mu, gamma, beta, alpha, 1, 1, 1, 1)."""
-        return (-self.mu, self.gamma, self.beta, self.alpha, 1.0, 1.0, 1.0, 1.0)
+# The textbook reflection diag(-1, 1, ..., 1): every damping factor 1. Its
+# slots are also the signs that turn slots into factors: slot 0 holds -mu.
+TEXTBOOK = np.array([-1.0, 1.0, 1.0, 1.0])
+TEXTBOOK.flags.writeable = False
 
 
-# The textbook reflection diag(-1, 1, ..., 1): every damping factor 1.
-TEXTBOOK = GateDiagonal(mu=1.0, gamma=1.0, beta=1.0, alpha=1.0)
+def full_diagonal(slots: np.ndarray) -> np.ndarray:
+    """The eight diagonal entries of the gates with decaying ``slots``
+    (..., 4): those four, then the four exact entries 1 of |100⟩..|111⟩."""
+    return np.concatenate([slots, np.ones_like(slots)], axis=-1)
 
 
 def hadamard3() -> LogicalOperator:
@@ -146,20 +128,20 @@ def exact_columns(params: Sequence[CavityParams], t=None) -> np.ndarray:
 
 # Column phases W*pi/w1 at kappa = 0 and the designed ratios; sqrt(65)*pi leaves a cycle open.
 _DESIGN_PHASES = tuple(math.pi * math.sqrt(n) for n in (1.0, 65.0, 36.0, 100.0))
-_DESIGN_COS = tuple(math.cos(phase) for phase in _DESIGN_PHASES)  # -1, cos(sqrt(65)*pi), 1, 1
+_DESIGN_COS = np.array([math.cos(phase) for phase in _DESIGN_PHASES])  # -1, cos(sqrt(65)*pi), 1, 1
 
 
 def residual_gate_entry(params: CavityParams) -> float:
     """Lossless-gate diagonal entry on |001⟩, the decayed gate's gamma at kappa = 0:
     (1 - s) + s*cos(sqrt(65)*pi) with s = w1^2/(w1^2 + w3^2), about 0.9997."""
-    return decayed_i000(replace(params, kappa=0.0)).gamma
+    return float(decayed_i000(replace(params, kappa=0.0))[1])
 
 
 def decayed_i000(
     params: CavityParams, couplings: tuple[float, float, float] | None = None
-) -> GateDiagonal:
-    """Damping factors of the decaying-cavity phase gate in the paper's
-    closed form; ``.entries()`` is the 8x8 gate's diagonal.
+) -> np.ndarray:
+    """The decaying slots (-mu, gamma, beta, alpha) of the phase gate in the
+    paper's closed form, a read-only (4,) array.
 
     Column |0 b2 b3⟩ meets the mode through one bright state, coupling W and
     atom-1 share s (``_bright_columns``). Its exact entry at the gate time T
@@ -167,20 +149,31 @@ def decayed_i000(
     kappa/(4*a) * sin(a*T)], a = sqrt(W^2 - kappa^2/16). The paper's form
     1. drops the kappa/(4*a) * sin(a*T) term, and
     2. takes the phase at the kappa = 0 gate time: a*T -> W*pi/w1,
-    so each entry is (1 - s) + s*(exp(-kappa*T/4) * cos(W*pi/w1)), -mu on
+    so each slot is (1 - s) + s*(exp(-kappa*T/4) * cos(W*pi/w1)), -mu on
     |000⟩. There s = 1 and cos = -1 leave mu the envelope bit for bit; the
     form 1 - s*(1 - envelope*cos) would round a tiny envelope to mu = 0.
     ``dynamics.extract_gate`` differs by exactly the two dropped terms: at
     most 1.3e-5 at kappa = w1/10. Decay, gate time and the phases (designed
     ratios) come from ``params``, the shares from ``couplings`` (floats or
-    equal-shape arrays, one factor per value; ``params.omega`` by default).
+    equal-shape arrays, one row per value; ``params.omega`` by default). A
+    factor outside (0, 1] (a damped-out gate) is a ``ConfigError``.
     """
     if not params.has_designed_ratios():
         raise ConfigError(f"couplings {params.omega} are not in the designed ratio 1:sqrt(35):8")
     _, shares = _bright_columns(*(params.omega if couplings is None else couplings))
+    # (4,), or (n, 4) from coupling arrays: slot 0's share is always the float 1.
+    shares = np.array(shares) if couplings is None else np.stack(np.broadcast_arrays(*shares), -1)
     envelope = math.exp(-params.kappa * gate_time(params) / 4.0)
-    entries = [(1.0 - s) + s * (envelope * cos) for s, cos in zip(shares, _DESIGN_COS)]
-    return GateDiagonal(-entries[0], *entries[1:])
+    slots = (1.0 - shares) + shares * (envelope * _DESIGN_COS)
+    factors = slots * TEXTBOOK
+    bad = ~((0.0 < factors) & (factors <= 1.0))  # NaN is bad too
+    if bad.any():
+        slot = int(bad.reshape(-1, 4).any(axis=0).argmax())
+        value = factors[..., slot][bad[..., slot]][0]
+        name = ("mu", "gamma", "beta", "alpha")[slot]
+        raise ConfigError(f"gate diagonal factor {name}={value} outside (0, 1]")
+    slots.flags.writeable = False
+    return slots
 
 
 def marked_gate(tau: MarkedState | str, base: LogicalOperator) -> LogicalOperator:

@@ -6,15 +6,17 @@ their average. With the textbook gate the marked-state probability after k
 iterations is the closed-form sin^2((2k+1) * asin(1/sqrt(8))), peaking near
 k = 2 and again at k = 6.
 
-The iteration runs on any |000⟩ gate diagonal: ``gates.TEXTBOOK``, the
-lossless gate (the decayed gate at kappa = 0) or the decayed gate. Under
+The iteration runs on any |000⟩ gate given by its four decaying slots
+(``gates``): ``gates.TEXTBOOK``, the lossless gate (the decayed gate at
+kappa = 0), the decayed gate, or the complex atom-1 rows of
+``gates.exact_columns``, the gate without the paper's approximations. Under
 cavity decay the register follows the unnormalized no-jump branch:
 ``p_find`` is then the joint probability that no photon ever leaked AND
 the readout lands on the marked state, ``survival`` is the total no-jump
 probability, and ``fidelity`` compares the surviving (renormalized) state
 against the trajectory the textbook gate would have produced.
 
-``run_search`` advances the register of every given gate diagonal and the
+``run_search`` advances the register of every given gate and the
 textbook reference trajectory in one stacked iteration and scores the
 stored trajectories as arrays; ``grover_step`` is one iteration for one
 state, the per-state reference.
@@ -23,13 +25,12 @@ state, the per-state reference.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .gates import TEXTBOOK, GateDiagonal, LogicalOperator, MarkedState, hadamard3, marked_gate
+from .gates import TEXTBOOK, LogicalOperator, MarkedState, full_diagonal, hadamard3, marked_gate
 from .hilbert import PureState, _vdot
 
 # Far above any useful search length, low enough that a typo cannot ask for a huge search.
@@ -41,9 +42,8 @@ _H3 = hadamard3()
 
 @dataclass(frozen=True, eq=False)  # array fields: == on them is elementwise
 class SearchGrid:
-    """Search outcomes over gate diagonals and iterations: each field is a
-    (K, k_max) array whose row i holds diagonal i and whose column k - 1
-    holds iteration k."""
+    """Search outcomes over gates and iterations: each field is a (K, k_max)
+    array whose row i holds gate i and whose column k - 1 holds iteration k."""
 
     p_find: np.ndarray
     survival: np.ndarray
@@ -89,27 +89,26 @@ def check_k_max(k_max: int) -> None:
         raise ConfigError(f"k_max must lie in 1..{MAX_ITERATIONS}, got {k_max}")
 
 
-def run_search(
-    tau: MarkedState | str, k_max: int, diagonals: Sequence[GateDiagonal]
-) -> SearchGrid:
-    """Iterate the search ``k_max`` times with each gate diagonal in
-    ``diagonals`` and record, after each iteration, the probability,
-    survival and fidelity against the textbook-gate trajectory.
+def run_search(tau: MarkedState | str, k_max: int, slots) -> SearchGrid:
+    """Iterate the search ``k_max`` times with each of the K gates whose
+    decaying slots are the rows of the real or complex (K, 4) ``slots`` and
+    record, after each iteration, the probability, survival and fidelity
+    against the textbook-gate trajectory.
 
-    The K gate diagonals and, as a last row, ``TEXTBOOK`` are stacked into
-    a (K+1, 8, 1) array whose marked flips are one index permutation of it,
-    so one expression advances every trajectory. The trajectories are
+    The K gates' diagonals and, as a last row, ``TEXTBOOK``'s are stacked
+    into a (K+1, 8, 1) array whose marked flips are one index permutation of
+    it, so one expression advances every trajectory. The trajectories are
     stored, and p_find, survival and fidelity are then computed for all of
     them at once, each value exactly as the per-state scalar expression
     (``grover_step``, ``np.vdot``, ``abs(z) ** 2``) computes it.
     """
     check_k_max(k_max)
-    if not diagonals:
-        raise ConfigError("run_search needs at least one gate diagonal")
+    slots = np.asarray(slots)
+    if slots.ndim != 2 or slots.shape[1] != 4 or not len(slots):
+        raise ConfigError(f"run_search needs (K, 4) slots, at least one row, got {slots.shape}")
     marked = MarkedState.of(tau)
     perm = np.arange(8) ^ marked.index
-    rows = [d.entries() for d in diagonals] + [TEXTBOOK.entries()]
-    gates = np.array(rows, dtype=complex)[:, :, None]
+    gates = full_diagonal(np.concatenate([slots, TEXTBOOK[None]]).astype(complex))[:, :, None]
     flips = gates[:, perm]
     h = _H3.matrix
     states = np.repeat(_uniform_register()[None, :, None], len(gates), axis=0)

@@ -120,7 +120,7 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == on them is elementwise
 class PureState:
     """Complex amplitude vector over a basis, or a (K, dimension) stack of
     them, one per parameter set.
@@ -148,7 +148,7 @@ class PureState:
         return self.amplitudes.shape[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == on them is elementwise
 class LogicalOperator:
     """Dense 8x8 complex matrix on the logical register, or a (K, 8, 8)
     stack of them, one per parameter set."""

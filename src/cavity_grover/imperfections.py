@@ -46,7 +46,9 @@ from .dynamics import (
     gate_time,
 )
 from .errors import ConfigError
-from .gates import _DESIGN_PHASES, TEXTBOOK, _bright_columns, decayed_i000, exact_columns
+from .gates import (
+    _DESIGN_PHASES, TEXTBOOK, _bright_columns, decayed_i000, exact_columns, full_diagonal,
+)
 from .grover import _uniform_register
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
@@ -106,7 +108,7 @@ class OffsetScenario:
 
 
 # The exact |000⟩ phase gate applied to the uniform register.
-_GATE_REFERENCE = np.array(TEXTBOOK.entries()) * _uniform_register()
+_GATE_REFERENCE = full_diagonal(TEXTBOOK) * _uniform_register()
 
 
 def _row_infidelity(reference: np.ndarray, outputs: np.ndarray) -> np.ndarray:
@@ -132,8 +134,9 @@ def _delayed_infidelities(
     """Gate infidelity of each of K parameter sets at every delay in its row
     of the (K, D) ``delta_ts``, in order, from the (K, 2, 4) (atom-1, photon)
     amplitudes ``columns`` of the four atom-1-in-``E`` columns at the gate
-    time: each delay dt applies ``block_propagator(w1, kappa, dt)``, and the
-    other four columns stay exactly 1."""
+    time, whose atom-1 rows are the gates' decaying slots: each delay dt
+    applies ``block_propagator(w1, kappa, dt)``, and the other four columns
+    stay exactly 1."""
     stack = as_stack(params)
     delays = _axis("delta_ts", delta_ts, 2)
     if len(delays) != len(stack):
@@ -143,8 +146,7 @@ def _delayed_infidelities(
     w1, kappa = np.array([(p.omega[0], p.kappa) for p in stack]).T[..., None]
     atom1 = block_propagator(w1, kappa, delays)[..., 0, :] @ columns
     _check_result(atom1, None)
-    diagonals = np.concatenate([atom1, np.ones(atom1.shape)], axis=-1)
-    return _row_infidelity(_GATE_REFERENCE, diagonals * _uniform_register())
+    return _row_infidelity(_GATE_REFERENCE, full_diagonal(atom1) * _uniform_register())
 
 
 def timing_infidelity(params: Sequence[CavityParams], delta_ts) -> np.ndarray:
@@ -153,7 +155,7 @@ def timing_infidelity(params: Sequence[CavityParams], delta_ts) -> np.ndarray:
     ``delta_ts``, in order: a (K, D) array.
 
     The block model of ``timing_oracle`` with the paper's approximations:
-    the atom-1 amplitudes are ``decayed_i000``'s entries, with its two, and
+    the atom-1 amplitudes are ``decayed_i000``'s slots, with its two, and
     the photon column makes a third. Of the exact (w1/W)*P10(W, T) =
     -i*exp(-kappa*T/4) * w1/a * sin(a*T) it keeps -i*w1/a13 * sin(sqrt(65)*pi)
     on |001⟩ (a13 = sqrt(w1^2 + w3^2 - kappa^2/16)) and 0 on closed cycles:
@@ -167,7 +169,7 @@ def timing_infidelity(params: Sequence[CavityParams], delta_ts) -> np.ndarray:
         bright_sq, _ = _bright_columns(*p.omega)
         a13 = decay_shifted_frequency(math.sqrt(bright_sq[1]), p.kappa)  # the |001⟩ column
         photon = -1j * p.omega[0] / a13 * math.sin(_DESIGN_PHASES[1])
-        columns.append([decayed_i000(p).entries()[:4], [0.0, photon, 0.0, 0.0]])
+        columns.append([decayed_i000(p), [0.0, photon, 0.0, 0.0]])
     return _delayed_infidelities(params, delta_ts, np.array(columns))
 
 
@@ -239,7 +241,7 @@ def coupling_offset_infidelity(
 
     Each chi is checked once, and one scenario holding the whole eta array
     checks every offset. One ``decayed_i000`` call on the coupling arrays
-    gives every offset factor; their chi-th powers are products and the
+    gives every offset slot; their chi-th powers are products and the
     fidelity is row-wise, so each point is computed exactly as it would be
     alone.
     """
@@ -249,9 +251,8 @@ def coupling_offset_infidelity(
     scenario = OffsetScenario(etas, 1, params, model, per_atom_eta)
     # One value per eta for every coupling, also those the model leaves fixed.
     couplings = np.broadcast_arrays(*offset_couplings(scenario), scenario.eta)[:3]
-    base = np.array(decayed_i000(params).entries()[:4])
-    primed = np.stack(np.broadcast_arrays(*decayed_i000(params, couplings).entries()[:4]), 1)
-    return _four_gate_infidelities(primed, base, chis)
+    base = decayed_i000(params)
+    return _four_gate_infidelities(decayed_i000(params, couplings), base, chis)
 
 
 def _four_gate_infidelities(primed: np.ndarray, base: np.ndarray, chis) -> np.ndarray:

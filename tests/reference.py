@@ -23,7 +23,6 @@ from cavity_grover import (
     AtomLevel,
     BasisState,
     ConfigError,
-    GateDiagonal,
     LogicalOperator,
     PureState,
     SweepTable,
@@ -33,6 +32,7 @@ from cavity_grover import (
     gate_time,
 )
 from cavity_grover.dynamics import add_cavity_decay, exchange_hamiltonian
+from cavity_grover.gates import full_diagonal
 from cavity_grover.hilbert import BASIS
 
 E, G, I = AtomLevel.E, AtomLevel.G, AtomLevel.I
@@ -80,7 +80,7 @@ def rk4_timing_oracle(scenario: TimingScenario, steps: int) -> float:
     h_atom1 = add_cavity_decay(exchange_hamiltonian((params.omega[0], 0.0, 0.0)), params.kappa)
     gate = rk4(h_atom1, scenario.delta_t, mids, steps)[list(computational_embedding())]
     uniform = initial_state().amplitudes
-    out, expected = gate @ uniform, np.array(TEXTBOOK.entries()) * uniform
+    out, expected = gate @ uniform, full_diagonal(TEXTBOOK) * uniform
     return float(1.0 - abs(np.vdot(expected, out)) ** 2 / np.vdot(out, out).real)
 
 
@@ -93,8 +93,9 @@ def initial_state() -> PureState:
     return PureState(np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex))
 
 
-def phase_gate_success(coeffs, diag: GateDiagonal) -> float:
-    """Success probability of one phase gate on a register state.
+def phase_gate_success(coeffs, slots: np.ndarray) -> float:
+    """Success probability of one phase gate, given by its four decaying
+    ``slots`` (-mu, gamma, beta, alpha), on a register state.
 
     ``coeffs`` holds the eight coefficients as an array, in the convention
     where the physical amplitudes are coefficient/(2*sqrt(2)), so the squared
@@ -113,7 +114,7 @@ def phase_gate_success(coeffs, diag: GateDiagonal) -> float:
             f"squared coefficients must sum to 8 (got {total}); "
             "amplitudes carry a 1/(2*sqrt(2)) prefactor in this convention"
         )
-    return float(np.sum(np.abs(coeffs) ** 2 * np.array(diag.entries()) ** 2) / 8.0)
+    return float(np.sum(np.abs(coeffs) ** 2 * full_diagonal(slots) ** 2) / 8.0)
 
 
 def closed_form_probability(k: int) -> float:
@@ -170,9 +171,9 @@ def excitation_number(position: int) -> int:
 # --- the package's types -----------------------------------------------------------
 
 
-def gate_operator(diag: GateDiagonal) -> LogicalOperator:
-    """The 8x8 gate of a diagonal: diag(-mu, gamma, beta, alpha, 1, 1, 1, 1)."""
-    return LogicalOperator(np.diag(diag.entries()))
+def gate_operator(slots: np.ndarray) -> LogicalOperator:
+    """The 8x8 gate of four decaying slots: diag(-mu, gamma, beta, alpha, 1, 1, 1, 1)."""
+    return LogicalOperator(np.diag(full_diagonal(slots)))
 
 
 def compose(*operators: LogicalOperator) -> LogicalOperator:

@@ -950,9 +950,12 @@ def test_kept_objects_follow_replace_and_are_not_fields():
     moved = dataclasses.replace(config, output="out.csv")
     for c in (config, wider, moved):
         assert c._kappa_params == tuple(CavityParams.designed(1.0, r) for r in c.kappa_ratios)
-        assert c._kappa_gates == tuple(decayed_i000(p) for p in c._kappa_params)
+        gates = np.array([decayed_i000(p) for p in c._kappa_params])
+        assert c._kappa_gates.tobytes() == gates.tobytes()
+        assert c._kappa_gates.shape == (len(c.kappa_ratios), 4)
         assert c._offset_params == CavityParams.designed(1.0, c.offset_kappa_ratio)
-        assert c._offset_gate == decayed_i000(c._offset_params)
+        assert c._offset_gate.tobytes() == decayed_i000(c._offset_params).tobytes()
+        assert c._offset_gate.shape == (4,)
     assert [p.kappa for p in wider._kappa_params] == [0.02, 0.5, 2.0]
     assert wider._offset_params.kappa == 0.37
     kept = ("_kappa_params", "_kappa_gates", "_offset_params", "_offset_gate")
@@ -962,7 +965,7 @@ def test_kept_objects_follow_replace_and_are_not_fields():
     assert not set(kept) & {f.name for f in dataclasses.fields(config)}
     assert config == ExperimentConfig(kappa_ratios=(0.0, 0.1)) and hash(config) == digest
     assert serialize_config(config) == text
-    names = (*kept, "GateDiagonal", "CavityParams")
+    names = (*kept, "array", "CavityParams")
     assert not any(name in text + repr(config) for name in names)
     assert serialize_config(moved) == text.replace("output = \n", "output = out.csv\n")
     assert parse_config(serialize_config(wider)) == wider
@@ -997,7 +1000,7 @@ def test_an_offset_run_makes_one_grid_call_and_keeps_its_baseline(monkeypatch, m
             params = CavityParams.designed(1.0, ratio)
             old = grid(params, config.chi_list[:1], [0.0])[0, 0]
             assert summary[1] == f"eta=0 decay-only baseline: {old:.4e}"
-            base = np.array(decayed_i000(params).entries()[:4])
+            base = decayed_i000(params)
             assert imperfections._four_gate_infidelities(base[None], base, [first])[0, 0] == old
 
 

@@ -8,7 +8,6 @@ from cavity_grover import (
     TEXTBOOK,
     CavityParams,
     ConfigError,
-    GateDiagonal,
     LogicalOperator,
     decayed_i000,
     extract_gate,
@@ -18,6 +17,7 @@ from cavity_grover import (
     pauli_x,
     residual_gate_entry,
 )
+from cavity_grover import gates
 from cavity_grover.dynamics import DESIGNED_RATIOS
 from cavity_grover.gates import exact_columns
 from reference import compose, diffusion, gate_operator, is_unitary
@@ -96,29 +96,29 @@ def test_ideal_gate_rejects_undesigned_ratios(omega1c):
 def test_decayed_gate_reduces_to_lossless(params_lossless):
     diag = decayed_i000(params_lossless)
     lossless = decayed_i000(replace(params_lossless, kappa=0.0))
-    assert diag.mu == 1.0 and diag.beta == 1.0 and diag.alpha == 1.0
+    assert -diag[0] == 1.0 and diag[2] == 1.0 and diag[3] == 1.0
     assert np.abs(gate_operator(diag).matrix - gate_operator(lossless).matrix).max() <= 1e-15
 
 
 def test_decayed_gate_factors_strong_decay(params_strong_decay):
-    diag = decayed_i000(params_strong_decay)
-    assert diag.mu == pytest.approx(0.9244, abs=1e-4)
-    assert diag.gamma == pytest.approx(0.9986, abs=1e-4)
-    assert diag.beta == pytest.approx(0.9979, abs=1e-4)
-    assert diag.alpha == pytest.approx(0.9992, abs=1e-4)
+    mu, gamma, beta, alpha = decayed_i000(params_strong_decay) * TEXTBOOK
+    assert mu == pytest.approx(0.9244, abs=1e-4)
+    assert gamma == pytest.approx(0.9986, abs=1e-4)
+    assert beta == pytest.approx(0.9979, abs=1e-4)
+    assert alpha == pytest.approx(0.9992, abs=1e-4)
 
 
 def test_decayed_gate_factor_weak_decay(params_weak_decay):
     diag = decayed_i000(params_weak_decay)
-    assert diag.mu == pytest.approx(0.9844, abs=1e-4)
+    assert -diag[0] == pytest.approx(0.9844, abs=1e-4)
 
 
 def test_diagonal_factors_monotone_in_decay(omega1c):
     grid = np.linspace(0.0, omega1c / 10.0, 15)
     previous = None
     for kappa in grid:
-        diag = decayed_i000(CavityParams.designed(omega1c, float(kappa)))
-        current = (diag.mu, diag.gamma, diag.beta, diag.alpha)
+        # The damping factors (mu, gamma, beta, alpha): slot 0 holds -mu.
+        current = tuple(decayed_i000(CavityParams.designed(omega1c, float(kappa))) * TEXTBOOK)
         if previous is not None:
             assert all(c <= p + 1e-15 for c, p in zip(current, previous))
         previous = current
@@ -144,9 +144,9 @@ def test_paper_form_is_the_exact_gate_less_two_terms(omega1c):
         sine_term = envelope * kappa / (4.0 * a) * np.sin(a * t)
         phase_term = envelope * (np.cos(a * t) - np.cos(bright * math.pi / w1))
         diag = decayed_i000(params)
-        restored = np.array(diag.entries()[:4]) + share * (sine_term + phase_term)
+        restored = diag + share * (sine_term + phase_term)
         worst = max(worst, np.abs(restored - exact).max())
-        assert diag.mu == envelope
+        assert -diag[0] == envelope
     assert worst <= 1e-15
 
 
@@ -167,24 +167,55 @@ def test_exact_columns_need_one_time_per_parameter_set(params_lossless):
             exact_columns(stack, times)
 
 
-def test_gate_diagonal_validates_range():
-    with pytest.raises(ConfigError):
-        GateDiagonal(mu=0.0, gamma=1.0, beta=1.0, alpha=1.0)
-    with pytest.raises(ConfigError):
-        GateDiagonal(mu=1.0, gamma=1.1, beta=1.0, alpha=1.0)
-    # A Python float, an np.float64 and a factor array: one rule and one
-    # message in every form, on each factor.
-    forms = (float, np.float64, lambda value: np.array([0.5, value]))
+def test_gate_diagonal_validates_range(monkeypatch, params_lossless):
+    # decayed_i000 holds the one rule on the damping factors (mu, gamma,
+    # beta, alpha): each lies in (0, 1], NaN fails, and the message names the
+    # first bad factor in slot order. A real gate reaches only a damped-out
+    # mu and NaN, so the checks below set the slots through the closed form's
+    # inputs: at kappa = 0 with every share s = 1, slot i is (1 - 1) + 1*(1*c_i)
+    # = 0.0 + c_i for phase cosines c. A slot is never -0.0 then: a zero mu
+    # reads -0.0, any other zero factor 0.0.
+    params = CavityParams.designed(1.0, 3.9999999)
+    with pytest.raises(ConfigError, match=r"^gate diagonal factor mu=-0.0 outside \(0, 1\]$"):
+        decayed_i000(params)
+    # The first bad row of a coupling array, after a good one.
+    couplings = (np.array([1.0, math.nan]), math.sqrt(35.0), 8.0)
+    with pytest.raises(ConfigError, match=r"^gate diagonal factor gamma=nan outside"):
+        decayed_i000(params_lossless, couplings)
+    # Float, np.float64 and array shares (the last one row per coupling
+    # value): one rule and one message in every form, on each factor.
+    forms = ((float, None), (np.float64, None), (lambda one: np.full(2, one), (np.ones(2),) * 3))
     above_one = float(np.nextafter(1.0, 2.0))
-    exact = dict(mu=1.0, gamma=1.0, beta=1.0, alpha=1.0)
-    for name in exact:
-        for form in forms:
+
+    def slots(cos, form, couplings):
+        monkeypatch.setattr(gates, "_bright_columns", lambda *w: (None, (form(1.0),) * 4))
+        monkeypatch.setattr(gates, "_DESIGN_COS", np.array(cos))
+        return decayed_i000(params_lossless, couplings)
+
+    for slot, name in enumerate(("mu", "gamma", "beta", "alpha")):
+        sign = TEXTBOOK[slot]
+        for form, couplings in forms:
             for value in (math.nan, 0.0, -0.0, -0.25, above_one):
+                cos = TEXTBOOK.copy()
+                cos[slot] = sign * value
                 with pytest.raises(ConfigError) as caught:
-                    GateDiagonal(**{**exact, name: form(value)})
-                assert str(caught.value) == f"gate diagonal factor {name}={value} outside (0, 1]"
+                    slots(cos, form, couplings)
+                shown = sign * (0.0 + sign * value)
+                assert str(caught.value) == f"gate diagonal factor {name}={shown} outside (0, 1]"
             for value in (1.0, 5e-324):
-                GateDiagonal(**{**exact, name: form(value)})
+                cos = TEXTBOOK.copy()
+                cos[slot] = sign * value
+                got = slots(cos, form, couplings)
+                assert (got * TEXTBOOK)[..., slot].tolist() == np.full(got.shape[:-1], value).tolist()
+    # Two bad factors: the first in slot order is named, also when a later
+    # factor goes bad in an earlier row.
+    with pytest.raises(ConfigError, match=r"^gate diagonal factor beta=nan outside"):
+        slots([-1.0, 1.0, math.nan, 2.0], float, None)
+    shares = (1.0, np.array([1.0, math.nan]), 1.0, np.array([math.nan, 1.0]))
+    monkeypatch.setattr(gates, "_bright_columns", lambda *w: (None, shares))
+    monkeypatch.setattr(gates, "_DESIGN_COS", TEXTBOOK)
+    with pytest.raises(ConfigError, match=r"^gate diagonal factor gamma=nan outside"):
+        decayed_i000(params_lossless, (np.ones(2),) * 3)
 
 
 # --- marked-state conjugation ----------------------------------------------
@@ -205,14 +236,15 @@ def test_marked_gate_exact_reflection(params_lossless):
 
 def test_marked_gate_permutes_damped_diagonal(params_strong_decay):
     diag = decayed_i000(params_strong_decay)
+    mu, gamma, beta, alpha = diag * TEXTBOOK
     operator = gate_operator(diag)
     gate = marked_gate("001", operator)
     entries = np.diag(gate.matrix).real
     # flipping bit 3 swaps slot pairs (0,1), (2,3), (4,5), (6,7)
-    assert entries[0b001] == pytest.approx(-diag.mu, rel=1e-15)
-    assert entries[0b000] == pytest.approx(diag.gamma, rel=1e-15)
-    assert entries[0b010] == pytest.approx(diag.alpha, rel=1e-15)
-    assert entries[0b011] == pytest.approx(diag.beta, rel=1e-15)
+    assert entries[0b001] == pytest.approx(-mu, rel=1e-15)
+    assert entries[0b000] == pytest.approx(gamma, rel=1e-15)
+    assert entries[0b010] == pytest.approx(alpha, rel=1e-15)
+    assert entries[0b011] == pytest.approx(beta, rel=1e-15)
 
 
 def test_marked_gate_rejects_bad_label(params_lossless):

@@ -10,7 +10,7 @@ from cavity_grover import (
     TEXTBOOK,
     CavityParams,
     ConfigError,
-    GateDiagonal,
+    ExperimentConfig,
     LogicalOperator,
     MarkedState,
     NumericalError,
@@ -22,6 +22,7 @@ from cavity_grover import (
     residual_gate_entry,
     run_search,
 )
+from cavity_grover.gates import exact_columns
 from cavity_grover.grover import _modulus_squared
 from reference import (
     closed_form_probability,
@@ -39,7 +40,7 @@ ALL_TAUS = [format(v, "03b") for v in range(8)]
 VARIANTS = ("exact", "lossless", "decayed")
 
 
-def _diagonal(variant: str, params: CavityParams) -> GateDiagonal:
+def _diagonal(variant: str, params: CavityParams) -> np.ndarray:
     if variant == "exact":
         return TEXTBOOK
     return decayed_i000(replace(params, kappa=0.0) if variant == "lossless" else params)
@@ -188,8 +189,9 @@ def test_marked_state_label():
 
 def test_success_probability_uniform_formula(params_strong_decay):
     diag = decayed_i000(params_strong_decay)
+    mu, gamma, beta, alpha = diag * TEXTBOOK
     uniform_coeffs = np.ones(8, dtype=complex)
-    expected = (4.0 + diag.alpha**2 + diag.beta**2 + diag.gamma**2 + diag.mu**2) / 8.0
+    expected = (4.0 + alpha**2 + beta**2 + gamma**2 + mu**2) / 8.0
     assert phase_gate_success(uniform_coeffs, diag) == pytest.approx(expected, abs=1e-15)
     assert phase_gate_success(uniform_coeffs, diag) == pytest.approx(0.9808, abs=2e-4)
 
@@ -213,7 +215,7 @@ def test_success_probability_weights_follow_slots(params_strong_decay):
     diag = decayed_i000(params_strong_decay)
     marked_zero = np.zeros(8)
     marked_zero[0] = math.sqrt(8.0)
-    assert phase_gate_success(marked_zero, diag) == pytest.approx(diag.mu**2, abs=1e-12)
+    assert phase_gate_success(marked_zero, diag) == pytest.approx(diag[0] ** 2, abs=1e-12)
     dark = np.zeros(8)
     dark[4] = math.sqrt(8.0)
     assert phase_gate_success(dark, diag) == pytest.approx(1.0, abs=1e-12)
@@ -276,6 +278,54 @@ def test_run_search_rows_validates_inputs(params_lossless):
         run_search("000", 0, [decayed_i000(params_lossless)])
     with pytest.raises(ConfigError, match="at least one"):
         run_search("000", 3, [])
+
+
+# --- the exact gate's slots -----------------------------------------------
+
+
+@pytest.mark.parametrize("tau", ALL_TAUS)
+def test_run_search_on_exact_columns_equals_the_paper_form_at_kappa_0(tau):
+    # The complex atom-1 rows of exact_columns are a (K, 4) slot array that
+    # run_search takes unchanged. At kappa = 0 both forms give the same
+    # slots, and the searches agree bit for bit.
+    params = CavityParams.designed(1.0, 0.0)
+    exact = exact_columns([params])[:, 0]
+    assert exact.dtype == complex and exact.shape == (1, 4)
+    grid, paper = run_search(tau, 12, exact), run_search(tau, 12, [decayed_i000(params)])
+    for field in ("p_find", "survival", "fidelity"):
+        assert getattr(grid, field).tobytes() == getattr(paper, field).tobytes()
+
+
+@pytest.mark.parametrize("kappa_ratio", [0.1, 0.5, 2.0, 3.9])
+def test_run_search_on_exact_columns_stays_a_no_jump_branch(kappa_ratio):
+    # Under decay the exact slots drive a proper no-jump branch for every
+    # marked state. Their p_find differs from the paper form's (marked |000⟩,
+    # 8 iterations) by at most 1.0e-5 at kappa = 0.1 w1 and 1.8e-4 at 0.5 w1.
+    params = CavityParams.designed(1.0, kappa_ratio)
+    exact = exact_columns([params])[:, 0]
+    for tau in ALL_TAUS:
+        grid = run_search(tau, 8, exact)
+        assert (grid.p_find <= grid.survival + 1e-12).all()
+        assert (grid.survival + 1e-12 <= 1.0 + 1e-12).all()
+    paper = run_search("000", 8, [decayed_i000(params)])
+    gap = np.abs(run_search("000", 8, exact).p_find - paper.p_find).max()
+    assert gap <= {0.1: 1.1e-5, 0.5: 1.9e-4}.get(kappa_ratio, 1.0)
+
+
+@pytest.mark.parametrize("slots", [np.ones((2, 3)), np.ones(4), np.empty((0, 4)), []])
+def test_run_search_rejects_malformed_slot_arrays(slots):
+    with pytest.raises(ConfigError, match=r"^run_search needs \(K, 4\) slots, at least one row, got \("):
+        run_search("000", 3, slots)
+
+
+def test_gate_slot_arrays_are_read_only(params_strong_decay):
+    config = ExperimentConfig()
+    arrays = (TEXTBOOK, decayed_i000(params_strong_decay), config._kappa_gates, config._offset_gate)
+    assert config._kappa_gates.shape == (3, 4) and config._offset_gate.shape == (4,)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., 0] = 0.5
+    assert TEXTBOOK.tolist() == [-1.0, 1.0, 1.0, 1.0]
 
 
 def test_modulus_squared_rounds_as_the_scalar_expression():

@@ -6,6 +6,8 @@ from cavity_grover import (
     CavityParams,
     ConfigError,
     ExperimentConfig,
+    GateExtract,
+    LogicalOperator,
     PureState,
     build_effective_hamiltonian,
     computational_embedding,
@@ -132,3 +134,21 @@ def test_pure_state_amplitudes_read_only():
     state = PureState(np.ones(8, dtype=complex) / np.sqrt(8.0))
     with pytest.raises(ValueError):
         state.amplitudes[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PureState(np.ones(8)),
+        lambda: LogicalOperator(np.eye(8)),
+        lambda: GateExtract(LogicalOperator(np.eye(8)), np.zeros(8)),
+    ],
+    ids=["PureState", "LogicalOperator", "GateExtract"],
+)
+def test_array_holders_compare_by_identity(build):
+    # == on array fields is elementwise, so these types keep object identity:
+    # equal contents compare unequal without raising, and hash works.
+    a, b = build(), build()
+    assert not (a == b) and a != b
+    assert a == a
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -24,7 +24,7 @@ from cavity_grover import (
 )
 from cavity_grover import dynamics, imperfections
 from cavity_grover.dynamics import DESIGNED_RATIOS
-from cavity_grover.gates import decayed_i000
+from cavity_grover.gates import decayed_i000, full_diagonal
 from reference import rk4_timing_oracle, rows
 
 
@@ -184,7 +184,7 @@ def _scalar_timing_grid(params, delta_ts):
         envelope = math.exp(-kappa * dt / 4.0)
         xi = envelope * (math.cos(a1 * dt) + kappa / (4.0 * a1) * math.sin(a1 * dt))
         cross = cross_scale * envelope * math.sin(a1 * dt) * sin_pair13
-        entries = np.array(diag.entries())
+        entries = full_diagonal(diag)
         entries[:4] *= xi
         entries[1] -= cross
         infidelities.append(1.0 - _fidelity(reference, entries * u))
@@ -395,11 +395,11 @@ def test_offset_grid_validates_every_point(chis, etas, model, per_atom, params_s
 def _scalar_offset_grid(params, chis, etas, model, per_atom):
     # The offset grid as it was first written, point by point on Python
     # floats: the reference for the array form.
-    base = decayed_i000(params).entries()
+    base = full_diagonal(decayed_i000(params)).tolist()
     primed = [
-        decayed_i000(
-            params, offset_couplings(OffsetScenario(eta, 1, params, model, per_atom))
-        ).entries()
+        full_diagonal(
+            decayed_i000(params, offset_couplings(OffsetScenario(eta, 1, params, model, per_atom)))
+        ).tolist()
         for eta in etas
     ]
     u = np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
@@ -441,8 +441,8 @@ def _eight_slot_offset_grid(
     # equal bit for bit, since the last four slots hold 1**chi * 1 * u = u.
     scenario = OffsetScenario(etas, 1, params, model, per_atom)
     couplings = np.broadcast_arrays(*offset_couplings(scenario), etas)[:3]
-    base = np.array(decayed_i000(params).entries())
-    primed = np.stack(np.broadcast_arrays(*decayed_i000(params, couplings).entries()), 1)
+    base = full_diagonal(decayed_i000(params))
+    primed = full_diagonal(decayed_i000(params, couplings))
     u = np.full(8, 1.0 / (2.0 * math.sqrt(2.0)))
     rows = []
     for chi in chis:
@@ -534,12 +534,13 @@ def test_decayed_gate_array_call_equals_scalar_calls(model, per_atom, params_str
     etas = np.linspace(-0.2, 0.2, 41)
     scenario = OffsetScenario(etas, 1, params_strong_decay, model, per_atom)
     couplings = np.broadcast_arrays(*offset_couplings(scenario), etas)[:3]
-    factors = decayed_i000(params_strong_decay, couplings)
+    slots = decayed_i000(params_strong_decay, couplings)
+    assert slots.shape == (len(etas), 4)
     for i, eta in enumerate(etas.tolist()):
         one = OffsetScenario(eta, 1, params_strong_decay, model, per_atom)
         scalar = decayed_i000(params_strong_decay, offset_couplings(one))
-        for name in ("mu", "gamma", "beta", "alpha"):
-            assert np.broadcast_to(getattr(factors, name), etas.shape)[i] == getattr(scalar, name)
+        assert scalar.shape == (4,)
+        assert slots[i].tobytes() == scalar.tobytes()
 
 
 # --- malformed axes ----------------------------------------------------------
