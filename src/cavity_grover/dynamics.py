@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CutoffError, NumericalError
+from .errors import ConfigError, CutoffError, NumericalError, _first_row
 from .hilbert import (
     BASIS,
     AtomLevel,
@@ -182,15 +182,16 @@ def add_cavity_decay(h: np.ndarray, kappa: float) -> np.ndarray:
 def _check_result(amps: np.ndarray, basis: ProductBasis | None) -> None:
     """Reject non-finite amplitudes, and amplitude above
     ``TOP_LAYER_TOLERANCE`` on ``basis.guard``. ``amps`` holds one state
-    vector along its last axis, or a stack of them."""
-    if not np.isfinite(amps.view(float)).all():
-        raise NumericalError("evolution produced non-finite amplitudes")
+    vector along its last axis, or a stack of them: its first bad row is named."""
+    if not (finite := np.isfinite(amps.view(float))).all():
+        raise NumericalError("evolution produced non-finite amplitudes", _first_row(~finite, 1))
     if basis is not None and basis.guard:
-        worst = float(np.abs(amps[..., list(basis.guard)]).max())
-        if worst > TOP_LAYER_TOLERANCE:
+        top = np.abs(amps[..., list(basis.guard)])
+        if (over := top > TOP_LAYER_TOLERANCE).any():
+            row = _first_row(over, 1)  # top[None] is all of an unstacked top
             raise CutoffError(
-                f"amplitude {worst:.3e} on truncation-sensitive Fock states: "
-                "the input holds more than the one excitation the basis is exact for"
+                f"amplitude {top[row].max():.3e} on truncation-sensitive Fock states: "
+                "the input holds more than the one excitation the basis is exact for", row
             )
 
 
@@ -241,7 +242,7 @@ def evolve(h: np.ndarray, t, psi0: PureState) -> PureState:
     matrix exponential propagates psi0 on its reachable sector alone, the
     block of H on ``_reachable_sector``: no entry of H leads out of that
     sector, so the result is exactly zero outside it. A stack shares one
-    sector, and each check runs once for the whole stack.
+    sector, and each check runs once for the whole stack, naming its first bad row.
     """
     times = np.asarray(t, dtype=float)
     if not all(0.0 <= x < math.inf for x in times.ravel().tolist()):  # NaN fails too
@@ -252,8 +253,8 @@ def evolve(h: np.ndarray, t, psi0: PureState) -> PureState:
             f"operator shape {h.shape} does not match {times.shape} times and dimension {d}"
         )
     # Checked on all of H: a bad entry outside the sector never reaches the result.
-    if not np.isfinite(h).all():
-        raise NumericalError("generator has non-finite entries")
+    if not (finite := np.isfinite(h)).all():
+        raise NumericalError("generator has non-finite entries", _first_row(~finite, 2))
     sector = _reachable_sector(h, psi0.amplitudes)
     # Indexing a stack puts its leading axis innermost; C order gives every
     # slice the layout, and so the BLAS path and the bits, of a one-H call.
@@ -300,8 +301,8 @@ class GateExtract:
         leak.flags.writeable = False
         object.__setattr__(self, "leakage", leak)
         cols = np.sum(np.abs(self.restricted.matrix) ** 2, axis=-2)
-        if np.any(cols + leak > 1.0 + 1e-9):
-            raise NumericalError("column norm plus leakage exceeds 1")
+        if (over := cols + leak > 1.0 + 1e-9).any():
+            raise NumericalError("column norm plus leakage exceeds 1", _first_row(over, 1))
 
 
 def as_stack(params: Sequence[CavityParams]) -> list[CavityParams]:

@@ -235,23 +235,9 @@ def _value_text(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def _over_kappa(experiment: str, config: ExperimentConfig, run, *axes):
-    """``run(stack, *axes)`` in one call for every decay ratio; on a
-    ``NumericalError`` alone, one-ratio stacks again, to name the first that fails."""
-    stack = config._kappa_params
-    try:
-        return run(stack, *axes)
-    except NumericalError as exc:
-        for ratio, params, *point in zip(config.kappa_ratios, stack, *axes):
-            try:
-                run([params], *([row] for row in point))
-            except NumericalError as one:
-                raise NumericalError(f"{experiment} failed at kappa_ratio={ratio}: {one}") from one
-        raise NumericalError(f"{experiment} failed over all kappa_ratios: {exc}") from exc
-
-
 def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
-    """Run one named experiment and return its table.
+    """Run one named experiment and return its table; a ``NumericalError``
+    naming a row of the decay-ratio stack is raised again naming its ratio.
 
     ``gate``     analytic vs simulated phase-gate diagonals and leakage
     ``search``   per-iteration probability/survival/fidelity per kappa
@@ -261,15 +247,20 @@ def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
     """
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-    return _RUNNERS[name](config)
+    try:
+        return _RUNNERS[name](config)
+    except NumericalError as exc:
+        if exc.row is None:
+            raise
+        ratio = config.kappa_ratios[exc.row]
+        raise NumericalError(f"{name} failed at kappa_ratio={ratio}: {exc}") from exc
 
 
 def _gate_experiment(config: ExperimentConfig) -> SweepTable:
     gamma0 = residual_gate_entry(config.params(0.0))
     lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
     analytic = full_diagonal(config._kappa_gates)
-    times = [gate_time(p) for p in config._kappa_params]
-    extract = _over_kappa("gate", config, extract_gate, times)
+    extract = extract_gate(config._kappa_params, [gate_time(p) for p in config._kappa_params])
     simulated = extract.restricted.diagonal()
     for ratio, worst in zip(config.kappa_ratios, np.abs(simulated - analytic).max(axis=1)):
         lines.append(f"kappa_ratio={ratio}: max |analytic - simulated| = {worst:.3e}")
@@ -316,8 +307,8 @@ def _search_experiment(config: ExperimentConfig) -> SweepTable:
 def _timing_experiment(config: ExperimentConfig) -> SweepTable:
     fracs = config.delta_t_fracs()
     delta_ts = [fracs * gate_time(p) for p in config._kappa_params]
-    formula = _over_kappa("timing", config, timing_infidelity, delta_ts)
-    oracle = _over_kappa("timing", config, timing_oracle, delta_ts)
+    formula = timing_infidelity(config._kappa_params, delta_ts)
+    oracle = timing_oracle(config._kappa_params, delta_ts)
     lines = ["delta_t in fractions of one gate time; atom 1 exits late"]
     for ratio, at_zero, oracle_at_zero in zip(config.kappa_ratios, formula[:, 0], oracle[:, 0]):
         lines.append(  # each grid starts at delta_t = 0

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, _first_row
 from .gates import TEXTBOOK, LogicalOperator, MarkedState, full_diagonal, hadamard3, marked_gate
 from .hilbert import PureState, _vdot
 
@@ -50,16 +50,16 @@ class SearchGrid:
     fidelity: np.ndarray
 
     def __post_init__(self) -> None:
-        # Every value finite, and p_find <= survival + 1e-12.
-        values = np.array([self.p_find, self.survival, self.fidelity], dtype=float).reshape(3, -1)
+        # Every value finite, and p_find <= survival + 1e-12: the first bad point is named.
+        values = np.array([self.p_find, self.survival, self.fidelity], dtype=float)
         bad = ~np.isfinite(values).all(axis=0)
         if bad.any():
-            first = tuple(values[:, bad.argmax()].tolist())
-            raise NumericalError(f"search point has non-finite fields: {first}")
+            first = tuple(values[:, bad][:, 0].tolist())
+            raise NumericalError(f"search point has non-finite fields: {first}", _first_row(bad, 1))
         over = values[0] > values[1] + 1e-12
         if over.any():
-            first = over.argmax()
-            raise NumericalError(f"p_find={values[0, first]} exceeds survival={values[1, first]}")
+            p_find, survival = values[:2, over][:, 0]
+            raise NumericalError(f"p_find={p_find} exceeds survival={survival}", _first_row(over, 1))
 
 
 def _uniform_register() -> np.ndarray:

@@ -135,11 +135,10 @@ class PureState:
     basis: ProductBasis | None = None
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex, order="C")
         n = 8 if self.basis is None else self.basis.dimension  # a logical register has 8
         if amps.ndim not in (1, 2) or amps.shape[-1] != n:
             raise ConfigError(f"amplitudes need shape ({n},) or (K, {n}), got {amps.shape}")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 

@@ -54,7 +54,7 @@ from .grover import _uniform_register
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # delta_t may be an array: == on it is elementwise
 class TimingScenario:
     """Atom 1 exits ``delta_t`` after atoms 2 and 3 (who leave on time,
     after one gate time), in the inverse unit of the rates in ``params``.
@@ -74,7 +74,7 @@ class TimingScenario:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eta may be an array: == on it is elementwise
 class OffsetScenario:
     """``chi`` of the four phase-gate cavities run with offset couplings.
 

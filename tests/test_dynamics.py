@@ -16,6 +16,8 @@ from cavity_grover import (
     CavityParams,
     ConfigError,
     CutoffError,
+    GateExtract,
+    LogicalOperator,
     NumericalError,
     build_effective_hamiltonian,
     computational_embedding,
@@ -291,8 +293,19 @@ def test_evolve_rejects_nan_generator(params_strong_decay):
     h = build_effective_hamiltonian(params_strong_decay)
     h[0, 1] = np.nan
     psi = basis_state(computational_embedding()[0])
-    with pytest.raises(NumericalError):
-        evolve(h, gate_time(params_strong_decay), psi)
+    t = gate_time(params_strong_decay)
+    with pytest.raises(NumericalError) as raised:
+        evolve(h, t, psi)
+    assert raised.value.row is None  # one generator: no stack row
+    # In a (3, d, d) stack the first bad generator is named, wherever it sits;
+    # a later bad one does not move it.
+    for row in range(3):
+        stack = np.stack([build_effective_hamiltonian(params_strong_decay)] * 3)
+        stack[row, 5, 2] = np.inf
+        stack[2, 0, 1] = np.nan
+        with pytest.raises(NumericalError, match="^generator has non-finite entries$") as raised:
+            evolve(stack, [t] * 3, psi)
+        assert raised.value.row == row
 
 
 def test_cli_gate_run_loads_no_scipy(tmp_path):
@@ -360,14 +373,24 @@ def test_truncation_guard_fires_for_over_excited_input(params_lossless):
     h = exchange_hamiltonian(params_lossless.omega)
     start = state_index(E, G, G, 1)
     t = gate_time(params_lossless)
-    with pytest.raises(CutoffError):
+    with pytest.raises(CutoffError) as raised:
         evolve(h, t, basis_state(start))
-    # In a stack, one over-excited member is enough.
+    assert raised.value.row is None
+    single = float(str(raised.value).split()[1])  # "amplitude <worst> on ..."
+    assert single > 1e-10
+    # In a stack, one over-excited member is enough, and it is the row named:
+    # first, middle or last of three. The message gives that row's worst
+    # amplitude, as a one-state call does.
     logical = basis_state(computational_embedding()[0]).amplitudes
-    pair = np.stack([h, h])
-    evolve(pair, [t, t], PureState(np.stack([logical, logical]), BASIS))
-    with pytest.raises(CutoffError):
-        evolve(pair, [t, t], PureState(np.stack([logical, basis_state(start).amplitudes]), BASIS))
+    triple = np.stack([h, h, h])
+    evolve(triple, [t] * 3, PureState(np.stack([logical] * 3), BASIS))
+    for row in range(3):
+        states = np.stack([logical] * 3)
+        states[row] = basis_state(start).amplitudes
+        with pytest.raises(CutoffError) as raised:
+            evolve(triple, [t] * 3, PureState(states, BASIS))
+        assert raised.value.row == row
+        assert float(str(raised.value).split()[1]) == single
 
 
 def test_evolve_on_a_stack_has_the_bits_of_single_calls(omega1c):
@@ -542,6 +565,43 @@ def test_extracted_gate_short_time_is_identity(params_strong_decay):
     extract = extract_gate([params_strong_decay], [t])
     assert np.abs(extract.restricted.matrix[0] - np.eye(8)).max() <= 1e-9
     assert np.abs(extract.leakage).max() <= 1e-9
+
+
+def test_gate_extract_names_the_first_column_over_one():
+    # Column norm plus leakage above 1 is a numerical fault; a stack names
+    # the first row where it happens, one extract no row.
+    with pytest.raises(NumericalError, match="^column norm plus leakage exceeds 1$") as raised:
+        GateExtract(LogicalOperator(np.eye(8)), np.full(8, 0.5))
+    assert raised.value.row is None
+    for row in range(3):
+        leakage = np.zeros((3, 8))
+        leakage[row, 7] = 1e-8
+        leakage[2, 0] = 0.5  # a later bad row does not move the name
+        with pytest.raises(NumericalError) as raised:
+            GateExtract(LogicalOperator(np.stack([np.eye(8)] * 3)), leakage)
+        assert raised.value.row == row
+    GateExtract(LogicalOperator(np.stack([np.eye(8)] * 3)), np.full((3, 8), 1e-10))
+
+
+@pytest.mark.parametrize("shape", [(36,), (3, 36), (3, 5, 4)], ids=["state", "stack", "grid"])
+def test_check_result_names_the_first_non_finite_row(shape):
+    # One state vector has no row; a (K, d) stack of states, or the (K, D, 4)
+    # timing amplitudes, name the first row along K holding a NaN or inf.
+    amps = np.zeros(shape, dtype=complex)
+    dynamics._check_result(amps, None)
+    if len(shape) == 1:
+        amps[3] = complex(0.0, np.nan)
+        with pytest.raises(NumericalError, match="^evolution produced non-finite") as raised:
+            dynamics._check_result(amps, None)
+        assert raised.value.row is None
+        return
+    for row in range(3):
+        amps = np.zeros(shape, dtype=complex)
+        amps[row, ..., -1] = np.inf
+        amps[2, ..., 0] = np.nan
+        with pytest.raises(NumericalError) as raised:
+            dynamics._check_result(amps, None)
+        assert raised.value.row == row
 
 
 def test_lossless_columns_account_for_all_population(params_lossless):

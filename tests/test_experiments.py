@@ -31,7 +31,7 @@ from cavity_grover import (
     serialize_config,
     write_csv,
 )
-from cavity_grover import cli, dynamics, experiments, imperfections
+from cavity_grover import cli, dynamics, experiments, grover, imperfections
 from cavity_grover.dynamics import decay_shifted_frequency
 from cavity_grover.experiments import MAX_GRID_POINTS, SweepTable, _value_text
 from cavity_grover.gates import TEXTBOOK, MarkedState
@@ -842,54 +842,96 @@ def test_cli_help_exits_0(capsys):
     assert "--config" in capsys.readouterr().out
 
 
-def _run_with_the_second_ratio_spoiled(experiment, tmp_path, monkeypatch, capsys):
-    # Three ratios run as one stacked call, and NaN reaches the dynamics of
-    # the second one alone: through its generator for the gate, through its
-    # exact blocks for the timing oracle and formula.
-    bad_kappa = ExperimentConfig().params(0.1).kappa
-    build, propagate = dynamics.build_effective_hamiltonian, imperfections.block_propagator
+# Where NaN enters each stacked run: the function that builds the gate's
+# generators, the exact columns the timing oracle propagates, and the
+# diagonals the search iterates.
+_SPOILED_FUNCTIONS = {
+    "gate": (dynamics, "build_effective_hamiltonian"),
+    "timing": (imperfections, "exact_columns"),
+    "search": (grover, "full_diagonal"),
+}
 
-    def spoiled_generator(params):
-        h = build(params)
-        if params.kappa == bad_kappa:
-            h[0, 1] = np.nan
-        return h
 
-    def spoiled_blocks(omega, kappa, t):
-        blocks = propagate(omega, kappa, t)
-        blocks[np.broadcast_to(np.asarray(kappa) == bad_kappa, blocks.shape[:-2])] = np.nan
-        return blocks
+def _run_with_a_ratio_spoiled(experiment, ratio, tmp_path, monkeypatch, capsys):
+    # Three ratios run as one stacked call, and NaN reaches the row of one of
+    # them alone through the spoiled function. The run exits 2 and writes no
+    # CSV, and that function is entered as often as in a passing run: the
+    # failing ratio is found without running anything again.
+    module, name = _SPOILED_FUNCTIONS[experiment]
+    build, spoiled, calls = getattr(module, name), [], []
+    bad_params = ExperimentConfig().params(ratio)
+    bad_slots = decayed_i000(bad_params)
 
-    monkeypatch.setattr(dynamics, "build_effective_hamiltonian", spoiled_generator)
-    monkeypatch.setattr(imperfections, "block_propagator", spoiled_blocks)
+    def counted(arg, *rest):
+        calls.append(name)
+        out = build(arg, *rest)
+        if not spoiled:
+            return out
+        if experiment == "gate" and arg.kappa == bad_params.kappa:
+            out[0, 1] = np.nan
+        elif experiment == "timing":
+            out[[p.kappa == bad_params.kappa for p in arg]] = np.nan
+        elif experiment == "search":
+            out[(arg == bad_slots).all(axis=-1)] = np.nan
+        return out
+
+    monkeypatch.setattr(module, name, counted)
     config_path = tmp_path / "run.cfg"
     config_path.write_text("kappa_ratios = 0.05,0.1,0.2\ndelta_t_points = 5\n", encoding="utf-8")
+    args = [experiment, "--config", str(config_path), "--out"]
+    assert cli.main(args + [str(tmp_path / "passing.csv")]) == 0
+    passing = len(calls)
+    spoiled.append(True)
+    calls.clear()
     out = tmp_path / f"{experiment}.csv"
-    rc = cli.main([experiment, "--config", str(config_path), "--out", str(out)])
-    assert rc == 2
+    assert cli.main(args + [str(out)]) == 2
     assert not out.exists()
+    assert passing > 0 and len(calls) == passing
     return capsys.readouterr().err
 
 
 def test_cli_timing_grid_failure_names_kappa_ratio(tmp_path, monkeypatch, capsys):
-    err = _run_with_the_second_ratio_spoiled("timing", tmp_path, monkeypatch, capsys)
+    err = _run_with_a_ratio_spoiled("timing", 0.1, tmp_path, monkeypatch, capsys)
     assert "timing failed at kappa_ratio=0.1: " in err and "non-finite amplitudes" in err
 
 
 def test_cli_gate_failure_names_kappa_ratio(tmp_path, monkeypatch, capsys):
-    err = _run_with_the_second_ratio_spoiled("gate", tmp_path, monkeypatch, capsys)
+    err = _run_with_a_ratio_spoiled("gate", 0.1, tmp_path, monkeypatch, capsys)
     assert "gate failed at kappa_ratio=0.1: " in err and "generator has non-finite entries" in err
 
 
-def test_failure_of_the_stack_alone_is_annotated_with_every_ratio(monkeypatch):
-    def stack_only_failure(params, delta_ts):
-        if len(params) > 1:
-            raise NumericalError("synthetic stack failure")
-        return np.zeros(np.shape(delta_ts))
+@pytest.mark.parametrize("ratio", [0.05, 0.1, 0.2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "experiment, message",
+    [
+        ("gate", "generator has non-finite entries"),
+        ("timing", "evolution produced non-finite amplitudes"),
+        ("search", "search point has non-finite fields: (nan, nan, nan)"),
+    ],
+    ids=["gate", "timing", "search"],
+)
+def test_cli_failure_names_the_spoiled_ratio(
+    experiment, message, ratio, tmp_path, monkeypatch, capsys
+):
+    # The failing check names its stack row, and the run maps it to its ratio.
+    err = _run_with_a_ratio_spoiled(experiment, ratio, tmp_path, monkeypatch, capsys)
+    expected = f"sim: numerical failure: {experiment} failed at kappa_ratio={ratio}: {message}\n"
+    assert err == expected
 
-    monkeypatch.setattr(experiments, "timing_infidelity", stack_only_failure)
-    with pytest.raises(NumericalError, match="^timing failed over all kappa_ratios: synthetic"):
+
+def test_a_failure_without_a_row_propagates_unchanged_after_one_call(monkeypatch):
+    # A NumericalError that names no stack row reaches the caller as raised,
+    # and the stacked call is not made again.
+    calls = []
+
+    def rowless_failure(params, delta_ts):
+        calls.append(len(params))
+        raise NumericalError("synthetic stack failure")
+
+    monkeypatch.setattr(experiments, "timing_infidelity", rowless_failure)
+    with pytest.raises(NumericalError, match="^synthetic stack failure$") as raised:
         run_experiment("timing", ExperimentConfig(**FAST))
+    assert raised.value.row is None and calls == [3]
 
 
 @pytest.mark.parametrize("experiment", ["gate", "timing"])

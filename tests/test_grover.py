@@ -164,10 +164,24 @@ def test_search_record_rejects_impossible_probability():
 def test_search_grid_applies_the_record_rule(p_find, survival, fidelity, match):
     # The arrays obey the one rule on search outcomes, and the message names
     # the first offending point, also when it is the only point.
-    with pytest.raises(NumericalError, match=match):
+    with pytest.raises(NumericalError, match=match) as raised:
         SearchGrid(np.array(p_find), np.array(survival), np.array(fidelity))
+    assert raised.value.row == 0
     with pytest.raises(NumericalError, match=match):
         SearchGrid(*(np.array([[row[0][1]]]) for row in (p_find, survival, fidelity)))
+    # A (3, 2) grid names the gate row of the first bad point, first, middle
+    # or last, also when the last row breaks the rule too; a 1-D record has no row.
+    bad = [np.array(field[0]) for field in (p_find, survival, fidelity)]
+    for row in range(3):
+        grid = [np.stack([good] * 3) for good in ([0.1, 0.1], [0.5, 0.5], [1.0, 1.0])]
+        for field, record in zip(grid, bad):
+            field[[row, 2]] = record
+        with pytest.raises(NumericalError, match=match) as raised:
+            SearchGrid(*grid)
+        assert raised.value.row == row
+    with pytest.raises(NumericalError, match=match) as raised:
+        SearchGrid(*bad)
+    assert raised.value.row is None
 
 
 def test_run_search_validates_inputs(params_lossless):

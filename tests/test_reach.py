@@ -2,10 +2,11 @@
 
 A subprocess profiles every call from before ``import cavity_grover`` on,
 runs each experiment through the CLI under three offset models, makes one
-usage error and serializes a config, then lists the package functions
-(module level and class members written in the package's source) that were
-never entered. Code that no run reaches belongs in the test reference
-(``tests/reference.py``), not in the package.
+usage error and one numerical failure (a search on NaN gates: no accepted
+config fails numerically, so the CLI cannot) and serializes a config, then
+lists the package functions (module level and class members written in the
+package's source) that were never entered. Code that no run reaches
+belongs in the test reference (``tests/reference.py``), not in the package.
 """
 
 import json
@@ -51,6 +52,12 @@ for config in [None, *configs]:
         argv = [experiment, "--summary", "--out", str(Path(out_dir, experiment + ".csv"))]
         assert cli.main(argv + ([] if config is None else ["--config", config])) == 0
 assert cli.main(["no-such-experiment"]) == 1
+try:
+    cavity_grover.run_search("000", 1, [[float("nan")] * 4] * 2)
+except cavity_grover.NumericalError as exc:
+    assert exc.row == 0
+else:
+    raise AssertionError("a search on NaN gates passed its check")
 serialize_config(ExperimentConfig())
 sys.setprofile(None)
 
