@@ -289,7 +289,7 @@ class GateExtract:
 
     ``restricted`` is the 8x8 operator on the logical subspace (columns in
     logical order |000⟩..|111⟩); ``leakage`` is the squared amplitude each
-    column left outside that subspace. Column norm plus leakage is 1 for
+    column left outside that subspace, ≥ 0. Column norm plus leakage is 1 for
     lossless evolution and below 1 under decay. A stack adds a leading axis.
     """
 
@@ -301,8 +301,11 @@ class GateExtract:
         leak.flags.writeable = False
         object.__setattr__(self, "leakage", leak)
         cols = np.sum(np.abs(self.restricted.matrix) ** 2, axis=-2)
-        if (over := cols + leak > 1.0 + 1e-9).any():
-            raise NumericalError("column norm plus leakage exceeds 1", _first_row(over, 1))
+        over, under = cols + leak > 1.0 + 1e-9, ~(leak >= -1e-9)  # under: NaN and -inf too
+        if (bad := over | under).any():
+            row = _first_row(bad, 1)  # over[None] is all of an unstacked item
+            what = "column norm plus leakage exceeds 1"
+            raise NumericalError(what if over[row].any() else "leakage is NaN or below -1e-9", row)
 
 
 def as_stack(params: Sequence[CavityParams]) -> list[CavityParams]:

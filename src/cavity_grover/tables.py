@@ -1,17 +1,17 @@
 """Column-wise sweep tables and their CSV form.
 
-A ``SweepTable`` holds one NumPy column per header field and checks the
-columns once. A grid coordinate column is given as an ``Axis``: values,
-repeat and tile. ``write_csv`` renders each axis value, and each value of
-any other column, once with one ``repr`` per value, so a table of any size
-writes the same bytes as one ``str`` per value, row by row.
+A ``SweepTable`` holds one ``Axis`` (values, repeat, tile) per header
+field, a plain column as one that repeats and tiles once, and checks the
+axes without expanding them. ``write_csv`` renders each axis value once
+with one ``repr`` and spreads that text to the axis's rows, so a table of
+any size writes the same bytes as one ``str`` per value, row by row.
 """
 
 from __future__ import annotations
 
 import os
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,46 +31,42 @@ class Axis(NamedTuple):
 
 @dataclass(frozen=True, eq=False)  # array fields: == on them is elementwise
 class SweepTable:
-    """One experiment's output: a fixed column schema, one NumPy column per
-    header field (int columns stay int; an ``Axis`` is expanded), rows in
-    grid order, and a human-readable summary. Columns of another count or
-    of unequal lengths, or a malformed axis, raise ``ConfigError``; a NaN or
-    inf raises ``NumericalError`` naming the first row that holds one, so
-    no such value reaches a CSV."""
+    """One experiment's output: a fixed column schema, one ``Axis`` per
+    header field (a plain column becomes one that repeats and tiles once;
+    int values stay int), rows in grid order, and a human-readable summary.
+    Columns of another count or of unequal lengths, or a malformed axis,
+    raise ``ConfigError``; a NaN or inf raises ``NumericalError`` naming the
+    first row that holds one, so no such value reaches a CSV."""
 
     experiment: str
     header: tuple[str, ...]
-    columns: tuple[np.ndarray, ...]
+    columns: tuple[Axis, ...]
     summary: str
-    # Every column as an unexpanded Axis: what write_csv formats.
-    _axes: tuple[Axis, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         axes = tuple(map(_axis, self.columns))
-        columns = tuple(np.tile(np.repeat(a.values, a.repeat), a.tile) for a in axes)
-        object.__setattr__(self, "_axes", axes)
-        object.__setattr__(self, "columns", columns)
-        if len(columns) != len(self.header):
-            raise ConfigError(f"{len(columns)} columns != header width {len(self.header)}")
-        lengths = sorted({len(column) for column in columns})
+        object.__setattr__(self, "columns", axes)
+        if len(axes) != len(self.header):
+            raise ConfigError(f"{len(axes)} columns != header width {len(self.header)}")
+        lengths = sorted({len(a.values) * a.repeat * a.tile for a in axes})
         if len(lengths) > 1:
             raise ConfigError(f"columns of unequal lengths {lengths}")
-        bad = np.zeros(lengths[0] if lengths else 0, dtype=bool)
-        for column in columns:
-            if column.dtype.kind == "f":
-                bad |= ~np.isfinite(column)
-        if bad.any():
-            row = tuple(column[bad.argmax()].item() for column in columns)
+        # Value j of an axis first appears at row j * repeat: the earliest
+        # such row of a non-finite value over the float axes is the bad row.
+        floats = (a for a in axes if a.values.dtype.kind == "f")
+        bad = [a.repeat * j for a in floats for j in np.flatnonzero(~np.isfinite(a.values))[:1]]
+        if bad:
+            row = tuple(a.values[min(bad) // a.repeat % len(a.values)].item() for a in axes)
             raise NumericalError(f"{self.experiment} produced a non-finite row {row}")
 
 
 def _axis(column) -> Axis:
-    """A column as an ``Axis`` (a plain one repeats and tiles once) whose
-    values are 1-D, int64 for integers and float64 otherwise."""
+    """A column as an ``Axis`` (a plain one repeats and tiles once): 1-D
+    values, int64 for integers and float64 otherwise, and int repeat, tile >= 1."""
     axis = column if isinstance(column, Axis) else Axis(column)
     values = np.asarray(axis.values)
-    if values.ndim != 1 or axis.repeat < 1 or axis.tile < 1:
-        raise ConfigError(f"columns need 1-D values, repeat, tile >= 1: {values.shape}, {axis[1:]}")
+    if values.ndim != 1 or not all(isinstance(n, (int, np.integer)) and n >= 1 for n in axis[1:]):
+        raise ConfigError(f"axes need 1-D values, int repeat, tile >= 1: {values.shape}, {axis[1:]}")
     kind = np.int64 if values.dtype.kind in "biu" else np.float64
     return axis._replace(values=values.astype(kind, copy=False))
 
@@ -100,7 +96,7 @@ def write_csv(table: SweepTable, path: str) -> None:
     A file is rewritten in place and only a regular one is cut to length,
     so ``path`` may be a pipe."""
     lines = [",".join(table.header)]
-    lines.extend(map(",".join, zip(*map(_column_text, table._axes))))
+    lines.extend(map(",".join, zip(*map(_column_text, table.columns))))
     text = "\n".join(lines) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n", opener=_open_in_place) as fh:

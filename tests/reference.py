@@ -195,5 +195,6 @@ def squared_norm(state: PureState):
 
 
 def rows(table: SweepTable) -> tuple[tuple, ...]:
-    """The table row by row, as Python ints and floats."""
-    return tuple(zip(*(column.tolist() for column in table.columns)))
+    """The table row by row, as Python ints and floats: each axis expanded
+    as ``np.tile(np.repeat(values, repeat), tile)``."""
+    return tuple(zip(*(np.tile(np.repeat(v, r), t).tolist() for v, r, t in table.columns)))

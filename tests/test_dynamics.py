@@ -583,6 +583,30 @@ def test_gate_extract_names_the_first_column_over_one():
     GateExtract(LogicalOperator(np.stack([np.eye(8)] * 3)), np.full((3, 8), 1e-10))
 
 
+def test_gate_extract_rejects_nan_and_negative_leakage():
+    # Leakage is a squared norm: NaN, -inf or a value below 0 by more than
+    # the column-norm rule's 1e-9 is a numerical fault, named by its first row.
+    rule = "leakage is NaN or below -1e-9"
+    for bad in (-5.0, -2e-9, math.nan, -math.inf):
+        with pytest.raises(NumericalError, match=f"^{rule}$") as raised:
+            GateExtract(LogicalOperator(np.eye(8)), np.full(8, bad))
+        assert raised.value.row is None
+    for row in range(2):
+        leakage = np.zeros((2, 8))
+        leakage[row, 3] = math.nan
+        with pytest.raises(NumericalError, match=f"^{rule}$") as raised:
+            GateExtract(LogicalOperator(np.stack([np.eye(8)] * 2)), leakage)
+        assert raised.value.row == row
+    # Both rules: the first failing row is named, with the rule it breaks.
+    for over_row, expected in [(0, "column norm plus leakage exceeds 1"), (1, rule)]:
+        leakage = np.zeros((2, 8))
+        leakage[over_row, 0], leakage[1 - over_row, 5] = 0.5, -1.0
+        with pytest.raises(NumericalError, match=f"^{expected}$") as raised:
+            GateExtract(LogicalOperator(np.stack([np.eye(8)] * 2)), leakage)
+        assert raised.value.row == 0
+    GateExtract(LogicalOperator(np.eye(8)), np.full(8, -1e-9))
+
+
 @pytest.mark.parametrize("shape", [(36,), (3, 36), (3, 5, 4)], ids=["state", "stack", "grid"])
 def test_check_result_names_the_first_non_finite_row(shape):
     # One state vector has no row; a (K, d) stack of states, or the (K, D, 4)

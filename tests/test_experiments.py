@@ -3,6 +3,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -362,8 +363,9 @@ def test_outputs_do_not_depend_on_the_frequency_unit(experiment, khz_range):
         table = run_experiment(experiment, ExperimentConfig(omega1c_khz=khz))
         assert table.header == reference.header
         assert len(table.columns) == len(reference.columns)
-        for column, expected in zip(table.columns, reference.columns):
-            assert np.array_equal(column, expected)
+        for axis, expected in zip(table.columns, reference.columns):
+            assert np.array_equal(axis.values, expected.values)
+            assert axis[1:] == expected[1:]  # repeat, tile
         lines = table.summary.splitlines()
         assert len(lines) == len(expected_lines)
         for line, expected in zip(lines, expected_lines):
@@ -498,8 +500,8 @@ def test_a_config_runs_every_experiment_or_is_rejected(values, experiment):
         config = None
     else:
         for name in experiments.EXPERIMENTS:
-            for column in run_experiment(name, config).columns:
-                assert np.isfinite(np.asarray(column, dtype=float)).all()
+            for axis in run_experiment(name, config).columns:
+                assert np.isfinite(np.asarray(axis.values, dtype=float)).all()
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp, "run.cfg"), Path(tmp, "out.csv")
         path.write_text(text, encoding="utf-8")
@@ -617,19 +619,30 @@ def test_column_writer_matches_row_wise_writer(columns, tmp_path_factory):
     "values, repeat, tile",
     [([0.5, -0.0, 2.0], 1, 1), ([1, 2, 3], 4, 1), ((0.1, 0.2), 1, 3), (range(5), 2, 3), ([], 3, 2)],
 )
-def test_axis_columns_expand_by_repeat_then_tile(values, repeat, tile):
+def test_axis_columns_expand_by_repeat_then_tile(values, repeat, tile, tmp_path):
+    # The table keeps the axis as given, its values normalized to int64 or
+    # float64, and the CSV spreads them by repeat, then tile.
     length = len(values) * repeat * tile
     columns = (Axis(values, repeat, tile), [0.0] * length)
     table = SweepTable("search", ("axis", "plain"), columns, "")
-    expected = np.tile(np.repeat(np.asarray(values), repeat), tile)
-    (column, _) = table.columns
-    assert column.dtype == (np.int64 if expected.dtype.kind == "i" else np.float64)
-    assert column.tobytes() == expected.astype(column.dtype).tobytes()
+    given = np.asarray(values)
+    (axis, _) = table.columns
+    assert axis.values.dtype == (np.int64 if given.dtype.kind == "i" else np.float64)
+    assert axis.values.tobytes() == given.astype(axis.values.dtype).tobytes()
+    assert axis[1:] == (repeat, tile)
+    expected = np.tile(np.repeat(given, repeat), tile).astype(axis.values.dtype)
+    path = tmp_path / "axis.csv"
+    write_csv(table, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    assert [line.split(",")[0] for line in lines] == list(map(repr, expected.tolist()))
 
 
 @pytest.mark.parametrize(
     "axis",
-    [Axis([[1.0, 2.0]]), Axis(1.0), Axis([1.0], repeat=0), Axis([1.0], tile=0), Axis([1.0], -1, 2)],
+    [
+        Axis([[1.0, 2.0]]), Axis(1.0), Axis([1.0], repeat=0), Axis([1.0], tile=0), Axis([1.0], -1, 2),
+        Axis([1.0, 2.0], repeat=1.5), Axis([1.0, 2.0], tile=2.0), Axis([1.0], repeat="2"),
+    ],
 )
 def test_malformed_axis_rejected(axis):
     with pytest.raises(ConfigError):
@@ -720,13 +733,33 @@ def test_unequal_column_lengths_rejected():
         SweepTable("gate", ("a", "b"), ([1.0, 3.0], [2.0]), "")
 
 
+# Each case: the two columns for a bad value, and the row the error names.
+# An axis value is checked on every row it spreads to: the first is named.
+_NON_FINITE_ROWS = {
+    "plain": (lambda bad: ([1.0, 3], [2.0, bad]), "(3.0, {bad})"),
+    "repeated": (lambda bad: ([1.0, 3.0, 5.0, 7.0], Axis([2.0, bad], repeat=2)), "(5.0, {bad})"),
+    "tiled beside repeated": (
+        lambda bad: (Axis([1.0, 2.0], tile=3), Axis([0.5, bad, 1.0], repeat=2)),
+        "(1.0, {bad})",
+    ),
+    # Row 1 holds the second column's bad value, row 4 the first's.
+    "two bad axes": (
+        lambda bad: (Axis([1.0, 2.0, bad], repeat=2), Axis([3.0, bad], tile=3)),
+        "(1.0, {bad})",
+    ),
+    "int axis": (
+        lambda bad: (Axis([1, 2, 3], repeat=2), [0.5, 0.25, 0.125, bad, 1.0, 2.0]),
+        "(2, {bad})",
+    ),
+}
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_row_rejected(bad):
-    with pytest.raises(NumericalError, match="non-finite"):
-        SweepTable("gate", ("a", "b"), ([1.0, 3], [2.0, bad]), "")
-    # An axis value is checked on every row it spreads to: the first is named.
-    with pytest.raises(NumericalError, match=rf"non-finite row \(5\.0, {bad}\)"):
-        SweepTable("gate", ("a", "b"), ([1.0, 3.0, 5.0, 7.0], Axis([2.0, bad], repeat=2)), "")
+    for columns, row in _NON_FINITE_ROWS.values():
+        message = f"gate produced a non-finite row {row.format(bad=bad)}"
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            SweepTable("gate", ("a", "b"), columns(bad), "")
 
 
 # --- CLI --------------------------------------------------------------------
