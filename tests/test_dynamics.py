@@ -35,6 +35,7 @@ from cavity_grover.dynamics import (
     exchange_hamiltonian,
     expm,
 )
+from cavity_grover.experiments import EXPERIMENTS
 from cavity_grover.gates import _bright_columns, exact_columns
 from cavity_grover.hilbert import (
     BASIS,
@@ -308,22 +309,33 @@ def test_evolve_rejects_nan_generator(params_strong_decay):
         assert raised.value.row == row
 
 
+# Runs each experiment at its defaults through the CLI, in one interpreter,
+# and prints after each run the modules of the three that are loaded: the
+# first run that loads one is named.
+_IMPORT_PROBE = """
+import sys
+from cavity_grover.cli import main
+from cavity_grover.experiments import EXPERIMENTS
+
+for exp in EXPERIMENTS:
+    assert main([exp, "--out", f"{sys.argv[1]}/{exp}.csv"]) == 0
+    print(exp, sorted({"scipy", "logging", "concurrent.futures"} & set(sys.modules)))
+"""
+
+
 def test_cli_gate_run_loads_no_scipy(tmp_path):
+    # The package needs numpy alone: no default run loads scipy (the tests'
+    # reference for expm), logging or concurrent.futures.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    probe = (
-        "import sys, cavity_grover.cli\n"
-        f"assert cavity_grover.cli.main(['gate', '--out', {str(tmp_path / 'gate.csv')!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    )
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
-    assert (tmp_path / "gate.csv").exists()
+    assert out.stdout.splitlines() == [f"{exp} []" for exp in EXPERIMENTS]
+    assert all((tmp_path / f"{exp}.csv").exists() for exp in EXPERIMENTS)
 
 
 def test_excitation_conservation(params_lossless):

@@ -140,20 +140,29 @@ def test_per_atom_count_error_names_its_line():
     )
 
 
-@pytest.mark.parametrize("value", [0, 2, 11])
+@pytest.mark.parametrize("value", [0, 1, 2, 3, 11])
 @pytest.mark.parametrize("key", ["threads", "photon_cutoff"])
-def test_retired_keys_accept_only_one(key, value, tmp_path, capsys):
-    # Kept so that existing configs still parse: 1 is the only value.
-    assert getattr(parse_config(f"{key} = 1\n"), key) == 1
-    with pytest.raises(ConfigError, match=key):
-        ExperimentConfig(**{key: value})
-    with pytest.raises(ConfigError, match=key):
-        parse_config(f"{key} = {value}\n")
-    config, out = tmp_path / "retired.cfg", tmp_path / "search.csv"
+def test_retired_keys_accept_only_one(key, value, default_csvs, tmp_path, capsys):
+    # Kept so that existing configs still parse: 1 is the only value, and a
+    # config that sets it writes the default bytes.
+    config = tmp_path / "retired.cfg"
     config.write_text(f"{key} = {value}\n", encoding="utf-8")
-    assert cli.main(["search", "--config", str(config), "--out", str(out)]) == 1
-    assert f"sim: config error: {key}" in capsys.readouterr().err
-    assert not out.exists()
+    if value == 1:
+        assert getattr(parse_config(f"{key} = 1\n"), key) == 1
+    else:
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{key: value})
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"{key} = {value}\n")
+    for name in ("search", "gate"):
+        out = tmp_path / f"{name}.csv"
+        rc = cli.main([name, "--config", str(config), "--out", str(out)])
+        if value == 1:
+            assert rc == 0 and out.read_bytes() == default_csvs[name]
+        else:
+            assert rc == 1
+            assert f"sim: config error: {key}" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_parse_rejects_per_atom_offset_out_of_range(tmp_path):
@@ -526,6 +535,9 @@ def default_csvs():
 @example(khz=1e-167)
 @example(khz=1e-165)
 @example(khz=1e150)
+@example(khz=1e-100)
+@example(khz=1e100)
+@example(khz=0.0)
 def test_a_config_that_sets_only_the_frequency_unit_writes_the_default_bytes(khz, default_csvs):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "run.cfg")
@@ -536,6 +548,7 @@ def test_a_config_that_sets_only_the_frequency_unit_writes_the_default_bytes(khz
                 rc = cli.main([name, "--config", str(path), "--out", str(out)])
             if rc:
                 assert rc == 1 and err.getvalue().startswith("sim: config error: omega1c_khz = ")
+                assert not out.exists()
             else:
                 assert out.read_bytes() == default_csvs[name]
 
@@ -669,22 +682,37 @@ def test_csv_bytes_are_reproducible(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def _fresh_csv(table, directory: Path) -> bytes:
-    path = directory / f"fresh-{table.experiment}.csv"
-    write_csv(table, str(path))
-    return path.read_bytes()
+_FAST_TEXT = "delta_t_points = 5\neta_points = 5\n"
+
+# Each case: the (experiment, config text) run first, and the one run over
+# its CSV. A shorter table over a longer file drops the old tail; a longer
+# one over a shorter file extends it. Each default run goes over an offset
+# CSV on a finer grid, longer than every default CSV.
+_REWRITES = {
+    "offset-geometry": (("offset", _FAST_TEXT), ("geometry", _FAST_TEXT)),
+    "geometry-offset": (("geometry", _FAST_TEXT), ("offset", _FAST_TEXT)),
+    **{
+        f"finer-offset-{name}": (("offset", "eta_points = 200\n"), (name, ""))
+        for name in experiments.EXPERIMENTS
+    },
+}
 
 
-@pytest.mark.parametrize("old, new", [("offset", "geometry"), ("geometry", "offset")])
-def test_csv_rewrite_over_another_csv_gives_the_fresh_bytes(old, new, tmp_path):
-    # A shorter table over a longer file drops the old tail; a longer one
-    # over a shorter file extends it.
-    config = ExperimentConfig(**FAST)
+@pytest.mark.parametrize("case", list(_REWRITES))
+def test_csv_rewrite_over_another_csv_gives_the_fresh_bytes(case, tmp_path):
+    def sim(experiment, text, out):
+        config = tmp_path / "run.cfg"
+        config.write_text(text, encoding="utf-8")
+        assert cli.main([experiment, "--config", str(config), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    (old, old_text), (new, new_text) = _REWRITES[case]
     path = tmp_path / "out.csv"
-    write_csv(run_experiment(old, config), str(path))
-    table = run_experiment(new, config)
-    write_csv(table, str(path))
-    assert path.read_bytes() == _fresh_csv(table, tmp_path)
+    before = sim(old, old_text, path)
+    fresh = sim(new, new_text, tmp_path / "fresh.csv")
+    if case.startswith("finer-offset-"):
+        assert len(before) > len(fresh)
+    assert sim(new, new_text, path) == fresh
 
 
 def test_csv_identical_rerun_keeps_the_bytes(tmp_path):
@@ -699,10 +727,10 @@ def test_csv_identical_rerun_keeps_the_bytes(tmp_path):
 def test_csv_to_the_null_device():
     if not stat.S_ISCHR(os.stat(os.devnull).st_mode):
         pytest.skip(f"{os.devnull} is not a character device here")
-    write_csv(run_experiment("geometry", ExperimentConfig()), os.devnull)
+    assert cli.main(["geometry", "--out", os.devnull]) == 0
 
 
-def test_cli_writes_csv_to_stdout_as_a_pipe(tmp_path):
+def test_cli_writes_csv_to_stdout_as_a_pipe(default_csvs):
     if not os.path.exists("/dev/stdout"):
         pytest.skip("no /dev/stdout here")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -712,7 +740,7 @@ def test_cli_writes_csv_to_stdout_as_a_pipe(tmp_path):
         capture_output=True,  # stdout is a pipe
     )
     assert out.returncode == 0, out.stderr.decode()
-    assert out.stdout == _fresh_csv(run_experiment("geometry", ExperimentConfig()), tmp_path)
+    assert out.stdout == default_csvs["geometry"]
 
 
 def test_csv_write_error_carries_path(tmp_path):
@@ -783,6 +811,35 @@ def test_cli_reads_config_file(tmp_path):
     assert rc == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 2 * 2  # header + two ratios x two iterations
+
+
+def _non_finite_data_row(csv_text: str) -> bool:
+    # nan or inf in any case, as grep -Ei would find it. The header is
+    # skipped, since the infidelity_formula column's name contains "inf".
+    data = csv_text.partition("\n")[2].lower()
+    return "nan" in data or "inf" in data
+
+
+@pytest.mark.parametrize("experiment", experiments.EXPERIMENTS)
+def test_cli_at_the_accepted_decay_edge_writes_finite_rows(experiment, tmp_path):
+    # kappa_ratios and offset_kappa_ratio at 3.99, just inside the 4*omega1
+    # bound: each run exits 0 and no data row holds nan or inf.
+    config, out = tmp_path / "edge.cfg", tmp_path / f"{experiment}.csv"
+    config.write_text("kappa_ratios = 3.99\noffset_kappa_ratio = 3.99\n", encoding="utf-8")
+    assert cli.main([experiment, "--config", str(config), "--out", str(out)]) == 0
+    assert not _non_finite_data_row(out.read_text(encoding="utf-8"))
+
+
+def test_cli_largest_offset_grid_writes_finite_rows(tmp_path):
+    # eta_points = 100000 (the cap) at four chi values: 400,000 rows through
+    # the axis path, each axis checked for finiteness on its own values. The
+    # run exits 0 with a header and 400,000 data rows, none holding nan or inf.
+    config, out = tmp_path / "big-offset.cfg", tmp_path / "big-offset.csv"
+    config.write_text("eta_points = 100000\nchi_list = 1,2,3,4\n", encoding="utf-8")
+    assert cli.main(["offset", "--config", str(config), "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.count("\n") == 400_001
+    assert not _non_finite_data_row(text)
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):

@@ -326,6 +326,26 @@ def test_run_search_on_exact_columns_stays_a_no_jump_branch(kappa_ratio):
     assert gap <= {0.1: 1.1e-5, 0.5: 1.9e-4}.get(kappa_ratio, 1.0)
 
 
+_SWEEP_PARAMS = [CavityParams.designed(1.0, 0.02 * i) for i in range(25)]  # kappa/w1 in [0, 0.48]
+
+
+@pytest.mark.parametrize(
+    "slots",
+    [np.array([decayed_i000(p) for p in _SWEEP_PARAMS]), exact_columns(_SWEEP_PARAMS)[:, 0]],
+    ids=["paper", "exact"],
+)
+def test_marked_state_only_relabels_the_search(slots):
+    # The marked flip is X^tau D X^tau, and X^tau commutes with H D H and
+    # leaves the uniform register unchanged: for any diagonal D the register
+    # for tau is X^tau times the one for 000, so no recorded value depends on
+    # tau beyond rounding (at most 2.2e-15, and 5.8e-14 for fidelity).
+    base = run_search("000", 32, slots)
+    for tau in ALL_TAUS[1:]:
+        grid = run_search(tau, 32, slots)
+        for field in ("p_find", "survival", "fidelity"):
+            assert np.abs(getattr(grid, field) - getattr(base, field)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("slots", [np.ones((2, 3)), np.ones(4), np.empty((0, 4)), []])
 def test_run_search_rejects_malformed_slot_arrays(slots):
     with pytest.raises(ConfigError, match=r"^run_search needs \(K, 4\) slots, at least one row, got \("):
