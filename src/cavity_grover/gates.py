@@ -4,12 +4,12 @@ Everything here acts in the logical order |000⟩..|111⟩ fixed by
 ``hilbert.computational_embedding``. The phase gate diag(-mu, gamma, beta,
 alpha, 1, 1, 1, 1) is one read-only array of its four decaying slots, (4,)
 or (n, 4) for n gates (``full_diagonal`` appends the four exact ones).
-``decayed_i000`` gives them in the paper's closed form, each damped by the
-photon population its logical state cycles through the mode, on the column
-model ``_bright_columns``; coupling arrays give one row per value, bit for
-bit the scalar call's. ``exact_columns`` is the same model without the
-paper's approximations: the exact atom-1 and photon amplitudes of those four
-columns, whose complex atom-1 rows are slots too. Named cases:
+One function, ``_gate_columns``, models the four columns they sit in, with
+the paper's approximations or without. ``decayed_i000`` is its paper
+setting, each slot damped by the photon population its logical state cycles
+through the mode; coupling arrays give one row per value, bit for bit the
+scalar call's. ``exact_columns`` is its exact setting: the atom-1 and photon
+amplitudes, whose complex atom-1 rows are slots too. Named cases:
 
 * the gate a lossless cavity actually realizes is the decayed gate at
   kappa = 0; its |001⟩ entry (``residual_gate_entry``) still falls short
@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import CavityParams, as_stack, block_propagator, gate_time
+from .dynamics import CavityParams, as_stack, block_propagator, decay_shifted_frequency, gate_time
 from .errors import ConfigError
 from .hilbert import LogicalOperator  # re-exported: defined beside PureState
 
@@ -103,32 +103,55 @@ def _bright_columns(w1, w2, w3):
     return bright_sq, (1.0, w1sq / bright_sq[1], w1sq / w12sq, w1sq / bright_sq[3])
 
 
-def exact_columns(params: Sequence[CavityParams], t=None) -> np.ndarray:
-    """Exact atom-1 and photon amplitudes of the four atom-1-in-``E``
-    columns |000⟩, |001⟩, |010⟩, |011⟩ for each of K parameter sets at its
-    time in the K ``t``, the gate times by default.
+# cos of the column phases W*pi/w1 at kappa = 0 and the designed ratios,
+# pi*sqrt(n) for n = 1, 65, 36, 100, and -i*sin of them: only sqrt(65)*pi
+# leaves a cycle open, and the closed cycles' sines are 0, not sin(pi) = 1.2e-16.
+_DESIGN_COS = np.array([math.cos(math.pi * math.sqrt(n)) for n in (1.0, 65.0, 36.0, 100.0)])
+_DESIGN_ISIN = -1j * np.array([0.0, math.sin(math.pi * math.sqrt(65.0)), 0.0, 0.0])
+
+
+def _gate_columns(params: Sequence[CavityParams], exact: bool, couplings=None):
+    """Atom-1 and photon rows, two (K, 4) arrays, of the four atom-1-in-``E``
+    columns |000⟩, |001⟩, |010⟩, |011⟩ of each of K parameter sets after its
+    gate time T: the package's one column model.
 
     Column |0 b2 b3⟩ moves only through its bright state, coupling W and
     atom-1 share s (``_bright_columns``), so with P = ``block_propagator(W,
-    kappa, t)`` the rows are (1 - s) + s*P00 and (w1/W)*P10: a signed
-    complex (K, 2, 4) array. Any coupling triple works; kappa < 4*w1 <= 4*W
-    keeps every block underdamped.
+    kappa, T)`` the ``exact`` rows are (1 - s) + s*P00 and (w1/W)*P10, for
+    any couplings: kappa < 4*w1 <= 4*W keeps every block underdamped. The
+    other setting is the paper's, at the designed ratios only;
+    ``decayed_i000`` and ``timing_infidelity`` name what it drops from each
+    row. ``couplings`` (floats or equal-shape arrays) replace the shares of
+    a single set, one atom-1 row per value; its photon row stays the set's.
     """
     stack = as_stack(params)
-    w1, kappa = np.array([(p.omega[0], p.kappa) for p in stack]).T[..., None]
-    times = np.array([gate_time(p) for p in stack] if t is None else t, dtype=float)
-    if times.shape != (len(stack),):
-        raise ConfigError(f"needs one time per parameter set, got shape {times.shape}")
-    bright_sq, share = np.array([_bright_columns(*p.omega) for p in stack]).swapaxes(0, 1)
-    bright = np.sqrt(bright_sq)  # (K, 4)
-    block = block_propagator(bright, kappa, times[:, None])
-    atom1, photon = (1.0 - share) + share * block[..., 0, 0], w1 / bright * block[..., 1, 0]
-    return np.stack([atom1, photon], axis=-2)
+    if not exact and (bad := [p.omega for p in stack if not p.has_designed_ratios()]):
+        raise ConfigError(f"couplings {bad[0]} are not in the designed ratio 1:sqrt(35):8")
+    bright_sq, shares = zip(*(_bright_columns(*p.omega) for p in stack))
+    if exact:
+        w1, kappa, t = np.array([(p.omega[0], p.kappa, gate_time(p)) for p in stack]).T[..., None]
+        bright = np.sqrt(bright_sq)  # (K, 4)
+        block = block_propagator(bright, kappa, t)
+        bright_atom, photon = block[..., 0, 0], w1 / bright * block[..., 1, 0]
+    else:  # per set the envelope, and w1/a on |001⟩, the one column with a sine
+        envelope, w1_over_a = np.array([(
+            math.exp(-p.kappa * gate_time(p) / 4.0),
+            p.omega[0] / decay_shifted_frequency(math.sqrt(w_sq[1]), p.kappa),
+        ) for p, w_sq in zip(stack, bright_sq)]).T[..., None]
+        # envelope*cos: -mu (s = 1, cos = -1) is the envelope bit for bit, never rounded to 0.
+        bright_atom, photon = envelope * _DESIGN_COS, w1_over_a * _DESIGN_ISIN
+    if couplings is None:
+        shares = np.array(shares)
+    else:  # (..., 4); slot 0's share is always the float 1
+        shares = np.stack(np.broadcast_arrays(*_bright_columns(*couplings)[1]), -1)
+        bright_atom = bright_atom[0]
+    return (1.0 - shares) + shares * bright_atom, photon
 
 
-# Column phases W*pi/w1 at kappa = 0 and the designed ratios; sqrt(65)*pi leaves a cycle open.
-_DESIGN_PHASES = tuple(math.pi * math.sqrt(n) for n in (1.0, 65.0, 36.0, 100.0))
-_DESIGN_COS = np.array([math.cos(phase) for phase in _DESIGN_PHASES])  # -1, cos(sqrt(65)*pi), 1, 1
+def exact_columns(params: Sequence[CavityParams]) -> np.ndarray:
+    """The exact setting of ``_gate_columns`` for K parameter sets, atom-1
+    row first: a signed complex (K, 2, 4) array."""
+    return np.stack(_gate_columns(params, True), axis=-2)
 
 
 def residual_gate_entry(params: CavityParams) -> float:
@@ -141,30 +164,19 @@ def decayed_i000(
     params: CavityParams, couplings: tuple[float, float, float] | None = None
 ) -> np.ndarray:
     """The decaying slots (-mu, gamma, beta, alpha) of the phase gate in the
-    paper's closed form, a read-only (4,) array.
+    paper's closed form: the atom-1 row of ``_gate_columns``' paper setting,
+    a read-only (4,) array, or one row per value of coupling arrays, bit for
+    bit the scalar call's.
 
-    Column |0 b2 b3⟩ meets the mode through one bright state, coupling W and
-    atom-1 share s (``_bright_columns``). Its exact entry at the gate time T
-    is (1 - s) + s*P00(W, T), P00 = exp(-kappa*T/4) * [cos(a*T) +
-    kappa/(4*a) * sin(a*T)], a = sqrt(W^2 - kappa^2/16). The paper's form
-    1. drops the kappa/(4*a) * sin(a*T) term, and
-    2. takes the phase at the kappa = 0 gate time: a*T -> W*pi/w1,
-    so each slot is (1 - s) + s*(exp(-kappa*T/4) * cos(W*pi/w1)), -mu on
-    |000⟩. There s = 1 and cos = -1 leave mu the envelope bit for bit; the
-    form 1 - s*(1 - envelope*cos) would round a tiny envelope to mu = 0.
-    ``dynamics.extract_gate`` differs by exactly the two dropped terms: at
-    most 1.3e-5 at kappa = w1/10. Decay, gate time and the phases (designed
-    ratios) come from ``params``, the shares from ``couplings`` (floats or
-    equal-shape arrays, one row per value; ``params.omega`` by default). A
-    factor outside (0, 1] (a damped-out gate) is a ``ConfigError``.
+    Of the exact row it drops the kappa/(4*a) * sin(a*T) term and takes the
+    phase at the kappa = 0 gate time, a*T -> W*pi/w1: ``dynamics.extract_gate``
+    differs by exactly those two terms, at most 1.3e-5 at kappa = w1/10.
+    Decay, gate time and the phases (designed ratios) come from ``params``,
+    the shares from ``couplings`` (``params.omega`` by default). A factor
+    outside (0, 1] (a damped-out gate) is a ``ConfigError``.
     """
-    if not params.has_designed_ratios():
-        raise ConfigError(f"couplings {params.omega} are not in the designed ratio 1:sqrt(35):8")
-    _, shares = _bright_columns(*(params.omega if couplings is None else couplings))
-    # (4,), or (n, 4) from coupling arrays: slot 0's share is always the float 1.
-    shares = np.array(shares) if couplings is None else np.stack(np.broadcast_arrays(*shares), -1)
-    envelope = math.exp(-params.kappa * gate_time(params) / 4.0)
-    slots = (1.0 - shares) + shares * (envelope * _DESIGN_COS)
+    atom1, _ = _gate_columns([params], False, couplings)
+    slots = atom1[0] if couplings is None else atom1
     factors = slots * TEXTBOOK
     bad = ~((0.0 < factors) & (factors <= 1.0))  # NaN is bad too
     if bad.any():

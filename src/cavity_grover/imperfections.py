@@ -3,12 +3,12 @@
 Timing mismatch: atom 1 is slightly slow and keeps interacting for an extra
 ``delta_t`` after atoms 2 and 3 have left the mode. The gate leaves each
 atom-1-in-``E`` column with an atom-1 and a photon amplitude, and one delay
-step applies the exact atom-1 block to them. The closed form takes those
-amplitudes from the decayed gate (a photon only on |001⟩, from the partly
-open atoms-1+3 Rabi cycle); its full-dynamics oracle ``timing_oracle``
-takes them from ``gates.exact_columns``, the exact one-excitation blocks on
-the same column model. ``timing_oracle_dense`` evolves the whole Hilbert
-space at one delay and is the tests' reference for the blocks.
+step applies the exact atom-1 block to them. Both timing functions take
+those amplitudes from the one column model ``gates._gate_columns``: the
+closed form from its paper setting (a photon only on |001⟩, from the partly
+open atoms-1+3 Rabi cycle), the full-dynamics oracle ``timing_oracle`` from
+its exact setting. ``timing_oracle_dense`` evolves the whole Hilbert space
+at one delay and is the tests' reference for the blocks.
 
 Coupling offsets: some of the four cavities in a two-iteration search run
 with couplings off their design values by a relative offset ``eta``. The
@@ -27,7 +27,6 @@ grid, the offset one a 1-D ``etas``; one point is the one-value case.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -39,16 +38,13 @@ from .dynamics import (
     add_cavity_decay,
     as_stack,
     block_propagator,
-    decay_shifted_frequency,
     evolve,
     evolve_logical_basis,
     exchange_hamiltonian,
     gate_time,
 )
 from .errors import ConfigError
-from .gates import (
-    _DESIGN_PHASES, TEXTBOOK, _bright_columns, decayed_i000, exact_columns, full_diagonal,
-)
+from .gates import TEXTBOOK, _gate_columns, decayed_i000, exact_columns, full_diagonal
 from .grover import _uniform_register
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
@@ -154,23 +150,14 @@ def timing_infidelity(params: Sequence[CavityParams], delta_ts) -> np.ndarray:
     each of K parameter sets at every delay dt in its row of the (K, D)
     ``delta_ts``, in order: a (K, D) array.
 
-    The block model of ``timing_oracle`` with the paper's approximations:
-    the atom-1 amplitudes are ``decayed_i000``'s slots, with its two, and
-    the photon column makes a third. Of the exact (w1/W)*P10(W, T) =
-    -i*exp(-kappa*T/4) * w1/a * sin(a*T) it keeps -i*w1/a13 * sin(sqrt(65)*pi)
-    on |001⟩ (a13 = sqrt(w1^2 + w3^2 - kappa^2/16)) and 0 on closed cycles:
-    the phase moves as in the gate, and the envelope is dropped. Over dt the
-    atom-1 block scales each entry by xi = exp(-kappa*dt/4) * [cos(a1*dt) +
-    kappa/(4*a1) * sin(a1*dt)], a1 = sqrt(w1^2 - kappa^2/16), and adds to
-    |001⟩ -w1^2/(a1*a13) * exp(-kappa*dt/4) * sin(a1*dt) * sin(sqrt(65)*pi).
+    The delay model of ``timing_oracle`` on the paper setting of
+    ``gates._gate_columns``. Its atom-1 row is ``decayed_i000``'s. Of the
+    exact photon row -i*exp(-kappa*T/4) * w1/a * sin(a*T) it takes the phase
+    at W*pi/w1, as that row does, and drops the envelope: -i*w1/a13 *
+    sin(sqrt(65)*pi) on |001⟩ (a13 = sqrt(w1^2 + w3^2 - kappa^2/16)) and
+    exactly 0 on the closed cycles.
     """
-    columns = []
-    for p in as_stack(params):  # scalar calls, one per set
-        bright_sq, _ = _bright_columns(*p.omega)
-        a13 = decay_shifted_frequency(math.sqrt(bright_sq[1]), p.kappa)  # the |001⟩ column
-        photon = -1j * p.omega[0] / a13 * math.sin(_DESIGN_PHASES[1])
-        columns.append([decayed_i000(p), [0.0, photon, 0.0, 0.0]])
-    return _delayed_infidelities(params, delta_ts, np.array(columns))
+    return _delayed_infidelities(params, delta_ts, np.stack(_gate_columns(params, False), -2))
 
 
 def timing_oracle(params: Sequence[CavityParams], delta_ts) -> np.ndarray:

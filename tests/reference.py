@@ -7,8 +7,9 @@ fixed-step RK4 on the whole (..., 36, 36) no-jump generator, every logical
 column at once and no sector search, so agreement also checks that the
 sector restriction drops nothing. The paper's formulas
 (``phase_gate_success``, ``closed_form_probability``) are oracles for the
-search, and the rest are small conveniences on the package's types. Only
-public names of the package are read here.
+search, ``block_columns`` evaluates the gate's column model at any time,
+and the rest are small conveniences on the package's types. Only public
+names of the package are read here, and the model's ``_bright_columns``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from cavity_grover import (
     computational_embedding,
     gate_time,
 )
-from cavity_grover.dynamics import add_cavity_decay, exchange_hamiltonian
-from cavity_grover.gates import full_diagonal
+from cavity_grover.dynamics import add_cavity_decay, block_propagator, exchange_hamiltonian
+from cavity_grover.gates import _bright_columns, full_diagonal
 from cavity_grover.hilbert import BASIS
 
 E, G, I = AtomLevel.E, AtomLevel.G, AtomLevel.I
@@ -82,6 +83,16 @@ def rk4_timing_oracle(scenario: TimingScenario, steps: int) -> float:
     uniform = initial_state().amplitudes
     out, expected = gate @ uniform, full_diagonal(TEXTBOOK) * uniform
     return float(1.0 - abs(np.vdot(expected, out)) ** 2 / np.vdot(out, out).real)
+
+
+def block_columns(params, t) -> tuple[np.ndarray, np.ndarray]:
+    """Exact atom-1 and photon amplitudes of the four atom-1-in-``E``
+    columns at any time ``t``: (1 - s) + s*P00 and (w1/W)*P10 with P =
+    ``block_propagator(W, kappa, t)`` on each column's bright state."""
+    bright_sq, share = (np.array(x) for x in _bright_columns(*params.omega))
+    bright = np.sqrt(bright_sq)
+    block = block_propagator(bright, params.kappa, t)
+    return (1.0 - share) + share * block[..., 0, 0], params.omega[0] / bright * block[..., 1, 0]
 
 
 # --- paper formulas ------------------------------------------------------------

@@ -36,7 +36,7 @@ from cavity_grover.dynamics import (
     expm,
 )
 from cavity_grover.experiments import EXPERIMENTS
-from cavity_grover.gates import _bright_columns, exact_columns
+from cavity_grover.gates import _bright_columns, _gate_columns, exact_columns
 from cavity_grover.hilbert import (
     BASIS,
     BasisState,
@@ -45,6 +45,7 @@ from cavity_grover.hilbert import (
     basis_state,
 )
 from reference import (
+    block_columns,
     coupling_at_position,
     excitation_number,
     logical_columns,
@@ -557,6 +558,7 @@ _KAPPA_SWEEPS = {
     "evolve_logical_basis": lambda s: evolve_logical_basis(s, [1.0] * len(s))[1][0].amplitudes,
     "extract_gate": lambda s: extract_gate(s, [1.0] * len(s)).leakage,
     "exact_columns": exact_columns,
+    "paper_columns": lambda s: np.stack(_gate_columns(s, False), axis=-2),
     "timing_infidelity": lambda s: imperfections.timing_infidelity(s, [[0.0]] * len(s)),
     "timing_oracle": lambda s: imperfections.timing_oracle(s, [[0.0]] * len(s)),
 }
@@ -681,7 +683,7 @@ def _block_params(omega1c, ratios, kappa_frac):
 def _block_amplitudes(params, t):
     """Atom-1 and photon amplitudes of the four atom-1-in-E columns, and each
     column's squared norm: dark part 1 - s, bright atom s*|P00|^2, photon."""
-    leaf1, photon = exact_columns([params], [t])[0]
+    leaf1, photon = block_columns(params, t)
     share = np.array(_bright_columns(*params.omega)[1])
     bright_atom = leaf1 - (1.0 - share)  # s*P00
     norm = 1.0 - share + np.abs(bright_atom) ** 2 / share + np.abs(photon) ** 2
@@ -704,6 +706,16 @@ def test_block_amplitudes_match_dense_evolution(omega1c, ratios, kappa_frac, fra
         unit = np.zeros(BASIS.dimension)
         unit[embedding[col]] = 1.0
         assert np.array_equal(finals[col].amplitudes[0], unit)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ratios=_BLOCK_CASES["ratios"], kappa_frac=_BLOCK_CASES["kappa_frac"])
+def test_exact_setting_is_the_block_model_at_the_gate_time(omega1c, ratios, kappa_frac):
+    # Any coupling triple and underdamped decay: exact_columns is the block
+    # model of the test reference at the gate time.
+    params = _block_params(omega1c, ratios, kappa_frac)
+    at_gate = np.stack(block_columns(params, gate_time(params)))
+    assert np.abs(exact_columns([params])[0] - at_gate).max() <= 1e-15
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

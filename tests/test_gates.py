@@ -18,7 +18,7 @@ from cavity_grover import (
     residual_gate_entry,
 )
 from cavity_grover import gates
-from cavity_grover.dynamics import DESIGNED_RATIOS
+from cavity_grover.dynamics import DESIGNED_RATIOS, decay_shifted_frequency
 from cavity_grover.gates import exact_columns
 from reference import compose, diffusion, gate_operator, is_unitary
 
@@ -158,13 +158,19 @@ def test_exact_columns_stay_finite_at_the_overdamped_edge(omega1c):
     assert columns.shape == (2, 4) and np.isfinite(columns.view(float)).all()
 
 
-def test_exact_columns_need_one_time_per_parameter_set(params_lossless):
-    t = gate_time(params_lossless)
-    for stack, times in (
-        ([params_lossless] * 2, [t]), ([params_lossless], [t, t]), ([params_lossless], t)
-    ):
-        with pytest.raises(ConfigError, match="one time per parameter set"):
-            exact_columns(stack, times)
+def test_paper_photon_row_is_exactly_dark_on_the_closed_cycles():
+    # sin(pi) is 1.2e-16 in floating point, not 0: the paper setting writes
+    # the photon amplitude of the closed cycles |000⟩, |010⟩, |011⟩ as 0.0,
+    # keeps -i*w1/a13 * sin(sqrt(65)*pi) on |001⟩ without the envelope, and
+    # its atom-1 row is decayed_i000's, bit for bit.
+    stack = [CavityParams.designed(1.0, kappa) for kappa in np.linspace(0.0, 3.99, 40).tolist()]
+    atom1, photon = gates._gate_columns(stack, False)
+    for params, slots, row in zip(stack, atom1, photon):
+        w1, _, w3 = params.omega
+        a13 = decay_shifted_frequency(math.sqrt(w1 * w1 + w3 * w3), params.kappa)
+        assert row[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0]
+        assert row[1] == -1j * w1 / a13 * math.sin(math.sqrt(65.0) * math.pi)
+        assert slots.tobytes() == decayed_i000(params).tobytes()
 
 
 def test_gate_diagonal_validates_range(monkeypatch, params_lossless):
@@ -172,7 +178,8 @@ def test_gate_diagonal_validates_range(monkeypatch, params_lossless):
     # beta, alpha): each lies in (0, 1], NaN fails, and the message names the
     # first bad factor in slot order. A real gate reaches only a damped-out
     # mu and NaN, so the checks below set the slots through the closed form's
-    # inputs: at kappa = 0 with every share s = 1, slot i is (1 - 1) + 1*(1*c_i)
+    # inputs: at kappa = 0 with every share s = 1 (and every bright coupling
+    # W = 1, which only the photon row reads), slot i is (1 - 1) + 1*(1*c_i)
     # = 0.0 + c_i for phase cosines c. A slot is never -0.0 then: a zero mu
     # reads -0.0, any other zero factor 0.0.
     params = CavityParams.designed(1.0, 3.9999999)
@@ -188,7 +195,7 @@ def test_gate_diagonal_validates_range(monkeypatch, params_lossless):
     above_one = float(np.nextafter(1.0, 2.0))
 
     def slots(cos, form, couplings):
-        monkeypatch.setattr(gates, "_bright_columns", lambda *w: (None, (form(1.0),) * 4))
+        monkeypatch.setattr(gates, "_bright_columns", lambda *w: ((1.0,) * 4, (form(1.0),) * 4))
         monkeypatch.setattr(gates, "_DESIGN_COS", np.array(cos))
         return decayed_i000(params_lossless, couplings)
 
@@ -212,7 +219,7 @@ def test_gate_diagonal_validates_range(monkeypatch, params_lossless):
     with pytest.raises(ConfigError, match=r"^gate diagonal factor beta=nan outside"):
         slots([-1.0, 1.0, math.nan, 2.0], float, None)
     shares = (1.0, np.array([1.0, math.nan]), 1.0, np.array([math.nan, 1.0]))
-    monkeypatch.setattr(gates, "_bright_columns", lambda *w: (None, shares))
+    monkeypatch.setattr(gates, "_bright_columns", lambda *w: ((1.0,) * 4, shares))
     monkeypatch.setattr(gates, "_DESIGN_COS", TEXTBOOK)
     with pytest.raises(ConfigError, match=r"^gate diagonal factor gamma=nan outside"):
         decayed_i000(params_lossless, (np.ones(2),) * 3)
