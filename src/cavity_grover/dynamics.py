@@ -37,7 +37,6 @@ from .hilbert import (
     LogicalOperator,
     ProductBasis,
     PureState,
-    _vdot,
     basis_state,
     computational_embedding,
 )
@@ -338,7 +337,8 @@ def extract_gate(params: Sequence[CavityParams], t) -> GateExtract:
     embedding, finals = evolve_logical_basis(params, t)
     amps = np.stack([final.amplitudes for final in finals], axis=-2)  # (K, column, state)
     projected = np.ascontiguousarray(amps[..., list(embedding)])  # sums run along rows of 8
-    leakage = _vdot(amps, amps).real - (np.abs(projected) ** 2).sum(axis=-1)
+    norm = np.einsum("...i,...i->...", amps, amps.conj()).real
+    leakage = norm - (np.abs(projected) ** 2).sum(axis=-1)
     return GateExtract(LogicalOperator(projected.swapaxes(-1, -2)), leakage)
 
 

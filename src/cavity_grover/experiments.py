@@ -281,7 +281,7 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
 
 def _search_experiment(config: ExperimentConfig) -> SweepTable:
     tau = MarkedState(config.tau)
-    grid = run_search(tau, config.k_max, config._kappa_gates)
+    grid = run_search(config.k_max, config._kappa_gates)
     lines = [
         f"marked state |{tau}⟩; "
         "fidelity = normalized overlap with the exact-gate trajectory"

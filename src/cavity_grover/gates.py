@@ -18,10 +18,11 @@ amplitudes, whose complex atom-1 rows are slots too. Named cases:
 * the textbook reflection diag(-1, 1, ..., 1), the constant ``TEXTBOOK``,
   has every damping factor equal to 1.
 
-Every other marked state's phase gate is the |000⟩ gate conjugated by bit
-flips, which is an index permutation, and the same gate sandwiched between
-Hadamard layers inverts every amplitude about the average, so one physical
-gate drives the whole search.
+Sandwiched between Hadamard layers, the |000⟩ gate inverts every amplitude
+about the average, so one physical gate drives the whole search, and the
+search needs only that gate. Another marked state's gate, ``marked_gate``,
+is it conjugated by bit flips, an index permutation, which only relabels
+the search's output.
 """
 
 from __future__ import annotations
@@ -50,15 +51,6 @@ class MarkedState:
             or any(c not in "01" for c in self.bits)
         ):
             raise ConfigError(f"marked state must be three bits, got {self.bits!r}")
-
-    @classmethod
-    def of(cls, tau: MarkedState | str) -> MarkedState:
-        """``tau`` itself if already a marked state, else its validated label."""
-        return tau if isinstance(tau, cls) else cls(tau)
-
-    @property
-    def index(self) -> int:
-        return int(self.bits, 2)
 
     def __str__(self) -> str:
         return self.bits
@@ -197,5 +189,6 @@ def marked_gate(tau: MarkedState | str, base: LogicalOperator) -> LogicalOperato
     damped base the diagonal factors follow the permuted slots, so the
     marked state itself carries the -mu entry.
     """
-    perm = np.arange(8) ^ MarkedState.of(tau).index
+    marked = tau if isinstance(tau, MarkedState) else MarkedState(tau)
+    perm = np.arange(8) ^ int(marked.bits, 2)
     return LogicalOperator(base.matrix[np.ix_(perm, perm)])

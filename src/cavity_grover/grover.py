@@ -16,10 +16,12 @@ the readout lands on the marked state, ``survival`` is the total no-jump
 probability, and ``fidelity`` compares the surviving (renormalized) state
 against the trajectory the textbook gate would have produced.
 
-``run_search`` advances the register of every given gate and the
+``run_search`` advances the |000⟩ register of every given gate and the
 textbook reference trajectory in one stacked iteration and scores the
-stored trajectories as arrays; ``grover_step`` is one iteration for one
-state, the per-state reference.
+stored trajectories with one row-wise fidelity, ``_row_fidelity``, which
+also scores every gate in ``imperfections``. The marked state enters only
+``grover_step``, one iteration for one state and the per-state reference,
+through ``gates.marked_gate``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, _first_row
 from .gates import TEXTBOOK, LogicalOperator, MarkedState, full_diagonal, hadamard3, marked_gate
-from .hilbert import PureState, _vdot
+from .hilbert import PureState
 
 # Far above any useful search length, low enough that a typo cannot ask for a huge search.
 MAX_ITERATIONS = 100_000
@@ -66,11 +68,14 @@ def _uniform_register() -> np.ndarray:
     return np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
 
 
-def _modulus_squared(z: np.ndarray) -> np.ndarray:
-    """abs(z) ** 2 of every entry as the scalar expression rounds it: numpy's
-    array abs and array square each round some values differently. Python's
-    float ** 2 and float_power on float64 both call C pow."""
-    return np.float_power(np.hypot(z.real, z.imag), 2.0)
+def _row_fidelity(reference: np.ndarray, outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|<reference|row>|^2 / <row|row> and <row|row> along the last axis of
+    the unnormalized ``outputs``, against a normalized ``reference`` that
+    broadcasts against them: the overlap and the squared norm are two fused
+    row reductions."""
+    overlap = np.einsum("...i,...i->...", outputs, reference.conj())
+    norm = np.einsum("...i,...i->...", outputs, outputs.conj()).real
+    return abs(overlap) ** 2 / norm, norm
 
 
 def grover_step(
@@ -89,37 +94,31 @@ def check_k_max(k_max: int) -> None:
         raise ConfigError(f"k_max must lie in 1..{MAX_ITERATIONS}, got {k_max}")
 
 
-def run_search(tau: MarkedState | str, k_max: int, slots) -> SearchGrid:
-    """Iterate the search ``k_max`` times with each of the K gates whose
-    decaying slots are the rows of the real or complex (K, 4) ``slots`` and
-    record, after each iteration, the probability, survival and fidelity
-    against the textbook-gate trajectory.
+def run_search(k_max: int, slots) -> SearchGrid:
+    """Iterate the search for |000⟩ ``k_max`` times with each of the K gates
+    whose decaying slots are the rows of the real or complex (K, 4)
+    ``slots`` and record, after each iteration, the probability, survival
+    and fidelity against the textbook-gate trajectory.
 
-    The K gates' diagonals and, as a last row, ``TEXTBOOK``'s are stacked
-    into a (K+1, 8, 1) array whose marked flips are one index permutation of
-    it, so one expression advances every trajectory. The trajectories are
-    stored, and p_find, survival and fidelity are then computed for all of
-    them at once, each value exactly as the per-state scalar expression
-    (``grover_step``, ``np.vdot``, ``abs(z) ** 2``) computes it.
+    The marked state is not an argument: for a marked state tau the flip is
+    X^tau D X^tau, X^tau commutes with the sandwich H D H (H X^tau H is
+    diagonal) and fixes the uniform register, so the register for tau is the
+    |000⟩ register with tau's bits flipped, and every recorded value is the
+    same. The |000⟩ diagonal D is its own marked flip, so the K gates' and,
+    as a last row, ``TEXTBOOK``'s diagonals, stacked into a (K+1, 8, 1)
+    array, advance every trajectory in one expression.
     """
     check_k_max(k_max)
     slots = np.asarray(slots)
     if slots.ndim != 2 or slots.shape[1] != 4 or not len(slots):
         raise ConfigError(f"run_search needs (K, 4) slots, at least one row, got {slots.shape}")
-    marked = MarkedState.of(tau)
-    perm = np.arange(8) ^ marked.index
     gates = full_diagonal(np.concatenate([slots, TEXTBOOK[None]]).astype(complex))[:, :, None]
-    flips = gates[:, perm]
     h = _H3.matrix
     states = np.repeat(_uniform_register()[None, :, None], len(gates), axis=0)
     trajectory = np.empty((len(gates), k_max, 8), dtype=complex)
     for k in range(k_max):
-        states = h @ (gates * (h @ (flips * states)))
+        states = h @ (gates * (h @ (gates * states)))
         trajectory[:, k] = states[:, :, 0]
-    outputs, ideal = trajectory[:-1], trajectory[-1:]
-    survival = _vdot(outputs, outputs).real
-    return SearchGrid(
-        p_find=_modulus_squared(outputs[..., marked.index]),
-        survival=survival,
-        fidelity=_modulus_squared(_vdot(ideal, outputs)) / survival,
-    )
+    outputs = trajectory[:-1]
+    fidelity, survival = _row_fidelity(trajectory[-1], outputs)
+    return SearchGrid(p_find=abs(outputs[..., 0]) ** 2, survival=survival, fidelity=fidelity)

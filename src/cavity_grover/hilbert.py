@@ -115,11 +115,6 @@ def computational_embedding() -> tuple[int, ...]:
     return _EMBEDDING
 
 
-def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.vdot`` along the last axis, bit for bit: one batched product."""
-    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 @dataclass(frozen=True, eq=False)  # array fields: == on them is elementwise
 class PureState:
     """Complex amplitude vector over a basis, or a (K, dimension) stack of

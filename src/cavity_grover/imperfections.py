@@ -20,7 +20,8 @@ error it drops.
 Both infidelities are 1 minus a uniform-input fidelity: the gate is applied
 to the uniform superposition and the result is compared, after
 renormalization, with what the exact gate sequence would have produced.
-One row-wise fidelity scores every delay and every offset. Each function
+One row-wise fidelity, ``grover._row_fidelity``, scores every delay and
+every offset, as it scores every search iteration. Each function
 takes a whole axis: the timing ones K parameter sets and a (K, D) delay
 grid, the offset one a 1-D ``etas``; one point is the one-value case.
 """
@@ -45,7 +46,7 @@ from .dynamics import (
 )
 from .errors import ConfigError
 from .gates import TEXTBOOK, _gate_columns, decayed_i000, exact_columns, full_diagonal
-from .grover import _uniform_register
+from .grover import _row_fidelity, _uniform_register
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
 
@@ -107,15 +108,6 @@ class OffsetScenario:
 _GATE_REFERENCE = full_diagonal(TEXTBOOK) * _uniform_register()
 
 
-def _row_infidelity(reference: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    """1 - |<reference|row>|^2 / <row|row> along the last axis of
-    ``outputs``, unnormalized states, against a normalized ``reference``:
-    the overlap and the squared norm are two fused row reductions."""
-    overlap = np.einsum("...i,i->...", outputs, reference.conj())
-    norm = np.einsum("...i,...i->...", outputs, outputs.conj()).real
-    return 1.0 - abs(overlap) ** 2 / norm
-
-
 def _axis(name: str, values, ndim: int = 1) -> np.ndarray:
     """``values`` as an ``ndim``-D float array, else a ``ConfigError`` naming ``name``."""
     axis = np.asarray(values, dtype=float)
@@ -142,7 +134,7 @@ def _delayed_infidelities(
     w1, kappa = np.array([(p.omega[0], p.kappa) for p in stack]).T[..., None]
     atom1 = block_propagator(w1, kappa, delays)[..., 0, :] @ columns
     _check_result(atom1, None)
-    return _row_infidelity(_GATE_REFERENCE, full_diagonal(atom1) * _uniform_register())
+    return 1.0 - _row_fidelity(_GATE_REFERENCE, full_diagonal(atom1) * _uniform_register())[0]
 
 
 def timing_infidelity(params: Sequence[CavityParams], delta_ts) -> np.ndarray:
@@ -187,7 +179,7 @@ def timing_oracle_dense(scenario: TimingScenario) -> float:
     gate = np.column_stack(
         [evolve(h_atom1, scenario.delta_t, mid).amplitudes[0, logical] for mid in mids]
     )
-    return float(_row_infidelity(_GATE_REFERENCE, gate @ _uniform_register()))
+    return float(1.0 - _row_fidelity(_GATE_REFERENCE, gate @ _uniform_register())[0])
 
 
 def offset_couplings(scenario: OffsetScenario) -> tuple[float, float, float]:
@@ -259,5 +251,5 @@ def _four_gate_infidelities(primed: np.ndarray, base: np.ndarray, chis) -> np.nd
     rows = []
     for chi in chis:
         outputs[:, :4] = powers[chi - 1] * base ** (4 - chi) * u[:4]
-        rows.append(_row_infidelity(u, outputs))
+        rows.append(1.0 - _row_fidelity(u, outputs)[0])
     return np.array(rows)

@@ -44,6 +44,7 @@ from cavity_grover import (
     decayed_i000,
     extract_gate,
     gate_time,
+    grover_step,
     hadamard3,
     positions_for_ratio,
     residual_gate_entry,
@@ -68,6 +69,7 @@ from reference import (
     diffusion,
     excitation_number,
     gate_operator,
+    initial_state,
     logical_columns,
     phase_gate_success,
     rk4,
@@ -120,12 +122,16 @@ def test_02_dynamical_gate_oracle(params_lossless, params_strong_decay):
 
 
 def test_03_ideal_search_closed_form(params_lossless):
-    worst = 0.0
+    # run_search advances the |000⟩ register; every marked state runs
+    # through the public per-state step.
+    p_find = run_search(12, [TEXTBOOK]).p_find[0]
+    worst = max(abs(p - closed_form_probability(k)) for k, p in enumerate(p_find, start=1))
     for tau in ALL_TAUS:
-        p_find = run_search(tau, 12, [TEXTBOOK]).p_find[0]
-        for k, p in enumerate(p_find, start=1):
+        state = initial_state()
+        for k in range(1, 13):
+            state = grover_step(state, tau, gate_operator(TEXTBOOK))
+            p = abs(state.amplitudes[int(tau, 2)]) ** 2
             worst = max(worst, abs(p - closed_form_probability(k)))
-    p_find = run_search("000", 12, [TEXTBOOK]).p_find[0]
     p2, p6 = p_find[1], p_find[5]
     _check(
         "criterion 3: exact-gate search equals sin^2((2k+1)asin(1/sqrt 8))",
@@ -138,7 +144,7 @@ def test_03_ideal_search_closed_form(params_lossless):
 
 def test_04_decay_optimal_iteration(params_strong_decay):
     start = time.perf_counter()
-    p_find = run_search("000", 8, [decayed_i000(params_strong_decay)]).p_find[0]
+    p_find = run_search(8, [decayed_i000(params_strong_decay)]).p_find[0]
     best = int(p_find.argmax()) + 1
     elapsed = time.perf_counter() - start
     _check(

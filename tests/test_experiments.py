@@ -105,6 +105,22 @@ def test_parse_rejects_repeated_key():
         parse_config("kappa_ratios = 0.1\nk_max = 4\nkappa_ratios = 0.2\n")
 
 
+def test_marked_state_changes_no_byte_of_search(tmp_path, capsys):
+    # The marked state only relabels the search: every tau writes the same
+    # CSV bytes, and the summaries differ only in the line that names it.
+    ratios = ",".join(repr(0.02 * i) for i in range(25))
+    csvs, summaries = set(), set()
+    for tau in (format(v, "03b") for v in range(8)):
+        config, out = tmp_path / f"{tau}.cfg", tmp_path / f"{tau}.csv"
+        config.write_text(f"tau = {tau}\nkappa_ratios = {ratios}\nk_max = 32\n", encoding="utf-8")
+        assert cli.main(["search", "--config", str(config), "--out", str(out), "--summary"]) == 0
+        first, rest = capsys.readouterr().out.split("\n", 1)
+        assert first.startswith(f"marked state |{tau}⟩; ")
+        csvs.add(out.read_bytes())
+        summaries.add(first.replace(tau, "τ", 1) + "\n" + rest)
+    assert len(csvs) == 1 and len(summaries) == 1
+
+
 def test_cli_repeated_key_exits_1_without_csv(tmp_path, capsys):
     config, out = tmp_path / "twice.cfg", tmp_path / "search.csv"
     config.write_text("kappa_ratios = 0.1\nkappa_ratios = 0.2\n", encoding="utf-8")
@@ -1190,7 +1206,7 @@ def test_owned_rule_errors_show_the_given_value(line, shown):
     [
         ("tau", "012", [MarkedState]),
         ("omega1c_khz", 0.0, [lambda w: CavityParams.designed(2.0 * math.pi * w * 1e3, 0.0)]),
-        ("k_max", 0, [lambda k: run_search("000", k, [TEXTBOOK])]),
+        ("k_max", 0, [lambda k: run_search(k, [TEXTBOOK])]),
     ],
 )
 def test_owner_rules_have_one_message(key, value, owners):

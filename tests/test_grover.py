@@ -23,7 +23,6 @@ from cavity_grover import (
     run_search,
 )
 from cavity_grover.gates import exact_columns
-from cavity_grover.grover import _modulus_squared
 from reference import (
     closed_form_probability,
     gate_operator,
@@ -44,6 +43,15 @@ def _diagonal(variant: str, params: CavityParams) -> np.ndarray:
     if variant == "exact":
         return TEXTBOOK
     return decayed_i000(replace(params, kappa=0.0) if variant == "lossless" else params)
+
+
+def _steps(tau: str, gate: LogicalOperator, k_max: int) -> list[np.ndarray]:
+    """The register after each of ``k_max`` public steps marking ``tau``."""
+    state, registers = initial_state(), []
+    for _ in range(k_max):
+        state = grover_step(state, tau, gate)
+        registers.append(state.amplitudes)
+    return registers
 
 
 def test_initial_state_is_uniform():
@@ -89,54 +97,56 @@ def test_decayed_step_contracts_norm(params_strong_decay):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("tau", ALL_TAUS)
 def test_run_search_records_repeated_public_steps(tau, variant, params_strong_decay):
-    # run_search builds its flips once; k public steps, each rebuilding the
-    # flip, must give the same outcomes bit for bit.
-    gate = gate_operator(_diagonal(variant, params_strong_decay))
-    grid = run_search(tau, 6, [_diagonal(variant, params_strong_decay)])
-    state = ideal = initial_state()
-    for k in range(6):
-        state = grover_step(state, tau, gate)
-        ideal = grover_step(ideal, tau, gate_operator(TEXTBOOK))
-        survival = squared_norm(state)
-        assert grid.survival[0, k] == survival
-        assert grid.p_find[0, k] == abs(state.amplitudes[int(tau, 2)]) ** 2
-        assert grid.fidelity[0, k] == abs(np.vdot(ideal.amplitudes, state.amplitudes)) ** 2 / survival
+    # run_search advances the |000⟩ register alone; k public steps for any
+    # marked state, each building its flip, give the same outcomes to rounding.
+    slots = _diagonal(variant, params_strong_decay)
+    grid = run_search(6, [slots])
+    steps = zip(_steps(tau, gate_operator(slots), 6), _steps(tau, gate_operator(TEXTBOOK), 6))
+    for k, (state, ideal) in enumerate(steps):
+        survival = np.vdot(state, state).real
+        fidelity = abs(np.vdot(ideal, state)) ** 2 / survival
+        assert abs(grid.survival[0, k] - survival) <= 1e-13
+        assert abs(grid.p_find[0, k] - abs(state[int(tau, 2)]) ** 2) <= 1e-13
+        assert abs(grid.fidelity[0, k] - fidelity) <= 1e-13
 
 
 @pytest.mark.parametrize("tau", ALL_TAUS)
 def test_exact_search_matches_closed_form(tau, params_lossless):
-    p_find = run_search(tau, 12, [TEXTBOOK]).p_find[0]
+    state, gate = initial_state(), gate_operator(TEXTBOOK)
+    p_find = run_search(12, [TEXTBOOK]).p_find[0]
     for k, p in enumerate(p_find, start=1):
+        state = grover_step(state, tau, gate)
         expected = closed_form_probability(k)
+        assert abs(abs(state.amplitudes[int(tau, 2)]) ** 2 - expected) <= 1e-12
         assert abs(p - expected) <= 1e-12
 
 
 def test_sixth_iteration_peaks_lossless(params_lossless):
-    p_find = run_search("000", 8, [TEXTBOOK]).p_find[0]
+    p_find = run_search(8, [TEXTBOOK]).p_find[0]
     assert p_find[5] == pytest.approx(0.9998, abs=1e-4)
     assert p_find.argmax() + 1 == 6
 
 
 def test_second_iteration_preferred_under_decay(params_strong_decay):
-    p_find = run_search("000", 8, [decayed_i000(params_strong_decay)]).p_find[0]
+    p_find = run_search(8, [decayed_i000(params_strong_decay)]).p_find[0]
     assert p_find.argmax() + 1 == 2
 
 
 def test_lossless_gate_barely_perturbs_search(params_lossless):
-    p_find = run_search("000", 2, [decayed_i000(params_lossless)]).p_find[0]
+    p_find = run_search(2, [decayed_i000(params_lossless)]).p_find[0]
     assert p_find[1] == pytest.approx(121.0 / 128.0, abs=1e-3)
 
 
 def test_decay_ordering(params_lossless, params_weak_decay, params_strong_decay):
     params = (params_strong_decay, params_weak_decay, params_lossless)
-    strong, weak, lossless = run_search("000", 8, [decayed_i000(p) for p in params]).p_find
+    strong, weak, lossless = run_search(8, [decayed_i000(p) for p in params]).p_find
     for a, b, c in zip(strong, weak, lossless):
         assert a <= b + 1e-12
         assert b <= c + 1e-12
 
 
 def test_search_records_well_formed(params_strong_decay):
-    grid = run_search("011", 8, [decayed_i000(params_strong_decay)])
+    grid = run_search(8, [decayed_i000(params_strong_decay)])
     for p_find, survival, fidelity in zip(grid.p_find[0], grid.survival[0], grid.fidelity[0]):
         assert 0.0 <= p_find <= survival + 1e-12
         assert survival <= 1.0 + 1e-12
@@ -144,7 +154,7 @@ def test_search_records_well_formed(params_strong_decay):
 
 
 def test_exact_search_has_unit_fidelity(params_lossless):
-    for fidelity in run_search("110", 6, [TEXTBOOK]).fidelity[0]:
+    for fidelity in run_search(6, [TEXTBOOK]).fidelity[0]:
         assert fidelity == pytest.approx(1.0, abs=1e-12)
 
 
@@ -186,16 +196,20 @@ def test_search_grid_applies_the_record_rule(p_find, survival, fidelity, match):
 
 def test_run_search_validates_inputs(params_lossless):
     with pytest.raises(ConfigError):
-        run_search("000", 0, [TEXTBOOK])
-    with pytest.raises(ConfigError):
-        run_search("002", 3, [TEXTBOOK])
+        run_search(0, [TEXTBOOK])
 
 
-def test_marked_state_label():
-    assert MarkedState("101").index == 5
+def test_marked_state_label(params_strong_decay):
     assert str(MarkedState("010")) == "010"
-    with pytest.raises(ConfigError):
-        MarkedState("10")
+    for bad in ("002", "10", 5):
+        with pytest.raises(ConfigError):
+            MarkedState(bad)
+    # marked_gate takes the label or its string, and permutes i -> i ^ tau.
+    gate = gate_operator(decayed_i000(params_strong_decay))
+    flipped = marked_gate(MarkedState("101"), gate).matrix
+    assert np.array_equal(flipped, marked_gate("101", gate).matrix)
+    perm = np.arange(8) ^ 5
+    assert np.array_equal(flipped, gate.matrix[np.ix_(perm, perm)])
 
 
 # --- phase-gate success probability -----------------------------------
@@ -260,17 +274,16 @@ def test_closed_form_values():
     ratios=st.lists(
         st.floats(0.0, 3.9, exclude_max=True), min_size=1, max_size=6, unique=True
     ).map(sorted),
-    tau=st.sampled_from(ALL_TAUS),
     variant=st.sampled_from(VARIANTS),
     k_max=st.integers(1, 12),
 )
-def test_run_search_rows_equals_per_rate_runs(ratios, tau, variant, k_max, omega1c):
+def test_run_search_rows_equals_per_rate_runs(ratios, variant, k_max, omega1c):
     # The stacked (K, 8, 1) iteration must give each diagonal the row of its
     # own one-diagonal run, bit for bit (== on every float).
     diagonals = [_diagonal(variant, CavityParams.designed(omega1c, r * omega1c)) for r in ratios]
-    grid = run_search(tau, k_max, diagonals)
+    grid = run_search(k_max, diagonals)
     for i, diagonal in enumerate(diagonals):
-        alone = run_search(tau, k_max, [diagonal])
+        alone = run_search(k_max, [diagonal])
         for field in ("p_find", "survival", "fidelity"):
             assert getattr(grid, field)[i].tolist() == getattr(alone, field)[0].tolist()
 
@@ -283,15 +296,15 @@ def test_run_search_rows_builds_no_dense_gate(variant, params_strong_decay, monk
 
     monkeypatch.setattr(LogicalOperator, "__post_init__", dense)
     diagonal = _diagonal(variant, params_strong_decay)
-    grid = run_search("101", 3, [diagonal, diagonal])
+    grid = run_search(3, [diagonal, diagonal])
     assert grid.p_find.shape == grid.survival.shape == grid.fidelity.shape == (2, 3)
 
 
 def test_run_search_rows_validates_inputs(params_lossless):
     with pytest.raises(ConfigError, match="k_max"):
-        run_search("000", 0, [decayed_i000(params_lossless)])
+        run_search(0, [decayed_i000(params_lossless)])
     with pytest.raises(ConfigError, match="at least one"):
-        run_search("000", 3, [])
+        run_search(3, [])
 
 
 # --- the exact gate's slots -----------------------------------------------
@@ -301,28 +314,30 @@ def test_run_search_rows_validates_inputs(params_lossless):
 def test_run_search_on_exact_columns_equals_the_paper_form_at_kappa_0(tau):
     # The complex atom-1 rows of exact_columns are a (K, 4) slot array that
     # run_search takes unchanged. At kappa = 0 both forms give the same
-    # slots, and the searches agree bit for bit.
+    # slots, and the searches agree bit for bit, as do the per-state steps
+    # for every marked state.
     params = CavityParams.designed(1.0, 0.0)
     exact = exact_columns([params])[:, 0]
     assert exact.dtype == complex and exact.shape == (1, 4)
-    grid, paper = run_search(tau, 12, exact), run_search(tau, 12, [decayed_i000(params)])
+    grid, paper = run_search(12, exact), run_search(12, [decayed_i000(params)])
     for field in ("p_find", "survival", "fidelity"):
         assert getattr(grid, field).tobytes() == getattr(paper, field).tobytes()
+    steps = _steps(tau, gate_operator(exact[0]), 12)
+    for state, alone in zip(steps, _steps(tau, gate_operator(decayed_i000(params)), 12)):
+        assert state.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("kappa_ratio", [0.1, 0.5, 2.0, 3.9])
 def test_run_search_on_exact_columns_stays_a_no_jump_branch(kappa_ratio):
-    # Under decay the exact slots drive a proper no-jump branch for every
-    # marked state. Their p_find differs from the paper form's (marked |000⟩,
-    # 8 iterations) by at most 1.0e-5 at kappa = 0.1 w1 and 1.8e-4 at 0.5 w1.
+    # Under decay the exact slots drive a proper no-jump branch. Their p_find
+    # differs from the paper form's (8 iterations) by at most 1.0e-5 at
+    # kappa = 0.1 w1 and 1.8e-4 at 0.5 w1.
     params = CavityParams.designed(1.0, kappa_ratio)
-    exact = exact_columns([params])[:, 0]
-    for tau in ALL_TAUS:
-        grid = run_search(tau, 8, exact)
-        assert (grid.p_find <= grid.survival + 1e-12).all()
-        assert (grid.survival + 1e-12 <= 1.0 + 1e-12).all()
-    paper = run_search("000", 8, [decayed_i000(params)])
-    gap = np.abs(run_search("000", 8, exact).p_find - paper.p_find).max()
+    grid = run_search(8, exact_columns([params])[:, 0])
+    assert (grid.p_find <= grid.survival + 1e-12).all()
+    assert (grid.survival + 1e-12 <= 1.0 + 1e-12).all()
+    paper = run_search(8, [decayed_i000(params)])
+    gap = np.abs(grid.p_find - paper.p_find).max()
     assert gap <= {0.1: 1.1e-5, 0.5: 1.9e-4}.get(kappa_ratio, 1.0)
 
 
@@ -338,18 +353,27 @@ def test_marked_state_only_relabels_the_search(slots):
     # The marked flip is X^tau D X^tau, and X^tau commutes with H D H and
     # leaves the uniform register unchanged: for any diagonal D the register
     # for tau is X^tau times the one for 000, so no recorded value depends on
-    # tau beyond rounding (at most 2.2e-15, and 5.8e-14 for fidelity).
-    base = run_search("000", 32, slots)
-    for tau in ALL_TAUS[1:]:
-        grid = run_search(tau, 32, slots)
-        for field in ("p_find", "survival", "fidelity"):
-            assert np.abs(getattr(grid, field) - getattr(base, field)).max() <= 1e-13
+    # tau, and run_search, which advances the 000 register alone, records
+    # every tau's values.
+    grid = run_search(32, slots)
+    ideals = {tau: _steps(tau, gate_operator(TEXTBOOK), 32) for tau in ALL_TAUS}
+    for row, gate in enumerate(map(gate_operator, slots)):
+        base = _steps("000", gate, 32)
+        for tau in ALL_TAUS:
+            perm = np.arange(8) ^ int(tau, 2)
+            for k, (state, ideal) in enumerate(zip(_steps(tau, gate, 32), ideals[tau])):
+                assert np.abs(state - base[k][perm]).max() <= 1e-13
+                survival = np.vdot(state, state).real
+                fidelity = abs(np.vdot(ideal, state)) ** 2 / survival
+                assert abs(grid.p_find[row, k] - abs(state[int(tau, 2)]) ** 2) <= 1e-13
+                assert abs(grid.survival[row, k] - survival) <= 1e-13
+                assert abs(grid.fidelity[row, k] - fidelity) <= 1e-13
 
 
 @pytest.mark.parametrize("slots", [np.ones((2, 3)), np.ones(4), np.empty((0, 4)), []])
 def test_run_search_rejects_malformed_slot_arrays(slots):
     with pytest.raises(ConfigError, match=r"^run_search needs \(K, 4\) slots, at least one row, got \("):
-        run_search("000", 3, slots)
+        run_search(3, slots)
 
 
 def test_gate_slot_arrays_are_read_only(params_strong_decay):
@@ -360,18 +384,3 @@ def test_gate_slot_arrays_are_read_only(params_strong_decay):
         with pytest.raises(ValueError, match="read-only"):
             array[..., 0] = 0.5
     assert TEXTBOOK.tolist() == [-1.0, 1.0, 1.0, 1.0]
-
-
-def test_modulus_squared_rounds_as_the_scalar_expression():
-    # Seeded amplitudes over many scales, with 0, subnormals and moduli next
-    # to 1: every entry has the bits of abs(complex(v)) ** 2.
-    rng = np.random.default_rng(2007)
-    scales = rng.choice([1e-160, 1e-5, 0.5, 1.0, 1e100], 4000)
-    z = (rng.standard_normal(4000) + 1j * rng.standard_normal(4000)) * scales
-    edges = [0.0, -0.0j, 5e-324, 5e-324j, 1e-310 - 2e-310j, 1 - 2**-53, 1 + 2**-52, 0.6 + 0.8j]
-    near_one = np.exp(1j * rng.uniform(0, 2 * math.pi, 200)) * (1 + rng.uniform(-1e-15, 1e-15, 200))
-    z = np.concatenate([z, edges, near_one]).reshape(2, -1)
-    expected = np.array([abs(complex(v)) ** 2 for v in z.ravel()]).reshape(z.shape)
-    got = _modulus_squared(z)
-    assert got.shape == z.shape
-    assert got.tobytes() == expected.tobytes()

@@ -22,7 +22,7 @@ from cavity_grover import (
     timing_oracle,
     timing_oracle_dense,
 )
-from cavity_grover import dynamics, imperfections
+from cavity_grover import dynamics, grover, imperfections
 from cavity_grover.dynamics import DESIGNED_RATIOS
 from cavity_grover.gates import decayed_i000, full_diagonal
 from reference import rk4_timing_oracle, rows
@@ -434,7 +434,7 @@ def _product_power(x, chi):
 
 def _eight_slot_offset_grid(
     params, chis, etas, model, per_atom,
-    power=_product_power, infidelity=imperfections._row_infidelity,
+    power=_product_power, fidelity=grover._row_fidelity,
 ):
     # Every slot of a (len(etas), 8) array raised to the power chi, and the
     # row-wise fidelity on all eight slots: the form the four-slot grid must
@@ -447,7 +447,7 @@ def _eight_slot_offset_grid(
     rows = []
     for chi in chis:
         outputs = power(primed, chi) * base ** (4 - chi) * u
-        rows.append(infidelity(u, outputs))
+        rows.append(1.0 - fidelity(u, outputs)[0])
     return np.array(rows)
 
 
@@ -468,11 +468,12 @@ def test_offset_grid_equals_the_eight_slot_grid_bit_for_bit(model, seed):
     assert grid.tobytes() == expected.tobytes()
 
 
-def _previous_row_infidelity(reference, outputs):
-    # The row-wise fidelity as it was before the fused reductions: five
-    # full-size steps (product, sum, abs, square, sum).
+def _previous_row_fidelity(reference, outputs):
+    # The row-wise fidelity and norm as they were before the fused reductions:
+    # five full-size steps (product, sum, abs, square, sum).
     overlap = (reference.conj() * outputs).sum(axis=-1)
-    return 1.0 - abs(overlap) ** 2 / (abs(outputs) ** 2).sum(axis=-1)
+    norm = (abs(outputs) ** 2).sum(axis=-1)
+    return abs(overlap) ** 2 / norm, norm
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -488,7 +489,7 @@ def test_offset_grid_keeps_the_previous_arithmetic_within_1e15(model, seed):
     per_atom = tuple(rng.uniform(-0.99, 0.99, 3).tolist()) if model == "per_atom" else None
     grid = coupling_offset_infidelity(params, chis, etas, model, per_atom)
     previous = _eight_slot_offset_grid(
-        params, chis, etas, model, per_atom, operator.pow, _previous_row_infidelity
+        params, chis, etas, model, per_atom, operator.pow, _previous_row_fidelity
     )
     assert np.abs(grid - previous).max() <= 1e-15
     low = [chi for chi in chis if chi <= 2]
@@ -508,7 +509,7 @@ def test_timing_keeps_the_previous_fidelity_within_1e15(seed, monkeypatch):
     scenario = TimingScenario(float(delta_ts[0][0]), stack[0])
     fused = [timing_infidelity(stack, delta_ts), timing_oracle(stack, delta_ts)]
     dense = timing_oracle_dense(scenario)
-    monkeypatch.setattr(imperfections, "_row_infidelity", _previous_row_infidelity)
+    monkeypatch.setattr(imperfections, "_row_fidelity", _previous_row_fidelity)
     previous = [timing_infidelity(stack, delta_ts), timing_oracle(stack, delta_ts)]
     for now, before in zip(fused, previous):
         assert now.shape == before.shape == (5, 40)

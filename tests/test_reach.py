@@ -53,7 +53,7 @@ for config in [None, *configs]:
         assert cli.main(argv + ([] if config is None else ["--config", config])) == 0
 assert cli.main(["no-such-experiment"]) == 1
 try:
-    cavity_grover.run_search("000", 1, [[float("nan")] * 4] * 2)
+    cavity_grover.run_search(1, [[float("nan")] * 4] * 2)
 except cavity_grover.NumericalError as exc:
     assert exc.row == 0
 else:
