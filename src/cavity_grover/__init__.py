@@ -51,7 +51,6 @@ from .hilbert import (
 )
 from .imperfections import (
     OffsetScenario,
-    TimingScenario,
     coupling_offset_infidelity,
     offset_couplings,
     timing_infidelity,

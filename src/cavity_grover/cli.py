@@ -49,7 +49,7 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not text
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc

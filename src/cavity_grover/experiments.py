@@ -27,9 +27,9 @@ from .gates import MarkedState, decayed_i000, full_diagonal, residual_gate_entry
 from .grover import check_k_max, run_search
 from .imperfections import (
     OffsetScenario,
-    TimingScenario,
     _four_gate_infidelities,
     coupling_offset_infidelity,
+    delay_fractions,
     timing_infidelity,
     timing_oracle,
 )
@@ -105,12 +105,12 @@ class ExperimentConfig:
         for key in _RETIRED_KEYS:
             if getattr(self, key) != 1:
                 raise ConfigError(f"{key} is retired and must be 1, got {getattr(self, key)}")
+        if self.eta_max < 0:  # delay_fractions below bounds delta_t_max_frac
+            raise ConfigError(f"eta_max must be >= 0, got {self.eta_max}")
         for key, maximum, points in (
             ("delta_t_max_frac", self.delta_t_max_frac, self.delta_t_points),
             ("eta_max", self.eta_max, self.eta_points),
         ):
-            if maximum < 0:
-                raise ConfigError(f"{key} must be >= 0, got {maximum}")
             if points > 1 and maximum == 0:
                 raise ConfigError(f"{key} must be > 0 for a {points}-point grid")
         # Every other rule belongs to the type that uses the value: build the
@@ -119,13 +119,12 @@ class ExperimentConfig:
         _built("k_max", self.k_max, check_k_max, self.k_max)
         _built("tau", self.tau, MarkedState, self.tau)
         _built("omega1c_khz", self.omega1c_khz, self.iteration_us)
+        # linspace ends exactly at delta_t_max_frac: the sweep's last delay.
+        _built("delta_t_max_frac", self.delta_t_max_frac, delay_fractions, [self.delta_t_max_frac])
         stack, gates = [], []
         for ratio in self.kappa_ratios:
             stack.append(params := _built("kappa_ratios", ratio, self.params, ratio))
             gates.append(_built("kappa_ratios", ratio, decayed_i000, params))  # fails if damped out
-            # linspace ends exactly at delta_t_max_frac: the sweep's last delay.
-            delay = self.delta_t_max_frac * gate_time(params)
-            _built("delta_t_max_frac", self.delta_t_max_frac, TimingScenario, delay, params)
         object.__setattr__(self, "_kappa_params", tuple(stack))
         object.__setattr__(self, "_kappa_gates", gates := np.array(gates))
         gates.flags.writeable = False
@@ -306,9 +305,8 @@ def _search_experiment(config: ExperimentConfig) -> SweepTable:
 
 def _timing_experiment(config: ExperimentConfig) -> SweepTable:
     fracs = config.delta_t_fracs()
-    delta_ts = [fracs * gate_time(p) for p in config._kappa_params]
-    formula = timing_infidelity(config._kappa_params, delta_ts)
-    oracle = timing_oracle(config._kappa_params, delta_ts)
+    formula = timing_infidelity(config._kappa_params, fracs)
+    oracle = timing_oracle(config._kappa_params, fracs)
     lines = ["delta_t in fractions of one gate time; atom 1 exits late"]
     for ratio, at_zero, oracle_at_zero in zip(config.kappa_ratios, formula[:, 0], oracle[:, 0]):
         lines.append(  # each grid starts at delta_t = 0

@@ -22,8 +22,9 @@ to the uniform superposition and the result is compared, after
 renormalization, with what the exact gate sequence would have produced.
 One row-wise fidelity, ``grover._row_fidelity``, scores every delay and
 every offset, as it scores every search iteration. Each function
-takes a whole axis: the timing ones K parameter sets and a (K, D) delay
-grid, the offset one a 1-D ``etas``; one point is the one-value case.
+takes a whole axis: the timing ones K parameter sets and one 1-D axis of
+delays in gate times, shared by the K sets (``delay_fractions`` is its one
+rule), the offset one a 1-D ``etas``; one point is the one-value case.
 """
 
 from __future__ import annotations
@@ -49,26 +50,6 @@ from .gates import TEXTBOOK, _gate_columns, decayed_i000, exact_columns, full_di
 from .grover import _row_fidelity, _uniform_register
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
-
-
-@dataclass(frozen=True, eq=False)  # delta_t may be an array: == on it is elementwise
-class TimingScenario:
-    """Atom 1 exits ``delta_t`` after atoms 2 and 3 (who leave on time,
-    after one gate time), in the inverse unit of the rates in ``params``.
-    ``delta_t`` may be an array of delays, one scenario per value."""
-
-    delta_t: float
-    params: CavityParams
-
-    def __post_init__(self) -> None:
-        t_gate = gate_time(self.params)
-        delta_t = np.asarray(self.delta_t)
-        bad = delta_t[~((0.0 <= delta_t) & (delta_t <= t_gate))]  # NaN fails too
-        if bad.size:
-            raise ConfigError(
-                f"delta_t={bad[0]} outside [0, one gate time = {t_gate}]; "
-                "the overrun model only covers small delays"
-            )
 
 
 @dataclass(frozen=True, eq=False)  # eta may be an array: == on it is elementwise
@@ -108,39 +89,44 @@ class OffsetScenario:
 _GATE_REFERENCE = full_diagonal(TEXTBOOK) * _uniform_register()
 
 
-def _axis(name: str, values, ndim: int = 1) -> np.ndarray:
-    """``values`` as an ``ndim``-D float array, else a ``ConfigError`` naming ``name``."""
+def _axis(name: str, values) -> np.ndarray:
+    """``values`` as a 1-D float array, else a ``ConfigError`` naming ``name``."""
     axis = np.asarray(values, dtype=float)
-    if axis.ndim != ndim:
-        raise ConfigError(f"{name} must be a {ndim}-D sequence of values, got shape {axis.shape}")
+    if axis.ndim != 1:
+        raise ConfigError(f"{name} must be a 1-D sequence of values, got shape {axis.shape}")
     return axis
 
 
+def delay_fractions(values) -> np.ndarray:
+    """Atom 1's delays in gate times as a 1-D float array, each in [0, 1]."""
+    fracs = _axis("delta_t_frac", values)
+    bad = fracs[~((0.0 <= fracs) & (fracs <= 1.0))]  # NaN fails too
+    if bad.size:
+        raise ConfigError(f"delta_t_frac={bad[0]} outside [0, 1]; the model stops at one gate time")
+    return fracs
+
+
 def _delayed_infidelities(
-    params: Sequence[CavityParams], delta_ts, columns: np.ndarray
+    params: Sequence[CavityParams], fracs, columns: np.ndarray
 ) -> np.ndarray:
-    """Gate infidelity of each of K parameter sets at every delay in its row
-    of the (K, D) ``delta_ts``, in order, from the (K, 2, 4) (atom-1, photon)
-    amplitudes ``columns`` of the four atom-1-in-``E`` columns at the gate
-    time, whose atom-1 rows are the gates' decaying slots: each delay dt
-    applies ``block_propagator(w1, kappa, dt)``, and the other four columns
-    stay exactly 1."""
+    """Gate infidelity of each of K parameter sets at every delay of the 1-D
+    ``fracs`` (fractions of that set's gate time), in order: a (K, D) array, from the
+    (K, 2, 4) (atom-1, photon) amplitudes ``columns`` of the four
+    atom-1-in-``E`` columns at the gate time, whose atom-1 rows are the
+    gates' decaying slots: each delay dt applies ``block_propagator(w1,
+    kappa, dt)``, and the other four columns stay exactly 1."""
     stack = as_stack(params)
-    delays = _axis("delta_ts", delta_ts, 2)
-    if len(delays) != len(stack):
-        raise ConfigError(f"delta_ts needs one row per parameter set, got shape {delays.shape}")
-    for row, p in zip(delays, stack):
-        TimingScenario(row, p)  # validates every delay
-    w1, kappa = np.array([(p.omega[0], p.kappa) for p in stack]).T[..., None]
-    atom1 = block_propagator(w1, kappa, delays)[..., 0, :] @ columns
+    fracs = delay_fractions(fracs)
+    w1, kappa, t = np.array([(p.omega[0], p.kappa, gate_time(p)) for p in stack]).T[..., None]
+    atom1 = block_propagator(w1, kappa, fracs * t)[..., 0, :] @ columns
     _check_result(atom1, None)
     return 1.0 - _row_fidelity(_GATE_REFERENCE, full_diagonal(atom1) * _uniform_register())[0]
 
 
-def timing_infidelity(params: Sequence[CavityParams], delta_ts) -> np.ndarray:
+def timing_infidelity(params: Sequence[CavityParams], fracs) -> np.ndarray:
     """Closed-form gate infidelity caused by atom 1 overstaying by dt, for
-    each of K parameter sets at every delay dt in its row of the (K, D)
-    ``delta_ts``, in order: a (K, D) array.
+    each of K parameter sets at every delay of the 1-D ``fracs``, each a
+    fraction of that set's gate time, in order: a (K, D) array.
 
     The delay model of ``timing_oracle`` on the paper setting of
     ``gates._gate_columns``. Its atom-1 row is ``decayed_i000``'s. Of the
@@ -149,35 +135,37 @@ def timing_infidelity(params: Sequence[CavityParams], delta_ts) -> np.ndarray:
     sin(sqrt(65)*pi) on |001⟩ (a13 = sqrt(w1^2 + w3^2 - kappa^2/16)) and
     exactly 0 on the closed cycles.
     """
-    return _delayed_infidelities(params, delta_ts, np.stack(_gate_columns(params, False), -2))
+    return _delayed_infidelities(params, fracs, np.stack(_gate_columns(params, False), -2))
 
 
-def timing_oracle(params: Sequence[CavityParams], delta_ts) -> np.ndarray:
+def timing_oracle(params: Sequence[CavityParams], fracs) -> np.ndarray:
     """Full-dynamics counterpart of ``timing_infidelity``, on the same K
-    parameter sets and (K, D) delays. One gate time leaves each
+    parameter sets and 1-D delay fractions. One gate time leaves each
     atom-1-in-``E`` column the exact amplitudes of ``gates.exact_columns``;
     each delay then applies P(w1, dt). ``timing_oracle_dense`` is its reference.
     """
-    return _delayed_infidelities(params, delta_ts, exact_columns(params))
+    return _delayed_infidelities(params, fracs, exact_columns(params))
 
 
-def timing_oracle_dense(scenario: TimingScenario) -> float:
-    """``timing_oracle`` at one delay by dense propagation: the test reference.
+def timing_oracle_dense(params: CavityParams, delta_t_frac: float) -> float:
+    """``timing_oracle`` at one delay, in gate times, by dense propagation:
+    the test reference.
 
     Evolves each logical basis state under the complete no-jump Hamiltonian
     for one gate time, then under the atom-1-only coupling (atoms 2 and 3
-    gone, decay still on) for delta_t, projects onto the logical subspace,
+    gone, decay still on) for the delay, projects onto the logical subspace,
     and evaluates the same uniform-input infidelity.
     """
-    if np.ndim(scenario.delta_t) != 0:
-        raise ConfigError(f"delta_t must be one delay, got shape {np.shape(scenario.delta_t)}")
-    params = scenario.params
-    embedding, mids = evolve_logical_basis([params], [gate_time(params)])
+    if np.ndim(delta_t_frac) != 0:
+        raise ConfigError(f"delta_t_frac must be one value, got shape {np.shape(delta_t_frac)}")
+    (frac,) = delay_fractions([delta_t_frac])
+    t_gate = gate_time(params)
+    embedding, mids = evolve_logical_basis([params], [t_gate])
     h_atom1 = exchange_hamiltonian((params.omega[0], 0.0, 0.0))  # atoms 2, 3 gone
     add_cavity_decay(h_atom1, params.kappa)
     logical = list(embedding)
     gate = np.column_stack(
-        [evolve(h_atom1, scenario.delta_t, mid).amplitudes[0, logical] for mid in mids]
+        [evolve(h_atom1, frac * t_gate, mid).amplitudes[0, logical] for mid in mids]
     )
     return float(1.0 - _row_fidelity(_GATE_REFERENCE, gate @ _uniform_register())[0])
 

@@ -27,7 +27,6 @@ from cavity_grover import (
     LogicalOperator,
     PureState,
     SweepTable,
-    TimingScenario,
     build_effective_hamiltonian,
     computational_embedding,
     gate_time,
@@ -72,14 +71,15 @@ def rk4_gate(params, t, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return restricted, leakage
 
 
-def rk4_timing_oracle(scenario: TimingScenario, steps: int) -> float:
+def rk4_timing_oracle(params, delta_t_frac: float, steps: int) -> float:
     """``timing_oracle_dense`` by ``rk4``: one gate time under the full
-    generator, then ``delta_t`` under atom 1's coupling and the decay alone,
-    scored by the uniform-input infidelity against the textbook gate."""
-    params = scenario.params
-    mids = rk4(build_effective_hamiltonian(params), gate_time(params), logical_columns(), steps)
+    generator, then ``delta_t_frac`` gate times under atom 1's coupling and
+    the decay alone, scored by the uniform-input infidelity against the
+    textbook gate."""
+    t_gate = gate_time(params)
+    mids = rk4(build_effective_hamiltonian(params), t_gate, logical_columns(), steps)
     h_atom1 = add_cavity_decay(exchange_hamiltonian((params.omega[0], 0.0, 0.0)), params.kappa)
-    gate = rk4(h_atom1, scenario.delta_t, mids, steps)[list(computational_embedding())]
+    gate = rk4(h_atom1, delta_t_frac * t_gate, mids, steps)[list(computational_embedding())]
     uniform = initial_state().amplitudes
     out, expected = gate @ uniform, full_diagonal(TEXTBOOK) * uniform
     return float(1.0 - abs(np.vdot(expected, out)) ** 2 / np.vdot(out, out).real)

@@ -39,7 +39,6 @@ import pytest
 
 from cavity_grover import (
     TEXTBOOK,
-    TimingScenario,
     coupling_offset_infidelity,
     decayed_i000,
     extract_gate,
@@ -184,7 +183,7 @@ def test_07_geometry_ratio():
 
 
 def test_08a_timing_baseline_lossless(params_lossless):
-    value = timing_infidelity([params_lossless], [[0.0]])[0, 0]
+    value = timing_infidelity([params_lossless], [0.0])[0, 0]
     _check(
         "criterion 8a: zero-delay lossless timing infidelity <= 1e-6",
         value <= 1e-6,
@@ -193,7 +192,7 @@ def test_08a_timing_baseline_lossless(params_lossless):
 
 
 def test_08b_timing_baseline_strong_decay(params_strong_decay):
-    value = timing_infidelity([params_strong_decay], [[0.0]])[0, 0]
+    value = timing_infidelity([params_strong_decay], [0.0])[0, 0]
     _check(
         "criterion 8b: zero-delay infidelity = 6.3e-4 +/- 1e-4 at kappa=w1/10",
         abs(value - 6.3e-4) <= 1e-4,
@@ -210,17 +209,14 @@ def test_08c_timing_monotone_on_default_grid(params_weak_decay, params_strong_de
     grid = np.linspace(0.0, 0.1, 50)
     for params in (params_weak_decay, params_strong_decay):
         label = f"kappa/w1={params.kappa / params.omega[0]:.2f}"
-        t0 = gate_time(params)
-        values = [timing_infidelity([params], [[float(f) * t0]])[0, 0] for f in grid]
+        values = [timing_infidelity([params], [float(f)])[0, 0] for f in grid]
         drops = [b - a for a, b in zip(values[1:], values[2:]) if b < a]
         if drops:
             failures.append(f"{label}: drop after the first step {min(drops):.2e}")
         if not values[-1] > values[0]:
             failures.append(f"{label}: last {values[-1]:.3e} <= first {values[0]:.3e}")
         first_step = values[1] - values[0]
-        oracle_step = timing_oracle_dense(
-            TimingScenario(float(grid[1]) * t0, params)
-        ) - timing_oracle_dense(TimingScenario(0.0, params))
+        oracle_step = timing_oracle_dense(params, float(grid[1])) - timing_oracle_dense(params, 0.0)
         gap = abs(first_step - oracle_step)
         if not gap <= 0.2 * abs(oracle_step):
             failures.append(
@@ -244,9 +240,9 @@ def test_08d_formula_vs_oracle(params_weak_decay, params_strong_decay):
     for params in (params_weak_decay, params_strong_decay):
         a1 = decay_shifted_frequency(params.omega[0], params.kappa)
         for scaled_delay in (0.025, 0.05, 0.075, 0.1):
-            scenario = TimingScenario(scaled_delay / a1, params)
-            formula = timing_infidelity([params], [[scenario.delta_t]])[0, 0]
-            oracle = timing_oracle_dense(scenario)
+            frac = scaled_delay / a1 / gate_time(params)
+            formula = timing_infidelity([params], [frac])[0, 0]
+            oracle = timing_oracle_dense(params, frac)
             gap = abs(formula - oracle)
             ok = ok and gap <= max(0.2 * abs(oracle), 1e-4)
             worst_abs = max(worst_abs, gap)

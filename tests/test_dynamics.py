@@ -559,8 +559,8 @@ _KAPPA_SWEEPS = {
     "extract_gate": lambda s: extract_gate(s, [1.0] * len(s)).leakage,
     "exact_columns": exact_columns,
     "paper_columns": lambda s: np.stack(_gate_columns(s, False), axis=-2),
-    "timing_infidelity": lambda s: imperfections.timing_infidelity(s, [[0.0]] * len(s)),
-    "timing_oracle": lambda s: imperfections.timing_oracle(s, [[0.0]] * len(s)),
+    "timing_infidelity": lambda s: imperfections.timing_infidelity(s, [0.0]),
+    "timing_oracle": lambda s: imperfections.timing_oracle(s, [0.0]),
 }
 
 

@@ -21,7 +21,6 @@ from cavity_grover import (
     ExperimentConfig,
     NumericalError,
     OffsetScenario,
-    TimingScenario,
     build_effective_hamiltonian,
     decayed_i000,
     evolve,
@@ -30,6 +29,7 @@ from cavity_grover import (
     positions_for_ratio,
     run_experiment,
     serialize_config,
+    timing_oracle_dense,
     write_csv,
 )
 from cavity_grover import cli, dynamics, experiments, grover, imperfections
@@ -267,7 +267,6 @@ _GUARDED_CALLS = {
     "CavityParams omega": lambda x: CavityParams((1.0, x, 3.0)),
     "CavityParams kappa": lambda x: CavityParams((1.0, 2.0, 3.0), kappa=x),
     "CavityParams.designed": lambda x: CavityParams.designed(x),
-    "TimingScenario": lambda x: TimingScenario(x, _P),
     "OffsetScenario eta": lambda x: OffsetScenario(x, 1, _P),
     "OffsetScenario per-atom eta": lambda x: OffsetScenario(0.0, 1, _P, "per_atom", (0.0, x, 0.0)),
     "positions_for_ratio": positions_for_ratio,
@@ -277,6 +276,7 @@ _GUARDED_CALLS = {
     "evolve": lambda x: evolve(build_effective_hamiltonian(_P), x, basis_state(0)),
     "extract_gate": lambda x: extract_gate([_P], [x]),
     "phase_gate_success": lambda x: phase_gate_success([x] + [1.0] * 7, decayed_i000(_P)),
+    "timing_oracle_dense": lambda x: timing_oracle_dense(_P, x),
 }
 
 
@@ -466,7 +466,7 @@ _CONFIG_DRAWS = {  # key: (accepted values, any values)
     ),
     "delta_t_max_frac": (
         _floats(0.0, 1.0, 5e-324, 0.1, 1.0).filter(bool),
-        _floats(-0.1, 1.5, 0.0, -5e-324, 1.0000001),
+        _floats(-0.1, 1.5, 0.0, -5e-324, float(np.nextafter(1.0, 2.0)), 1.0000001),
     ),
     "delta_t_points": (st.integers(1, 6), st.integers(-1, 6)),
     "eta_max": (
@@ -829,6 +829,18 @@ def test_cli_reads_config_file(tmp_path):
     assert len(lines) == 1 + 2 * 2  # header + two ratios x two iterations
 
 
+def test_cli_reads_a_config_file_that_starts_with_a_byte_order_mark(tmp_path):
+    # Editors on some systems save UTF-8 with a BOM; it is not part of the first key.
+    text = "kappa_ratios = 0.1\ndelta_t_points = 4\n"
+    csvs = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        config, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+        config.write_bytes(data)
+        assert cli.main(["timing", "--config", str(config), "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def _non_finite_data_row(csv_text: str) -> bool:
     # nan or inf in any case, as grep -Ei would find it. The header is
     # skipped, since the infidelity_formula column's name contains "inf".
@@ -1030,7 +1042,7 @@ def test_a_failure_without_a_row_propagates_unchanged_after_one_call(monkeypatch
     # and the stacked call is not made again.
     calls = []
 
-    def rowless_failure(params, delta_ts):
+    def rowless_failure(params, fracs):
         calls.append(len(params))
         raise NumericalError("synthetic stack failure")
 
@@ -1187,7 +1199,7 @@ def test_per_atom_offsets_checked_under_every_model(model, tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, shown",
     [
-        ("delta_t_max_frac = 1.5", "delta_t_max_frac = 1.5: delta_t="),
+        ("delta_t_max_frac = 1.5", "delta_t_max_frac = 1.5: delta_t_frac=1.5 outside [0, 1]"),
         ("kappa_ratios = 0,4.5", "kappa_ratios = 4.5: kappa="),
         ("chi_list = 1,5", "chi_list = 5: "),
         ("offset_eta_per_atom = 0,1.5,0", "offset_eta_per_atom = 0.0,1.5,0.0: "),

@@ -10,7 +10,6 @@ from cavity_grover import (
     LogicalOperator,
     OffsetScenario,
     PureState,
-    TimingScenario,
     build_effective_hamiltonian,
     computational_embedding,
     parse_config,
@@ -144,20 +143,18 @@ def test_pure_state_amplitudes_read_only():
         lambda: PureState(np.ones(8)),
         lambda: LogicalOperator(np.eye(8)),
         lambda: GateExtract(LogicalOperator(np.eye(8)), np.zeros(8)),
-        lambda: TimingScenario(np.array([0.0, 0.01]), CavityParams.designed(1.0, 0.1)),
-        lambda: TimingScenario(0.01, CavityParams.designed(1.0, 0.1)),
         lambda: OffsetScenario(np.array([0.0, 0.01]), 2, CavityParams.designed(1.0, 0.1)),
         lambda: OffsetScenario(0.01, 2, CavityParams.designed(1.0, 0.1)),
     ],
     ids=[
-        "PureState", "LogicalOperator", "GateExtract", "TimingScenario-array",
-        "TimingScenario-scalar", "OffsetScenario-array", "OffsetScenario-scalar",
+        "PureState", "LogicalOperator", "GateExtract", "OffsetScenario-array",
+        "OffsetScenario-scalar",
     ],
 )
 def test_array_holders_compare_by_identity(build):
     # == on array fields is elementwise, so these types keep object identity:
     # equal contents compare unequal without raising, and hash works. The
-    # scenarios may hold one value or an array, and compare alike either way.
+    # offset scenario may hold one value or an array, and compares alike either way.
     a, b = build(), build()
     assert not (a == b) and a != b
     assert a == a

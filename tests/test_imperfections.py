@@ -12,7 +12,6 @@ from cavity_grover import (
     ConfigError,
     ExperimentConfig,
     OffsetScenario,
-    TimingScenario,
     coupling_offset_infidelity,
     extract_gate,
     gate_time,
@@ -46,32 +45,29 @@ def _uniform_input_infidelity(gate_matrix: np.ndarray) -> float:
 
 
 def test_no_delay_no_decay_is_faithful(params_lossless):
-    assert timing_infidelity([params_lossless], [[0.0]])[0, 0] <= 1e-6
+    assert timing_infidelity([params_lossless], [0.0])[0, 0] <= 1e-6
 
 
 def test_no_delay_decay_baseline(params_strong_decay):
-    value = timing_infidelity([params_strong_decay], [[0.0]])[0, 0]
+    value = timing_infidelity([params_strong_decay], [0.0])[0, 0]
     assert value == pytest.approx(6.3e-4, abs=1e-4)
 
 
 def test_delay_infidelity_grows_with_decay(params_weak_decay, params_strong_decay):
-    dt = 0.05 * gate_time(params_strong_decay)
-    strong = timing_infidelity([params_strong_decay], [[dt]])[0, 0]
-    weak = timing_infidelity([params_weak_decay], [[dt]])[0, 0]
+    (weak,), (strong,) = timing_infidelity([params_weak_decay, params_strong_decay], [0.05])
     assert strong > weak
 
 
-def test_timing_scenario_validates_window(params_strong_decay):
+def test_timing_scenario_validates_window():
     with pytest.raises(ConfigError):
-        TimingScenario(-1e-9, params_strong_decay)
+        imperfections.delay_fractions([-1e-9])
     with pytest.raises(ConfigError):
-        TimingScenario(2.0 * gate_time(params_strong_decay), params_strong_decay)
-    # An array of delays is checked with one gate time; the first bad one is named.
-    t0 = gate_time(params_strong_decay)
-    with pytest.raises(ConfigError, match=r"^delta_t=-1e-09 outside"):
-        TimingScenario(np.array([0.5 * t0, -1e-9, math.nan, 2.0 * t0]), params_strong_decay)
-    with pytest.raises(ConfigError, match=r"^delta_t=nan outside"):
-        TimingScenario(np.array([0.0, t0, math.nan]), params_strong_decay)
+        imperfections.delay_fractions([2.0])
+    # The first bad delay is named; one gate time itself is in the window.
+    with pytest.raises(ConfigError, match=r"^delta_t_frac=-1e-09 outside"):
+        imperfections.delay_fractions(np.array([0.5, -1e-9, math.nan, 2.0]))
+    with pytest.raises(ConfigError, match=r"^delta_t_frac=nan outside"):
+        imperfections.delay_fractions(np.array([0.0, 1.0, math.nan]))
 
 
 def test_oracle_self_consistent_at_zero_delay(params_strong_decay):
@@ -80,23 +76,22 @@ def test_oracle_self_consistent_at_zero_delay(params_strong_decay):
     direct = _uniform_input_infidelity(
         extract_gate([params_strong_decay], [gate_time(params_strong_decay)]).restricted.matrix[0]
     )
-    oracle = timing_oracle_dense(TimingScenario(0.0, params_strong_decay))
+    oracle = timing_oracle_dense(params_strong_decay, 0.0)
     assert oracle == pytest.approx(direct, abs=1e-12)
 
 
 @pytest.mark.parametrize("frac", [0.01, 0.02, 0.031])
 def test_formula_tracks_oracle_for_small_delays(frac, params_weak_decay):
-    scenario = TimingScenario(frac * gate_time(params_weak_decay), params_weak_decay)
-    formula = timing_infidelity([scenario.params], [[scenario.delta_t]])[0, 0]
-    oracle = timing_oracle_dense(scenario)
+    formula = timing_infidelity([params_weak_decay], [frac])[0, 0]
+    oracle = timing_oracle_dense(params_weak_decay, frac)
     assert abs(formula - oracle) <= max(0.2 * abs(oracle), 1e-4)
 
 
 def test_timing_oracle_honours_settings(params_strong_decay):
     # As for extract_gate: the full-space RK4 reference agrees with the
     # matrix exponential but is not bit-equal to it, so it really integrated.
-    scenario = TimingScenario(0.05 * gate_time(params_strong_decay), params_strong_decay)
-    gap = abs(rk4_timing_oracle(scenario, 1024) - timing_oracle_dense(scenario))
+    params = params_strong_decay
+    gap = abs(rk4_timing_oracle(params, 0.05, 1024) - timing_oracle_dense(params, 0.05))
     assert 0.0 < gap <= 1e-10
 
 
@@ -112,11 +107,10 @@ def test_timing_oracle_honours_settings(params_strong_decay):
 def test_timing_oracle_matches_per_point(omega1c, ratios, kappa_ratio, fracs):
     omega = tuple(r * omega1c for r in ratios)
     params = CavityParams(omega, kappa=kappa_ratio * omega[0])
-    delta_ts = [f * gate_time(params) for f in fracs]
-    grid = timing_oracle([params], [delta_ts])[0]
-    assert len(grid) == len(delta_ts)
-    for dt, value in zip(delta_ts, grid):
-        assert abs(value - timing_oracle_dense(TimingScenario(dt, params))) <= 1e-12
+    grid = timing_oracle([params], fracs)[0]
+    assert len(grid) == len(fracs)
+    for frac, value in zip(fracs, grid):
+        assert abs(value - timing_oracle_dense(params, frac)) <= 1e-12
 
 
 def test_timing_runs_without_dense_propagation(omega1c, monkeypatch):
@@ -129,23 +123,27 @@ def test_timing_runs_without_dense_propagation(omega1c, monkeypatch):
     ]:
         monkeypatch.setattr(module, name, refuse)
     params = CavityParams.designed(omega1c, 0.1 * omega1c)
-    delta_ts = [f * gate_time(params) for f in (0.0, 0.05, 1.0)]
-    assert len(timing_oracle([params], [delta_ts])[0]) == 3
+    assert len(timing_oracle([params], [0.0, 0.05, 1.0])[0]) == 3
     assert len(rows(run_experiment("timing", ExperimentConfig(delta_t_points=5)))) == 3 * 5
 
 
+# Delays outside [0, 1] gate times, NaN, and a fraction grid of the wrong shape.
+_BAD_FRACS = (
+    [0.0, -1e-9], [2.0], [[0.0, 0.05]], [-1e-300], [math.nan], [float(np.nextafter(1.0, 2.0))]
+)
+
+
 def test_timing_oracle_validates_delays(params_strong_decay):
-    with pytest.raises(ConfigError):
-        timing_oracle([params_strong_decay], [[0.0, -1e-9]])
-    with pytest.raises(ConfigError):
-        timing_oracle([params_strong_decay], [[2.0 * gate_time(params_strong_decay)]])
+    for bad in _BAD_FRACS:
+        with pytest.raises(ConfigError, match="delta_t_frac"):
+            timing_oracle([params_strong_decay], bad)
 
 
 def test_timing_infidelity_matches_per_point(params_weak_decay, params_strong_decay):
     for params in (params_weak_decay, params_strong_decay):
-        delta_ts = [f * gate_time(params) for f in (0.0, 0.003, 0.05, 0.1, 1.0)]
-        grid = timing_infidelity([params], [delta_ts])[0].tolist()
-        assert grid == [timing_infidelity([params], [[dt]])[0, 0] for dt in delta_ts]
+        fracs = (0.0, 0.003, 0.05, 0.1, 1.0)
+        grid = timing_infidelity([params], fracs)[0].tolist()
+        assert grid == [timing_infidelity([params], [f])[0, 0] for f in fracs]
         assert len(set(grid)) == len(grid)
 
 
@@ -153,14 +151,13 @@ def test_timing_infidelity_matches_per_point(params_weak_decay, params_strong_de
 def test_timing_over_a_kappa_stack_matches_one_kappa_calls(omega1c, timing):
     stack = [CavityParams.designed(omega1c, r * omega1c) for r in (0.0, 0.02, 0.5, 3.99)]
     fracs = np.linspace(0.0, 0.2, 7)
-    delta_ts = [fracs * gate_time(p) for p in stack]
-    grid = timing(stack, delta_ts)
+    grid = timing(stack, fracs)
     assert grid.shape == (4, 7)
-    for row, params, delays in zip(grid, stack, delta_ts):
-        assert row.tobytes() == timing([params], [delays])[0].tobytes()
-    # One row of delays per parameter set, and a stack needs a 2-D grid.
-    for bad in (delta_ts[:3], delta_ts[0], [delta_ts]):
-        with pytest.raises(ConfigError, match="delta_ts"):
+    for row, params in zip(grid, stack):
+        assert row.tobytes() == timing([params], fracs)[0].tobytes()
+    # The stack shares one 1-D fraction axis: not one value, nor a row per set.
+    for bad in (fracs[0], [fracs] * 4):
+        with pytest.raises(ConfigError, match="delta_t_frac"):
             timing(stack, bad)
 
 
@@ -196,34 +193,29 @@ def test_timing_infidelity_matches_scalar_formula(omega1c):
     worst = 0.0
     for kappa_ratio in np.linspace(0.0, 3.99, 66, endpoint=False):
         params = CavityParams.designed(omega1c, kappa_ratio * omega1c)
-        delta_ts = [f * gate_time(params) for f in np.linspace(0.0, 1.0, 100)]
-        grid = timing_infidelity([params], [delta_ts])[0]
+        fracs = np.linspace(0.0, 1.0, 100)
+        delta_ts = [f * gate_time(params) for f in fracs]
+        grid = timing_infidelity([params], fracs)[0]
         expected = _scalar_timing_grid(params, delta_ts)
         worst = max(worst, np.abs(np.array(grid) - np.array(expected)).max())
     assert worst <= 1e-15
 
 
 def test_timing_infidelity_validates_delays(params_strong_decay):
-    with pytest.raises(ConfigError):
-        timing_infidelity([params_strong_decay], [[0.0, -1e-9]])
-    with pytest.raises(ConfigError):
-        timing_infidelity([params_strong_decay], [[2.0 * gate_time(params_strong_decay)]])
+    for bad in _BAD_FRACS:
+        with pytest.raises(ConfigError, match="delta_t_frac"):
+            timing_infidelity([params_strong_decay], bad)
 
 
 def test_oracle_monotone_on_coarse_grid(params_strong_decay):
-    t0 = gate_time(params_strong_decay)
-    values = [
-        timing_oracle_dense(TimingScenario(f * t0, params_strong_decay))
-        for f in (0.0, 0.02, 0.05, 0.1)
-    ]
+    values = [timing_oracle_dense(params_strong_decay, f) for f in (0.0, 0.02, 0.05, 0.1)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_formula_continuous_at_zero_delay(params_strong_decay):
-    t0 = gate_time(params_strong_decay)
-    base = timing_infidelity([params_strong_decay], [[0.0]])[0, 0]
+    base = timing_infidelity([params_strong_decay], [0.0])[0, 0]
     gaps = [
-        abs(timing_infidelity([params_strong_decay], [[t0 * 10.0**-k]])[0, 0] - base)
+        abs(timing_infidelity([params_strong_decay], [10.0**-k])[0, 0] - base)
         for k in (3, 4, 5)
     ]
     assert gaps[0] > gaps[1] > gaps[2]
@@ -232,9 +224,8 @@ def test_formula_continuous_at_zero_delay(params_strong_decay):
 
 def test_timing_infidelity_bounded(params_weak_decay, params_strong_decay):
     for params in (params_weak_decay, params_strong_decay):
-        t0 = gate_time(params)
         for frac in np.linspace(0.0, 0.1, 25):
-            value = timing_infidelity([params], [[float(frac) * t0]])[0, 0]
+            value = timing_infidelity([params], [float(frac)])[0, 0]
             assert 0.0 <= value <= 1.0
 
 
@@ -505,16 +496,15 @@ def test_timing_keeps_the_previous_fidelity_within_1e15(seed, monkeypatch):
     # (kappa, delta_t) grid, the fused reductions move its values by at most 1e-15.
     rng = np.random.default_rng(2000 + seed)
     stack = [CavityParams.designed(1.0, r) for r in np.sort(rng.uniform(0.0, 3.9, 5))]
-    delta_ts = [rng.uniform(0.0, 1.0, 40) * gate_time(p) for p in stack]
-    scenario = TimingScenario(float(delta_ts[0][0]), stack[0])
-    fused = [timing_infidelity(stack, delta_ts), timing_oracle(stack, delta_ts)]
-    dense = timing_oracle_dense(scenario)
+    fracs = rng.uniform(0.0, 1.0, 40)
+    fused = [timing_infidelity(stack, fracs), timing_oracle(stack, fracs)]
+    dense = timing_oracle_dense(stack[0], float(fracs[0]))
     monkeypatch.setattr(imperfections, "_row_fidelity", _previous_row_fidelity)
-    previous = [timing_infidelity(stack, delta_ts), timing_oracle(stack, delta_ts)]
+    previous = [timing_infidelity(stack, fracs), timing_oracle(stack, fracs)]
     for now, before in zip(fused, previous):
         assert now.shape == before.shape == (5, 40)
         assert np.abs(now - before).max() <= 1e-15
-    assert abs(dense - timing_oracle_dense(scenario)) <= 1e-15
+    assert abs(dense - timing_oracle_dense(stack[0], float(fracs[0]))) <= 1e-15
 
 
 @pytest.mark.parametrize("model", ["atom1", "uniform"])
@@ -550,10 +540,10 @@ def test_decayed_gate_array_call_equals_scalar_calls(model, per_atom, params_str
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda p: timing_oracle_dense(TimingScenario(np.array([0.0, 1e-7]), p)), "delta_t"),
-        # A stack takes a (K, D) delay grid: one axis too few, or one too many.
-        (lambda p: timing_infidelity([p], [0.0]), "delta_ts"),
-        (lambda p: timing_oracle([p], [[[0.0, 1e-7]]]), "delta_ts"),
+        (lambda p: timing_oracle_dense(p, np.array([0.0, 1e-7])), "delta_t_frac"),
+        # A stack takes one 1-D fraction axis: one axis too few, or one too many.
+        (lambda p: timing_infidelity([p], 0.0), "delta_t_frac"),
+        (lambda p: timing_oracle([p], [[0.0, 1e-7]]), "delta_t_frac"),
         (lambda p: coupling_offset_infidelity(p, [1], 0.05, "atom1", None), "etas"),
     ],
     ids=["dense-oracle-array-delay", "formula-scalar-delays", "oracle-2d-delays", "offset-scalar-etas"],
