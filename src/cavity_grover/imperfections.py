@@ -156,8 +156,6 @@ def timing_oracle_dense(params: CavityParams, delta_t_frac: float) -> float:
     gone, decay still on) for the delay, projects onto the logical subspace,
     and evaluates the same uniform-input infidelity.
     """
-    if np.ndim(delta_t_frac) != 0:
-        raise ConfigError(f"delta_t_frac must be one value, got shape {np.shape(delta_t_frac)}")
     (frac,) = delay_fractions([delta_t_frac])
     t_gate = gate_time(params)
     embedding, mids = evolve_logical_basis([params], [t_gate])

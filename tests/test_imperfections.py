@@ -54,7 +54,11 @@ def test_no_delay_decay_baseline(params_strong_decay):
 
 
 def test_delay_infidelity_grows_with_decay(params_weak_decay, params_strong_decay):
-    (weak,), (strong,) = timing_infidelity([params_weak_decay, params_strong_decay], [0.05])
+    # One absolute delay for both: 0.05 of the strong set's (longer) gate time.
+    t_strong = gate_time(params_strong_decay)
+    strong = timing_infidelity([params_strong_decay], [0.05])[0, 0]
+    weak_frac = 0.05 * t_strong / gate_time(params_weak_decay)
+    weak = timing_infidelity([params_weak_decay], [weak_frac])[0, 0]
     assert strong > weak
 
 
