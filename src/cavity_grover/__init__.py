@@ -50,7 +50,6 @@ from .hilbert import (
     computational_embedding,
 )
 from .imperfections import (
-    OffsetScenario,
     coupling_offset_infidelity,
     offset_couplings,
     timing_infidelity,

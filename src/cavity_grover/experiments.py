@@ -26,10 +26,11 @@ from .errors import ConfigError, NumericalError
 from .gates import MarkedState, decayed_i000, full_diagonal, residual_gate_entry
 from .grover import check_k_max, run_search
 from .imperfections import (
-    OffsetScenario,
     _four_gate_infidelities,
+    check_chi,
     coupling_offset_infidelity,
     delay_fractions,
+    offset_couplings,
     timing_infidelity,
     timing_oracle,
 )
@@ -113,9 +114,9 @@ class ExperimentConfig:
         ):
             if points > 1 and maximum == 0:
                 raise ConfigError(f"{key} must be > 0 for a {points}-point grid")
-        # Every other rule belongs to the type that uses the value: build the
-        # objects the experiments will build, so a bad value fails at load
-        # time whichever experiment runs, with its key named.
+        # Every other rule is written once, by the type or function that uses
+        # the value: build and check what the experiments will, so a bad value
+        # fails at load time whichever experiment runs, with its key named.
         _built("k_max", self.k_max, check_k_max, self.k_max)
         _built("tau", self.tau, MarkedState, self.tau)
         _built("omega1c_khz", self.omega1c_khz, self.iteration_us)
@@ -134,11 +135,11 @@ class ExperimentConfig:
         object.__setattr__(self, "_offset_params", offset)
         object.__setattr__(self, "_offset_gate", gate)
         model, per_atom = self.offset_model, self.offset_eta_per_atom
-        _built("offset_model", model, OffsetScenario, 0.0, 1, offset, model, (0.0,) * 3)
-        _built("offset_eta_per_atom", per_atom, OffsetScenario, 0.0, 1, offset, model, per_atom)
-        _built("eta_max", self.eta_max, OffsetScenario, self.eta_max, 1, offset)
+        _built("offset_model", model, offset_couplings, offset, [0.0], model, (0.0,) * 3)
+        _built("offset_eta_per_atom", per_atom, offset_couplings, offset, [0.0], model, per_atom)
+        _built("eta_max", self.eta_max, offset_couplings, offset, [self.eta_max])
         for chi in self.chi_list:
-            _built("chi_list", chi, OffsetScenario, 0.0, chi, offset)
+            _built("chi_list", chi, check_chi, chi)
         _built("lambda0", self.lambda0, positions_for_ratio, self.lambda0)
 
     def iteration_us(self) -> float:

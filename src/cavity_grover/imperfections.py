@@ -24,13 +24,13 @@ One row-wise fidelity, ``grover._row_fidelity``, scores every delay and
 every offset, as it scores every search iteration. Each function
 takes a whole axis: the timing ones K parameter sets and one 1-D axis of
 delays in gate times, shared by the K sets (``delay_fractions`` is its one
-rule), the offset one a 1-D ``etas``; one point is the one-value case.
+rule), the offset one a 1-D ``etas`` (``offset_couplings`` is its one rule,
+``check_chi`` that of each chi count); one point is the one-value case.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,39 +50,6 @@ from .gates import TEXTBOOK, _gate_columns, decayed_i000, exact_columns, full_di
 from .grover import _row_fidelity, _uniform_register
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
-
-
-@dataclass(frozen=True, eq=False)  # eta may be an array: == on it is elementwise
-class OffsetScenario:
-    """``chi`` of the four phase-gate cavities run with offset couplings.
-
-    ``model`` picks how the offset maps onto the triple: ``atom1`` scales
-    only the first coupling by (1 + eta), ``uniform`` scales all three,
-    ``per_atom`` applies individual factors (1 + eta_j) from
-    ``per_atom_eta``. The imperfect cavities are assumed identical.
-    ``eta`` may be an array of offsets, one scenario per value.
-    """
-
-    eta: float
-    chi: int
-    params: CavityParams
-    model: str = "atom1"
-    per_atom_eta: tuple[float, float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if self.chi not in (1, 2, 3, 4):
-            raise ConfigError(f"chi counts imperfect cavities, must be 1..4, got {self.chi}")
-        eta = np.asarray(self.eta)
-        bad = eta[~(np.abs(eta) < 1.0)]  # NaN fails too
-        if bad.size:
-            raise ConfigError(f"|eta| must be < 1, got {bad[0]}")
-        if self.model not in OFFSET_MODELS:
-            raise ConfigError(f"offset model must be one of {OFFSET_MODELS}, got {self.model!r}")
-        if self.model == "per_atom" and self.per_atom_eta is None:
-            raise ConfigError("per_atom model needs three per-atom offsets (eta1, eta2, eta3)")
-        per_atom = self.per_atom_eta  # checked whenever given, whatever the model
-        if per_atom is not None and not (len(per_atom) == 3 and all(abs(e) < 1 for e in per_atom)):
-            raise ConfigError(f"per-atom offsets must be three values, |eta| < 1, got {per_atom}")
 
 
 # The exact |000⟩ phase gate applied to the uniform register.
@@ -168,17 +135,42 @@ def timing_oracle_dense(params: CavityParams, delta_t_frac: float) -> float:
     return float(1.0 - _row_fidelity(_GATE_REFERENCE, gate @ _uniform_register())[0])
 
 
-def offset_couplings(scenario: OffsetScenario) -> tuple[float, float, float]:
-    """Coupling triple inside an imperfect cavity under the chosen model;
-    an array ``eta`` gives arrays where the model uses it."""
-    w1, w2, w3 = scenario.params.omega
-    if scenario.model == "atom1":
-        return ((1.0 + scenario.eta) * w1, w2, w3)
-    if scenario.model == "uniform":
-        s = 1.0 + scenario.eta
-        return (s * w1, s * w2, s * w3)
-    e1, e2, e3 = scenario.per_atom_eta
-    return ((1.0 + e1) * w1, (1.0 + e2) * w2, (1.0 + e3) * w3)
+def check_chi(chi) -> None:
+    """The one rule on an imperfect-cavity count: an integer in 1..4."""
+    if not (isinstance(chi, (int, np.integer)) and 1 <= chi <= 4):
+        raise ConfigError(f"chi counts imperfect cavities, must be 1..4, got {chi}")
+
+
+def offset_couplings(
+    params: CavityParams, etas, model: str = "atom1",
+    per_atom_eta: tuple[float, float, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coupling triple inside an imperfect cavity at each offset of the 1-D
+    ``etas``: three arrays of its shape, one value per eta for every
+    coupling, also those the model leaves fixed. The one offset rule: every
+    |eta| < 1 (the first bad value is named, NaN too), a known ``model``, and
+    a given ``per_atom_eta`` three values with |eta| < 1, whatever the model.
+
+    ``atom1`` scales only the first coupling by (1 + eta), ``uniform``
+    scales all three, ``per_atom`` applies individual factors (1 + eta_j)
+    from ``per_atom_eta`` at every eta. The imperfect cavities are assumed
+    identical.
+    """
+    eta = np.asarray(etas)
+    bad = eta[~(np.abs(eta) < 1.0)]  # NaN fails too
+    if bad.size:
+        raise ConfigError(f"|eta| must be < 1, got {bad[0]}")
+    if model not in OFFSET_MODELS:
+        raise ConfigError(f"offset model must be one of {OFFSET_MODELS}, got {model!r}")
+    if model == "per_atom" and per_atom_eta is None:
+        raise ConfigError("per_atom model needs three per-atom offsets (eta1, eta2, eta3)")
+    if per_atom_eta is not None and not (
+        len(per_atom_eta) == 3 and all(abs(e) < 1 for e in per_atom_eta)
+    ):
+        raise ConfigError(f"per-atom offsets must be three values, |eta| < 1, got {per_atom_eta}")
+    shifts = {"atom1": (eta, 0.0, 0.0), "uniform": (eta, eta, eta), "per_atom": per_atom_eta}
+    couplings = [(1.0 + e) * w for e, w in zip(shifts[model], params.omega)]  # 1.0 * w is w
+    return tuple(np.broadcast_arrays(*couplings, eta)[:3])
 
 
 def coupling_offset_infidelity(
@@ -204,18 +196,16 @@ def coupling_offset_infidelity(
     moves with eta. At kappa = w1/10 and eta = +0.05 this form falls with
     chi (0.0083388 -> 0.0083317), four simulated gates rise (0.008745 -> 0.009994).
 
-    Each chi is checked once, and one scenario holding the whole eta array
-    checks every offset. One ``decayed_i000`` call on the coupling arrays
-    gives every offset slot; their chi-th powers are products and the
-    fidelity is row-wise, so each point is computed exactly as it would be
-    alone.
+    ``check_chi`` checks each chi once, and one ``offset_couplings`` call
+    checks every offset and gives the coupling arrays. One ``decayed_i000``
+    call on them gives every offset slot; their chi-th powers are products
+    and the fidelity is row-wise, so each point is computed exactly as it
+    would be alone.
     """
     etas = _axis("etas", etas)
     for chi in chis:
-        OffsetScenario(0.0, chi, params, model, per_atom_eta)  # validates
-    scenario = OffsetScenario(etas, 1, params, model, per_atom_eta)
-    # One value per eta for every coupling, also those the model leaves fixed.
-    couplings = np.broadcast_arrays(*offset_couplings(scenario), scenario.eta)[:3]
+        check_chi(chi)
+    couplings = offset_couplings(params, etas, model, per_atom_eta)
     base = decayed_i000(params)
     return _four_gate_infidelities(decayed_i000(params, couplings), base, chis)
 
@@ -234,8 +224,8 @@ def _four_gate_infidelities(primed: np.ndarray, base: np.ndarray, chis) -> np.nd
     powers = [primed]  # powers[k] is primed**(k + 1) as k products
     for _ in range(max(chis, default=1) - 1):
         powers.append(powers[-1] * primed)
-    rows = []
-    for chi in chis:
+    grid = np.empty((len(chis), len(primed)))
+    for row, chi in zip(grid, chis):
         outputs[:, :4] = powers[chi - 1] * base ** (4 - chi) * u[:4]
-        rows.append(1.0 - _row_fidelity(u, outputs)[0])
-    return np.array(rows)
+        row[:] = 1.0 - _row_fidelity(u, outputs)[0]
+    return grid

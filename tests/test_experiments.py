@@ -20,11 +20,11 @@ from cavity_grover import (
     ConfigError,
     ExperimentConfig,
     NumericalError,
-    OffsetScenario,
     build_effective_hamiltonian,
     decayed_i000,
     evolve,
     extract_gate,
+    offset_couplings,
     parse_config,
     positions_for_ratio,
     run_experiment,
@@ -267,8 +267,8 @@ _GUARDED_CALLS = {
     "CavityParams omega": lambda x: CavityParams((1.0, x, 3.0)),
     "CavityParams kappa": lambda x: CavityParams((1.0, 2.0, 3.0), kappa=x),
     "CavityParams.designed": lambda x: CavityParams.designed(x),
-    "OffsetScenario eta": lambda x: OffsetScenario(x, 1, _P),
-    "OffsetScenario per-atom eta": lambda x: OffsetScenario(0.0, 1, _P, "per_atom", (0.0, x, 0.0)),
+    "OffsetScenario eta": lambda x: offset_couplings(_P, [x]),
+    "OffsetScenario per-atom eta": lambda x: offset_couplings(_P, [0.0], "per_atom", (0.0, x, 0.0)),
     "positions_for_ratio": positions_for_ratio,
     "coupling_at_position": lambda x: coupling_at_position(0.0, 1.0, x),
     "decay_shifted_frequency omega": lambda x: decay_shifted_frequency(x, 0.0),
@@ -1184,6 +1184,14 @@ def test_an_out_run_loads_its_config_once(monkeypatch, tmp_path):
         config.write_text(f"output = {via_config}\n", encoding="utf-8")
         assert cli.main([name, "--config", str(config)]) == 0
         assert out.read_bytes() == via_config.read_bytes()
+
+
+def test_a_float_chi_fails_at_load_time():
+    # A config file's chi_list parses as integers; a float count given
+    # directly is named at load time, not met as a TypeError in the offset run.
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(chi_list=(2.0,))
+    assert str(info.value) == "chi_list = 2.0: chi counts imperfect cavities, must be 1..4, got 2.0"
 
 
 @pytest.mark.parametrize("model", ["atom1", "uniform"])

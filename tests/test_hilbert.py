@@ -8,7 +8,6 @@ from cavity_grover import (
     ExperimentConfig,
     GateExtract,
     LogicalOperator,
-    OffsetScenario,
     PureState,
     build_effective_hamiltonian,
     computational_embedding,
@@ -143,18 +142,12 @@ def test_pure_state_amplitudes_read_only():
         lambda: PureState(np.ones(8)),
         lambda: LogicalOperator(np.eye(8)),
         lambda: GateExtract(LogicalOperator(np.eye(8)), np.zeros(8)),
-        lambda: OffsetScenario(np.array([0.0, 0.01]), 2, CavityParams.designed(1.0, 0.1)),
-        lambda: OffsetScenario(0.01, 2, CavityParams.designed(1.0, 0.1)),
     ],
-    ids=[
-        "PureState", "LogicalOperator", "GateExtract", "OffsetScenario-array",
-        "OffsetScenario-scalar",
-    ],
+    ids=["PureState", "LogicalOperator", "GateExtract"],
 )
 def test_array_holders_compare_by_identity(build):
     # == on array fields is elementwise, so these types keep object identity:
-    # equal contents compare unequal without raising, and hash works. The
-    # offset scenario may hold one value or an array, and compares alike either way.
+    # equal contents compare unequal without raising, and hash works.
     a, b = build(), build()
     assert not (a == b) and a != b
     assert a == a

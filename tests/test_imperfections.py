@@ -11,7 +11,6 @@ from cavity_grover import (
     CavityParams,
     ConfigError,
     ExperimentConfig,
-    OffsetScenario,
     coupling_offset_infidelity,
     extract_gate,
     gate_time,
@@ -62,7 +61,7 @@ def test_delay_infidelity_grows_with_decay(params_weak_decay, params_strong_deca
     assert strong > weak
 
 
-def test_timing_scenario_validates_window():
+def test_delay_fractions_validate_window():
     with pytest.raises(ConfigError):
         imperfections.delay_fractions([-1e-9])
     with pytest.raises(ConfigError):
@@ -236,36 +235,57 @@ def test_timing_infidelity_bounded(params_weak_decay, params_strong_decay):
 # --- coupling offsets ------------------------------------------------------
 
 
+def _one_offset(params, eta, model="atom1", per_atom=None):
+    # The coupling triple at one offset as Python floats: the scalar path.
+    couplings = offset_couplings(params, [eta], model, per_atom)
+    assert all(c.shape == (1,) for c in couplings)
+    return tuple(c.item() for c in couplings)
+
+
 def test_offset_couplings_models(params_strong_decay):
     w1, w2, w3 = params_strong_decay.omega
-    unchanged = offset_couplings(OffsetScenario(0.0, 1, params_strong_decay))
+    unchanged = _one_offset(params_strong_decay, 0.0)
     assert unchanged == (w1, w2, w3)
-    atom1 = offset_couplings(OffsetScenario(0.05, 1, params_strong_decay))
+    atom1 = _one_offset(params_strong_decay, 0.05)
     assert atom1 == (pytest.approx(1.05 * w1), w2, w3)
-    uniform = offset_couplings(
-        OffsetScenario(0.05, 1, params_strong_decay, model="uniform")
-    )
+    uniform = _one_offset(params_strong_decay, 0.05, model="uniform")
     assert uniform == tuple(pytest.approx(1.05 * w) for w in (w1, w2, w3))
-    per_atom = offset_couplings(
-        OffsetScenario(
-            0.0, 1, params_strong_decay, model="per_atom", per_atom_eta=(0.0, 0.1, -0.1)
-        )
-    )
+    per_atom = _one_offset(params_strong_decay, 0.0, model="per_atom", per_atom=(0.0, 0.1, -0.1))
     assert per_atom == (w1, pytest.approx(1.1 * w2), pytest.approx(0.9 * w3))
 
 
-def test_offset_scenario_validation(params_strong_decay):
+def test_offset_couplings_and_check_chi_validation(params_strong_decay):
     with pytest.raises(ConfigError):
-        OffsetScenario(0.0, 0, params_strong_decay)
+        imperfections.check_chi(0)
     with pytest.raises(ConfigError):
-        OffsetScenario(1.5, 2, params_strong_decay)
+        offset_couplings(params_strong_decay, [1.5])
     with pytest.raises(ConfigError):
-        OffsetScenario(0.0, 2, params_strong_decay, model="bogus")
+        offset_couplings(params_strong_decay, [0.0], model="bogus")
     with pytest.raises(ConfigError):
-        OffsetScenario(0.0, 2, params_strong_decay, model="per_atom")
+        offset_couplings(params_strong_decay, [0.0], model="per_atom")
     # An array of offsets is checked value by value; the first bad one is named.
     with pytest.raises(ConfigError, match=r"got -1\.0$"):
-        OffsetScenario(np.array([0.5, -1.0, math.nan]), 1, params_strong_decay)
+        offset_couplings(params_strong_decay, np.array([0.5, -1.0, math.nan]))
+
+
+def test_chi_is_an_integer_count(params_strong_decay):
+    # 2.0 in (1, 2, 3, 4) holds, but the grid raises to the power chi with
+    # range(chi - 1): a float count is a ConfigError, not a later TypeError.
+    with pytest.raises(ConfigError, match=r"got 2\.0$"):
+        coupling_offset_infidelity(params_strong_decay, [2.0], [0.05])
+    for chi in (1, 4, np.int64(2)):
+        imperfections.check_chi(chi)
+    for chi in (0, 5, 2.0, np.float64(3.0)):
+        message = rf"^chi counts imperfect cavities, must be 1\.\.4, got {chi}$"
+        with pytest.raises(ConfigError, match=message):
+            imperfections.check_chi(chi)
+
+
+def test_empty_axes_give_empty_grids(params_strong_decay):
+    # The grid is (len(chis), len(etas)) also when either axis is empty.
+    assert coupling_offset_infidelity(params_strong_decay, [], [0.0, 0.1]).shape == (0, 2)
+    assert coupling_offset_infidelity(params_strong_decay, [1, 3], []).shape == (2, 0)
+    assert coupling_offset_infidelity(params_strong_decay, [], []).shape == (0, 0)
 
 
 @pytest.mark.parametrize("chi", [1, 2, 3, 4])
@@ -322,7 +342,7 @@ def test_design_time_composite_rises_with_cavity_count(eta, params_strong_decay)
     design = extract_gate([params_strong_decay], [t0]).restricted.matrix[0]
     offset_params = dataclasses.replace(
         params_strong_decay,
-        omega=offset_couplings(OffsetScenario(eta, 1, params_strong_decay)),
+        omega=_one_offset(params_strong_decay, eta),
     )
     offset = extract_gate([offset_params], [t0]).restricted.matrix[0]
     u = np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
@@ -392,9 +412,7 @@ def _scalar_offset_grid(params, chis, etas, model, per_atom):
     # floats: the reference for the array form.
     base = full_diagonal(decayed_i000(params)).tolist()
     primed = [
-        full_diagonal(
-            decayed_i000(params, offset_couplings(OffsetScenario(eta, 1, params, model, per_atom)))
-        ).tolist()
+        full_diagonal(decayed_i000(params, _one_offset(params, eta, model, per_atom))).tolist()
         for eta in etas
     ]
     u = np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
@@ -434,8 +452,7 @@ def _eight_slot_offset_grid(
     # Every slot of a (len(etas), 8) array raised to the power chi, and the
     # row-wise fidelity on all eight slots: the form the four-slot grid must
     # equal bit for bit, since the last four slots hold 1**chi * 1 * u = u.
-    scenario = OffsetScenario(etas, 1, params, model, per_atom)
-    couplings = np.broadcast_arrays(*offset_couplings(scenario), etas)[:3]
+    couplings = offset_couplings(params, etas, model, per_atom)
     base = full_diagonal(decayed_i000(params))
     primed = full_diagonal(decayed_i000(params, couplings))
     u = np.full(8, 1.0 / (2.0 * math.sqrt(2.0)))
@@ -513,11 +530,10 @@ def test_timing_keeps_the_previous_fidelity_within_1e15(seed, monkeypatch):
 
 @pytest.mark.parametrize("model", ["atom1", "uniform"])
 @pytest.mark.parametrize("per_atom", [(1.5, 0.0, 0.0), (0.0, -1.0, 0.0), (0.1, 0.1)])
-def test_offset_scenario_checks_given_per_atom_offsets_under_every_model(
-    model, per_atom, params_strong_decay
-):
+def test_offset_couplings_checks_a_given_per_atom_triple(model, per_atom, params_strong_decay):
+    # The triple is checked whenever it is given, whatever the model.
     with pytest.raises(ConfigError, match="per-atom offsets"):
-        OffsetScenario(0.0, 1, params_strong_decay, model, per_atom)
+        offset_couplings(params_strong_decay, [0.0], model, per_atom)
 
 
 @pytest.mark.parametrize(
@@ -527,13 +543,12 @@ def test_decayed_gate_array_call_equals_scalar_calls(model, per_atom, params_str
     # The offset path calls decayed_i000 once on coupling arrays, the gate
     # path on scalars: each array entry must be the scalar call's, bit for bit.
     etas = np.linspace(-0.2, 0.2, 41)
-    scenario = OffsetScenario(etas, 1, params_strong_decay, model, per_atom)
-    couplings = np.broadcast_arrays(*offset_couplings(scenario), etas)[:3]
+    couplings = offset_couplings(params_strong_decay, etas, model, per_atom)
     slots = decayed_i000(params_strong_decay, couplings)
     assert slots.shape == (len(etas), 4)
     for i, eta in enumerate(etas.tolist()):
-        one = OffsetScenario(eta, 1, params_strong_decay, model, per_atom)
-        scalar = decayed_i000(params_strong_decay, offset_couplings(one))
+        one = _one_offset(params_strong_decay, eta, model, per_atom)
+        scalar = decayed_i000(params_strong_decay, one)
         assert scalar.shape == (4,)
         assert slots[i].tobytes() == scalar.tobytes()
 
