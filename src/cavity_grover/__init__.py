@@ -28,8 +28,6 @@ from .experiments import (
 )
 from .gates import (
     TEXTBOOK,
-    LogicalOperator,
-    MarkedState,
     decayed_i000,
     hadamard3,
     marked_gate,

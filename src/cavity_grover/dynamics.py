@@ -34,7 +34,6 @@ from .errors import ConfigError, CutoffError, NumericalError, _first_row
 from .hilbert import (
     BASIS,
     AtomLevel,
-    LogicalOperator,
     ProductBasis,
     PureState,
     basis_state,
@@ -286,25 +285,29 @@ def _reachable_sector(h: np.ndarray, amps: np.ndarray) -> np.ndarray:
 class GateExtract:
     """Realized logical gate recovered from simulation.
 
-    ``restricted`` is the 8x8 operator on the logical subspace (columns in
-    logical order |000⟩..|111⟩); ``leakage`` is the squared amplitude each
+    ``restricted`` is the complex 8x8 operator on the logical subspace (columns
+    in logical order |000⟩..|111⟩); ``leakage`` is the squared amplitude each
     column left outside that subspace, ≥ 0. Column norm plus leakage is 1 for
     lossless evolution and below 1 under decay. A stack adds a leading axis.
     """
 
-    restricted: LogicalOperator
+    restricted: np.ndarray
     leakage: np.ndarray
 
     def __post_init__(self) -> None:
+        gate = np.array(self.restricted, dtype=complex, order="C")
         leak = np.asarray(self.leakage, dtype=float).copy()
-        leak.flags.writeable = False
+        gate.flags.writeable = leak.flags.writeable = False
+        object.__setattr__(self, "restricted", gate)
         object.__setattr__(self, "leakage", leak)
-        cols = np.sum(np.abs(self.restricted.matrix) ** 2, axis=-2)
-        over, under = cols + leak > 1.0 + 1e-9, ~(leak >= -1e-9)  # under: NaN and -inf too
+        cols = np.sum(np.abs(gate) ** 2, axis=-2)
+        over, under = ~(cols + leak <= 1.0 + 1e-9), ~(leak >= -1e-9)  # NaN fails both
         if (bad := over | under).any():
-            row = _first_row(bad, 1)  # over[None] is all of an unstacked item
+            row = _first_row(bad, 1)  # under[None] is all of an unstacked item
             what = "column norm plus leakage exceeds 1"
-            raise NumericalError(what if over[row].any() else "leakage is NaN or below -1e-9", row)
+            if under[row].any():  # named first: a NaN leakage breaks both rules
+                what = "leakage is NaN or below -1e-9"
+            raise NumericalError(what, row)
 
 
 def as_stack(params: Sequence[CavityParams]) -> list[CavityParams]:
@@ -339,7 +342,7 @@ def extract_gate(params: Sequence[CavityParams], t) -> GateExtract:
     projected = np.ascontiguousarray(amps[..., list(embedding)])  # sums run along rows of 8
     norm = np.einsum("...i,...i->...", amps, amps.conj()).real
     leakage = norm - (np.abs(projected) ** 2).sum(axis=-1)
-    return GateExtract(LogicalOperator(projected.swapaxes(-1, -2)), leakage)
+    return GateExtract(projected.swapaxes(-1, -2), leakage)
 
 
 def positions_for_ratio(lambda0: float) -> tuple[float, float, float]:

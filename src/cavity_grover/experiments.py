@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import CavityParams, extract_gate, gate_time, positions_for_ratio
 from .errors import ConfigError, NumericalError
-from .gates import MarkedState, decayed_i000, full_diagonal, residual_gate_entry
+from .gates import decayed_i000, full_diagonal, marked_index, residual_gate_entry
 from .grover import check_k_max, run_search
 from .imperfections import (
     _four_gate_infidelities,
@@ -118,7 +118,7 @@ class ExperimentConfig:
         # the value: build and check what the experiments will, so a bad value
         # fails at load time whichever experiment runs, with its key named.
         _built("k_max", self.k_max, check_k_max, self.k_max)
-        _built("tau", self.tau, MarkedState, self.tau)
+        _built("tau", self.tau, marked_index, self.tau)
         _built("omega1c_khz", self.omega1c_khz, self.iteration_us)
         # linspace ends exactly at delta_t_max_frac: the sweep's last delay.
         _built("delta_t_max_frac", self.delta_t_max_frac, delay_fractions, [self.delta_t_max_frac])
@@ -261,7 +261,7 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
     lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
     analytic = full_diagonal(config._kappa_gates)
     extract = extract_gate(config._kappa_params, [gate_time(p) for p in config._kappa_params])
-    simulated = extract.restricted.diagonal()
+    simulated = extract.restricted.diagonal(0, -2, -1)
     for ratio, worst in zip(config.kappa_ratios, np.abs(simulated - analytic).max(axis=1)):
         lines.append(f"kappa_ratio={ratio}: max |analytic - simulated| = {worst:.3e}")
     return SweepTable(
@@ -280,10 +280,9 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
 
 
 def _search_experiment(config: ExperimentConfig) -> SweepTable:
-    tau = MarkedState(config.tau)
     grid = run_search(config.k_max, config._kappa_gates)
     lines = [
-        f"marked state |{tau}⟩; "
+        f"marked state |{config.tau}⟩; "
         "fidelity = normalized overlap with the exact-gate trajectory"
     ]
     lines.append(f"iteration time (two gates, kappa=0): {config.iteration_us():.2f} us")

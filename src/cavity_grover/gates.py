@@ -1,4 +1,5 @@
-"""Closed-form 8x8 operators on the logical register.
+"""Closed-form 8x8 operators on the logical register, as read-only complex
+arrays.
 
 Everything here acts in the logical order |000⟩..|111⟩ fixed by
 ``hilbert.computational_embedding``. The phase gate diag(-mu, gamma, beta,
@@ -22,38 +23,28 @@ Sandwiched between Hadamard layers, the |000⟩ gate inverts every amplitude
 about the average, so one physical gate drives the whole search, and the
 search needs only that gate. Another marked state's gate, ``marked_gate``,
 is it conjugated by bit flips, an index permutation, which only relabels
-the search's output.
+the search's output. A marked state is its three-bit string, checked by the
+one rule ``marked_index``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .dynamics import CavityParams, as_stack, block_propagator, decay_shifted_frequency, gate_time
 from .errors import ConfigError
-from .hilbert import LogicalOperator  # re-exported: defined beside PureState
 
 
-@dataclass(frozen=True)
-class MarkedState:
-    """Three-bit label of the state the search is asked to find."""
-
-    bits: str
-
-    def __post_init__(self) -> None:
-        if (
-            not isinstance(self.bits, str)
-            or len(self.bits) != 3
-            or any(c not in "01" for c in self.bits)
-        ):
-            raise ConfigError(f"marked state must be three bits, got {self.bits!r}")
-
-    def __str__(self) -> str:
-        return self.bits
+def marked_index(tau: str) -> int:
+    """The one rule on a marked state: a string of three bits. Returns its
+    position 0..7 in the logical order."""
+    if not isinstance(tau, str) or len(tau) != 3 or any(c not in "01" for c in tau):
+        raise ConfigError(f"marked state must be three bits, got {tau!r}")
+    return int(tau, 2)
 
 
 # The textbook reflection diag(-1, 1, ..., 1): every damping factor 1. Its
@@ -68,13 +59,20 @@ def full_diagonal(slots: np.ndarray) -> np.ndarray:
     return np.concatenate([slots, np.ones_like(slots)], axis=-1)
 
 
-def hadamard3() -> LogicalOperator:
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    """A freshly built ``matrix``, made complex and read-only."""
+    out = np.asarray(matrix, dtype=complex)
+    out.flags.writeable = False
+    return out
+
+
+def hadamard3() -> np.ndarray:
     """Tensor cube of the single-qubit Hadamard; unitary and involutive."""
     h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    return LogicalOperator(np.kron(np.kron(h1, h1), h1))
+    return _read_only(np.kron(np.kron(h1, h1), h1))
 
 
-def pauli_x(qubit: int) -> LogicalOperator:
+def pauli_x(qubit: int) -> np.ndarray:
     """Bit flip on one logical qubit (1-based); a self-inverse permutation."""
     if qubit not in (1, 2, 3):
         raise ConfigError(f"qubit index must be 1..3, got {qubit}")
@@ -82,7 +80,7 @@ def pauli_x(qubit: int) -> LogicalOperator:
     eye = np.eye(2)
     factors = [eye, eye, eye]
     factors[qubit - 1] = x
-    return LogicalOperator(np.kron(np.kron(factors[0], factors[1]), factors[2]))
+    return _read_only(np.kron(np.kron(factors[0], factors[1]), factors[2]))
 
 
 def _bright_columns(w1, w2, w3):
@@ -180,15 +178,18 @@ def decayed_i000(
     return slots
 
 
-def marked_gate(tau: MarkedState | str, base: LogicalOperator) -> LogicalOperator:
-    """Phase gate for an arbitrary marked state: the |000⟩ gate conjugated
-    by a bit flip on every qubit where ``tau`` has a 1.
+def marked_gate(tau: str, base) -> np.ndarray:
+    """Phase gate for an arbitrary marked state: the |000⟩ gate ``base``, one
+    finite 8x8 matrix, conjugated by a bit flip on every qubit where the
+    three bits ``tau`` have a 1.
 
     The conjugation is the index permutation base[i ^ tau, j ^ tau]. With
     the exact base this equals the reflection I - 2|tau⟩⟨tau|; with a
     damped base the diagonal factors follow the permuted slots, so the
     marked state itself carries the -mu entry.
     """
-    marked = tau if isinstance(tau, MarkedState) else MarkedState(tau)
-    perm = np.arange(8) ^ int(marked.bits, 2)
-    return LogicalOperator(base.matrix[np.ix_(perm, perm)])
+    perm = np.arange(8) ^ marked_index(tau)
+    base = np.asarray(base, dtype=complex)
+    if base.shape != (8, 8) or not np.isfinite(base).all():
+        raise ConfigError(f"marked_gate needs one finite 8x8 base gate, got shape {base.shape}")
+    return _read_only(base[np.ix_(perm, perm)])

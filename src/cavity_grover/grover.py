@@ -19,9 +19,10 @@ against the trajectory the textbook gate would have produced.
 ``run_search`` advances the |000⟩ register of every given gate and the
 textbook reference trajectory in one stacked iteration and scores the
 stored trajectories with one row-wise fidelity, ``_row_fidelity``, which
-also scores every gate in ``imperfections``. The marked state enters only
-``grover_step``, one iteration for one state and the per-state reference,
-through ``gates.marked_gate``.
+also scores every gate in ``imperfections``. The marked state, a string
+of three bits, enters only ``grover_step``, one iteration for one state and
+the per-state reference, through ``gates.marked_gate``; the Hadamard layer
+``_H3`` and the gate it takes are plain 8x8 arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError, _first_row
-from .gates import TEXTBOOK, LogicalOperator, MarkedState, full_diagonal, hadamard3, marked_gate
+from .gates import TEXTBOOK, full_diagonal, hadamard3, marked_gate
 from .hilbert import PureState
 
 # Far above any useful search length, low enough that a typo cannot ask for a huge search.
@@ -78,14 +79,15 @@ def _row_fidelity(reference: np.ndarray, outputs: np.ndarray) -> tuple[np.ndarra
     return abs(overlap) ** 2 / norm, norm
 
 
-def grover_step(
-    state: PureState, tau: MarkedState | str, i000: LogicalOperator
-) -> PureState:
-    """One search iteration: the marked-state flip first, then the Hadamard /
-    phase-gate / Hadamard sandwich. Output is unnormalized when ``i000`` is
-    the decayed gate."""
-    flip = marked_gate(tau, i000)
-    return _H3.apply(i000.apply(_H3.apply(flip.apply(state))))
+def grover_step(state: PureState, tau: str, i000) -> PureState:
+    """One search iteration on one 8-dimensional ``state`` for the marked
+    state ``tau`` (three bits): the marked-state flip first, then the
+    Hadamard / phase-gate / Hadamard sandwich of the 8x8 |000⟩ gate
+    ``i000``. Output is unnormalized when ``i000`` is the decayed gate."""
+    if state.amplitudes.shape != (8,):
+        raise ConfigError("grover_step acts on one 8-dimensional state")
+    flip = marked_gate(tau, i000)  # also checks i000: one finite 8x8 matrix
+    return PureState(_H3 @ (i000 @ (_H3 @ (flip @ state.amplitudes))), state.basis)
 
 
 def check_k_max(k_max: int) -> None:
@@ -113,11 +115,10 @@ def run_search(k_max: int, slots) -> SearchGrid:
     if slots.ndim != 2 or slots.shape[1] != 4 or not len(slots):
         raise ConfigError(f"run_search needs (K, 4) slots, at least one row, got {slots.shape}")
     gates = full_diagonal(np.concatenate([slots, TEXTBOOK[None]]).astype(complex))[:, :, None]
-    h = _H3.matrix
     states = np.repeat(_uniform_register()[None, :, None], len(gates), axis=0)
     trajectory = np.empty((len(gates), k_max, 8), dtype=complex)
     for k in range(k_max):
-        states = h @ (gates * (h @ (gates * states)))
+        states = _H3 @ (gates * (_H3 @ (gates * states)))
         trajectory[:, k] = states[:, :, 0]
     outputs = trajectory[:-1]
     fidelity, survival = _row_fidelity(trajectory[-1], outputs)

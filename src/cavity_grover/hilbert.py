@@ -10,8 +10,8 @@ most one excitation (atom 1 in ``E``).
 
 Logical qubits are encoded per atom: qubit 1 is 0 ↔ ``E``, 1 ↔ ``G``;
 qubits 2 and 3 are 0 ↔ ``I``, 1 ↔ ``G``. The eight logical basis states all
-live in the photon vacuum; ``PureState`` holds a state on either space and
-``LogicalOperator`` an 8x8 operator on the logical register.
+live in the photon vacuum; ``PureState`` holds a state on either space. An
+operator on the logical register is a plain complex (8, 8) array.
 """
 
 from __future__ import annotations
@@ -140,31 +140,6 @@ class PureState:
     @property
     def dimension(self) -> int:
         return self.amplitudes.shape[-1]
-
-
-@dataclass(frozen=True, eq=False)  # array fields: == on them is elementwise
-class LogicalOperator:
-    """Dense 8x8 complex matrix on the logical register, or a (K, 8, 8)
-    stack of them, one per parameter set."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex, order="C")
-        if m.shape[-2:] != (8, 8) or m.ndim not in (2, 3):
-            raise ConfigError(f"logical operators are 8x8, got shape {m.shape}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ConfigError("logical operator has non-finite entries")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.matrix, axis1=-2, axis2=-1).copy()
-
-    def apply(self, state: PureState) -> PureState:
-        if state.amplitudes.shape != (8,):
-            raise ConfigError("logical operators act on one 8-dimensional state")
-        return PureState(self.matrix @ state.amplitudes, state.basis)
 
 
 def basis_state(position: int) -> PureState:

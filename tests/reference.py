@@ -8,7 +8,8 @@ column at once and no sector search, so agreement also checks that the
 sector restriction drops nothing. The paper's formulas
 (``phase_gate_success``, ``closed_form_probability``) are oracles for the
 search, ``block_columns`` evaluates the gate's column model at any time,
-and the rest are small conveniences on the package's types. Only public
+and the rest are small conveniences on 8x8 operators (complex arrays)
+and the package's types. Only public
 names of the package are read here, and the model's ``_bright_columns``.
 """
 
@@ -24,7 +25,6 @@ from cavity_grover import (
     AtomLevel,
     BasisState,
     ConfigError,
-    LogicalOperator,
     PureState,
     SweepTable,
     build_effective_hamiltonian,
@@ -137,10 +137,10 @@ def closed_form_probability(k: int) -> float:
     return math.sin((2 * k + 1) * theta) ** 2
 
 
-def diffusion() -> LogicalOperator:
+def diffusion() -> np.ndarray:
     """Inversion about the average: entries 2/8 - delta_ij. Equals
     -H3 * diag(-1, 1, ..., 1) * H3 with H3 the Hadamard layer."""
-    return LogicalOperator(np.full((8, 8), 0.25) - np.eye(8))
+    return np.full((8, 8), 0.25) - np.eye(8)
 
 
 def coupling_at_position(z: float, omega0: float, lambda0: float) -> float:
@@ -179,22 +179,22 @@ def excitation_number(position: int) -> int:
     return state.n + sum(1 for level in state.atom_levels() if level is E)
 
 
-# --- the package's types -----------------------------------------------------------
+# --- 8x8 operators and the package's types --------------------------------------------
 
 
-def gate_operator(slots: np.ndarray) -> LogicalOperator:
-    """The 8x8 gate of four decaying slots: diag(-mu, gamma, beta, alpha, 1, 1, 1, 1)."""
-    return LogicalOperator(np.diag(full_diagonal(slots)))
+def gate_operator(slots: np.ndarray) -> np.ndarray:
+    """The complex 8x8 gate of four decaying slots: diag(-mu, gamma, beta, alpha, 1, 1, 1, 1)."""
+    return np.diag(full_diagonal(slots)).astype(complex)
 
 
-def compose(*operators: LogicalOperator) -> LogicalOperator:
+def compose(*operators: np.ndarray) -> np.ndarray:
     """The matrix product of the operators, taken from the left as ``a @ b @ c`` is."""
-    return reduce(lambda a, b: LogicalOperator(a.matrix @ b.matrix), operators)
+    return reduce(np.matmul, operators)
 
 
-def is_unitary(operator: LogicalOperator) -> bool:
+def is_unitary(operator: np.ndarray) -> bool:
     """Whether every Gram entry is within 1e-10 of the identity's."""
-    gram = operator.matrix.conj().swapaxes(-1, -2) @ operator.matrix
+    gram = operator.conj().swapaxes(-1, -2) @ operator
     return bool(np.abs(gram - np.eye(8)).max() <= 1e-10)
 
 

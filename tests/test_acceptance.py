@@ -100,17 +100,17 @@ def test_01_residual_gate_entry(params_lossless):
 def test_02_dynamical_gate_oracle(params_lossless, params_strong_decay):
     start = time.perf_counter()
     lossless = extract_gate([params_lossless], [gate_time(params_lossless)])
-    diag = lossless.restricted.diagonal()[0]
+    diag = lossless.restricted[0].diagonal()
     expected = np.ones(8, dtype=complex)
     expected[0] = -1.0
     expected[1] = residual_gate_entry(params_lossless)
     diag_err = float(np.abs(diag - expected).max())
-    off = lossless.restricted.matrix[0] - np.diag(diag)
+    off = lossless.restricted[0] - np.diag(diag)
     off_err = float(np.abs(np.delete(off, 1, axis=1)).max())
 
     decayed = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
     analytic = gate_operator(decayed_i000(params_strong_decay)).diagonal()
-    decay_err = float(np.abs(decayed.restricted.diagonal()[0] - analytic).max())
+    decay_err = float(np.abs(decayed.restricted[0].diagonal() - analytic).max())
     elapsed = time.perf_counter() - start
     _check(
         "criterion 2: simulated gate matches closed forms",
@@ -326,9 +326,9 @@ def test_10_property_suite(params_lossless, params_strong_decay):
     monotone = all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
     h3 = hadamard3()
-    involutive = float(np.abs(compose(h3, h3).matrix - np.eye(8)).max()) <= 1e-12
-    sandwich = -compose(h3, gate_operator(TEXTBOOK), h3).matrix
-    diffusion_ok = float(np.abs(sandwich - diffusion().matrix).max()) <= 1e-12
+    involutive = float(np.abs(compose(h3, h3) - np.eye(8)).max()) <= 1e-12
+    sandwich = -compose(h3, gate_operator(TEXTBOOK), h3)
+    diffusion_ok = float(np.abs(sandwich - diffusion()).max()) <= 1e-12
 
     agreement = 0.0
     t_decay = gate_time(params_strong_decay)

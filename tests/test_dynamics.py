@@ -17,7 +17,6 @@ from cavity_grover import (
     ConfigError,
     CutoffError,
     GateExtract,
-    LogicalOperator,
     NumericalError,
     build_effective_hamiltonian,
     computational_embedding,
@@ -493,12 +492,12 @@ def test_evolve_rejects_inf_outside_the_sector():
 
 def test_extracted_gate_lossless(params_lossless):
     extract = extract_gate([params_lossless], [gate_time(params_lossless)])
-    diag = extract.restricted.diagonal()[0]
+    diag = extract.restricted[0].diagonal()
     expected = np.ones(8)
     expected[0] = -1.0
     expected[1] = residual_gate_entry(params_lossless)
     assert np.abs(diag - expected).max() <= 1e-6
-    off = extract.restricted.matrix[0] - np.diag(diag)
+    off = extract.restricted[0] - np.diag(diag)
     off = np.delete(off, 1, axis=1)  # the |001> column carries the leakage
     assert np.abs(off).max() <= 1e-6
     assert extract.leakage[0, 1] == pytest.approx(
@@ -510,7 +509,7 @@ def test_extracted_gate_under_decay_matches_closed_form(params_strong_decay):
     # Damped-diagonal values evaluated directly from the closed forms at
     # kappa = omega1/10.
     extract = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
-    diag = extract.restricted.diagonal()[0]
+    diag = extract.restricted[0].diagonal()
     expected = np.array([-0.9244, 0.9986, 0.9979, 0.9992, 1.0, 1.0, 1.0, 1.0])
     assert np.abs(diag - expected).max() <= 1e-3
 
@@ -522,7 +521,7 @@ def test_extract_gate_honours_settings(params_strong_decay):
     t = gate_time(params_strong_decay)
     reference = extract_gate([params_strong_decay], [t])
     matrix, leakage = rk4_gate([params_strong_decay], [t], 1024)
-    gap = np.abs(matrix - reference.restricted.matrix).max()
+    gap = np.abs(matrix - reference.restricted).max()
     assert 0.0 < gap <= 1e-8
     assert np.abs(leakage - reference.leakage).max() <= 1e-8
 
@@ -535,7 +534,7 @@ def test_extract_gate_has_the_loop_reference_bits(omega1c, kappa_ratio):
     stack = [CavityParams.designed(omega1c, r * omega1c) for r in np.atleast_1d(kappa_ratio)]
     times = [gate_time(p) for p in stack]
     extract = extract_gate(stack, times)
-    matrices = extract.restricted.matrix.reshape(-1, 8, 8)
+    matrices = extract.restricted.reshape(-1, 8, 8)
     leakages = extract.leakage.reshape(-1, 8)
     assert len(matrices) == len(stack)
     for params, t, got_matrix, got_leakage in zip(stack, times, matrices, leakages):
@@ -577,7 +576,7 @@ def test_kappa_sweeps_take_only_a_non_empty_sequence(name, params_strong_decay):
 def test_extracted_gate_short_time_is_identity(params_strong_decay):
     t = 1e-6 * gate_time(params_strong_decay)
     extract = extract_gate([params_strong_decay], [t])
-    assert np.abs(extract.restricted.matrix[0] - np.eye(8)).max() <= 1e-9
+    assert np.abs(extract.restricted[0] - np.eye(8)).max() <= 1e-9
     assert np.abs(extract.leakage).max() <= 1e-9
 
 
@@ -585,16 +584,16 @@ def test_gate_extract_names_the_first_column_over_one():
     # Column norm plus leakage above 1 is a numerical fault; a stack names
     # the first row where it happens, one extract no row.
     with pytest.raises(NumericalError, match="^column norm plus leakage exceeds 1$") as raised:
-        GateExtract(LogicalOperator(np.eye(8)), np.full(8, 0.5))
+        GateExtract(np.eye(8), np.full(8, 0.5))
     assert raised.value.row is None
     for row in range(3):
         leakage = np.zeros((3, 8))
         leakage[row, 7] = 1e-8
         leakage[2, 0] = 0.5  # a later bad row does not move the name
         with pytest.raises(NumericalError) as raised:
-            GateExtract(LogicalOperator(np.stack([np.eye(8)] * 3)), leakage)
+            GateExtract(np.stack([np.eye(8)] * 3), leakage)
         assert raised.value.row == row
-    GateExtract(LogicalOperator(np.stack([np.eye(8)] * 3)), np.full((3, 8), 1e-10))
+    GateExtract(np.stack([np.eye(8)] * 3), np.full((3, 8), 1e-10))
 
 
 def test_gate_extract_rejects_nan_and_negative_leakage():
@@ -603,22 +602,27 @@ def test_gate_extract_rejects_nan_and_negative_leakage():
     rule = "leakage is NaN or below -1e-9"
     for bad in (-5.0, -2e-9, math.nan, -math.inf):
         with pytest.raises(NumericalError, match=f"^{rule}$") as raised:
-            GateExtract(LogicalOperator(np.eye(8)), np.full(8, bad))
+            GateExtract(np.eye(8), np.full(8, bad))
         assert raised.value.row is None
     for row in range(2):
         leakage = np.zeros((2, 8))
         leakage[row, 3] = math.nan
         with pytest.raises(NumericalError, match=f"^{rule}$") as raised:
-            GateExtract(LogicalOperator(np.stack([np.eye(8)] * 2)), leakage)
+            GateExtract(np.stack([np.eye(8)] * 2), leakage)
         assert raised.value.row == row
     # Both rules: the first failing row is named, with the rule it breaks.
     for over_row, expected in [(0, "column norm plus leakage exceeds 1"), (1, rule)]:
         leakage = np.zeros((2, 8))
         leakage[over_row, 0], leakage[1 - over_row, 5] = 0.5, -1.0
         with pytest.raises(NumericalError, match=f"^{expected}$") as raised:
-            GateExtract(LogicalOperator(np.stack([np.eye(8)] * 2)), leakage)
+            GateExtract(np.stack([np.eye(8)] * 2), leakage)
         assert raised.value.row == 0
-    GateExtract(LogicalOperator(np.eye(8)), np.full(8, -1e-9))
+    # A NaN gate entry makes its column norm NaN, which fails the column-norm rule.
+    gate = np.eye(8, dtype=complex)
+    gate[2, 5] = math.nan
+    with pytest.raises(NumericalError, match="^column norm plus leakage exceeds 1$"):
+        GateExtract(gate, np.zeros(8))
+    GateExtract(np.eye(8), np.full(8, -1e-9))
 
 
 @pytest.mark.parametrize("shape", [(36,), (3, 36), (3, 5, 4)], ids=["state", "stack", "grid"])
@@ -645,13 +649,13 @@ def test_check_result_names_the_first_non_finite_row(shape):
 def test_lossless_columns_account_for_all_population(params_lossless):
     # Without decay nothing is lost: column norm plus leakage is exactly 1.
     extract = extract_gate([params_lossless], [gate_time(params_lossless)])
-    column_norms = np.sum(np.abs(extract.restricted.matrix[0]) ** 2, axis=0)
+    column_norms = np.sum(np.abs(extract.restricted[0]) ** 2, axis=0)
     assert np.abs(column_norms + extract.leakage[0] - 1.0).max() <= 1e-9
 
 
 def test_decay_columns_lose_population(params_strong_decay):
     extract = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
-    column_norms = np.sum(np.abs(extract.restricted.matrix[0]) ** 2, axis=0)
+    column_norms = np.sum(np.abs(extract.restricted[0]) ** 2, axis=0)
     assert np.all(column_norms + extract.leakage[0] <= 1.0 + 1e-9)
     assert column_norms[0] < 1.0  # the |000> column decays
 
@@ -661,7 +665,7 @@ def test_analytic_pair13_block_entry(params_lossless):
     w1, _, w3 = params_lossless.omega
     expected = (w3**2 + w1**2 * math.cos(math.sqrt(65.0) * math.pi)) / (w1**2 + w3**2)
     extract = extract_gate([params_lossless], [gate_time(params_lossless)])
-    assert extract.restricted.diagonal()[0, 1].real == pytest.approx(expected, abs=1e-9)
+    assert extract.restricted[0].diagonal()[1].real == pytest.approx(expected, abs=1e-9)
 
 
 # --- one-excitation blocks -------------------------------------------------

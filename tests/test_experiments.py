@@ -35,7 +35,7 @@ from cavity_grover import (
 from cavity_grover import cli, dynamics, experiments, grover, imperfections
 from cavity_grover.dynamics import decay_shifted_frequency
 from cavity_grover.experiments import MAX_GRID_POINTS, SweepTable, _value_text
-from cavity_grover.gates import TEXTBOOK, MarkedState
+from cavity_grover.gates import TEXTBOOK, marked_gate, marked_index
 from cavity_grover.grover import run_search
 from cavity_grover.hilbert import basis_state
 from cavity_grover.tables import Axis
@@ -267,14 +267,15 @@ _GUARDED_CALLS = {
     "CavityParams omega": lambda x: CavityParams((1.0, x, 3.0)),
     "CavityParams kappa": lambda x: CavityParams((1.0, 2.0, 3.0), kappa=x),
     "CavityParams.designed": lambda x: CavityParams.designed(x),
-    "OffsetScenario eta": lambda x: offset_couplings(_P, [x]),
-    "OffsetScenario per-atom eta": lambda x: offset_couplings(_P, [0.0], "per_atom", (0.0, x, 0.0)),
+    "offset_couplings eta": lambda x: offset_couplings(_P, [x]),
+    "offset_couplings per-atom eta": lambda x: offset_couplings(_P, [0.0], "per_atom", (0.0, x, 0.0)),
     "positions_for_ratio": positions_for_ratio,
     "coupling_at_position": lambda x: coupling_at_position(0.0, 1.0, x),
     "decay_shifted_frequency omega": lambda x: decay_shifted_frequency(x, 0.0),
     "decay_shifted_frequency kappa": lambda x: decay_shifted_frequency(1.0, x),
     "evolve": lambda x: evolve(build_effective_hamiltonian(_P), x, basis_state(0)),
     "extract_gate": lambda x: extract_gate([_P], [x]),
+    "marked_gate": lambda x: marked_gate("000", np.full((8, 8), x)),
     "phase_gate_success": lambda x: phase_gate_success([x] + [1.0] * 7, decayed_i000(_P)),
     "timing_oracle_dense": lambda x: timing_oracle_dense(_P, x),
 }
@@ -1224,7 +1225,7 @@ def test_owned_rule_errors_show_the_given_value(line, shown):
 @pytest.mark.parametrize(
     "key, value, owners",
     [
-        ("tau", "012", [MarkedState]),
+        ("tau", "012", [marked_index]),
         ("omega1c_khz", 0.0, [lambda w: CavityParams.designed(2.0 * math.pi * w * 1e3, 0.0)]),
         ("k_max", 0, [lambda k: run_search(k, [TEXTBOOK])]),
     ],

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,6 @@ from cavity_grover import (
     TEXTBOOK,
     CavityParams,
     ConfigError,
-    LogicalOperator,
     decayed_i000,
     extract_gate,
     gate_time,
@@ -31,18 +31,18 @@ ALL_TAUS = [format(v, "03b") for v in range(8)]
 def test_hadamard_creates_uniform_superposition():
     zero = np.zeros(8, dtype=complex)
     zero[0] = 1.0
-    out = hadamard3().matrix @ zero
+    out = hadamard3() @ zero
     assert np.abs(out - 1.0 / (2.0 * math.sqrt(2.0))).max() <= 1e-15
 
 
 def test_hadamard_is_involutive_and_unitary():
     h3 = hadamard3()
-    assert np.abs(compose(h3, h3).matrix - np.eye(8)).max() <= 1e-12
+    assert np.abs(compose(h3, h3) - np.eye(8)).max() <= 1e-12
     assert is_unitary(h3)
 
 
 def test_hadamard_corner_entry():
-    assert hadamard3().matrix[0, 0] == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), rel=1e-15)
+    assert hadamard3()[0, 0] == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), rel=1e-15)
 
 
 # --- bit flips -------------------------------------------------------------
@@ -51,15 +51,15 @@ def test_hadamard_corner_entry():
 def test_bit_flip_moves_states():
     ket = np.zeros(8)
     ket[0b000] = 1.0
-    assert (pauli_x(1).matrix @ ket)[0b100] == 1.0
+    assert (pauli_x(1) @ ket)[0b100] == 1.0
     ket = np.zeros(8)
     ket[0b101] = 1.0
-    assert (pauli_x(3).matrix @ ket)[0b100] == 1.0
+    assert (pauli_x(3) @ ket)[0b100] == 1.0
 
 
 def test_bit_flip_self_inverse():
     x2 = pauli_x(2)
-    assert np.array_equal(compose(x2, x2).matrix, np.eye(8))
+    assert np.array_equal(compose(x2, x2), np.eye(8))
 
 
 def test_bit_flip_rejects_bad_index():
@@ -81,10 +81,10 @@ def test_residual_entry_value(params_lossless):
 
 def test_ideal_gate_variants(params_lossless):
     exact = gate_operator(TEXTBOOK)
-    assert np.array_equal(exact.matrix, np.diag([-1.0, 1, 1, 1, 1, 1, 1, 1]))
-    assert np.abs(compose(exact, exact).matrix - np.eye(8)).max() == 0.0
+    assert np.array_equal(exact, np.diag([-1.0, 1, 1, 1, 1, 1, 1, 1]))
+    assert np.abs(compose(exact, exact) - np.eye(8)).max() == 0.0
     realized = gate_operator(decayed_i000(replace(params_lossless, kappa=0.0)))
-    assert realized.matrix[1, 1] == pytest.approx(residual_gate_entry(params_lossless))
+    assert realized[1, 1] == pytest.approx(residual_gate_entry(params_lossless))
 
 
 def test_ideal_gate_rejects_undesigned_ratios(omega1c):
@@ -97,7 +97,7 @@ def test_decayed_gate_reduces_to_lossless(params_lossless):
     diag = decayed_i000(params_lossless)
     lossless = decayed_i000(replace(params_lossless, kappa=0.0))
     assert -diag[0] == 1.0 and diag[2] == 1.0 and diag[3] == 1.0
-    assert np.abs(gate_operator(diag).matrix - gate_operator(lossless).matrix).max() <= 1e-15
+    assert np.abs(gate_operator(diag) - gate_operator(lossless)).max() <= 1e-15
 
 
 def test_decayed_gate_factors_strong_decay(params_strong_decay):
@@ -230,7 +230,7 @@ def test_gate_diagonal_validates_range(monkeypatch, params_lossless):
 
 def test_marked_gate_identity_on_000(params_lossless):
     base = gate_operator(TEXTBOOK)
-    assert np.array_equal(marked_gate("000", base).matrix, base.matrix)
+    assert np.array_equal(marked_gate("000", base), base)
 
 
 def test_marked_gate_exact_reflection(params_lossless):
@@ -238,7 +238,7 @@ def test_marked_gate_exact_reflection(params_lossless):
     gate = marked_gate("101", base)
     expected = np.eye(8)
     expected[0b101, 0b101] = -1.0
-    assert np.abs(gate.matrix - expected).max() <= 1e-15
+    assert np.abs(gate - expected).max() <= 1e-15
 
 
 def test_marked_gate_permutes_damped_diagonal(params_strong_decay):
@@ -246,7 +246,7 @@ def test_marked_gate_permutes_damped_diagonal(params_strong_decay):
     mu, gamma, beta, alpha = diag * TEXTBOOK
     operator = gate_operator(diag)
     gate = marked_gate("001", operator)
-    entries = np.diag(gate.matrix).real
+    entries = np.diag(gate).real
     # flipping bit 3 swaps slot pairs (0,1), (2,3), (4,5), (6,7)
     assert entries[0b001] == pytest.approx(-mu, rel=1e-15)
     assert entries[0b000] == pytest.approx(gamma, rel=1e-15)
@@ -269,19 +269,19 @@ def test_marked_gate_equals_bit_flip_conjugation(tau):
     # The index permutation must reproduce X_q * base * X_q over every set
     # bit exactly, on a dense complex base with no structure to hide behind.
     rng = np.random.default_rng(7)
-    base = LogicalOperator(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    base = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     expected = base
     for qubit, bit in enumerate(tau, start=1):
         if bit == "1":
             expected = compose(pauli_x(qubit), expected, pauli_x(qubit))
-    assert np.array_equal(marked_gate(tau, base).matrix, expected.matrix)
+    assert np.array_equal(marked_gate(tau, base), expected)
 
 
 # --- diffusion -------------------------------------------------------------
 
 
 def test_diffusion_entries():
-    d = diffusion().matrix
+    d = diffusion()
     assert np.all(np.diag(d) == -0.75)
     off = d - np.diag(np.diag(d))
     assert np.all(off[~np.eye(8, dtype=bool)] == 0.25)
@@ -290,14 +290,14 @@ def test_diffusion_entries():
 def test_diffusion_unitary_and_symmetric():
     d = diffusion()
     assert is_unitary(d)
-    assert np.array_equal(d.matrix, d.matrix.T)
+    assert np.array_equal(d, d.T)
 
 
 def test_diffusion_from_gate_sandwich(params_lossless):
     h3 = hadamard3()
     exact = gate_operator(TEXTBOOK)
-    built = -compose(h3, exact, h3).matrix
-    assert np.abs(built - diffusion().matrix).max() <= 1e-12
+    built = -compose(h3, exact, h3)
+    assert np.abs(built - diffusion()).max() <= 1e-12
 
 
 @pytest.mark.parametrize("tau", ALL_TAUS)
@@ -306,8 +306,8 @@ def test_iteration_equals_diffusion_form(tau, params_lossless):
     h3 = hadamard3()
     exact = gate_operator(TEXTBOOK)
     flip = marked_gate(tau, exact)
-    lhs = compose(h3, exact, h3, flip).matrix
-    rhs = -compose(diffusion(), flip).matrix
+    lhs = compose(h3, exact, h3, flip)
+    rhs = -compose(diffusion(), flip)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -318,7 +318,7 @@ def test_closed_form_matches_dynamics_under_decay(params_strong_decay):
     operator = gate_operator(decayed_i000(params_strong_decay))
     simulated = extract_gate(
         [params_strong_decay], [gate_time(params_strong_decay)]
-    ).restricted.diagonal()[0]
+    ).restricted[0].diagonal()
     assert np.abs(simulated - operator.diagonal()).max() <= 1e-3
 
 
@@ -326,7 +326,7 @@ def test_closed_form_matches_dynamics_lossless(params_lossless):
     operator = gate_operator(decayed_i000(params_lossless))
     simulated = extract_gate(
         [params_lossless], [gate_time(params_lossless)]
-    ).restricted.diagonal()[0]
+    ).restricted[0].diagonal()
     errors = np.abs(simulated - operator.diagonal())
     assert errors[[0, 2, 3]].max() <= 1e-6
     assert errors[4:].max() <= 1e-9
@@ -337,19 +337,27 @@ def test_slot_ordering_locked_to_coupling_pairs(omega1c):
     # atoms-1+3 closed form and the |010> slot the atoms-1+2 closed form;
     # this pins which slot involves which coupling.
     params = CavityParams(omega=(omega1c, 2.0 * omega1c, 3.0 * omega1c))
-    diag = extract_gate([params], [math.pi / omega1c]).restricted.diagonal()[0]
+    diag = extract_gate([params], [math.pi / omega1c]).restricted[0].diagonal()
     pair13 = (9.0 + math.cos(math.sqrt(10.0) * math.pi)) / 10.0
     pair12 = (4.0 + math.cos(math.sqrt(5.0) * math.pi)) / 5.0
     assert diag[1].real == pytest.approx(pair13, abs=1e-9)
     assert diag[2].real == pytest.approx(pair12, abs=1e-9)
 
 
-# --- operator wrapper ------------------------------------------------------
+# --- operator checks -------------------------------------------------------
 
 
 def test_logical_operator_validates_shape():
     with pytest.raises(ConfigError):
-        LogicalOperator(np.eye(4))
+        marked_gate("000", np.eye(4))
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (3, 8, 8)])
+def test_marked_gate_rejects_a_stack_of_bases(shape):
+    # The base is one 8x8 gate: a stack has no one permutation to take, and
+    # the error names its shape.
+    with pytest.raises(ConfigError, match=re.escape(f"got shape {shape}")):
+        marked_gate("001", np.ones(shape))
 
 
 def test_logical_operator_unitary_flag(params_strong_decay):

@@ -11,8 +11,6 @@ from cavity_grover import (
     CavityParams,
     ConfigError,
     ExperimentConfig,
-    LogicalOperator,
-    MarkedState,
     NumericalError,
     SearchGrid,
     decayed_i000,
@@ -22,7 +20,8 @@ from cavity_grover import (
     residual_gate_entry,
     run_search,
 )
-from cavity_grover.gates import exact_columns
+from cavity_grover import grover
+from cavity_grover.gates import exact_columns, marked_index
 from reference import (
     closed_form_probability,
     gate_operator,
@@ -45,7 +44,7 @@ def _diagonal(variant: str, params: CavityParams) -> np.ndarray:
     return decayed_i000(replace(params, kappa=0.0) if variant == "lossless" else params)
 
 
-def _steps(tau: str, gate: LogicalOperator, k_max: int) -> list[np.ndarray]:
+def _steps(tau: str, gate: np.ndarray, k_max: int) -> list[np.ndarray]:
     """The register after each of ``k_max`` public steps marking ``tau``."""
     state, registers = initial_state(), []
     for _ in range(k_max):
@@ -60,7 +59,7 @@ def test_initial_state_is_uniform():
     assert squared_norm(state) == pytest.approx(1.0, abs=1e-15)
     zero = np.zeros(8, dtype=complex)
     zero[0] = 1.0
-    assert np.abs(state.amplitudes - hadamard3().matrix @ zero).max() <= 1e-15
+    assert np.abs(state.amplitudes - hadamard3() @ zero).max() <= 1e-15
 
 
 def test_single_step_amplifies_marked_amplitude(params_lossless):
@@ -77,8 +76,8 @@ def test_two_steps_match_brute_force_matrix_product(params_lossless):
     # Independent route: build the whole iteration operator as one matrix
     # and apply it twice to the uniform start.
     exact = gate_operator(TEXTBOOK)
-    h3 = hadamard3().matrix
-    q = h3 @ exact.matrix @ h3 @ marked_gate("000", exact).matrix
+    h3 = hadamard3()
+    q = h3 @ exact @ h3 @ marked_gate("000", exact)
     brute = q @ (q @ initial_state().amplitudes)
     p_brute = abs(brute[0]) ** 2
     assert p_brute == pytest.approx(121.0 / 128.0, abs=1e-13)
@@ -200,16 +199,15 @@ def test_run_search_validates_inputs(params_lossless):
 
 
 def test_marked_state_label(params_strong_decay):
-    assert str(MarkedState("010")) == "010"
+    assert marked_index("101") == 5
     for bad in ("002", "10", 5):
         with pytest.raises(ConfigError):
-            MarkedState(bad)
-    # marked_gate takes the label or its string, and permutes i -> i ^ tau.
+            marked_index(bad)
+    # marked_gate permutes i -> i ^ tau.
     gate = gate_operator(decayed_i000(params_strong_decay))
-    flipped = marked_gate(MarkedState("101"), gate).matrix
-    assert np.array_equal(flipped, marked_gate("101", gate).matrix)
+    flipped = marked_gate("101", gate)
     perm = np.arange(8) ^ 5
-    assert np.array_equal(flipped, gate.matrix[np.ix_(perm, perm)])
+    assert np.array_equal(flipped, gate[np.ix_(perm, perm)])
 
 
 # --- phase-gate success probability -----------------------------------
@@ -290,11 +288,12 @@ def test_run_search_rows_equals_per_rate_runs(ratios, variant, k_max, omega1c):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_run_search_rows_builds_no_dense_gate(variant, params_strong_decay, monkeypatch):
-    # The stack reads each gate's eight entries; no 8x8 operator is built.
-    def dense(self):
+    # The stack reads each gate's eight entries; no per-state 8x8 gate is
+    # built, and marked_gate is the one builder of one.
+    def dense(*args):
         raise AssertionError("dense gate operator built")
 
-    monkeypatch.setattr(LogicalOperator, "__post_init__", dense)
+    monkeypatch.setattr(grover, "marked_gate", dense)
     diagonal = _diagonal(variant, params_strong_decay)
     grid = run_search(3, [diagonal, diagonal])
     assert grid.p_find.shape == grid.survival.shape == grid.fidelity.shape == (2, 3)

@@ -7,7 +7,6 @@ from cavity_grover import (
     ConfigError,
     ExperimentConfig,
     GateExtract,
-    LogicalOperator,
     PureState,
     build_effective_hamiltonian,
     computational_embedding,
@@ -140,10 +139,9 @@ def test_pure_state_amplitudes_read_only():
     "build",
     [
         lambda: PureState(np.ones(8)),
-        lambda: LogicalOperator(np.eye(8)),
-        lambda: GateExtract(LogicalOperator(np.eye(8)), np.zeros(8)),
+        lambda: GateExtract(np.eye(8), np.zeros(8)),
     ],
-    ids=["PureState", "LogicalOperator", "GateExtract"],
+    ids=["PureState", "GateExtract"],
 )
 def test_array_holders_compare_by_identity(build):
     # == on array fields is elementwise, so these types keep object identity:

@@ -16,15 +16,15 @@ import sys
 from pathlib import Path
 
 # Never entered by any run, and kept because the benchmark names them:
-# bench/spans.py traces marked_gate, pauli_x and grover_step by name, and
-# grover_step is the one caller of LogicalOperator.apply; bench/test_bench.py
-# asserts that imperfections.evolve is patched, an import timing_oracle_dense
-# alone uses. They leave when the benchmark stops pinning them.
+# bench/spans.py traces marked_gate, pauli_x and grover_step by name;
+# bench/test_bench.py asserts that imperfections.evolve is patched, an import
+# timing_oracle_dense alone uses. They leave when the benchmark stops pinning
+# them. grover_step applies its gates as plain arrays, so no method of a
+# package type is left here only for it.
 BENCH_PINNED = {
     "gates.marked_gate",
     "gates.pauli_x",
     "grover.grover_step",
-    "hilbert.LogicalOperator.apply",
     "imperfections.timing_oracle_dense",
 }
 
