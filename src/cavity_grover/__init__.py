@@ -42,8 +42,6 @@ from .grover import (
 from .hilbert import (
     AtomLevel,
     BasisState,
-    ProductBasis,
-    PureState,
     build_basis,
     computational_embedding,
 )

@@ -8,7 +8,10 @@ The interaction Hamiltonian exchanges one excitation between each atom's
 so states only mix within blocks of equal excitation number. A logical
 input holds at most one excitation, so the basis stops at one photon and
 ``evolve`` exponentiates only the sector a state can reach, at most four
-states for a logical input. Weak cavity decay at rate
+states for a logical input. A state is a plain complex amplitude array, one
+(36,) vector on ``hilbert.BASIS`` or a (K, 36) stack, and every result that
+wide is checked against the truncation guard ``hilbert.GUARD``, where
+amplitude raises ``CutoffError``. Weak cavity decay at rate
 ``kappa`` is treated on the no-jump quantum-trajectory branch by the
 non-Hermitian effective Hamiltonian H_eff = H - i*(kappa/2)*a†a; the norm
 the state loses is the probability that a photon leaked.
@@ -31,14 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CutoffError, NumericalError, _first_row
-from .hilbert import (
-    BASIS,
-    AtomLevel,
-    ProductBasis,
-    PureState,
-    basis_state,
-    computational_embedding,
-)
+from .hilbert import BASIS, GUARD, AtomLevel, computational_embedding
 
 # Coupling ratios that make every logical Rabi cycle close after one gate
 # time: block frequencies sqrt(36) = 6 (atoms 1+2) and sqrt(100) = 10 (all
@@ -135,8 +131,8 @@ def _exchange_pattern() -> np.ndarray:
     """Index rows (vacuum state, its one-photon partner, atom j) with one
     column per (..E.., 0) ↔ (..G.., 1) coupling in ``BASIS``."""
     return np.array([
-        (i, BASIS.position(state._replace(**{f"l{j + 1}": AtomLevel.G}, n=1)), j)
-        for i, state in enumerate(BASIS.states)
+        (i, BASIS.index(state._replace(**{f"l{j + 1}": AtomLevel.G}, n=1)), j)
+        for i, state in enumerate(BASIS)
         for j, level in enumerate(state.atom_levels())
         if level is AtomLevel.E and state.n == 0
     ]).T
@@ -144,7 +140,7 @@ def _exchange_pattern() -> np.ndarray:
 
 # Fixed by ``BASIS``, so found once: each entry holds at most one coupling.
 _VACUUM, _PARTNER, _ATOM = _exchange_pattern()
-_ONE_PHOTON = np.array([i for i, state in enumerate(BASIS.states) if state.n])
+_ONE_PHOTON = np.array([i for i, state in enumerate(BASIS) if state.n])
 
 
 def exchange_hamiltonian(omega: tuple[float, float, float]) -> np.ndarray:
@@ -156,7 +152,7 @@ def exchange_hamiltonian(omega: tuple[float, float, float]) -> np.ndarray:
     interaction off (an atom that has left the mode). Hermitian, no
     diagonal terms, conserves excitation number.
     """
-    h = np.zeros((BASIS.dimension, BASIS.dimension), dtype=complex)
+    h = np.zeros((len(BASIS), len(BASIS)), dtype=complex)
     weights = np.asarray(omega, dtype=float)[_ATOM]
     h[_PARTNER, _VACUUM] += weights
     h[_VACUUM, _PARTNER] += weights
@@ -177,14 +173,14 @@ def add_cavity_decay(h: np.ndarray, kappa: float) -> np.ndarray:
     return h
 
 
-def _check_result(amps: np.ndarray, basis: ProductBasis | None) -> None:
-    """Reject non-finite amplitudes, and amplitude above
-    ``TOP_LAYER_TOLERANCE`` on ``basis.guard``. ``amps`` holds one state
-    vector along its last axis, or a stack of them: its first bad row is named."""
+def _check_result(amps: np.ndarray) -> None:
+    """Reject non-finite amplitudes and, on states as wide as ``BASIS``,
+    amplitude above ``TOP_LAYER_TOLERANCE`` on ``GUARD``. ``amps`` holds one
+    state vector along its last axis, or a stack of them: its first bad row is named."""
     if not (finite := np.isfinite(amps.view(float))).all():
         raise NumericalError("evolution produced non-finite amplitudes", _first_row(~finite, 1))
-    if basis is not None and basis.guard:
-        top = np.abs(amps[..., list(basis.guard)])
+    if amps.shape[-1] == len(BASIS):
+        top = np.abs(amps[..., GUARD])
         if (over := top > TOP_LAYER_TOLERANCE).any():
             row = _first_row(over, 1)  # top[None] is all of an unstacked top
             raise CutoffError(
@@ -232,9 +228,10 @@ def expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def evolve(h: np.ndarray, t, psi0: PureState) -> PureState:
-    """Propagate psi0 by exp(-i*H*t): one (d, d) generator and a float t, or
-    a (K, d, d) stack and K times, with psi0 one state or a (K, d) stack.
+def evolve(h: np.ndarray, t, psi0) -> np.ndarray:
+    """Propagate the amplitudes psi0 by exp(-i*H*t): one (d, d) generator and
+    a float t, or a (K, d, d) stack and K times, with psi0 one (d,) state or
+    a (K, d) stack; the result is a complex array of the broadcast shape.
 
     For a non-Hermitian H this is the unnormalized no-jump branch. The
     matrix exponential propagates psi0 on its reachable sector alone, the
@@ -245,24 +242,26 @@ def evolve(h: np.ndarray, t, psi0: PureState) -> PureState:
     times = np.asarray(t, dtype=float)
     if not all(0.0 <= x < math.inf for x in times.ravel().tolist()):  # NaN fails too
         raise ConfigError(f"evolution time must be finite and >= 0, got {t}")
-    d = psi0.dimension
+    psi0 = np.asarray(psi0, dtype=complex)
+    d = psi0.shape[-1] if psi0.ndim in (1, 2) else -1
     if h.ndim not in (2, 3) or h.shape[-2:] != (d, d) or times.shape != h.shape[:-2]:
         raise ConfigError(
-            f"operator shape {h.shape} does not match {times.shape} times and dimension {d}"
+            f"operator shape {h.shape} does not match {times.shape} times and a 1-D or "
+            f"2-D state as wide as it, got {psi0.shape}"
         )
     # Checked on all of H: a bad entry outside the sector never reaches the result.
     if not (finite := np.isfinite(h)).all():
         raise NumericalError("generator has non-finite entries", _first_row(~finite, 2))
-    sector = _reachable_sector(h, psi0.amplitudes)
+    sector = _reachable_sector(h, psi0)
     # Indexing a stack puts its leading axis innermost; C order gives every
     # slice the layout, and so the BLAS path and the bits, of a one-H call.
     block = np.ascontiguousarray(h[..., sector[:, None], sector])
-    part = np.ascontiguousarray(psi0.amplitudes[..., sector, None])
+    part = np.ascontiguousarray(psi0[..., sector, None])
     part = expm(-1j * block * times[..., None, None]) @ part
     amps = np.zeros(part.shape[:-2] + (d,), dtype=complex)
     amps[..., sector] = part[..., 0]
-    _check_result(amps, psi0.basis)
-    return PureState(amps, psi0.basis)
+    _check_result(amps)
+    return amps
 
 
 def _reachable_sector(h: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -318,15 +317,13 @@ def as_stack(params: Sequence[CavityParams]) -> list[CavityParams]:
     return stack
 
 
-def evolve_logical_basis(
-    params: Sequence[CavityParams], t
-) -> tuple[tuple[int, ...], list[PureState]]:
+def evolve_logical_basis(params: Sequence[CavityParams], t) -> np.ndarray:
     """Evolve each logical basis state |000⟩..|111⟩ under the no-jump
-    Hamiltonian of K parameter sets for their K times ``t``. Returns the
-    logical embedding and the eight final (K, 36) stacks, in logical order."""
+    Hamiltonian of K parameter sets for their K times ``t``, one ``evolve``
+    call each: a (K, 8, 36) array whose axis 1 is in logical order."""
     h_eff = np.stack([build_effective_hamiltonian(p) for p in as_stack(params)])
-    embedding = computational_embedding()
-    return embedding, [evolve(h_eff, t, basis_state(pos)) for pos in embedding]
+    units = np.eye(len(BASIS), dtype=complex)
+    return np.stack([evolve(h_eff, t, units[pos]) for pos in computational_embedding()], axis=-2)
 
 
 def extract_gate(params: Sequence[CavityParams], t) -> GateExtract:
@@ -337,9 +334,9 @@ def extract_gate(params: Sequence[CavityParams], t) -> GateExtract:
     """
     if not np.all(np.asarray(t, dtype=float) > 0.0):  # NaN fails too; evolve rejects inf
         raise ConfigError(f"gate extraction needs a finite t > 0, got {t}")
-    embedding, finals = evolve_logical_basis(params, t)
-    amps = np.stack([final.amplitudes for final in finals], axis=-2)  # (K, column, state)
-    projected = np.ascontiguousarray(amps[..., list(embedding)])  # sums run along rows of 8
+    amps = evolve_logical_basis(params, t)  # (K, column, state)
+    # Contiguous, so the sums below run along rows of 8.
+    projected = np.ascontiguousarray(amps[..., computational_embedding()])
     norm = np.einsum("...i,...i->...", amps, amps.conj()).real
     leakage = norm - (np.abs(projected) ** 2).sum(axis=-1)
     return GateExtract(projected.swapaxes(-1, -2), leakage)

@@ -209,15 +209,17 @@ def parse_config(text: str) -> ExperimentConfig:
 def _parse_value(key: str, value: str, default):
     if key == "output":
         return value or None
-    if isinstance(default, tuple):  # a list of the default's element type
-        return tuple(type(default[0])(v) for v in value.split(",") if v.strip())
-    if key == "offset_eta_per_atom":
-        if not value:
-            return None
-        triple = tuple(float(v) for v in value.split(",") if v.strip())
-        if len(triple) != 3:
+    if key == "offset_eta_per_atom" or isinstance(default, tuple):
+        # Each comma-separated item converts to the default's element type
+        # (float for the per-atom triple): a blank item fails, and an empty
+        # value is the empty list.
+        kind = type(default[0]) if default else float
+        items = tuple(map(kind, value.split(","))) if value else ()
+        if key != "offset_eta_per_atom":
+            return items
+        if len(items) not in (0, 3):
             raise ConfigError(f"{key} needs exactly three comma-separated values")
-        return triple
+        return items or None
     return type(default)(value)  # int, float or str, as the default
 
 

@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, _first_row
 from .gates import TEXTBOOK, full_diagonal, hadamard3, marked_gate
-from .hilbert import PureState
 
 # Far above any useful search length, low enough that a typo cannot ask for a huge search.
 MAX_ITERATIONS = 100_000
@@ -79,15 +78,15 @@ def _row_fidelity(reference: np.ndarray, outputs: np.ndarray) -> tuple[np.ndarra
     return abs(overlap) ** 2 / norm, norm
 
 
-def grover_step(state: PureState, tau: str, i000) -> PureState:
-    """One search iteration on one 8-dimensional ``state`` for the marked
-    state ``tau`` (three bits): the marked-state flip first, then the
+def grover_step(state, tau: str, i000) -> np.ndarray:
+    """One search iteration on the amplitudes ``state``, one 8-vector, for
+    the marked state ``tau`` (three bits): the marked-state flip first, then the
     Hadamard / phase-gate / Hadamard sandwich of the 8x8 |000⟩ gate
     ``i000``. Output is unnormalized when ``i000`` is the decayed gate."""
-    if state.amplitudes.shape != (8,):
-        raise ConfigError("grover_step acts on one 8-dimensional state")
+    if np.shape(state) != (8,):
+        raise ConfigError(f"grover_step acts on one 8-vector, got shape {np.shape(state)}")
     flip = marked_gate(tau, i000)  # also checks i000: one finite 8x8 matrix
-    return PureState(_H3 @ (i000 @ (_H3 @ (flip @ state.amplitudes))), state.basis)
+    return _H3 @ (i000 @ (_H3 @ (flip @ state)))
 
 
 def check_k_max(k_max: int) -> None:

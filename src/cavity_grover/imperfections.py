@@ -48,6 +48,7 @@ from .dynamics import (
 from .errors import ConfigError
 from .gates import TEXTBOOK, _gate_columns, decayed_i000, exact_columns, full_diagonal
 from .grover import _row_fidelity, _uniform_register
+from .hilbert import computational_embedding
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
 
@@ -86,7 +87,7 @@ def _delayed_infidelities(
     fracs = delay_fractions(fracs)
     w1, kappa, t = np.array([(p.omega[0], p.kappa, gate_time(p)) for p in stack]).T[..., None]
     atom1 = block_propagator(w1, kappa, fracs * t)[..., 0, :] @ columns
-    _check_result(atom1, None)
+    _check_result(atom1)
     return 1.0 - _row_fidelity(_GATE_REFERENCE, full_diagonal(atom1) * _uniform_register())[0]
 
 
@@ -125,13 +126,11 @@ def timing_oracle_dense(params: CavityParams, delta_t_frac: float) -> float:
     """
     (frac,) = delay_fractions([delta_t_frac])
     t_gate = gate_time(params)
-    embedding, mids = evolve_logical_basis([params], [t_gate])
+    mids = evolve_logical_basis([params], [t_gate])[0]
     h_atom1 = exchange_hamiltonian((params.omega[0], 0.0, 0.0))  # atoms 2, 3 gone
     add_cavity_decay(h_atom1, params.kappa)
-    logical = list(embedding)
-    gate = np.column_stack(
-        [evolve(h_atom1, frac * t_gate, mid).amplitudes[0, logical] for mid in mids]
-    )
+    logical = list(computational_embedding())
+    gate = np.column_stack([evolve(h_atom1, frac * t_gate, mid)[logical] for mid in mids])
     return float(1.0 - _row_fidelity(_GATE_REFERENCE, gate @ _uniform_register())[0])
 
 

@@ -8,8 +8,8 @@ column at once and no sector search, so agreement also checks that the
 sector restriction drops nothing. The paper's formulas
 (``phase_gate_success``, ``closed_form_probability``) are oracles for the
 search, ``block_columns`` evaluates the gate's column model at any time,
-and the rest are small conveniences on 8x8 operators (complex arrays)
-and the package's types. Only public
+and the rest are small conveniences on the basis, on states and 8x8
+operators (complex arrays) and on the package's tables. Only public
 names of the package are read here, and the model's ``_bright_columns``.
 """
 
@@ -25,7 +25,6 @@ from cavity_grover import (
     AtomLevel,
     BasisState,
     ConfigError,
-    PureState,
     SweepTable,
     build_effective_hamiltonian,
     computational_embedding,
@@ -58,7 +57,7 @@ def rk4(h: np.ndarray, t, amps: np.ndarray, steps: int) -> np.ndarray:
 
 def logical_columns() -> np.ndarray:
     """The eight logical inputs |000⟩..|111⟩ as the columns of a (36, 8) array."""
-    return np.eye(BASIS.dimension, dtype=complex)[:, list(computational_embedding())]
+    return np.eye(len(BASIS), dtype=complex)[:, list(computational_embedding())]
 
 
 def rk4_gate(params, t, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +79,7 @@ def rk4_timing_oracle(params, delta_t_frac: float, steps: int) -> float:
     mids = rk4(build_effective_hamiltonian(params), t_gate, logical_columns(), steps)
     h_atom1 = add_cavity_decay(exchange_hamiltonian((params.omega[0], 0.0, 0.0)), params.kappa)
     gate = rk4(h_atom1, delta_t_frac * t_gate, mids, steps)[list(computational_embedding())]
-    uniform = initial_state().amplitudes
+    uniform = initial_state()
     out, expected = gate @ uniform, full_diagonal(TEXTBOOK) * uniform
     return float(1.0 - abs(np.vdot(expected, out)) ** 2 / np.vdot(out, out).real)
 
@@ -98,10 +97,10 @@ def block_columns(params, t) -> tuple[np.ndarray, np.ndarray]:
 # --- paper formulas ------------------------------------------------------------
 
 
-def initial_state() -> PureState:
+def initial_state() -> np.ndarray:
     """Uniform superposition over all eight logical states, amplitude
     1/(2*sqrt(2)) each; equals the Hadamard layer applied to |000⟩."""
-    return PureState(np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex))
+    return np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
 
 
 def phase_gate_success(coeffs, slots: np.ndarray) -> float:
@@ -157,7 +156,7 @@ def coupling_at_position(z: float, omega0: float, lambda0: float) -> float:
 def state_index(l1: AtomLevel, l2: AtomLevel, l3: AtomLevel, n: int) -> int:
     """Position of the product state (l1, l2, l3, n) in ``BASIS``.
 
-    Bijective inverse of ``BASIS.states``; rejects levels or photon numbers
+    Bijective inverse of ``BASIS[i]``; rejects levels or photon numbers
     outside the basis.
     """
     if l1 not in (E, G):
@@ -166,7 +165,7 @@ def state_index(l1: AtomLevel, l2: AtomLevel, l3: AtomLevel, n: int) -> int:
         raise ConfigError("atoms 2 and 3 must be one of I, G, E")
     if n not in (0, 1):
         raise ConfigError(f"photon number {n} outside 0..1")
-    return BASIS.position(BasisState(l1, l2, l3, n))
+    return BASIS.index(BasisState(l1, l2, l3, n))
 
 
 def excitation_number(position: int) -> int:
@@ -175,11 +174,18 @@ def excitation_number(position: int) -> int:
     The resonant coupling conserves this quantity, which is what makes the
     photon truncation exact for logical inputs.
     """
-    state = BASIS.states[position]
+    state = BASIS[position]
     return state.n + sum(1 for level in state.atom_levels() if level is E)
 
 
-# --- 8x8 operators and the package's types --------------------------------------------
+def unit(position: int) -> np.ndarray:
+    """Unit amplitude vector on one product state of ``BASIS``."""
+    amps = np.zeros(len(BASIS), dtype=complex)
+    amps[position] = 1.0
+    return amps
+
+
+# --- states, 8x8 operators and tables ----------------------------------------------------
 
 
 def gate_operator(slots: np.ndarray) -> np.ndarray:
@@ -198,10 +204,9 @@ def is_unitary(operator: np.ndarray) -> bool:
     return bool(np.abs(gram - np.eye(8)).max() <= 1e-10)
 
 
-def squared_norm(state: PureState):
-    """The squared norm, a float, or one per state of a stack, rounded as
-    ``np.vdot`` rounds it."""
-    amps = state.amplitudes
+def squared_norm(amps: np.ndarray):
+    """The squared norm of a state, a float, or one per state of a stack,
+    rounded as ``np.vdot`` rounds it."""
     return (amps.conj()[..., None, :] @ amps[..., :, None])[..., 0, 0].real
 
 

@@ -28,6 +28,7 @@ from cavity_grover import (
 )
 from cavity_grover import dynamics, imperfections
 from cavity_grover.dynamics import (
+    TOP_LAYER_TOLERANCE,
     add_cavity_decay,
     block_propagator,
     evolve_logical_basis,
@@ -36,13 +37,7 @@ from cavity_grover.dynamics import (
 )
 from cavity_grover.experiments import EXPERIMENTS
 from cavity_grover.gates import _bright_columns, _gate_columns, exact_columns
-from cavity_grover.hilbert import (
-    BASIS,
-    BasisState,
-    ProductBasis,
-    PureState,
-    basis_state,
-)
+from cavity_grover.hilbert import BASIS, GUARD, BasisState
 from reference import (
     block_columns,
     coupling_at_position,
@@ -52,6 +47,7 @@ from reference import (
     rk4_gate,
     squared_norm,
     state_index,
+    unit,
 )
 
 E, G, I = AtomLevel.E, AtomLevel.G, AtomLevel.I
@@ -97,7 +93,7 @@ def test_uninvolved_level_never_couples(params_lossless):
     h = exchange_hamiltonian(params_lossless.omega)
     rows, cols = np.nonzero(h)
     for i, j in zip(rows, cols):
-        a, b = BASIS.states[i], BASIS.states[j]
+        a, b = BASIS[i], BASIS[j]
         assert (a.l2 is I) == (b.l2 is I)
         assert (a.l3 is I) == (b.l3 is I)
 
@@ -131,21 +127,21 @@ def test_effective_hamiltonian_decay_diagonal(params_strong_decay):
 
 
 def _loop_exchange_hamiltonian(omega):
-    h = np.zeros((BASIS.dimension, BASIS.dimension), dtype=complex)
-    for i, state in enumerate(BASIS.states):
+    h = np.zeros((len(BASIS), len(BASIS)), dtype=complex)
+    for i, state in enumerate(BASIS):
         levels = list(state.atom_levels())
         for j in range(3):
             if levels[j] is E and state.n == 0:
                 lowered = levels.copy()
                 lowered[j] = G
-                k = BASIS.position(BasisState(*lowered, 1))
+                k = BASIS.index(BasisState(*lowered, 1))
                 h[k, i] += omega[j]
                 h[i, k] += omega[j]
     return h
 
 
 def _loop_add_cavity_decay(h, kappa):
-    for i, state in enumerate(BASIS.states):
+    for i, state in enumerate(BASIS):
         if state.n:
             h[i, i] += -0.5j * kappa
     return h
@@ -179,10 +175,10 @@ def _reference_gate(params, t):
     embedding = list(computational_embedding())
     matrix, leakage = np.zeros((8, 8), dtype=complex), np.zeros(8)
     for col, pos in enumerate(embedding):
-        psi = np.zeros(BASIS.dimension, dtype=complex)
+        psi = np.zeros(len(BASIS), dtype=complex)
         psi[pos] = 1.0
         sector = dynamics._reachable_sector(h, psi)
-        final = np.zeros(BASIS.dimension, dtype=complex)
+        final = np.zeros(len(BASIS), dtype=complex)
         final[sector] = _pade_expm(-1j * h[np.ix_(sector, sector)] * t) @ psi[sector]
         matrix[:, col] = final[embedding]
         leakage[col] = float(np.vdot(final, final).real) - float(
@@ -209,9 +205,9 @@ def test_hamiltonian_matches_the_loop_reference(omega, kappa):
 
 def test_evolve_zero_time_is_identity(params_lossless):
     h = exchange_hamiltonian(params_lossless.omega)
-    psi = basis_state(computational_embedding()[3])
+    psi = unit(computational_embedding()[3])
     out = evolve(h, 0.0, psi)
-    assert np.abs(out.amplitudes - psi.amplitudes).max() <= 1e-15
+    assert np.abs(out - psi).max() <= 1e-15
 
 
 def test_two_state_rabi_full_cycle(params_lossless):
@@ -219,8 +215,8 @@ def test_two_state_rabi_full_cycle(params_lossless):
     # after half a period the state returns with amplitude -1.
     h = exchange_hamiltonian(params_lossless.omega)
     start = state_index(E, I, I, 0)
-    out = evolve(h, math.pi / params_lossless.omega[0], basis_state(start))
-    assert abs(out.amplitudes[start] - (-1.0)) <= 1e-9
+    out = evolve(h, math.pi / params_lossless.omega[0], unit(start))
+    assert abs(out[start] - (-1.0)) <= 1e-9
 
 
 def test_three_atom_block_closes_cycle(params_lossless):
@@ -228,20 +224,20 @@ def test_three_atom_block_closes_cycle(params_lossless):
     # gate time holds five full periods: amplitude returns to +1.
     h = exchange_hamiltonian(params_lossless.omega)
     start = state_index(E, G, G, 0)
-    out = evolve(h, math.pi / params_lossless.omega[0], basis_state(start))
-    assert abs(out.amplitudes[start] - 1.0) <= 1e-9
+    out = evolve(h, math.pi / params_lossless.omega[0], unit(start))
+    assert abs(out[start] - 1.0) <= 1e-9
 
 
 def test_evolve_rejects_negative_time(params_lossless):
     h = exchange_hamiltonian(params_lossless.omega)
     with pytest.raises(ConfigError):
-        evolve(h, -1.0, basis_state(0))
+        evolve(h, -1.0, unit(0))
 
 
 def test_evolve_rejects_dimension_mismatch(params_lossless):
     h = exchange_hamiltonian(params_lossless.omega)
     with pytest.raises(ConfigError):
-        evolve(h[:10, :10], 1.0, basis_state(0))
+        evolve(h[:10, :10], 1.0, unit(0))
 
 
 # --- matrix exponential ----------------------------------------------------
@@ -293,7 +289,7 @@ def test_expm_of_a_stack_has_the_bits_of_each_matrix():
 def test_evolve_rejects_nan_generator(params_strong_decay):
     h = build_effective_hamiltonian(params_strong_decay)
     h[0, 1] = np.nan
-    psi = basis_state(computational_embedding()[0])
+    psi = unit(computational_embedding()[0])
     t = gate_time(params_strong_decay)
     with pytest.raises(NumericalError) as raised:
         evolve(h, t, psi)
@@ -343,16 +339,16 @@ def test_excitation_conservation(params_lossless):
     t = gate_time(params_lossless)
     for pos in computational_embedding():
         block = excitation_number(pos)
-        out = evolve(h, t, basis_state(pos))
+        out = evolve(h, t, unit(pos))
         outside = [
-            i for i in range(BASIS.dimension) if excitation_number(i) != block
+            i for i in range(len(BASIS)) if excitation_number(i) != block
         ]
-        assert np.abs(out.amplitudes[outside]).max() < 1e-12
+        assert np.abs(out[outside]).max() < 1e-12
 
 
 def test_unitarity_without_decay(params_lossless):
     h = exchange_hamiltonian(params_lossless.omega)
-    psi = basis_state(computational_embedding()[3])
+    psi = unit(computational_embedding()[3])
     for t_factor in (0.5, 1.0, 5.0, 10.0):
         out = evolve(h, t_factor * gate_time(params_lossless), psi)
         assert abs(squared_norm(out) - 1.0) <= 1e-10
@@ -362,7 +358,7 @@ def test_norm_monotone_under_decay(params_strong_decay):
     h = build_effective_hamiltonian(params_strong_decay)
     t = gate_time(params_strong_decay)
     samples = np.linspace(0.0, t, 120)
-    psi = basis_state(computational_embedding()[0])
+    psi = unit(computational_embedding()[0])
     norms = [squared_norm(evolve(h, ti, psi)) for ti in samples]
     diffs = np.diff(norms)
     assert np.all(diffs <= 1e-12)
@@ -375,8 +371,8 @@ def test_methods_agree_on_all_logical_inputs(params_strong_decay):
     t = gate_time(params_strong_decay)
     integrated = rk4(h, t, logical_columns(), 4096)
     for col, pos in enumerate(computational_embedding()):
-        reference = evolve(h, t, basis_state(pos))
-        assert np.abs(reference.amplitudes - integrated[:, col]).max() <= 1e-8
+        reference = evolve(h, t, unit(pos))
+        assert np.abs(reference - integrated[:, col]).max() <= 1e-8
 
 
 def test_truncation_guard_fires_for_over_excited_input(params_lossless):
@@ -386,21 +382,21 @@ def test_truncation_guard_fires_for_over_excited_input(params_lossless):
     start = state_index(E, G, G, 1)
     t = gate_time(params_lossless)
     with pytest.raises(CutoffError) as raised:
-        evolve(h, t, basis_state(start))
+        evolve(h, t, unit(start))
     assert raised.value.row is None
     single = float(str(raised.value).split()[1])  # "amplitude <worst> on ..."
     assert single > 1e-10
     # In a stack, one over-excited member is enough, and it is the row named:
     # first, middle or last of three. The message gives that row's worst
     # amplitude, as a one-state call does.
-    logical = basis_state(computational_embedding()[0]).amplitudes
+    logical = unit(computational_embedding()[0])
     triple = np.stack([h, h, h])
-    evolve(triple, [t] * 3, PureState(np.stack([logical] * 3), BASIS))
+    evolve(triple, [t] * 3, np.stack([logical] * 3))
     for row in range(3):
         states = np.stack([logical] * 3)
-        states[row] = basis_state(start).amplitudes
+        states[row] = unit(start)
         with pytest.raises(CutoffError) as raised:
-            evolve(triple, [t] * 3, PureState(states, BASIS))
+            evolve(triple, [t] * 3, states)
         assert raised.value.row == row
         assert float(str(raised.value).split()[1]) == single
 
@@ -410,16 +406,16 @@ def test_evolve_on_a_stack_has_the_bits_of_single_calls(omega1c):
     h = np.stack([build_effective_hamiltonian(p) for p in stack])
     times = [gate_time(p) for p in stack]
     for pos in computational_embedding():
-        rows = evolve(h, times, basis_state(pos)).amplitudes
-        assert rows.shape == (3, BASIS.dimension)
+        rows = evolve(h, times, unit(pos))
+        assert rows.shape == (3, len(BASIS))
         for member, t, row in zip(h, times, rows):
-            single = evolve(member, t, basis_state(pos)).amplitudes
+            single = evolve(member, t, unit(pos))
             assert row.tobytes() == single.tobytes()
 
 
 def test_evolve_rejects_times_that_do_not_match_the_stack(params_lossless):
     h = np.stack([build_effective_hamiltonian(params_lossless)] * 2)
-    psi = basis_state(computational_embedding()[0])
+    psi = unit(computational_embedding()[0])
     for t in (1e-6, [1e-6], [1e-6] * 3):
         with pytest.raises(ConfigError):
             evolve(h, t, psi)
@@ -428,13 +424,6 @@ def test_evolve_rejects_times_that_do_not_match_the_stack(params_lossless):
 
 
 # --- reachable sector --------------------------------------------------------
-
-
-def _plain_state(amps: np.ndarray) -> PureState:
-    # A state on an unstructured basis of any size, with no truncation guard.
-    dim = len(amps)
-    basis = ProductBasis(states=(None,) * dim, _index={}, guard=())
-    return PureState(amps, basis)
 
 
 @st.composite
@@ -462,18 +451,23 @@ def _sparse_problems(draw):
 def test_evolve_on_the_sector_matches_full_propagation(problem):
     h, psi, t = problem
     scale = 1e-12 * np.linalg.norm(psi)
-    out = evolve(h, t, _plain_state(psi)).amplitudes
-    assert np.abs(out - scipy.linalg.expm(-1j * h * t) @ psi).max() <= scale
+    full = scipy.linalg.expm(-1j * h * t) @ psi
+    if len(psi) == len(BASIS) and np.abs(full[list(GUARD)]).max() > TOP_LAYER_TOLERANCE:
+        # A state as wide as BASIS is checked against its truncation guard.
+        with pytest.raises(CutoffError):
+            evolve(h, t, psi)
+    else:
+        assert np.abs(evolve(h, t, psi) - full).max() <= scale
 
 
 def test_evolve_on_empty_and_full_supports():
     rng = np.random.default_rng(7)
     h = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-    zero = evolve(h, 0.8, _plain_state(np.zeros(12))).amplitudes
+    zero = evolve(h, 0.8, np.zeros(12))
     assert np.array_equal(zero, np.zeros(12))
     psi = rng.normal(size=12) + 1j * rng.normal(size=12)
     scale = 1e-12 * np.linalg.norm(psi)
-    full = evolve(h, 0.8, _plain_state(psi)).amplitudes
+    full = evolve(h, 0.8, psi)
     assert np.abs(full - scipy.linalg.expm(-0.8j * h) @ psi).max() <= scale
 
 
@@ -482,7 +476,7 @@ def test_evolve_rejects_inf_outside_the_sector():
     h = np.zeros((4, 4), dtype=complex)
     h[1, 0] = h[0, 1] = 1.0
     h[3, 2] = np.inf
-    psi = _plain_state(np.array([1.0, 0.0, 0.0, 0.0]))
+    psi = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(NumericalError):
         evolve(h, 1.0, psi)
 
@@ -554,7 +548,7 @@ def test_extract_gate_needs_one_time_per_parameter_set(params_lossless):
 
 # Each κ-sweep function on K parameter sets, and the K-axis array it returns.
 _KAPPA_SWEEPS = {
-    "evolve_logical_basis": lambda s: evolve_logical_basis(s, [1.0] * len(s))[1][0].amplitudes,
+    "evolve_logical_basis": lambda s: evolve_logical_basis(s, [1.0] * len(s))[:, 0],
     "extract_gate": lambda s: extract_gate(s, [1.0] * len(s)).leakage,
     "exact_columns": exact_columns,
     "paper_columns": lambda s: np.stack(_gate_columns(s, False), axis=-2),
@@ -630,11 +624,11 @@ def test_check_result_names_the_first_non_finite_row(shape):
     # One state vector has no row; a (K, d) stack of states, or the (K, D, 4)
     # timing amplitudes, name the first row along K holding a NaN or inf.
     amps = np.zeros(shape, dtype=complex)
-    dynamics._check_result(amps, None)
+    dynamics._check_result(amps)
     if len(shape) == 1:
         amps[3] = complex(0.0, np.nan)
         with pytest.raises(NumericalError, match="^evolution produced non-finite") as raised:
-            dynamics._check_result(amps, None)
+            dynamics._check_result(amps)
         assert raised.value.row is None
         return
     for row in range(3):
@@ -642,7 +636,7 @@ def test_check_result_names_the_first_non_finite_row(shape):
         amps[row, ..., -1] = np.inf
         amps[2, ..., 0] = np.nan
         with pytest.raises(NumericalError) as raised:
-            dynamics._check_result(amps, None)
+            dynamics._check_result(amps)
         assert raised.value.row == row
 
 
@@ -699,17 +693,15 @@ def _block_amplitudes(params, t):
 def test_block_amplitudes_match_dense_evolution(omega1c, ratios, kappa_frac, frac):
     params = _block_params(omega1c, ratios, kappa_frac)
     t = frac * gate_time(params)
-    embedding, finals = evolve_logical_basis([params], [t])
+    embedding, finals = computational_embedding(), evolve_logical_basis([params], [t])[0]
     leaf1, photon, norm = _block_amplitudes(params, t)
     for col, (l2, l3) in enumerate([(I, I), (I, G), (G, I), (G, G)]):
-        amps = finals[col].amplitudes[0]
+        amps = finals[col]
         assert abs(amps[embedding[col]] - leaf1[col]) <= 1e-12
         assert abs(amps[state_index(G, l2, l3, 1)] - photon[col]) <= 1e-12
-        assert abs(squared_norm(finals[col])[0] - norm[col]) <= 1e-12
+        assert abs(squared_norm(finals[col]) - norm[col]) <= 1e-12
     for col in range(4, 8):  # qubit 1 = G: no excitation, nothing moves
-        unit = np.zeros(BASIS.dimension)
-        unit[embedding[col]] = 1.0
-        assert np.array_equal(finals[col].amplitudes[0], unit)
+        assert np.array_equal(finals[col], unit(embedding[col]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

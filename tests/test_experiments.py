@@ -37,9 +37,8 @@ from cavity_grover.dynamics import decay_shifted_frequency
 from cavity_grover.experiments import MAX_GRID_POINTS, SweepTable, _value_text
 from cavity_grover.gates import TEXTBOOK, marked_gate, marked_index
 from cavity_grover.grover import run_search
-from cavity_grover.hilbert import basis_state
 from cavity_grover.tables import Axis
-from reference import coupling_at_position, phase_gate_success, rows
+from reference import coupling_at_position, phase_gate_success, rows, unit
 
 FAST = dict(delta_t_points=5, eta_points=5)
 
@@ -154,6 +153,28 @@ def test_per_atom_count_error_names_its_line():
         "config line 2: bad value for 'offset_eta_per_atom': "
         "offset_eta_per_atom needs exactly three comma-separated values"
     )
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "offset_eta_per_atom = 0.1,,0.2,0.3",
+        "kappa_ratios = 0,,0.1",
+        "chi_list = 1, ,2",
+        "kappa_ratios = 0,0.1,",
+    ],
+)
+def test_blank_list_item_is_a_bad_value(line):
+    # Every item of a list value is read: a blank one is an error, never dropped.
+    key = line.split("=")[0].strip()
+    with pytest.raises(ConfigError, match=f"^config line 2: bad value for '{key}': "):
+        parse_config("k_max = 4\n" + line + "\n")
+
+
+def test_empty_list_value_is_empty():
+    with pytest.raises(ConfigError, match="kappa_ratios must not be empty"):
+        parse_config("kappa_ratios =\n")
+    assert parse_config("offset_eta_per_atom =\n").offset_eta_per_atom is None
 
 
 @pytest.mark.parametrize("value", [0, 1, 2, 3, 11])
@@ -273,7 +294,7 @@ _GUARDED_CALLS = {
     "coupling_at_position": lambda x: coupling_at_position(0.0, 1.0, x),
     "decay_shifted_frequency omega": lambda x: decay_shifted_frequency(x, 0.0),
     "decay_shifted_frequency kappa": lambda x: decay_shifted_frequency(1.0, x),
-    "evolve": lambda x: evolve(build_effective_hamiltonian(_P), x, basis_state(0)),
+    "evolve": lambda x: evolve(build_effective_hamiltonian(_P), x, unit(0)),
     "extract_gate": lambda x: extract_gate([_P], [x]),
     "marked_gate": lambda x: marked_gate("000", np.full((8, 8), x)),
     "phase_gate_success": lambda x: phase_gate_success([x] + [1.0] * 7, decayed_i000(_P)),

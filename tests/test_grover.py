@@ -49,17 +49,17 @@ def _steps(tau: str, gate: np.ndarray, k_max: int) -> list[np.ndarray]:
     state, registers = initial_state(), []
     for _ in range(k_max):
         state = grover_step(state, tau, gate)
-        registers.append(state.amplitudes)
+        registers.append(state)
     return registers
 
 
 def test_initial_state_is_uniform():
     state = initial_state()
-    assert state.amplitudes[0b101] == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
+    assert state[0b101] == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
     assert squared_norm(state) == pytest.approx(1.0, abs=1e-15)
     zero = np.zeros(8, dtype=complex)
     zero[0] = 1.0
-    assert np.abs(state.amplitudes - hadamard3() @ zero).max() <= 1e-15
+    assert np.abs(state - hadamard3() @ zero).max() <= 1e-15
 
 
 def test_single_step_amplifies_marked_amplitude(params_lossless):
@@ -68,8 +68,8 @@ def test_single_step_amplifies_marked_amplitude(params_lossless):
     # overall sign that alternates per iteration and never affects p_find.
     exact = gate_operator(TEXTBOOK)
     out = grover_step(initial_state(), "000", exact)
-    assert out.amplitudes[0] == pytest.approx(-5.0 / (4.0 * math.sqrt(2.0)), abs=1e-14)
-    assert abs(out.amplitudes[0]) ** 2 == pytest.approx(25.0 / 32.0, abs=1e-13)
+    assert out[0] == pytest.approx(-5.0 / (4.0 * math.sqrt(2.0)), abs=1e-14)
+    assert abs(out[0]) ** 2 == pytest.approx(25.0 / 32.0, abs=1e-13)
 
 
 def test_two_steps_match_brute_force_matrix_product(params_lossless):
@@ -78,13 +78,13 @@ def test_two_steps_match_brute_force_matrix_product(params_lossless):
     exact = gate_operator(TEXTBOOK)
     h3 = hadamard3()
     q = h3 @ exact @ h3 @ marked_gate("000", exact)
-    brute = q @ (q @ initial_state().amplitudes)
+    brute = q @ (q @ initial_state())
     p_brute = abs(brute[0]) ** 2
     assert p_brute == pytest.approx(121.0 / 128.0, abs=1e-13)
 
     state = grover_step(initial_state(), "000", exact)
     state = grover_step(state, "000", exact)
-    assert abs(state.amplitudes[0]) ** 2 == pytest.approx(p_brute, abs=1e-14)
+    assert abs(state[0]) ** 2 == pytest.approx(p_brute, abs=1e-14)
 
 
 def test_decayed_step_contracts_norm(params_strong_decay):
@@ -116,7 +116,7 @@ def test_exact_search_matches_closed_form(tau, params_lossless):
     for k, p in enumerate(p_find, start=1):
         state = grover_step(state, tau, gate)
         expected = closed_form_probability(k)
-        assert abs(abs(state.amplitudes[int(tau, 2)]) ** 2 - expected) <= 1e-12
+        assert abs(abs(state[int(tau, 2)]) ** 2 - expected) <= 1e-12
         assert abs(p - expected) <= 1e-12
 
 

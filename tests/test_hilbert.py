@@ -7,21 +7,23 @@ from cavity_grover import (
     ConfigError,
     ExperimentConfig,
     GateExtract,
-    PureState,
     build_effective_hamiltonian,
     computational_embedding,
+    evolve,
+    grover_step,
     parse_config,
 )
 from cavity_grover.dynamics import _reachable_sector
-from cavity_grover.hilbert import BASIS, BasisState, basis_state
-from reference import excitation_number, state_index
+from cavity_grover.gates import TEXTBOOK
+from cavity_grover.hilbert import BASIS, GUARD, BasisState
+from reference import excitation_number, gate_operator, state_index, unit
 
 E, G, I = AtomLevel.E, AtomLevel.G, AtomLevel.I
 
 
 def test_basis_is_vacuum_plus_one_photon():
-    assert BASIS.dimension == 36
-    assert {s.n for s in BASIS.states} == {0, 1}
+    assert len(BASIS) == 36
+    assert {s.n for s in BASIS} == {0, 1}
 
 
 def test_cutoff_zero_rejected():
@@ -52,25 +54,25 @@ def test_enumeration_lookup_round_trip(atom):
     # Every state looks up to its own position, and so does every state
     # reached by setting this atom to another of its levels.
     levels = (E, G) if atom == 1 else (I, G, E)
-    for position, state in enumerate(BASIS.states):
+    for position, state in enumerate(BASIS):
         assert state_index(state.l1, state.l2, state.l3, state.n) == position
         for level in levels:
             moved = state._replace(**{f"l{atom}": level})
-            assert BASIS.states[state_index(*moved)] == moved
+            assert BASIS[state_index(*moved)] == moved
 
 
 @pytest.mark.parametrize("atom", [1, 2, 3])
 def test_guard_is_top_layer_with_an_excited_atom(atom):
     expected = [
         i
-        for i, s in enumerate(BASIS.states)
+        for i, s in enumerate(BASIS)
         if s.n == 1 and any(l is E for l in s.atom_levels())
     ]
-    assert list(BASIS.guard) == expected
+    assert list(GUARD) == expected
     # This atom in E puts a one-photon state on the guard, never a vacuum one.
-    for i, s in enumerate(BASIS.states):
+    for i, s in enumerate(BASIS):
         if s.atom_levels()[atom - 1] is E:
-            assert (i in BASIS.guard) == (s.n == 1)
+            assert (i in GUARD) == (s.n == 1)
 
 
 def test_embedding_order_and_vacuum():
@@ -87,12 +89,12 @@ def test_embedding_order_and_vacuum():
     assert embedding[0] == state_index(E, I, I, 0)
     assert embedding[7] == state_index(G, G, G, 0)
     for idx in embedding:
-        assert BASIS.states[idx].n == 0
+        assert BASIS[idx].n == 0
 
 
 def test_last_logical_state_round_trips():
     idx = state_index(G, G, G, 0)
-    assert BASIS.states[idx] == BasisState(G, G, G, 0)
+    assert BASIS[idx] == BasisState(G, G, G, 0)
     assert idx == computational_embedding()[7]
 
 
@@ -116,32 +118,29 @@ def test_cutoff_one_is_exact_for_logical_inputs(omega1c):
     for kappa_ratio in (0.0, 0.1, 3.9):
         h = build_effective_hamiltonian(CavityParams.designed(omega1c, kappa_ratio * omega1c))
         for pos in computational_embedding():
-            sector = _reachable_sector(h, basis_state(pos).amplitudes)
-            assert not set(sector.tolist()) & set(BASIS.guard)
+            sector = _reachable_sector(h, unit(pos))
+            assert not set(sector.tolist()) & set(GUARD)
             assert len(sector) <= 4
             assert all(excitation_number(i) <= 1 for i in sector)
 
 
 def test_pure_state_validates_length():
+    # A state is a plain array: evolve takes one 1-D or 2-D state as wide as
+    # its generator, and a search step one 8-vector.
+    h = build_effective_hamiltonian(CavityParams.designed(1.0))
     with pytest.raises(ConfigError):
-        PureState(np.ones(5, dtype=complex), BASIS)
+        evolve(h, 1.0, np.ones(5, dtype=complex))
     with pytest.raises(ConfigError):
-        PureState(np.ones(7, dtype=complex))  # logical register is 8-dim
-
-
-def test_pure_state_amplitudes_read_only():
-    state = PureState(np.ones(8, dtype=complex) / np.sqrt(8.0))
-    with pytest.raises(ValueError):
-        state.amplitudes[0] = 0.0
+        evolve(h, 1.0, np.ones((2, 3, len(BASIS)), dtype=complex))
+    with pytest.raises(ConfigError):
+        # The logical register is 8-dim.
+        grover_step(np.ones(7, dtype=complex), "000", gate_operator(TEXTBOOK))
 
 
 @pytest.mark.parametrize(
     "build",
-    [
-        lambda: PureState(np.ones(8)),
-        lambda: GateExtract(np.eye(8), np.zeros(8)),
-    ],
-    ids=["PureState", "GateExtract"],
+    [lambda: GateExtract(np.eye(8), np.zeros(8))],
+    ids=["GateExtract"],
 )
 def test_array_holders_compare_by_identity(build):
     # == on array fields is elementwise, so these types keep object identity:

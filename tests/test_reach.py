@@ -19,8 +19,9 @@ from pathlib import Path
 # bench/spans.py traces marked_gate, pauli_x and grover_step by name;
 # bench/test_bench.py asserts that imperfections.evolve is patched, an import
 # timing_oracle_dense alone uses. They leave when the benchmark stops pinning
-# them. grover_step applies its gates as plain arrays, so no method of a
-# package type is left here only for it.
+# them. They take and return plain arrays: grover_step an 8-vector, with its
+# gates as 8x8 arrays, and timing_oracle_dense reads evolve's amplitude
+# arrays, so no package type or method is left here only for them.
 BENCH_PINNED = {
     "gates.marked_gate",
     "gates.pauli_x",
