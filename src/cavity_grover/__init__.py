@@ -10,7 +10,6 @@ budgets for atom-timing and coupling-offset imperfections.
 from . import _blas  # noqa: F401  (first: sets the BLAS thread count numpy loads with)
 from .dynamics import (
     CavityParams,
-    GateExtract,
     build_effective_hamiltonian,
     evolve,
     extract_gate,
@@ -35,7 +34,6 @@ from .gates import (
     residual_gate_entry,
 )
 from .grover import (
-    SearchGrid,
     grover_step,
     run_search,
 )

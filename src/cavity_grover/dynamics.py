@@ -21,7 +21,8 @@ conditional phase flip when the couplings are designed in the ratio
 1 : sqrt(35) : 8 — each logical state then completes an integer number of
 Rabi cycles except |000⟩, which picks up a sign. ``extract_gate`` recovers
 the realized logical operator directly from the simulated dynamics and is
-the validation oracle for the closed-form gate matrices in ``gates``.
+the validation oracle for the closed-form gate matrices in ``gates``. Its
+result is a pair of plain read-only arrays, the gate and its per-column leakage.
 """
 
 from __future__ import annotations
@@ -231,7 +232,8 @@ def expm(a: np.ndarray) -> np.ndarray:
 def evolve(h: np.ndarray, t, psi0) -> np.ndarray:
     """Propagate the amplitudes psi0 by exp(-i*H*t): one (d, d) generator and
     a float t, or a (K, d, d) stack and K times, with psi0 one (d,) state or
-    a (K, d) stack; the result is a complex array of the broadcast shape.
+    a stack of them, (K2, d) for one generator and (1, d) or (K, d) for a
+    stack; the result is a complex array of the broadcast shape.
 
     For a non-Hermitian H this is the unnormalized no-jump branch. The
     matrix exponential propagates psi0 on its reachable sector alone, the
@@ -244,10 +246,11 @@ def evolve(h: np.ndarray, t, psi0) -> np.ndarray:
         raise ConfigError(f"evolution time must be finite and >= 0, got {t}")
     psi0 = np.asarray(psi0, dtype=complex)
     d = psi0.shape[-1] if psi0.ndim in (1, 2) else -1
-    if h.ndim not in (2, 3) or h.shape[-2:] != (d, d) or times.shape != h.shape[:-2]:
+    mismatched = h.ndim == 3 and psi0.ndim == 2 and len(psi0) not in (1, len(h))
+    if h.ndim not in (2, 3) or h.shape[-2:] != (d, d) or times.shape != h.shape[:-2] or mismatched:
         raise ConfigError(
             f"operator shape {h.shape} does not match {times.shape} times and a 1-D or "
-            f"2-D state as wide as it, got {psi0.shape}"
+            f"2-D state as wide as it, one row or one per operator, got {psi0.shape}"
         )
     # Checked on all of H: a bad entry outside the sector never reaches the result.
     if not (finite := np.isfinite(h)).all():
@@ -280,35 +283,6 @@ def _reachable_sector(h: np.ndarray, amps: np.ndarray) -> np.ndarray:
         size = grown
 
 
-@dataclass(frozen=True, eq=False)  # array fields: == on them is elementwise
-class GateExtract:
-    """Realized logical gate recovered from simulation.
-
-    ``restricted`` is the complex 8x8 operator on the logical subspace (columns
-    in logical order |000⟩..|111⟩); ``leakage`` is the squared amplitude each
-    column left outside that subspace, ≥ 0. Column norm plus leakage is 1 for
-    lossless evolution and below 1 under decay. A stack adds a leading axis.
-    """
-
-    restricted: np.ndarray
-    leakage: np.ndarray
-
-    def __post_init__(self) -> None:
-        gate = np.array(self.restricted, dtype=complex, order="C")
-        leak = np.asarray(self.leakage, dtype=float).copy()
-        gate.flags.writeable = leak.flags.writeable = False
-        object.__setattr__(self, "restricted", gate)
-        object.__setattr__(self, "leakage", leak)
-        cols = np.sum(np.abs(gate) ** 2, axis=-2)
-        over, under = ~(cols + leak <= 1.0 + 1e-9), ~(leak >= -1e-9)  # NaN fails both
-        if (bad := over | under).any():
-            row = _first_row(bad, 1)  # under[None] is all of an unstacked item
-            what = "column norm plus leakage exceeds 1"
-            if under[row].any():  # named first: a NaN leakage breaks both rules
-                what = "leakage is NaN or below -1e-9"
-            raise NumericalError(what, row)
-
-
 def as_stack(params: Sequence[CavityParams]) -> list[CavityParams]:
     """A non-empty sequence of parameter sets as a list."""
     stack = list(params)
@@ -326,11 +300,14 @@ def evolve_logical_basis(params: Sequence[CavityParams], t) -> np.ndarray:
     return np.stack([evolve(h_eff, t, units[pos]) for pos in computational_embedding()], axis=-2)
 
 
-def extract_gate(params: Sequence[CavityParams], t) -> GateExtract:
+def extract_gate(params: Sequence[CavityParams], t) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the gate of K parameter sets at their K times ``t``: evolve
     each logical basis state under the no-jump Hamiltonian and project back
-    onto the logical subspace. The eight ``evolve`` calls propagate a (K, 36,
-    36) stack; slice k of the extract has the bits of a one-set stack.
+    onto the logical subspace. Returns ``(restricted, leakage)``, read-only:
+    the complex (K, 8, 8) gate on the logical subspace (columns in logical
+    order |000⟩..|111⟩) and the float (K, 8) squared amplitude each column
+    left outside it, checked by ``_check_gate``. The eight ``evolve`` calls
+    propagate a (K, 36, 36) stack; slice k has the bits of a one-set stack.
     """
     if not np.all(np.asarray(t, dtype=float) > 0.0):  # NaN fails too; evolve rejects inf
         raise ConfigError(f"gate extraction needs a finite t > 0, got {t}")
@@ -339,7 +316,24 @@ def extract_gate(params: Sequence[CavityParams], t) -> GateExtract:
     projected = np.ascontiguousarray(amps[..., computational_embedding()])
     norm = np.einsum("...i,...i->...", amps, amps.conj()).real
     leakage = norm - (np.abs(projected) ** 2).sum(axis=-1)
-    return GateExtract(projected.swapaxes(-1, -2), leakage)
+    restricted = projected.swapaxes(-1, -2)
+    _check_gate(restricted, leakage)
+    restricted.flags.writeable = leakage.flags.writeable = False
+    return restricted, leakage
+
+
+def _check_gate(restricted: np.ndarray, leakage: np.ndarray) -> None:
+    """The rule on an extracted gate: column norm plus leakage is 1 for
+    lossless evolution and below 1 under decay, and leakage is a squared
+    norm. A stack names its first row that breaks either rule, one gate no row."""
+    cols = np.sum(np.abs(restricted) ** 2, axis=-2)
+    over, under = ~(cols + leakage <= 1.0 + 1e-9), ~(leakage >= -1e-9)  # NaN fails both
+    if (bad := over | under).any():
+        row = _first_row(bad, 1)  # under[None] is all of an unstacked gate
+        what = "column norm plus leakage exceeds 1"
+        if under[row].any():  # named first: a NaN leakage breaks both rules
+            what = "leakage is NaN or below -1e-9"
+        raise NumericalError(what, row)
 
 
 def positions_for_ratio(lambda0: float) -> tuple[float, float, float]:

@@ -262,8 +262,10 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
     gamma0 = residual_gate_entry(config.params(0.0))
     lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
     analytic = full_diagonal(config._kappa_gates)
-    extract = extract_gate(config._kappa_params, [gate_time(p) for p in config._kappa_params])
-    simulated = extract.restricted.diagonal(0, -2, -1)
+    restricted, leakage = extract_gate(
+        config._kappa_params, [gate_time(p) for p in config._kappa_params]
+    )
+    simulated = restricted.diagonal(0, -2, -1)
     for ratio, worst in zip(config.kappa_ratios, np.abs(simulated - analytic).max(axis=1)):
         lines.append(f"kappa_ratio={ratio}: max |analytic - simulated| = {worst:.3e}")
     return SweepTable(
@@ -275,31 +277,31 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
             analytic.ravel(),
             simulated.real.ravel(),
             simulated.imag.ravel(),
-            extract.leakage.ravel(),
+            leakage.ravel(),
         ),
         summary="\n".join(lines),
     )
 
 
 def _search_experiment(config: ExperimentConfig) -> SweepTable:
-    grid = run_search(config.k_max, config._kappa_gates)
+    p_find, survival, fidelity = run_search(config.k_max, config._kappa_gates)
     lines = [
         f"marked state |{config.tau}⟩; "
         "fidelity = normalized overlap with the exact-gate trajectory"
     ]
     lines.append(f"iteration time (two gates, kappa=0): {config.iteration_us():.2f} us")
-    for ratio, p_find in zip(config.kappa_ratios, grid.p_find):
-        best = int(p_find.argmax())
-        lines.append(f"kappa_ratio={ratio}: best p_find={p_find[best]:.4f} at k={best + 1}")
+    for ratio, row in zip(config.kappa_ratios, p_find):
+        best = int(row.argmax())
+        lines.append(f"kappa_ratio={ratio}: best p_find={row[best]:.4f} at k={best + 1}")
     return SweepTable(
         experiment="search",
         header=("iteration", "kappa_ratio", "p_find", "survival", "fidelity"),
         columns=(
             Axis(np.arange(1, config.k_max + 1), tile=len(config.kappa_ratios)),
             Axis(config.kappa_ratios, repeat=config.k_max),
-            grid.p_find.ravel(),
-            grid.survival.ravel(),
-            grid.fidelity.ravel(),
+            p_find.ravel(),
+            survival.ravel(),
+            fidelity.ravel(),
         ),
         summary="\n".join(lines),
     )

@@ -19,16 +19,17 @@ against the trajectory the textbook gate would have produced.
 ``run_search`` advances the |000⟩ register of every given gate and the
 textbook reference trajectory in one stacked iteration and scores the
 stored trajectories with one row-wise fidelity, ``_row_fidelity``, which
-also scores every gate in ``imperfections``. The marked state, a string
-of three bits, enters only ``grover_step``, one iteration for one state and
-the per-state reference, through ``gates.marked_gate``; the Hadamard layer
-``_H3`` and the gate it takes are plain 8x8 arrays.
+also scores every gate in ``imperfections``. Its result is plain arrays:
+one (gates, iterations) array each of ``p_find``, ``survival`` and
+``fidelity``. The marked state, a string of three bits, enters only
+``grover_step``, one iteration for one state and the per-state reference,
+through ``gates.marked_gate``; the Hadamard layer ``_H3`` and the gate it
+takes are plain 8x8 arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,28 +41,6 @@ MAX_ITERATIONS = 100_000
 
 # The Hadamard layer, built once: every search iteration applies it twice.
 _H3 = hadamard3()
-
-
-@dataclass(frozen=True, eq=False)  # array fields: == on them is elementwise
-class SearchGrid:
-    """Search outcomes over gates and iterations: each field is a (K, k_max)
-    array whose row i holds gate i and whose column k - 1 holds iteration k."""
-
-    p_find: np.ndarray
-    survival: np.ndarray
-    fidelity: np.ndarray
-
-    def __post_init__(self) -> None:
-        # Every value finite, and p_find <= survival + 1e-12: the first bad point is named.
-        values = np.array([self.p_find, self.survival, self.fidelity], dtype=float)
-        bad = ~np.isfinite(values).all(axis=0)
-        if bad.any():
-            first = tuple(values[:, bad][:, 0].tolist())
-            raise NumericalError(f"search point has non-finite fields: {first}", _first_row(bad, 1))
-        over = values[0] > values[1] + 1e-12
-        if over.any():
-            p_find, survival = values[:2, over][:, 0]
-            raise NumericalError(f"p_find={p_find} exceeds survival={survival}", _first_row(over, 1))
 
 
 def _uniform_register() -> np.ndarray:
@@ -95,11 +74,13 @@ def check_k_max(k_max: int) -> None:
         raise ConfigError(f"k_max must lie in 1..{MAX_ITERATIONS}, got {k_max}")
 
 
-def run_search(k_max: int, slots) -> SearchGrid:
+def run_search(k_max: int, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Iterate the search for |000⟩ ``k_max`` times with each of the K gates
     whose decaying slots are the rows of the real or complex (K, 4)
     ``slots`` and record, after each iteration, the probability, survival
-    and fidelity against the textbook-gate trajectory.
+    and fidelity against the textbook-gate trajectory: ``(p_find, survival,
+    fidelity)``, three (K, k_max) arrays whose row i holds gate i and whose
+    column k - 1 holds iteration k, checked by ``_check_search``.
 
     The marked state is not an argument: for a marked state tau the flip is
     X^tau D X^tau, X^tau commutes with the sandwich H D H (H X^tau H is
@@ -121,4 +102,20 @@ def run_search(k_max: int, slots) -> SearchGrid:
         trajectory[:, k] = states[:, :, 0]
     outputs = trajectory[:-1]
     fidelity, survival = _row_fidelity(trajectory[-1], outputs)
-    return SearchGrid(p_find=abs(outputs[..., 0]) ** 2, survival=survival, fidelity=fidelity)
+    p_find = abs(outputs[..., 0]) ** 2
+    _check_search(p_find, survival, fidelity)
+    return p_find, survival, fidelity
+
+
+def _check_search(p_find, survival, fidelity) -> None:
+    """The rule on search outcomes: every value finite, and p_find <=
+    survival + 1e-12. The first bad point is named, with its row on a grid."""
+    values = np.array([p_find, survival, fidelity], dtype=float)
+    bad = ~np.isfinite(values).all(axis=0)
+    if bad.any():
+        first = tuple(values[:, bad][:, 0].tolist())
+        raise NumericalError(f"search point has non-finite fields: {first}", _first_row(bad, 1))
+    over = values[0] > values[1] + 1e-12
+    if over.any():
+        p_find, survival = values[:2, over][:, 0]
+        raise NumericalError(f"p_find={p_find} exceeds survival={survival}", _first_row(over, 1))

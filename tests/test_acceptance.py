@@ -96,18 +96,18 @@ def test_01_residual_gate_entry(params_lossless):
 
 def test_02_dynamical_gate_oracle(params_lossless, params_strong_decay):
     start = time.perf_counter()
-    lossless = extract_gate([params_lossless], [gate_time(params_lossless)])
-    diag = lossless.restricted[0].diagonal()
+    lossless, _ = extract_gate([params_lossless], [gate_time(params_lossless)])
+    diag = lossless[0].diagonal()
     expected = np.ones(8, dtype=complex)
     expected[0] = -1.0
     expected[1] = residual_gate_entry(params_lossless)
     diag_err = float(np.abs(diag - expected).max())
-    off = lossless.restricted[0] - np.diag(diag)
+    off = lossless[0] - np.diag(diag)
     off_err = float(np.abs(np.delete(off, 1, axis=1)).max())
 
-    decayed = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
+    decayed, _ = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
     analytic = gate_operator(decayed_i000(params_strong_decay)).diagonal()
-    decay_err = float(np.abs(decayed.restricted[0].diagonal() - analytic).max())
+    decay_err = float(np.abs(decayed[0].diagonal() - analytic).max())
     elapsed = time.perf_counter() - start
     _check(
         "criterion 2: simulated gate matches closed forms",
@@ -120,7 +120,7 @@ def test_02_dynamical_gate_oracle(params_lossless, params_strong_decay):
 def test_03_ideal_search_closed_form(params_lossless):
     # run_search advances the |000⟩ register; every marked state runs
     # through the public per-state step.
-    p_find = run_search(12, [TEXTBOOK]).p_find[0]
+    (p_find,), _, _ = run_search(12, [TEXTBOOK])
     worst = max(abs(p - closed_form_probability(k)) for k, p in enumerate(p_find, start=1))
     for tau in ALL_TAUS:
         state = initial_state()
@@ -140,7 +140,7 @@ def test_03_ideal_search_closed_form(params_lossless):
 
 def test_04_decay_optimal_iteration(params_strong_decay):
     start = time.perf_counter()
-    p_find = run_search(8, [decayed_i000(params_strong_decay)]).p_find[0]
+    (p_find,), _, _ = run_search(8, [decayed_i000(params_strong_decay)])
     best = int(p_find.argmax()) + 1
     elapsed = time.perf_counter() - start
     _check(

@@ -16,7 +16,6 @@ from cavity_grover import (
     CavityParams,
     ConfigError,
     CutoffError,
-    GateExtract,
     NumericalError,
     build_effective_hamiltonian,
     computational_embedding,
@@ -423,6 +422,23 @@ def test_evolve_rejects_times_that_do_not_match_the_stack(params_lossless):
         evolve(h, [1e-6, -1e-6], psi)
 
 
+def test_evolve_rejects_a_state_stack_that_does_not_match_the_operator_stack(omega1c):
+    # A (K, d, d) stack takes one state, a (1, d) stack or K states; any other
+    # count is named with both shapes before any work. One (d, d) generator
+    # takes a stack of any count.
+    stack = [CavityParams.designed(omega1c, r * omega1c) for r in (0.0, 0.3, 3.9)]
+    h = np.stack([build_effective_hamiltonian(p) for p in stack])
+    times = [gate_time(p) for p in stack]
+    logical = np.eye(len(BASIS))[list(computational_embedding())]
+    for count in (2, 4):
+        with pytest.raises(ConfigError, match=r"\(3, 36, 36\).*\(%d, 36\)" % count):
+            evolve(h, times, logical[:count])
+    assert evolve(h, times, logical[:1]).shape == evolve(h, times, logical[:3]).shape == (3, 36)
+    rows = evolve(h[1], times[1], logical[:2])
+    for row, pos in zip(rows, computational_embedding()):
+        assert np.abs(row - evolve(h[1], times[1], unit(pos))).max() <= 1e-12
+
+
 # --- reachable sector --------------------------------------------------------
 
 
@@ -485,16 +501,16 @@ def test_evolve_rejects_inf_outside_the_sector():
 
 
 def test_extracted_gate_lossless(params_lossless):
-    extract = extract_gate([params_lossless], [gate_time(params_lossless)])
-    diag = extract.restricted[0].diagonal()
+    restricted, leakage = extract_gate([params_lossless], [gate_time(params_lossless)])
+    diag = restricted[0].diagonal()
     expected = np.ones(8)
     expected[0] = -1.0
     expected[1] = residual_gate_entry(params_lossless)
     assert np.abs(diag - expected).max() <= 1e-6
-    off = extract.restricted[0] - np.diag(diag)
+    off = restricted[0] - np.diag(diag)
     off = np.delete(off, 1, axis=1)  # the |001> column carries the leakage
     assert np.abs(off).max() <= 1e-6
-    assert extract.leakage[0, 1] == pytest.approx(
+    assert leakage[0, 1] == pytest.approx(
         1.0 - residual_gate_entry(params_lossless) ** 2, abs=1e-9
     )
 
@@ -502,8 +518,8 @@ def test_extracted_gate_lossless(params_lossless):
 def test_extracted_gate_under_decay_matches_closed_form(params_strong_decay):
     # Damped-diagonal values evaluated directly from the closed forms at
     # kappa = omega1/10.
-    extract = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
-    diag = extract.restricted[0].diagonal()
+    restricted, _ = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
+    diag = restricted[0].diagonal()
     expected = np.array([-0.9244, 0.9986, 0.9979, 0.9992, 1.0, 1.0, 1.0, 1.0])
     assert np.abs(diag - expected).max() <= 1e-3
 
@@ -513,11 +529,11 @@ def test_extract_gate_honours_settings(params_strong_decay):
     # must differ from it in the last bits: equal outputs would mean the
     # reference did not integrate at all.
     t = gate_time(params_strong_decay)
-    reference = extract_gate([params_strong_decay], [t])
+    restricted, reference_leakage = extract_gate([params_strong_decay], [t])
     matrix, leakage = rk4_gate([params_strong_decay], [t], 1024)
-    gap = np.abs(matrix - reference.restricted).max()
+    gap = np.abs(matrix - restricted).max()
     assert 0.0 < gap <= 1e-8
-    assert np.abs(leakage - reference.leakage).max() <= 1e-8
+    assert np.abs(leakage - reference_leakage).max() <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -527,9 +543,9 @@ def test_extract_gate_has_the_loop_reference_bits(omega1c, kappa_ratio):
     # A tuple of ratios is one stacked call: each slice keeps the loop's bits.
     stack = [CavityParams.designed(omega1c, r * omega1c) for r in np.atleast_1d(kappa_ratio)]
     times = [gate_time(p) for p in stack]
-    extract = extract_gate(stack, times)
-    matrices = extract.restricted.reshape(-1, 8, 8)
-    leakages = extract.leakage.reshape(-1, 8)
+    restricted, leakage = extract_gate(stack, times)
+    matrices = restricted.reshape(-1, 8, 8)
+    leakages = leakage.reshape(-1, 8)
     assert len(matrices) == len(stack)
     for params, t, got_matrix, got_leakage in zip(stack, times, matrices, leakages):
         matrix, leakage = _reference_gate(params, t)
@@ -549,7 +565,7 @@ def test_extract_gate_needs_one_time_per_parameter_set(params_lossless):
 # Each κ-sweep function on K parameter sets, and the K-axis array it returns.
 _KAPPA_SWEEPS = {
     "evolve_logical_basis": lambda s: evolve_logical_basis(s, [1.0] * len(s))[:, 0],
-    "extract_gate": lambda s: extract_gate(s, [1.0] * len(s)).leakage,
+    "extract_gate": lambda s: extract_gate(s, [1.0] * len(s))[1],
     "exact_columns": exact_columns,
     "paper_columns": lambda s: np.stack(_gate_columns(s, False), axis=-2),
     "timing_infidelity": lambda s: imperfections.timing_infidelity(s, [0.0]),
@@ -569,25 +585,35 @@ def test_kappa_sweeps_take_only_a_non_empty_sequence(name, params_strong_decay):
 
 def test_extracted_gate_short_time_is_identity(params_strong_decay):
     t = 1e-6 * gate_time(params_strong_decay)
-    extract = extract_gate([params_strong_decay], [t])
-    assert np.abs(extract.restricted[0] - np.eye(8)).max() <= 1e-9
-    assert np.abs(extract.leakage).max() <= 1e-9
+    restricted, leakage = extract_gate([params_strong_decay], [t])
+    assert np.abs(restricted[0] - np.eye(8)).max() <= 1e-9
+    assert np.abs(leakage).max() <= 1e-9
+
+
+def test_extract_gate_returns_read_only_arrays(params_strong_decay):
+    restricted, leakage = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
+    assert restricted.shape == (1, 8, 8) and restricted.dtype == complex
+    assert leakage.shape == (1, 8) and leakage.dtype == float
+    for array in (restricted, leakage):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
 
 
 def test_gate_extract_names_the_first_column_over_one():
     # Column norm plus leakage above 1 is a numerical fault; a stack names
-    # the first row where it happens, one extract no row.
+    # the first row where it happens, one gate no row.
     with pytest.raises(NumericalError, match="^column norm plus leakage exceeds 1$") as raised:
-        GateExtract(np.eye(8), np.full(8, 0.5))
+        dynamics._check_gate(np.eye(8), np.full(8, 0.5))
     assert raised.value.row is None
     for row in range(3):
         leakage = np.zeros((3, 8))
         leakage[row, 7] = 1e-8
         leakage[2, 0] = 0.5  # a later bad row does not move the name
         with pytest.raises(NumericalError) as raised:
-            GateExtract(np.stack([np.eye(8)] * 3), leakage)
+            dynamics._check_gate(np.stack([np.eye(8)] * 3), leakage)
         assert raised.value.row == row
-    GateExtract(np.stack([np.eye(8)] * 3), np.full((3, 8), 1e-10))
+    dynamics._check_gate(np.stack([np.eye(8)] * 3), np.full((3, 8), 1e-10))
 
 
 def test_gate_extract_rejects_nan_and_negative_leakage():
@@ -596,27 +622,27 @@ def test_gate_extract_rejects_nan_and_negative_leakage():
     rule = "leakage is NaN or below -1e-9"
     for bad in (-5.0, -2e-9, math.nan, -math.inf):
         with pytest.raises(NumericalError, match=f"^{rule}$") as raised:
-            GateExtract(np.eye(8), np.full(8, bad))
+            dynamics._check_gate(np.eye(8), np.full(8, bad))
         assert raised.value.row is None
     for row in range(2):
         leakage = np.zeros((2, 8))
         leakage[row, 3] = math.nan
         with pytest.raises(NumericalError, match=f"^{rule}$") as raised:
-            GateExtract(np.stack([np.eye(8)] * 2), leakage)
+            dynamics._check_gate(np.stack([np.eye(8)] * 2), leakage)
         assert raised.value.row == row
     # Both rules: the first failing row is named, with the rule it breaks.
     for over_row, expected in [(0, "column norm plus leakage exceeds 1"), (1, rule)]:
         leakage = np.zeros((2, 8))
         leakage[over_row, 0], leakage[1 - over_row, 5] = 0.5, -1.0
         with pytest.raises(NumericalError, match=f"^{expected}$") as raised:
-            GateExtract(np.stack([np.eye(8)] * 2), leakage)
+            dynamics._check_gate(np.stack([np.eye(8)] * 2), leakage)
         assert raised.value.row == 0
     # A NaN gate entry makes its column norm NaN, which fails the column-norm rule.
     gate = np.eye(8, dtype=complex)
     gate[2, 5] = math.nan
     with pytest.raises(NumericalError, match="^column norm plus leakage exceeds 1$"):
-        GateExtract(gate, np.zeros(8))
-    GateExtract(np.eye(8), np.full(8, -1e-9))
+        dynamics._check_gate(gate, np.zeros(8))
+    dynamics._check_gate(np.eye(8), np.full(8, -1e-9))
 
 
 @pytest.mark.parametrize("shape", [(36,), (3, 36), (3, 5, 4)], ids=["state", "stack", "grid"])
@@ -642,15 +668,15 @@ def test_check_result_names_the_first_non_finite_row(shape):
 
 def test_lossless_columns_account_for_all_population(params_lossless):
     # Without decay nothing is lost: column norm plus leakage is exactly 1.
-    extract = extract_gate([params_lossless], [gate_time(params_lossless)])
-    column_norms = np.sum(np.abs(extract.restricted[0]) ** 2, axis=0)
-    assert np.abs(column_norms + extract.leakage[0] - 1.0).max() <= 1e-9
+    restricted, leakage = extract_gate([params_lossless], [gate_time(params_lossless)])
+    column_norms = np.sum(np.abs(restricted[0]) ** 2, axis=0)
+    assert np.abs(column_norms + leakage[0] - 1.0).max() <= 1e-9
 
 
 def test_decay_columns_lose_population(params_strong_decay):
-    extract = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
-    column_norms = np.sum(np.abs(extract.restricted[0]) ** 2, axis=0)
-    assert np.all(column_norms + extract.leakage[0] <= 1.0 + 1e-9)
+    restricted, leakage = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
+    column_norms = np.sum(np.abs(restricted[0]) ** 2, axis=0)
+    assert np.all(column_norms + leakage[0] <= 1.0 + 1e-9)
     assert column_norms[0] < 1.0  # the |000> column decays
 
 
@@ -658,8 +684,8 @@ def test_analytic_pair13_block_entry(params_lossless):
     # Closed form for the atoms-1+3 return amplitude after one gate time.
     w1, _, w3 = params_lossless.omega
     expected = (w3**2 + w1**2 * math.cos(math.sqrt(65.0) * math.pi)) / (w1**2 + w3**2)
-    extract = extract_gate([params_lossless], [gate_time(params_lossless)])
-    assert extract.restricted[0].diagonal()[1].real == pytest.approx(expected, abs=1e-9)
+    restricted, _ = extract_gate([params_lossless], [gate_time(params_lossless)])
+    assert restricted[0].diagonal()[1].real == pytest.approx(expected, abs=1e-9)
 
 
 # --- one-excitation blocks -------------------------------------------------

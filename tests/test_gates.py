@@ -316,17 +316,15 @@ def test_iteration_equals_diffusion_form(tau, params_lossless):
 
 def test_closed_form_matches_dynamics_under_decay(params_strong_decay):
     operator = gate_operator(decayed_i000(params_strong_decay))
-    simulated = extract_gate(
-        [params_strong_decay], [gate_time(params_strong_decay)]
-    ).restricted[0].diagonal()
+    (gate,), _ = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
+    simulated = gate.diagonal()
     assert np.abs(simulated - operator.diagonal()).max() <= 1e-3
 
 
 def test_closed_form_matches_dynamics_lossless(params_lossless):
     operator = gate_operator(decayed_i000(params_lossless))
-    simulated = extract_gate(
-        [params_lossless], [gate_time(params_lossless)]
-    ).restricted[0].diagonal()
+    (gate,), _ = extract_gate([params_lossless], [gate_time(params_lossless)])
+    simulated = gate.diagonal()
     errors = np.abs(simulated - operator.diagonal())
     assert errors[[0, 2, 3]].max() <= 1e-6
     assert errors[4:].max() <= 1e-9
@@ -337,7 +335,8 @@ def test_slot_ordering_locked_to_coupling_pairs(omega1c):
     # atoms-1+3 closed form and the |010> slot the atoms-1+2 closed form;
     # this pins which slot involves which coupling.
     params = CavityParams(omega=(omega1c, 2.0 * omega1c, 3.0 * omega1c))
-    diag = extract_gate([params], [math.pi / omega1c]).restricted[0].diagonal()
+    (gate,), _ = extract_gate([params], [math.pi / omega1c])
+    diag = gate.diagonal()
     pair13 = (9.0 + math.cos(math.sqrt(10.0) * math.pi)) / 10.0
     pair12 = (4.0 + math.cos(math.sqrt(5.0) * math.pi)) / 5.0
     assert diag[1].real == pytest.approx(pair13, abs=1e-9)

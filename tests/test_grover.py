@@ -12,7 +12,6 @@ from cavity_grover import (
     ConfigError,
     ExperimentConfig,
     NumericalError,
-    SearchGrid,
     decayed_i000,
     grover_step,
     hadamard3,
@@ -99,20 +98,20 @@ def test_run_search_records_repeated_public_steps(tau, variant, params_strong_de
     # run_search advances the |000⟩ register alone; k public steps for any
     # marked state, each building its flip, give the same outcomes to rounding.
     slots = _diagonal(variant, params_strong_decay)
-    grid = run_search(6, [slots])
+    p_find, survival_k, fidelity_k = run_search(6, [slots])
     steps = zip(_steps(tau, gate_operator(slots), 6), _steps(tau, gate_operator(TEXTBOOK), 6))
     for k, (state, ideal) in enumerate(steps):
         survival = np.vdot(state, state).real
         fidelity = abs(np.vdot(ideal, state)) ** 2 / survival
-        assert abs(grid.survival[0, k] - survival) <= 1e-13
-        assert abs(grid.p_find[0, k] - abs(state[int(tau, 2)]) ** 2) <= 1e-13
-        assert abs(grid.fidelity[0, k] - fidelity) <= 1e-13
+        assert abs(survival_k[0, k] - survival) <= 1e-13
+        assert abs(p_find[0, k] - abs(state[int(tau, 2)]) ** 2) <= 1e-13
+        assert abs(fidelity_k[0, k] - fidelity) <= 1e-13
 
 
 @pytest.mark.parametrize("tau", ALL_TAUS)
 def test_exact_search_matches_closed_form(tau, params_lossless):
     state, gate = initial_state(), gate_operator(TEXTBOOK)
-    p_find = run_search(12, [TEXTBOOK]).p_find[0]
+    (p_find,), _, _ = run_search(12, [TEXTBOOK])
     for k, p in enumerate(p_find, start=1):
         state = grover_step(state, tau, gate)
         expected = closed_form_probability(k)
@@ -121,46 +120,47 @@ def test_exact_search_matches_closed_form(tau, params_lossless):
 
 
 def test_sixth_iteration_peaks_lossless(params_lossless):
-    p_find = run_search(8, [TEXTBOOK]).p_find[0]
+    (p_find,), _, _ = run_search(8, [TEXTBOOK])
     assert p_find[5] == pytest.approx(0.9998, abs=1e-4)
     assert p_find.argmax() + 1 == 6
 
 
 def test_second_iteration_preferred_under_decay(params_strong_decay):
-    p_find = run_search(8, [decayed_i000(params_strong_decay)]).p_find[0]
+    (p_find,), _, _ = run_search(8, [decayed_i000(params_strong_decay)])
     assert p_find.argmax() + 1 == 2
 
 
 def test_lossless_gate_barely_perturbs_search(params_lossless):
-    p_find = run_search(2, [decayed_i000(params_lossless)]).p_find[0]
+    (p_find,), _, _ = run_search(2, [decayed_i000(params_lossless)])
     assert p_find[1] == pytest.approx(121.0 / 128.0, abs=1e-3)
 
 
 def test_decay_ordering(params_lossless, params_weak_decay, params_strong_decay):
     params = (params_strong_decay, params_weak_decay, params_lossless)
-    strong, weak, lossless = run_search(8, [decayed_i000(p) for p in params]).p_find
+    (strong, weak, lossless), _, _ = run_search(8, [decayed_i000(p) for p in params])
     for a, b, c in zip(strong, weak, lossless):
         assert a <= b + 1e-12
         assert b <= c + 1e-12
 
 
 def test_search_records_well_formed(params_strong_decay):
-    grid = run_search(8, [decayed_i000(params_strong_decay)])
-    for p_find, survival, fidelity in zip(grid.p_find[0], grid.survival[0], grid.fidelity[0]):
+    (p_finds,), (survivals,), (fidelities,) = run_search(8, [decayed_i000(params_strong_decay)])
+    for p_find, survival, fidelity in zip(p_finds, survivals, fidelities):
         assert 0.0 <= p_find <= survival + 1e-12
         assert survival <= 1.0 + 1e-12
         assert 0.0 <= fidelity <= 1.0 + 1e-12
 
 
 def test_exact_search_has_unit_fidelity(params_lossless):
-    for fidelity in run_search(6, [TEXTBOOK]).fidelity[0]:
+    _, _, (fidelities,) = run_search(6, [TEXTBOOK])
+    for fidelity in fidelities:
         assert fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_search_record_rejects_impossible_probability():
     # A bad outcome is a numerical fault (exit 2), not a bad config (exit 1).
     with pytest.raises(NumericalError):
-        SearchGrid(np.array([[0.9]]), np.array([[0.5]]), np.array([[1.0]]))
+        grover._check_search(np.array([[0.9]]), np.array([[0.5]]), np.array([[1.0]]))
 
 
 @pytest.mark.parametrize(
@@ -174,10 +174,10 @@ def test_search_grid_applies_the_record_rule(p_find, survival, fidelity, match):
     # The arrays obey the one rule on search outcomes, and the message names
     # the first offending point, also when it is the only point.
     with pytest.raises(NumericalError, match=match) as raised:
-        SearchGrid(np.array(p_find), np.array(survival), np.array(fidelity))
+        grover._check_search(np.array(p_find), np.array(survival), np.array(fidelity))
     assert raised.value.row == 0
     with pytest.raises(NumericalError, match=match):
-        SearchGrid(*(np.array([[row[0][1]]]) for row in (p_find, survival, fidelity)))
+        grover._check_search(*(np.array([[row[0][1]]]) for row in (p_find, survival, fidelity)))
     # A (3, 2) grid names the gate row of the first bad point, first, middle
     # or last, also when the last row breaks the rule too; a 1-D record has no row.
     bad = [np.array(field[0]) for field in (p_find, survival, fidelity)]
@@ -186,10 +186,10 @@ def test_search_grid_applies_the_record_rule(p_find, survival, fidelity, match):
         for field, record in zip(grid, bad):
             field[[row, 2]] = record
         with pytest.raises(NumericalError, match=match) as raised:
-            SearchGrid(*grid)
+            grover._check_search(*grid)
         assert raised.value.row == row
     with pytest.raises(NumericalError, match=match) as raised:
-        SearchGrid(*bad)
+        grover._check_search(*bad)
     assert raised.value.row is None
 
 
@@ -282,8 +282,8 @@ def test_run_search_rows_equals_per_rate_runs(ratios, variant, k_max, omega1c):
     grid = run_search(k_max, diagonals)
     for i, diagonal in enumerate(diagonals):
         alone = run_search(k_max, [diagonal])
-        for field in ("p_find", "survival", "fidelity"):
-            assert getattr(grid, field)[i].tolist() == getattr(alone, field)[0].tolist()
+        for field, field_alone in zip(grid, alone):
+            assert field[i].tolist() == field_alone[0].tolist()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -295,8 +295,8 @@ def test_run_search_rows_builds_no_dense_gate(variant, params_strong_decay, monk
 
     monkeypatch.setattr(grover, "marked_gate", dense)
     diagonal = _diagonal(variant, params_strong_decay)
-    grid = run_search(3, [diagonal, diagonal])
-    assert grid.p_find.shape == grid.survival.shape == grid.fidelity.shape == (2, 3)
+    p_find, survival, fidelity = run_search(3, [diagonal, diagonal])
+    assert p_find.shape == survival.shape == fidelity.shape == (2, 3)
 
 
 def test_run_search_rows_validates_inputs(params_lossless):
@@ -319,8 +319,8 @@ def test_run_search_on_exact_columns_equals_the_paper_form_at_kappa_0(tau):
     exact = exact_columns([params])[:, 0]
     assert exact.dtype == complex and exact.shape == (1, 4)
     grid, paper = run_search(12, exact), run_search(12, [decayed_i000(params)])
-    for field in ("p_find", "survival", "fidelity"):
-        assert getattr(grid, field).tobytes() == getattr(paper, field).tobytes()
+    for field, paper_field in zip(grid, paper):
+        assert field.tobytes() == paper_field.tobytes()
     steps = _steps(tau, gate_operator(exact[0]), 12)
     for state, alone in zip(steps, _steps(tau, gate_operator(decayed_i000(params)), 12)):
         assert state.tobytes() == alone.tobytes()
@@ -332,11 +332,11 @@ def test_run_search_on_exact_columns_stays_a_no_jump_branch(kappa_ratio):
     # differs from the paper form's (8 iterations) by at most 1.0e-5 at
     # kappa = 0.1 w1 and 1.8e-4 at 0.5 w1.
     params = CavityParams.designed(1.0, kappa_ratio)
-    grid = run_search(8, exact_columns([params])[:, 0])
-    assert (grid.p_find <= grid.survival + 1e-12).all()
-    assert (grid.survival + 1e-12 <= 1.0 + 1e-12).all()
-    paper = run_search(8, [decayed_i000(params)])
-    gap = np.abs(grid.p_find - paper.p_find).max()
+    p_find, survival, _ = run_search(8, exact_columns([params])[:, 0])
+    assert (p_find <= survival + 1e-12).all()
+    assert (survival + 1e-12 <= 1.0 + 1e-12).all()
+    paper, _, _ = run_search(8, [decayed_i000(params)])
+    gap = np.abs(p_find - paper).max()
     assert gap <= {0.1: 1.1e-5, 0.5: 1.9e-4}.get(kappa_ratio, 1.0)
 
 
@@ -354,7 +354,7 @@ def test_marked_state_only_relabels_the_search(slots):
     # for tau is X^tau times the one for 000, so no recorded value depends on
     # tau, and run_search, which advances the 000 register alone, records
     # every tau's values.
-    grid = run_search(32, slots)
+    p_find, survival_k, fidelity_k = run_search(32, slots)
     ideals = {tau: _steps(tau, gate_operator(TEXTBOOK), 32) for tau in ALL_TAUS}
     for row, gate in enumerate(map(gate_operator, slots)):
         base = _steps("000", gate, 32)
@@ -364,9 +364,9 @@ def test_marked_state_only_relabels_the_search(slots):
                 assert np.abs(state - base[k][perm]).max() <= 1e-13
                 survival = np.vdot(state, state).real
                 fidelity = abs(np.vdot(ideal, state)) ** 2 / survival
-                assert abs(grid.p_find[row, k] - abs(state[int(tau, 2)]) ** 2) <= 1e-13
-                assert abs(grid.survival[row, k] - survival) <= 1e-13
-                assert abs(grid.fidelity[row, k] - fidelity) <= 1e-13
+                assert abs(p_find[row, k] - abs(state[int(tau, 2)]) ** 2) <= 1e-13
+                assert abs(survival_k[row, k] - survival) <= 1e-13
+                assert abs(fidelity_k[row, k] - fidelity) <= 1e-13
 
 
 @pytest.mark.parametrize("slots", [np.ones((2, 3)), np.ones(4), np.empty((0, 4)), []])

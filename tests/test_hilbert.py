@@ -6,7 +6,7 @@ from cavity_grover import (
     CavityParams,
     ConfigError,
     ExperimentConfig,
-    GateExtract,
+    SweepTable,
     build_effective_hamiltonian,
     computational_embedding,
     evolve,
@@ -139,12 +139,13 @@ def test_pure_state_validates_length():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: GateExtract(np.eye(8), np.zeros(8))],
-    ids=["GateExtract"],
+    [lambda: SweepTable("gate", ("slot", "leakage"), (np.arange(8), np.zeros(8)), "")],
+    ids=["SweepTable"],
 )
 def test_array_holders_compare_by_identity(build):
-    # == on array fields is elementwise, so these types keep object identity:
-    # equal contents compare unequal without raising, and hash works.
+    # == on array fields is elementwise, so the one type left that holds
+    # arrays keeps object identity: equal contents compare unequal without
+    # raising, and hash works.
     a, b = build(), build()
     assert not (a == b) and a != b
     assert a == a

@@ -76,9 +76,8 @@ def test_delay_fractions_validate_window():
 def test_oracle_self_consistent_at_zero_delay(params_strong_decay):
     # With no delay the oracle is exactly the simulated gate at the gate
     # time, so both infidelity routes must coincide.
-    direct = _uniform_input_infidelity(
-        extract_gate([params_strong_decay], [gate_time(params_strong_decay)]).restricted[0]
-    )
+    (gate,), _ = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
+    direct = _uniform_input_infidelity(gate)
     oracle = timing_oracle_dense(params_strong_decay, 0.0)
     assert oracle == pytest.approx(direct, abs=1e-12)
 
@@ -339,12 +338,12 @@ def test_design_time_composite_rises_with_cavity_count(eta, params_strong_decay)
     # to the uniform input. The offset leaves atom 1's Rabi cycles unclosed,
     # so each imperfect cavity adds error.
     t0 = gate_time(params_strong_decay)
-    design = extract_gate([params_strong_decay], [t0]).restricted[0]
+    (design,), _ = extract_gate([params_strong_decay], [t0])
     offset_params = dataclasses.replace(
         params_strong_decay,
         omega=_one_offset(params_strong_decay, eta),
     )
-    offset = extract_gate([offset_params], [t0]).restricted[0]
+    (offset,), _ = extract_gate([offset_params], [t0])
     u = np.full(8, 1.0 / (2.0 * math.sqrt(2.0)), dtype=complex)
     values = []
     for chi in (1, 2, 3, 4):
