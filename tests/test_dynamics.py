@@ -35,7 +35,7 @@ from cavity_grover.dynamics import (
     expm,
 )
 from cavity_grover.experiments import EXPERIMENTS
-from cavity_grover.gates import _bright_columns, _gate_columns, exact_columns
+from cavity_grover.gates import _bright_columns, _gate_columns, exact_columns, full_diagonal
 from cavity_grover.hilbert import BASIS, GUARD, BasisState
 from reference import (
     block_columns,
@@ -738,6 +738,26 @@ def test_exact_setting_is_the_block_model_at_the_gate_time(omega1c, ratios, kapp
     params = _block_params(omega1c, ratios, kappa_frac)
     at_gate = np.stack(block_columns(params, gate_time(params)))
     assert np.abs(exact_columns([params])[0] - at_gate).max() <= 1e-15
+
+
+def test_dense_gate_is_the_exact_block_gate():
+    # The dense gate at its gate time is the block gate, over the decay range:
+    # on the diagonal the exact atom-1 row, then ones (atom 1 in G, nothing
+    # moves); as leakage the photon plus the atom-1-in-E remainder that the
+    # bright state leaves outside its column, s(1 - s)|P00 - 1|^2; nothing
+    # off the diagonal.
+    ratios = np.linspace(0.0, 3.9, 25)
+    stack = [CavityParams.designed(1.0, ratio) for ratio in ratios]
+    times = np.array([gate_time(p) for p in stack])
+    restricted, leakage = extract_gate(stack, times)
+    atom1, photon = np.moveaxis(exact_columns(stack), -2, 0)
+    bright_sq, share = (np.array(x) for x in zip(*(_bright_columns(*p.omega) for p in stack)))
+    p00 = block_propagator(np.sqrt(bright_sq), ratios[:, None], times[:, None])[..., 0, 0]
+    block_leakage = np.abs(photon) ** 2 + share * (1.0 - share) * np.abs(p00 - 1.0) ** 2
+    assert np.abs(restricted.diagonal(0, -2, -1) - full_diagonal(atom1)).max() <= 1e-14
+    block_leakage = np.concatenate([block_leakage, np.zeros_like(block_leakage)], -1)
+    assert np.abs(leakage - block_leakage).max() <= 1e-15
+    assert not restricted[:, ~np.eye(8, dtype=bool)].any()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

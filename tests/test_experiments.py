@@ -244,8 +244,12 @@ def test_grid_sizes_and_threads_are_capped(key, cap):
     ],
 )
 def test_parse_rejects_non_finite_floats(line):
-    key = line.split("=")[0].strip()
-    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+    # The rule that reads the value refuses it, in the "key = value: reason"
+    # form; a decay-ratio list names its bad entry, the per-atom triple itself.
+    key, _, value = (part.strip() for part in line.partition("="))
+    if key == "kappa_ratios":
+        value = value.split(",")[-1]
+    with pytest.raises(ConfigError, match=f"^{key} = {re.escape(value)}: "):
         parse_config(line + "\n")
 
 
@@ -265,6 +269,21 @@ _OWNED_RULE_LINES = (
     "lambda0 = 1e-310",
     "lambda0 = 1e-322",
     "omega1c_khz = 0",
+) + tuple(
+    # Each float key, NaN and +-inf: no blanket finiteness pass runs first, so
+    # the key's own rule refuses it (eta_max = -inf and a later -inf ratio meet
+    # the config's sign and order rules first).
+    line.format(v=bad)
+    for line in (
+        "omega1c_khz = {v}",
+        "kappa_ratios = 0,{v}",
+        "delta_t_max_frac = {v}",
+        "eta_max = {v}",
+        "offset_eta_per_atom = 0.01,{v},0.0",
+        "offset_kappa_ratio = {v}",
+        "lambda0 = {v}",
+    )
+    for bad in ("nan", "inf", "-inf")
 )
 
 
@@ -906,7 +925,7 @@ def test_cli_non_finite_config_exits_1_without_csv(tmp_path, capsys):
     out = tmp_path / "offset.csv"
     rc = cli.main(["offset", "--config", str(bad), "--out", str(out)])
     assert rc == 1
-    assert "eta_max must be finite" in capsys.readouterr().err
+    assert "sim: config error: eta_max = nan: " in capsys.readouterr().err
     assert not out.exists()
 
 
