@@ -24,7 +24,7 @@ import numpy as np
 from .dynamics import CavityParams, extract_gate, gate_time, positions_for_ratio
 from .errors import ConfigError, NumericalError
 from .gates import decayed_i000, full_diagonal, marked_index, residual_gate_entry
-from .grover import check_k_max, run_search
+from .grover import check_grid_size, run_search
 from .imperfections import (
     _four_gate_infidelities,
     check_chi,
@@ -37,14 +37,6 @@ from .imperfections import (
 from .tables import Axis, SweepTable, write_csv  # noqa: F401  (write_csv re-exported)
 
 EXPERIMENTS = ("gate", "search", "timing", "offset", "geometry")
-
-# Upper bound on sweep sizes: far above any useful run, low enough that a
-# typo cannot ask for a huge grid. The owner caps k_max.
-MAX_GRID_POINTS = 100_000
-
-# Keys whose only value is 1: every run is single-threaded, and the basis
-# stops at one photon. They stay so that existing configs still parse.
-_RETIRED_KEYS = ("threads", "photon_cutoff")
 
 
 @dataclass(frozen=True)
@@ -76,37 +68,31 @@ class ExperimentConfig:
     offset_model: str = "atom1"
     offset_eta_per_atom: tuple[float, float, float] | None = None
     offset_kappa_ratio: float = 0.1
-    photon_cutoff: int = 1  # retired, see _RETIRED_KEYS
+    photon_cutoff: int = 1  # retired: the basis stops at one photon
     lambda0: float = 1.0
     output: str | None = None
-    threads: int = 1  # retired, see _RETIRED_KEYS
+    threads: int = 1  # retired: every run is single-threaded
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa_ratios", tuple(self.kappa_ratios))
-        object.__setattr__(self, "chi_list", tuple(self.chi_list))
-        if self.offset_eta_per_atom is not None:
-            object.__setattr__(self, "offset_eta_per_atom", tuple(self.offset_eta_per_atom))
-        # Rules only the config knows: grid shapes and caps.
-        _check_grid("kappa_ratios", self.kappa_ratios)
-        _check_grid("chi_list", self.chi_list)
-        for key, value in (("delta_t_points", self.delta_t_points), ("eta_points", self.eta_points)):
-            if not 1 <= value <= MAX_GRID_POINTS:
-                raise ConfigError(f"{key} must lie in 1..{MAX_GRID_POINTS}, got {value}")
-        for key in _RETIRED_KEYS:
-            if getattr(self, key) != 1:
-                raise ConfigError(f"{key} is retired and must be 1, got {getattr(self, key)}")
-        if self.eta_max < 0:  # delay_fractions below bounds delta_t_max_frac
-            raise ConfigError(f"eta_max must be >= 0, got {self.eta_max}")
-        for key, maximum, points in (
-            ("delta_t_max_frac", self.delta_t_max_frac, self.delta_t_points),
-            ("eta_max", self.eta_max, self.eta_points),
+        for key in ("kappa_ratios", "chi_list", "offset_eta_per_atom"):
+            if getattr(self, key) is not None:
+                object.__setattr__(self, key, tuple(getattr(self, key)))
+        for key, rule, *args in (  # the rules only the config knows
+            ("kappa_ratios", _increasing),
+            ("chi_list", _increasing),
+            ("delta_t_points", check_grid_size, "delta_t_points"),
+            ("eta_points", check_grid_size, "eta_points"),
+            ("threads", _retired),
+            ("photon_cutoff", _retired),
+            ("eta_max", _non_negative),  # delay_fractions below bounds delta_t_max_frac
+            ("delta_t_max_frac", _grid_end, self.delta_t_points),
+            ("eta_max", _grid_end, self.eta_points),
+            ("k_max", check_grid_size, "k_max"),
         ):
-            if points > 1 and maximum == 0:
-                raise ConfigError(f"{key} must be > 0 for a {points}-point grid")
+            _built(key, getattr(self, key), rule, getattr(self, key), *args)
         # Every other rule is written once, by the type or function that uses
         # the value: build and check what the experiments will, so a bad value
         # fails at load time whichever experiment runs, with its key named.
-        _built("k_max", self.k_max, check_k_max, self.k_max)
         _built("tau", self.tau, marked_index, self.tau)
         _built("omega1c_khz", self.omega1c_khz, self.iteration_us)
         # linspace ends exactly at delta_t_max_frac: the sweep's last delay.
@@ -130,6 +116,7 @@ class ExperimentConfig:
         for chi in self.chi_list:
             _built("chi_list", chi, check_chi, chi)
         _built("lambda0", self.lambda0, positions_for_ratio, self.lambda0)
+        _built("output", self.output, _flat_path, self.output)
 
     def iteration_us(self) -> float:
         """Two lossless gate times, one search iteration, in microseconds: the
@@ -155,11 +142,34 @@ def _built(key: str, value, build, *args):
         raise ConfigError(f"{key} = {_value_text(value) or '(empty)'}: {exc}") from exc
 
 
-def _check_grid(name: str, values: tuple) -> None:
+def _increasing(values: tuple) -> None:
     if not values:
-        raise ConfigError(f"{name} must not be empty")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"{name} must be strictly increasing, got {values}")
+        raise ConfigError("must not be empty")
+    for a, b in zip(values, values[1:]):
+        if b <= a:
+            raise ConfigError(f"must be strictly increasing, got {b} after {a}")
+
+
+def _retired(value) -> None:
+    if value != 1:
+        raise ConfigError("retired, its only value is 1")
+
+
+def _non_negative(value: float) -> None:
+    if value < 0:
+        raise ConfigError("must be >= 0")
+
+
+def _grid_end(maximum: float, points: int) -> None:
+    if points > 1 and maximum == 0:
+        raise ConfigError(f"must be > 0 for a {points}-point grid")
+
+
+def _flat_path(value) -> None:
+    """None, or a path the flat format reads back as itself."""
+    held = isinstance(value, str) and "#" not in value
+    if value is not None and not (held and value.splitlines() == [value.strip()] == [value]):
+        raise ConfigError("must be a path with no '#', line break, or whitespace at either end")
 
 
 # --- flat key = value config files -------------------------------------
@@ -180,9 +190,7 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if key not in defaults:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in seen:

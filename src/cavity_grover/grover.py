@@ -36,8 +36,8 @@ import numpy as np
 from .errors import ConfigError, NumericalError, _first_row
 from .gates import TEXTBOOK, full_diagonal, hadamard3, marked_gate
 
-# Far above any useful search length, low enough that a typo cannot ask for a huge search.
-MAX_ITERATIONS = 100_000
+# The cap on every grid size: far above any useful run, below a typo's huge grid.
+MAX_GRID_POINTS = 100_000
 
 # The Hadamard layer, built once: every search iteration applies it twice.
 _H3 = hadamard3()
@@ -68,10 +68,10 @@ def grover_step(state, tau: str, i000) -> np.ndarray:
     return _H3 @ (i000 @ (_H3 @ (flip @ state)))
 
 
-def check_k_max(k_max: int) -> None:
-    """The one rule on a search length: 1..``MAX_ITERATIONS`` iterations."""
-    if not 1 <= k_max <= MAX_ITERATIONS:
-        raise ConfigError(f"k_max must lie in 1..{MAX_ITERATIONS}, got {k_max}")
+def check_grid_size(n, key: str) -> None:
+    """The one rule on a grid size (points or iterations): an integer in 1..``MAX_GRID_POINTS``."""
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_GRID_POINTS):
+        raise ConfigError(f"{key} must be an integer in 1..{MAX_GRID_POINTS}, got {n}")
 
 
 def run_search(k_max: int, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -90,7 +90,7 @@ def run_search(k_max: int, slots) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     as a last row, ``TEXTBOOK``'s diagonals, stacked into a (K+1, 8, 1)
     array, advance every trajectory in one expression.
     """
-    check_k_max(k_max)
+    check_grid_size(k_max, "k_max")
     slots = np.asarray(slots)
     if slots.ndim != 2 or slots.shape[1] != 4 or not len(slots):
         raise ConfigError(f"run_search needs (K, 4) slots, at least one row, got {slots.shape}")

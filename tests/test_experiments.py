@@ -34,9 +34,9 @@ from cavity_grover import (
 )
 from cavity_grover import cli, dynamics, experiments, grover, imperfections
 from cavity_grover.dynamics import decay_shifted_frequency
-from cavity_grover.experiments import MAX_GRID_POINTS, SweepTable, _value_text
+from cavity_grover.experiments import SweepTable, _value_text
 from cavity_grover.gates import TEXTBOOK, marked_gate, marked_index
-from cavity_grover.grover import run_search
+from cavity_grover.grover import MAX_GRID_POINTS, run_search
 from cavity_grover.tables import Axis
 from reference import coupling_at_position, phase_gate_success, rows, unit
 
@@ -172,7 +172,7 @@ def test_blank_list_item_is_a_bad_value(line):
 
 
 def test_empty_list_value_is_empty():
-    with pytest.raises(ConfigError, match="kappa_ratios must not be empty"):
+    with pytest.raises(ConfigError, match=r"kappa_ratios = \(empty\): must not be empty"):
         parse_config("kappa_ratios =\n")
     assert parse_config("offset_eta_per_atom =\n").offset_eta_per_atom is None
 
@@ -295,8 +295,89 @@ def test_owned_rules_fail_at_load_time(line, experiment, tmp_path, capsys):
     config, out = tmp_path / "bad.cfg", tmp_path / f"{experiment}.csv"
     config.write_text(line + "\n", encoding="utf-8")
     assert cli.main([experiment, "--config", str(config), "--out", str(out)]) == 1
-    assert f"sim: config error: {key}" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"sim: config error: {key} = ")
     assert not out.exists()
+
+
+_PATH_RULE = "must be a path with no '#', line break, or whitespace at either end"
+_SIZE_RULE = f"must be an integer in 1..{MAX_GRID_POINTS}"
+
+# The config's own rules and the grid-size rule, each as (key, value, config
+# text or None where the flat format cannot express the value, error). A
+# non-integer size is refused at load, not met as a TypeError in a run.
+_CONFIG_RULE_CASES = [
+    ("kappa_ratios", (), "kappa_ratios =", "kappa_ratios = (empty): must not be empty"),
+    ("chi_list", (), "chi_list =", "chi_list = (empty): must not be empty"),
+    (
+        "kappa_ratios", (0.0, 0.2, 0.1), "kappa_ratios = 0,0.2,0.1",
+        "kappa_ratios = 0.0,0.2,0.1: must be strictly increasing, got 0.1 after 0.2",
+    ),
+    (
+        "chi_list", (1, 3, 3), "chi_list = 1,3,3",
+        "chi_list = 1,3,3: must be strictly increasing, got 3 after 3",
+    ),
+    ("threads", 2, "threads = 2", "threads = 2: retired, its only value is 1"),
+    ("photon_cutoff", 0, "photon_cutoff = 0", "photon_cutoff = 0: retired, its only value is 1"),
+    ("eta_max", -0.1, "eta_max = -0.1", "eta_max = -0.1: must be >= 0"),
+    (
+        "delta_t_max_frac", 0.0, "delta_t_max_frac = 0",
+        "delta_t_max_frac = 0.0: must be > 0 for a 50-point grid",
+    ),
+    ("eta_max", 0.0, "eta_max = 0.0", "eta_max = 0.0: must be > 0 for a 50-point grid"),
+    ("eta_points", 0, "eta_points = 0", f"eta_points = 0: eta_points {_SIZE_RULE}, got 0"),
+    ("eta_points", 5.0, None, f"eta_points = 5.0: eta_points {_SIZE_RULE}, got 5.0"),
+    ("delta_t_points", 5.0, None, f"delta_t_points = 5.0: delta_t_points {_SIZE_RULE}, got 5.0"),
+    ("k_max", 4.0, None, f"k_max = 4.0: k_max {_SIZE_RULE}, got 4.0"),
+    ("output", "a#b.csv", None, f"output = a#b.csv: {_PATH_RULE}"),
+    ("output", " x.csv", None, f"output =  x.csv: {_PATH_RULE}"),
+    ("output", "a\nb.csv", None, f"output = a\nb.csv: {_PATH_RULE}"),
+    ("output", "", None, f"output = (empty): {_PATH_RULE}"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, text, message", _CONFIG_RULE_CASES, ids=[f"{k}={v!r}" for k, v, *_ in _CONFIG_RULE_CASES]
+)
+def test_config_rules_word_errors_key_equals_value(
+    key, value, text, message, monkeypatch, tmp_path, capsys
+):
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(**{key: value})
+    assert str(info.value) == message
+    if text is not None:
+        with pytest.raises(ConfigError) as info:
+            parse_config(text + "\n")
+        assert str(info.value) == message
+        config = tmp_path / "bad.cfg"
+        config.write_text(text + "\n", encoding="utf-8")
+        argv = ["--config", str(config)]
+    else:
+        monkeypatch.setattr(cli, "load_config", lambda path: ExperimentConfig(**{key: value}))
+        argv = []
+    out = tmp_path / "search.csv"
+    assert cli.main(["search", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"sim: config error: {message}\n"
+    assert not out.exists()
+    if key == "k_max":  # the library call names its argument as the config does
+        with pytest.raises(ConfigError) as info:
+            run_search(value, [TEXTBOOK])
+        assert f"k_max = {value}: {info.value}" == message
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(output=st.text(st.sampled_from("ab. /#\n\r\t\x0b\x1c\x85\u2028")))
+@example(output="a#b.csv")
+@example(output=" x.csv")
+@example(output="a\nb.csv")
+@example(output="out dir/run 1.csv")
+def test_an_accepted_output_round_trips(output):
+    # Every output that loads reads back from the flat format as itself.
+    try:
+        config = ExperimentConfig(output=output)
+    except ConfigError as exc:
+        assert str(exc).startswith("output = ")
+    else:
+        assert parse_config(serialize_config(config)) == config
 
 
 _P = CavityParams.designed(1.0, 0.1)
@@ -984,7 +1065,7 @@ def test_cli_configuration_problems_exit_1(args, message, tmp_path, capsys):
     [
         ("", "missing/search.csv", "sim: cannot write CSV to "),
         ("k_max 4", "search.csv", "sim: config error: config line 1: expected 'key = value'"),
-        ("eta_max = -0.1", "search.csv", "sim: config error: eta_max must be >= 0, got -0.1"),
+        ("eta_max = -0.1", "search.csv", "sim: config error: eta_max = -0.1: must be >= 0"),
     ],
     ids=["missing-out-directory", "line-without-equals", "negative-grid-end"],
 )

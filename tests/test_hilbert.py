@@ -28,7 +28,7 @@ def test_basis_is_vacuum_plus_one_photon():
 
 def test_cutoff_zero_rejected():
     # A config may still name the retired cutoff, but only as 1.
-    with pytest.raises(ConfigError, match="photon_cutoff is retired and must be 1, got 0"):
+    with pytest.raises(ConfigError, match="photon_cutoff = 0: retired, its only value is 1"):
         ExperimentConfig(photon_cutoff=0)
     with pytest.raises(ConfigError, match="photon_cutoff"):
         parse_config("photon_cutoff = 0\n")
