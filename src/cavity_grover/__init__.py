@@ -31,7 +31,6 @@ from .gates import (
     hadamard3,
     marked_gate,
     pauli_x,
-    residual_gate_entry,
 )
 from .grover import (
     grover_step,

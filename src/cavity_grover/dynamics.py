@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CutoffError, NumericalError, _first_row
+from .errors import ConfigError, CutoffError, NumericalError, _first_row, _refuse_bools
 from .hilbert import BASIS, GUARD, AtomLevel, computational_embedding
 
 # Coupling ratios that make every logical Rabi cycle close after one gate
@@ -58,13 +58,9 @@ _THETA13 = 5.371920351148152
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Couplings of the three atoms to the mode and the cavity decay rate.
-
-    All rates are angular frequencies in any one unit, and times are in its
-    inverse; the experiments use omega[0] = 1. ``kappa`` must stay below
-    4*omega[0] so that the decay-shifted exchange frequency of the weakest-
-    coupled atom remains real (underdamped regime).
-    """
+    """Couplings of the three atoms to the mode and the cavity decay rate:
+    the dense engine's input. Rates are angular frequencies in any one unit,
+    times are in its inverse, and ``check_kappa`` keeps kappa underdamped."""
 
     omega: tuple[float, float, float]
     kappa: float = 0.0
@@ -73,11 +69,7 @@ class CavityParams:
         # Each guard is written so that NaN fails it.
         if len(self.omega) != 3 or not all(0.0 < w < math.inf for w in self.omega):
             raise ConfigError(f"couplings must be three finite positive rates, got {self.omega}")
-        if not 0.0 <= self.kappa < 4.0 * self.omega[0]:
-            raise ConfigError(
-                f"kappa={self.kappa} outside [0, 4*omega1={4 * self.omega[0]}): "
-                "decay rates are >= 0, and above 4*omega1 atom-1 exchange is overdamped"
-            )
+        check_kappa(self.kappa, self.omega[0])
 
     @classmethod
     def designed(cls, omega1c: float, kappa: float = 0.0) -> "CavityParams":
@@ -85,30 +77,38 @@ class CavityParams:
         r1, r2, r3 = DESIGNED_RATIOS
         return cls(omega=(omega1c * r1, omega1c * r2, omega1c * r3), kappa=kappa)
 
-    def has_designed_ratios(self) -> bool:
-        w1, w2, w3 = self.omega
-        return (
-            math.isclose(w2 / w1, DESIGNED_RATIOS[1])
-            and math.isclose(w3 / w1, DESIGNED_RATIOS[2])
+
+def check_kappa(kappa, omega1: float = 1.0) -> np.ndarray:
+    """The one rule on a decay rate: ``kappa``, one rate or an axis of them,
+    holds numbers in [0, 4*omega1), no bool. Returns them as a float array;
+    an axis's first bad rate is named, with its row."""
+    _refuse_bools("kappa", kappa)
+    rates = np.asarray(kappa, dtype=float)
+    if (bad := ~((0.0 <= rates) & (rates < 4.0 * omega1))).any():  # NaN fails too
+        row = _first_row(bad, 0)
+        raise ConfigError(
+            f"kappa={kappa if row is None else kappa[row]} outside [0, 4*omega1={4 * omega1}): "
+            "decay rates are >= 0, and above 4*omega1 atom-1 exchange is overdamped", row
         )
+    return rates
 
 
-def decay_shifted_frequency(omega: float, kappa: float) -> float:
-    """Exchange frequency sqrt(omega^2 - kappa^2/16) of a two-state block
-    whose excited partner decays at ``kappa``."""
-    arg = omega * omega - kappa * kappa / 16.0
-    if not 0.0 < arg < math.inf:
+def decay_shifted_frequency(omega, kappa):
+    """Exchange frequency sqrt(omega^2 - kappa^2/16) of two-state blocks
+    whose excited partner decays at ``kappa``: floats or arrays that broadcast."""
+    arg = np.asarray(omega * omega - kappa * kappa / 16.0)
+    if not ((0.0 < arg) & (arg < math.inf)).all():
         raise ConfigError(
             f"omega={omega}, kappa={kappa}: needs kappa < 4*|omega| (a larger kappa "
             "overdamps the block) and squared rates that neither overflow nor underflow"
         )
-    return math.sqrt(arg)
+    return np.sqrt(arg)
 
 
 def gate_time(params: CavityParams) -> float:
     """Interaction time for one conditional phase gate: a half period of the
     atom-1 exchange, pi / sqrt(omega1^2 - kappa^2/16), in the inverse rate unit."""
-    return math.pi / decay_shifted_frequency(params.omega[0], params.kappa)
+    return float(math.pi / decay_shifted_frequency(params.omega[0], params.kappa))
 
 
 def block_propagator(omega, kappa, t) -> np.ndarray:
@@ -283,19 +283,13 @@ def _reachable_sector(h: np.ndarray, amps: np.ndarray) -> np.ndarray:
         size = grown
 
 
-def as_stack(params: Sequence[CavityParams]) -> list[CavityParams]:
-    """A non-empty sequence of parameter sets as a list."""
-    stack = list(params)
-    if not stack:
-        raise ConfigError("needs at least one set of cavity parameters")
-    return stack
-
-
 def evolve_logical_basis(params: Sequence[CavityParams], t) -> np.ndarray:
     """Evolve each logical basis state |000⟩..|111⟩ under the no-jump
     Hamiltonian of K parameter sets for their K times ``t``, one ``evolve``
     call each: a (K, 8, 36) array whose axis 1 is in logical order."""
-    h_eff = np.stack([build_effective_hamiltonian(p) for p in as_stack(params)])
+    if not (stack := list(params)):
+        raise ConfigError("needs at least one set of cavity parameters")
+    h_eff = np.stack([build_effective_hamiltonian(p) for p in stack])
     units = np.eye(len(BASIS), dtype=complex)
     return np.stack([evolve(h_eff, t, units[pos]) for pos in computational_embedding()], axis=-2)
 
@@ -345,6 +339,7 @@ def positions_for_ratio(lambda0: float) -> tuple[float, float, float]:
     sqrt(35)/8 of its peak. A wavelength that puts z2 below the smallest
     normal float is rejected: subnormal offsets keep only a few bits.
     """
+    _refuse_bools("mode wavelength", lambda0)
     if not 0.0 < lambda0 < math.inf:
         raise ConfigError(f"mode wavelength must be finite and > 0, got {lambda0}")
     scale = lambda0 / (2.0 * math.pi)

@@ -4,18 +4,24 @@ The CLI maps these onto exit codes: configuration problems exit with 1,
 numerical failures with 2.
 """
 
-
-class ConfigError(ValueError):
-    """Invalid configuration: bad parameter values, broken coupling ratios,
-    malformed config files, or arguments outside an operation's domain."""
+import numpy as np
 
 
-class NumericalError(RuntimeError):
-    """Evolution produced unusable numbers; ``row`` is a failed stack's first bad row, or None."""
+class _RowError(Exception):
+    """An error with ``row``, the first bad row of a failed axis or stack, or None."""
 
     def __init__(self, message: str, row: int | None = None) -> None:
         super().__init__(message)
         self.row = row
+
+
+class ConfigError(_RowError, ValueError):
+    """Invalid configuration: bad parameter values, malformed config files,
+    or arguments outside an operation's domain."""
+
+
+class NumericalError(_RowError, RuntimeError):
+    """Evolution produced unusable numbers."""
 
 
 class CutoffError(NumericalError):
@@ -26,3 +32,11 @@ class CutoffError(NumericalError):
 def _first_row(bad, item_ndim: int) -> int | None:
     """First row of a stacked ``bad`` that holds a True; None for one ``item_ndim``-D item."""
     return int(bad.reshape(len(bad), -1).any(axis=1).argmax()) if bad.ndim > item_ndim else None
+
+
+def _refuse_bools(name: str, values) -> None:
+    """The rule on every number: ``values``, one or a sequence or array of
+    them, holds no bool (Python's or numpy's), which would load as 1 or 0."""
+    items = values if isinstance(values, (list, tuple)) else [values]
+    if any(isinstance(v, (bool, np.bool_)) or getattr(v, "dtype", None) == bool for v in items):
+        raise ConfigError(f"{name} must be a number, not a bool, got {values}")

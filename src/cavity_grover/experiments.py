@@ -10,8 +10,9 @@ value once, with one ``repr``. Each quantity is one call over a whole
 axis: one ``run_search`` for every decay ratio, one
 ``coupling_offset_infidelity`` for the (chi, eta) grid, and one
 ``extract_gate``, ``timing_infidelity`` and ``timing_oracle`` each for the
-stack of every decay ratio. The runs read the parameter sets and gates
-config load built; ``offset``'s eta = 0 baseline needs only the gate.
+axis of every decay ratio, kappa/omega1; only ``gate`` builds the dense
+engine's ``CavityParams``. The runs read the gates config load built;
+``offset``'s eta = 0 baseline needs only the gate.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import CavityParams, extract_gate, gate_time, positions_for_ratio
-from .errors import ConfigError, NumericalError
-from .gates import decayed_i000, full_diagonal, marked_index, residual_gate_entry
+from .errors import ConfigError, NumericalError, _refuse_bools
+from .gates import decayed_i000, full_diagonal, marked_index
 from .grover import check_grid_size, run_search
 from .imperfections import (
     _four_gate_infidelities,
@@ -50,10 +51,9 @@ class ExperimentConfig:
     search summary's iteration time. Sweep grids are uniform with
     ``*_points`` samples from 0 to ``*_max``.
 
-    Loading keeps the parameter set and the gate slots it builds to check
-    each decay ratio, in ratio order, and ``offset_kappa_ratio`` (plain
-    attributes, not fields: ``_kappa_params``, ``_kappa_gates`` (K, 4),
-    ``_offset_params``, ``_offset_gate`` (4,)), and the runs read those.
+    Loading keeps the gate slots it builds to check the decay ratios, in
+    ratio order, and ``offset_kappa_ratio`` (plain attributes, not fields:
+    ``_kappa_gates`` (K, 4) and ``_offset_gate`` (4,)), and the runs read those.
     """
 
     omega1c_khz: float = 6.125
@@ -97,22 +97,14 @@ class ExperimentConfig:
         _built("omega1c_khz", self.omega1c_khz, self.iteration_us)
         # linspace ends exactly at delta_t_max_frac: the sweep's last delay.
         _built("delta_t_max_frac", self.delta_t_max_frac, delay_fractions, [self.delta_t_max_frac])
-        stack, gates = [], []
-        for ratio in self.kappa_ratios:
-            stack.append(params := _built("kappa_ratios", ratio, self.params, ratio))
-            gates.append(_built("kappa_ratios", ratio, decayed_i000, params))  # fails if damped out
-        object.__setattr__(self, "_kappa_params", tuple(stack))
-        object.__setattr__(self, "_kappa_gates", gates := np.array(gates))
-        gates.flags.writeable = False
-        ratio = self.offset_kappa_ratio
-        offset = _built("offset_kappa_ratio", ratio, self.params, ratio)
-        gate = _built("offset_kappa_ratio", ratio, decayed_i000, offset)
-        object.__setattr__(self, "_offset_params", offset)
-        object.__setattr__(self, "_offset_gate", gate)
+        # One call checks every ratio and gate, naming the first failing ratio.
+        for name, key in (("_kappa_gates", "kappa_ratios"), ("_offset_gate", "offset_kappa_ratio")):
+            value = getattr(self, key)
+            object.__setattr__(self, name, _built(key, value, decayed_i000, value))
         model, per_atom = self.offset_model, self.offset_eta_per_atom
-        _built("offset_model", model, offset_couplings, offset, [0.0], model, (0.0,) * 3)
-        _built("offset_eta_per_atom", per_atom, offset_couplings, offset, [0.0], model, per_atom)
-        _built("eta_max", self.eta_max, offset_couplings, offset, [self.eta_max])
+        _built("offset_model", model, offset_couplings, [0.0], model, (0.0,) * 3)
+        _built("offset_eta_per_atom", per_atom, offset_couplings, [0.0], model, per_atom)
+        _built("eta_max", self.eta_max, offset_couplings, [self.eta_max])
         for chi in self.chi_list:
             _built("chi_list", chi, check_chi, chi)
         _built("lambda0", self.lambda0, positions_for_ratio, self.lambda0)
@@ -121,11 +113,8 @@ class ExperimentConfig:
     def iteration_us(self) -> float:
         """Two lossless gate times, one search iteration, in microseconds: the
         one figure in physical units, at the atom-1 coupling in rad/s."""
+        _refuse_bools("omega1c_khz", self.omega1c_khz)  # before it is a float
         return 2.0 * gate_time(CavityParams.designed(2.0 * math.pi * self.omega1c_khz * 1e3)) * 1e6
-
-    def params(self, kappa_ratio: float) -> CavityParams:
-        """Designed couplings and decay in units of the atom-1 coupling."""
-        return CavityParams.designed(1.0, kappa_ratio)
 
     def delta_t_fracs(self) -> np.ndarray:
         return np.linspace(0.0, self.delta_t_max_frac, self.delta_t_points)
@@ -135,10 +124,12 @@ class ExperimentConfig:
 
 
 def _built(key: str, value, build, *args):
-    """``build(*args)``, with the key and its given value prefixed to any ``ConfigError``."""
+    """``build(*args)``, with the key and its given value (its item at the
+    error's row, if one is named) prefixed to any ``ConfigError``."""
     try:
         return build(*args)
     except ConfigError as exc:
+        value = value if exc.row is None else value[exc.row]
         raise ConfigError(f"{key} = {_value_text(value) or '(empty)'}: {exc}") from exc
 
 
@@ -151,7 +142,7 @@ def _increasing(values: tuple) -> None:
 
 
 def _retired(value) -> None:
-    if value != 1:
+    if value != 1 or isinstance(value, bool):
         raise ConfigError("retired, its only value is 1")
 
 
@@ -256,12 +247,11 @@ def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
 
 
 def _gate_experiment(config: ExperimentConfig) -> SweepTable:
-    gamma0 = residual_gate_entry(config.params(0.0))
+    gamma0 = decayed_i000(0.0)[1]
     lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
     analytic = full_diagonal(config._kappa_gates)
-    restricted, leakage = extract_gate(
-        config._kappa_params, [gate_time(p) for p in config._kappa_params]
-    )
+    params = [CavityParams.designed(1.0, ratio) for ratio in config.kappa_ratios]
+    restricted, leakage = extract_gate(params, [gate_time(p) for p in params])
     simulated = restricted.diagonal(0, -2, -1)
     for ratio, worst in zip(config.kappa_ratios, np.abs(simulated - analytic).max(axis=1)):
         lines.append(f"kappa_ratio={ratio}: max |analytic - simulated| = {worst:.3e}")
@@ -306,8 +296,8 @@ def _search_experiment(config: ExperimentConfig) -> SweepTable:
 
 def _timing_experiment(config: ExperimentConfig) -> SweepTable:
     fracs = config.delta_t_fracs()
-    formula = timing_infidelity(config._kappa_params, fracs)
-    oracle = timing_oracle(config._kappa_params, fracs)
+    formula = timing_infidelity(config.kappa_ratios, fracs)
+    oracle = timing_oracle(config.kappa_ratios, fracs)
     lines = ["delta_t in fractions of one gate time; atom 1 exits late"]
     for ratio, at_zero, oracle_at_zero in zip(config.kappa_ratios, formula[:, 0], oracle[:, 0]):
         lines.append(  # each grid starts at delta_t = 0
@@ -329,10 +319,9 @@ def _timing_experiment(config: ExperimentConfig) -> SweepTable:
 
 def _offset_experiment(config: ExperimentConfig) -> SweepTable:
     ratio = config.offset_kappa_ratio
-    params = config._offset_params
     etas = config.eta_grid()
     grid = coupling_offset_infidelity(
-        params, config.chi_list, etas, config.offset_model, config.offset_eta_per_atom
+        ratio, config.chi_list, etas, config.offset_model, config.offset_eta_per_atom
     )
     # At eta = 0 the atom-1 offset factors are the design factors.
     base = config._offset_gate

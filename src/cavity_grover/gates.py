@@ -6,14 +6,16 @@ Everything here acts in the logical order |000⟩..|111⟩ fixed by
 alpha, 1, 1, 1, 1) is one read-only array of its four decaying slots, (4,)
 or (n, 4) for n gates (``full_diagonal`` appends the four exact ones).
 One function, ``_gate_columns``, models the four columns they sit in, with
-the paper's approximations or without. ``decayed_i000`` is its paper
-setting, each slot damped by the photon population its logical state cycles
-through the mode; coupling arrays give one row per value, bit for bit the
-scalar call's. ``exact_columns`` is its exact setting: the atom-1 and photon
-amplitudes, whose complex atom-1 rows are slots too. Named cases:
+the paper's approximations or without, at the designed couplings with
+omega1 = 1: its one input is the decay rate kappa/omega1, one rate or a
+(K,) axis of them. ``decayed_i000`` is its paper setting, each slot damped
+by the photon population its logical state cycles through the mode;
+coupling arrays give one row per value, bit for bit the scalar call's.
+``exact_columns`` is its exact setting: the atom-1 and photon amplitudes,
+whose complex atom-1 rows are slots too. Named cases:
 
 * the gate a lossless cavity actually realizes is the decayed gate at
-  kappa = 0; its |001⟩ entry (``residual_gate_entry``) still falls short
+  kappa = 0; its |001⟩ entry, ``decayed_i000(0.0)[1]``, still falls short
   of 1 because the atoms-1+3 Rabi cycle (frequency sqrt(65) in units of
   the weakest coupling) does not close after one gate time, and
 * the textbook reflection diag(-1, 1, ..., 1), the constant ``TEXTBOOK``,
@@ -30,12 +32,10 @@ one rule ``marked_index``.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import CavityParams, as_stack, block_propagator, decay_shifted_frequency, gate_time
+from .dynamics import DESIGNED_RATIOS, block_propagator, check_kappa, decay_shifted_frequency
 from .errors import ConfigError
 
 
@@ -100,82 +100,80 @@ _DESIGN_COS = np.array([math.cos(math.pi * math.sqrt(n)) for n in (1.0, 65.0, 36
 _DESIGN_ISIN = -1j * np.array([0.0, math.sin(math.pi * math.sqrt(65.0)), 0.0, 0.0])
 
 
-def _gate_columns(params: Sequence[CavityParams], exact: bool, couplings=None):
-    """Atom-1 and photon rows, two (K, 4) arrays, of the four atom-1-in-``E``
-    columns |000⟩, |001⟩, |010⟩, |011⟩ of each of K parameter sets after its
-    gate time T: the package's one column model.
+def _gate_times(kappa: np.ndarray) -> np.ndarray:
+    """``dynamics.gate_time`` at w1 = 1 for each decay rate of ``kappa``."""
+    return math.pi / decay_shifted_frequency(1.0, kappa)
+
+
+def _gate_columns(kappa, exact: bool, couplings=None):
+    """Atom-1 and photon rows, two (..., 4) arrays, of the four atom-1-in-``E``
+    columns |000⟩, |001⟩, |010⟩, |011⟩ after the gate time at each decay rate
+    of ``kappa`` (``check_kappa``), in units of the designed w1 = 1: the
+    package's one column model.
 
     Column |0 b2 b3⟩ moves only through its bright state, coupling W and
     atom-1 share s (``_bright_columns``), so with P = ``block_propagator(W,
-    kappa, T)`` the ``exact`` rows are (1 - s) + s*P00 and (w1/W)*P10, for
-    any couplings: kappa < 4*w1 <= 4*W keeps every block underdamped. The
-    other setting is the paper's, at the designed ratios only;
-    ``decayed_i000`` and ``timing_infidelity`` name what it drops from each
-    row. ``couplings`` (floats or equal-shape arrays) replace the shares of
-    a single set, one atom-1 row per value; its photon row stays the set's.
+    kappa, T)`` the ``exact`` rows are (1 - s) + s*P00 and (w1/W)*P10:
+    kappa < 4*w1 <= 4*W keeps every block underdamped. The other setting is
+    the paper's; ``decayed_i000`` and ``timing_infidelity`` name what it
+    drops from each row. ``couplings`` (floats or equal-shape arrays) replace
+    the shares at one rate, one atom-1 row per value.
     """
-    stack = as_stack(params)
-    if not exact and (bad := [p.omega for p in stack if not p.has_designed_ratios()]):
-        raise ConfigError(f"couplings {bad[0]} are not in the designed ratio 1:sqrt(35):8")
-    bright_sq, shares = zip(*(_bright_columns(*p.omega) for p in stack))
+    kappa = check_kappa(kappa)[..., None]
+    t = _gate_times(kappa)
+    bright_sq, shares = _bright_columns(*DESIGNED_RATIOS)
     if exact:
-        w1, kappa, t = np.array([(p.omega[0], p.kappa, gate_time(p)) for p in stack]).T[..., None]
-        bright = np.sqrt(bright_sq)  # (K, 4)
+        bright = np.sqrt(bright_sq)
         block = block_propagator(bright, kappa, t)
-        bright_atom, photon = block[..., 0, 0], w1 / bright * block[..., 1, 0]
-    else:  # per set the envelope, and w1/a on |001⟩, the one column with a sine
-        envelope, w1_over_a = np.array([(
-            math.exp(-p.kappa * gate_time(p) / 4.0),
-            p.omega[0] / decay_shifted_frequency(math.sqrt(w_sq[1]), p.kappa),
-        ) for p, w_sq in zip(stack, bright_sq)]).T[..., None]
+        bright_atom, photon = block[..., 0, 0], 1.0 / bright * block[..., 1, 0]
+    else:  # per rate the envelope, and w1/a on |001⟩, the one column with a sine
+        envelope = np.reshape([math.exp(x) for x in np.ravel(-kappa * t / 4.0).tolist()], t.shape)
+        w1_over_a = 1.0 / decay_shifted_frequency(math.sqrt(bright_sq[1]), kappa)
         # envelope*cos: -mu (s = 1, cos = -1) is the envelope bit for bit, never rounded to 0.
         bright_atom, photon = envelope * _DESIGN_COS, w1_over_a * _DESIGN_ISIN
-    if couplings is None:
-        shares = np.array(shares)
-    else:  # (..., 4); slot 0's share is always the float 1
-        shares = np.stack(np.broadcast_arrays(*_bright_columns(*couplings)[1]), -1)
-        bright_atom = bright_atom[0]
+    if couplings is not None:  # slot 0's share is always the float 1
+        shares = _bright_columns(*couplings)[1]
+    shares = np.stack(np.broadcast_arrays(*shares), -1)  # (..., 4)
     return (1.0 - shares) + shares * bright_atom, photon
 
 
-def exact_columns(params: Sequence[CavityParams]) -> np.ndarray:
-    """The exact setting of ``_gate_columns`` for K parameter sets, atom-1
-    row first: a signed complex (K, 2, 4) array."""
-    return np.stack(_gate_columns(params, True), axis=-2)
+def exact_columns(kappa) -> np.ndarray:
+    """The exact setting of ``_gate_columns`` at each decay rate of
+    ``kappa``, atom-1 row first: a signed complex (..., 2, 4) array."""
+    return np.stack(_gate_columns(kappa, True), axis=-2)
 
 
-def residual_gate_entry(params: CavityParams) -> float:
-    """Lossless-gate diagonal entry on |001⟩, the decayed gate's gamma at kappa = 0:
-    (1 - s) + s*cos(sqrt(65)*pi) with s = w1^2/(w1^2 + w3^2), about 0.9997."""
-    return float(decayed_i000(replace(params, kappa=0.0))[1])
-
-
-def decayed_i000(
-    params: CavityParams, couplings: tuple[float, float, float] | None = None
-) -> np.ndarray:
+def decayed_i000(kappa, couplings: tuple[float, float, float] | None = None) -> np.ndarray:
     """The decaying slots (-mu, gamma, beta, alpha) of the phase gate in the
-    paper's closed form: the atom-1 row of ``_gate_columns``' paper setting,
-    a read-only (4,) array, or one row per value of coupling arrays, bit for
-    bit the scalar call's.
+    paper's closed form, the atom-1 row of ``_gate_columns``' paper setting:
+    read-only, (4,) at one decay rate ``kappa`` (in units of w1), (K, 4) at a
+    (K,) axis, one row per value of coupling arrays (bit for bit the scalar call's).
 
     Of the exact row it drops the kappa/(4*a) * sin(a*T) term and takes the
     phase at the kappa = 0 gate time, a*T -> W*pi/w1: ``dynamics.extract_gate``
     differs by exactly those two terms, at most 1.3e-5 at kappa = w1/10.
-    Decay, gate time and the phases (designed ratios) come from ``params``,
-    the shares from ``couplings`` (``params.omega`` by default). A factor
-    outside (0, 1] (a damped-out gate) is a ``ConfigError``.
+    Decay, gate time and the phases (designed ratios) come from ``kappa``,
+    the shares from ``couplings`` (the designed ratios by default). At
+    kappa = 0, gamma is (1 - s) + s*cos(sqrt(65)*pi), s = 1/65, about 0.9997.
+    A factor outside (0, 1] (a damped-out gate) is a ``ConfigError``; an
+    axis names its first row that breaks it or the rate rule.
     """
-    atom1, _ = _gate_columns([params], False, couplings)
-    slots = atom1[0] if couplings is None else atom1
-    factors = slots * TEXTBOOK
+    try:
+        atom1, _ = _gate_columns(kappa, False, couplings)
+    except ConfigError as exc:
+        if exc.row:  # a gate damped out at an earlier rate fails first
+            decayed_i000(kappa[: exc.row], couplings)
+        raise
+    factors = atom1 * TEXTBOOK
     bad = ~((0.0 < factors) & (factors <= 1.0))  # NaN is bad too
     if bad.any():
         slot = int(bad.reshape(-1, 4).any(axis=0).argmax())
-        value = factors[..., slot][bad[..., slot]][0]
-        name = ("mu", "gamma", "beta", "alpha")[slot]
-        raise ConfigError(f"gate diagonal factor {name}={value} outside (0, 1]")
-    slots.flags.writeable = False
-    return slots
+        column = bad[..., slot]
+        name, value = ("mu", "gamma", "beta", "alpha")[slot], factors[..., slot][column][0]
+        row = int(column.argmax()) if np.ndim(kappa) else None
+        raise ConfigError(f"gate diagonal factor {name}={value} outside (0, 1]", row)
+    atom1.flags.writeable = False
+    return atom1
 
 
 def marked_gate(tau: str, base) -> np.ndarray:

@@ -69,8 +69,10 @@ def grover_step(state, tau: str, i000) -> np.ndarray:
 
 
 def check_grid_size(n, key: str) -> None:
-    """The one rule on a grid size (points or iterations): an integer in 1..``MAX_GRID_POINTS``."""
-    if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_GRID_POINTS):
+    """The one rule on a grid size (points or iterations): an integer in
+    1..``MAX_GRID_POINTS``, not a bool."""
+    integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    if not (integer and 1 <= n <= MAX_GRID_POINTS):
         raise ConfigError(f"{key} must be an integer in 1..{MAX_GRID_POINTS}, got {n}")
 
 

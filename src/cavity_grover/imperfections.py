@@ -21,10 +21,11 @@ Both infidelities are 1 minus a uniform-input fidelity: the gate is applied
 to the uniform superposition and the result is compared, after
 renormalization, with what the exact gate sequence would have produced.
 One row-wise fidelity, ``grover._row_fidelity``, scores every delay and
-every offset, as it scores every search iteration. Each function
-takes a whole axis: the timing ones K parameter sets and one 1-D axis of
-delays in gate times, shared by the K sets (``delay_fractions`` is its one
-rule), the offset one a 1-D ``etas`` (``offset_couplings`` is its one rule,
+every offset, as it scores every search iteration. Each function but the
+dense one takes the decay rate as kappa/omega1, as ``gates`` does, and a
+whole axis: the timing ones a (K,) axis of rates and one 1-D axis of delays
+in gate times, shared by the K rates (``delay_fractions`` is its one rule),
+the offset one a 1-D ``etas`` (``offset_couplings`` is its one rule,
 ``check_chi`` that of each chi count); one point is the one-value case.
 """
 
@@ -35,18 +36,18 @@ from collections.abc import Sequence
 import numpy as np
 
 from .dynamics import (
+    DESIGNED_RATIOS,
     CavityParams,
     _check_result,
     add_cavity_decay,
-    as_stack,
     block_propagator,
     evolve,
     evolve_logical_basis,
     exchange_hamiltonian,
     gate_time,
 )
-from .errors import ConfigError
-from .gates import TEXTBOOK, _gate_columns, decayed_i000, exact_columns, full_diagonal
+from .errors import ConfigError, _refuse_bools
+from .gates import TEXTBOOK, _gate_columns, _gate_times, decayed_i000, exact_columns, full_diagonal
 from .grover import _row_fidelity, _uniform_register
 from .hilbert import computational_embedding
 
@@ -59,6 +60,7 @@ _GATE_REFERENCE = full_diagonal(TEXTBOOK) * _uniform_register()
 
 def _axis(name: str, values) -> np.ndarray:
     """``values`` as a 1-D float array, else a ``ConfigError`` naming ``name``."""
+    _refuse_bools(name, values)
     axis = np.asarray(values, dtype=float)
     if axis.ndim != 1:
         raise ConfigError(f"{name} must be a 1-D sequence of values, got shape {axis.shape}")
@@ -74,27 +76,23 @@ def delay_fractions(values) -> np.ndarray:
     return fracs
 
 
-def _delayed_infidelities(
-    params: Sequence[CavityParams], fracs, columns: np.ndarray
-) -> np.ndarray:
-    """Gate infidelity of each of K parameter sets at every delay of the 1-D
-    ``fracs`` (fractions of that set's gate time), in order: a (K, D) array, from the
-    (K, 2, 4) (atom-1, photon) amplitudes ``columns`` of the four
-    atom-1-in-``E`` columns at the gate time, whose atom-1 rows are the
-    gates' decaying slots: each delay dt applies ``block_propagator(w1,
-    kappa, dt)``, and the other four columns stay exactly 1."""
-    stack = as_stack(params)
+def _delayed_infidelities(kappa, fracs, columns: np.ndarray) -> np.ndarray:
+    """Gate infidelity at each of the K decay rates ``kappa`` and every delay
+    of the 1-D ``fracs`` (fractions of that rate's gate time): a (K, D) array,
+    from the (K, 2, 4) (atom-1, photon) amplitudes ``columns`` of the four
+    atom-1-in-``E`` columns at the gate time, the atom-1 rows the gates' slots:
+    each delay dt applies ``block_propagator(1, kappa, dt)``; the rest stay 1."""
     fracs = delay_fractions(fracs)
-    w1, kappa, t = np.array([(p.omega[0], p.kappa, gate_time(p)) for p in stack]).T[..., None]
-    atom1 = block_propagator(w1, kappa, fracs * t)[..., 0, :] @ columns
+    kappa = np.asarray(kappa, dtype=float)[..., None]
+    atom1 = block_propagator(1.0, kappa, fracs * _gate_times(kappa))[..., 0, :] @ columns
     _check_result(atom1)
     return 1.0 - _row_fidelity(_GATE_REFERENCE, full_diagonal(atom1) * _uniform_register())[0]
 
 
-def timing_infidelity(params: Sequence[CavityParams], fracs) -> np.ndarray:
-    """Closed-form gate infidelity caused by atom 1 overstaying by dt, for
-    each of K parameter sets at every delay of the 1-D ``fracs``, each a
-    fraction of that set's gate time, in order: a (K, D) array.
+def timing_infidelity(kappa, fracs) -> np.ndarray:
+    """Closed-form gate infidelity caused by atom 1 overstaying by dt, at
+    each of the K decay rates ``kappa`` (in units of w1) and every delay of
+    the 1-D ``fracs`` (fractions of that rate's gate time): a (K, D) array.
 
     The delay model of ``timing_oracle`` on the paper setting of
     ``gates._gate_columns``. Its atom-1 row is ``decayed_i000``'s. Of the
@@ -103,16 +101,16 @@ def timing_infidelity(params: Sequence[CavityParams], fracs) -> np.ndarray:
     sin(sqrt(65)*pi) on |001⟩ (a13 = sqrt(w1^2 + w3^2 - kappa^2/16)) and
     exactly 0 on the closed cycles.
     """
-    return _delayed_infidelities(params, fracs, np.stack(_gate_columns(params, False), -2))
+    return _delayed_infidelities(kappa, fracs, np.stack(_gate_columns(kappa, False), -2))
 
 
-def timing_oracle(params: Sequence[CavityParams], fracs) -> np.ndarray:
+def timing_oracle(kappa, fracs) -> np.ndarray:
     """Full-dynamics counterpart of ``timing_infidelity``, on the same K
-    parameter sets and 1-D delay fractions. One gate time leaves each
+    decay rates and 1-D delay fractions. One gate time leaves each
     atom-1-in-``E`` column the exact amplitudes of ``gates.exact_columns``;
     each delay then applies P(w1, dt). ``timing_oracle_dense`` is its reference.
     """
-    return _delayed_infidelities(params, fracs, exact_columns(params))
+    return _delayed_infidelities(kappa, fracs, exact_columns(kappa))
 
 
 def timing_oracle_dense(params: CavityParams, delta_t_frac: float) -> float:
@@ -135,26 +133,28 @@ def timing_oracle_dense(params: CavityParams, delta_t_frac: float) -> float:
 
 
 def check_chi(chi) -> None:
-    """The one rule on an imperfect-cavity count: an integer in 1..4."""
-    if not (isinstance(chi, (int, np.integer)) and 1 <= chi <= 4):
+    """The one rule on an imperfect-cavity count: an integer in 1..4, not a bool."""
+    if not (isinstance(chi, (int, np.integer)) and not isinstance(chi, bool) and 1 <= chi <= 4):
         raise ConfigError(f"chi counts imperfect cavities, must be 1..4, got {chi}")
 
 
 def offset_couplings(
-    params: CavityParams, etas, model: str = "atom1",
-    per_atom_eta: tuple[float, float, float] | None = None,
+    etas, model: str = "atom1", per_atom_eta: tuple[float, float, float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coupling triple inside an imperfect cavity at each offset of the 1-D
-    ``etas``: three arrays of its shape, one value per eta for every
-    coupling, also those the model leaves fixed. The one offset rule: every
-    |eta| < 1 (the first bad value is named, NaN too), a known ``model``, and
-    a given ``per_atom_eta`` three values with |eta| < 1, whatever the model.
+    """Coupling triple inside an imperfect cavity, in units of the design w1,
+    at each offset of the 1-D ``etas``: three arrays of its shape, one value
+    per eta for every coupling, also those the model leaves fixed. The one
+    offset rule: every |eta| < 1 (the first bad value is named, NaN too), a
+    known ``model``, and a given ``per_atom_eta`` three values with |eta| <
+    1, whatever the model; no offset a bool.
 
     ``atom1`` scales only the first coupling by (1 + eta), ``uniform``
     scales all three, ``per_atom`` applies individual factors (1 + eta_j)
     from ``per_atom_eta`` at every eta. The imperfect cavities are assumed
     identical.
     """
+    _refuse_bools("eta", etas)
+    _refuse_bools("per-atom eta", per_atom_eta)
     eta = np.asarray(etas)
     bad = eta[~(np.abs(eta) < 1.0)]  # NaN fails too
     if bad.size:
@@ -168,17 +168,18 @@ def offset_couplings(
     ):
         raise ConfigError(f"per-atom offsets must be three values, |eta| < 1, got {per_atom_eta}")
     shifts = {"atom1": (eta, 0.0, 0.0), "uniform": (eta, eta, eta), "per_atom": per_atom_eta}
-    couplings = [(1.0 + e) * w for e, w in zip(shifts[model], params.omega)]  # 1.0 * w is w
+    couplings = [(1.0 + e) * w for e, w in zip(shifts[model], DESIGNED_RATIOS)]  # 1.0 * w is w
     return tuple(np.broadcast_arrays(*couplings, eta)[:3])
 
 
 def coupling_offset_infidelity(
-    params: CavityParams, chis: Sequence[int], etas: Sequence[float],
+    kappa: float, chis: Sequence[int], etas: Sequence[float],
     model: str = "atom1", per_atom_eta: tuple[float, float, float] | None = None,
 ) -> np.ndarray:
     """Closed-form infidelity of a two-iteration search (four phase gates)
     when ``chi`` of the four cavities carry offset couplings, at every
-    (chi, eta) pair: a (len(chis), len(etas)) array.
+    (chi, eta) pair, at the decay rate ``kappa`` (in units of w1): a
+    (len(chis), len(etas)) array.
 
     Each four-gate composite damping factor multiplies ``chi`` imperfect-
     cavity factors with ``4 - chi`` design factors. In an imperfect-cavity
@@ -204,9 +205,9 @@ def coupling_offset_infidelity(
     etas = _axis("etas", etas)
     for chi in chis:
         check_chi(chi)
-    couplings = offset_couplings(params, etas, model, per_atom_eta)
-    base = decayed_i000(params)
-    return _four_gate_infidelities(decayed_i000(params, couplings), base, chis)
+    couplings = offset_couplings(etas, model, per_atom_eta)
+    base = decayed_i000(kappa)
+    return _four_gate_infidelities(decayed_i000(kappa, couplings), base, chis)
 
 
 def _four_gate_infidelities(primed: np.ndarray, base: np.ndarray, chis) -> np.ndarray:

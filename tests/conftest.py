@@ -27,3 +27,15 @@ def params_weak_decay() -> CavityParams:
 @pytest.fixture(scope="session")
 def params_strong_decay() -> CavityParams:
     return CavityParams.designed(OMEGA1C, OMEGA1C / 10.0)
+
+
+@pytest.fixture(scope="session")
+def weak_decay(params_weak_decay) -> float:
+    """kappa/omega1 of ``params_weak_decay``: the decay rate the closed forms take."""
+    return params_weak_decay.kappa / params_weak_decay.omega[0]
+
+
+@pytest.fixture(scope="session")
+def strong_decay(params_strong_decay) -> float:
+    """kappa/omega1 of ``params_strong_decay``: the decay rate the closed forms take."""
+    return params_strong_decay.kappa / params_strong_decay.omega[0]

@@ -22,11 +22,12 @@ from cavity_grover import (
     evolve,
     extract_gate,
     gate_time,
+    decayed_i000,
     positions_for_ratio,
-    residual_gate_entry,
 )
 from cavity_grover import dynamics, imperfections
 from cavity_grover.dynamics import (
+    DESIGNED_RATIOS,
     TOP_LAYER_TOLERANCE,
     add_cavity_decay,
     block_propagator,
@@ -69,7 +70,6 @@ def test_designed_ratio_helper(omega1c, params_lossless):
     assert w1 == omega1c
     assert w2 / w1 == pytest.approx(math.sqrt(35.0), rel=1e-12)
     assert w3 / w1 == pytest.approx(8.0, rel=1e-12)
-    assert params_lossless.has_designed_ratios()
 
 
 # --- Hamiltonian structure ----------------------------------------------
@@ -505,14 +505,12 @@ def test_extracted_gate_lossless(params_lossless):
     diag = restricted[0].diagonal()
     expected = np.ones(8)
     expected[0] = -1.0
-    expected[1] = residual_gate_entry(params_lossless)
+    expected[1] = decayed_i000(0.0)[1]
     assert np.abs(diag - expected).max() <= 1e-6
     off = restricted[0] - np.diag(diag)
     off = np.delete(off, 1, axis=1)  # the |001> column carries the leakage
     assert np.abs(off).max() <= 1e-6
-    assert leakage[0, 1] == pytest.approx(
-        1.0 - residual_gate_entry(params_lossless) ** 2, abs=1e-9
-    )
+    assert leakage[0, 1] == pytest.approx(1.0 - decayed_i000(0.0)[1] ** 2, abs=1e-9)
 
 
 def test_extracted_gate_under_decay_matches_closed_form(params_strong_decay):
@@ -562,25 +560,35 @@ def test_extract_gate_needs_one_time_per_parameter_set(params_lossless):
             extract_gate(stack, times)
 
 
-# Each κ-sweep function on K parameter sets, and the K-axis array it returns.
+def _ratios(stack):
+    return [p.kappa / p.omega[0] for p in stack]
+
+
+# Each κ-sweep function on K parameter sets (the dense engine) or on their K
+# decay rates kappa/omega1 (the closed forms), and the K-axis array it returns.
 _KAPPA_SWEEPS = {
     "evolve_logical_basis": lambda s: evolve_logical_basis(s, [1.0] * len(s))[:, 0],
     "extract_gate": lambda s: extract_gate(s, [1.0] * len(s))[1],
-    "exact_columns": exact_columns,
-    "paper_columns": lambda s: np.stack(_gate_columns(s, False), axis=-2),
-    "timing_infidelity": lambda s: imperfections.timing_infidelity(s, [0.0]),
-    "timing_oracle": lambda s: imperfections.timing_oracle(s, [0.0]),
+    "exact_columns": lambda s: exact_columns(_ratios(s)),
+    "paper_columns": lambda s: np.stack(_gate_columns(_ratios(s), False), axis=-2),
+    "timing_infidelity": lambda s: imperfections.timing_infidelity(_ratios(s), [0.0]),
+    "timing_oracle": lambda s: imperfections.timing_oracle(_ratios(s), [0.0]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_KAPPA_SWEEPS))
 def test_kappa_sweeps_take_only_a_non_empty_sequence(name, params_strong_decay):
-    # One convention: a leading K axis also for K = 1, and no empty stack.
+    # One convention: a leading K axis also for K = 1. The dense engine takes
+    # no empty stack; a closed form's empty decay axis is an empty result, as
+    # an empty offset axis is.
     sweep = _KAPPA_SWEEPS[name]
     for count in (1, 3):
         assert len(sweep([params_strong_decay] * count)) == count
-    with pytest.raises(ConfigError, match="at least one set"):
-        sweep([])
+    if name in ("evolve_logical_basis", "extract_gate"):
+        with pytest.raises(ConfigError, match="at least one set"):
+            sweep([])
+    else:
+        assert len(sweep([])) == 0
 
 
 def test_extracted_gate_short_time_is_identity(params_strong_decay):
@@ -731,13 +739,13 @@ def test_block_amplitudes_match_dense_evolution(omega1c, ratios, kappa_frac, fra
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(ratios=_BLOCK_CASES["ratios"], kappa_frac=_BLOCK_CASES["kappa_frac"])
-def test_exact_setting_is_the_block_model_at_the_gate_time(omega1c, ratios, kappa_frac):
-    # Any coupling triple and underdamped decay: exact_columns is the block
-    # model of the test reference at the gate time.
-    params = _block_params(omega1c, ratios, kappa_frac)
+@given(kappa_frac=_BLOCK_CASES["kappa_frac"])
+def test_exact_setting_is_the_block_model_at_the_gate_time(kappa_frac):
+    # Underdamped decay at the designed couplings, in units of w1:
+    # exact_columns is the block model of the test reference at the gate time.
+    params = _block_params(1.0, DESIGNED_RATIOS, kappa_frac)
     at_gate = np.stack(block_columns(params, gate_time(params)))
-    assert np.abs(exact_columns([params])[0] - at_gate).max() <= 1e-15
+    assert np.abs(exact_columns(params.kappa) - at_gate).max() <= 1e-15
 
 
 def test_dense_gate_is_the_exact_block_gate():
@@ -750,7 +758,7 @@ def test_dense_gate_is_the_exact_block_gate():
     stack = [CavityParams.designed(1.0, ratio) for ratio in ratios]
     times = np.array([gate_time(p) for p in stack])
     restricted, leakage = extract_gate(stack, times)
-    atom1, photon = np.moveaxis(exact_columns(stack), -2, 0)
+    atom1, photon = np.moveaxis(exact_columns(ratios), -2, 0)
     bright_sq, share = (np.array(x) for x in zip(*(_bright_columns(*p.omega) for p in stack)))
     p00 = block_propagator(np.sqrt(bright_sq), ratios[:, None], times[:, None])[..., 0, 0]
     block_leakage = np.abs(photon) ** 2 + share * (1.0 - share) * np.abs(p00 - 1.0) ** 2

@@ -388,8 +388,9 @@ _GUARDED_CALLS = {
     "CavityParams omega": lambda x: CavityParams((1.0, x, 3.0)),
     "CavityParams kappa": lambda x: CavityParams((1.0, 2.0, 3.0), kappa=x),
     "CavityParams.designed": lambda x: CavityParams.designed(x),
-    "offset_couplings eta": lambda x: offset_couplings(_P, [x]),
-    "offset_couplings per-atom eta": lambda x: offset_couplings(_P, [0.0], "per_atom", (0.0, x, 0.0)),
+    "offset_couplings eta": lambda x: offset_couplings([x]),
+    "offset_couplings per-atom eta": lambda x: offset_couplings([0.0], "per_atom", (0.0, x, 0.0)),
+    "decayed_i000 kappa": decayed_i000,
     "positions_for_ratio": positions_for_ratio,
     "coupling_at_position": lambda x: coupling_at_position(0.0, 1.0, x),
     "decay_shifted_frequency omega": lambda x: decay_shifted_frequency(x, 0.0),
@@ -397,7 +398,7 @@ _GUARDED_CALLS = {
     "evolve": lambda x: evolve(build_effective_hamiltonian(_P), x, unit(0)),
     "extract_gate": lambda x: extract_gate([_P], [x]),
     "marked_gate": lambda x: marked_gate("000", np.full((8, 8), x)),
-    "phase_gate_success": lambda x: phase_gate_success([x] + [1.0] * 7, decayed_i000(_P)),
+    "phase_gate_success": lambda x: phase_gate_success([x] + [1.0] * 7, decayed_i000(0.1)),
     "timing_oracle_dense": lambda x: timing_oracle_dense(_P, x),
 }
 
@@ -1099,18 +1100,17 @@ def _run_with_a_ratio_spoiled(experiment, ratio, tmp_path, monkeypatch, capsys):
     # failing ratio is found without running anything again.
     module, name = _SPOILED_FUNCTIONS[experiment]
     build, spoiled, calls = getattr(module, name), [], []
-    bad_params = ExperimentConfig().params(ratio)
-    bad_slots = decayed_i000(bad_params)
+    bad_slots = decayed_i000(ratio)
 
     def counted(arg, *rest):
         calls.append(name)
         out = build(arg, *rest)
         if not spoiled:
             return out
-        if experiment == "gate" and arg.kappa == bad_params.kappa:
+        if experiment == "gate" and arg.kappa == ratio:
             out[0, 1] = np.nan
         elif experiment == "timing":
-            out[[p.kappa == bad_params.kappa for p in arg]] = np.nan
+            out[np.asarray(arg) == ratio] = np.nan
         elif experiment == "search":
             out[(arg == bad_slots).all(axis=-1)] = np.nan
         return out
@@ -1164,8 +1164,8 @@ def test_a_failure_without_a_row_propagates_unchanged_after_one_call(monkeypatch
     # and the stacked call is not made again.
     calls = []
 
-    def rowless_failure(params, fracs):
-        calls.append(len(params))
+    def rowless_failure(kappa, fracs):
+        calls.append(len(kappa))
         raise NumericalError("synthetic stack failure")
 
     monkeypatch.setattr(experiments, "timing_infidelity", rowless_failure)
@@ -1193,31 +1193,25 @@ def test_kappa_stack_writes_the_one_kappa_rows(experiment, tmp_path):
 
 
 def test_runs_read_what_config_load_built(monkeypatch, tmp_path):
-    # Load builds each decay ratio's parameter set and gate once, and those
-    # of offset_kappa_ratio. A gate, search, timing or offset run reads
-    # those: no decayed_i000 call in experiments, and one params call,
-    # gate's lossless entry. (timing_infidelity and coupling_offset_infidelity
-    # build their own diagonals inside imperfections, which this does not cover.)
+    # Load builds the gates of every decay ratio and of offset_kappa_ratio
+    # once. A gate, search, timing or offset run reads those: the one
+    # decayed_i000 call in experiments is gate's lossless entry, at kappa = 0.
+    # (timing_infidelity and coupling_offset_infidelity build their own
+    # diagonals inside imperfections, which this does not cover.)
     config = ExperimentConfig(kappa_ratios=(0.0, 0.02, 0.1, 0.5, 2.0), **FAST)
     runs = ("gate", "search", "timing", "offset")
     expected = {exp: run_experiment(exp, config) for exp in runs}
-
-    def no_gate(*args, **kwargs):
-        raise AssertionError("a run built a gate diagonal")
-
     calls = []
-    params = ExperimentConfig.params
 
-    def counted_params(self, ratio):
-        calls.append(ratio)
-        return params(self, ratio)
+    def counted(kappa, *rest):
+        calls.append(kappa)
+        return decayed_i000(kappa, *rest)
 
-    monkeypatch.setattr(experiments, "decayed_i000", no_gate)
-    monkeypatch.setattr(ExperimentConfig, "params", counted_params)
-    for exp, params_calls in zip(runs, ([0.0], [], [], [])):
+    monkeypatch.setattr(experiments, "decayed_i000", counted)
+    for exp, gate_calls in zip(runs, ([0.0], [], [], [])):
         calls.clear()
         table = run_experiment(exp, config)
-        assert calls == params_calls
+        assert calls == gate_calls
         for name, t in (("patched", table), ("expected", expected[exp])):
             write_csv(t, str(tmp_path / f"{exp}-{name}.csv"))
         csvs = [(tmp_path / f"{exp}-{name}.csv").read_bytes() for name in ("patched", "expected")]
@@ -1231,16 +1225,13 @@ def test_kept_objects_follow_replace_and_are_not_fields():
     wider = dataclasses.replace(config, kappa_ratios=(0.02, 0.5, 2.0), offset_kappa_ratio=0.37)
     moved = dataclasses.replace(config, output="out.csv")
     for c in (config, wider, moved):
-        assert c._kappa_params == tuple(CavityParams.designed(1.0, r) for r in c.kappa_ratios)
-        gates = np.array([decayed_i000(p) for p in c._kappa_params])
+        gates = np.array([decayed_i000(r) for r in c.kappa_ratios])
         assert c._kappa_gates.tobytes() == gates.tobytes()
         assert c._kappa_gates.shape == (len(c.kappa_ratios), 4)
-        assert c._offset_params == CavityParams.designed(1.0, c.offset_kappa_ratio)
-        assert c._offset_gate.tobytes() == decayed_i000(c._offset_params).tobytes()
+        assert c._offset_gate.tobytes() == decayed_i000(c.offset_kappa_ratio).tobytes()
         assert c._offset_gate.shape == (4,)
-    assert [p.kappa for p in wider._kappa_params] == [0.02, 0.5, 2.0]
-    assert wider._offset_params.kappa == 0.37
-    kept = ("_kappa_params", "_kappa_gates", "_offset_params", "_offset_gate")
+    assert wider._offset_gate.tobytes() == decayed_i000(0.37).tobytes()
+    kept = ("_kappa_gates", "_offset_gate")
     # replace runs load again: every kept object is built anew.
     assert not any(getattr(moved, name) is getattr(config, name) for name in kept)
     # Equality, hash and the config text read the fields alone.
@@ -1279,10 +1270,9 @@ def test_an_offset_run_makes_one_grid_call_and_keeps_its_baseline(monkeypatch, m
             calls.clear()
             summary = run_experiment("offset", config).summary.splitlines()
             assert len(calls) == 1
-            params = CavityParams.designed(1.0, ratio)
-            old = grid(params, config.chi_list[:1], [0.0])[0, 0]
+            old = grid(ratio, config.chi_list[:1], [0.0])[0, 0]
             assert summary[1] == f"eta=0 decay-only baseline: {old:.4e}"
-            base = decayed_i000(params)
+            base = decayed_i000(ratio)
             assert imperfections._four_gate_infidelities(base[None], base, [first])[0, 0] == old
 
 

@@ -1,6 +1,5 @@
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from cavity_grover import (
     hadamard3,
     marked_gate,
     pauli_x,
-    residual_gate_entry,
 )
 from cavity_grover import gates
 from cavity_grover.dynamics import DESIGNED_RATIOS, decay_shifted_frequency
@@ -70,8 +68,8 @@ def test_bit_flip_rejects_bad_index():
 # --- phase gates -----------------------------------------------------------
 
 
-def test_residual_entry_value(params_lossless):
-    gamma0 = residual_gate_entry(params_lossless)
+def test_residual_entry_value():
+    gamma0 = decayed_i000(0.0)[1]
     assert gamma0 == pytest.approx(0.9997, abs=5e-5)
     # substituting the designed ratios reduces the entry to (cos(sqrt(65)*pi) + 64)/65
     assert gamma0 == pytest.approx(
@@ -79,37 +77,31 @@ def test_residual_entry_value(params_lossless):
     )
 
 
-def test_ideal_gate_variants(params_lossless):
+def test_ideal_gate_variants():
     exact = gate_operator(TEXTBOOK)
     assert np.array_equal(exact, np.diag([-1.0, 1, 1, 1, 1, 1, 1, 1]))
     assert np.abs(compose(exact, exact) - np.eye(8)).max() == 0.0
-    realized = gate_operator(decayed_i000(replace(params_lossless, kappa=0.0)))
-    assert realized[1, 1] == pytest.approx(residual_gate_entry(params_lossless))
-
-
-def test_ideal_gate_rejects_undesigned_ratios(omega1c):
-    crooked = CavityParams(omega=(omega1c, 2.0 * omega1c, 3.0 * omega1c))
-    with pytest.raises(ConfigError):
-        decayed_i000(replace(crooked, kappa=0.0))
+    realized = gate_operator(decayed_i000(0.0))
+    assert realized[1, 1] == pytest.approx(decayed_i000(0.0)[1])
 
 
 def test_decayed_gate_reduces_to_lossless(params_lossless):
-    diag = decayed_i000(params_lossless)
-    lossless = decayed_i000(replace(params_lossless, kappa=0.0))
+    diag = decayed_i000(params_lossless.kappa / params_lossless.omega[0])
+    lossless = decayed_i000(0.0)
     assert -diag[0] == 1.0 and diag[2] == 1.0 and diag[3] == 1.0
     assert np.abs(gate_operator(diag) - gate_operator(lossless)).max() <= 1e-15
 
 
-def test_decayed_gate_factors_strong_decay(params_strong_decay):
-    mu, gamma, beta, alpha = decayed_i000(params_strong_decay) * TEXTBOOK
+def test_decayed_gate_factors_strong_decay(strong_decay):
+    mu, gamma, beta, alpha = decayed_i000(strong_decay) * TEXTBOOK
     assert mu == pytest.approx(0.9244, abs=1e-4)
     assert gamma == pytest.approx(0.9986, abs=1e-4)
     assert beta == pytest.approx(0.9979, abs=1e-4)
     assert alpha == pytest.approx(0.9992, abs=1e-4)
 
 
-def test_decayed_gate_factor_weak_decay(params_weak_decay):
-    diag = decayed_i000(params_weak_decay)
+def test_decayed_gate_factor_weak_decay(weak_decay):
+    diag = decayed_i000(weak_decay)
     assert -diag[0] == pytest.approx(0.9844, abs=1e-4)
 
 
@@ -118,18 +110,20 @@ def test_diagonal_factors_monotone_in_decay(omega1c):
     previous = None
     for kappa in grid:
         # The damping factors (mu, gamma, beta, alpha): slot 0 holds -mu.
-        current = tuple(decayed_i000(CavityParams.designed(omega1c, float(kappa))) * TEXTBOOK)
+        current = tuple(decayed_i000(float(kappa) / omega1c) * TEXTBOOK)
         if previous is not None:
             assert all(c <= p + 1e-15 for c, p in zip(current, previous))
         previous = current
 
 
-def test_paper_form_is_the_exact_gate_less_two_terms(omega1c):
+def test_paper_form_is_the_exact_gate_less_two_terms():
     # Column |0 b2 b3⟩ moves through one bright state of coupling W, atom-1
     # share s = w1^2/W^2; its exact entry is (1 - s) + s*P00(W, T), from
     # ``exact_columns``. Putting back the two terms the paper drops, the
     # kappa/(4a)*sin(aT) term and the move of the phase from aT to W*pi/w1,
-    # gives the exact entry. And mu keeps every bit of the envelope.
+    # gives the exact entry. And mu keeps every bit of the envelope. In
+    # units of w1, as the closed forms take kappa.
+    omega1c = 1.0
     w1, w2, w3 = (omega1c * r for r in DESIGNED_RATIOS)
     w1sq, w2sq, w3sq = w1 * w1, w2 * w2, w3 * w3
     bright_sq = np.array([w1sq, w1sq + w3sq, w1sq + w2sq, w1sq + w2sq + w3sq])
@@ -139,22 +133,21 @@ def test_paper_form_is_the_exact_gate_less_two_terms(omega1c):
         params = CavityParams.designed(omega1c, kappa)
         t = gate_time(params)
         envelope = math.exp(-kappa * t / 4.0)
-        exact = exact_columns([params])[0, 0].real
+        exact = exact_columns(kappa)[0].real
         a = np.sqrt(bright_sq - kappa * kappa / 16.0)
         sine_term = envelope * kappa / (4.0 * a) * np.sin(a * t)
         phase_term = envelope * (np.cos(a * t) - np.cos(bright * math.pi / w1))
-        diag = decayed_i000(params)
+        diag = decayed_i000(kappa)
         restored = diag + share * (sine_term + phase_term)
         worst = max(worst, np.abs(restored - exact).max())
         assert -diag[0] == envelope
     assert worst <= 1e-15
 
 
-def test_exact_columns_stay_finite_at_the_overdamped_edge(omega1c):
+def test_exact_columns_stay_finite_at_the_overdamped_edge():
     # kappa < 4*w1 <= 4*W keeps every block underdamped, also where the
     # envelope underflows and the paper form is damped out.
-    params = CavityParams.designed(omega1c, 3.99999 * omega1c)
-    columns = exact_columns([params])[0]
+    columns = exact_columns(3.99999)
     assert columns.shape == (2, 4) and np.isfinite(columns.view(float)).all()
 
 
@@ -163,17 +156,17 @@ def test_paper_photon_row_is_exactly_dark_on_the_closed_cycles():
     # the photon amplitude of the closed cycles |000⟩, |010⟩, |011⟩ as 0.0,
     # keeps -i*w1/a13 * sin(sqrt(65)*pi) on |001⟩ without the envelope, and
     # its atom-1 row is decayed_i000's, bit for bit.
-    stack = [CavityParams.designed(1.0, kappa) for kappa in np.linspace(0.0, 3.99, 40).tolist()]
+    stack = np.linspace(0.0, 3.99, 40)
     atom1, photon = gates._gate_columns(stack, False)
-    for params, slots, row in zip(stack, atom1, photon):
-        w1, _, w3 = params.omega
-        a13 = decay_shifted_frequency(math.sqrt(w1 * w1 + w3 * w3), params.kappa)
+    for kappa, slots, row in zip(stack.tolist(), atom1, photon):
+        w1, _, w3 = DESIGNED_RATIOS
+        a13 = decay_shifted_frequency(math.sqrt(w1 * w1 + w3 * w3), kappa)
         assert row[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0]
         assert row[1] == -1j * w1 / a13 * math.sin(math.sqrt(65.0) * math.pi)
-        assert slots.tobytes() == decayed_i000(params).tobytes()
+        assert slots.tobytes() == decayed_i000(kappa).tobytes()
 
 
-def test_gate_diagonal_validates_range(monkeypatch, params_lossless):
+def test_gate_diagonal_validates_range(monkeypatch):
     # decayed_i000 holds the one rule on the damping factors (mu, gamma,
     # beta, alpha): each lies in (0, 1], NaN fails, and the message names the
     # first bad factor in slot order. A real gate reaches only a damped-out
@@ -182,13 +175,12 @@ def test_gate_diagonal_validates_range(monkeypatch, params_lossless):
     # W = 1, which only the photon row reads), slot i is (1 - 1) + 1*(1*c_i)
     # = 0.0 + c_i for phase cosines c. A slot is never -0.0 then: a zero mu
     # reads -0.0, any other zero factor 0.0.
-    params = CavityParams.designed(1.0, 3.9999999)
     with pytest.raises(ConfigError, match=r"^gate diagonal factor mu=-0.0 outside \(0, 1\]$"):
-        decayed_i000(params)
+        decayed_i000(3.9999999)
     # The first bad row of a coupling array, after a good one.
     couplings = (np.array([1.0, math.nan]), math.sqrt(35.0), 8.0)
     with pytest.raises(ConfigError, match=r"^gate diagonal factor gamma=nan outside"):
-        decayed_i000(params_lossless, couplings)
+        decayed_i000(0.0, couplings)
     # Float, np.float64 and array shares (the last one row per coupling
     # value): one rule and one message in every form, on each factor.
     forms = ((float, None), (np.float64, None), (lambda one: np.full(2, one), (np.ones(2),) * 3))
@@ -197,7 +189,7 @@ def test_gate_diagonal_validates_range(monkeypatch, params_lossless):
     def slots(cos, form, couplings):
         monkeypatch.setattr(gates, "_bright_columns", lambda *w: ((1.0,) * 4, (form(1.0),) * 4))
         monkeypatch.setattr(gates, "_DESIGN_COS", np.array(cos))
-        return decayed_i000(params_lossless, couplings)
+        return decayed_i000(0.0, couplings)
 
     for slot, name in enumerate(("mu", "gamma", "beta", "alpha")):
         sign = TEXTBOOK[slot]
@@ -222,7 +214,7 @@ def test_gate_diagonal_validates_range(monkeypatch, params_lossless):
     monkeypatch.setattr(gates, "_bright_columns", lambda *w: ((1.0,) * 4, shares))
     monkeypatch.setattr(gates, "_DESIGN_COS", TEXTBOOK)
     with pytest.raises(ConfigError, match=r"^gate diagonal factor gamma=nan outside"):
-        decayed_i000(params_lossless, (np.ones(2),) * 3)
+        decayed_i000(0.0, (np.ones(2),) * 3)
 
 
 # --- marked-state conjugation ----------------------------------------------
@@ -241,8 +233,8 @@ def test_marked_gate_exact_reflection(params_lossless):
     assert np.abs(gate - expected).max() <= 1e-15
 
 
-def test_marked_gate_permutes_damped_diagonal(params_strong_decay):
-    diag = decayed_i000(params_strong_decay)
+def test_marked_gate_permutes_damped_diagonal(strong_decay):
+    diag = decayed_i000(strong_decay)
     mu, gamma, beta, alpha = diag * TEXTBOOK
     operator = gate_operator(diag)
     gate = marked_gate("001", operator)
@@ -314,15 +306,15 @@ def test_iteration_equals_diffusion_form(tau, params_lossless):
 # --- closed forms vs dynamics ------------------------------------------
 
 
-def test_closed_form_matches_dynamics_under_decay(params_strong_decay):
-    operator = gate_operator(decayed_i000(params_strong_decay))
+def test_closed_form_matches_dynamics_under_decay(params_strong_decay, strong_decay):
+    operator = gate_operator(decayed_i000(strong_decay))
     (gate,), _ = extract_gate([params_strong_decay], [gate_time(params_strong_decay)])
     simulated = gate.diagonal()
     assert np.abs(simulated - operator.diagonal()).max() <= 1e-3
 
 
 def test_closed_form_matches_dynamics_lossless(params_lossless):
-    operator = gate_operator(decayed_i000(params_lossless))
+    operator = gate_operator(decayed_i000(params_lossless.kappa / params_lossless.omega[0]))
     (gate,), _ = extract_gate([params_lossless], [gate_time(params_lossless)])
     simulated = gate.diagonal()
     errors = np.abs(simulated - operator.diagonal())
@@ -359,7 +351,7 @@ def test_marked_gate_rejects_a_stack_of_bases(shape):
         marked_gate("001", np.ones(shape))
 
 
-def test_logical_operator_unitary_flag(params_strong_decay):
-    operator = gate_operator(decayed_i000(params_strong_decay))
+def test_logical_operator_unitary_flag(strong_decay):
+    operator = gate_operator(decayed_i000(strong_decay))
     assert not is_unitary(operator)
     assert is_unitary(hadamard3())

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from cavity_grover import (
     TEXTBOOK,
-    CavityParams,
     ConfigError,
     ExperimentConfig,
     NumericalError,
@@ -16,7 +14,6 @@ from cavity_grover import (
     grover_step,
     hadamard3,
     marked_gate,
-    residual_gate_entry,
     run_search,
 )
 from cavity_grover import grover
@@ -37,10 +34,10 @@ ALL_TAUS = [format(v, "03b") for v in range(8)]
 VARIANTS = ("exact", "lossless", "decayed")
 
 
-def _diagonal(variant: str, params: CavityParams) -> np.ndarray:
+def _diagonal(variant: str, kappa: float) -> np.ndarray:
     if variant == "exact":
         return TEXTBOOK
-    return decayed_i000(replace(params, kappa=0.0) if variant == "lossless" else params)
+    return decayed_i000(0.0 if variant == "lossless" else kappa)
 
 
 def _steps(tau: str, gate: np.ndarray, k_max: int) -> list[np.ndarray]:
@@ -86,18 +83,18 @@ def test_two_steps_match_brute_force_matrix_product(params_lossless):
     assert abs(state[0]) ** 2 == pytest.approx(p_brute, abs=1e-14)
 
 
-def test_decayed_step_contracts_norm(params_strong_decay):
-    gate = gate_operator(decayed_i000(params_strong_decay))
+def test_decayed_step_contracts_norm(strong_decay):
+    gate = gate_operator(decayed_i000(strong_decay))
     out = grover_step(initial_state(), "000", gate)
     assert squared_norm(out) < 1.0
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("tau", ALL_TAUS)
-def test_run_search_records_repeated_public_steps(tau, variant, params_strong_decay):
+def test_run_search_records_repeated_public_steps(tau, variant, strong_decay):
     # run_search advances the |000⟩ register alone; k public steps for any
     # marked state, each building its flip, give the same outcomes to rounding.
-    slots = _diagonal(variant, params_strong_decay)
+    slots = _diagonal(variant, strong_decay)
     p_find, survival_k, fidelity_k = run_search(6, [slots])
     steps = zip(_steps(tau, gate_operator(slots), 6), _steps(tau, gate_operator(TEXTBOOK), 6))
     for k, (state, ideal) in enumerate(steps):
@@ -125,26 +122,26 @@ def test_sixth_iteration_peaks_lossless(params_lossless):
     assert p_find.argmax() + 1 == 6
 
 
-def test_second_iteration_preferred_under_decay(params_strong_decay):
-    (p_find,), _, _ = run_search(8, [decayed_i000(params_strong_decay)])
+def test_second_iteration_preferred_under_decay(strong_decay):
+    (p_find,), _, _ = run_search(8, [decayed_i000(strong_decay)])
     assert p_find.argmax() + 1 == 2
 
 
 def test_lossless_gate_barely_perturbs_search(params_lossless):
-    (p_find,), _, _ = run_search(2, [decayed_i000(params_lossless)])
+    (p_find,), _, _ = run_search(2, [decayed_i000(0.0)])
     assert p_find[1] == pytest.approx(121.0 / 128.0, abs=1e-3)
 
 
-def test_decay_ordering(params_lossless, params_weak_decay, params_strong_decay):
-    params = (params_strong_decay, params_weak_decay, params_lossless)
+def test_decay_ordering(weak_decay, strong_decay):
+    params = (strong_decay, weak_decay, 0.0)
     (strong, weak, lossless), _, _ = run_search(8, [decayed_i000(p) for p in params])
     for a, b, c in zip(strong, weak, lossless):
         assert a <= b + 1e-12
         assert b <= c + 1e-12
 
 
-def test_search_records_well_formed(params_strong_decay):
-    (p_finds,), (survivals,), (fidelities,) = run_search(8, [decayed_i000(params_strong_decay)])
+def test_search_records_well_formed(strong_decay):
+    (p_finds,), (survivals,), (fidelities,) = run_search(8, [decayed_i000(strong_decay)])
     for p_find, survival, fidelity in zip(p_finds, survivals, fidelities):
         assert 0.0 <= p_find <= survival + 1e-12
         assert survival <= 1.0 + 1e-12
@@ -198,13 +195,13 @@ def test_run_search_validates_inputs(params_lossless):
         run_search(0, [TEXTBOOK])
 
 
-def test_marked_state_label(params_strong_decay):
+def test_marked_state_label(strong_decay):
     assert marked_index("101") == 5
     for bad in ("002", "10", 5):
         with pytest.raises(ConfigError):
             marked_index(bad)
     # marked_gate permutes i -> i ^ tau.
-    gate = gate_operator(decayed_i000(params_strong_decay))
+    gate = gate_operator(decayed_i000(strong_decay))
     flipped = marked_gate("101", gate)
     perm = np.arange(8) ^ 5
     assert np.array_equal(flipped, gate[np.ix_(perm, perm)])
@@ -213,8 +210,8 @@ def test_marked_state_label(params_strong_decay):
 # --- phase-gate success probability -----------------------------------
 
 
-def test_success_probability_uniform_formula(params_strong_decay):
-    diag = decayed_i000(params_strong_decay)
+def test_success_probability_uniform_formula(strong_decay):
+    diag = decayed_i000(strong_decay)
     mu, gamma, beta, alpha = diag * TEXTBOOK
     uniform_coeffs = np.ones(8, dtype=complex)
     expected = (4.0 + alpha**2 + beta**2 + gamma**2 + mu**2) / 8.0
@@ -222,23 +219,23 @@ def test_success_probability_uniform_formula(params_strong_decay):
     assert phase_gate_success(uniform_coeffs, diag) == pytest.approx(0.9808, abs=2e-4)
 
 
-def test_success_probability_weak_decay(params_weak_decay):
-    diag = decayed_i000(params_weak_decay)
+def test_success_probability_weak_decay(weak_decay):
+    diag = decayed_i000(weak_decay)
     assert phase_gate_success(np.ones(8), diag) == pytest.approx(0.9958, abs=2e-4)
 
 
 def test_success_probability_lossless(params_lossless):
-    diag = decayed_i000(params_lossless)
-    gamma0 = residual_gate_entry(params_lossless)
+    diag = decayed_i000(0.0)
+    gamma0 = decayed_i000(0.0)[1]
     expected = (7.0 + gamma0**2) / 8.0
     value = phase_gate_success(np.ones(8), diag)
     assert value == pytest.approx(expected, abs=1e-12)
     assert value == pytest.approx(0.99993, abs=5e-6)
 
 
-def test_success_probability_weights_follow_slots(params_strong_decay):
+def test_success_probability_weights_follow_slots(strong_decay):
     # Slot 0 is damped by mu^2, slot 4 passes untouched.
-    diag = decayed_i000(params_strong_decay)
+    diag = decayed_i000(strong_decay)
     marked_zero = np.zeros(8)
     marked_zero[0] = math.sqrt(8.0)
     assert phase_gate_success(marked_zero, diag) == pytest.approx(diag[0] ** 2, abs=1e-12)
@@ -247,8 +244,8 @@ def test_success_probability_weights_follow_slots(params_strong_decay):
     assert phase_gate_success(dark, diag) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_success_probability_rejects_bad_normalization(params_strong_decay):
-    diag = decayed_i000(params_strong_decay)
+def test_success_probability_rejects_bad_normalization(strong_decay):
+    diag = decayed_i000(strong_decay)
     with pytest.raises(ConfigError):
         phase_gate_success(np.full(8, 0.5), diag)
 
@@ -275,10 +272,10 @@ def test_closed_form_values():
     variant=st.sampled_from(VARIANTS),
     k_max=st.integers(1, 12),
 )
-def test_run_search_rows_equals_per_rate_runs(ratios, variant, k_max, omega1c):
+def test_run_search_rows_equals_per_rate_runs(ratios, variant, k_max):
     # The stacked (K, 8, 1) iteration must give each diagonal the row of its
     # own one-diagonal run, bit for bit (== on every float).
-    diagonals = [_diagonal(variant, CavityParams.designed(omega1c, r * omega1c)) for r in ratios]
+    diagonals = [_diagonal(variant, r) for r in ratios]
     grid = run_search(k_max, diagonals)
     for i, diagonal in enumerate(diagonals):
         alone = run_search(k_max, [diagonal])
@@ -287,21 +284,21 @@ def test_run_search_rows_equals_per_rate_runs(ratios, variant, k_max, omega1c):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_run_search_rows_builds_no_dense_gate(variant, params_strong_decay, monkeypatch):
+def test_run_search_rows_builds_no_dense_gate(variant, strong_decay, monkeypatch):
     # The stack reads each gate's eight entries; no per-state 8x8 gate is
     # built, and marked_gate is the one builder of one.
     def dense(*args):
         raise AssertionError("dense gate operator built")
 
     monkeypatch.setattr(grover, "marked_gate", dense)
-    diagonal = _diagonal(variant, params_strong_decay)
+    diagonal = _diagonal(variant, strong_decay)
     p_find, survival, fidelity = run_search(3, [diagonal, diagonal])
     assert p_find.shape == survival.shape == fidelity.shape == (2, 3)
 
 
 def test_run_search_rows_validates_inputs(params_lossless):
     with pytest.raises(ConfigError, match="k_max"):
-        run_search(0, [decayed_i000(params_lossless)])
+        run_search(0, [decayed_i000(0.0)])
     with pytest.raises(ConfigError, match="at least one"):
         run_search(3, [])
 
@@ -315,14 +312,13 @@ def test_run_search_on_exact_columns_equals_the_paper_form_at_kappa_0(tau):
     # run_search takes unchanged. At kappa = 0 both forms give the same
     # slots, and the searches agree bit for bit, as do the per-state steps
     # for every marked state.
-    params = CavityParams.designed(1.0, 0.0)
-    exact = exact_columns([params])[:, 0]
+    exact = exact_columns([0.0])[:, 0]
     assert exact.dtype == complex and exact.shape == (1, 4)
-    grid, paper = run_search(12, exact), run_search(12, [decayed_i000(params)])
+    grid, paper = run_search(12, exact), run_search(12, [decayed_i000(0.0)])
     for field, paper_field in zip(grid, paper):
         assert field.tobytes() == paper_field.tobytes()
     steps = _steps(tau, gate_operator(exact[0]), 12)
-    for state, alone in zip(steps, _steps(tau, gate_operator(decayed_i000(params)), 12)):
+    for state, alone in zip(steps, _steps(tau, gate_operator(decayed_i000(0.0)), 12)):
         assert state.tobytes() == alone.tobytes()
 
 
@@ -331,21 +327,20 @@ def test_run_search_on_exact_columns_stays_a_no_jump_branch(kappa_ratio):
     # Under decay the exact slots drive a proper no-jump branch. Their p_find
     # differs from the paper form's (8 iterations) by at most 1.0e-5 at
     # kappa = 0.1 w1 and 1.8e-4 at 0.5 w1.
-    params = CavityParams.designed(1.0, kappa_ratio)
-    p_find, survival, _ = run_search(8, exact_columns([params])[:, 0])
+    p_find, survival, _ = run_search(8, exact_columns([kappa_ratio])[:, 0])
     assert (p_find <= survival + 1e-12).all()
     assert (survival + 1e-12 <= 1.0 + 1e-12).all()
-    paper, _, _ = run_search(8, [decayed_i000(params)])
+    paper, _, _ = run_search(8, [decayed_i000(kappa_ratio)])
     gap = np.abs(p_find - paper).max()
     assert gap <= {0.1: 1.1e-5, 0.5: 1.9e-4}.get(kappa_ratio, 1.0)
 
 
-_SWEEP_PARAMS = [CavityParams.designed(1.0, 0.02 * i) for i in range(25)]  # kappa/w1 in [0, 0.48]
+_SWEEP_KAPPA = [0.02 * i for i in range(25)]  # kappa/w1 in [0, 0.48]
 
 
 @pytest.mark.parametrize(
     "slots",
-    [np.array([decayed_i000(p) for p in _SWEEP_PARAMS]), exact_columns(_SWEEP_PARAMS)[:, 0]],
+    [decayed_i000(_SWEEP_KAPPA), exact_columns(_SWEEP_KAPPA)[:, 0]],
     ids=["paper", "exact"],
 )
 def test_marked_state_only_relabels_the_search(slots):
@@ -375,9 +370,9 @@ def test_run_search_rejects_malformed_slot_arrays(slots):
         run_search(3, slots)
 
 
-def test_gate_slot_arrays_are_read_only(params_strong_decay):
+def test_gate_slot_arrays_are_read_only(strong_decay):
     config = ExperimentConfig()
-    arrays = (TEXTBOOK, decayed_i000(params_strong_decay), config._kappa_gates, config._offset_gate)
+    arrays = (TEXTBOOK, decayed_i000(strong_decay), config._kappa_gates, config._offset_gate)
     assert config._kappa_gates.shape == (3, 4) and config._offset_gate.shape == (4,)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
