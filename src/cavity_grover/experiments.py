@@ -142,7 +142,7 @@ def _increasing(values: tuple) -> None:
 
 
 def _retired(value) -> None:
-    if value != 1 or isinstance(value, bool):
+    if value != 1 or isinstance(value, (bool, np.bool_)):
         raise ConfigError("retired, its only value is 1")
 
 

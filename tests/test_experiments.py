@@ -1350,3 +1350,141 @@ def test_owner_rules_have_one_message(key, value, owners):
         with pytest.raises(ConfigError) as owner_error:
             owner(value)
         assert str(config_error.value) == f"{key} = {value}: {owner_error.value}"
+
+
+# --- decay ratios and bools at load time ---------------------------------
+
+_KAPPA_RULE = (
+    "outside [0, 4*omega1=4.0): decay rates are >= 0, and above 4*omega1 atom-1 "
+    "exchange is overdamped"
+)
+
+
+@pytest.mark.parametrize(
+    "ratios, shown",
+    [
+        # Not increasing: the config's own rule fails first.
+        (
+            "0.1,4.0,0.2",
+            "kappa_ratios = 0.1,4.0,0.2: must be strictly increasing, got 0.2 after 4.0",
+        ),
+        ("0.1,nan,0.2", f"kappa_ratios = nan: kappa=nan {_KAPPA_RULE}"),
+        ("0.1,4.0,4.5", f"kappa_ratios = 4.0: kappa=4.0 {_KAPPA_RULE}"),
+        # A gate damped out at an earlier ratio is named before a later bad rate.
+        ("3.99999,4.0", "kappa_ratios = 3.99999: gate diagonal factor mu=-0.0 outside (0, 1]"),
+        ("3.99999,nan", "kappa_ratios = 3.99999: gate diagonal factor mu=-0.0 outside (0, 1]"),
+        (
+            "0.1,3.9999999999999996",
+            "kappa_ratios = 3.9999999999999996: gate diagonal factor mu=-0.0 outside (0, 1]",
+        ),
+    ],
+)
+def test_load_and_the_cli_name_the_first_bad_ratio(ratios, shown, tmp_path, capsys):
+    # Load checks every ratio in one decayed_i000 call; the error names the
+    # first ratio that breaks either the rate rule or the gate's, as a loop
+    # over the ratios would.
+    values = tuple(float(r) for r in ratios.split(","))
+    loads = (
+        lambda: ExperimentConfig(kappa_ratios=values),
+        lambda: parse_config(f"kappa_ratios = {ratios}\n"),
+    )
+    for load in loads:
+        with pytest.raises(ConfigError) as info:
+            load()
+        assert str(info.value) == shown
+    config, out = tmp_path / "bad.cfg", tmp_path / "gate.csv"
+    config.write_text(f"kappa_ratios = {ratios}\n", encoding="utf-8")
+    assert cli.main(["gate", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"sim: config error: {shown}\n"
+    assert not out.exists()
+
+
+_NUMERIC_KEYS = (
+    "omega1c_khz", "kappa_ratios", "k_max", "delta_t_max_frac", "delta_t_points", "eta_max",
+    "eta_points", "chi_list", "offset_eta_per_atom", "offset_kappa_ratio", "photon_cutoff",
+    "lambda0", "threads",
+)
+
+
+def _with_bool(key: str, flag):
+    """A config value for ``key`` that holds the bool ``flag``."""
+    if key in ("kappa_ratios", "chi_list"):
+        return (flag,)
+    return (0.0, flag, 0.0) if key == "offset_eta_per_atom" else flag
+
+
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)], ids=["True", "False", "np.True_"])
+@pytest.mark.parametrize("key", _NUMERIC_KEYS)
+def test_a_bool_never_loads_as_a_number(key, flag):
+    # A bool would be written back as True or False, which parse_config
+    # refuses: every number's rule refuses it at load, naming the key.
+    value = _with_bool(key, flag)
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(**{key: value})
+    assert str(info.value).startswith(f"{key} = {_value_text(value)}: ")
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        lambda b: grover.check_grid_size(b, "k_max"),
+        imperfections.check_chi,
+        dynamics.check_kappa,
+        lambda b: dynamics.check_kappa([0.1, b]),
+        lambda b: decayed_i000([0.1, b]),
+        lambda b: CavityParams((1.0, 2.0, 3.0), kappa=b),
+        lambda b: imperfections.delay_fractions([b]),
+        lambda b: imperfections.timing_infidelity([0.1], [0.0, b]),
+        lambda b: offset_couplings([b]),
+        lambda b: offset_couplings(np.array([b])),
+        lambda b: offset_couplings([0.0], "per_atom", (0.0, b, 0.0)),
+        positions_for_ratio,
+    ],
+    ids=[
+        "grid size", "chi", "kappa", "kappa axis", "decayed_i000 axis", "CavityParams kappa",
+        "delay", "timing delays", "eta", "eta array", "per-atom eta", "wavelength",
+    ],
+)
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)], ids=["True", "False", "np.True_"])
+def test_every_number_rule_refuses_a_bool(rule, flag):
+    with pytest.raises(ConfigError):
+        rule(flag)
+
+
+def _or_a_bool(values):
+    """``values``, or about one draw in ten a bool."""
+    bools = st.sampled_from([True, np.bool_(False)])
+    return st.integers(0, 9).flatmap(lambda i: bools if i == 0 else values)
+
+
+_FIELDS = {
+    "omega1c_khz": _or_a_bool(st.floats(0.0, 100.0)),
+    "kappa_ratios": st.lists(_or_a_bool(st.floats(0.0, 4.0)), min_size=1, max_size=4).map(tuple),
+    "k_max": _or_a_bool(st.integers(1, 40)),
+    "delta_t_max_frac": _or_a_bool(st.floats(0.0, 1.0)),
+    "delta_t_points": _or_a_bool(st.integers(1, 60)),
+    "eta_max": _or_a_bool(st.floats(0.0, 0.99)),
+    "eta_points": _or_a_bool(st.integers(1, 60)),
+    "chi_list": st.lists(_or_a_bool(st.integers(1, 4)), min_size=1, max_size=4).map(tuple),
+    "offset_model": st.sampled_from(imperfections.OFFSET_MODELS),
+    "offset_eta_per_atom": st.none() | st.tuples(*[_or_a_bool(st.floats(-0.99, 0.99))] * 3),
+    "offset_kappa_ratio": _or_a_bool(st.floats(0.0, 4.0)),
+    "lambda0": _or_a_bool(st.floats(0.0, 10.0)),
+    "photon_cutoff": _or_a_bool(st.just(1)),
+    "threads": _or_a_bool(st.just(1)),
+    "tau": st.sampled_from(["000", "011", "111"]),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fields=st.fixed_dictionaries({}, optional=_FIELDS))
+@example(fields={})
+def test_every_accepted_config_round_trips(fields):
+    # parse_config(serialize_config(c)) == c for every config that loads:
+    # the draws hold bools too, which would be written back as True or
+    # False, so none may load.
+    try:
+        config = ExperimentConfig(**fields)
+    except ConfigError:
+        return
+    assert parse_config(serialize_config(config)) == config

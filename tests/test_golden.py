@@ -30,6 +30,6 @@ def test_outputs_match_the_golden_files(label, experiment, tmp_path):
         assert NUMBER.sub("#", output) == NUMBER.sub("#", golden), f"{label}/{name}: text differs"
         pairs = list(zip(NUMBER.findall(output), NUMBER.findall(golden)))
         far = [(a, b) for a, b in pairs if not _close(a, b)]
-        assert not far, f"{label}/{name}: {len(far)} numbers differ by more than {TOLERANCE}, first {far[0]}"
+        assert not far, f"{label}/{name}: {len(far)} numbers off by > {TOLERANCE}, first {far[0]}"
         if np.__version__ == RECORDED_NUMPY:
             assert output == golden, f"{label}/{name}: bytes differ under numpy {RECORDED_NUMPY}"

@@ -515,13 +515,14 @@ def test_timing_keeps_the_previous_fidelity_within_1e15(seed, monkeypatch):
     stack = np.sort(rng.uniform(0.0, 3.9, 5))
     fracs = rng.uniform(0.0, 1.0, 40)
     fused = [timing_infidelity(stack, fracs), timing_oracle(stack, fracs)]
-    dense = timing_oracle_dense(CavityParams.designed(1.0, stack[0]), float(fracs[0]))
+    first = CavityParams.designed(1.0, stack[0])
+    dense = timing_oracle_dense(first, float(fracs[0]))
     monkeypatch.setattr(imperfections, "_row_fidelity", _previous_row_fidelity)
     previous = [timing_infidelity(stack, fracs), timing_oracle(stack, fracs)]
     for now, before in zip(fused, previous):
         assert now.shape == before.shape == (5, 40)
         assert np.abs(now - before).max() <= 1e-15
-    assert abs(dense - timing_oracle_dense(CavityParams.designed(1.0, stack[0]), float(fracs[0]))) <= 1e-15
+    assert abs(dense - timing_oracle_dense(first, float(fracs[0]))) <= 1e-15
 
 
 @pytest.mark.parametrize("model", ["atom1", "uniform"])
@@ -559,7 +560,7 @@ def test_decayed_gate_array_call_equals_scalar_calls(model, per_atom, strong_dec
         # A stack takes one 1-D fraction axis: one axis too few, or one too many.
         (lambda p: timing_infidelity([p.kappa / p.omega[0]], 0.0), "delta_t_frac"),
         (lambda p: timing_oracle([p.kappa / p.omega[0]], [[0.0, 1e-7]]), "delta_t_frac"),
-        (lambda p: coupling_offset_infidelity(p.kappa / p.omega[0], [1], 0.05, "atom1", None), "etas"),
+        (lambda p: coupling_offset_infidelity(p.kappa / p.omega[0], [1], 0.05), "etas"),
     ],
     ids=["dense-oracle-array-delay", "formula-scalar-delays", "oracle-2d-delays", "offset-scalar-etas"],
 )
