@@ -4,8 +4,9 @@
 
 Writes, for every case of ``CASES``, the CSV and the ``--summary`` output of
 ``sim <experiment>`` to ``tests/golden/<config>/<experiment>.csv`` and
-``.summary``, and the numpy version they were made with to
-``tests/golden/numpy_version``. Run it only at a commit whose outputs are
+``.summary``; the exit code and stderr of each of ``BAD_CONFIGS`` to
+``tests/golden/bad_configs.txt``; and the numpy version they were made
+with to ``tests/golden/numpy_version``. Run it only at a commit whose outputs are
 known to be right: later runs must match these files in their text, and in
 every number within ``TOLERANCE``.
 """
@@ -40,6 +41,25 @@ CONFIGS = {
     "per_atom": ("offset_model = per_atom\noffset_eta_per_atom = 0.02,-0.03,0.01\n", ("offset",)),
 }
 CASES = [(label, exp) for label, (_, exps) in CONFIGS.items() for exp in exps]
+# Bad config files, one line each: one per config-only rule, then owner
+# rules', among them decay ratios that break the rate rule or damp a gate out.
+BAD_CONFIGS = (
+    "kappa_ratios =",
+    "chi_list = 2,1",
+    "eta_points = 0",
+    "k_max = 0",
+    "threads = 2",
+    "eta_max = -0.1",
+    "delta_t_max_frac = 0",
+    "kappa_ratios = 0,4",
+    "kappa_ratios = 0.1,4.0,0.2",
+    "kappa_ratios = 0.1,nan,0.2",
+    "kappa_ratios = 3.9999999999999996",
+    "kappa_ratios = 3.99999,4",
+    "offset_kappa_ratio = 4",
+    "k_max = 4.0",
+    "tau = 012",
+)
 
 
 def render(label: str, experiment: str, workdir: Path) -> dict[str, str]:
@@ -63,6 +83,19 @@ def render(label: str, experiment: str, workdir: Path) -> dict[str, str]:
     }
 
 
+def render_bad(workdir: Path) -> dict[str, str]:
+    """The exit code and stderr of ``sim geometry`` on each of ``BAD_CONFIGS``,
+    one block per config, as the golden file ``bad_configs.txt``."""
+    config, blocks = workdir / "bad.cfg", []
+    for line in BAD_CONFIGS:
+        config.write_text(line + "\n", encoding="utf-8")
+        shown = io.StringIO()
+        with contextlib.redirect_stderr(shown):
+            code = cli.main(["geometry", "--config", str(config), "--out", str(workdir / "bad.csv")])
+        blocks.append(f"{line}\nexit {code}\n{shown.getvalue()}")
+    return {"bad_configs.txt": "\n".join(blocks)}
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as work:
         for label, experiment in CASES:
@@ -71,6 +104,9 @@ def main() -> None:
             for name, output in render(label, experiment, Path(work)).items():
                 (folder / name).write_text(output, encoding="utf-8", newline="\n")
                 print(folder / name)
+        for name, output in render_bad(Path(work)).items():
+            (GOLDEN / name).write_text(output, encoding="utf-8", newline="\n")
+            print(GOLDEN / name)
     (GOLDEN / "numpy_version").write_text(np.__version__ + "\n", encoding="utf-8")
 
 
