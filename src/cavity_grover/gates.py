@@ -131,9 +131,10 @@ def _gate_columns(kappa, exact: bool, couplings=None):
         w1_over_a = 1.0 / decay_shifted_frequency(math.sqrt(bright_sq[1]), kappa)
         # envelope*cos: -mu (s = 1, cos = -1) is the envelope bit for bit, never rounded to 0.
         bright_atom, photon = envelope * _DESIGN_COS, w1_over_a * _DESIGN_ISIN
-    if couplings is not None:  # slot 0's share is always the float 1
-        shares = _bright_columns(*couplings)[1]
-    shares = np.stack(np.broadcast_arrays(*shares), -1)  # (..., 4)
+    if couplings is None:
+        shares = np.array(shares)
+    else:  # (..., 4); slot 0's share is always the float 1
+        shares = np.stack(np.broadcast_arrays(*_bright_columns(*couplings)[1]), -1)
     return (1.0 - shares) + shares * bright_atom, photon
 
 
