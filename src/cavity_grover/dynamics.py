@@ -79,11 +79,13 @@ class CavityParams:
 
 
 def check_kappa(kappa, omega1: float = 1.0) -> np.ndarray:
-    """The one rule on a decay rate: ``kappa``, one rate or an axis of them,
+    """The one rule on a decay rate: ``kappa``, one rate or a non-empty axis,
     holds numbers in [0, 4*omega1), no bool. Returns them as a float array;
     an axis's first bad rate is named, with its row."""
     _refuse_bools("kappa", kappa)
     rates = np.asarray(kappa, dtype=float)
+    if rates.size == 0:
+        raise ConfigError("needs at least one set of decay rates")
     if (bad := ~((0.0 <= rates) & (rates < 4.0 * omega1))).any():  # NaN fails too
         row = _first_row(bad, 0)
         raise ConfigError(

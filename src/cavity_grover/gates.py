@@ -76,10 +76,8 @@ def pauli_x(qubit: int) -> np.ndarray:
     """Bit flip on one logical qubit (1-based); a self-inverse permutation."""
     if qubit not in (1, 2, 3):
         raise ConfigError(f"qubit index must be 1..3, got {qubit}")
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    eye = np.eye(2)
-    factors = [eye, eye, eye]
-    factors[qubit - 1] = x
+    factors = [np.eye(2)] * 3
+    factors[qubit - 1] = np.array([[0.0, 1.0], [1.0, 0.0]])
     return _read_only(np.kron(np.kron(factors[0], factors[1]), factors[2]))
 
 
@@ -131,10 +129,9 @@ def _gate_columns(kappa, exact: bool, couplings=None):
         w1_over_a = 1.0 / decay_shifted_frequency(math.sqrt(bright_sq[1]), kappa)
         # envelope*cos: -mu (s = 1, cos = -1) is the envelope bit for bit, never rounded to 0.
         bright_atom, photon = envelope * _DESIGN_COS, w1_over_a * _DESIGN_ISIN
-    if couplings is None:
-        shares = np.array(shares)
-    else:  # (..., 4); slot 0's share is always the float 1
+    if couplings is not None:  # (..., 4); slot 0's share is always the float 1
         shares = np.stack(np.broadcast_arrays(*_bright_columns(*couplings)[1]), -1)
+    shares = np.asarray(shares)
     return (1.0 - shares) + shares * bright_atom, photon
 
 

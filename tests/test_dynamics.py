@@ -578,17 +578,12 @@ _KAPPA_SWEEPS = {
 
 @pytest.mark.parametrize("name", sorted(_KAPPA_SWEEPS))
 def test_kappa_sweeps_take_only_a_non_empty_sequence(name, params_strong_decay):
-    # One convention: a leading K axis also for K = 1. The dense engine takes
-    # no empty stack; a closed form's empty decay axis is an empty result, as
-    # an empty offset axis is.
+    # One convention: a leading K axis also for K = 1, and no empty stack.
     sweep = _KAPPA_SWEEPS[name]
     for count in (1, 3):
         assert len(sweep([params_strong_decay] * count)) == count
-    if name in ("evolve_logical_basis", "extract_gate"):
-        with pytest.raises(ConfigError, match="at least one set"):
-            sweep([])
-    else:
-        assert len(sweep([])) == 0
+    with pytest.raises(ConfigError, match="at least one set"):
+        sweep([])
 
 
 def test_extracted_gate_short_time_is_identity(params_strong_decay):
