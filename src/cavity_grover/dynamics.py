@@ -81,16 +81,16 @@ class CavityParams:
 def check_kappa(kappa, omega1: float = 1.0) -> np.ndarray:
     """The one rule on a decay rate: ``kappa``, one rate or a non-empty axis,
     holds numbers in [0, 4*omega1), no bool. Returns them as a float array;
-    an axis's first bad rate is named, with its row."""
+    an axis's first bad rate is named."""
     _refuse_bools("kappa", kappa)
     rates = np.asarray(kappa, dtype=float)
     if rates.size == 0:
         raise ConfigError("needs at least one set of decay rates")
-    if (bad := ~((0.0 <= rates) & (rates < 4.0 * omega1))).any():  # NaN fails too
-        row = _first_row(bad, 0)
+    bad = rates[~((0.0 <= rates) & (rates < 4.0 * omega1))]  # NaN fails too
+    if bad.size:
         raise ConfigError(
-            f"kappa={kappa if row is None else kappa[row]} outside [0, 4*omega1={4 * omega1}): "
-            "decay rates are >= 0, and above 4*omega1 atom-1 exchange is overdamped", row
+            f"kappa={bad[0] if rates.ndim else kappa} outside [0, 4*omega1={4 * omega1}): "
+            "decay rates are >= 0, and above 4*omega1 atom-1 exchange is overdamped"
         )
     return rates
 

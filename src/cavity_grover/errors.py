@@ -7,21 +7,18 @@ numerical failures with 2.
 import numpy as np
 
 
-class _RowError(Exception):
-    """An error with ``row``, the first bad row of a failed axis or stack, or None."""
-
-    def __init__(self, message: str, row: int | None = None) -> None:
-        super().__init__(message)
-        self.row = row
-
-
-class ConfigError(_RowError, ValueError):
+class ConfigError(ValueError):
     """Invalid configuration: bad parameter values, malformed config files,
     or arguments outside an operation's domain."""
 
 
-class NumericalError(_RowError, RuntimeError):
-    """Evolution produced unusable numbers."""
+class NumericalError(RuntimeError):
+    """Evolution produced unusable numbers; ``row`` is the first bad row of
+    a failed stack, or None."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class CutoffError(NumericalError):

@@ -11,8 +11,9 @@ axis: one ``run_search`` for every decay ratio, one
 ``coupling_offset_infidelity`` for the (chi, eta) grid, and one
 ``extract_gate``, ``timing_infidelity`` and ``timing_oracle`` each for the
 axis of every decay ratio, kappa/omega1; only ``gate`` builds the dense
-engine's ``CavityParams``. The runs read the gates config load built;
-``offset``'s eta = 0 baseline needs only the gate.
+engine's ``CavityParams``. ``gate`` and ``search`` build their ratios' gates
+with one ``decayed_i000`` call; ``offset``'s eta = 0 baseline needs only its
+ratio's gate.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ class ExperimentConfig:
     coupling itself enters in kHz (cycles, not angular) and only sets the
     search summary's iteration time. Sweep grids are uniform with
     ``*_points`` samples from 0 to ``*_max``.
-
-    Loading keeps the gate slots it builds to check the decay ratios, in
-    ratio order, and ``offset_kappa_ratio`` (plain attributes, not fields:
-    ``_kappa_gates`` (K, 4) and ``_offset_gate`` (4,)), and the runs read those.
     """
 
     omega1c_khz: float = 6.125
@@ -97,10 +94,9 @@ class ExperimentConfig:
         _built("omega1c_khz", self.omega1c_khz, self.iteration_us)
         # linspace ends exactly at delta_t_max_frac: the sweep's last delay.
         _built("delta_t_max_frac", self.delta_t_max_frac, delay_fractions, [self.delta_t_max_frac])
-        # One call checks every ratio and gate, naming the first failing ratio.
-        for name, key in (("_kappa_gates", "kappa_ratios"), ("_offset_gate", "offset_kappa_ratio")):
-            value = getattr(self, key)
-            object.__setattr__(self, name, _built(key, value, decayed_i000, value))
+        for ratio in self.kappa_ratios:  # in order: the first bad ratio is named
+            _built("kappa_ratios", ratio, decayed_i000, ratio)
+        _built("offset_kappa_ratio", self.offset_kappa_ratio, decayed_i000, self.offset_kappa_ratio)
         model, per_atom = self.offset_model, self.offset_eta_per_atom
         _built("offset_model", model, offset_couplings, [0.0], model, (0.0,) * 3)
         _built("offset_eta_per_atom", per_atom, offset_couplings, [0.0], model, per_atom)
@@ -124,12 +120,11 @@ class ExperimentConfig:
 
 
 def _built(key: str, value, build, *args):
-    """``build(*args)``, with the key and its given value (its item at the
-    error's row, if one is named) prefixed to any ``ConfigError``."""
+    """``build(*args)``, with the key and its given value prefixed to any
+    ``ConfigError``."""
     try:
         return build(*args)
     except ConfigError as exc:
-        value = value if exc.row is None else value[exc.row]
         raise ConfigError(f"{key} = {_value_text(value) or '(empty)'}: {exc}") from exc
 
 
@@ -249,7 +244,7 @@ def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
 def _gate_experiment(config: ExperimentConfig) -> SweepTable:
     gamma0 = decayed_i000(0.0)[1]
     lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
-    analytic = full_diagonal(config._kappa_gates)
+    analytic = full_diagonal(decayed_i000(config.kappa_ratios))
     params = [CavityParams.designed(1.0, ratio) for ratio in config.kappa_ratios]
     restricted, leakage = extract_gate(params, [gate_time(p) for p in params])
     simulated = restricted.diagonal(0, -2, -1)
@@ -271,7 +266,7 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
 
 
 def _search_experiment(config: ExperimentConfig) -> SweepTable:
-    p_find, survival, fidelity = run_search(config.k_max, config._kappa_gates)
+    p_find, survival, fidelity = run_search(config.k_max, decayed_i000(config.kappa_ratios))
     lines = [
         f"marked state |{config.tau}⟩; "
         "fidelity = normalized overlap with the exact-gate trajectory"
@@ -324,7 +319,7 @@ def _offset_experiment(config: ExperimentConfig) -> SweepTable:
         ratio, config.chi_list, etas, config.offset_model, config.offset_eta_per_atom
     )
     # At eta = 0 the atom-1 offset factors are the design factors.
-    base = config._offset_gate
+    base = decayed_i000(ratio)
     baseline = _four_gate_infidelities(base[None], base, config.chi_list[:1])[0, 0]
     lines = [
         f"offset model: {config.offset_model}; four-gate search at "

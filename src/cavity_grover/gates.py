@@ -153,23 +153,16 @@ def decayed_i000(kappa, couplings: tuple[float, float, float] | None = None) -> 
     Decay, gate time and the phases (designed ratios) come from ``kappa``,
     the shares from ``couplings`` (the designed ratios by default). At
     kappa = 0, gamma is (1 - s) + s*cos(sqrt(65)*pi), s = 1/65, about 0.9997.
-    A factor outside (0, 1] (a damped-out gate) is a ``ConfigError``; an
-    axis names its first row that breaks it or the rate rule.
+    A factor outside (0, 1] (a damped-out gate) is a ``ConfigError`` naming
+    the first bad factor in slot order, and its first bad value.
     """
-    try:
-        atom1, _ = _gate_columns(kappa, False, couplings)
-    except ConfigError as exc:
-        if exc.row:  # a gate damped out at an earlier rate fails first
-            decayed_i000(kappa[: exc.row], couplings)
-        raise
+    atom1, _ = _gate_columns(kappa, False, couplings)
     factors = atom1 * TEXTBOOK
     bad = ~((0.0 < factors) & (factors <= 1.0))  # NaN is bad too
     if bad.any():
         slot = int(bad.reshape(-1, 4).any(axis=0).argmax())
-        column = bad[..., slot]
-        name, value = ("mu", "gamma", "beta", "alpha")[slot], factors[..., slot][column][0]
-        row = int(column.argmax()) if np.ndim(kappa) else None
-        raise ConfigError(f"gate diagonal factor {name}={value} outside (0, 1]", row)
+        name, value = ("mu", "gamma", "beta", "alpha")[slot], factors[..., slot][bad[..., slot]][0]
+        raise ConfigError(f"gate diagonal factor {name}={value} outside (0, 1]")
     atom1.flags.writeable = False
     return atom1
 

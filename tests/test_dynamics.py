@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavity_grover import (
@@ -16,6 +16,7 @@ from cavity_grover import (
     CavityParams,
     ConfigError,
     CutoffError,
+    ExperimentConfig,
     NumericalError,
     build_effective_hamiltonian,
     computational_embedding,
@@ -58,6 +59,19 @@ E, G, I = AtomLevel.E, AtomLevel.G, AtomLevel.I
 def test_params_reject_overdamped_decay(omega1c):
     with pytest.raises(ConfigError):
         CavityParams.designed(omega1c, kappa=4.0 * omega1c)
+
+
+@pytest.mark.parametrize(
+    "kappa, shown",
+    [([0.1, 4.5, -1.0], "4.5"), ((0.0, math.nan), "nan"), (np.array([5, 1]), "5.0"), (4, "4")],
+)
+def test_check_kappa_names_the_first_bad_rate(kappa, shown):
+    # An axis names its first bad rate, as a float; one rate is shown as given.
+    # The error carries no row: only a NumericalError names a stack row.
+    rule = r" outside \[0, 4\*omega1=4.0\): "
+    with pytest.raises(ConfigError, match=f"^kappa={shown}{rule}") as raised:
+        dynamics.check_kappa(kappa)
+    assert not hasattr(raised.value, "row")
 
 
 def test_params_reject_nonpositive_couplings(omega1c):
@@ -717,8 +731,23 @@ def _block_amplitudes(params, t):
     return leaf1, photon, norm
 
 
+# The largest kappa_ratio config load accepts, as kappa_frac = kappa/(4*w1):
+# above it the paper envelope exp(-kappa*T/4) underflows and the gate is
+# damped out. Toward kappa_frac = 1 the gate time, and with it the dense
+# engine's rounding, grows without bound, far past 1e-12 at 1 - 2e-16.
+_LOADED_KAPPA_FRAC = 3.9999644486497075 / 4.0
+
+
+def test_the_block_edge_is_the_largest_loaded_ratio():
+    ExperimentConfig(kappa_ratios=(4.0 * _LOADED_KAPPA_FRAC,))
+    above = float(np.nextafter(4.0 * _LOADED_KAPPA_FRAC, 4.0))
+    with pytest.raises(ConfigError, match=r": gate diagonal factor mu=-0.0 outside \(0, 1\]$"):
+        ExperimentConfig(kappa_ratios=(above,))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(**_BLOCK_CASES)
+@given(**{**_BLOCK_CASES, "kappa_frac": st.floats(0.0, _LOADED_KAPPA_FRAC)})
+@example(ratios=DESIGNED_RATIOS, kappa_frac=_LOADED_KAPPA_FRAC, frac=1.0)
 def test_block_amplitudes_match_dense_evolution(omega1c, ratios, kappa_frac, frac):
     params = _block_params(omega1c, ratios, kappa_frac)
     t = frac * gate_time(params)

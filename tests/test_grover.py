@@ -372,8 +372,10 @@ def test_run_search_rejects_malformed_slot_arrays(slots):
 
 def test_gate_slot_arrays_are_read_only(strong_decay):
     config = ExperimentConfig()
-    arrays = (TEXTBOOK, decayed_i000(strong_decay), config._kappa_gates, config._offset_gate)
-    assert config._kappa_gates.shape == (3, 4) and config._offset_gate.shape == (4,)
+    kappa_gates = decayed_i000(config.kappa_ratios)
+    offset_gate = decayed_i000(config.offset_kappa_ratio)
+    arrays = (TEXTBOOK, decayed_i000(strong_decay), kappa_gates, offset_gate)
+    assert kappa_gates.shape == (3, 4) and offset_gate.shape == (4,)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[..., 0] = 0.5
