@@ -19,7 +19,6 @@ from .dynamics import (
 from .errors import ConfigError, CutoffError, NumericalError
 from .experiments import (
     ExperimentConfig,
-    SweepTable,
     parse_config,
     run_experiment,
     serialize_config,

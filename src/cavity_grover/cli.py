@@ -30,6 +30,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"sim: usage error: {message}\n")
 
 
+def _path(text: str) -> str:
+    # An empty --out is a usage error, not "unset": it must not fall back
+    # to a default-named file that the user never named.
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sim",
@@ -40,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=EXPERIMENTS, help="the experiment to run")
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--out", help="CSV output path (default <experiment>.csv)")
+    parser.add_argument("--out", type=_path, help="CSV output path (default <experiment>.csv)")
     parser.add_argument("--summary", action="store_true", help="print key scalars to stdout")
     return parser
 
@@ -64,8 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         table = run_experiment(args.experiment, config)
-        out_path = (args.out if args.out is not None else config.output) or f"{args.experiment}.csv"
-        write_csv(table, out_path)
+        write_csv(table, args.out or config.output or f"{args.experiment}.csv")
     except ConfigError as exc:
         print(f"sim: config error: {exc}", file=sys.stderr)
         return 1
@@ -76,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sim: numerical failure: {exc}", file=sys.stderr)
         return 2
     if args.summary:
-        print(table.summary)
+        print(table[2])  # (header, columns, summary)
     return 0
 
 

@@ -3,12 +3,13 @@ text summary per experiment.
 
 Every experiment is a pure function of its configuration: no randomness,
 fixed grid order, shortest round-trip float formatting, so repeated runs
-emit byte-identical files. Each returns a column-wise ``SweepTable``: the
-grid coordinates as ``Axis`` columns (values, repeat, tile), the computed
-grids flattened; ``write_csv`` formats each axis value and each computed
-value once, with one ``repr``. Each quantity is one call over a whole
-axis: one ``run_search`` for every decay ratio, one
-``coupling_offset_infidelity`` for the (chi, eta) grid, and one
+emit byte-identical files. Each returns the plain triple ``(header,
+columns, summary)``: the grid coordinates as ``Axis`` columns (values,
+repeat, tile), the computed grids flattened. ``write_csv`` checks the
+columns (count, lengths, finiteness) before it opens the path, then formats
+each axis value and each computed value once, with one ``repr``. Each
+quantity is one call over a whole axis: one ``run_search`` for every decay
+ratio, one ``coupling_offset_infidelity`` for the (chi, eta) grid, and one
 ``extract_gate``, ``timing_infidelity`` and ``timing_oracle`` each for the
 axis of every decay ratio, kappa/omega1; only ``gate`` builds the dense
 engine's ``CavityParams``. ``gate`` and ``search`` build their ratios' gates
@@ -36,7 +37,7 @@ from .imperfections import (
     timing_infidelity,
     timing_oracle,
 )
-from .tables import Axis, SweepTable, write_csv  # noqa: F401  (write_csv re-exported)
+from .tables import Axis, write_csv  # noqa: F401  (write_csv re-exported)
 
 EXPERIMENTS = ("gate", "search", "timing", "offset", "geometry")
 
@@ -220,9 +221,11 @@ def _value_text(value) -> str:
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
-def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
-    """Run one named experiment and return its table; a ``NumericalError``
-    naming a row of the decay-ratio stack is raised again naming its ratio.
+def run_experiment(name: str, config: ExperimentConfig) -> tuple:
+    """Run one named experiment and return its table, the plain triple
+    ``(header, columns, summary)`` that ``write_csv`` checks and writes; a
+    ``NumericalError`` naming a row of the decay-ratio stack is raised
+    again naming its ratio.
 
     ``gate``     analytic vs simulated phase-gate diagonals and leakage
     ``search``   per-iteration probability/survival/fidelity per kappa
@@ -241,7 +244,7 @@ def run_experiment(name: str, config: ExperimentConfig) -> SweepTable:
         raise NumericalError(f"{name} failed at kappa_ratio={ratio}: {exc}") from exc
 
 
-def _gate_experiment(config: ExperimentConfig) -> SweepTable:
+def _gate_experiment(config: ExperimentConfig) -> tuple:
     gamma0 = decayed_i000(0.0)[1]
     lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
     analytic = full_diagonal(decayed_i000(config.kappa_ratios))
@@ -250,10 +253,9 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
     simulated = restricted.diagonal(0, -2, -1)
     for ratio, worst in zip(config.kappa_ratios, np.abs(simulated - analytic).max(axis=1)):
         lines.append(f"kappa_ratio={ratio}: max |analytic - simulated| = {worst:.3e}")
-    return SweepTable(
-        experiment="gate",
-        header=("kappa_ratio", "slot", "analytic", "simulated_real", "simulated_imag", "leakage"),
-        columns=(
+    return (
+        ("kappa_ratio", "slot", "analytic", "simulated_real", "simulated_imag", "leakage"),
+        (
             Axis(config.kappa_ratios, repeat=8),
             Axis(np.arange(8), tile=len(config.kappa_ratios)),
             analytic.ravel(),
@@ -261,11 +263,11 @@ def _gate_experiment(config: ExperimentConfig) -> SweepTable:
             simulated.imag.ravel(),
             leakage.ravel(),
         ),
-        summary="\n".join(lines),
+        "\n".join(lines),
     )
 
 
-def _search_experiment(config: ExperimentConfig) -> SweepTable:
+def _search_experiment(config: ExperimentConfig) -> tuple:
     p_find, survival, fidelity = run_search(config.k_max, decayed_i000(config.kappa_ratios))
     lines = [
         f"marked state |{config.tau}⟩; "
@@ -275,21 +277,20 @@ def _search_experiment(config: ExperimentConfig) -> SweepTable:
     for ratio, row in zip(config.kappa_ratios, p_find):
         best = int(row.argmax())
         lines.append(f"kappa_ratio={ratio}: best p_find={row[best]:.4f} at k={best + 1}")
-    return SweepTable(
-        experiment="search",
-        header=("iteration", "kappa_ratio", "p_find", "survival", "fidelity"),
-        columns=(
+    return (
+        ("iteration", "kappa_ratio", "p_find", "survival", "fidelity"),
+        (
             Axis(np.arange(1, config.k_max + 1), tile=len(config.kappa_ratios)),
             Axis(config.kappa_ratios, repeat=config.k_max),
             p_find.ravel(),
             survival.ravel(),
             fidelity.ravel(),
         ),
-        summary="\n".join(lines),
+        "\n".join(lines),
     )
 
 
-def _timing_experiment(config: ExperimentConfig) -> SweepTable:
+def _timing_experiment(config: ExperimentConfig) -> tuple:
     fracs = config.delta_t_fracs()
     formula = timing_infidelity(config.kappa_ratios, fracs)
     oracle = timing_oracle(config.kappa_ratios, fracs)
@@ -299,20 +300,19 @@ def _timing_experiment(config: ExperimentConfig) -> SweepTable:
             f"kappa_ratio={ratio}: delta_t=0 infidelity formula={at_zero:.3e} "
             f"oracle={oracle_at_zero:.3e}"
         )
-    return SweepTable(
-        experiment="timing",
-        header=("kappa_ratio", "delta_t_frac", "infidelity_formula", "infidelity_oracle"),
-        columns=(
+    return (
+        ("kappa_ratio", "delta_t_frac", "infidelity_formula", "infidelity_oracle"),
+        (
             Axis(config.kappa_ratios, repeat=len(fracs)),
             Axis(fracs, tile=len(config.kappa_ratios)),
             formula.ravel(),
             oracle.ravel(),
         ),
-        summary="\n".join(lines),
+        "\n".join(lines),
     )
 
 
-def _offset_experiment(config: ExperimentConfig) -> SweepTable:
+def _offset_experiment(config: ExperimentConfig) -> tuple:
     ratio = config.offset_kappa_ratio
     etas = config.eta_grid()
     grid = coupling_offset_infidelity(
@@ -326,20 +326,19 @@ def _offset_experiment(config: ExperimentConfig) -> SweepTable:
         f"kappa_ratio={ratio}",
         f"eta=0 decay-only baseline: {baseline:.4e}",
     ]
-    return SweepTable(
-        experiment="offset",
-        header=("eta", "chi", "kappa_ratio", "infidelity_formula"),
-        columns=(
+    return (
+        ("eta", "chi", "kappa_ratio", "infidelity_formula"),
+        (
             Axis(etas, tile=len(config.chi_list)),
             Axis(config.chi_list, repeat=len(etas)),
             Axis([ratio], repeat=grid.size),
             grid.ravel(),
         ),
-        summary="\n".join(lines),
+        "\n".join(lines),
     )
 
 
-def _geometry_experiment(config: ExperimentConfig) -> SweepTable:
+def _geometry_experiment(config: ExperimentConfig) -> tuple:
     z1, z2, z3 = positions_for_ratio(config.lambda0)
     # The ratio is scale-free: at lambda0 = 1, since a subnormal z rounds it.
     unit1, unit2, _ = positions_for_ratio(1.0)
@@ -349,12 +348,7 @@ def _geometry_experiment(config: ExperimentConfig) -> SweepTable:
         f"z1={z1:.6f}, z2={z2:.6f}, z3={z3:.6f}\n"
         f"|z1|/|z2| = {ratio:.4f}"
     )
-    return SweepTable(
-        experiment="geometry",
-        header=("z1", "z2", "z3", "ratio_z1_z2"),
-        columns=([z1], [z2], [z3], [ratio]),
-        summary=summary,
-    )
+    return ("z1", "z2", "z3", "ratio_z1_z2"), ([z1], [z2], [z3], [ratio]), summary
 
 
 _RUNNERS = {

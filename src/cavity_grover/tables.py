@@ -1,17 +1,18 @@
 """Column-wise sweep tables and their CSV form.
 
-A ``SweepTable`` holds one ``Axis`` (values, repeat, tile) per header
-field, a plain column as one that repeats and tiles once, and checks the
-axes without expanding them. ``write_csv`` renders each axis value once
-with one ``repr`` and spreads that text to the axis's rows, so a table of
-any size writes the same bytes as one ``str`` per value, row by row.
+A run's table is the plain triple ``(header, columns, summary)``: one
+``Axis`` (values, repeat, tile) or plain 1-D column per header field, and
+a human-readable summary. ``write_csv`` checks the columns without
+expanding them, before it opens the path, then renders each axis value
+once with one ``repr`` and spreads that text to the axis's rows, so a
+table of any size writes the same bytes as one ``str`` per value, row by
+row.
 """
 
 from __future__ import annotations
 
 import os
 import stat
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,35 +30,27 @@ class Axis(NamedTuple):
     tile: int = 1
 
 
-@dataclass(frozen=True, eq=False)  # array fields: == on them is elementwise
-class SweepTable:
-    """One experiment's output: a fixed column schema, one ``Axis`` per
-    header field (a plain column becomes one that repeats and tiles once;
-    int values stay int), rows in grid order, and a human-readable summary.
-    Columns of another count or of unequal lengths, or a malformed axis,
-    raise ``ConfigError``; a NaN or inf raises ``NumericalError`` naming the
-    first row that holds one, so no such value reaches a CSV."""
-
-    experiment: str
-    header: tuple[str, ...]
-    columns: tuple[Axis, ...]
-    summary: str
-
-    def __post_init__(self) -> None:
-        axes = tuple(map(_axis, self.columns))
-        object.__setattr__(self, "columns", axes)
-        if len(axes) != len(self.header):
-            raise ConfigError(f"{len(axes)} columns != header width {len(self.header)}")
-        lengths = sorted({len(a.values) * a.repeat * a.tile for a in axes})
-        if len(lengths) > 1:
-            raise ConfigError(f"columns of unequal lengths {lengths}")
-        # Value j of an axis first appears at row j * repeat: the earliest
-        # such row of a non-finite value over the float axes is the bad row.
-        floats = (a for a in axes if a.values.dtype.kind == "f")
-        bad = [a.repeat * j for a in floats for j in np.flatnonzero(~np.isfinite(a.values))[:1]]
-        if bad:
-            row = tuple(a.values[min(bad) // a.repeat % len(a.values)].item() for a in axes)
-            raise NumericalError(f"{self.experiment} produced a non-finite row {row}")
+def _checked_axes(header: tuple[str, ...], columns) -> tuple[Axis, ...]:
+    """The table rule: the columns as one ``Axis`` per header field (a plain
+    column becomes one that repeats and tiles once; int values stay int), all
+    of one length. Columns of another count or of unequal lengths, or a
+    malformed axis, raise ``ConfigError``; a NaN or inf raises
+    ``NumericalError`` naming the first row that holds one, so no such value
+    reaches a CSV."""
+    axes = tuple(map(_axis, columns))
+    if len(axes) != len(header):
+        raise ConfigError(f"{len(axes)} columns != header width {len(header)}")
+    lengths = sorted({len(a.values) * a.repeat * a.tile for a in axes})
+    if len(lengths) > 1:
+        raise ConfigError(f"columns of unequal lengths {lengths}")
+    # Value j of an axis first appears at row j * repeat: the earliest such
+    # row of a non-finite value over the float axes is the bad row.
+    floats = (a for a in axes if a.values.dtype.kind == "f")
+    bad = [a.repeat * j for a in floats for j in np.flatnonzero(~np.isfinite(a.values))[:1]]
+    if bad:
+        row = tuple(a.values[min(bad) // a.repeat % len(a.values)].item() for a in axes)
+        raise NumericalError(f"table holds a non-finite row {row}")
+    return axes
 
 
 def _axis(column) -> Axis:
@@ -88,15 +81,18 @@ def _open_in_place(path: str, flags: int) -> int:
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def write_csv(table: SweepTable, path: str) -> None:
-    """Write the table as UTF-8 CSV: header row, ints as written, floats in
-    shortest round-trip form (``repr`` of a Python float), rows in grid
-    order. Each column is formatted once (an axis once per value) and the
-    rows are joined from the formatted columns. Byte-identical across runs.
-    A file is rewritten in place and only a regular one is cut to length,
-    so ``path`` may be a pipe."""
-    lines = [",".join(table.header)]
-    lines.extend(map(",".join, zip(*map(_column_text, table.columns))))
+def write_csv(table: tuple, path: str) -> None:
+    """Write a ``(header, columns, summary)`` table as UTF-8 CSV: header
+    row, ints as written, floats in shortest round-trip form (``repr`` of a
+    Python float), rows in grid order. The table rule runs first, so a
+    malformed or non-finite table raises with ``path`` untouched. Each
+    column is formatted once (an axis once per value) and the rows are
+    joined from the formatted columns. Byte-identical across runs. A file is
+    rewritten in place and only a regular one is cut to length, so ``path``
+    may be a pipe."""
+    header, columns, _ = table
+    lines = [",".join(header)]
+    lines.extend(map(",".join, zip(*map(_column_text, _checked_axes(header, columns)))))
     text = "\n".join(lines) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n", opener=_open_in_place) as fh:

@@ -25,7 +25,6 @@ from cavity_grover import (
     AtomLevel,
     BasisState,
     ConfigError,
-    SweepTable,
     build_effective_hamiltonian,
     computational_embedding,
     gate_time,
@@ -33,6 +32,7 @@ from cavity_grover import (
 from cavity_grover.dynamics import add_cavity_decay, block_propagator, exchange_hamiltonian
 from cavity_grover.gates import _bright_columns, full_diagonal
 from cavity_grover.hilbert import BASIS
+from cavity_grover.tables import Axis
 
 E, G, I = AtomLevel.E, AtomLevel.G, AtomLevel.I
 
@@ -210,7 +210,9 @@ def squared_norm(amps: np.ndarray):
     return (amps.conj()[..., None, :] @ amps[..., :, None])[..., 0, 0].real
 
 
-def rows(table: SweepTable) -> tuple[tuple, ...]:
-    """The table row by row, as Python ints and floats: each axis expanded
-    as ``np.tile(np.repeat(values, repeat), tile)``."""
-    return tuple(zip(*(np.tile(np.repeat(v, r), t).tolist() for v, r, t in table.columns)))
+def rows(table: tuple) -> tuple[tuple, ...]:
+    """A ``(header, columns, summary)`` table row by row, as Python ints and
+    floats: each column an ``Axis`` expanded as
+    ``np.tile(np.repeat(values, repeat), tile)``, or a plain column as is."""
+    axes = (c if isinstance(c, Axis) else Axis(c) for c in table[1])
+    return tuple(zip(*(np.tile(np.repeat(v, r), t).tolist() for v, r, t in axes)))

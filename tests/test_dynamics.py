@@ -748,16 +748,22 @@ def test_the_block_edge_is_the_largest_loaded_ratio():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(**{**_BLOCK_CASES, "kappa_frac": st.floats(0.0, _LOADED_KAPPA_FRAC)})
 @example(ratios=DESIGNED_RATIOS, kappa_frac=_LOADED_KAPPA_FRAC, frac=1.0)
+# A weak atom 1 beside strong atoms 2 and 3: the widest W*t the domain holds.
+@example(ratios=(0.05, 12.0, 12.0), kappa_frac=_LOADED_KAPPA_FRAC, frac=2.0)
+@example(ratios=(0.052, 5.81, 10.63), kappa_frac=0.9999, frac=1.81)
 def test_block_amplitudes_match_dense_evolution(omega1c, ratios, kappa_frac, frac):
     params = _block_params(omega1c, ratios, kappa_frac)
     t = frac * gate_time(params)
     embedding, finals = computational_embedding(), evolve_logical_basis([params], [t])[0]
     leaf1, photon, norm = _block_amplitudes(params, t)
+    # The dense engine rounds like eps * W * t, W = |(w1, w2, w3)|: about
+    # 5e5 eps (1e-10) at the weak-atom-1 edge, where the gaps reach 8e-12.
+    tol = max(1e-12, np.finfo(float).eps * math.hypot(*params.omega) * t)
     for col, (l2, l3) in enumerate([(I, I), (I, G), (G, I), (G, G)]):
         amps = finals[col]
-        assert abs(amps[embedding[col]] - leaf1[col]) <= 1e-12
-        assert abs(amps[state_index(G, l2, l3, 1)] - photon[col]) <= 1e-12
-        assert abs(squared_norm(finals[col]) - norm[col]) <= 1e-12
+        assert abs(amps[embedding[col]] - leaf1[col]) <= tol
+        assert abs(amps[state_index(G, l2, l3, 1)] - photon[col]) <= tol
+        assert abs(squared_norm(finals[col]) - norm[col]) <= tol
     for col in range(4, 8):  # qubit 1 = G: no excitation, nothing moves
         assert np.array_equal(finals[col], unit(embedding[col]))
 

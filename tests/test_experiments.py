@@ -34,10 +34,10 @@ from cavity_grover import (
 )
 from cavity_grover import cli, dynamics, experiments, grover, imperfections
 from cavity_grover.dynamics import decay_shifted_frequency
-from cavity_grover.experiments import SweepTable, _value_text
+from cavity_grover.experiments import _value_text
 from cavity_grover.gates import TEXTBOOK, marked_gate, marked_index
 from cavity_grover.grover import MAX_GRID_POINTS, run_search
-from cavity_grover.tables import Axis
+from cavity_grover.tables import Axis, _checked_axes
 from reference import coupling_at_position, phase_gate_success, rows, unit
 
 FAST = dict(delta_t_points=5, eta_points=5)
@@ -420,18 +420,18 @@ def test_unknown_experiment_rejected():
 
 def test_search_table_shape_and_values():
     table = run_experiment("search", ExperimentConfig())
-    assert table.header == ("iteration", "kappa_ratio", "p_find", "survival", "fidelity")
+    assert table[0] == ("iteration", "kappa_ratio", "p_find", "survival", "fidelity")
     assert len(rows(table)) == 24  # three kappa ratios x eight iterations
     by_key = {(row[0], row[1]): row for row in rows(table)}
     p2 = by_key[(2, 0.0)][2]
     assert p2 == pytest.approx(0.9453, abs=1e-3)
-    assert "best p_find" in table.summary
+    assert "best p_find" in table[2]
 
 
 def test_gate_table_reports_residual_entry():
     table = run_experiment("gate", ExperimentConfig(kappa_ratios=(0.0, 0.1)))
     assert len(rows(table)) == 16
-    assert "0.999707" in table.summary
+    assert "0.999707" in table[2]
     lossless_rows = [row for row in rows(table) if row[0] == 0.0]
     assert lossless_rows[0][2] == -1.0  # analytic |000> entry
 
@@ -439,7 +439,7 @@ def test_gate_table_reports_residual_entry():
 def test_timing_table_zero_delay_rows():
     config = ExperimentConfig(kappa_ratios=(0.02, 0.1), **FAST)
     table = run_experiment("timing", config)
-    assert table.header == (
+    assert table[0] == (
         "kappa_ratio",
         "delta_t_frac",
         "infidelity_formula",
@@ -505,16 +505,17 @@ def test_outputs_do_not_depend_on_the_frequency_unit(experiment, khz_range):
     # range of omega1c_khz every column keeps the default run's bits, and
     # only the summary's iteration time, 2*pi/omega1, moves.
     reference = run_experiment(experiment, ExperimentConfig())
-    expected_lines = reference.summary.splitlines()
+    expected_lines = reference[2].splitlines()
     lowest, highest = khz_range
     for khz in (lowest, 1e-100, 1e-3, 1e6, 1e100, highest):
         table = run_experiment(experiment, ExperimentConfig(omega1c_khz=khz))
-        assert table.header == reference.header
-        assert len(table.columns) == len(reference.columns)
-        for axis, expected in zip(table.columns, reference.columns):
+        assert table[0] == reference[0]
+        axes, expected_axes = (_checked_axes(*t[:2]) for t in (table, reference))
+        assert len(axes) == len(expected_axes)
+        for axis, expected in zip(axes, expected_axes):
             assert np.array_equal(axis.values, expected.values)
             assert axis[1:] == expected[1:]  # repeat, tile
-        lines = table.summary.splitlines()
+        lines = table[2].splitlines()
         assert len(lines) == len(expected_lines)
         for line, expected in zip(lines, expected_lines):
             if not line.startswith("iteration time"):
@@ -648,7 +649,7 @@ def test_a_config_runs_every_experiment_or_is_rejected(values, experiment):
         config = None
     else:
         for name in experiments.EXPERIMENTS:
-            for axis in run_experiment(name, config).columns:
+            for axis in _checked_axes(*run_experiment(name, config)[:2]):
                 assert np.isfinite(np.asarray(axis.values, dtype=float)).all()
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp, "run.cfg"), Path(tmp, "out.csv")
@@ -760,7 +761,7 @@ def _columns(draw):
 def test_column_writer_matches_row_wise_writer(columns, tmp_path_factory):
     header = tuple(f"c{i}" for i in range(len(columns)))
     expected = list(zip(*(column_rows for _, column_rows in columns)))
-    table = SweepTable("search", header, [given for given, _ in columns], "")
+    table = (header, [given for given, _ in columns], "")
     assert rows(table) == tuple(expected)
     path = tmp_path_factory.getbasetemp() / "property.csv"
     write_csv(table, str(path))
@@ -772,13 +773,13 @@ def test_column_writer_matches_row_wise_writer(columns, tmp_path_factory):
     [([0.5, -0.0, 2.0], 1, 1), ([1, 2, 3], 4, 1), ((0.1, 0.2), 1, 3), (range(5), 2, 3), ([], 3, 2)],
 )
 def test_axis_columns_expand_by_repeat_then_tile(values, repeat, tile, tmp_path):
-    # The table keeps the axis as given, its values normalized to int64 or
-    # float64, and the CSV spreads them by repeat, then tile.
+    # The table rule keeps the axis as given, its values normalized to int64
+    # or float64, and the CSV spreads them by repeat, then tile.
     length = len(values) * repeat * tile
     columns = (Axis(values, repeat, tile), [0.0] * length)
-    table = SweepTable("search", ("axis", "plain"), columns, "")
+    table = (("axis", "plain"), columns, "")
     given = np.asarray(values)
-    (axis, _) = table.columns
+    (axis, _) = _checked_axes(*table[:2])
     assert axis.values.dtype == (np.int64 if given.dtype.kind == "i" else np.float64)
     assert axis.values.tobytes() == given.astype(axis.values.dtype).tobytes()
     assert axis[1:] == (repeat, tile)
@@ -789,6 +790,19 @@ def test_axis_columns_expand_by_repeat_then_tile(values, repeat, tile, tmp_path)
     assert [line.split(",")[0] for line in lines] == list(map(repr, expected.tolist()))
 
 
+_OLD_BYTES = b"old,csv\n1.0,2.0\n"
+
+
+def _assert_refused(table, tmp_path, error, match=None):
+    # write_csv checks the table before it opens the path: a refused table
+    # raises and leaves a file already there with its bytes.
+    path = tmp_path / "kept.csv"
+    path.write_bytes(_OLD_BYTES)
+    with pytest.raises(error, match=match):
+        write_csv(table, str(path))
+    assert path.read_bytes() == _OLD_BYTES
+
+
 @pytest.mark.parametrize(
     "axis",
     [
@@ -796,18 +810,17 @@ def test_axis_columns_expand_by_repeat_then_tile(values, repeat, tile, tmp_path)
         Axis([1.0, 2.0], repeat=1.5), Axis([1.0, 2.0], tile=2.0), Axis([1.0], repeat="2"),
     ],
 )
-def test_malformed_axis_rejected(axis):
-    with pytest.raises(ConfigError):
-        SweepTable("search", ("a",), (axis,), "")
+def test_malformed_axis_rejected(axis, tmp_path):
+    _assert_refused((("a",), (axis,), ""), tmp_path, ConfigError)
 
 
-def test_axis_of_the_wrong_length_rejected():
-    with pytest.raises(ConfigError, match="unequal lengths"):
-        SweepTable("gate", ("a", "b"), (Axis([1.0, 2.0], repeat=2), [1.0, 2.0, 3.0]), "")
+def test_axis_of_the_wrong_length_rejected(tmp_path):
+    table = (("a", "b"), (Axis([1.0, 2.0], repeat=2), [1.0, 2.0, 3.0]), "")
+    _assert_refused(table, tmp_path, ConfigError, match="unequal lengths")
 
 
 def test_csv_empty_table_is_header_only(tmp_path):
-    table = SweepTable("search", ("a", "b"), ([], []), "empty")
+    table = (("a", "b"), ([], []), "empty")
     path = tmp_path / "empty.csv"
     write_csv(table, str(path))
     assert path.read_text(encoding="utf-8") == "a,b\n"
@@ -889,15 +902,13 @@ def test_csv_write_error_carries_path(tmp_path):
         write_csv(table, str(missing_dir))
 
 
-def test_row_width_validated():
+def test_row_width_validated(tmp_path):
     # One column for a two-field header.
-    with pytest.raises(ConfigError):
-        SweepTable("gate", ("a", "b"), ([1.0],), "")
+    _assert_refused((("a", "b"), ([1.0],), ""), tmp_path, ConfigError)
 
 
-def test_unequal_column_lengths_rejected():
-    with pytest.raises(ConfigError):
-        SweepTable("gate", ("a", "b"), ([1.0, 3.0], [2.0]), "")
+def test_unequal_column_lengths_rejected(tmp_path):
+    _assert_refused((("a", "b"), ([1.0, 3.0], [2.0]), ""), tmp_path, ConfigError)
 
 
 # Each case: the two columns for a bad value, and the row the error names.
@@ -922,11 +933,11 @@ _NON_FINITE_ROWS = {
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_row_rejected(bad):
+def test_non_finite_row_rejected(bad, tmp_path):
     for columns, row in _NON_FINITE_ROWS.values():
-        message = f"gate produced a non-finite row {row.format(bad=bad)}"
-        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
-            SweepTable("gate", ("a", "b"), columns(bad), "")
+        message = f"table holds a non-finite row {row.format(bad=bad)}"
+        table = (("a", "b"), columns(bad), "")
+        _assert_refused(table, tmp_path, NumericalError, match=f"^{re.escape(message)}$")
 
 
 # --- CLI --------------------------------------------------------------------
@@ -1029,7 +1040,7 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_cli_non_finite_row_exits_2_without_csv(tmp_path, monkeypatch, capsys):
     def nan_geometry(config):
-        return SweepTable("geometry", ("z1", "ratio"), ([0.1], [math.nan]), "")
+        return ("z1", "ratio"), ([0.1], [math.nan]), ""
 
     monkeypatch.setitem(experiments._RUNNERS, "geometry", nan_geometry)
     out = tmp_path / "geometry.csv"
@@ -1037,6 +1048,9 @@ def test_cli_non_finite_row_exits_2_without_csv(tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+    out.write_bytes(_OLD_BYTES)  # an existing file keeps its bytes
+    assert cli.main(["geometry", "--out", str(out)]) == 2
+    assert out.read_bytes() == _OLD_BYTES
 
 
 @pytest.mark.parametrize(
@@ -1047,17 +1061,26 @@ def test_cli_non_finite_row_exits_2_without_csv(tmp_path, monkeypatch, capsys):
         (["search", "--threads", "abc"], "sim: usage error: unrecognized arguments: --threads"),
         (["search", "--threads", "1"], "sim: usage error: unrecognized arguments: --threads"),
         (["search", "--config", "{undecodable}"], "sim: config error: cannot read config file"),
+        (["geometry", "--out", ""], "sim: usage error: argument --out: expected a path, got ''"),
     ],
-    ids=["unknown-option", "unknown-experiment", "threads-abc", "threads-1", "undecodable-config"],
+    ids=[
+        "unknown-option", "unknown-experiment", "threads-abc", "threads-1", "undecodable-config",
+        "empty-out",
+    ],
 )
-def test_cli_configuration_problems_exit_1(args, message, tmp_path, capsys):
+def test_cli_configuration_problems_exit_1(args, message, tmp_path, monkeypatch, capsys):
     # Usage errors exit 1 like any other configuration problem; 2 is the
-    # numerical-failure code. A file that is not UTF-8 cannot be read.
+    # numerical-failure code. A file that is not UTF-8 cannot be read. An
+    # empty --out is not unset: it writes no default-named file here.
+    monkeypatch.chdir(tmp_path)
     undecodable, out = tmp_path / "latin1.cfg", tmp_path / "search.csv"
     undecodable.write_bytes(b"k_max = 4\n\xff\n")
-    argv = [arg.format(undecodable=undecodable) for arg in args] + ["--out", str(out)]
+    argv = [arg.format(undecodable=undecodable) for arg in args]
+    if "--out" not in args:
+        argv += ["--out", str(out)]
     assert cli.main(argv) == 1
     assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [undecodable.name]
     assert not out.exists()
 
 
@@ -1186,7 +1209,7 @@ def test_kappa_stack_writes_the_one_kappa_rows(experiment, tmp_path):
     for i, table in enumerate(tables):
         write_csv(table, str(tmp_path / f"{i}.csv"))
     csvs = [(tmp_path / f"{i}.csv").read_bytes().splitlines(keepends=True) for i in range(8)]
-    summaries = [table.summary.splitlines() for table in tables]
+    summaries = [table[2].splitlines() for table in tables]
     # Both keep their first line (CSV header, shared summary line) once.
     for (stacked, *singles) in (csvs, summaries):
         assert stacked == singles[0][:1] + [line for lines in singles for line in lines[1:]]
@@ -1222,7 +1245,7 @@ def test_each_run_builds_the_gates_it_needs(monkeypatch, tmp_path):
             write_csv(t, str(tmp_path / f"{exp}-{name}.csv"))
         csvs = [(tmp_path / f"{exp}-{name}.csv").read_bytes() for name in ("patched", "expected")]
         assert csvs[0] == csvs[1]
-        assert table.summary == expected[exp].summary
+        assert table[2] == expected[exp][2]
 
 
 def test_config_holds_only_its_fields():
@@ -1266,7 +1289,7 @@ def test_an_offset_run_makes_one_grid_call_and_keeps_its_baseline(monkeypatch, m
                 offset_model=model, offset_eta_per_atom=per_atom, **FAST,
             )
             calls.clear()
-            summary = run_experiment("offset", config).summary.splitlines()
+            summary = run_experiment("offset", config)[2].splitlines()
             assert len(calls) == 1
             old = grid(ratio, config.chi_list[:1], [0.0])[0, 0]
             assert summary[1] == f"eta=0 decay-only baseline: {old:.4e}"

@@ -6,7 +6,6 @@ from cavity_grover import (
     CavityParams,
     ConfigError,
     ExperimentConfig,
-    SweepTable,
     build_effective_hamiltonian,
     computational_embedding,
     evolve,
@@ -135,18 +134,3 @@ def test_pure_state_validates_length():
     with pytest.raises(ConfigError):
         # The logical register is 8-dim.
         grover_step(np.ones(7, dtype=complex), "000", gate_operator(TEXTBOOK))
-
-
-@pytest.mark.parametrize(
-    "build",
-    [lambda: SweepTable("gate", ("slot", "leakage"), (np.arange(8), np.zeros(8)), "")],
-    ids=["SweepTable"],
-)
-def test_array_holders_compare_by_identity(build):
-    # == on array fields is elementwise, so the one type left that holds
-    # arrays keeps object identity: equal contents compare unequal without
-    # raising, and hash works.
-    a, b = build(), build()
-    assert not (a == b) and a != b
-    assert a == a
-    assert hash(a) == hash(a) and len({a, b}) == 2
