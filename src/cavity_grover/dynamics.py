@@ -8,7 +8,8 @@ The interaction Hamiltonian exchanges one excitation between each atom's
 so states only mix within blocks of equal excitation number. A logical
 input holds at most one excitation, so the basis stops at one photon and
 ``evolve`` exponentiates only the sector a state can reach, at most four
-states for a logical input. A state is a plain complex amplitude array, one
+states for a logical input; the eight logical sectors are fixed by ``BASIS``
+and found once, at import. A state is a plain complex amplitude array, one
 (36,) vector on ``hilbert.BASIS`` or a (K, 36) stack, and every result that
 wide is checked against the truncation guard ``hilbert.GUARD``, where
 amplitude raises ``CutoffError``. Weak cavity decay at rate
@@ -243,6 +244,23 @@ def evolve(h: np.ndarray, t, psi0) -> np.ndarray:
     sector, so the result is exactly zero outside it. A stack shares one
     sector, and each check runs once for the whole stack, naming its first bad row.
     """
+    times, psi0 = _checked_operands(h, t, psi0)
+    sector = _reachable_sector(h, psi0)
+    # Indexing a stack puts its leading axis innermost; C order gives every
+    # slice the layout, and so the BLAS path and the bits, of a one-H call.
+    block = np.ascontiguousarray(h[..., sector[:, None], sector])
+    part = np.ascontiguousarray(psi0[..., sector, None])
+    part = expm(-1j * block * times[..., None, None]) @ part
+    amps = np.zeros(part.shape[:-2] + psi0.shape[-1:], dtype=complex)
+    amps[..., sector] = part[..., 0]
+    _check_result(amps)
+    return amps
+
+
+def _checked_operands(h: np.ndarray, t, psi0) -> tuple[np.ndarray, np.ndarray]:
+    """``evolve``'s rules: finite times >= 0, one per generator, shapes that
+    match, and a finite H, all of it, since a bad entry outside the sector
+    never reaches the result. Returns the times and psi0 as arrays."""
     times = np.asarray(t, dtype=float)
     if not all(0.0 <= x < math.inf for x in times.ravel().tolist()):  # NaN fails too
         raise ConfigError(f"evolution time must be finite and >= 0, got {t}")
@@ -254,19 +272,9 @@ def evolve(h: np.ndarray, t, psi0) -> np.ndarray:
             f"operator shape {h.shape} does not match {times.shape} times and a 1-D or "
             f"2-D state as wide as it, one row or one per operator, got {psi0.shape}"
         )
-    # Checked on all of H: a bad entry outside the sector never reaches the result.
     if not (finite := np.isfinite(h)).all():
         raise NumericalError("generator has non-finite entries", _first_row(~finite, 2))
-    sector = _reachable_sector(h, psi0)
-    # Indexing a stack puts its leading axis innermost; C order gives every
-    # slice the layout, and so the BLAS path and the bits, of a one-H call.
-    block = np.ascontiguousarray(h[..., sector[:, None], sector])
-    part = np.ascontiguousarray(psi0[..., sector, None])
-    part = expm(-1j * block * times[..., None, None]) @ part
-    amps = np.zeros(part.shape[:-2] + (d,), dtype=complex)
-    amps[..., sector] = part[..., 0]
-    _check_result(amps)
-    return amps
+    return times, psi0
 
 
 def _reachable_sector(h: np.ndarray, amps: np.ndarray) -> np.ndarray:
@@ -285,15 +293,30 @@ def _reachable_sector(h: np.ndarray, amps: np.ndarray) -> np.ndarray:
         size = grown
 
 
+# Fixed by ``BASIS``, so found once: couplings are positive and decay only adds
+# diagonal entries, so each logical input reaches one sector under every H_eff.
+_UNITS = np.eye(len(BASIS), dtype=complex)
+_LOGICAL_SECTORS = [
+    (pos, _reachable_sector(exchange_hamiltonian((1.0, 1.0, 1.0)), _UNITS[pos]))
+    for pos in computational_embedding()
+]
+
+
 def evolve_logical_basis(params: Sequence[CavityParams], t) -> np.ndarray:
     """Evolve each logical basis state |000⟩..|111⟩ under the no-jump
-    Hamiltonian of K parameter sets for their K times ``t``, one ``evolve``
-    call each: a (K, 8, 36) array whose axis 1 is in logical order."""
+    Hamiltonian of K parameter sets for their K times ``t``: a (K, 8, 36)
+    array whose axis 1 is in logical order. The whole (K, 36, 36) stack is
+    checked once; one ``evolve`` call per state propagates its (K, n, n)
+    block, n <= 4, on its sector, and the result is checked once on ``GUARD``."""
     if not (stack := list(params)):
         raise ConfigError("needs at least one set of cavity parameters")
     h_eff = np.stack([build_effective_hamiltonian(p) for p in stack])
-    units = np.eye(len(BASIS), dtype=complex)
-    return np.stack([evolve(h_eff, t, units[pos]) for pos in computational_embedding()], axis=-2)
+    _checked_operands(h_eff, t, _UNITS[0])  # any state as wide as BASIS
+    amps = np.zeros((len(stack), len(_LOGICAL_SECTORS), len(BASIS)), dtype=complex)
+    for column, (pos, sector) in enumerate(_LOGICAL_SECTORS):
+        amps[:, column, sector] = evolve(h_eff[:, sector[:, None], sector], t, _UNITS[pos, sector])
+    _check_result(amps)
+    return amps
 
 
 def extract_gate(params: Sequence[CavityParams], t) -> tuple[np.ndarray, np.ndarray]:
@@ -303,7 +326,8 @@ def extract_gate(params: Sequence[CavityParams], t) -> tuple[np.ndarray, np.ndar
     the complex (K, 8, 8) gate on the logical subspace (columns in logical
     order |000⟩..|111⟩) and the float (K, 8) squared amplitude each column
     left outside it, checked by ``_check_gate``. The eight ``evolve`` calls
-    propagate a (K, 36, 36) stack; slice k has the bits of a one-set stack.
+    each propagate one column's (K, n, n) block of the (K, 36, 36) stack;
+    slice k has the bits of a one-set stack.
     """
     if not np.all(np.asarray(t, dtype=float) > 0.0):  # NaN fails too; evolve rejects inf
         raise ConfigError(f"gate extraction needs a finite t > 0, got {t}")

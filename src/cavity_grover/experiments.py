@@ -13,8 +13,8 @@ ratio, one ``coupling_offset_infidelity`` for the (chi, eta) grid, and one
 ``extract_gate``, ``timing_infidelity`` and ``timing_oracle`` each for the
 axis of every decay ratio, kappa/omega1; only ``gate`` builds the dense
 engine's ``CavityParams``. ``gate`` and ``search`` build their ratios' gates
-with one ``decayed_i000`` call; ``offset``'s eta = 0 baseline needs only its
-ratio's gate.
+with one ``decayed_i000`` call (``gate``'s lossless |001⟩ entry is a constant
+built at import); ``offset``'s eta = 0 baseline needs only its ratio's gate.
 """
 
 from __future__ import annotations
@@ -244,9 +244,12 @@ def run_experiment(name: str, config: ExperimentConfig) -> tuple:
         raise NumericalError(f"{name} failed at kappa_ratio={ratio}: {exc}") from exc
 
 
+# The |001⟩ entry of the gate a lossless cavity realizes (see ``gates``).
+_LOSSLESS_I001 = decayed_i000(0.0)[1]
+
+
 def _gate_experiment(config: ExperimentConfig) -> tuple:
-    gamma0 = decayed_i000(0.0)[1]
-    lines = [f"lossless |001⟩ gate entry: {gamma0:.6f}"]
+    lines = [f"lossless |001⟩ gate entry: {_LOSSLESS_I001:.6f}"]
     analytic = full_diagonal(decayed_i000(config.kappa_ratios))
     params = [CavityParams.designed(1.0, ratio) for ratio in config.kappa_ratios]
     restricted, leakage = extract_gate(params, [gate_time(p) for p in params])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cavity_grover import (
@@ -565,12 +565,45 @@ def test_extract_gate_has_the_loop_reference_bits(omega1c, kappa_ratio):
         assert got_leakage.tobytes() == leakage.tobytes()
 
 
+_STACK_MEMBERS = st.lists(
+    st.tuples(
+        st.tuples(*[st.floats(0.05, 12.0)] * 3),
+        st.floats(0.0, 4.0, exclude_max=True),  # kappa / omega1
+        st.floats(0.0, 3.0),  # t
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(members=_STACK_MEMBERS)
+@example(members=[(DESIGNED_RATIOS, 0.0, math.pi)])
+@example(members=[(DESIGNED_RATIOS, 0.0, 1.0), ((0.05, 12.0, 12.0), 3.99, 2.0)])
+def test_logical_basis_blocks_have_the_whole_space_bits(members):
+    # Each logical column is propagated on the sector found once at import;
+    # evolving on the whole 36-state space, kept here as the reference, gives
+    # the same bits, and every fixed sector is the one the stack reaches.
+    assume(all(ratio * omega[0] < 4.0 * omega[0] for omega, ratio, _ in members))
+    stack = [CavityParams(omega, ratio * omega[0]) for omega, ratio, _ in members]
+    times = [t for _, _, t in members]
+    h = np.stack([build_effective_hamiltonian(p) for p in stack])
+    whole = np.stack([evolve(h, times, unit(pos)) for pos in computational_embedding()], axis=-2)
+    assert evolve_logical_basis(stack, times).tobytes() == whole.tobytes()
+    assert [pos for pos, _ in dynamics._LOGICAL_SECTORS] == list(computational_embedding())
+    for pos, sector in dynamics._LOGICAL_SECTORS:
+        assert np.array_equal(sector, dynamics._reachable_sector(h, unit(pos)))
+
+
 def test_extract_gate_needs_one_time_per_parameter_set(params_lossless):
     t = gate_time(params_lossless)
-    for stack, times in (
-        ([], []), ([params_lossless] * 2, [t]), ([params_lossless], [t, t]), ([params_lossless], t)
+    for stack, times, match in (
+        ([], [], "at least one set"),
+        ([params_lossless] * 2, [t], r"\(2, 36, 36\) does not match \(1,\) times.*got \(36,\)"),
+        ([params_lossless], [t, t], r"\(1, 36, 36\) does not match \(2,\) times"),
+        ([params_lossless], t, r"\(1, 36, 36\) does not match \(\) times"),
     ):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=match):
             extract_gate(stack, times)
 
 

@@ -1217,14 +1217,14 @@ def test_kappa_stack_writes_the_one_kappa_rows(experiment, tmp_path):
 
 def test_each_run_builds_the_gates_it_needs(monkeypatch, tmp_path):
     # The config keeps no gates: gate and search build every decay ratio's
-    # gate in one decayed_i000 call (gate's lossless entry, at kappa = 0,
-    # comes first), offset builds its one ratio's gate for the eta = 0
-    # baseline, and timing builds none in experiments. (timing_infidelity
+    # gate in one decayed_i000 call (gate's lossless entry, at kappa = 0, is
+    # a constant built at import), offset builds its one ratio's gate for
+    # the eta = 0 baseline, and timing builds none in experiments. (timing_infidelity
     # and coupling_offset_infidelity build their own diagonals inside
     # imperfections, which this does not cover.)
     config = ExperimentConfig(kappa_ratios=(0.0, 0.02, 0.1, 0.5, 2.0), **FAST)
     runs = {
-        "gate": [0.0, config.kappa_ratios],
+        "gate": [config.kappa_ratios],
         "search": [config.kappa_ratios],
         "timing": [],
         "offset": [config.offset_kappa_ratio],
