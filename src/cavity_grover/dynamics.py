@@ -6,13 +6,13 @@ The interaction Hamiltonian exchanges one excitation between each atom's
     H = sum_j omega_j * (a† S_j^- + a S_j^+),
 
 so states only mix within blocks of equal excitation number. A logical
-input holds at most one excitation, so the basis stops at one photon and
-``evolve`` exponentiates only the sector a state can reach, at most four
-states for a logical input; the eight logical sectors are fixed by ``BASIS``
-and found once, at import. A state is a plain complex amplitude array, one
-(36,) vector on ``hilbert.BASIS`` or a (K, 36) stack, and every result that
-wide is checked against the truncation guard ``hilbert.GUARD``, where
-amplitude raises ``CutoffError``. Weak cavity decay at rate
+input holds at most one excitation and reaches at most four states, so the
+basis stops at one photon. ``evolve`` exponentiates the generator it is
+given; ``evolve_logical_basis`` gives it each logical input's sector, fixed
+by ``BASIS`` and found once, at import. A state is a plain complex amplitude
+array, one (36,) vector on ``hilbert.BASIS`` or a (K, 36) stack, and every
+result that wide is checked against the truncation guard ``hilbert.GUARD``,
+where amplitude raises ``CutoffError``. Weak cavity decay at rate
 ``kappa`` is treated on the no-jump quantum-trajectory branch by the
 non-Hermitian effective Hamiltonian H_eff = H - i*(kappa/2)*a†a; the norm
 the state loses is the probability that a photon leaked.
@@ -67,8 +67,12 @@ class CavityParams:
     kappa: float = 0.0
 
     def __post_init__(self) -> None:
-        # Each guard is written so that NaN fails it.
-        if len(self.omega) != 3 or not all(0.0 < w < math.inf for w in self.omega):
+        _refuse_bools("couplings", self.omega)
+        try:  # NaN fails the guard; a wrong count or a non-number raises
+            ok = len(self.omega) == 3 and all(0.0 < w < math.inf for w in self.omega)
+        except TypeError:
+            ok = False
+        if not ok:
             raise ConfigError(f"couplings must be three finite positive rates, got {self.omega}")
         check_kappa(self.kappa, self.omega[0])
 
@@ -85,6 +89,8 @@ def check_kappa(kappa, omega1: float = 1.0) -> np.ndarray:
     an axis's first bad rate is named."""
     _refuse_bools("kappa", kappa)
     rates = np.asarray(kappa, dtype=float)
+    if rates.ndim > 1:
+        raise ConfigError(f"kappa must be one rate or a 1-D axis of rates, got shape {rates.shape}")
     if rates.size == 0:
         raise ConfigError("needs at least one set of decay rates")
     bad = rates[~((0.0 <= rates) & (rates < 4.0 * omega1))]  # NaN fails too
@@ -238,29 +244,22 @@ def evolve(h: np.ndarray, t, psi0) -> np.ndarray:
     a stack of them, (K2, d) for one generator and (1, d) or (K, d) for a
     stack; the result is a complex array of the broadcast shape.
 
-    For a non-Hermitian H this is the unnormalized no-jump branch. The
-    matrix exponential propagates psi0 on its reachable sector alone, the
-    block of H on ``_reachable_sector``: no entry of H leads out of that
-    sector, so the result is exactly zero outside it. A stack shares one
-    sector, and each check runs once for the whole stack, naming its first bad row.
+    For a non-Hermitian H this is the unnormalized no-jump branch. The whole
+    of H is exponentiated: a caller that wants a sector passes its block, as
+    ``evolve_logical_basis`` does. Each check runs once for the whole stack,
+    naming its first bad row.
     """
     times, psi0 = _checked_operands(h, t, psi0)
-    sector = _reachable_sector(h, psi0)
-    # Indexing a stack puts its leading axis innermost; C order gives every
-    # slice the layout, and so the BLAS path and the bits, of a one-H call.
-    block = np.ascontiguousarray(h[..., sector[:, None], sector])
-    part = np.ascontiguousarray(psi0[..., sector, None])
-    part = expm(-1j * block * times[..., None, None]) @ part
-    amps = np.zeros(part.shape[:-2] + psi0.shape[-1:], dtype=complex)
-    amps[..., sector] = part[..., 0]
+    # C order gives every slice of a stack the layout, and so the BLAS path
+    # and the bits, of a one-H call.
+    amps = (expm(np.ascontiguousarray(-1j * h * times[..., None, None])) @ psi0[..., None])[..., 0]
     _check_result(amps)
     return amps
 
 
 def _checked_operands(h: np.ndarray, t, psi0) -> tuple[np.ndarray, np.ndarray]:
     """``evolve``'s rules: finite times >= 0, one per generator, shapes that
-    match, and a finite H, all of it, since a bad entry outside the sector
-    never reaches the result. Returns the times and psi0 as arrays."""
+    match, and a finite H. Returns the times and psi0 as arrays."""
     times = np.asarray(t, dtype=float)
     if not all(0.0 <= x < math.inf for x in times.ravel().tolist()):  # NaN fails too
         raise ConfigError(f"evolution time must be finite and >= 0, got {t}")
@@ -278,12 +277,10 @@ def _checked_operands(h: np.ndarray, t, psi0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reachable_sector(h: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Sorted positions of the smallest set that holds the support of
-    ``amps`` and is closed under H: an entry h[i, j] != 0 (NaN included)
-    adds i whenever j is in the set. On stacks of H or of states it is the
-    sector of the union of their nonzero patterns."""
-    linked = h != 0 if h.ndim == 2 else (h != 0).any(axis=0)
-    reached = amps != 0 if amps.ndim == 1 else (amps != 0).any(axis=0)
+    """Sorted positions of the smallest set that holds the support of the
+    1-D ``amps`` and is closed under the 2-D H: an entry h[i, j] != 0 adds i
+    whenever j is in the set. Run at import only, for ``_LOGICAL_SECTORS``."""
+    linked, reached = h != 0, amps != 0
     size = np.count_nonzero(reached)
     while True:
         reached = reached | (linked @ reached)  # one step along every edge
@@ -306,8 +303,9 @@ def evolve_logical_basis(params: Sequence[CavityParams], t) -> np.ndarray:
     """Evolve each logical basis state |000⟩..|111⟩ under the no-jump
     Hamiltonian of K parameter sets for their K times ``t``: a (K, 8, 36)
     array whose axis 1 is in logical order. The whole (K, 36, 36) stack is
-    checked once; one ``evolve`` call per state propagates its (K, n, n)
-    block, n <= 4, on its sector, and the result is checked once on ``GUARD``."""
+    checked once, so a bad entry outside every sector is refused too; one
+    ``evolve`` call per state exponentiates its sector's (K, n, n) block,
+    n <= 4, and the result is checked once on ``GUARD``."""
     if not (stack := list(params)):
         raise ConfigError("needs at least one set of cavity parameters")
     h_eff = np.stack([build_effective_hamiltonian(p) for p in stack])

@@ -1,8 +1,8 @@
 """Test-only reference code: a full-space RK4 integrator and the helpers that
 no experiment runs.
 
-``cavity_grover`` propagates with the matrix exponential on each input's
-reachable sector. ``rk4`` is the independent cross-check: classic
+``cavity_grover`` propagates a logical input with the matrix exponential
+on its reachable sector. ``rk4`` is the independent cross-check: classic
 fixed-step RK4 on the whole (..., 36, 36) no-jump generator, every logical
 column at once and no sector search, so agreement also checks that the
 sector restriction drops nothing. The paper's formulas

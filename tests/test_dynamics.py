@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from cavity_grover import (
     decayed_i000,
     positions_for_ratio,
 )
-from cavity_grover import dynamics, imperfections
+from cavity_grover import cli, dynamics, imperfections
 from cavity_grover.dynamics import (
     DESIGNED_RATIOS,
     TOP_LAYER_TOLERANCE,
@@ -77,6 +78,40 @@ def test_check_kappa_names_the_first_bad_rate(kappa, shown):
 def test_params_reject_nonpositive_couplings(omega1c):
     with pytest.raises(ConfigError):
         CavityParams(omega=(omega1c, 0.0, omega1c))
+
+
+@pytest.mark.parametrize(
+    "omega, match",
+    [
+        ((True, 1.0, 1.0), "couplings must be a number, not a bool"),
+        ((1.0, np.bool_(True), 1.0), "couplings must be a number, not a bool"),
+        ("abc", "three finite positive rates"),
+        ((1.0, "2", 1.0), "three finite positive rates"),
+        ((1.0, 1j, 1.0), "three finite positive rates"),
+        (5.0, "three finite positive rates"),
+    ],
+)
+def test_params_refuse_bool_and_non_numeric_couplings(omega, match):
+    # A bool would load as 1 or 0, and a non-number fails the guard with a
+    # ConfigError rather than escaping as a TypeError.
+    with pytest.raises(ConfigError, match=match):
+        CavityParams(omega=omega)
+
+
+@pytest.mark.parametrize("kappa", [[[0.1, 0.2]], [[0.1]], np.zeros((2, 2)), [[]]])
+def test_check_kappa_refuses_more_than_one_axis(kappa):
+    # One rate or one axis: a 2-D kappa is named by its shape, in every
+    # closed form that takes it.
+    shape = re.escape(str(np.shape(kappa)))
+    for call in (
+        dynamics.check_kappa,
+        decayed_i000,
+        lambda k: imperfections.timing_infidelity(k, [0.0]),
+    ):
+        with pytest.raises(ConfigError, match=f"a 1-D axis of rates, got shape {shape}"):
+            call(kappa)
+    assert dynamics.check_kappa(0.1).shape == ()
+    assert decayed_i000([0.1, 0.2]).shape == (2, 4)
 
 
 def test_designed_ratio_helper(omega1c, params_lossless):
@@ -379,7 +414,7 @@ def test_norm_monotone_under_decay(params_strong_decay):
 
 def test_methods_agree_on_all_logical_inputs(params_strong_decay):
     # RK4 on the whole space, every logical column at once, against the
-    # matrix exponential on each column's reachable sector.
+    # matrix exponential of the whole generator, one column at a time.
     h = build_effective_hamiltonian(params_strong_decay)
     t = gate_time(params_strong_decay)
     integrated = rk4(h, t, logical_columns(), 4096)
@@ -453,7 +488,7 @@ def test_evolve_rejects_a_state_stack_that_does_not_match_the_operator_stack(ome
         assert np.abs(row - evolve(h[1], times[1], unit(pos))).max() <= 1e-12
 
 
-# --- reachable sector --------------------------------------------------------
+# --- sparse generators -------------------------------------------------------
 
 
 @st.composite
@@ -479,6 +514,8 @@ def _sparse_problems(draw):
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(problem=_sparse_problems())
 def test_evolve_on_the_sector_matches_full_propagation(problem):
+    # evolve exponentiates the whole generator it is given, whatever the
+    # state's support, so it is scipy's propagation within 1e-12.
     h, psi, t = problem
     scale = 1e-12 * np.linalg.norm(psi)
     full = scipy.linalg.expm(-1j * h * t) @ psi
@@ -502,7 +539,8 @@ def test_evolve_on_empty_and_full_supports():
 
 
 def test_evolve_rejects_inf_outside_the_sector():
-    # Position 0 reaches 1 only; the inf sits on an edge 2 -> 3 it never meets.
+    # Position 0 reaches 1 only; the inf sits on an edge 2 -> 3 it never
+    # meets, and the whole generator is checked all the same.
     h = np.zeros((4, 4), dtype=complex)
     h[1, 0] = h[0, 1] = 1.0
     h[3, 2] = np.inf
@@ -576,23 +614,62 @@ _STACK_MEMBERS = st.lists(
 )
 
 
+def _stack_sector_column(h, times, pos):
+    """One logical column propagated on the sector it reaches under the union
+    of the stack's nonzero patterns, found from the stack itself: the
+    C-ordered block is exponentiated and the result scattered onto BASIS."""
+    sector = dynamics._reachable_sector((h != 0).any(axis=0), unit(pos))
+    block = np.ascontiguousarray(h[:, sector[:, None], sector])
+    part = unit(pos)[sector, None]
+    amps = np.zeros((len(h), len(BASIS)), dtype=complex)
+    amps[:, sector] = (expm(-1j * block * np.asarray(times)[:, None, None]) @ part)[..., 0]
+    return amps
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(members=_STACK_MEMBERS)
 @example(members=[(DESIGNED_RATIOS, 0.0, math.pi)])
 @example(members=[(DESIGNED_RATIOS, 0.0, 1.0), ((0.05, 12.0, 12.0), 3.99, 2.0)])
 def test_logical_basis_blocks_have_the_whole_space_bits(members):
     # Each logical column is propagated on the sector found once at import;
-    # evolving on the whole 36-state space, kept here as the reference, gives
-    # the same bits, and every fixed sector is the one the stack reaches.
+    # propagating it on the sector the whole 36-state stack reaches, found
+    # here from the stack itself, gives the same bits, and every fixed
+    # sector is the one that stack reaches.
     assume(all(ratio * omega[0] < 4.0 * omega[0] for omega, ratio, _ in members))
     stack = [CavityParams(omega, ratio * omega[0]) for omega, ratio, _ in members]
     times = [t for _, _, t in members]
     h = np.stack([build_effective_hamiltonian(p) for p in stack])
-    whole = np.stack([evolve(h, times, unit(pos)) for pos in computational_embedding()], axis=-2)
+    columns = [_stack_sector_column(h, times, pos) for pos in computational_embedding()]
+    whole = np.stack(columns, axis=-2)
     assert evolve_logical_basis(stack, times).tobytes() == whole.tobytes()
     assert [pos for pos, _ in dynamics._LOGICAL_SECTORS] == list(computational_embedding())
     for pos, sector in dynamics._LOGICAL_SECTORS:
-        assert np.array_equal(sector, dynamics._reachable_sector(h, unit(pos)))
+        assert np.array_equal(sector, dynamics._reachable_sector((h != 0).any(axis=0), unit(pos)))
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_no_run_searches_for_a_sector(experiment, tmp_path, monkeypatch):
+    # The eight logical sectors are found at import; no run searches for one,
+    # at the defaults or at the decay edge, and each writes the same bytes
+    # with the search made to raise.
+    edge = tmp_path / "edge.cfg"
+    edge.write_text("kappa_ratios = 3.99\noffset_kappa_ratio = 3.99\n", encoding="utf-8")
+
+    def csv_bytes(name):
+        outputs = []
+        for config in ([], ["--config", str(edge)]):
+            out = tmp_path / f"{name}-{len(outputs)}.csv"
+            assert cli.main([experiment, *config, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        return outputs
+
+    expected = csv_bytes("free")
+
+    def search(h, amps):
+        raise AssertionError("a run searched for a sector")
+
+    monkeypatch.setattr(dynamics, "_reachable_sector", search)
+    assert csv_bytes("refused") == expected
 
 
 def test_extract_gate_needs_one_time_per_parameter_set(params_lossless):
