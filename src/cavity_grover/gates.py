@@ -6,13 +6,13 @@ Everything here acts in the logical order |000⟩..|111⟩ fixed by
 alpha, 1, 1, 1, 1) is one read-only array of its four decaying slots, (4,)
 or (n, 4) for n gates (``full_diagonal`` appends the four exact ones).
 One function, ``_gate_columns``, models the four columns they sit in, with
-the paper's approximations or without, at the designed couplings with
-omega1 = 1: its one input is the decay rate kappa/omega1, one rate or a
-(K,) axis of them. ``decayed_i000`` is its paper setting, each slot damped
-by the photon population its logical state cycles through the mode;
-coupling arrays give one row per value, bit for bit the scalar call's.
-``exact_columns`` is its exact setting: the atom-1 and photon amplitudes,
-whose complex atom-1 rows are slots too. Named cases:
+the paper's approximations or without, in units of the designed omega1 = 1,
+from the decay rate kappa/omega1 (one rate or a (K,) axis), the coupling
+triple and atom 1's delay after the gate. ``decayed_i000`` is its paper
+setting, each slot damped by the photon population its logical state
+cycles through the mode; coupling arrays give one row per value, bit for
+bit the scalar call's. ``exact_columns`` is its exact setting: the atom-1
+and photon amplitudes, whose complex atom-1 rows are slots too. Named cases:
 
 * the gate a lossless cavity actually realizes is the decayed gate at
   kappa = 0; its |001⟩ entry, ``decayed_i000(0.0)[1]``, still falls short
@@ -96,49 +96,56 @@ def _bright_columns(w1, w2, w3):
 # leaves a cycle open, and the closed cycles' sines are 0, not sin(pi) = 1.2e-16.
 _DESIGN_COS = np.array([math.cos(math.pi * math.sqrt(n)) for n in (1.0, 65.0, 36.0, 100.0)])
 _DESIGN_ISIN = -1j * np.array([0.0, math.sin(math.pi * math.sqrt(65.0)), 0.0, 0.0])
+_DESIGN_SQ, _DESIGN_SHARES = (np.array(x) for x in _bright_columns(*DESIGNED_RATIOS))  # W^2, s
 
 
-def _gate_times(kappa: np.ndarray) -> np.ndarray:
-    """``dynamics.gate_time`` at w1 = 1 for each decay rate of ``kappa``."""
-    return math.pi / decay_shifted_frequency(1.0, kappa)
-
-
-def _gate_columns(kappa, exact: bool, couplings=None):
+def _gate_columns(kappa, exact: bool, couplings=None, delay=None):
     """Atom-1 and photon rows, two (..., 4) arrays, of the four atom-1-in-``E``
-    columns |000⟩, |001⟩, |010⟩, |011⟩ after the gate time at each decay rate
-    of ``kappa`` (``check_kappa``), in units of the designed w1 = 1: the
-    package's one column model.
+    columns |000⟩, |001⟩, |010⟩, |011⟩ after the design gate time T at each
+    decay rate of ``kappa`` (``check_kappa``), in units of the designed w1 = 1:
+    the package's one column model.
 
-    Column |0 b2 b3⟩ moves only through its bright state, coupling W and
-    atom-1 share s (``_bright_columns``), so with P = ``block_propagator(W,
-    kappa, T)`` the ``exact`` rows are (1 - s) + s*P00 and (w1/W)*P10:
-    kappa < 4*w1 <= 4*W keeps every block underdamped. The other setting is
-    the paper's; ``decayed_i000`` and ``timing_infidelity`` name what it
-    drops from each row. ``couplings`` (floats or equal-shape arrays) replace
-    the shares at one rate, one atom-1 row per value.
+    ``couplings`` (w1, w2, w3), the designed triple by default, are floats or
+    equal-shape arrays, one row per value at one rate. Column |0 b2 b3⟩ moves
+    only through its bright state, coupling W and atom-1 share s
+    (``_bright_columns``), so with P = ``block_propagator(W, kappa, T)`` the
+    ``exact`` rows are (1 - s) + s*P00 and (w1/W)*P10. The paper setting keeps
+    the design phases; ``decayed_i000`` and ``timing_infidelity`` name what it
+    drops. A 1-D ``delay``, in gate times, then applies P(w1, kappa, delay*T)
+    to each column's pair, an axis before the column axis.
     """
     kappa = check_kappa(kappa)[..., None]
-    t = _gate_times(kappa)
-    bright_sq, shares = _bright_columns(*DESIGNED_RATIOS)
+    t = math.pi / decay_shifted_frequency(1.0, kappa)
+    if couplings is None:
+        w1, bright_sq, shares = 1.0, _DESIGN_SQ, _DESIGN_SHARES
+    elif kappa.ndim > 1 and any(np.ndim(w) for w in couplings):
+        raise ConfigError(f"kappa must be one rate with coupling arrays, got shape {kappa.shape[:1]}")
+    else:  # (..., 4); slot 0's share is always the float 1
+        bright_sq, shares = (np.stack(np.broadcast_arrays(*x), -1) for x in _bright_columns(*couplings))
+        w1 = np.asarray(couplings[0], dtype=float)[..., None]
+        if exact or delay is not None:  # W >= w1: atom 1's block overdamps first
+            decay_shifted_frequency(w1, kappa)
     if exact:
-        bright = np.sqrt(bright_sq)
-        block = block_propagator(bright, kappa, t)
-        bright_atom, photon = block[..., 0, 0], 1.0 / bright * block[..., 1, 0]
+        block = block_propagator(bright := np.sqrt(bright_sq), kappa, t)
+        bright_atom, photon = block[..., 0, 0], w1 / bright * block[..., 1, 0]
     else:  # per rate the envelope, and w1/a on |001⟩, the one column with a sine
         envelope = np.reshape([math.exp(x) for x in np.ravel(-kappa * t / 4.0).tolist()], t.shape)
-        w1_over_a = 1.0 / decay_shifted_frequency(math.sqrt(bright_sq[1]), kappa)
+        w1_over_a = 1.0 / decay_shifted_frequency(math.sqrt(_DESIGN_SQ[1]), kappa)
         # envelope*cos: -mu (s = 1, cos = -1) is the envelope bit for bit, never rounded to 0.
         bright_atom, photon = envelope * _DESIGN_COS, w1_over_a * _DESIGN_ISIN
-    if couplings is not None:  # (..., 4); slot 0's share is always the float 1
-        shares = np.stack(np.broadcast_arrays(*_bright_columns(*couplings)[1]), -1)
-    shares = np.asarray(shares)
-    return (1.0 - shares) + shares * bright_atom, photon
+    atom1 = (1.0 - shares) + shares * bright_atom
+    if delay is not None:  # (..., D, 2) @ (..., 2, 4), one product per row
+        pair = np.empty(atom1.shape[:-1] + (2, 4), dtype=complex)
+        pair[..., 0, :], pair[..., 1, :] = atom1, photon
+        step = block_propagator(w1, kappa, delay * t)
+        atom1, photon = step[..., 0, :] @ pair, step[..., 1, :] @ pair
+    return atom1, photon
 
 
-def exact_columns(kappa) -> np.ndarray:
-    """The exact setting of ``_gate_columns`` at each decay rate of
-    ``kappa``, atom-1 row first: a signed complex (..., 2, 4) array."""
-    return np.stack(_gate_columns(kappa, True), axis=-2)
+def exact_columns(kappa, delay=None) -> np.ndarray:
+    """The exact setting of ``_gate_columns`` at each decay rate of ``kappa``
+    (and ``delay``), atom-1 row first: a signed complex (..., 2, 4) array."""
+    return np.stack(_gate_columns(kappa, True, delay=delay), axis=-2)
 
 
 def decayed_i000(kappa, couplings: tuple[float, float, float] | None = None) -> np.ndarray:

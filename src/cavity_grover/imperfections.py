@@ -2,11 +2,11 @@
 
 Timing mismatch: atom 1 is slightly slow and keeps interacting for an extra
 ``delta_t`` after atoms 2 and 3 have left the mode. The gate leaves each
-atom-1-in-``E`` column with an atom-1 and a photon amplitude, and one delay
-step applies the exact atom-1 block to them. Both timing functions take
-those amplitudes from the one column model ``gates._gate_columns``: the
-closed form from its paper setting (a photon only on |001⟩, from the partly
-open atoms-1+3 Rabi cycle), the full-dynamics oracle ``timing_oracle`` from
+atom-1-in-``E`` column with an atom-1 and a photon amplitude, and the delay
+applies the exact atom-1 block to them. Each timing function is one call of
+the column model ``gates._gate_columns`` with the delay, then scoring: the
+closed form on its paper setting (a photon only on |001⟩, from the partly
+open atoms-1+3 Rabi cycle), the full-dynamics oracle ``timing_oracle`` on
 its exact setting. ``timing_oracle_dense`` evolves the whole Hilbert space
 at one delay and is the tests' reference for the blocks.
 
@@ -40,14 +40,13 @@ from .dynamics import (
     CavityParams,
     _check_result,
     add_cavity_decay,
-    block_propagator,
     evolve,
     evolve_logical_basis,
     exchange_hamiltonian,
     gate_time,
 )
 from .errors import ConfigError, _refuse_bools
-from .gates import TEXTBOOK, _gate_columns, _gate_times, decayed_i000, exact_columns, full_diagonal
+from .gates import TEXTBOOK, _gate_columns, decayed_i000, exact_columns, full_diagonal
 from .grover import _row_fidelity, _uniform_register
 from .hilbert import computational_embedding
 
@@ -76,15 +75,10 @@ def delay_fractions(values) -> np.ndarray:
     return fracs
 
 
-def _delayed_infidelities(kappa, fracs, columns: np.ndarray) -> np.ndarray:
-    """Gate infidelity at each of the K decay rates ``kappa`` and every delay
-    of the 1-D ``fracs`` (fractions of that rate's gate time): a (K, D) array,
-    from the (K, 2, 4) (atom-1, photon) amplitudes ``columns`` of the four
-    atom-1-in-``E`` columns at the gate time, the atom-1 rows the gates' slots:
-    each delay dt applies ``block_propagator(1, kappa, dt)``; the rest stay 1."""
-    fracs = delay_fractions(fracs)
-    kappa = np.asarray(kappa, dtype=float)[..., None]
-    atom1 = block_propagator(1.0, kappa, fracs * _gate_times(kappa))[..., 0, :] @ columns
+def _delayed_infidelities(atom1: np.ndarray) -> np.ndarray:
+    """Gate infidelity at each of K decay rates and D delays: a (K, D) array,
+    from the (K, D, 4) atom-1 rows ``atom1`` of ``gates._gate_columns``
+    after each delay, the gates' decaying slots; the rest stay 1."""
     _check_result(atom1)
     return 1.0 - _row_fidelity(_GATE_REFERENCE, full_diagonal(atom1) * _uniform_register())[0]
 
@@ -101,16 +95,14 @@ def timing_infidelity(kappa, fracs) -> np.ndarray:
     sin(sqrt(65)*pi) on |001⟩ (a13 = sqrt(w1^2 + w3^2 - kappa^2/16)) and
     exactly 0 on the closed cycles.
     """
-    return _delayed_infidelities(kappa, fracs, np.stack(_gate_columns(kappa, False), -2))
+    return _delayed_infidelities(_gate_columns(kappa, False, delay=delay_fractions(fracs))[0])
 
 
 def timing_oracle(kappa, fracs) -> np.ndarray:
-    """Full-dynamics counterpart of ``timing_infidelity``, on the same K
-    decay rates and 1-D delay fractions. One gate time leaves each
-    atom-1-in-``E`` column the exact amplitudes of ``gates.exact_columns``;
-    each delay then applies P(w1, dt). ``timing_oracle_dense`` is its reference.
-    """
-    return _delayed_infidelities(kappa, fracs, exact_columns(kappa))
+    """Full-dynamics counterpart of ``timing_infidelity``, on the same K decay
+    rates and 1-D delay fractions: the delay model on ``gates.exact_columns``.
+    ``timing_oracle_dense`` is its reference."""
+    return _delayed_infidelities(exact_columns(kappa, delay_fractions(fracs))[..., 0, :])
 
 
 def timing_oracle_dense(params: CavityParams, delta_t_frac: float) -> float:
@@ -128,7 +120,7 @@ def timing_oracle_dense(params: CavityParams, delta_t_frac: float) -> float:
     h_atom1 = exchange_hamiltonian((params.omega[0], 0.0, 0.0))  # atoms 2, 3 gone
     add_cavity_decay(h_atom1, params.kappa)
     logical = list(computational_embedding())
-    gate = np.column_stack([evolve(h_atom1, frac * t_gate, mid)[logical] for mid in mids])
+    gate = np.column_stack(evolve(h_atom1, frac * t_gate, mids)[:, logical])  # one expm for all eight
     return float(1.0 - _row_fidelity(_GATE_REFERENCE, gate @ _uniform_register())[0])
 
 
@@ -191,10 +183,11 @@ def coupling_offset_infidelity(
     uniform offset the weights cancel and the whole infidelity is exactly
     independent of eta.
 
-    Simulated gates (``dynamics.extract_gate``) disagree: an offset atom-1
-    cycle does not close at the design gate time, so even their |000⟩ entry
-    moves with eta. At kappa = w1/10 and eta = +0.05 this form falls with
-    chi (0.0083388 -> 0.0083317), four simulated gates rise (0.008745 -> 0.009994).
+    The exact gates, one ``gates._gate_columns`` call in its exact setting
+    at the offset couplings, disagree: an offset atom-1 cycle does not close
+    at the design gate time, so even their |000⟩ entry moves with eta. At
+    kappa = w1/10 and eta = +0.05 this form falls with chi (0.0083388 ->
+    0.0083317), four exact gates rise (0.008745 -> 0.009994).
 
     ``check_chi`` checks each chi once, and one ``offset_couplings`` call
     checks every offset and gives the coupling arrays. One ``decayed_i000``

@@ -888,6 +888,35 @@ def test_exact_setting_is_the_block_model_at_the_gate_time(kappa_frac):
     assert np.abs(exact_columns(params.kappa) - at_gate).max() <= 1e-15
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kappa_frac=st.floats(0.0, _LOADED_KAPPA_FRAC),
+    model=st.sampled_from(imperfections.OFFSET_MODELS),
+    etas=st.tuples(*[st.floats(-0.1, 0.1)] * 4),
+    delay=st.floats(0.0, 0.2),
+)
+@example(kappa_frac=_LOADED_KAPPA_FRAC, model="uniform", etas=(0.1,) * 4, delay=0.2)
+@example(kappa_frac=0.8999, model="atom1", etas=(-0.1,) * 4, delay=0.2)
+def test_exact_setting_matches_dense_offset_and_delay(kappa_frac, model, etas, delay):
+    # The exact setting at offset couplings and a delay is the dense path:
+    # every logical input evolved at the offset couplings for the design
+    # gate time T, then under atom 1's coupling alone (atoms 2 and 3 gone,
+    # decay still on) for delay*T. Each atom-1-in-E column's atom-1 and
+    # photon amplitudes agree. kappa is any rate below 4*min(1, w1): the
+    # design atom 1 and the offset one both stay underdamped.
+    couplings = tuple(c.item() for c in imperfections.offset_couplings([etas[0]], model, etas[1:]))
+    kappa = kappa_frac * 4.0 * min(1.0, couplings[0])
+    t = gate_time(CavityParams.designed(1.0, kappa))
+    mids = evolve_logical_basis([CavityParams(couplings, kappa)], [t])[0]
+    h_atom1 = add_cavity_decay(exchange_hamiltonian((couplings[0], 0.0, 0.0)), kappa)
+    finals = evolve(h_atom1, delay * t, mids)
+    atom1, photon = (row[0] for row in _gate_columns(kappa, True, couplings, np.array([delay])))
+    embedding = computational_embedding()
+    for col, (l2, l3) in enumerate([(I, I), (I, G), (G, I), (G, G)]):
+        assert abs(finals[col, embedding[col]] - atom1[col]) <= 1e-12
+        assert abs(finals[col, state_index(G, l2, l3, 1)] - photon[col]) <= 1e-12
+
+
 def test_dense_gate_is_the_exact_block_gate():
     # The dense gate at its gate time is the block gate, over the decay range:
     # on the diagonal the exact atom-1 row, then ones (atom 1 in G, nothing

@@ -181,13 +181,18 @@ def test_gate_diagonal_validates_range(monkeypatch):
     couplings = (np.array([1.0, math.nan]), math.sqrt(35.0), 8.0)
     with pytest.raises(ConfigError, match=r"^gate diagonal factor gamma=nan outside"):
         decayed_i000(0.0, couplings)
-    # Float, np.float64 and array shares (the last one row per coupling
-    # value): one rule and one message in every form, on each factor.
-    forms = ((float, None), (np.float64, None), (lambda one: np.full(2, one), (np.ones(2),) * 3))
+    # The design shares built at import, and float, np.float64 and array
+    # shares from a coupling triple (the last one row per coupling value):
+    # one rule and one message in every form, on each factor.
+    forms = (
+        (float, None), (np.float64, (1.0, 1.0, 1.0)), (lambda one: np.full(2, one), (np.ones(2),) * 3)
+    )
     above_one = float(np.nextafter(1.0, 2.0))
 
     def slots(cos, form, couplings):
         monkeypatch.setattr(gates, "_bright_columns", lambda *w: ((1.0,) * 4, (form(1.0),) * 4))
+        monkeypatch.setattr(gates, "_DESIGN_SQ", np.ones(4))
+        monkeypatch.setattr(gates, "_DESIGN_SHARES", np.ones(4))
         monkeypatch.setattr(gates, "_DESIGN_COS", np.array(cos))
         return decayed_i000(0.0, couplings)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from cavity_grover import (
 )
 from cavity_grover import dynamics, grover, imperfections
 from cavity_grover.dynamics import DESIGNED_RATIOS
-from cavity_grover.gates import decayed_i000, full_diagonal
+from cavity_grover.gates import _gate_columns, decayed_i000, full_diagonal
 from reference import rk4_timing_oracle, rows
 
 
@@ -548,6 +549,65 @@ def test_decayed_gate_array_call_equals_scalar_calls(model, per_atom, strong_dec
         scalar = decayed_i000(strong_decay, one)
         assert scalar.shape == (4,)
         assert slots[i].tobytes() == scalar.tobytes()
+
+
+def test_coupling_arrays_take_one_decay_rate():
+    # A kappa axis beside coupling arrays once paired the two axes (two rates
+    # with two offsets gave kappa = 0.2 at eta = 0.05) or failed to broadcast
+    # (three rates with two): the column model refuses both, naming kappa.
+    for rates in ([0.1, 0.2], [0.1, 0.2, 0.3]):
+        with pytest.raises(ConfigError, match=r"^kappa must be one rate with coupling arrays"):
+            coupling_offset_infidelity(rates, [1], [0.0, 0.05])
+    couplings = offset_couplings([0.0, 0.05])
+    for exact in (False, True):
+        with pytest.raises(ConfigError, match=r"^kappa .* got shape \(1,\)$"):
+            _gate_columns([0.1], exact, couplings)
+        # One rate with coupling arrays, and a kappa axis with float couplings.
+        assert _gate_columns(0.1, exact, couplings)[0].shape == (2, 4)
+        floats = tuple(c[1].item() for c in couplings)
+        assert _gate_columns([0.1, 0.2], exact, floats)[0].shape == (2, 4)
+
+
+# The four-gate infidelity of the exact gates at kappa = w1/10, chi = 1..4 of
+# them at the offset couplings and the rest at the design ones, to every
+# digit printed for each offset model (eta = 0 gives 0.0083409 for every chi).
+_EXACT_OFFSET_TABLE = {
+    ("atom1", +0.05): ("0.0087449", "0.0091552", "0.0095718", "0.0099943"),
+    ("atom1", -0.05): ("0.0091306", "0.0099438", "0.0107790", "0.0116348"),
+    ("uniform", +0.05): ("0.0085850", "0.0088863", "0.0092444", "0.0096590"),
+    ("uniform", -0.05): ("0.0089873", "0.0096866", "0.0104381", "0.0112411"),
+}
+
+
+@pytest.mark.parametrize("model, eta", sorted(_EXACT_OFFSET_TABLE))
+def test_exact_offset_gates_rise_with_cavity_count(model, eta):
+    # One call of the exact setting at the offset couplings and the design
+    # gate time. The four gate diagonals act on the uniform register u, the
+    # exact four-gate reference: unlike the paper form, these rise with chi.
+    u = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
+    primed = full_diagonal(_gate_columns(0.1, True, offset_couplings([eta], model))[0][0])
+    base = full_diagonal(_gate_columns(0.1, True)[0])
+    shown = []
+    for chi in range(1, 5):
+        out = primed**chi * base ** (4 - chi) * u
+        shown.append(f"{1.0 - _fidelity(u, out):.7f}")
+    assert tuple(shown) == _EXACT_OFFSET_TABLE[model, eta]
+
+
+def test_an_overdamped_offset_atom_1_is_a_config_error():
+    # At w1 = 1 + eta = 0.9, kappa >= 4*w1 = 3.6 overdamps atom 1's block. The
+    # exact setting and a delay propagate it, so they refuse kappa = 3.9 with
+    # a ConfigError and no warning from a square root of a negative number;
+    # the paper setting alone propagates no block and keeps its value.
+    couplings = offset_couplings([-0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for exact, delay in ((True, None), (True, np.array([0.05])), (False, np.array([0.05]))):
+            with pytest.raises(ConfigError, match="overdamps the block"):
+                _gate_columns(3.9, exact, couplings, delay)
+            atom1, photon = _gate_columns(3.5, exact, couplings, delay)
+            assert np.isfinite(atom1).all() and np.isfinite(photon).all()
+        assert np.isfinite(decayed_i000(3.9, couplings)).all()
 
 
 # --- malformed axes ----------------------------------------------------------
