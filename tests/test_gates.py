@@ -181,9 +181,9 @@ def test_gate_diagonal_validates_range(monkeypatch):
     couplings = (np.array([1.0, math.nan]), math.sqrt(35.0), 8.0)
     with pytest.raises(ConfigError, match=r"^gate diagonal factor gamma=nan outside"):
         decayed_i000(0.0, couplings)
-    # The design shares built at import, and float, np.float64 and array
-    # shares from a coupling triple (the last one row per coupling value):
-    # one rule and one message in every form, on each factor.
+    # The design shares built at import, np.float64 shares from a float
+    # coupling triple and array shares from coupling arrays (one row per
+    # value): one rule and one message in every form, on each factor.
     forms = (
         (float, None), (np.float64, (1.0, 1.0, 1.0)), (lambda one: np.full(2, one), (np.ones(2),) * 3)
     )
