@@ -28,6 +28,7 @@ result is a pair of plain read-only arrays, the gate and its per-column leakage.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -128,11 +129,11 @@ def block_propagator(omega, kappa, t) -> np.ndarray:
     """
     omega, kappa, t = (np.asarray(x, float) for x in (omega, kappa, t))
     a = np.sqrt(omega * omega - kappa * kappa / 16.0)
-    envelope, cos, sin = np.exp(-kappa * t / 4.0), np.cos(a * t), np.sin(a * t) / a
-    shape = np.broadcast_shapes(omega.shape, kappa.shape, t.shape)
-    block = np.empty(shape + (2, 2), dtype=complex)
-    block[..., 0, 0] = envelope * (cos + kappa / 4.0 * sin)
-    block[..., 1, 1] = envelope * (cos - kappa / 4.0 * sin)
+    cos, sin = np.cos(at := a * t), np.sin(at) / a  # of the broadcast shape
+    envelope, damped = np.exp(-kappa * t / 4.0), kappa / 4.0 * sin
+    block = np.empty(cos.shape + (2, 2), dtype=complex)
+    block[..., 0, 0] = envelope * (cos + damped)
+    block[..., 1, 1] = envelope * (cos - damped)
     block[..., 0, 1] = block[..., 1, 0] = -1j * envelope * omega * sin
     return block
 
@@ -211,7 +212,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     identity, which an all-zero ``a`` gets directly.
     """
     norms = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)  # 1-norms; 0 for 0x0 blocks
-    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    eye = _identity(a.shape[-1], a.dtype)
     if not any(values := norms.ravel().tolist()):
         return eye + a  # the identity, in the shape and dtype of the all-zero a
     s = [math.ceil(math.log2(n / _THETA13)) if n > _THETA13 else 0 for n in values]
@@ -236,6 +237,12 @@ def expm(a: np.ndarray) -> np.ndarray:
         square = np.reshape(s, norms.shape) > step
         r[square] = r[square] @ r[square]
     return r
+
+
+@functools.cache
+def _identity(n: int, dtype: np.dtype) -> np.ndarray:
+    """The n x n identity of ``dtype``, built once per pair: a read-only view."""
+    return np.broadcast_to(np.eye(n, dtype=dtype), (n, n))
 
 
 def evolve(h: np.ndarray, t, psi0) -> np.ndarray:
@@ -297,6 +304,13 @@ _LOGICAL_SECTORS = [
     (pos, _reachable_sector(exchange_hamiltonian((1.0, 1.0, 1.0)), _UNITS[pos]))
     for pos in computational_embedding()
 ]
+# Per sector, as flat positions: its block in a (K, 36 * 36) view of an H
+# stack, its start state, and its column's entries in a (K, 8 * 36) view.
+_SECTOR_BLOCKS = [
+    ((sector[:, None] * len(BASIS) + sector).ravel(), _UNITS[pos, sector], column * len(BASIS) + sector)
+    for column, (pos, sector) in enumerate(_LOGICAL_SECTORS)
+]
+_LOGICAL = np.array(computational_embedding())
 
 
 def evolve_logical_basis(params: Sequence[CavityParams], t) -> np.ndarray:
@@ -309,10 +323,12 @@ def evolve_logical_basis(params: Sequence[CavityParams], t) -> np.ndarray:
     if not (stack := list(params)):
         raise ConfigError("needs at least one set of cavity parameters")
     h_eff = np.stack([build_effective_hamiltonian(p) for p in stack])
-    _checked_operands(h_eff, t, _UNITS[0])  # any state as wide as BASIS
-    amps = np.zeros((len(stack), len(_LOGICAL_SECTORS), len(BASIS)), dtype=complex)
-    for column, (pos, sector) in enumerate(_LOGICAL_SECTORS):
-        amps[:, column, sector] = evolve(h_eff[:, sector[:, None], sector], t, _UNITS[pos, sector])
+    times, _ = _checked_operands(h_eff, t, _UNITS[0])  # any state as wide as BASIS
+    k, d = h_eff.shape[:2]
+    flat, amps = h_eff.reshape(k, d * d), np.zeros((k, len(_SECTOR_BLOCKS) * d), dtype=complex)
+    for take, start, put in _SECTOR_BLOCKS:
+        amps[:, put] = evolve(flat.take(take, axis=1).reshape(k, len(start), len(start)), times, start)
+    amps = amps.reshape(k, len(_SECTOR_BLOCKS), d)
     _check_result(amps)
     return amps
 
@@ -330,8 +346,7 @@ def extract_gate(params: Sequence[CavityParams], t) -> tuple[np.ndarray, np.ndar
     if not np.all(np.asarray(t, dtype=float) > 0.0):  # NaN fails too; evolve rejects inf
         raise ConfigError(f"gate extraction needs a finite t > 0, got {t}")
     amps = evolve_logical_basis(params, t)  # (K, column, state)
-    # Contiguous, so the sums below run along rows of 8.
-    projected = np.ascontiguousarray(amps[..., computational_embedding()])
+    projected = amps.take(_LOGICAL, axis=-1)  # C order: the sums below run along rows of 8
     norm = np.einsum("...i,...i->...", amps, amps.conj()).real
     leakage = norm - (np.abs(projected) ** 2).sum(axis=-1)
     restricted = projected.swapaxes(-1, -2)

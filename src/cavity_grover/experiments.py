@@ -95,8 +95,12 @@ class ExperimentConfig:
         _built("omega1c_khz", self.omega1c_khz, self.iteration_us)
         # linspace ends exactly at delta_t_max_frac: the sweep's last delay.
         _built("delta_t_max_frac", self.delta_t_max_frac, delay_fractions, [self.delta_t_max_frac])
-        for ratio in self.kappa_ratios:  # in order: the first bad ratio is named
-            _built("kappa_ratios", ratio, decayed_i000, ratio)
+        try:  # one stacked call; a refusal is named by its first bad ratio, in order
+            _built("kappa_ratios", self.kappa_ratios, decayed_i000, self.kappa_ratios)
+        except ConfigError:
+            for ratio in self.kappa_ratios:
+                _built("kappa_ratios", ratio, decayed_i000, ratio)
+            raise
         _built("offset_kappa_ratio", self.offset_kappa_ratio, decayed_i000, self.offset_kappa_ratio)
         model, per_atom = self.offset_model, self.offset_eta_per_atom
         _built("offset_model", model, offset_couplings, [0.0], model, (0.0,) * 3)

@@ -100,7 +100,7 @@ _DESIGN_SQ, _DESIGN_SHARES = (np.array(x) for x in _bright_columns(*DESIGNED_RAT
 
 
 def _gate_columns(kappa, exact: bool, couplings=None, delay=None):
-    """Atom-1 and photon rows, two (..., 4) arrays, of the four atom-1-in-``E``
+    """Atom-1 and photon rows, two (..., 4) arrays of one shape, of the four atom-1-in-``E``
     columns |000⟩, |001⟩, |010⟩, |011⟩ after the design gate time T at each
     decay rate of ``kappa`` (``check_kappa``), in units of the designed w1 = 1:
     the package's one column model.
@@ -134,6 +134,8 @@ def _gate_columns(kappa, exact: bool, couplings=None, delay=None):
         # envelope*cos: -mu (s = 1, cos = -1) is the envelope bit for bit, never rounded to 0.
         bright_atom, photon = envelope * _DESIGN_COS, w1_over_a * _DESIGN_ISIN
     atom1 = (1.0 - shares) + shares * bright_atom
+    if photon.shape != atom1.shape:  # the paper row keeps the design phases at every coupling
+        photon = np.broadcast_to(photon, atom1.shape)
     if delay is not None:  # (..., D, 2) @ (..., 2, 4), one product per row
         pair = np.empty(atom1.shape[:-1] + (2, 4), dtype=complex)
         pair[..., 0, :], pair[..., 1, :] = atom1, photon

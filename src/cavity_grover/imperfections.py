@@ -37,6 +37,7 @@ import numpy as np
 
 from .dynamics import (
     DESIGNED_RATIOS,
+    _LOGICAL,
     CavityParams,
     _check_result,
     add_cavity_decay,
@@ -48,13 +49,13 @@ from .dynamics import (
 from .errors import ConfigError, _refuse_bools
 from .gates import TEXTBOOK, _gate_columns, decayed_i000, exact_columns, full_diagonal
 from .grover import _row_fidelity, _uniform_register
-from .hilbert import computational_embedding
 
 OFFSET_MODELS = ("atom1", "uniform", "per_atom")
 
 
-# The exact |000⟩ phase gate applied to the uniform register.
-_GATE_REFERENCE = full_diagonal(TEXTBOOK) * _uniform_register()
+# The uniform register, and the exact |000⟩ phase gate applied to it.
+_UNIFORM = _uniform_register()
+_GATE_REFERENCE = full_diagonal(TEXTBOOK) * _UNIFORM
 
 
 def _axis(name: str, values) -> np.ndarray:
@@ -80,7 +81,7 @@ def _delayed_infidelities(atom1: np.ndarray) -> np.ndarray:
     from the (K, D, 4) atom-1 rows ``atom1`` of ``gates._gate_columns``
     after each delay, the gates' decaying slots; the rest stay 1."""
     _check_result(atom1)
-    return 1.0 - _row_fidelity(_GATE_REFERENCE, full_diagonal(atom1) * _uniform_register())[0]
+    return 1.0 - _row_fidelity(_GATE_REFERENCE, full_diagonal(atom1) * _UNIFORM)[0]
 
 
 def timing_infidelity(kappa, fracs) -> np.ndarray:
@@ -119,9 +120,8 @@ def timing_oracle_dense(params: CavityParams, delta_t_frac: float) -> float:
     mids = evolve_logical_basis([params], [t_gate])[0]
     h_atom1 = exchange_hamiltonian((params.omega[0], 0.0, 0.0))  # atoms 2, 3 gone
     add_cavity_decay(h_atom1, params.kappa)
-    logical = list(computational_embedding())
-    gate = np.column_stack(evolve(h_atom1, frac * t_gate, mids)[:, logical])  # one expm for all eight
-    return float(1.0 - _row_fidelity(_GATE_REFERENCE, gate @ _uniform_register())[0])
+    gate = np.column_stack(evolve(h_atom1, frac * t_gate, mids)[:, _LOGICAL])  # one expm for all eight
+    return float(1.0 - _row_fidelity(_GATE_REFERENCE, gate @ _UNIFORM)[0])
 
 
 def check_chi(chi) -> None:
@@ -211,7 +211,7 @@ def _four_gate_infidelities(primed: np.ndarray, base: np.ndarray, chis) -> np.nd
     sequence for any ``chis`` (``**`` calls C ``pow`` per element for 3, 4)."""
     # After an even number of phase gates the |000⟩ sign flips cancel, so
     # the exact four-gate reference is the uniform register u itself.
-    u = np.ascontiguousarray(_uniform_register().real)  # einsum's sum order follows strides
+    u = np.ascontiguousarray(_UNIFORM.real)  # einsum's sum order follows strides
     outputs = np.empty((len(primed), 8))
     outputs[:, 4:] = u[4:]
     powers = [primed]  # powers[k] is primed**(k + 1) as k products

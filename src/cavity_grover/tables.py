@@ -6,7 +6,8 @@ a human-readable summary. ``write_csv`` checks the columns without
 expanding them, before it opens the path, then renders each axis value
 once with one ``repr`` and spreads that text to the axis's rows, so a
 table of any size writes the same bytes as one ``str`` per value, row by
-row.
+row. The encoded text goes through one descriptor, as many ``os.write``
+calls as a pipe needs; only a regular file is cut to length.
 """
 
 from __future__ import annotations
@@ -43,14 +44,14 @@ def _checked_axes(header: tuple[str, ...], columns) -> tuple[Axis, ...]:
     lengths = sorted({len(a.values) * a.repeat * a.tile for a in axes})
     if len(lengths) > 1:
         raise ConfigError(f"columns of unequal lengths {lengths}")
+    floats = [a for a in axes if a.values.dtype.kind == "f"]
+    if all(np.isfinite(a.values).all() for a in floats):
+        return axes
     # Value j of an axis first appears at row j * repeat: the earliest such
     # row of a non-finite value over the float axes is the bad row.
-    floats = (a for a in axes if a.values.dtype.kind == "f")
     bad = [a.repeat * j for a in floats for j in np.flatnonzero(~np.isfinite(a.values))[:1]]
-    if bad:
-        row = tuple(a.values[min(bad) // a.repeat % len(a.values)].item() for a in axes)
-        raise NumericalError(f"table holds a non-finite row {row}")
-    return axes
+    row = tuple(a.values[min(bad) // a.repeat % len(a.values)].item() for a in axes)
+    raise NumericalError(f"table holds a non-finite row {row}")
 
 
 def _axis(column) -> Axis:
@@ -76,28 +77,30 @@ def _column_text(axis: Axis) -> list[str]:
     return text * axis.tile
 
 
-def _open_in_place(path: str, flags: int) -> int:
-    # open's own flags without O_TRUNC: a rerun overwrites the old blocks.
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 def write_csv(table: tuple, path: str) -> None:
     """Write a ``(header, columns, summary)`` table as UTF-8 CSV: header
     row, ints as written, floats in shortest round-trip form (``repr`` of a
     Python float), rows in grid order. The table rule runs first, so a
     malformed or non-finite table raises with ``path`` untouched. Each
     column is formatted once (an axis once per value) and the rows are
-    joined from the formatted columns. Byte-identical across runs. A file is
-    rewritten in place and only a regular one is cut to length, so ``path``
-    may be a pipe."""
+    joined from the formatted columns. Byte-identical across runs. The text
+    is encoded once and written through one descriptor opened without
+    truncation (a rerun overwrites the old blocks), ``os.write`` until every
+    byte is taken, so ``path`` may be a pipe that takes a part at a time; a
+    regular file is then cut to length."""
     header, columns, _ = table
     lines = [",".join(header)]
     lines.extend(map(",".join, zip(*map(_column_text, _checked_axes(header, columns)))))
-    text = "\n".join(lines) + "\n"
+    data = ("\n".join(lines) + "\n").encode()
     try:
-        with open(path, "w", encoding="utf-8", newline="\n", opener=_open_in_place) as fh:
-            fh.write(text)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc

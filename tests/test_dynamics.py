@@ -647,6 +647,29 @@ def test_logical_basis_blocks_have_the_whole_space_bits(members):
         assert np.array_equal(sector, dynamics._reachable_sector((h != 0).any(axis=0), unit(pos)))
 
 
+def test_sector_blocks_index_the_sectors_flat():
+    # Each column's flat block positions take exactly h[:, sector[:, None],
+    # sector] from a (K, 36 * 36) view of a random stack, its start state is
+    # the unit vector on its sector, and its flat targets land where
+    # amps[:, column, sector] does in a (K, 8 * 36) view.
+    rng = np.random.default_rng(47)
+    h = rng.normal(size=(3, len(BASIS), len(BASIS))) + 1j * rng.normal(size=(3, len(BASIS), len(BASIS)))
+    flat = h.reshape(3, -1)
+    assert len(dynamics._SECTOR_BLOCKS) == len(dynamics._LOGICAL_SECTORS)
+    for column, ((pos, sector), (take, start, put)) in enumerate(
+        zip(dynamics._LOGICAL_SECTORS, dynamics._SECTOR_BLOCKS)
+    ):
+        block = flat.take(take, axis=1).reshape(3, len(sector), len(sector))
+        assert block.tobytes() == np.ascontiguousarray(h[:, sector[:, None], sector]).tobytes()
+        assert np.array_equal(start, unit(pos)[sector])
+        values = rng.normal(size=(3, len(sector))) + 0j
+        amps, scattered = np.zeros((3, 8, len(BASIS)), complex), np.zeros((3, 8 * len(BASIS)), complex)
+        amps[:, column, sector] = values
+        scattered[:, put] = values
+        assert np.array_equal(scattered.reshape(amps.shape), amps)
+    assert np.array_equal(dynamics._LOGICAL, computational_embedding())
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_no_run_searches_for_a_sector(experiment, tmp_path, monkeypatch):
     # The eight logical sectors are found at import; no run searches for one,

@@ -895,6 +895,43 @@ def test_cli_writes_csv_to_stdout_as_a_pipe(default_csvs):
     assert out.stdout == default_csvs["geometry"]
 
 
+def test_cli_writes_a_csv_larger_than_a_pipe_buffer_to_stdout(tmp_path):
+    # About 100 KB of offset rows, more than a 64 KiB pipe buffer: the
+    # pipe gets the bytes the same run writes to a file.
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout here")
+    config, out = tmp_path / "big.cfg", tmp_path / "offset.csv"
+    config.write_text("eta_points = 2000\n", encoding="utf-8")
+    args = [sys.executable, "-m", "cavity_grover.cli", "offset", "--config", str(config), "--out"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    assert subprocess.run([*args, str(out)], env=env).returncode == 0
+    piped = subprocess.run([*args, "/dev/stdout"], env=env, capture_output=True)
+    assert piped.returncode == 0, piped.stderr.decode()
+    assert len(piped.stdout) > 65536
+    assert piped.stdout == out.read_bytes()
+
+
+def test_csv_write_sends_what_a_short_write_left(tmp_path, monkeypatch):
+    # A descriptor that takes at most 4 KiB per os.write still gets every
+    # byte, in order, and a longer old file is cut to the new length.
+    table = run_experiment("offset", ExperimentConfig(eta_points=400))
+    path = tmp_path / "offset.csv"
+    write_csv(table, str(path))
+    expected = path.read_bytes()
+    path.write_bytes(b"x" * (2 * len(expected)))
+    write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(write(fd, data[:4096]))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    write_csv(table, str(path))
+    monkeypatch.undo()
+    assert len(sizes) == -(-len(expected) // 4096) > 1
+    assert path.read_bytes() == expected
+
+
 def test_csv_write_error_carries_path(tmp_path):
     table = run_experiment("geometry", ExperimentConfig())
     missing_dir = tmp_path / "no" / "such" / "dir.csv"
@@ -1401,9 +1438,9 @@ _KAPPA_RULE = (
     ],
 )
 def test_load_and_the_cli_name_the_first_bad_ratio(ratios, shown, tmp_path, capsys):
-    # Load checks each ratio with its own decayed_i000 call, in ratio order,
-    # so the error names the first ratio that breaks either the rate rule or
-    # the gate's.
+    # Load checks every ratio with one stacked decayed_i000 call; when it
+    # refuses, one call per ratio, in ratio order, names the first ratio that
+    # breaks either the rate rule or the gate's.
     values = tuple(float(r) for r in ratios.split(","))
     loads = (
         lambda: ExperimentConfig(kappa_ratios=values),

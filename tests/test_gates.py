@@ -18,6 +18,7 @@ from cavity_grover import (
 from cavity_grover import gates
 from cavity_grover.dynamics import DESIGNED_RATIOS, decay_shifted_frequency
 from cavity_grover.gates import exact_columns
+from cavity_grover.imperfections import offset_couplings
 from reference import compose, diffusion, gate_operator, is_unitary
 
 ALL_TAUS = [format(v, "03b") for v in range(8)]
@@ -164,6 +165,17 @@ def test_paper_photon_row_is_exactly_dark_on_the_closed_cycles():
         assert row[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0]
         assert row[1] == -1j * w1 / a13 * math.sin(math.sqrt(65.0) * math.pi)
         assert slots.tobytes() == decayed_i000(kappa).tobytes()
+
+
+def test_paper_rows_at_coupling_arrays_stack():
+    # The paper photon row keeps the design phases, so at coupling arrays it
+    # is the design row once per coupling value, the atom-1 row's shape.
+    design = gates._gate_columns(0.1, False)[1]
+    for model, per_atom in (("atom1", None), ("uniform", None), ("per_atom", (0.02, -0.01, 0.03))):
+        atom1, photon = gates._gate_columns(0.1, False, offset_couplings([0.0, 0.05], model, per_atom))
+        assert np.stack((atom1, photon)).shape == (2, 2, 4)
+        for row in photon:
+            assert row.tobytes() == design.tobytes()
 
 
 def test_gate_diagonal_validates_range(monkeypatch):
